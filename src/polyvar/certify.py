@@ -290,7 +290,7 @@ def _mixed_feasible_point(
     _, rays = _dd(dim + 1, h_ineqs, h_eqs)
     for r in rays:
         if r[dim] > 0:
-            return QVector(x / r[dim] for x in r.entries[:dim])
+            return QVector(Fraction(x, r[dim]) for x in r[:dim])
     return None
 
 

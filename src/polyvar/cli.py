@@ -11,7 +11,8 @@ Subcommands::
 Vectors are comma-separated rationals ("1,-1/2"); graph directions take a
 primal and a dual part separated by ";".  Values starting with a minus sign
 need the "--dir=-1,0;0,0" form.  Exit codes: 0 holds/match,
-1 not certified/refuted/mismatch, 2 inconclusive, 3 usage or input error.
+1 not certified/refuted/mismatch, 2 inconclusive, 3 usage or input error,
+4 internal error (a defect; the traceback goes to stderr).
 The environment variable POLYVAR_TRACE (full | summary | off) controls how
 much derivation detail is printed.
 """
@@ -22,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from importlib import resources
 
 from .certify import (
@@ -338,6 +340,12 @@ def run_command(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        raise  # main() exits quietly when a pager closes the pipe
+    except Exception:
+        # A defect, not a verdict: keep it apart from exit 1 ("not certified").
+        print("internal error:\n" + traceback.format_exc(), file=sys.stderr, end="")
+        return 4
 
 
 def main() -> None:

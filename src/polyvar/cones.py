@@ -20,135 +20,260 @@ that cone equality is plain structural equality:
 * ``ineqs``/``eqs`` are obtained from the V-representation of the polar cone
   by the same pipeline, hence equally canonical.
 
+The kernel works on primitive integer tuples: each input row is scaled once
+by a positive rational to coprime integers, and every later update is an
+integer cross-multiplication followed by division by the gcd.  Two rays are
+combined only if they are adjacent, which is decided combinatorially from
+their zero sets (Fukuda & Prodon, "Double description method revisited",
+1996); the extremality filter uses fraction-free Bareiss elimination for its
+ranks.  ``fractions.Fraction`` appears only at the API boundary: the fields
+of a ``PolyCone`` are ``QVector``s, and the cone keeps their integer forms
+for its own queries.
+
 Everything is exact; there is no tolerance anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .linalg import (
-    QMatrix,
-    QVector,
-    kernel_of_rows,
-    rank_of_rows,
-    row_space_basis,
-    solve,
-)
+from .linalg import QVector
+
+IntVec = tuple[int, ...]
 
 
-def _project_off(v: QVector, basis: Sequence[QVector]) -> QVector:
-    """Component of v orthogonal to span(basis)."""
-    if not basis:
-        return v
-    b = QMatrix(basis)  # rows are the basis vectors
-    bt = b.T
-    gram = b.matmul(bt)  # basis is independent, so gram is invertible
-    coeff = solve(gram, b.matvec(v))
-    assert coeff is not None
-    proj = QVector.zero(v.dim)
-    for c, bv in zip(coeff, basis):
-        proj = proj + bv.scale(c)
-    return v - proj
+def _reduce(v: Sequence[int]) -> IntVec:
+    """Divide an integer vector by the gcd of its entries (zero stays zero)."""
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
-def _canonical_rays(rays: Iterable[QVector], lin: Sequence[QVector]) -> tuple[QVector, ...]:
-    out = set()
-    for r in rays:
-        rp = _project_off(r, lin).primitive()
-        if not rp.is_zero():
-            out.add(rp)
-    return tuple(sorted(out, key=lambda v: v.entries))
+def _ints(v) -> IntVec:
+    """The primitive integer vector that is a positive multiple of v.
+
+    Accepts a QVector or a sequence of exact scalars (ints, Fractions, or
+    strings such as "1/2").
+    """
+    xs = v.entries if isinstance(v, QVector) else tuple(v)
+    if not all(type(x) is int for x in xs):
+        if not isinstance(v, QVector):
+            xs = QVector(xs).entries
+        den = lcm(*(x.denominator for x in xs))
+        xs = [x.numerator * (den // x.denominator) for x in xs]
+    return _reduce(xs)
 
 
-def _dd(dim: int, ineqs: Sequence[QVector], eqs: Sequence[QVector]) -> tuple[list[QVector], list[QVector]]:
+def _dot(a: IntVec, b: IntVec) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _rank(rows: Sequence[IntVec]) -> int:
+    """Rank of an integer matrix by fraction-free Bareiss elimination.
+
+    After the step with pivot ``pv`` every remaining entry is a minor of the
+    input, so the division by the previous pivot is exact.
+    """
+    m = [list(r) for r in rows]
+    rank, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        p = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[rank], m[p] = m[p], m[rank]
+        pr, pv = m[rank], m[rank][c]
+        for i in range(rank + 1, len(m)):
+            mi, f = m[i], m[i][c]
+            m[i] = [(pv * x - f * y) // prev for x, y in zip(mi, pr)]
+        prev = pv
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def _echelon(rows: Sequence[IntVec], dim: int) -> tuple[list[IntVec], list[int]]:
+    """Integer reduced echelon form: (rows, pivot columns).
+
+    Each returned row is primitive with a positive pivot and zeros in the
+    other pivot columns; divided by its pivot it is the matching row of the
+    rational RREF.  Input rows must be primitive.
+    """
+    m = [r for r in rows if any(r)]
+    pivots: list[int] = []
+    for c in range(dim):
+        k = len(pivots)
+        if k == len(m):
+            break
+        p = next((i for i in range(k, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[k], m[p] = m[p], m[k]
+        pr = m[k] if m[k][c] > 0 else tuple(-x for x in m[k])
+        m[k] = pr
+        pv = pr[c]
+        for i, mi in enumerate(m):
+            f = mi[c]
+            if i != k and f:
+                m[i] = _reduce([pv * x - f * y for x, y in zip(mi, pr)])
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def _rref_q(rows: Sequence[IntVec]) -> tuple[QVector, ...]:
+    """The rational RREF rows of an integer echelon form."""
+    out = []
+    for r in rows:
+        pv = next(x for x in r if x)
+        out.append(QVector(r) if pv == 1 else QVector([Fraction(x, pv) for x in r]))
+    return tuple(out)
+
+
+def _kernel(rows: Sequence[IntVec], dim: int) -> list[IntVec]:
+    """Null space basis: positive multiples of what ``linalg.kernel`` returns
+    for the same rows (unit vectors when there are no rows)."""
+    ech, pivots = _echelon(rows, dim)
+    basis = []
+    for f in range(dim):
+        if f in pivots:
+            continue
+        scale = lcm(*(r[pc] for r, pc in zip(ech, pivots) if r[f]))
+        v = [0] * dim
+        v[f] = scale
+        for r, pc in zip(ech, pivots):
+            v[pc] = -r[f] * (scale // r[pc])
+        basis.append(_reduce(v))
+    return basis
+
+
+def _orthogonal(basis: Sequence[IntVec]) -> list[tuple[IntVec, int]]:
+    """Integer Gram-Schmidt: pairwise orthogonal vectors spanning the same
+    space as the (independent) basis, each with its squared norm."""
+    out: list[tuple[IntVec, int]] = []
+    for b in basis:
+        q = _project_off(b, out)
+        out.append((q, _dot(q, q)))
+    return out
+
+
+def _project_off(v: IntVec, ortho: Sequence[tuple[IntVec, int]]) -> IntVec:
+    """Positive multiple of the component of v orthogonal to span(ortho),
+    primitive when v is; ``ortho`` comes from ``_orthogonal``."""
+    for q, qq in ortho:
+        c = _dot(q, v)
+        if c:
+            v = _reduce([qq * x - c * y for x, y in zip(v, q)])
+    return v
+
+
+def _canonical_rays(rays: Iterable[IntVec], lin: Sequence[IntVec]) -> tuple[IntVec, ...]:
+    ortho = _orthogonal(lin)
+    return tuple(sorted({p for p in (_project_off(r, ortho) for r in rays) if any(p)}))
+
+
+def _dd(dim: int, ineqs: Sequence, eqs: Sequence) -> tuple[list[IntVec], list[IntVec]]:
     """Generators (lineality basis, extreme rays) of {z : ineqs.z <= 0, eqs.z = 0}.
 
-    Incremental double description.  The invariant after each step is that
-    span(B) + cone(R) equals the cone of the constraints processed so far.
+    Rows may be QVectors or sequences of exact scalars; the generators come
+    back as primitive integer tuples.  Incremental double description: the
+    invariant after each step is that span(B) + cone(R) equals the cone of the
+    constraints processed so far, with R one extreme ray per class.  Each ray
+    carries its zero set, a bitmask over the processed inequality rows.
     """
-    basis = kernel_of_rows([e for e in eqs if not e.is_zero()], dim)
-    rays: list[QVector] = []
-    processed: list[QVector] = [e for e in eqs if not e.is_zero()]
+    eq_rows = [e for e in map(_ints, eqs) if any(e)]
+    rows = [a for a in map(_ints, ineqs) if any(a)]
+    basis = _kernel(eq_rows, dim)
+    rays: list[IntVec] = []
+    zeros: list[int] = []
 
-    def adjacent(r1: QVector, r2: QVector, lin_dim: int) -> bool:
-        active = list(processed_eq_part)
-        for a in processed_ineq_part:
-            if a.dot(r1) == 0 and a.dot(r2) == 0:
-                active.append(a)
-        sol_dim = dim - rank_of_rows(active)
-        return sol_dim == lin_dim + 2
-
-    processed_eq_part = list(processed)
-    processed_ineq_part: list[QVector] = []
-
-    for a in ineqs:
-        if a.is_zero():
-            continue
-        prods_b = [a.dot(b) for b in basis]
-        pivot = next((i for i, p in enumerate(prods_b) if p != 0), None)
+    for k, a in enumerate(rows):
+        bit = 1 << k
+        prods_b = [_dot(a, b) for b in basis]
+        pivot = next((i for i, p in enumerate(prods_b) if p), None)
         if pivot is not None:
-            b0 = basis[pivot]
-            p0 = prods_b[pivot]
+            # a cuts the lineality space: b0 (with <a, b0> < 0) becomes a ray,
+            # everything else is moved into the hyperplane <a, z> = 0 along b0.
+            b0, p0 = basis[pivot], prods_b[pivot]
             if p0 > 0:
-                b0, p0 = -b0, -p0
-            new_basis = []
-            for i, b in enumerate(basis):
-                if i == pivot:
-                    continue
-                new_basis.append(b - b0.scale(prods_b[i] / p0))
-            rays = [r - b0.scale(a.dot(r) / p0) for r in rays]
+                b0, p0 = tuple(-x for x in b0), -p0
+            q = -p0
+
+            def shift(v, p):
+                return _reduce([q * x + p * y for x, y in zip(v, b0)]) if p else v
+
+            basis = [shift(b, p) for i, (b, p) in enumerate(zip(basis, prods_b)) if i != pivot]
+            rays = [shift(r, _dot(a, r)) for r in rays]
+            zeros = [z | bit for z in zeros]
             rays.append(b0)
-            basis = new_basis
-        else:
-            neg = [r for r in rays if a.dot(r) < 0]
-            zero = [r for r in rays if a.dot(r) == 0]
-            pos = [r for r in rays if a.dot(r) > 0]
-            if pos:
-                new_rays = neg + zero
-                for rp in pos:
-                    for rn in neg:
-                        if len(rays) > 2 and not adjacent(rp, rn, len(basis)):
-                            continue
-                        comb = rn.scale(a.dot(rp)) - rp.scale(a.dot(rn))
-                        if not comb.is_zero():
-                            new_rays.append(comb.primitive())
-                rays = new_rays
-        processed_ineq_part.append(a)
+            zeros.append(bit - 1)  # b0 lies in the old lineality space
+            continue
+        vals = [_dot(a, r) for r in rays]
+        if not any(v > 0 for v in vals):
+            zeros = [z | bit if v == 0 else z for z, v in zip(zeros, vals)]
+            continue
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        zero = [i for i, v in enumerate(vals) if v == 0]
+        new_rays = [rays[i] for i in neg] + [rays[i] for i in zero]
+        new_zeros = [zeros[i] for i in neg] + [zeros[i] | bit for i in zero]
+        for ip in (i for i, v in enumerate(vals) if v > 0):
+            rp, zp, vp = rays[ip], zeros[ip], vals[ip]
+            for jn in neg:
+                common = zp & zeros[jn]
+                # Adjacent iff no third ray's zero set contains the common one.
+                if any(z & common == common for t, z in enumerate(zeros) if t != ip and t != jn):
+                    continue
+                vn = vals[jn]
+                comb = _reduce([vp * x - vn * y for x, y in zip(rays[jn], rp)])
+                if any(comb):
+                    new_rays.append(comb)
+                    new_zeros.append(common | bit)
+        rays, zeros = new_rays, new_zeros
 
     # Extremality filter: r is an extreme ray iff its active constraints cut
     # the space down to span(lin) + span(r).
-    lin_rank = rank_of_rows(basis)
+    target = dim - len(basis) - 1
+    ortho = _orthogonal(basis)
     result = []
     seen = set()
-    for r in rays:
-        rp = _project_off(r, basis).primitive()
-        if rp.is_zero() or rp in seen:
+    for r, z in zip(rays, zeros):
+        rp = _project_off(r, ortho)
+        if not any(rp) or rp in seen:
             continue
-        active = list(processed_eq_part)
-        ok = True
-        for a in processed_ineq_part:
-            d = a.dot(r)
-            if d == 0:
-                active.append(a)
-            elif d > 0:
-                ok = False  # defensive; cannot happen for a DD survivor
-                break
-        if not ok:
-            continue
-        if dim - rank_of_rows(active) == lin_rank + 1:
+        active = eq_rows + [a for j, a in enumerate(rows) if z >> j & 1]
+        if _rank(active) == target:
             seen.add(rp)
             result.append(r)
     return basis, result
 
 
+def _rows(dim: int, vectors: Iterable, what: str) -> list[IntVec]:
+    out = [_ints(v) for v in vectors]
+    if any(len(v) != dim for v in out):
+        raise ValueError(f"{what} has wrong dimension")
+    return out
+
+
+def _generators(dim: int, ineqs: Sequence, eqs: Sequence) -> tuple[list[IntVec], tuple[IntVec, ...]]:
+    """Canonical integer (lineality echelon rows, sorted rays) of the cone
+    {z : ineqs.z <= 0, eqs.z = 0}."""
+    basis, rays = _dd(dim, ineqs, eqs)
+    lin = _echelon(basis, dim)[0]
+    return lin, _canonical_rays(rays, lin)
+
+
 class PolyCone:
-    """Polyhedral convex cone; construct via from_ineqs / from_generators."""
+    """Polyhedral convex cone; construct via from_ineqs / from_generators.
 
-    __slots__ = ("dim", "ineqs", "eqs", "rays", "lin", "_faces")
+    Besides the ``QVector`` fields, a cone keeps the integer forms of both
+    representations (``_h``: ineqs and eqs, ``_v``: rays and lin), each row a
+    positive multiple of the matching field row.
+    """
 
-    def __init__(self, dim, ineqs, eqs, rays, lin, _internal=False):
+    __slots__ = ("dim", "ineqs", "eqs", "rays", "lin", "_faces", "_h", "_v")
+
+    def __init__(self, dim, ineqs, eqs, rays, lin, _internal=False, _h=None, _v=None):
         if not _internal:
             raise TypeError("use PolyCone.from_ineqs or PolyCone.from_generators")
         object.__setattr__(self, "dim", dim)
@@ -157,6 +282,8 @@ class PolyCone:
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "lin", lin)
         object.__setattr__(self, "_faces", None)
+        object.__setattr__(self, "_h", _h or (tuple(map(_ints, ineqs)), tuple(map(_ints, eqs))))
+        object.__setattr__(self, "_v", _v or (tuple(map(_ints, rays)), tuple(map(_ints, lin))))
 
     def __setattr__(self, name, value):
         if name == "_faces":
@@ -167,37 +294,33 @@ class PolyCone:
     # -- construction ------------------------------------------------------
 
     @staticmethod
+    def _from_forms(dim: int, h, v) -> "PolyCone":
+        """A cone from canonical integer forms: (sorted primitive rows,
+        integer echelon rows) for each side."""
+        (ineqs, eqs), (rays, lin) = h, v
+        return PolyCone(
+            dim, tuple(map(QVector, ineqs)), _rref_q(eqs), tuple(map(QVector, rays)), _rref_q(lin),
+            _internal=True, _h=(ineqs, tuple(eqs)), _v=(rays, tuple(lin)),
+        )
+
+    @staticmethod
     def from_ineqs(dim: int, ineqs: Iterable = (), eqs: Iterable = ()) -> "PolyCone":
-        iq = [v if isinstance(v, QVector) else QVector(v) for v in ineqs]
-        eq = [v if isinstance(v, QVector) else QVector(v) for v in eqs]
-        for v in iq + eq:
-            if v.dim != dim:
-                raise ValueError("constraint row has wrong dimension")
-        lin_b, rays = _dd(dim, iq, eq)
-        lin_c = tuple(row_space_basis(lin_b, dim))
-        rays_c = _canonical_rays(rays, lin_c)
+        iq = _rows(dim, ineqs, "constraint row")
+        eq = _rows(dim, eqs, "constraint row")
+        lin, rays = _generators(dim, iq, eq)
         # Irredundant H-rep = generators of the polar, computed the same way.
-        plin, prays = _dd(dim, list(rays_c), list(lin_c))
-        peqs = tuple(row_space_basis(plin, dim))
-        pineqs = _canonical_rays(prays, peqs)
-        return PolyCone(dim, pineqs, peqs, rays_c, lin_c, _internal=True)
+        peqs, pineqs = _generators(dim, rays, lin)
+        return PolyCone._from_forms(dim, (pineqs, peqs), (rays, lin))
 
     @staticmethod
     def from_generators(dim: int, rays: Iterable = (), lin: Iterable = ()) -> "PolyCone":
-        ry = [v if isinstance(v, QVector) else QVector(v) for v in rays]
-        ln = [v if isinstance(v, QVector) else QVector(v) for v in lin]
-        for v in ry + ln:
-            if v.dim != dim:
-                raise ValueError("generator has wrong dimension")
+        ry = _rows(dim, rays, "generator")
+        ln = _rows(dim, lin, "generator")
         # H-rep of the polar is {a : <a,r> <= 0, <a,l> = 0}; its generators
         # are the facet normals / equation rows of the original cone.
-        plin, prays = _dd(dim, ry, ln)
-        peqs = tuple(row_space_basis(plin, dim))
-        pineqs = _canonical_rays(prays, peqs)
-        lin_b, rays_b = _dd(dim, list(pineqs), list(peqs))
-        lin_c = tuple(row_space_basis(lin_b, dim))
-        rays_c = _canonical_rays(rays_b, lin_c)
-        return PolyCone(dim, pineqs, peqs, rays_c, lin_c, _internal=True)
+        peqs, pineqs = _generators(dim, ry, ln)
+        lin_c, rays_c = _generators(dim, pineqs, peqs)
+        return PolyCone._from_forms(dim, (pineqs, peqs), (rays_c, lin_c))
 
     @staticmethod
     def full_space(dim: int) -> "PolyCone":
@@ -230,7 +353,12 @@ class PolyCone:
     def contains(self, z: QVector) -> bool:
         if z.dim != self.dim:
             raise ValueError("point has wrong dimension")
-        return all(a.dot(z) <= 0 for a in self.ineqs) and all(e.dot(z) == 0 for e in self.eqs)
+        return self._holds(_ints(z))
+
+    def _holds(self, z: IntVec) -> bool:
+        """Membership of a positive multiple of a point, in integers."""
+        ineqs, eqs = self._h
+        return all(_dot(a, z) <= 0 for a in ineqs) and all(_dot(e, z) == 0 for e in eqs)
 
     def is_trivial(self) -> bool:
         return not self.rays and not self.lin
@@ -243,18 +371,20 @@ class PolyCone:
             gens.append(-l)
         return gens
 
+    def _int_generators(self) -> list[IntVec]:
+        rays, lin = self._v
+        return list(rays) + [g for l in lin for g in (l, tuple(-x for x in l))]
+
     def subcone_of(self, other: "PolyCone") -> bool:
-        return all(other.contains(g) for g in self.generators()) if not self.is_trivial() else True
+        return all(other._holds(g) for g in self._int_generators())
 
     def rel_interior_point(self) -> QVector:
         """A point in the relative interior (0 for the trivial cone)."""
-        p = QVector.zero(self.dim)
-        for r in self.rays:
-            p = p + r
-        return p
+        rays = self._v[0]
+        return QVector(map(sum, zip(*rays))) if rays else QVector.zero(self.dim)
 
     def span_dim(self) -> int:
-        return rank_of_rows(list(self.rays) + list(self.lin))
+        return _rank(self._v[0] + self._v[1])
 
     def lineality_dim(self) -> int:
         return len(self.lin)
@@ -271,22 +401,20 @@ class PolyCone:
         versa; both sides are already canonical so no recomputation is
         needed.
         """
-        return PolyCone(self.dim, self.rays, self.lin, self.ineqs, self.eqs, _internal=True)
+        return PolyCone(
+            self.dim, self.rays, self.lin, self.ineqs, self.eqs, _internal=True, _h=self._v, _v=self._h
+        )
 
     def intersect(self, other: "PolyCone") -> "PolyCone":
         self._check_dim(other)
-        return PolyCone.from_ineqs(
-            self.dim, list(self.ineqs) + list(other.ineqs), list(self.eqs) + list(other.eqs)
-        )
+        return PolyCone.from_ineqs(self.dim, self._h[0] + other._h[0], self._h[1] + other._h[1])
 
     def minkowski_sum(self, other: "PolyCone") -> "PolyCone":
         self._check_dim(other)
-        return PolyCone.from_generators(
-            self.dim, list(self.rays) + list(other.rays), list(self.lin) + list(other.lin)
-        )
+        return PolyCone.from_generators(self.dim, self._v[0] + other._v[0], self._v[1] + other._v[1])
 
     def negate(self) -> "PolyCone":
-        return PolyCone.from_generators(self.dim, [-r for r in self.rays], list(self.lin))
+        return PolyCone.from_generators(self.dim, [tuple(-x for x in r) for r in self._v[0]], self._v[1])
 
     def _check_dim(self, other: "PolyCone") -> None:
         if self.dim != other.dim:
@@ -308,20 +436,14 @@ class PolyCone:
         n = len(self.ineqs)
         found: dict[frozenset, Face] = {}
 
+        ineqs, eqs = self._h
+
         def build(active: frozenset) -> Face:
-            sub = PolyCone.from_ineqs(
-                self.dim,
-                list(self.ineqs),
-                list(self.eqs) + [self.ineqs[i] for i in sorted(active)],
-            )
-            implied = frozenset(
-                i
-                for i in range(n)
-                if all(self.ineqs[i].dot(g) == 0 for g in sub.generators())
-            )
-            wit = QVector.zero(self.dim)
-            for i in sorted(implied):
-                wit = wit + self.ineqs[i]
+            sub = PolyCone.from_ineqs(self.dim, ineqs, eqs + tuple(ineqs[i] for i in sorted(active)))
+            gens = sub._int_generators()
+            implied = frozenset(i for i in range(n) if all(_dot(ineqs[i], g) == 0 for g in gens))
+            rows = [ineqs[i] for i in implied]
+            wit = QVector(map(sum, zip(*rows))) if rows else QVector.zero(self.dim)
             return Face(implied, sub, wit)
 
         root = build(frozenset())
@@ -366,8 +488,8 @@ def face_difference(f1: PolyCone, f2: PolyCone) -> PolyCone:
         raise ValueError("face_difference requires F2 to be contained in F1")
     return PolyCone.from_generators(
         f1.dim,
-        list(f1.rays) + [-r for r in f2.rays],
-        list(f1.lin) + list(f2.lin),
+        f1._v[0] + tuple(tuple(-x for x in r) for r in f2._v[0]),
+        f1._v[1] + f2._v[1],
     )
 
 
@@ -412,10 +534,7 @@ def rel_interior_point(c: PolyCone) -> QVector:
 def pick_nonzero(c: PolyCone) -> QVector | None:
     """Deterministic nonzero element of the cone, or None if trivial."""
     if c.rays:
-        p = QVector.zero(c.dim)
-        for r in c.rays:
-            p = p + r
-        return p  # relative-interior point of the pointed part; never zero
+        return c.rel_interior_point()  # of the pointed part; never zero
     if c.lin:
         return c.lin[0]
     return None
@@ -426,16 +545,15 @@ def strictly_feasible(dim: int, eq_rows: Sequence[QVector], strict_rows: Sequenc
 
     Homogenize with a slack s: feasibility of the strict system is equivalent
     to the cone {(u, s) : eq.u = 0, <c,u> + s <= 0, -s <= 0} containing a
-    generator with s > 0.
+    generator with s > 0.  Each strict row may be rescaled positively first.
     """
-    stricts = [c for c in strict_rows if not c.is_zero()]
-    if any(c.is_zero() for c in strict_rows):
-        # <0, u> < 0 is unsatisfiable
-        return False
+    stricts = [_ints(c) for c in strict_rows]
+    if not all(any(c) for c in stricts):
+        return False  # <0, u> < 0 is unsatisfiable
     if not stricts:
         return True  # u = 0 works
-    ineqs = [QVector(list(c.entries) + [1]) for c in stricts]
-    ineqs.append(QVector([0] * dim + [-1]))
-    eqs = [QVector(list(e.entries) + [0]) for e in eq_rows]
-    lin_b, rays = _dd(dim + 1, ineqs, eqs)
+    ineqs = [c + (1,) for c in stricts]
+    ineqs.append((0,) * dim + (-1,))
+    eqs = [_ints(e) + (0,) for e in eq_rows]
+    _, rays = _dd(dim + 1, ineqs, eqs)
     return any(r[dim] > 0 for r in rays)

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import rng
-from polyvar.cones import PolyCone, face_difference
-from polyvar.linalg import QVector
+from polyvar.cones import PolyCone, face_difference, strictly_feasible
+from polyvar.linalg import QVector, rank_of_rows
 
 
 def wedge():
@@ -228,3 +228,66 @@ def test_generators_satisfy_own_hrep_hypothesis(c):
         assert c.contains(g)
     for f in c.faces():
         assert f.cone.subcone_of(c)
+
+
+# -- property tests of the integer kernel on rational and degenerate input ---------
+
+
+@st.composite
+def rational_systems(draw):
+    """(dim, ineqs, eqs) with non-integer rational rows, zero rows, repeated
+    and opposite rows, systems of equations only, and empty lists."""
+    dim = draw(st.integers(1, 4))
+    scalar = st.one_of(small_ints, st.fractions(-2, 2, max_denominator=4))
+    row = st.lists(scalar, min_size=dim, max_size=dim)
+    ineqs = draw(st.lists(row, max_size=dim + 2))
+    eqs = draw(st.lists(row, max_size=2))
+    for shape in draw(st.sets(st.sampled_from(["zero", "repeat", "opposite", "eqs_only"]))):
+        if shape == "zero":
+            ineqs.append([0] * dim)
+        elif shape == "repeat" and ineqs:
+            s = draw(st.fractions(F(1, 3), 3))
+            ineqs.append([s * x for x in ineqs[0]])
+        elif shape == "opposite" and ineqs:
+            ineqs.append([-x for x in ineqs[-1]])
+        elif shape == "eqs_only":
+            ineqs = []
+            eqs = eqs or [[1] + [0] * (dim - 1)]
+    return dim, ineqs, eqs
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_systems())
+def test_rays_are_extreme_hypothesis(system):
+    dim, ineqs, eqs = system
+    c = PolyCone.from_ineqs(dim, ineqs, eqs)
+    rows = [QVector(a) for a in ineqs]
+    for r in c.rays:
+        assert all(a.dot(r) <= 0 for a in rows) and all(QVector(e).dot(r) == 0 for e in eqs)
+        tight = list(c.eqs) + [a for a in c.ineqs if a.dot(r) == 0]
+        assert rank_of_rows(tight) == dim - len(c.lin) - 1
+    assert c.span_dim() == rank_of_rows(list(c.rays) + list(c.lin))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_systems())
+def test_generators_round_trip_hypothesis(system):
+    dim, ineqs, eqs = system
+    c = PolyCone.from_ineqs(dim, ineqs, eqs)
+    assert PolyCone.from_generators(dim, c.rays, c.lin) == c
+    # rescaling every row by a positive rational gives the same cone
+    assert PolyCone.from_ineqs(dim, [[F(3, 2) * x for x in a] for a in ineqs], eqs) == c
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_systems(), st.lists(st.fractions(-2, 2, max_denominator=3), min_size=4, max_size=4))
+def test_strict_feasibility_matches_relative_interior_hypothesis(system, point):
+    dim, stricts, eqs = system
+    rows = [QVector(a) for a in stricts]
+    p = PolyCone.from_ineqs(dim, stricts, eqs).rel_interior_point()
+    want = all(a.dot(p) < 0 for a in rows)
+    assert strictly_feasible(dim, [QVector(e) for e in eqs], rows) == want
+    # membership on a rational point agrees with evaluating the rows directly
+    c = PolyCone.from_ineqs(dim, stricts, eqs)
+    z = QVector(point[:dim])
+    assert c.contains(z) == (all(a.dot(z) <= 0 for a in c.ineqs) and all(e.dot(z) == 0 for e in c.eqs))

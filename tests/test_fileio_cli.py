@@ -3,6 +3,7 @@ import json
 import pytest
 
 from polyvar.certify import check_aubin, check_calmness_constraint, check_foscms
+from polyvar import cli
 from polyvar.cli import bundled_problem_path, run_command
 from polyvar.fileio import (
     ProblemFileError,
@@ -110,6 +111,17 @@ def test_cli_exit_codes(capsys):
     assert run_command(["certify", ex4, "--check", "dir-subreg", "--dir", "1,0"]) == 0
     assert run_command(["certify", ex4, "--check", "dir-reg", "--dir", "1,0;0,0"]) == 1
     capsys.readouterr()
+
+
+def test_cli_internal_error_exit_code(monkeypatch, capsys):
+    # a defect inside a check must not read as a verdict (1) or a usage error (3)
+    def broken(spec):
+        raise RuntimeError("kernel defect")
+
+    monkeypatch.setattr(cli, "check_foscms", broken)
+    assert run_command(["certify", bundled_problem_path("ex4.json"), "--check", "foscms"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "RuntimeError: kernel defect" in err
 
 
 def test_cli_golden_examples(capsys):
