@@ -276,17 +276,17 @@ def _mixed_feasible_point(
     strict: Sequence[QVector],
 ) -> QVector | None:
     """A point q with leq.q <= 0, eq.q = 0 and strict.q < 0, or None."""
-    from .cones import _dd
+    from .cones import _dd, _ints
 
     stricts = [c for c in strict if not c.is_zero()]
     if any(c.is_zero() for c in strict):
         return None
     if not stricts:
         return QVector.zero(dim)
-    h_ineqs = [QVector(list(c.entries) + [1]) for c in stricts]
-    h_ineqs += [QVector(list(a.entries) + [0]) for a in leq]
-    h_ineqs.append(QVector([0] * dim + [-1]))
-    h_eqs = [QVector(list(e.entries) + [0]) for e in eq]
+    h_ineqs = [_ints(c.entries + (1,)) for c in stricts]
+    h_ineqs += [_ints(a.entries + (0,)) for a in leq]
+    h_ineqs.append((0,) * dim + (-1,))
+    h_eqs = [_ints(e.entries + (0,)) for e in eq]
     _, rays = _dd(dim + 1, h_ineqs, h_eqs)
     for r in rays:
         if r[dim] > 0:

@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .linalg import QVector
+from .linalg import QVector, frac
 
 IntVec = tuple[int, ...]
 
@@ -59,8 +59,7 @@ def _ints(v) -> IntVec:
     """
     xs = v.entries if isinstance(v, QVector) else tuple(v)
     if not all(type(x) is int for x in xs):
-        if not isinstance(v, QVector):
-            xs = QVector(xs).entries
+        xs = [x if isinstance(x, (int, Fraction)) else frac(x) for x in xs]
         den = lcm(*(x.denominator for x in xs))
         xs = [x.numerator * (den // x.denominator) for x in xs]
     return _reduce(xs)
@@ -127,7 +126,7 @@ def _rref_q(rows: Sequence[IntVec]) -> tuple[QVector, ...]:
     out = []
     for r in rows:
         pv = next(x for x in r if x)
-        out.append(QVector(r) if pv == 1 else QVector([Fraction(x, pv) for x in r]))
+        out.append(QVector.of_ints(r) if pv == 1 else QVector([Fraction(x, pv) for x in r]))
     return tuple(out)
 
 
@@ -176,14 +175,14 @@ def _canonical_rays(rays: Iterable[IntVec], lin: Sequence[IntVec]) -> tuple[IntV
 def _dd(dim: int, ineqs: Sequence, eqs: Sequence) -> tuple[list[IntVec], list[IntVec]]:
     """Generators (lineality basis, extreme rays) of {z : ineqs.z <= 0, eqs.z = 0}.
 
-    Rows may be QVectors or sequences of exact scalars; the generators come
-    back as primitive integer tuples.  Incremental double description: the
+    Rows are primitive integer tuples (see ``_ints``), and so are the
+    generators that come back.  Incremental double description: the
     invariant after each step is that span(B) + cone(R) equals the cone of the
     constraints processed so far, with R one extreme ray per class.  Each ray
     carries its zero set, a bitmask over the processed inequality rows.
     """
-    eq_rows = [e for e in map(_ints, eqs) if any(e)]
-    rows = [a for a in map(_ints, ineqs) if any(a)]
+    eq_rows = [e for e in eqs if any(e)]
+    rows = [a for a in ineqs if any(a)]
     basis = _kernel(eq_rows, dim)
     rays: list[IntVec] = []
     zeros: list[int] = []
@@ -282,8 +281,8 @@ class PolyCone:
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "lin", lin)
         object.__setattr__(self, "_faces", None)
-        object.__setattr__(self, "_h", _h or (tuple(map(_ints, ineqs)), tuple(map(_ints, eqs))))
-        object.__setattr__(self, "_v", _v or (tuple(map(_ints, rays)), tuple(map(_ints, lin))))
+        object.__setattr__(self, "_h", _h)
+        object.__setattr__(self, "_v", _v)
 
     def __setattr__(self, name, value):
         if name == "_faces":
@@ -298,8 +297,9 @@ class PolyCone:
         """A cone from canonical integer forms: (sorted primitive rows,
         integer echelon rows) for each side."""
         (ineqs, eqs), (rays, lin) = h, v
+        q_ineqs, q_rays = tuple(map(QVector.of_ints, ineqs)), tuple(map(QVector.of_ints, rays))
         return PolyCone(
-            dim, tuple(map(QVector, ineqs)), _rref_q(eqs), tuple(map(QVector, rays)), _rref_q(lin),
+            dim, q_ineqs, _rref_q(eqs), q_rays, _rref_q(lin),
             _internal=True, _h=(ineqs, tuple(eqs)), _v=(rays, tuple(lin)),
         )
 
@@ -381,7 +381,7 @@ class PolyCone:
     def rel_interior_point(self) -> QVector:
         """A point in the relative interior (0 for the trivial cone)."""
         rays = self._v[0]
-        return QVector(map(sum, zip(*rays))) if rays else QVector.zero(self.dim)
+        return QVector.of_ints(map(sum, zip(*rays))) if rays else QVector.zero(self.dim)
 
     def span_dim(self) -> int:
         return _rank(self._v[0] + self._v[1])
@@ -443,7 +443,7 @@ class PolyCone:
             gens = sub._int_generators()
             implied = frozenset(i for i in range(n) if all(_dot(ineqs[i], g) == 0 for g in gens))
             rows = [ineqs[i] for i in implied]
-            wit = QVector(map(sum, zip(*rows))) if rows else QVector.zero(self.dim)
+            wit = QVector.of_ints(map(sum, zip(*rows))) if rows else QVector.zero(self.dim)
             return Face(implied, sub, wit)
 
         root = build(frozenset())

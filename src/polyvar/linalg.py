@@ -22,6 +22,11 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
+# One shared Fraction per small integer: canonical cone data is small
+# primitive integers, so most vectors built from integers need no new ones.
+_SMALL = {n: Fraction(n) for n in range(-256, 257)}
+
+
 class QVector:
     """Immutable vector of rationals."""
 
@@ -80,6 +85,16 @@ class QVector:
     def _check_dim(self, other: "QVector") -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+
+    @staticmethod
+    def of_ints(ints: Iterable[int]) -> "QVector":
+        """The vector with the given int entries (no coercion, no checks)."""
+        v = object.__new__(QVector)
+        small = _SMALL
+        object.__setattr__(
+            v, "entries", tuple([small[x] if -256 <= x <= 256 else Fraction(x) for x in ints])
+        )
+        return v
 
     @staticmethod
     def zero(dim: int) -> "QVector":
