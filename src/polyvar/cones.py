@@ -126,7 +126,7 @@ def _rref_q(rows: Sequence[IntVec]) -> tuple[QVector, ...]:
     out = []
     for r in rows:
         pv = next(x for x in r if x)
-        out.append(QVector.of_ints(r) if pv == 1 else QVector([Fraction(x, pv) for x in r]))
+        out.append(QVector._of_ints(r) if pv == 1 else QVector([Fraction(x, pv) for x in r]))
     return tuple(out)
 
 
@@ -297,7 +297,7 @@ class PolyCone:
         """A cone from canonical integer forms: (sorted primitive rows,
         integer echelon rows) for each side."""
         (ineqs, eqs), (rays, lin) = h, v
-        q_ineqs, q_rays = tuple(map(QVector.of_ints, ineqs)), tuple(map(QVector.of_ints, rays))
+        q_ineqs, q_rays = tuple(map(QVector._of_ints, ineqs)), tuple(map(QVector._of_ints, rays))
         return PolyCone(
             dim, q_ineqs, _rref_q(eqs), q_rays, _rref_q(lin),
             _internal=True, _h=(ineqs, tuple(eqs)), _v=(rays, tuple(lin)),
@@ -381,7 +381,7 @@ class PolyCone:
     def rel_interior_point(self) -> QVector:
         """A point in the relative interior (0 for the trivial cone)."""
         rays = self._v[0]
-        return QVector.of_ints(map(sum, zip(*rays))) if rays else QVector.zero(self.dim)
+        return QVector._of_ints(map(sum, zip(*rays))) if rays else QVector.zero(self.dim)
 
     def span_dim(self) -> int:
         return _rank(self._v[0] + self._v[1])
@@ -443,7 +443,7 @@ class PolyCone:
             gens = sub._int_generators()
             implied = frozenset(i for i in range(n) if all(_dot(ineqs[i], g) == 0 for g in gens))
             rows = [ineqs[i] for i in implied]
-            wit = QVector.of_ints(map(sum, zip(*rows))) if rows else QVector.zero(self.dim)
+            wit = QVector._of_ints(map(sum, zip(*rows))) if rows else QVector.zero(self.dim)
             return Face(implied, sub, wit)
 
         root = build(frozenset())

@@ -87,7 +87,7 @@ class QVector:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     @staticmethod
-    def of_ints(ints: Iterable[int]) -> "QVector":
+    def _of_ints(ints: Iterable[int]) -> "QVector":
         """The vector with the given int entries (no coercion, no checks)."""
         v = object.__new__(QVector)
         small = _SMALL
