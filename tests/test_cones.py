@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -236,14 +237,17 @@ def test_generators_satisfy_own_hrep_hypothesis(c):
 @st.composite
 def rational_systems(draw):
     """(dim, ineqs, eqs) with non-integer rational rows, zero rows, repeated
-    and opposite rows, systems of equations only, and empty lists."""
+    and opposite rows, systems of equations only, and empty lists; "pointed"
+    prepends the orthant rows, so later rows must combine rays."""
     dim = draw(st.integers(1, 4))
     scalar = st.one_of(small_ints, st.fractions(-2, 2, max_denominator=4))
     row = st.lists(scalar, min_size=dim, max_size=dim)
     ineqs = draw(st.lists(row, max_size=dim + 2))
     eqs = draw(st.lists(row, max_size=2))
-    for shape in draw(st.sets(st.sampled_from(["zero", "repeat", "opposite", "eqs_only"]))):
-        if shape == "zero":
+    for shape in draw(st.sets(st.sampled_from(["pointed", "zero", "repeat", "opposite", "eqs_only"]))):
+        if shape == "pointed":
+            ineqs = [[-F(1, j + 1) if i == j else 0 for i in range(dim)] for j in range(dim)] + ineqs
+        elif shape == "zero":
             ineqs.append([0] * dim)
         elif shape == "repeat" and ineqs:
             s = draw(st.fractions(F(1, 3), 3))
@@ -258,7 +262,7 @@ def rational_systems(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(rational_systems())
-def test_rays_are_extreme_hypothesis(system):
+def test_rays_are_extreme_and_complete_hypothesis(system):
     dim, ineqs, eqs = system
     c = PolyCone.from_ineqs(dim, ineqs, eqs)
     rows = [QVector(a) for a in ineqs]
@@ -267,6 +271,10 @@ def test_rays_are_extreme_hypothesis(system):
         tight = list(c.eqs) + [a for a in c.ineqs if a.dot(r) == 0]
         assert rank_of_rows(tight) == dim - len(c.lin) - 1
     assert c.span_dim() == rank_of_rows(list(c.rays) + list(c.lin))
+    # no ray is missing: on a grid, membership agrees with the input rows
+    for z in map(QVector, product(range(-2, 3), repeat=dim)):
+        feasible = all(a.dot(z) <= 0 for a in rows) and all(QVector(e).dot(z) == 0 for e in eqs)
+        assert c.contains(z) == feasible
 
 
 @settings(max_examples=80, deadline=None)
