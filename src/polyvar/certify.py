@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .cones import PolyCone, face_difference, pick_nonzero
+from .cones import PolyCone, face_difference, feasible_point, pick_nonzero
 from .graphmap import (
     GraphPoint,
     directional_limiting_normal_graph,
@@ -269,31 +269,6 @@ def fm_project(cone: PolyCone, keep: int) -> PolyCone:
     )
 
 
-def _mixed_feasible_point(
-    dim: int,
-    leq: Sequence[QVector],
-    eq: Sequence[QVector],
-    strict: Sequence[QVector],
-) -> QVector | None:
-    """A point q with leq.q <= 0, eq.q = 0 and strict.q < 0, or None."""
-    from .cones import _dd, _ints
-
-    stricts = [c for c in strict if not c.is_zero()]
-    if any(c.is_zero() for c in strict):
-        return None
-    if not stricts:
-        return QVector.zero(dim)
-    h_ineqs = [_ints(c.entries + (1,)) for c in stricts]
-    h_ineqs += [_ints(a.entries + (0,)) for a in leq]
-    h_ineqs.append((0,) * dim + (-1,))
-    h_eqs = [_ints(e.entries + (0,)) for e in eq]
-    _, rays = _dd(dim + 1, h_ineqs, h_eqs)
-    for r in rays:
-        if r[dim] > 0:
-            return QVector(Fraction(x, r[dim]) for x in r[:dim])
-    return None
-
-
 def covers_space(pieces: Sequence[PolyCone], dim: int) -> tuple[bool, QVector | None]:
     """Does the union of the cones cover R^dim?  If not, return a direction
     in the complement.  Decided by facet-wise splitting of the complement."""
@@ -312,12 +287,12 @@ def covers_space(pieces: Sequence[PolyCone], dim: int) -> tuple[bool, QVector | 
                 cells.append((leq + held_leq, eq + held_eq, strict + [-e]))
                 held_eq.append(e)
             for cell in cells:
-                if _mixed_feasible_point(dim, *cell) is not None:
+                if feasible_point(dim, *cell) is not None:
                     new_regions.append(cell)
         regions = new_regions
         if not regions:
             return True, None
-    wit = _mixed_feasible_point(dim, *regions[0])
+    wit = feasible_point(dim, *regions[0])
     return False, wit
 
 

@@ -376,6 +376,7 @@ class PolyCone:
         return list(rays) + [g for l in lin for g in (l, tuple(-x for x in l))]
 
     def subcone_of(self, other: "PolyCone") -> bool:
+        self._check_dim(other)
         return all(other._holds(g) for g in self._int_generators())
 
     def rel_interior_point(self) -> QVector:
@@ -540,20 +541,34 @@ def pick_nonzero(c: PolyCone) -> QVector | None:
     return None
 
 
-def strictly_feasible(dim: int, eq_rows: Sequence[QVector], strict_rows: Sequence[QVector]) -> bool:
-    """Is there u with eq_rows.u = 0 and <c, u> < 0 for every strict row?
+def feasible_point(
+    dim: int,
+    leq: Sequence[QVector],
+    eq: Sequence[QVector],
+    strict: Sequence[QVector],
+) -> QVector | None:
+    """A point q with leq.q <= 0, eq.q = 0 and strict.q < 0, or None.
 
-    Homogenize with a slack s: feasibility of the strict system is equivalent
-    to the cone {(u, s) : eq.u = 0, <c,u> + s <= 0, -s <= 0} containing a
-    generator with s > 0.  Each strict row may be rescaled positively first.
+    Homogenize with a slack s: such a q exists iff the cone
+    {(q, s) : eq.q = 0, leq.q <= 0, <c,q> + s <= 0 for each strict row c,
+    -s <= 0} has an extreme ray with s > 0 (its lineality space has s = 0).
+    The first such ray, divided by its s, is returned.
     """
-    stricts = [_ints(c) for c in strict_rows]
-    if not all(any(c) for c in stricts):
-        return False  # <0, u> < 0 is unsatisfiable
-    if not stricts:
-        return True  # u = 0 works
-    ineqs = [c + (1,) for c in stricts]
+    if any(c.is_zero() for c in strict):
+        return None  # <0, q> < 0 is unsatisfiable
+    if not strict:
+        return QVector.zero(dim)  # q = 0 works
+    ineqs = [_ints(c.entries + (1,)) for c in strict]
+    ineqs += [_ints(a.entries + (0,)) for a in leq]
     ineqs.append((0,) * dim + (-1,))
-    eqs = [_ints(e) + (0,) for e in eq_rows]
+    eqs = [_ints(e.entries + (0,)) for e in eq]
     _, rays = _dd(dim + 1, ineqs, eqs)
-    return any(r[dim] > 0 for r in rays)
+    for r in rays:
+        if r[dim] > 0:
+            return QVector(Fraction(x, r[dim]) for x in r[:dim])
+    return None
+
+
+def strictly_feasible(dim: int, eq_rows: Sequence[QVector], strict_rows: Sequence[QVector]) -> bool:
+    """Is there u with eq_rows.u = 0 and <c, u> < 0 for every strict row?"""
+    return feasible_point(dim, (), eq_rows, strict_rows) is not None

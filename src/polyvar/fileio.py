@@ -151,6 +151,8 @@ def parse_problem(path: str):
             data = json.load(fh)
     except FileNotFoundError:
         raise ProblemFileError(f"{path}: no such file") from None
+    except OSError as exc:  # a directory, no read permission, ...
+        raise ProblemFileError(f"{path}: cannot read ({exc.strerror or exc})") from None
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     return problem_from_dict(data, source=path)

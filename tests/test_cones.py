@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import rng
-from polyvar.cones import PolyCone, face_difference, strictly_feasible
+from polyvar.cones import PolyCone, face_difference, feasible_point, strictly_feasible
 from polyvar.linalg import QVector, rank_of_rows
 
 
@@ -125,6 +125,15 @@ def test_face_difference_examples():
 def test_face_difference_requires_containment():
     with pytest.raises(ValueError):
         face_difference(PolyCone.from_generators(2, [[1, 0]]), PolyCone.from_generators(2, [[0, 1]]))
+
+
+def test_subcone_of_rejects_other_dimension():
+    flat = PolyCone.from_generators(2, [[1, 0]])
+    half = PolyCone.from_ineqs(3, [[-1, 0, 0]])
+    with pytest.raises(ValueError):
+        flat.subcone_of(half)
+    with pytest.raises(ValueError):
+        face_difference(half, flat)
 
 
 def test_membership_helpers():
@@ -295,6 +304,10 @@ def test_strict_feasibility_matches_relative_interior_hypothesis(system, point):
     p = PolyCone.from_ineqs(dim, stricts, eqs).rel_interior_point()
     want = all(a.dot(p) < 0 for a in rows)
     assert strictly_feasible(dim, [QVector(e) for e in eqs], rows) == want
+    q = feasible_point(dim, [], [QVector(e) for e in eqs], rows)
+    assert (q is not None) == want
+    if q is not None:
+        assert all(a.dot(q) < 0 for a in rows) and all(QVector(e).dot(q) == 0 for e in eqs)
     # membership on a rational point agrees with evaluating the rows directly
     c = PolyCone.from_ineqs(dim, stricts, eqs)
     z = QVector(point[:dim])

@@ -60,7 +60,7 @@ def test_reference_point_outside_d_reports_pieces():
     assert "piece 0" in str(err.value)
 
 
-def test_parse_error_paths():
+def test_parse_error_paths(tmp_path):
     bad = ex4_dict()
     bad["Jx"] = [["1", "oops"], ["0", "1"]]
     with pytest.raises(ProblemFileError) as err:
@@ -70,6 +70,8 @@ def test_parse_error_paths():
         problem_from_dict({"kind": "nonsense"})
     with pytest.raises(ProblemFileError):
         parse_problem("/nonexistent/problem.json")
+    with pytest.raises(ProblemFileError):
+        parse_problem(str(tmp_path))
 
 
 def test_variational_validation():
@@ -100,13 +102,14 @@ def test_report_renders_and_embeds_json():
     assert certificate_from_dict(payload["certificate"]) == cert
 
 
-def test_cli_exit_codes(capsys):
+def test_cli_exit_codes(capsys, tmp_path):
     ex4 = bundled_problem_path("ex4.json")
     ex5 = bundled_problem_path("ex5.json")
     assert run_command(["certify", ex5, "--check", "aubin"]) == 0
     assert run_command(["certify", ex4, "--check", "foscms"]) == 1
     assert run_command(["certify", ex4, "--check", "nope"]) == 3
     assert run_command(["certify", "/missing.json", "--check", "foscms"]) == 3
+    assert run_command(["certify", str(tmp_path), "--check", "foscms"]) == 3  # a directory
     assert run_command(["certify", ex5, "--check", "foscms"]) == 3  # wrong kind
     assert run_command(["certify", ex4, "--check", "dir-subreg", "--dir", "1,0"]) == 0
     assert run_command(["certify", ex4, "--check", "dir-reg", "--dir", "1,0;0,0"]) == 1
