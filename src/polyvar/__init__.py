@@ -41,6 +41,7 @@ from .graphmap import (
 from .certify import (
     Certificate,
     ConstraintSystemSpec,
+    PreconditionError,
     VariationalSystemSpec,
     Witness,
     check_aubin,

@@ -29,10 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from itertools import product
+from math import lcm
 from typing import Sequence
 
-from .cones import PolyCone, face_difference, feasible_point, pick_nonzero
+from .cones import Face, PolyCone, face_difference, feasible_point, pick_nonzero
 from .graphmap import (
     GraphPoint,
     directional_limiting_normal_graph,
@@ -41,6 +43,7 @@ from .graphmap import (
 )
 from .linalg import QMatrix, QVector, row_space_basis
 from .sets import (
+    ConeUnion,
     InfeasibleError,
     Polyhedron,
     direction_strata,
@@ -52,14 +55,41 @@ HOLDS = "holds"
 NOT_CERTIFIED = "not_certified"
 INCONCLUSIVE = "inconclusive"
 
+IntVec = tuple[int, ...]
+
+
+class PreconditionError(ValueError):
+    """A certifier was called outside its documented preconditions (a bad
+    mode or order, a zero direction, missing second order data, or theorem
+    mode without subregularity evidence)."""
+
 
 # -- specs ---------------------------------------------------------------------
+
+
+def _per_spec(fn):
+    """Compute ``fn(spec)`` once per spec and keep it in the spec's memo.
+
+    Specs are immutable, so a derived object stays valid for as long as its
+    spec lives, and dies with it.  Memoised values are tuples or immutable
+    objects; callers only read them.
+    """
+    key = fn.__name__
+
+    @wraps(fn)
+    def memoised(spec):
+        memo = spec._memo
+        if key not in memo:
+            memo[key] = fn(spec)
+        return memo[key]
+
+    return memoised
 
 
 class ConstraintSystemSpec:
     """Frozen first/second order data of a parameterized constraint system."""
 
-    __slots__ = ("l", "n", "m", "Jp", "Jx", "g0", "D", "hessians", "param_lipschitz", "label")
+    __slots__ = ("l", "n", "m", "Jp", "Jx", "g0", "D", "hessians", "param_lipschitz", "label", "_memo")
 
     def __init__(self, l, n, m, Jp, Jx, g0, D, hessians=None, param_lipschitz=True, label=""):
         Jp = Jp if isinstance(Jp, QMatrix) else QMatrix(Jp)
@@ -98,6 +128,7 @@ class ConstraintSystemSpec:
         object.__setattr__(self, "hessians", hessians)
         object.__setattr__(self, "param_lipschitz", bool(param_lipschitz))
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("spec is immutable")
@@ -109,7 +140,7 @@ class VariationalSystemSpec:
     """Frozen first order data of a generalized equation with a polyhedral
     normal-cone term (so the range dimension equals n)."""
 
-    __slots__ = ("l", "n", "Jp", "Jx", "gamma", "xbar", "ybarstar", "param_lipschitz", "label")
+    __slots__ = ("l", "n", "Jp", "Jx", "gamma", "xbar", "ybarstar", "param_lipschitz", "label", "_memo")
 
     def __init__(self, l, n, Jp, Jx, gamma, xbar, ybarstar, param_lipschitz=True, label=""):
         Jp = Jp if isinstance(Jp, QMatrix) else QMatrix(Jp)
@@ -135,12 +166,14 @@ class VariationalSystemSpec:
         object.__setattr__(self, "ybarstar", ybarstar)
         object.__setattr__(self, "param_lipschitz", bool(param_lipschitz))
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("spec is immutable")
 
     kind = "variational"
 
+    @_per_spec
     def graph_point(self) -> GraphPoint:
         return GraphPoint(self.gamma, self.xbar, self.ybarstar)
 
@@ -194,29 +227,55 @@ def cone_plain(c: PolyCone) -> dict:
 # -- shared linear-geometry helpers ------------------------------------------------
 
 
-def _pullback(cone: PolyCone, mat: QMatrix, in_dim: int) -> PolyCone:
-    """Preimage {u : mat u ∈ cone} as a cone in R^in_dim."""
-    mt = mat.T
-    ineqs = [mt.matvec(a) for a in cone.ineqs]
-    eqs = [mt.matvec(e) for e in cone.eqs]
-    return PolyCone.from_ineqs(in_dim, ineqs, eqs)
+def _scaled(rows: Sequence[QVector]) -> tuple[IntVec, ...]:
+    """The rows times one positive integer that clears every denominator."""
+    den = lcm(*(x.denominator for r in rows for x in r.entries))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in r.entries) for r in rows)
 
 
-def _kernel_cone(mat: QMatrix, dim: int) -> PolyCone:
-    """{v : mat^T v = 0} as a subspace cone in R^dim."""
-    rows = [mat.col(j) for j in range(mat.ncols)]
-    return PolyCone.from_ineqs(dim, [], rows)
+def _apply(rows: Sequence[IntVec], v: IntVec) -> IntVec:
+    """The integer vector of the products <r, v>, one per row."""
+    return tuple(sum(x * y for x, y in zip(r, v)) for r in rows)
 
 
-def _stack_map(left: QMatrix, right: QMatrix, negate: bool = False) -> QMatrix:
-    """Row-wise concatenation [left | right], optionally negated."""
-    rows = []
-    for lr, rr in zip(left.rows, right.rows):
-        row = list(lr.entries) + list(rr.entries)
-        if negate:
-            row = [-x for x in row]
-        rows.append(row)
-    return QMatrix(rows)
+def _neg(v: IntVec) -> IntVec:
+    return tuple(-x for x in v)
+
+
+@_per_spec
+def _w_map_T(spec) -> tuple[IntVec, ...]:
+    """The transpose of the linearized map (q, u) -> w in integer rows, scaled
+    by a positive integer: w = Jp q + Jx u for a constraint system and
+    w = -Jp q - Jx u for a variational one.  Row j < l is the column of q_j,
+    row l + j the column of u_j; the last n rows are a multiple of ±Jx^T."""
+    cols = _scaled([spec.Jp.col(j) for j in range(spec.l)] + [spec.Jx.col(j) for j in range(spec.n)])
+    return cols if spec.kind == "constraint" else tuple(map(_neg, cols))
+
+
+@_per_spec
+def _jx_rows(spec) -> tuple[IntVec, ...]:
+    """The rows of Jx, scaled by a positive integer."""
+    return _scaled(spec.Jx.rows)
+
+
+def _pullback(cone: PolyCone, mt: Sequence[IntVec]) -> PolyCone:
+    """Preimage {z : M z ∈ cone} in R^len(mt), where ``mt`` holds the rows
+    of a positive multiple of M^T.  ``from_ineqs`` makes every pulled-back
+    row primitive, so the scale does not show in the cone."""
+    ineqs, eqs = cone._h
+    return PolyCone.from_ineqs(len(mt), [_apply(mt, a) for a in ineqs], [_apply(mt, e) for e in eqs])
+
+
+@_per_spec
+def _d_tangent(spec: ConstraintSystemSpec) -> ConeUnion:
+    """The tangent cone of D at g0."""
+    return union_tangent_cone(spec.D, spec.g0)
+
+
+@_per_spec
+def _jx_kernel(spec: ConstraintSystemSpec) -> PolyCone:
+    """{v : Jx^T v = 0} as a subspace cone in R^m."""
+    return PolyCone.from_ineqs(spec.m, [], _w_map_T(spec)[spec.l:])
 
 
 def _split_qu(vec: QVector, l: int) -> tuple[QVector, QVector]:
@@ -444,13 +503,16 @@ def _negativity_on_cone(q: QMatrix, cone: PolyCone) -> tuple[str, QVector | None
 # -- constraint-system strata -------------------------------------------------------
 
 
+@_per_spec
 def _foscms_strata(spec: ConstraintSystemSpec):
-    """Yield (stratum, V, admissible u-cones per reach cell)."""
-    ker = _kernel_cone(spec.Jx, spec.m)
-    for s in direction_strata(spec.D, spec.g0):
-        v_cone = ker.intersect(s.normal)
-        u_cells = [_pullback(qc, spec.Jx, spec.n) for qc in s.reach]
-        yield s, v_cone, u_cells
+    """(stratum, V, admissible u-cones per reach cell) for every direction
+    stratum of D, where V = ker Jx^T ∩ (stratum normal cone)."""
+    ker = _jx_kernel(spec)
+    jxt = _w_map_T(spec)[spec.l:]
+    return tuple(
+        (s, ker.intersect(s.normal), tuple(_pullback(qc, jxt) for qc in s.reach))
+        for s in direction_strata(spec.D, spec.g0)
+    )
 
 
 def check_foscms(spec: ConstraintSystemSpec) -> Certificate:
@@ -493,7 +555,7 @@ def check_soscms(spec: ConstraintSystemSpec) -> Certificate:
     possible and honestly reported as inconclusive otherwise.
     """
     if spec.hessians is None:
-        raise ValueError("check_soscms needs the component Hessians")
+        raise PreconditionError("check_soscms needs the component Hessians")
     trace = []
     witnesses = []
     inconclusive = False
@@ -563,12 +625,13 @@ def check_calmness_constraint(spec: ConstraintSystemSpec, order: str = "first") 
     needed for the rate.
     """
     if order not in ("first", "second"):
-        raise ValueError("order must be 'first' or 'second'")
+        raise PreconditionError("order must be 'first' or 'second'")
     base = check_foscms(spec) if order == "first" else check_soscms(spec)
-    tangent = union_tangent_cone(spec.D, spec.g0)
+    tangent = _d_tangent(spec)
+    jxt = _w_map_T(spec)[spec.l:]
     utilde = None
     for piece in tangent.pieces:
-        cand = pick_nonzero(_pullback(piece, spec.Jx, spec.n))
+        cand = pick_nonzero(_pullback(piece, jxt))
         if cand is not None:
             utilde = cand
             break
@@ -608,151 +671,171 @@ class _AdjointStratum:
     adjoint: PolyCone  # solution cone in v*-space
 
 
-def _variational_solution_pieces(spec: VariationalSystemSpec, gp: GraphPoint):
-    """Per-face solution pieces of the linearized generalized equation."""
-    k = gp.critical
-    w_map = _stack_map(spec.Jp, spec.Jx, negate=True)  # w = -Jp q - Jx u
-    kp = k.polar()
+@_per_spec
+def _variational_solution_pieces(spec: VariationalSystemSpec) -> tuple[tuple[Face, PolyCone], ...]:
+    """Per-face solution pieces of the linearized generalized equation: for
+    each face F of the critical cone K, the cone of (q, u) with u ∈ F and
+    w = -Jp q - Jx u ∈ K° ∩ F^⊥."""
+    k = spec.graph_point().critical
+    wt = _w_map_T(spec)
+    pad = (0,) * spec.l
+    k_rays, k_lin = k._v  # the H-representation of K°
     pieces = []
     for f in k.faces():
-        rows_i = []
-        rows_e = []
-        for a in f.cone.ineqs:
-            rows_i.append(QVector([0] * spec.l + list(a.entries)))
-        for e in f.cone.eqs:
-            rows_e.append(QVector([0] * spec.l + list(e.entries)))
-        wt = w_map.T
-        for a in kp.ineqs:
-            rows_i.append(wt.matvec(a))
-        for e in kp.eqs:
-            rows_e.append(wt.matvec(e))
-        for g in row_space_basis(list(f.cone.rays) + list(f.cone.lin), spec.n):
-            rows_e.append(wt.matvec(g))
-        piece = PolyCone.from_ineqs(spec.l + spec.n, rows_i, rows_e)
-        pieces.append((f, piece))
-    return pieces, w_map
+        f_ineqs, f_eqs = f.cone._h
+        f_rays, f_lin = f.cone._v
+        rows_i = [pad + a for a in f_ineqs] + [_apply(wt, a) for a in k_rays]
+        rows_e = [pad + e for e in f_eqs] + [_apply(wt, e) for e in k_lin]
+        rows_e += [_apply(wt, g) for g in f_rays + f_lin]  # w ⊥ span F
+        pieces.append((f, PolyCone.from_ineqs(spec.l + spec.n, rows_i, rows_e)))
+    return tuple(pieces)
 
 
 def _variational_adjoint_cone(spec: VariationalSystemSpec, kd: PolyCone) -> PolyCone:
     """{v* : -Jx^T v* ∈ Kd°, -v* ∈ Kd} in R^n."""
-    kdp = kd.polar()
-    rows_i = []
-    rows_e = []
-    for a in kdp.ineqs:  # a.(-Jx^T v*) <= 0  <=>  -(Jx a).v* <= 0
-        rows_i.append(-spec.Jx.matvec(a))
-    for e in kdp.eqs:
-        rows_e.append(spec.Jx.matvec(e))
-    for b in kd.ineqs:  # b.(-v*) <= 0
-        rows_i.append(-b)
-    for e in kd.eqs:
-        rows_e.append(e)
+    jx = _jx_rows(spec)
+    rays, lin = kd._v  # the H-representation of Kd°
+    ineqs, eqs = kd._h
+    # a.(-Jx^T v*) <= 0  <=>  -(Jx a).v* <= 0, and b.(-v*) <= 0
+    rows_i = [_neg(_apply(jx, a)) for a in rays] + [_neg(b) for b in ineqs]
+    rows_e = [_apply(jx, e) for e in lin] + list(eqs)
     return PolyCone.from_ineqs(spec.n, rows_i, rows_e)
 
 
-def _variational_adjoint_strata(spec: VariationalSystemSpec) -> tuple[list[_AdjointStratum], list[PolyCone]]:
+@_per_spec
+def _variational_adjoint_strata(
+    spec: VariationalSystemSpec,
+) -> tuple[tuple[_AdjointStratum, ...], tuple[PolyCone, ...]]:
     """Direction-stratified adjoint inclusions of the variational system.
 
     One case per face of the critical cone whose solution piece is
     nontrivial; within a case, one adjoint inclusion per admissible face
     pair, the pair filters imposed as linear equations on (q, u).
     """
-    gp = spec.graph_point()
-    k = gp.critical
-    faces = k.faces()
-    sol_pieces, w_map = _variational_solution_pieces(spec, gp)
-    wt = w_map.T
+    faces = spec.graph_point().critical.faces()
+    sol_pieces = _variational_solution_pieces(spec)
+    wt = _w_map_T(spec)
+    differences: dict = {}  # face pair -> F1 - F2, shared by the cases
+    adjoints: dict = {}  # difference cone key -> adjoint cone
     strata: list[_AdjointStratum] = []
     for f, piece in sol_pieces:
         if piece.is_trivial():
             continue
         case = f"u in face {sorted(f.active_set)} of the critical cone"
+        p_ineqs, p_eqs = piece._h
         seen_k: set = set()
         for f1 in faces:
+            refined = None  # depends on F1 only: w ⊥ span F1
             for f2 in faces:
                 if not f.cone.subcone_of(f2.cone):
                     continue
                 if not f2.cone.subcone_of(f1.cone):
                     continue
-                extra_eqs = [wt.matvec(g) for g in f1.cone.generators()]
-                refined = PolyCone.from_ineqs(
-                    spec.l + spec.n, list(piece.ineqs), list(piece.eqs) + extra_eqs
-                )
+                if refined is None:
+                    f1_rays, f1_lin = f1.cone._v
+                    extra_eqs = [_apply(wt, g) for g in f1_rays + f1_lin]
+                    refined = PolyCone.from_ineqs(spec.l + spec.n, p_ineqs, p_eqs + tuple(extra_eqs))
                 if refined.is_trivial():
+                    break
+                pair = (f1.active_set, f2.active_set)
+                if pair not in differences:
+                    differences[pair] = face_difference(f1.cone, f2.cone)
+                kd = differences[pair]
+                key = kd.key()
+                if key in seen_k:
                     continue
-                kd = face_difference(f1.cone, f2.cone)
-                if kd.key() in seen_k:
-                    continue
-                seen_k.add(kd.key())
-                adj = _variational_adjoint_cone(spec, kd)
-                sample = pick_nonzero(refined)
+                seen_k.add(key)
+                if key not in adjoints:
+                    adjoints[key] = _variational_adjoint_cone(spec, kd)
                 strata.append(
                     _AdjointStratum(
                         label=f"{case}; pair F1={sorted(f1.active_set)}, F2={sorted(f2.active_set)}",
                         case_label=case,
                         directions=refined,
-                        sample=sample,
+                        sample=pick_nonzero(refined),
                         piece=kd,
-                        adjoint=adj,
+                        adjoint=adjoints[key],
                     )
                 )
-    return strata, [p for _, p in sol_pieces]
+    return tuple(strata), tuple(p for _, p in sol_pieces)
 
 
-def _constraint_adjoint_strata(spec: ConstraintSystemSpec) -> tuple[list[_AdjointStratum], list[PolyCone]]:
+@_per_spec
+def _constraint_solution_pieces(spec: ConstraintSystemSpec) -> tuple[PolyCone, ...]:
+    """Solution cones of the linearized constraint system: the (q, u) with
+    Jp q + Jx u in a piece of the tangent cone of D at g0."""
+    wt = _w_map_T(spec)
+    return tuple(_pullback(t, wt) for t in _d_tangent(spec).pieces)
+
+
+@_per_spec
+def _constraint_adjoint_strata(
+    spec: ConstraintSystemSpec,
+) -> tuple[tuple[_AdjointStratum, ...], tuple[PolyCone, ...]]:
     """Direction-stratified adjoint systems of the constraint formulation."""
-    ker = _kernel_cone(spec.Jx, spec.m)
-    w_map = _stack_map(spec.Jp, spec.Jx)  # w = Jp q + Jx u
+    wt = _w_map_T(spec)
     strata: list[_AdjointStratum] = []
-    for s in direction_strata(spec.D, spec.g0):
-        adj = ker.intersect(s.normal)
+    for s, adj, _ in _foscms_strata(spec):
         for idx, qc in enumerate(s.reach):
-            refined = _pullback(qc, w_map, spec.l + spec.n)
+            refined = _pullback(qc, wt)
             if refined.is_trivial():
                 continue
-            sample = pick_nonzero(refined)
             strata.append(
                 _AdjointStratum(
                     label=f"{s.label} / cell {idx}",
                     case_label=s.label,
                     directions=refined,
-                    sample=sample,
+                    sample=pick_nonzero(refined),
                     piece=s.normal,
                     adjoint=adj,
                 )
             )
-    pieces = [
-        _pullback(t, w_map, spec.l + spec.n) for t in union_tangent_cone(spec.D, spec.g0).pieces
-    ]
-    return strata, pieces
+    return tuple(strata), _constraint_solution_pieces(spec)
+
+
+@_per_spec
+def _zero_direction_adjoints(spec) -> tuple[tuple[PolyCone, PolyCone], ...]:
+    """(piece, adjoint cone) for each piece of the unstratified adjoint
+    inclusion: limiting graph normal pieces (variational) or normal-cone
+    pieces of D in the zero direction (constraint)."""
+    if spec.kind == "variational":
+        return tuple(
+            (p.k, _variational_adjoint_cone(spec, p.k))
+            for p in limiting_normal_graph(spec.graph_point()).pieces
+        )
+    ker = _jx_kernel(spec)
+    return tuple(
+        (piece, ker.intersect(piece))
+        for piece in directional_normal_cone(spec.D, spec.g0, QVector.zero(spec.m)).pieces
+    )
+
+
+def _adjoint_strata(spec) -> tuple[tuple[_AdjointStratum, ...], tuple[PolyCone, ...]]:
+    """(adjoint strata, solution pieces) of either kind of system."""
+    if spec.kind == "variational":
+        return _variational_adjoint_strata(spec)
+    return _constraint_adjoint_strata(spec)
+
+
+@_per_spec
+def _solvability(spec) -> tuple[tuple[PolyCone, ...], bool, QVector | None]:
+    """Projections of the solution pieces onto parameter space, whether they
+    cover it, and a parameter direction outside them if not."""
+    projected = tuple(fm_project(p, spec.l) for p in _adjoint_strata(spec)[1])
+    covered, gap = covers_space(projected, spec.l)
+    return projected, covered, gap
 
 
 def _standard_adjoint_report(spec) -> list[dict]:
     """The unstratified (zero-direction) adjoint inclusion, for comparison."""
-    report = []
-    if spec.kind == "variational":
-        gp = spec.graph_point()
-        for p in limiting_normal_graph(gp).pieces:
-            adj = _variational_adjoint_cone(spec, p.k)
-            gens = [g for g in adj.generators()]
-            report.append(
-                {
-                    "piece": cone_plain(p.k),
-                    "adjoint_cone": cone_plain(adj),
-                    "nontrivial_generators": [vec_plain(g) for g in gens],
-                }
-            )
-    else:
-        ker = _kernel_cone(spec.Jx, spec.m)
-        for piece in directional_normal_cone(spec.D, spec.g0, QVector.zero(spec.m)).pieces:
-            adj = ker.intersect(piece)
-            report.append(
-                {
-                    "piece": cone_plain(piece),
-                    "adjoint_cone": cone_plain(adj),
-                    "nontrivial_generators": [vec_plain(g) for g in adj.generators()],
-                }
-            )
-    return report
+    return [
+        {
+            "piece": cone_plain(piece),
+            "adjoint_cone": cone_plain(adj),
+            "nontrivial_generators": [vec_plain(g) for g in adj.generators()],
+        }
+        for piece, adj in _zero_direction_adjoints(spec)
+    ]
 
 
 def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) -> Certificate:
@@ -768,7 +851,7 @@ def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) 
     discharged through check_foscms_joint or asserted by the caller).
     """
     if mode not in ("corollary", "theorem"):
-        raise ValueError("mode must be 'corollary' or 'theorem'")
+        raise PreconditionError("mode must be 'corollary' or 'theorem'")
     notes: list[str] = []
     trace: list = []
     if mode == "theorem":
@@ -777,19 +860,14 @@ def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) 
         else:
             evidence = check_foscms_joint(spec)
             if not evidence.holds():
-                raise ValueError(
+                raise PreconditionError(
                     "theorem mode needs metric subregularity of the joint map: "
                     "check_foscms_joint did not certify it and no assertion flag was given"
                 )
             notes.append("joint metric subregularity certified by check_foscms_joint")
 
-    if spec.kind == "variational":
-        strata, sol_pieces = _variational_adjoint_strata(spec)
-    else:
-        strata, sol_pieces = _constraint_adjoint_strata(spec)
-
-    projected = [fm_project(p, spec.l) for p in sol_pieces]
-    covered, gap = covers_space(projected, spec.l)
+    strata, sol_pieces = _adjoint_strata(spec)
+    projected, covered, gap = _solvability(spec)
     trace.append(
         {
             "phase": "A (solvability for every parameter direction)",
@@ -810,15 +888,15 @@ def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) 
             notes=tuple(notes),
         )
 
+    jpt = _w_map_T(spec)[: spec.l]  # a multiple of ±Jp^T
     cases: dict[str, list[dict]] = {}
     for st in strata:
         if mode == "corollary":
             ok = st.adjoint.is_trivial()
             offender = None if ok else pick_nonzero(st.adjoint)
         else:
-            offender = next(
-                (g for g in st.adjoint.generators() if not spec.Jp.T.matvec(g).is_zero()), None
-            )
+            gens = zip(st.adjoint.generators(), st.adjoint._int_generators())
+            offender = next((g for g, gi in gens if any(_apply(jpt, gi))), None)
             ok = offender is None
         q, u = _split_qu(st.sample, spec.l)
         entry = {
@@ -844,26 +922,18 @@ def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) 
     return Certificate(status, tuple(witnesses), trace=tuple(trace), notes=tuple(notes))
 
 
-def spec_range(spec) -> int:
-    return spec.m if spec.kind == "constraint" else spec.n
-
-
 def check_foscms_joint(spec) -> Certificate:
     """Metric subregularity of the joint map in (p, x) via the first order
     condition: every adjoint solution with both transposed-Jacobian images
     vanishing must be trivial, over all nonzero joint direction strata."""
-    dim = spec_range(spec)
-    ker_jp_rows = [spec.Jp.col(j) for j in range(spec.Jp.ncols)]
-    if spec.kind == "variational":
-        strata, _ = _variational_adjoint_strata(spec)
-    else:
-        strata, _ = _constraint_adjoint_strata(spec)
+    dim = spec.m if spec.kind == "constraint" else spec.n
+    jpt = _w_map_T(spec)[: spec.l]  # ker Jp^T as equations
+    strata, _ = _adjoint_strata(spec)
     witnesses = []
     trace = []
     for st in strata:
-        joint = PolyCone.from_ineqs(
-            dim, list(st.adjoint.ineqs), list(st.adjoint.eqs) + ker_jp_rows
-        )
+        ineqs, eqs = st.adjoint._h
+        joint = PolyCone.from_ineqs(dim, ineqs, eqs + jpt)
         rec = {
             "adjoint_stratum": st.label,
             "joint_adjoint_cone": cone_plain(joint),
@@ -884,17 +954,10 @@ def graphical_derivative_S(spec, q: QVector) -> list[Polyhedron]:
     of polyhedra (possibly overlapping, canonically deduplicated).
     """
     if spec.kind == "variational":
-        gp = spec.graph_point()
-        pieces, _ = _variational_solution_pieces(spec, gp)
-        cones = [p for _, p in pieces]
-        n = spec.n
+        cones = [p for _, p in _variational_solution_pieces(spec)]
     else:
-        w_map = _stack_map(spec.Jp, spec.Jx)
-        cones = [
-            _pullback(t, w_map, spec.l + spec.n)
-            for t in union_tangent_cone(spec.D, spec.g0).pieces
-        ]
-        n = spec.n
+        cones = _constraint_solution_pieces(spec)
+    n = spec.n
     out: list[Polyhedron] = []
     for c in cones:
         a_rows, b_rhs, e_rows, e_rhs = [], [], [], []
@@ -929,12 +992,12 @@ def check_directional_metric_regularity(spec, u: QVector, v: QVector) -> Certifi
     """
     if spec.kind == "constraint":
         w = spec.Jx.matvec(u) - v
-        if not union_tangent_cone(spec.D, spec.g0).contains(w):
+        if not _d_tangent(spec).contains(w):
             return Certificate(
                 HOLDS,
                 notes=("direction is not tangent to the graph: metrically regular in it by definition",),
             )
-        ker = _kernel_cone(spec.Jx, spec.m)
+        ker = _jx_kernel(spec)
         pieces = directional_normal_cone(spec.D, spec.g0, w).pieces
         adjoints = [(f"normal piece {i}", ker.intersect(p)) for i, p in enumerate(pieces)]
     else:
@@ -978,17 +1041,17 @@ def check_second_order_directional_subregularity(spec, u: QVector, gpp: QVector 
     rays.
     """
     if u.is_zero():
-        raise ValueError("direction u must be nonzero")
+        raise PreconditionError("direction u must be nonzero")
     if gpp is None:
         if spec.kind == "constraint" and spec.hessians is not None:
             gpp = QVector([_form_value(h, u) for h in spec.hessians])
         else:
-            raise ValueError("gpp is required when no Hessians are stored")
+            raise PreconditionError("gpp is required when no Hessians are stored")
     if spec.kind == "constraint":
         w = spec.Jx.matvec(u)
-        if not union_tangent_cone(spec.D, spec.g0).contains(w):
+        if not _d_tangent(spec).contains(w):
             return Certificate(HOLDS, notes=("direction is not tangent: subregular in it by definition",))
-        ker = _kernel_cone(spec.Jx, spec.m)
+        ker = _jx_kernel(spec)
         cones = [ker.intersect(p) for p in directional_normal_cone(spec.D, spec.g0, w).pieces]
     else:
         gp = spec.graph_point()

@@ -11,8 +11,9 @@ Subcommands::
 Vectors are comma-separated rationals ("1,-1/2"); graph directions take a
 primal and a dual part separated by ";".  Values starting with a minus sign
 need the "--dir=-1,0;0,0" form.  Exit codes: 0 holds/match,
-1 not certified/refuted/mismatch, 2 inconclusive, 3 usage or input error,
-4 internal error (a defect; the traceback goes to stderr).
+1 not certified/refuted/mismatch, 2 inconclusive, 3 usage or input error
+(a bad option or problem file, or a check's precondition not met),
+4 internal error (any other exception: a defect; the traceback goes to stderr).
 The environment variable POLYVAR_TRACE (full | summary | off) controls how
 much derivation detail is printed.
 """
@@ -30,6 +31,7 @@ from .certify import (
     HOLDS,
     INCONCLUSIVE,
     NOT_CERTIFIED,
+    PreconditionError,
     check_aubin,
     check_calmness_constraint,
     check_directional_metric_regularity,
@@ -42,6 +44,7 @@ from .certify import (
 from .fileio import ProblemFileError, parse_problem, render_report
 from .graphmap import (
     directional_limiting_normal_graph,
+    graph_tangent_member,
     limiting_normal_graph,
     regular_normal_graph,
 )
@@ -59,7 +62,7 @@ class UsageError(Exception):
 def _parse_vector(text: str, dim: int | None = None, what: str = "vector") -> QVector:
     try:
         v = QVector([frac(part.strip()) for part in text.split(",")])
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, ZeroDivisionError):
         raise UsageError(f"cannot parse {what} {text!r}; expected comma-separated rationals")
     if dim is not None and v.dim != dim:
         raise UsageError(f"{what} must have {dim} entries, got {v.dim}")
@@ -71,6 +74,13 @@ def _parse_pair(text: str, dims: tuple[int, int]) -> tuple[QVector, QVector]:
         raise UsageError("graph directions look like 'v1,v2;w1,w2'")
     a, b = text.split(";", 1)
     return _parse_vector(a, dims[0], "primal direction"), _parse_vector(b, dims[1], "dual direction")
+
+
+def _parse_graph_direction(text: str, gp, dim: int) -> tuple[QVector, QVector]:
+    v, vstar = _parse_pair(text, (dim, dim))
+    if not graph_tangent_member(gp, v, vstar):
+        raise UsageError("--dir is not tangent to the graph of the normal-cone map at the reference point")
+    return v, vstar
 
 
 def _verbosity() -> str:
@@ -135,7 +145,7 @@ def _cmd_graph_normal(args) -> int:
         gnc = limiting_normal_graph(gp)
         title = "limiting normal cone to the graph"
     else:
-        v, vstar = _parse_pair(args.dir, (spec.n, spec.n))
+        v, vstar = _parse_graph_direction(args.dir, gp, spec.n)
         gnc = directional_limiting_normal_graph(gp, v, vstar)
         title = f"directional limiting normal cone in direction ({v!r}; {vstar!r})"
     print(f"{title}: {len(gnc.pieces)} product piece(s)")
@@ -151,6 +161,7 @@ def _cmd_graph_normal(args) -> int:
 def _run_check(spec, check: str, args):
     if check in ("foscms", "soscms", "calmness", "calmness2") and spec.kind != "constraint":
         raise UsageError(f"--check {check} needs a constraint system")
+    m = spec.m if spec.kind == "constraint" else spec.n  # range dimension
     if check == "foscms":
         return check_foscms(spec)
     if check == "soscms":
@@ -169,12 +180,11 @@ def _run_check(spec, check: str, args):
         if not args.dir:
             raise UsageError("--check dir-subreg needs --dir u")
         u = _parse_vector(args.dir, spec.n, "--dir")
-        gpp = _parse_vector(args.gpp, None, "--gpp") if args.gpp else None
+        gpp = _parse_vector(args.gpp, m, "--gpp") if args.gpp else None
         return check_second_order_directional_subregularity(spec, u, gpp)
     if check == "dir-reg":
         if not args.dir:
             raise UsageError("--check dir-reg needs --dir 'u;v'")
-        m = spec.m if spec.kind == "constraint" else spec.n
         u, v = _parse_pair(args.dir, (spec.n, m))
         return check_directional_metric_regularity(spec, u, v)
     raise UsageError(f"unknown check {check!r}")
@@ -266,6 +276,8 @@ def _cmd_oracle(args) -> int:
         if not args.dir:
             raise UsageError("oracle on a constraint file needs --dir w")
         y = _parse_vector(args.at, spec.m, "--at") if args.at else spec.g0
+        if not spec.D.contains(y):
+            raise UsageError("--at point lies in no piece of D")
         w = _parse_vector(args.dir, spec.m, "--dir")
         closed = directional_normal_cone(spec.D, y, w)
         sampled = sample_union_normals(spec.D, y, w)
@@ -274,8 +286,8 @@ def _cmd_oracle(args) -> int:
     else:
         if not args.dir:
             raise UsageError("oracle on a variational file needs --dir 'v;vstar'")
-        v, vstar = _parse_pair(args.dir, (spec.n, spec.n))
         gp = spec.graph_point()
+        v, vstar = _parse_graph_direction(args.dir, gp, spec.n)
         closed = directional_limiting_normal_graph(gp, v, vstar)
         sampled = sample_graph_directional(gp, v, vstar)
         match = piece_sets_equal([p.k for p in closed.pieces], sampled)
@@ -334,10 +346,7 @@ def run_command(argv: list[str]) -> int:
         return 3 if exc.code not in (0,) else 0
     try:
         return args.fn(args)
-    except (UsageError, ProblemFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (UsageError, ProblemFileError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:

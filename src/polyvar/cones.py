@@ -414,9 +414,6 @@ class PolyCone:
         self._check_dim(other)
         return PolyCone.from_generators(self.dim, self._v[0] + other._v[0], self._v[1] + other._v[1])
 
-    def negate(self) -> "PolyCone":
-        return PolyCone.from_generators(self.dim, [tuple(-x for x in r) for r in self._v[0]], self._v[1])
-
     def _check_dim(self, other: "PolyCone") -> None:
         if self.dim != other.dim:
             raise ValueError("cone dimension mismatch")

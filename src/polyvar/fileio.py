@@ -241,14 +241,9 @@ def certificate_from_dict(data: dict) -> Certificate:
         ),
         rates=tuple((k, v) for k, v in data["rates"]) if data["rates"] is not None else None,
         refuted=data["refuted"],
-        trace=_freeze(data["trace"]),
+        trace=tuple(data["trace"]),  # records stay JSON-plain dicts
         notes=tuple(data["notes"]),
     )
-
-
-def _freeze(trace):
-    # trace records are JSON-plain dicts; only the top level is a tuple
-    return tuple(trace)
 
 
 @dataclass(frozen=True)

@@ -506,7 +506,3 @@ def directional_normal_cone(d: UnionSet, ybar: QVector, w: QVector) -> ConeUnion
     strata = direction_strata(d, ybar)
     hit = [s.normal for s in strata if s.reachable(w)]
     return ConeUnion(d.dim, hit)
-
-
-def union_from_cone_pieces(dim: int, cones: Iterable[PolyCone]) -> ConeUnion:
-    return ConeUnion(dim, cones)

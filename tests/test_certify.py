@@ -19,13 +19,19 @@ from polyvar.certify import (
     check_soscms,
     covers_space,
     fm_project,
+    PreconditionError,
     graphical_derivative_S,
+    _constraint_solution_pieces,
+    _foscms_strata,
     _hessian_contraction,
     _form_value,
+    _jx_kernel,
+    _variational_adjoint_cone,
+    _variational_solution_pieces,
 )
 from polyvar.cones import PolyCone
-from polyvar.graphmap import directional_limiting_normal_graph
-from polyvar.linalg import QMatrix, QVector
+from polyvar.graphmap import directional_limiting_normal_graph, limiting_normal_graph
+from polyvar.linalg import QMatrix, QVector, row_space_basis
 from polyvar.sets import (
     Polyhedron,
     UnionSet,
@@ -504,3 +510,80 @@ def test_covers_space():
     ok, wit = covers_space([plus, minus], 2)
     assert not ok and wit is not None
     assert not plus.contains(wit) and not minus.contains(wit)
+
+
+def test_precondition_failures_raise_precondition_error():
+    # the CLI maps exactly these (and validation errors) to exit 3
+    with pytest.raises(PreconditionError):
+        check_soscms(ex4_spec(hessians=False))
+    with pytest.raises(PreconditionError):
+        check_calmness_constraint(ex4_spec(), "third")
+    with pytest.raises(PreconditionError):
+        check_aubin(ex5_spec(), "lemma")
+    with pytest.raises(PreconditionError):
+        check_aubin(zero_jacobian_variational_spec(), "theorem")
+    with pytest.raises(PreconditionError):
+        check_second_order_directional_subregularity(ex4_spec(), QVector([0, 0]))
+    with pytest.raises(PreconditionError):
+        check_second_order_directional_subregularity(ex5_spec(), QVector([1, 0]))  # no gpp
+
+
+# -- integer pullbacks against the rational definitions ---------------------------
+
+
+def _rational(spec):
+    """The spec with row i of each Jacobian divided by i + 2."""
+    def div(m):
+        return QMatrix([row.scale(F(1, i + 2)) for i, row in enumerate(m.rows)])
+
+    if spec.kind == "constraint":
+        return ConstraintSystemSpec(
+            l=spec.l, n=spec.n, m=spec.m, Jp=div(spec.Jp), Jx=div(spec.Jx), g0=spec.g0, D=spec.D,
+        )
+    return VariationalSystemSpec(
+        l=spec.l, n=spec.n, Jp=div(spec.Jp), Jx=div(spec.Jx),
+        gamma=spec.gamma, xbar=spec.xbar, ybarstar=spec.ybarstar,
+    )
+
+
+def _rational_pullback(cone, mat, dim):
+    mt = mat.T
+    return PolyCone.from_ineqs(dim, [mt.matvec(a) for a in cone.ineqs], [mt.matvec(e) for e in cone.eqs])
+
+
+def _w_map(spec, sign):
+    return QMatrix([[sign * x for x in p.entries + x_.entries] for p, x_ in zip(spec.Jp.rows, spec.Jx.rows)])
+
+
+def test_integer_pullbacks_match_rational_rows():
+    # The certifiers pull cones back through the Jacobians in integer rows
+    # scaled by a positive integer; the cones must be the ones that the
+    # rational rows of the definitions give.
+    for spec in [ex3_spec(), ex4_spec()] + random_constraint_specs():
+        spec = _rational(spec)
+        dim = spec.l + spec.n
+        tangent = union_tangent_cone(spec.D, spec.g0).pieces
+        w_map = _w_map(spec, 1)
+        assert _constraint_solution_pieces(spec) == tuple(_rational_pullback(t, w_map, dim) for t in tangent)
+        ker = PolyCone.from_ineqs(spec.m, [], [spec.Jx.col(j) for j in range(spec.n)])
+        assert _jx_kernel(spec) == ker
+        for s, v_cone, u_cells in _foscms_strata(spec):
+            assert v_cone == ker.intersect(s.normal)
+            assert u_cells == tuple(_rational_pullback(qc, spec.Jx, spec.n) for qc in s.reach)
+    for spec in [ex5_spec()] + random_variational_specs():
+        spec = _rational(spec)
+        k = spec.graph_point().critical
+        wt = _w_map(spec, -1).T
+        pad = [0] * spec.l
+        for f, piece in _variational_solution_pieces(spec):
+            rows_i = [QVector(pad + list(a.entries)) for a in f.cone.ineqs]
+            rows_i += [wt.matvec(a) for a in k.polar().ineqs]
+            rows_e = [QVector(pad + list(e.entries)) for e in f.cone.eqs]
+            rows_e += [wt.matvec(e) for e in k.polar().eqs]
+            rows_e += [wt.matvec(g) for g in row_space_basis(list(f.cone.rays) + list(f.cone.lin), spec.n)]
+            assert piece == PolyCone.from_ineqs(spec.l + spec.n, rows_i, rows_e)
+        for p in limiting_normal_graph(spec.graph_point()).pieces:
+            kd, kdp = p.k, p.k.polar()
+            rows_i = [-spec.Jx.matvec(a) for a in kdp.ineqs] + [-b for b in kd.ineqs]
+            rows_e = [spec.Jx.matvec(e) for e in kdp.eqs] + list(kd.eqs)
+            assert _variational_adjoint_cone(spec, kd) == PolyCone.from_ineqs(spec.n, rows_i, rows_e)

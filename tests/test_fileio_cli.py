@@ -127,6 +127,31 @@ def test_cli_internal_error_exit_code(monkeypatch, capsys):
     assert err.startswith("internal error:") and "RuntimeError: kernel defect" in err
 
 
+def test_cli_value_error_in_a_check_is_internal(monkeypatch, capsys):
+    # only validation and precondition errors are usage errors (3)
+    def broken(spec):
+        raise ValueError("dimension mismatch: 2 vs 3")
+
+    monkeypatch.setattr(cli, "check_foscms", broken)
+    assert run_command(["certify", bundled_problem_path("ex4.json"), "--check", "foscms"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "ValueError: dimension mismatch: 2 vs 3" in err
+
+
+def test_cli_precondition_and_input_errors_are_usage_errors(capsys):
+    ex4 = bundled_problem_path("ex4.json")
+    ex5 = bundled_problem_path("ex5.json")
+    assert run_command(["certify", ex4, "--check", "dir-subreg", "--dir", "0,0"]) == 3  # zero direction
+    assert run_command(["certify", ex5, "--check", "dir-subreg", "--dir", "1,0"]) == 3  # no --gpp
+    assert run_command(["certify", ex4, "--check", "dir-subreg", "--dir", "1,0", "--gpp", "1,1,1"]) == 3
+    assert run_command(["certify", ex4, "--check", "dir-subreg", "--dir", "1/0,1"]) == 3
+    assert run_command(["graph-normal", ex5, "--dir", "1,0;1,0"]) == 3  # not tangent to the graph
+    assert run_command(["oracle", ex5, "--dir", "1,0;1,0"]) == 3
+    assert run_command(["oracle", bundled_problem_path("ex3.json"), "--at", "1,1,1,1", "--dir", "1,0,0,0"]) == 3
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+
+
 def test_cli_golden_examples(capsys):
     for which in ("3", "4", "5"):
         assert run_command(["examples", "run", which]) == 0

@@ -8,6 +8,10 @@ gap witnesses depend on the order of the double description rays.
 
 A change that is meant to alter a certificate regenerates the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why.
+
+Checks on one spec share the geometry the spec derives on first use, so the
+last tests run several checks on one spec, in both orders, and compare with
+the golden files and with a fresh spec per check.
 """
 
 from __future__ import annotations
@@ -16,11 +20,15 @@ import argparse
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
 
-from polyvar.certify import ConstraintSystemSpec, check_aubin
+from corpus import random_gamma, random_graph_point, random_matrix, random_symmetric, random_union, rng
+from polyvar.certify import ConstraintSystemSpec, VariationalSystemSpec, check_aubin
 from polyvar.cli import _EXPECTED, _run_check, bundled_problem_path
 from polyvar.fileio import parse_problem, render_report
+from polyvar.linalg import QMatrix
 from polyvar.sets import Polyhedron, UnionSet
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -31,8 +39,9 @@ def _output(check: str, cert) -> str:
     return report.text + "\n--- certificate JSON ---\n" + report.json_block() + "\n"
 
 
-def _example(name: str, check: str, extra: dict) -> str:
-    spec = parse_problem(bundled_problem_path(f"ex{name}.json"))
+def _example(name: str, check: str, extra: dict, spec=None) -> str:
+    if spec is None:
+        spec = parse_problem(bundled_problem_path(f"ex{name}.json"))
     ns = argparse.Namespace(dir=extra.get("dir"), gpp=None, assume_subregular=False)
     return _output(check, _run_check(spec, check, ns))
 
@@ -70,6 +79,82 @@ CASES["aubin-refutation-3d"] = _aubin_refutation_3d
 def test_certificate_matches_golden(case):
     want = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
     assert CASES[case]() == want
+
+
+@pytest.mark.parametrize("order", ("forward", "reversed"))
+@pytest.mark.parametrize("name", sorted(_EXPECTED))
+def test_checks_on_one_spec_match_golden(name, order):
+    spec = parse_problem(bundled_problem_path(f"ex{name}.json"))
+    checks = _EXPECTED[name] if order == "forward" else _EXPECTED[name][::-1]
+    for check, _, extra in checks:
+        want = (GOLDEN / f"ex{name}-{check}.txt").read_text(encoding="utf-8")
+        assert _example(name, check, extra, spec) == want, check
+
+
+def _jacobian(r, nrows: int, ncols: int) -> QMatrix:
+    """A random matrix, often with a zero column (so that checks also fail),
+    each row divided by a small positive integer (so that it has
+    denominators)."""
+    m = random_matrix(r, nrows, ncols, -1, 1)
+    dead = r.randrange(2 * ncols)  # the column to zero, if < ncols
+    return QMatrix(
+        [[0 if j == dead else x / r.choice((1, 1, 2, 3)) for j, x in enumerate(row)] for row in m.rows]
+    )
+
+
+def _corpus_makers():
+    """Builders of random specs, each called once per fresh spec."""
+    r = rng(4141)
+    makers = []
+    for _ in range(6):
+        m, l = r.choice((2, 3)), r.choice((1, 2))
+        data = dict(
+            l=l, n=2, m=m, Jp=_jacobian(r, m, l), Jx=_jacobian(r, m, 2),
+            g0=[0] * m, D=random_union(r, m), hessians=[random_symmetric(r, 2) for _ in range(m)],
+        )
+        makers.append(lambda data=data: ConstraintSystemSpec(**data))
+    while len(makers) < 12:
+        gamma = random_gamma(r, 3)
+        xbar, ybarstar = random_graph_point(r, gamma)
+        l = r.choice((1, 2))
+        data = dict(
+            l=l, n=3, Jp=_jacobian(r, 3, l), Jx=_jacobian(r, 3, 3),
+            gamma=gamma, xbar=xbar, ybarstar=ybarstar,
+        )
+        if len(VariationalSystemSpec(**data).graph_point().critical.faces()) > 2:  # several strata
+            makers.append(lambda data=data: VariationalSystemSpec(**data))
+    return makers
+
+
+def _corpus_checks(spec) -> list[tuple[str, dict]]:
+    n, m = spec.n, spec.m if spec.kind == "constraint" else spec.n
+    e1, e2 = ",".join(["1"] + ["0"] * (n - 1)), ",".join(["0"] * (n - 1) + ["1"])
+    zero, gpp = ",".join(["0"] * m), ",".join(["-1"] * m)
+    checks = [
+        ("aubin", {}), ("foscms-joint", {}), ("aubin-theorem", {}), ("dir-reg", {"dir": f"{e1};{zero}"}),
+        ("dir-reg", {"dir": f"{e2};{zero}"}), ("dir-subreg", {"dir": e1, "gpp": gpp}),
+    ]
+    if spec.kind == "constraint":
+        checks += [("foscms", {}), ("soscms", {}), ("calmness", {}), ("calmness2", {}), ("dir-subreg", {"dir": e2})]
+    return checks
+
+
+def _run(spec, check: str, extra: dict) -> str:
+    ns = argparse.Namespace(dir=extra.get("dir"), gpp=extra.get("gpp"), assume_subregular=False)
+    try:
+        return _output(check, _run_check(spec, check, ns))
+    except ValueError as exc:  # a precondition such as theorem mode without evidence
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_shared_spec_matches_fresh_specs_on_corpus():
+    for make in _corpus_makers():
+        checks = _corpus_checks(make())
+        fresh = [_run(make(), check, extra) for check, extra in checks]
+        for order in (1, -1):
+            spec = make()
+            shared = [_run(spec, check, extra) for check, extra in checks[::order]]
+            assert shared[::order] == fresh
 
 
 if __name__ == "__main__":
