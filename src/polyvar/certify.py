@@ -34,7 +34,7 @@ from itertools import product
 from math import lcm
 from typing import Sequence
 
-from .cones import Face, PolyCone, face_difference, feasible_point, pick_nonzero
+from .cones import Face, PolyCone, feasible_point, pick_nonzero
 from .graphmap import (
     GraphPoint,
     directional_limiting_normal_graph,
@@ -712,10 +712,10 @@ def _variational_adjoint_strata(
     nontrivial; within a case, one adjoint inclusion per admissible face
     pair, the pair filters imposed as linear equations on (q, u).
     """
-    faces = spec.graph_point().critical.faces()
+    gp = spec.graph_point()
+    faces = gp.critical.faces()
     sol_pieces = _variational_solution_pieces(spec)
     wt = _w_map_T(spec)
-    differences: dict = {}  # face pair -> F1 - F2, shared by the cases
     adjoints: dict = {}  # difference cone key -> adjoint cone
     strata: list[_AdjointStratum] = []
     for f, piece in sol_pieces:
@@ -727,9 +727,8 @@ def _variational_adjoint_strata(
         for f1 in faces:
             refined = None  # depends on F1 only: w ⊥ span F1
             for f2 in faces:
-                if not f.cone.subcone_of(f2.cone):
-                    continue
-                if not f2.cone.subcone_of(f1.cone):
+                # F ⊆ F2 ⊆ F1, read off the active sets
+                if not f1.active_set <= f2.active_set <= f.active_set:
                     continue
                 if refined is None:
                     f1_rays, f1_lin = f1.cone._v
@@ -737,10 +736,7 @@ def _variational_adjoint_strata(
                     refined = PolyCone.from_ineqs(spec.l + spec.n, p_ineqs, p_eqs + tuple(extra_eqs))
                 if refined.is_trivial():
                     break
-                pair = (f1.active_set, f2.active_set)
-                if pair not in differences:
-                    differences[pair] = face_difference(f1.cone, f2.cone)
-                kd = differences[pair]
+                kd = gp.difference(f1, f2)
                 key = kd.key()
                 if key in seen_k:
                     continue

@@ -30,6 +30,12 @@ ranks.  ``fractions.Fraction`` appears only at the API boundary: the fields
 of a ``PolyCone`` are ``QVector``s, and the cone keeps their integer forms
 for its own queries.
 
+Face lattices are read off the ray/row incidence of the two representations
+(Kaibel & Pfetsch, 2002): a face is spanned by the rays zero on its active
+rows, and its implied active set is the rows zero on all of those rays.  The
+enumeration (``_face_lattice``) makes no conversion per candidate face, and
+``sets.Polyhedron.faces`` runs it on the homogenization cone.
+
 Everything is exact; there is no tolerance anywhere.
 """
 
@@ -423,44 +429,87 @@ class PolyCone:
     def faces(self) -> tuple["Face", ...]:
         """All closed faces, from the cone itself down to the lineality space.
 
-        Breadth-first search over active sets of the irredundant inequality
-        rows, deduplicated by the implied active set (for an irredundant
-        H-representation two faces coincide iff their implied active sets
-        do).  Each face carries a polar witness z* with F = C ∩ [z*]^⊥,
-        namely the sum of the active inequality normals.
+        Faces come from the ray/row incidence relation (``_face_lattice``),
+        with no conversion per candidate face.  A face is spanned by the
+        cone's rays zero on its active rows plus the lineality space, so its
+        V-representation is a sorted subset of the cone's and is already
+        canonical; its H-representation costs one conversion.  Each face
+        carries a polar witness z* with F = C ∩ [z*]^⊥, namely the sum of the
+        active inequality normals.
         """
         if self._faces is not None:
             return self._faces
-        n = len(self.ineqs)
-        found: dict[frozenset, Face] = {}
-
-        ineqs, eqs = self._h
-
-        def build(active: frozenset) -> Face:
-            sub = PolyCone.from_ineqs(self.dim, ineqs, eqs + tuple(ineqs[i] for i in sorted(active)))
-            gens = sub._int_generators()
-            implied = frozenset(i for i in range(n) if all(_dot(ineqs[i], g) == 0 for g in gens))
-            rows = [ineqs[i] for i in implied]
+        ineqs = self._h[0]
+        rays, lin = self._v
+        out = []
+        for active, ray_mask in _face_lattice(ineqs, rays):
+            face_rays = tuple(rays[k] for k in _bits(ray_mask))
+            if len(face_rays) == len(rays):
+                cone = self
+            else:
+                peqs, pineqs = _generators(self.dim, face_rays, lin)
+                cone = PolyCone._from_forms(self.dim, (pineqs, peqs), (face_rays, lin))
+            rows = [ineqs[i] for i in active]
             wit = QVector._of_ints(map(sum, zip(*rows))) if rows else QVector.zero(self.dim)
-            return Face(implied, sub, wit)
+            out.append(Face(frozenset(active), cone, wit))
+        self._faces = tuple(out)
+        return self._faces
 
-        root = build(frozenset())
-        queue = [root]
-        found[root.active_set] = root
-        while queue:
-            face = queue.pop(0)
-            for j in range(n):
-                if j in face.active_set:
-                    continue
-                child = build(face.active_set | {j})
-                if child.active_set not in found:
-                    found[child.active_set] = child
-                    queue.append(child)
-        ordered = tuple(
-            sorted(found.values(), key=lambda f: (len(f.active_set), tuple(sorted(f.active_set))))
-        )
-        self._faces = ordered
-        return ordered
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of a mask, ascending."""
+    out, k = [], 0
+    while mask:
+        if mask & 1:
+            out.append(k)
+        mask >>= 1
+        k += 1
+    return out
+
+
+def _face_lattice(
+    rows: Sequence[IntVec], rays: Sequence[IntVec], keep: int | None = None
+) -> list[tuple[list[int], int]]:
+    """Faces of a cone as (active row indices, ray mask) pairs, from incidence.
+
+    ``rows`` are the cone's irredundant inequality rows and ``rays`` its
+    extreme rays; the lineality space lies in every face.  Faces are exactly
+    the closed sets of the ray/row incidence relation (Kaibel & Pfetsch,
+    "Computing the face lattice of a polytope from its vertex-facet
+    incidences", 2002): a face's rays are the rays zero on its active rows,
+    and its implied active set is the rows zero on all of its rays (every row
+    when it has none).  Breadth-first from the whole cone, a child's rays are
+    its parent's rays that are zero on one more row.  With ``keep``, only
+    faces with a ray in that mask are returned and expanded.  The result is
+    sorted by the size of the active set, then by its sorted indices.
+    """
+    full = (1 << len(rows)) - 1
+    zero_sets = [sum(1 << i for i, a in enumerate(rows) if _dot(a, r) == 0) for r in rays]
+    on_row = [sum(1 << k for k, z in enumerate(zero_sets) if z >> i & 1) for i in range(len(rows))]
+
+    def closure(ray_mask: int) -> int:
+        active = full
+        for k in _bits(ray_mask):
+            active &= zero_sets[k]
+        return active
+
+    all_rays = (1 << len(rays)) - 1
+    found = {closure(all_rays): all_rays}
+    queue = list(found)
+    for active in queue:  # grows while it is walked
+        ray_mask = found[active]
+        for i in range(len(rows)):
+            if active >> i & 1:
+                continue
+            child_rays = ray_mask & on_row[i]
+            if keep is not None and not child_rays & keep:
+                continue
+            child = closure(child_rays)
+            if child not in found:
+                found[child] = child_rays
+                queue.append(child)
+    faces = [(_bits(active), ray_mask) for active, ray_mask in found.items()]
+    return sorted(faces, key=lambda f: (len(f[0]), f[0]))
 
 
 @dataclass(frozen=True)

@@ -219,7 +219,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "witnesses": [_witness_plain(w) for w in cert.witnesses],
         "rates": [[k, v] for k, v in cert.rates] if cert.rates is not None else None,
         "notes": list(cert.notes),
-        "trace": json.loads(json.dumps(cert.trace)),
+        "trace": list(cert.trace),  # records are JSON-plain dicts, shared
     }
 
 

@@ -27,7 +27,7 @@ from .sets import ConeUnion, Polyhedron, critical_cone
 class GraphPoint:
     """A point (ybar, ybarstar) of the graph of the normal-cone map of gamma."""
 
-    __slots__ = ("gamma", "ybar", "ybarstar", "critical")
+    __slots__ = ("gamma", "ybar", "ybarstar", "critical", "_differences")
 
     def __init__(self, gamma: Polyhedron, ybar: QVector, ybarstar: QVector):
         k = critical_cone(gamma, ybar, ybarstar)
@@ -37,12 +37,21 @@ class GraphPoint:
         object.__setattr__(self, "ybar", ybar)
         object.__setattr__(self, "ybarstar", ybarstar)
         object.__setattr__(self, "critical", k)
+        object.__setattr__(self, "_differences", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("GraphPoint is immutable")
 
     def __repr__(self):
         return f"GraphPoint(ybar={self.ybar!r}, ybarstar={self.ybarstar!r})"
+
+    def difference(self, f1: Face, f2: Face) -> PolyCone:
+        """F1 - F2 for faces F2 ⊆ F1 of the critical cone, built once per
+        graph point and keyed by the pair of active sets."""
+        pair = (f1.active_set, f2.active_set)
+        if pair not in self._differences:
+            self._differences[pair] = face_difference(f1.cone, f2.cone)
+        return self._differences[pair]
 
 
 @dataclass(frozen=True)
@@ -98,10 +107,10 @@ class GraphNormalCone:
         ]
 
 
-def _assemble(pairs: list[tuple[Face, Face]]) -> GraphNormalCone:
+def _assemble(gp: GraphPoint, pairs: list[tuple[Face, Face]]) -> GraphNormalCone:
     by_k: dict = {}
     for f1, f2 in pairs:
-        k = face_difference(f1.cone, f2.cone)
+        k = gp.difference(f1, f2)
         if k.key() not in by_k:
             by_k[k.key()] = ProductPiece(k.polar(), k, f1, f2)
     pieces = sorted(by_k.values(), key=lambda p: p.k.key())
@@ -130,15 +139,13 @@ def regular_normal_graph(gp: GraphPoint) -> GraphNormalCone:
 
 
 def limiting_normal_graph(gp: GraphPoint) -> GraphNormalCone:
-    """Limiting normal cone to the graph: products over all face pairs F2 ⊆ F1."""
+    """Limiting normal cone to the graph: products over all face pairs F2 ⊆ F1.
+
+    For faces of one cone, F2 ⊆ F1 iff F1's active set is inside F2's.
+    """
     faces = gp.critical.faces()
-    pairs = [
-        (f1, f2)
-        for f1 in faces
-        for f2 in faces
-        if f2.cone.subcone_of(f1.cone)
-    ]
-    return _assemble(pairs)
+    pairs = [(f1, f2) for f1 in faces for f2 in faces if f1.active_set <= f2.active_set]
+    return _assemble(gp, pairs)
 
 
 def directional_limiting_normal_graph(gp: GraphPoint, v: QVector, vstar: QVector) -> GraphNormalCone:
@@ -157,9 +164,9 @@ def directional_limiting_normal_graph(gp: GraphPoint, v: QVector, vstar: QVector
         for f2 in faces:
             if not f2.cone.contains(v):
                 continue
-            if f2.cone.subcone_of(f1.cone):
+            if f1.active_set <= f2.active_set:
                 pairs.append((f1, f2))
-    return _assemble(pairs)
+    return _assemble(gp, pairs)
 
 
 def directional_coderivative_normal_map(

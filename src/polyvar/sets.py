@@ -17,6 +17,11 @@ must hold at ``ybar``; strict constraints already violated at ``ybar`` kill
 the cell; the remaining active strict constraints must admit a strictly
 feasible direction, and then the closure of the feasible directions is the
 polyhedral cone with those constraints closed.
+
+The faces of a polyhedron, from which the face assignments are drawn, are
+the faces of its homogenization cone that have a ray with t > 0; they come
+from the cone layer's incidence enumeration, with one conversion per face
+for its normal cone.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
-from .cones import PolyCone, strictly_feasible
+from .cones import PolyCone, _face_lattice, strictly_feasible
 from .linalg import QVector, frac
 
 
@@ -155,53 +160,26 @@ class Polyhedron:
     # -- faces -----------------------------------------------------------------
 
     def faces(self) -> tuple["PolyFace", ...]:
-        """All nonempty closed faces, by BFS over active sets."""
+        """All nonempty closed faces, ordered like ``PolyCone.faces``.
+
+        The nonempty faces are the faces of the homogenization cone that are
+        not inside {t = 0}, i.e. that have a ray with t > 0; they come from
+        the same incidence routine as cone faces, with homogenization rows
+        mapped back to rows of ``A``.
+        """
         if self._faces is not None:
             return self._faces
-        n = len(self.A)
-        found: dict[frozenset, PolyFace] = {}
-
-        def build(active: frozenset) -> "PolyFace | None":
-            try:
-                sub = Polyhedron(
-                    self.dim,
-                    list(self.A),
-                    list(self.b),
-                    list(self.E) + [self.A[i] for i in sorted(active)],
-                    list(self.e) + [self.b[i] for i in sorted(active)],
-                )
-            except InfeasibleError:
-                return None
-            verts, rec = sub.vertices_and_recession()
-            implied = frozenset(
-                i
-                for i in range(n)
-                if all(self.A[i].dot(v) == self.b[i] for v in verts)
-                and all(self.A[i].dot(g) == 0 for g in rec.generators())
-            )
-            normal = PolyCone.from_generators(
-                self.dim, [self.A[i] for i in sorted(implied)], list(self.E)
-            )
-            return PolyFace(implied, sub, normal, self)
-
-        root = build(frozenset())
-        assert root is not None
-        found[root.active_set] = root
-        queue = [root]
-        while queue:
-            face = queue.pop(0)
-            for j in range(n):
-                if j in face.active_set:
-                    continue
-                child = build(face.active_set | {j})
-                if child is not None and child.active_set not in found:
-                    found[child.active_set] = child
-                    queue.append(child)
-        ordered = tuple(
-            sorted(found.values(), key=lambda f: (len(f.active_set), tuple(sorted(f.active_set))))
-        )
-        self._faces = ordered
-        return ordered
+        rows, rays = self._homog._h[0], self._homog._v[0]
+        # homogenization row -> row of A (all rows but -t <= 0, in order)
+        row_of = {k: i for i, k in enumerate(k for k, a in enumerate(rows) if any(a[: self.dim]))}
+        finite = sum(1 << k for k, r in enumerate(rays) if r[self.dim] > 0)
+        out = []
+        for active, _ in _face_lattice(rows, rays, keep=finite):
+            implied = [row_of[k] for k in active]
+            normal = PolyCone.from_generators(self.dim, [self.A[i] for i in implied], list(self.E))
+            out.append(PolyFace(frozenset(implied), normal, self))
+        self._faces = tuple(out)
+        return self._faces
 
 
 @dataclass(frozen=True)
@@ -213,7 +191,6 @@ class PolyFace:
     """
 
     active_set: frozenset
-    poly: Polyhedron
     normal: PolyCone
     parent: Polyhedron
 

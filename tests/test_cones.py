@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +95,10 @@ def test_faces_of_wedge():
 
 def test_faces_of_orthant():
     assert len(PolyCone.from_ineqs(2, [[-1, 0], [0, -1]]).faces()) == 4
+    n = 7  # one face per set of active facets, spanned by the other n - k rays
+    faces = PolyCone.from_ineqs(n, [[-1 if i == j else 0 for i in range(n)] for j in range(n)]).faces()
+    assert len(faces) == 2**n
+    assert all(len(f.cone.rays) == n - len(f.active_set) for f in faces)
 
 
 def test_faces_of_line():
@@ -312,3 +316,48 @@ def test_strict_feasibility_matches_relative_interior_hypothesis(system, point):
     c = PolyCone.from_ineqs(dim, stricts, eqs)
     z = QVector(point[:dim])
     assert c.contains(z) == (all(a.dot(z) <= 0 for a in c.ineqs) and all(e.dot(z) == 0 for e in c.eqs))
+
+
+# -- face lattices against the definition by active sets -------------------------
+
+
+def oracle_faces(c):
+    """The faces by definition: each subset of inequality rows taken as
+    equalities gives a face, identified by its implied active set (the rows
+    zero on the whole face); ordered by size, then by sorted indices."""
+    ineqs, eqs = list(c.ineqs), list(c.eqs)
+    found = {}
+    for k in range(len(ineqs) + 1):
+        for subset in combinations(range(len(ineqs)), k):
+            sub = PolyCone.from_ineqs(c.dim, ineqs, eqs + [ineqs[i] for i in subset])
+            gens = sub.generators()
+            implied = frozenset(i for i, a in enumerate(ineqs) if all(a.dot(g) == 0 for g in gens))
+            found.setdefault(implied, sub)
+    return [(s, found[s]) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
+
+
+def cone_fields(c):
+    return (c.key(), c.ineqs, c.eqs, c._h, c._v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_systems(), st.booleans())
+def test_faces_match_active_set_definition_hypothesis(system, as_generators):
+    """Covers no rows, equations only, lineality only (generators with lin and
+    no rays), lower-dimensional cones and orthant-prefixed systems."""
+    dim, rows, more = system
+    if as_generators:
+        c = PolyCone.from_generators(dim, [r for r in rows if any(r)], [r for r in more if any(r)])
+    else:
+        c = PolyCone.from_ineqs(dim, rows, more)
+    want = oracle_faces(c)
+    got = c.faces()
+    assert [f.active_set for f in got] == [s for s, _ in want]
+    for f, (active, sub) in zip(got, want):
+        assert cone_fields(f.cone) == cone_fields(sub)
+        witness = QVector.zero(dim)
+        for i in sorted(active):
+            witness = witness + c.ineqs[i]
+        assert f.witness == witness
+        assert PolyCone.from_ineqs(dim, list(c.ineqs), list(c.eqs) + [f.witness]) == f.cone
+

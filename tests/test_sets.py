@@ -1,6 +1,9 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from corpus import boundary_points, random_gamma, random_graph_point, random_tangent_pair, random_union, rng
 from polyvar.cones import PolyCone
@@ -222,3 +225,103 @@ def test_polyhedron_subset_and_canonical_hrep():
     assert len(p.A) == 2
     q = Polyhedron(2, A=[[1, 0], [0, 1]], b=[2, 2])
     assert p.subset_of(q) and not q.subset_of(p)
+
+
+# -- face lattices against the definition by active sets -------------------------
+
+
+def oracle_polyhedron_faces(p):
+    """The nonempty faces by definition: each subset of rows of A taken as
+    equalities that leaves a nonempty polyhedron gives a face, identified by
+    its implied active set; ordered by size, then by sorted indices."""
+    n = len(p.A)
+    found = set()
+    for k in range(n + 1):
+        for subset in combinations(range(n), k):
+            try:
+                sub = Polyhedron(
+                    p.dim, p.A, p.b, list(p.E) + [p.A[i] for i in subset], list(p.e) + [p.b[i] for i in subset]
+                )
+            except InfeasibleError:
+                continue
+            verts, rec = sub.vertices_and_recession()
+            found.add(
+                frozenset(
+                    i
+                    for i in range(n)
+                    if all(p.A[i].dot(v) == p.b[i] for v in verts)
+                    and all(p.A[i].dot(g) == 0 for g in rec.generators())
+                )
+            )
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def relint_point(p, active):
+    """A point in the relative interior of the face with this active set: all
+    of its generators with positive weights."""
+    rows = sorted(active)
+    face = Polyhedron(p.dim, p.A, p.b, list(p.E) + [p.A[i] for i in rows], list(p.e) + [p.b[i] for i in rows])
+    verts, rec = face.vertices_and_recession()
+    y = QVector.zero(p.dim)
+    for v in verts:
+        y = y + v.scale(F(1, len(verts)))
+    for g in rec.generators():
+        y = y + g
+    return y
+
+
+small = st.integers(-2, 2)
+
+
+@st.composite
+def polyhedra(draw):
+    """Polyhedra of dimension 1-3: no rows, equations only, with a lineality
+    space, lower-dimensional, a single point, unbounded, or boxed."""
+    dim = draw(st.integers(1, 3))
+    row = st.lists(small, min_size=dim, max_size=dim)
+    A = draw(st.lists(row, max_size=5))
+    b = draw(st.lists(st.integers(-1, 2), min_size=len(A), max_size=len(A)))
+    E, e = [], []
+    shape = draw(st.sampled_from(["unbounded", "no_rows", "eqs_only", "lineality", "lower_dim", "point", "box"]))
+    if shape == "no_rows":
+        A, b = [], []
+    elif shape == "eqs_only":
+        A, b = [], []
+        E, e = [draw(row)], [draw(small)]
+    elif shape == "lineality":
+        A = [r[:-1] + [0] for r in A]
+    elif shape == "lower_dim":
+        E, e = [draw(row)], [0]
+    elif shape == "point":
+        E = [[1 if i == j else 0 for i in range(dim)] for j in range(dim)]
+        e = draw(st.lists(small, min_size=dim, max_size=dim))
+    elif shape == "box":
+        A = A + [[s if i == j else 0 for i in range(dim)] for j in range(dim) for s in (1, -1)]
+        b = b + [1] * (2 * dim)
+    try:
+        return Polyhedron(dim, A, b, E, e)
+    except InfeasibleError:
+        assume(False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polyhedra())
+def test_polyhedron_faces_match_active_set_definition_hypothesis(p):
+    want = oracle_polyhedron_faces(p)
+    got = p.faces()
+    assert [f.active_set for f in got] == want
+    for f in got:
+        normal = PolyCone.from_generators(p.dim, [p.A[i] for i in sorted(f.active_set)], list(p.E))
+        assert (f.normal.key(), f.normal._h, f.normal._v) == (normal.key(), normal._h, normal._v)
+        assert f.normal == p.normal_cone(relint_point(p, f.active_set))
+        assert f.parent is p
+        eqs, stricts = f.relint_constraints()
+        assert len(eqs) == len(p.E) + len(f.active_set) and len(stricts) == len(p.A) - len(f.active_set)
+
+
+def test_face_count_of_the_five_cube():
+    n = 5
+    cube = Polyhedron(n, [[s if i == j else 0 for i in range(n)] for j in range(n) for s in (1, -1)], [1] * (2 * n))
+    faces = cube.faces()
+    assert len(faces) == 3**n
+    assert sum(1 for f in faces if len(f.active_set) == n) == 2**n  # the vertices
