@@ -2,20 +2,7 @@
 parameterized constraint and variational systems."""
 
 from .linalg import QMatrix, QVector, frac, kernel, orth_complement, rref, solve
-from .cones import (
-    Face,
-    PolyCone,
-    cone_from_generators,
-    cone_from_ineqs,
-    contains,
-    face_difference,
-    intersect,
-    is_trivial,
-    minkowski_sum,
-    polar,
-    rel_interior_point,
-    subcone_of,
-)
+from .cones import Face, PolyCone, face_difference
 from .sets import (
     ConeUnion,
     InfeasibleError,
@@ -24,8 +11,6 @@ from .sets import (
     critical_cone,
     directional_normal_cone,
     nearby_critical_cone,
-    normal_cone,
-    tangent_cone,
     union_tangent_cone,
 )
 from .graphmap import (

@@ -34,14 +34,14 @@ from itertools import product
 from math import lcm
 from typing import Sequence
 
-from .cones import Face, PolyCone, feasible_point, pick_nonzero
+from .cones import Face, PolyCone, cone_plain, feasible_point, pick_nonzero
 from .graphmap import (
     GraphPoint,
     directional_limiting_normal_graph,
     graph_tangent_member,
     limiting_normal_graph,
 )
-from .linalg import QMatrix, QVector, row_space_basis
+from .linalg import IntVec, QMatrix, QVector, row_space_basis, vec_plain
 from .sets import (
     ConeUnion,
     InfeasibleError,
@@ -54,8 +54,6 @@ from .sets import (
 HOLDS = "holds"
 NOT_CERTIFIED = "not_certified"
 INCONCLUSIVE = "inconclusive"
-
-IntVec = tuple[int, ...]
 
 
 class PreconditionError(ValueError):
@@ -207,23 +205,6 @@ class Certificate:
         return bool(self.rates) and dict(self.rates).get(name, False)
 
 
-# -- plain (JSON-able) views used in traces ---------------------------------------
-
-
-def vec_plain(v: QVector) -> list[str]:
-    return [str(x) for x in v.entries]
-
-
-def cone_plain(c: PolyCone) -> dict:
-    return {
-        "dim": c.dim,
-        "rays": [vec_plain(r) for r in c.rays],
-        "lin": [vec_plain(l) for l in c.lin],
-        "ineqs": [vec_plain(a) for a in c.ineqs],
-        "eqs": [vec_plain(e) for e in c.eqs],
-    }
-
-
 # -- shared linear-geometry helpers ------------------------------------------------
 
 
@@ -282,50 +263,18 @@ def _split_qu(vec: QVector, l: int) -> tuple[QVector, QVector]:
     return QVector(vec.entries[:l]), QVector(vec.entries[l:])
 
 
-# -- Fourier-Motzkin projection -----------------------------------------------------
+# -- projection onto parameter space ------------------------------------------------
 
 
 def fm_project(cone: PolyCone, keep: int) -> PolyCone:
-    """Project a cone onto its first ``keep`` coordinates by eliminating the
-    trailing variables: equality pivots first, then Fourier-Motzkin on the
-    inequalities.  The result is re-canonicalized."""
-    ineqs = [list(a.entries) for a in cone.ineqs]
-    eqs = [list(e.entries) for e in cone.eqs]
-    for var in range(cone.dim - 1, keep - 1, -1):
-        pivot = next((r for r in eqs if r[var] != 0), None)
-        if pivot is not None:
-            eqs.remove(pivot)
-            pv = pivot[var]
-            for rows in (eqs, ineqs):
-                for r in rows:
-                    if r[var] != 0:
-                        f = r[var] / pv
-                        for j in range(len(r)):
-                            r[j] -= f * pivot[j]
-        else:
-            pos = [r for r in ineqs if r[var] > 0]
-            neg = [r for r in ineqs if r[var] < 0]
-            zero = [r for r in ineqs if r[var] == 0]
-            combos = []
-            for p in pos:
-                for q in neg:
-                    combos.append([-q[var] * pi + p[var] * qi for pi, qi in zip(p, q)])
-            ineqs = zero + combos
-        # prune duplicates to keep growth in check
-        seen = set()
-        pruned = []
-        for r in ineqs:
-            v = QVector(r).primitive()
-            if v.is_zero() or v.entries in seen:
-                continue
-            seen.add(v.entries)
-            pruned.append(list(v.entries))
-        ineqs = pruned
-    return PolyCone.from_ineqs(
-        keep,
-        [QVector(r[:keep]) for r in ineqs],
-        [QVector(r[:keep]) for r in eqs],
-    )
+    """Project a cone onto its first ``keep`` coordinates.
+
+    A linear map carries generators to generators: the image of
+    cone(R) + span(L) is cone(πR) + span(πL), so the projection is the cone
+    generated by the truncated rays and lineality vectors.
+    """
+    rays, lin = cone._v
+    return PolyCone.from_generators(keep, [r[:keep] for r in rays], [l[:keep] for l in lin])
 
 
 def covers_space(pieces: Sequence[PolyCone], dim: int) -> tuple[bool, QVector | None]:
@@ -358,32 +307,22 @@ def covers_space(pieces: Sequence[PolyCone], dim: int) -> tuple[bool, QVector | 
 # -- quadratic-form sign analysis (for the second order condition) -----------------
 
 
-def _det(m: QMatrix) -> Fraction:
-    rows = [list(r.entries) for r in m.rows]
-    n = m.nrows
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        for i in range(c + 1, n):
-            f = rows[i][c] / rows[c][c]
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return det
-
-
 def _neg_definite(m: QMatrix) -> bool:
-    """Sylvester test: symmetric m is negative definite."""
-    n = m.nrows
-    for k in range(1, n + 1):
-        sub = QMatrix([r.entries[:k] for r in m.rows[:k]])
-        d = _det(sub)
-        if (Fraction(-1) ** k) * d <= 0:
+    """Is the symmetric matrix m negative definite?
+
+    Gaussian elimination without row exchanges: while the leading principal
+    minors d_1, ..., d_(k-1) are nonzero, pivot k is d_k / d_(k-1).  By
+    Sylvester's criterion m is negative definite iff every pivot is negative,
+    so the pass stops at the first pivot >= 0.
+    """
+    rows = [list(r.entries) for r in m.rows]
+    for k, pr in enumerate(rows):
+        pv = pr[k]
+        if pv >= 0:
             return False
+        for i in range(k + 1, len(rows)):
+            f = rows[i][k] / pv
+            rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
     return True
 
 

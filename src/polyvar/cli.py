@@ -39,8 +39,8 @@ from .certify import (
     check_foscms_joint,
     check_second_order_directional_subregularity,
     check_soscms,
-    vec_plain,
 )
+from .cones import cone_plain
 from .fileio import ProblemFileError, parse_problem, render_report
 from .graphmap import (
     directional_limiting_normal_graph,
@@ -48,7 +48,7 @@ from .graphmap import (
     limiting_normal_graph,
     regular_normal_graph,
 )
-from .linalg import QVector, frac
+from .linalg import QVector, frac, vec_plain
 from .oracle import piece_sets_equal, sample_graph_directional, sample_union_normals
 from .sets import critical_cone, directional_normal_cone, union_tangent_cone
 
@@ -89,10 +89,12 @@ def _verbosity() -> str:
 
 
 def _print_cone(label: str, cone) -> None:
+    view = cone_plain(cone)
+    rays, lin, ineqs, eqs = ([tuple(v) for v in view[key]] for key in ("rays", "lin", "ineqs", "eqs"))
     print(f"{label}:")
-    print(f"  rays: {[tuple(map(str, r.entries)) for r in cone.rays]}")
-    print(f"  lin:  {[tuple(map(str, l.entries)) for l in cone.lin]}")
-    print(f"  ineqs: {[tuple(map(str, a.entries)) for a in cone.ineqs]}  eqs: {[tuple(map(str, e.entries)) for e in cone.eqs]}")
+    print(f"  rays: {rays}")
+    print(f"  lin:  {lin}")
+    print(f"  ineqs: {ineqs}  eqs: {eqs}")
 
 
 def _cmd_cones(args) -> int:

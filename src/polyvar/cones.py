@@ -20,15 +20,17 @@ that cone equality is plain structural equality:
 * ``ineqs``/``eqs`` are obtained from the V-representation of the polar cone
   by the same pipeline, hence equally canonical.
 
-The kernel works on primitive integer tuples: each input row is scaled once
-by a positive rational to coprime integers, and every later update is an
-integer cross-multiplication followed by division by the gcd.  Two rays are
-combined only if they are adjacent, which is decided combinatorially from
-their zero sets (Fukuda & Prodon, "Double description method revisited",
-1996); the extremality filter uses fraction-free Bareiss elimination for its
-ranks.  ``fractions.Fraction`` appears only at the API boundary: the fields
-of a ``PolyCone`` are ``QVector``s, and the cone keeps their integer forms
-for its own queries.
+The conversion works on primitive integer tuples: each input row is scaled
+once by a positive rational to coprime integers (``linalg._ints``), and every
+later update is an integer cross-multiplication followed by division by the
+gcd.  Two rays are combined only if they are adjacent, which is decided
+combinatorially from their zero sets (Fukuda & Prodon, "Double description
+method revisited", 1996).  The start basis, the canonical lineality rows and
+the ranks of the extremality filter come from the integer elimination
+routines of ``linalg`` (echelon form, kernel, Bareiss rank), called directly.
+``fractions.Fraction`` appears only at the API boundary: the fields of a
+``PolyCone`` are ``QVector``s, and the cone keeps their integer forms for its
+own queries.
 
 Face lattices are read off the ray/row incidence of the two representations
 (Kaibel & Pfetsch, 2002): a face is spanned by the rays zero on its active
@@ -42,115 +44,9 @@ Everything is exact; there is no tolerance anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .linalg import QVector, frac
-
-IntVec = tuple[int, ...]
-
-
-def _reduce(v: Sequence[int]) -> IntVec:
-    """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = gcd(*v)
-    return tuple(x // g for x in v) if g > 1 else tuple(v)
-
-
-def _ints(v) -> IntVec:
-    """The primitive integer vector that is a positive multiple of v.
-
-    Accepts a QVector or a sequence of exact scalars (ints, Fractions, or
-    strings such as "1/2").
-    """
-    xs = v.entries if isinstance(v, QVector) else tuple(v)
-    if not all(type(x) is int for x in xs):
-        xs = [x if isinstance(x, (int, Fraction)) else frac(x) for x in xs]
-        den = lcm(*(x.denominator for x in xs))
-        xs = [x.numerator * (den // x.denominator) for x in xs]
-    return _reduce(xs)
-
-
-def _dot(a: IntVec, b: IntVec) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
-def _rank(rows: Sequence[IntVec]) -> int:
-    """Rank of an integer matrix by fraction-free Bareiss elimination.
-
-    After the step with pivot ``pv`` every remaining entry is a minor of the
-    input, so the division by the previous pivot is exact.
-    """
-    m = [list(r) for r in rows]
-    rank, prev = 0, 1
-    for c in range(len(m[0]) if m else 0):
-        p = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if p is None:
-            continue
-        m[rank], m[p] = m[p], m[rank]
-        pr, pv = m[rank], m[rank][c]
-        for i in range(rank + 1, len(m)):
-            mi, f = m[i], m[i][c]
-            m[i] = [(pv * x - f * y) // prev for x, y in zip(mi, pr)]
-        prev = pv
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
-def _echelon(rows: Sequence[IntVec], dim: int) -> tuple[list[IntVec], list[int]]:
-    """Integer reduced echelon form: (rows, pivot columns).
-
-    Each returned row is primitive with a positive pivot and zeros in the
-    other pivot columns; divided by its pivot it is the matching row of the
-    rational RREF.  Input rows must be primitive.
-    """
-    m = [r for r in rows if any(r)]
-    pivots: list[int] = []
-    for c in range(dim):
-        k = len(pivots)
-        if k == len(m):
-            break
-        p = next((i for i in range(k, len(m)) if m[i][c]), None)
-        if p is None:
-            continue
-        m[k], m[p] = m[p], m[k]
-        pr = m[k] if m[k][c] > 0 else tuple(-x for x in m[k])
-        m[k] = pr
-        pv = pr[c]
-        for i, mi in enumerate(m):
-            f = mi[c]
-            if i != k and f:
-                m[i] = _reduce([pv * x - f * y for x, y in zip(mi, pr)])
-        pivots.append(c)
-    return m[: len(pivots)], pivots
-
-
-def _rref_q(rows: Sequence[IntVec]) -> tuple[QVector, ...]:
-    """The rational RREF rows of an integer echelon form."""
-    out = []
-    for r in rows:
-        pv = next(x for x in r if x)
-        out.append(QVector._of_ints(r) if pv == 1 else QVector([Fraction(x, pv) for x in r]))
-    return tuple(out)
-
-
-def _kernel(rows: Sequence[IntVec], dim: int) -> list[IntVec]:
-    """Null space basis: positive multiples of what ``linalg.kernel`` returns
-    for the same rows (unit vectors when there are no rows)."""
-    ech, pivots = _echelon(rows, dim)
-    basis = []
-    for f in range(dim):
-        if f in pivots:
-            continue
-        scale = lcm(*(r[pc] for r, pc in zip(ech, pivots) if r[f]))
-        v = [0] * dim
-        v[f] = scale
-        for r, pc in zip(ech, pivots):
-            v[pc] = -r[f] * (scale // r[pc])
-        basis.append(_reduce(v))
-    return basis
+from .linalg import IntVec, QVector, _divided, _dot, _echelon, _ints, _kernel, _rank, _reduce, _rref_q, vec_plain
 
 
 def _orthogonal(basis: Sequence[IntVec]) -> list[tuple[IntVec, int]]:
@@ -540,42 +436,15 @@ def face_difference(f1: PolyCone, f2: PolyCone) -> PolyCone:
     )
 
 
-# Convenience wrappers mirroring the functional surface.
-
-def cone_from_ineqs(dim: int, ineqs: Iterable = (), eqs: Iterable = ()) -> PolyCone:
-    return PolyCone.from_ineqs(dim, ineqs, eqs)
-
-
-def cone_from_generators(dim: int, rays: Iterable = (), lin: Iterable = ()) -> PolyCone:
-    return PolyCone.from_generators(dim, rays, lin)
-
-
-def polar(c: PolyCone) -> PolyCone:
-    return c.polar()
-
-
-def intersect(c1: PolyCone, c2: PolyCone) -> PolyCone:
-    return c1.intersect(c2)
-
-
-def minkowski_sum(c1: PolyCone, c2: PolyCone) -> PolyCone:
-    return c1.minkowski_sum(c2)
-
-
-def contains(c: PolyCone, z: QVector) -> bool:
-    return c.contains(z)
-
-
-def is_trivial(c: PolyCone) -> bool:
-    return c.is_trivial()
-
-
-def subcone_of(c1: PolyCone, c2: PolyCone) -> bool:
-    return c1.subcone_of(c2)
-
-
-def rel_interior_point(c: PolyCone) -> QVector:
-    return c.rel_interior_point()
+def cone_plain(c: PolyCone) -> dict:
+    """JSON-plain view of a cone: its dimension and both representations."""
+    return {
+        "dim": c.dim,
+        "rays": [vec_plain(r) for r in c.rays],
+        "lin": [vec_plain(l) for l in c.lin],
+        "ineqs": [vec_plain(a) for a in c.ineqs],
+        "eqs": [vec_plain(e) for e in c.eqs],
+    }
 
 
 def pick_nonzero(c: PolyCone) -> QVector | None:
@@ -611,7 +480,7 @@ def feasible_point(
     _, rays = _dd(dim + 1, ineqs, eqs)
     for r in rays:
         if r[dim] > 0:
-            return QVector(Fraction(x, r[dim]) for x in r[:dim])
+            return _divided(r[:dim], r[dim])
     return None
 
 

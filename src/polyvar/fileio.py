@@ -39,9 +39,8 @@ from .certify import (
     ConstraintSystemSpec,
     VariationalSystemSpec,
     Witness,
-    vec_plain,
 )
-from .linalg import QMatrix, QVector
+from .linalg import QMatrix, QVector, vec_plain
 from .sets import InfeasibleError, Polyhedron, UnionSet
 
 

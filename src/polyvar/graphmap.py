@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import Face, PolyCone, face_difference
+from .cones import Face, PolyCone, cone_plain, face_difference
 from .linalg import QVector
 from .sets import ConeUnion, Polyhedron, critical_cone
 
@@ -87,15 +87,6 @@ class GraphNormalCone:
 
     def to_plain(self) -> list[dict]:
         """JSON-plain view: one record per piece with its provenance faces."""
-
-        def cone_plain(c: PolyCone) -> dict:
-            return {
-                "rays": [[str(x) for x in r.entries] for r in c.rays],
-                "lin": [[str(x) for x in l.entries] for l in c.lin],
-                "ineqs": [[str(x) for x in a.entries] for a in c.ineqs],
-                "eqs": [[str(x) for x in e.entries] for e in c.eqs],
-            }
-
         return [
             {
                 "k": cone_plain(p.k),

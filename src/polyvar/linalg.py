@@ -1,16 +1,26 @@
-"""Exact rational vectors, matrices and the linear-algebra kernels everything
-else is built on.
+"""Exact rational vectors, matrices and the one elimination kernel that
+everything else is built on.
 
-All scalars are ``fractions.Fraction`` (arbitrary precision, always in
-canonical reduced form with positive denominator), so every operation in this
-module is exact.  Values are immutable and hashable.
+Values at the API are ``fractions.Fraction`` (arbitrary precision, always in
+canonical reduced form with positive denominator) held in immutable, hashable
+``QVector``/``QMatrix`` objects.  Elimination runs on integers: each row is
+scaled once by a positive rational to a primitive integer vector (``_ints``),
+the reduced echelon form is kept in integers by cross-multiplying and
+dividing by the gcd (``_echelon``), and ranks come from fraction-free Bareiss
+elimination (``_rank``, Bareiss 1968).  ``rref``, ``kernel`` and
+``QVector.primitive`` divide the integer results back into rationals once, at
+the end; the cone layer uses the integer routines directly.  Every operation
+is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
+
+IntVec = tuple[int, ...]
 
 
 def frac(x) -> Fraction:
@@ -109,19 +119,15 @@ class QVector:
     def primitive(self) -> "QVector":
         """Scale by a positive rational so entries are coprime integers.
 
-        The zero vector is returned unchanged.  Sign is preserved, so this is
-        the canonical representative of a ray direction.
+        The zero vector stays zero.  Sign is preserved, so this is the
+        canonical representative of a ray direction.
         """
-        from math import gcd, lcm
+        return QVector._of_ints(_ints(self))
 
-        if self.is_zero():
-            return self
-        den = lcm(*(x.denominator for x in self.entries))
-        ints = [int(x * den) for x in self.entries]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        return QVector(Fraction(v, g) for v in ints)
+
+def vec_plain(v: QVector) -> list[str]:
+    """JSON-plain view of a vector: its entries as strings."""
+    return [str(x) for x in v.entries]
 
 
 class QMatrix:
@@ -200,58 +206,36 @@ class RrefResult:
 
 
 def rref(m: QMatrix) -> RrefResult:
-    """Reduced row echelon form over the rationals (unique)."""
-    rows = [list(r.entries) for r in m.rows]
-    nr, nc = m.nrows, m.ncols
-    piv_cols: list[int] = []
-    pr = 0
-    for pc in range(nc):
-        pivot = next((i for i in range(pr, nr) if rows[i][pc] != 0), None)
-        if pivot is None:
-            continue
-        rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        pv = rows[pr][pc]
-        rows[pr] = [x / pv for x in rows[pr]]
-        for i in range(nr):
-            if i != pr and rows[i][pc] != 0:
-                f = rows[i][pc]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
-        piv_cols.append(pc)
-        pr += 1
-        if pr == nr:
-            break
-    return RrefResult(len(piv_cols), QMatrix(rows), tuple(piv_cols))
+    """Reduced row echelon form over the rationals (unique): the integer
+    echelon form with each row divided by its pivot, and the zero rows
+    padded back."""
+    ech, pivots = _echelon([_ints(r) for r in m.rows], m.ncols)
+    reduced = _rref_q(ech) + (QVector.zero(m.ncols),) * (m.nrows - len(ech))
+    return RrefResult(len(pivots), QMatrix(reduced), tuple(pivots))
 
 
 def kernel(m: QMatrix) -> list[QVector]:
     """Basis of the null space {x : m x = 0}."""
     if m.nrows == 0:
         raise ValueError("kernel of a matrix with no rows is ambiguous; pass explicit rows")
-    res = rref(m)
-    nc = m.ncols
-    piv = set(res.pivot_cols)
-    free = [j for j in range(nc) if j not in piv]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * nc
-        v[f] = Fraction(1)
-        for i, pc in enumerate(res.pivot_cols):
-            v[pc] = -res.reduced[i][f]
-        basis.append(QVector(v))
-    return basis
+    return kernel_of_rows(m.rows, m.ncols)
 
 
 def kernel_of_rows(rows: Sequence[QVector], dim: int) -> list[QVector]:
-    """Like kernel() but tolerates an empty row list (kernel = all of R^dim)."""
-    if not rows:
-        return [QVector.unit(dim, i) for i in range(dim)]
-    return kernel(QMatrix(rows))
+    """Like kernel() but tolerates an empty row list (kernel = all of R^dim).
+
+    One vector per free column f of the RREF: 1 at f, 0 at the other free
+    columns.  The integer kernel vector's last nonzero entry is the one at f,
+    so dividing by it gives exactly that vector.
+    """
+    if any(len(r) != dim for r in rows):
+        raise ValueError("kernel row has wrong dimension")
+    return [_divided(v, next(x for x in reversed(v) if x)) for v in _kernel([_ints(r) for r in rows], dim)]
 
 
 def orth_complement(vectors: Sequence[QVector], dim: int) -> list[QVector]:
     """Basis of { z : <z, v> = 0 for every given v }."""
-    vecs = [v for v in vectors if not v.is_zero()]
-    return kernel_of_rows(vecs, dim)
+    return kernel_of_rows(vectors, dim)
 
 
 def solve(a: QMatrix, b: QVector) -> QVector | None:
@@ -275,15 +259,117 @@ def solve(a: QMatrix, b: QVector) -> QVector | None:
 
 
 def rank_of_rows(rows: Sequence[QVector]) -> int:
-    if not rows:
-        return 0
     return rref(QMatrix(rows)).rank
 
 
 def row_space_basis(rows: Sequence[QVector], dim: int) -> list[QVector]:
     """Canonical (RREF) basis of the span of the given vectors."""
-    nz = [r for r in rows if not r.is_zero()]
-    if not nz:
-        return []
-    res = rref(QMatrix(nz))
-    return [res.reduced[i] for i in range(res.rank)]
+    res = rref(QMatrix(rows))
+    return list(res.reduced.rows[: res.rank])
+
+
+# -- integer elimination ----------------------------------------------------------
+
+
+def _reduce(v: Sequence[int]) -> IntVec:
+    """Divide an integer vector by the gcd of its entries (zero stays zero)."""
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
+def _ints(v) -> IntVec:
+    """The primitive integer vector that is a positive multiple of v.
+
+    Accepts a QVector or a sequence of exact scalars (ints, Fractions, or
+    strings such as "1/2").
+    """
+    xs = v.entries if isinstance(v, QVector) else tuple(v)
+    if not all(type(x) is int for x in xs):
+        xs = [x if isinstance(x, (int, Fraction)) else frac(x) for x in xs]
+        den = lcm(*(x.denominator for x in xs))
+        xs = [x.numerator * (den // x.denominator) for x in xs]
+    return _reduce(xs)
+
+
+def _dot(a: IntVec, b: IntVec) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _rank(rows: Sequence[IntVec]) -> int:
+    """Rank of an integer matrix by fraction-free Bareiss elimination.
+
+    After the step with pivot ``pv`` every remaining entry is a minor of the
+    input, so the division by the previous pivot is exact.
+    """
+    m = [list(r) for r in rows]
+    rank, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        p = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[rank], m[p] = m[p], m[rank]
+        pr, pv = m[rank], m[rank][c]
+        for i in range(rank + 1, len(m)):
+            mi, f = m[i], m[i][c]
+            m[i] = [(pv * x - f * y) // prev for x, y in zip(mi, pr)]
+        prev = pv
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def _echelon(rows: Sequence[IntVec], dim: int) -> tuple[list[IntVec], list[int]]:
+    """Integer reduced echelon form: (rows, pivot columns).
+
+    Each returned row is primitive with a positive pivot and zeros in the
+    other pivot columns; divided by its pivot it is the matching row of the
+    rational RREF.  Zero rows are dropped.  Input rows must be primitive.
+    """
+    m = [r for r in rows if any(r)]
+    pivots: list[int] = []
+    for c in range(dim):
+        k = len(pivots)
+        if k == len(m):
+            break
+        p = next((i for i in range(k, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[k], m[p] = m[p], m[k]
+        pr = m[k] if m[k][c] > 0 else tuple(-x for x in m[k])
+        m[k] = pr
+        pv = pr[c]
+        for i, mi in enumerate(m):
+            f = mi[c]
+            if i != k and f:
+                m[i] = _reduce([pv * x - f * y for x, y in zip(mi, pr)])
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def _divided(v: IntVec, d: int) -> QVector:
+    """The rational vector v / d."""
+    return QVector._of_ints(v) if d == 1 else QVector([Fraction(x, d) for x in v])
+
+
+def _rref_q(rows: Sequence[IntVec]) -> tuple[QVector, ...]:
+    """The rational RREF rows of an integer echelon form."""
+    return tuple(_divided(r, next(x for x in r if x)) for r in rows)
+
+
+def _kernel(rows: Sequence[IntVec], dim: int) -> list[IntVec]:
+    """Null space basis of primitive integer rows: one primitive vector per
+    free column, positive there and zero at the other free columns (unit
+    vectors when there are no rows)."""
+    ech, pivots = _echelon(rows, dim)
+    basis = []
+    for f in range(dim):
+        if f in pivots:
+            continue
+        scale = lcm(*(r[pc] for r, pc in zip(ech, pivots) if r[f]))
+        v = [0] * dim
+        v[f] = scale
+        for r, pc in zip(ech, pivots):
+            v[pc] = -r[f] * (scale // r[pc])
+        basis.append(_reduce(v))
+    return basis

@@ -207,14 +207,6 @@ class PolyFace:
         return eqs, stricts
 
 
-def tangent_cone(p: Polyhedron, y: QVector) -> PolyCone:
-    return p.tangent_cone(y)
-
-
-def normal_cone(p: Polyhedron, y: QVector) -> PolyCone:
-    return p.normal_cone(y)
-
-
 def critical_cone(p: Polyhedron, y: QVector, ystar: QVector) -> PolyCone | None:
     """Tangent cone at y intersected with [ystar]^⊥, or None off the graph.
 

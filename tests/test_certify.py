@@ -29,7 +29,7 @@ from polyvar.certify import (
     _variational_adjoint_cone,
     _variational_solution_pieces,
 )
-from polyvar.cones import PolyCone
+from polyvar.cones import PolyCone, feasible_point
 from polyvar.graphmap import directional_limiting_normal_graph, limiting_normal_graph
 from polyvar.linalg import QMatrix, QVector, row_space_basis
 from polyvar.sets import (
@@ -483,21 +483,48 @@ def test_witness_rescaling_preserves_validity():
 # -- projection and coverage helpers ----------------------------------------------
 
 
+def lifts_into(cone, y):
+    """Is y the image of a point of the cone under the projection onto the
+    first len(y) coordinates?  Homogenized fiber: z in the cone with
+    z[:keep] = t y and t > 0."""
+    dim, keep = cone.dim, y.dim
+    pad = lambda v: QVector(v.entries + (0,))
+    fiber = [QVector([int(j == i) for j in range(dim)] + [-y[i]]) for i in range(keep)]
+    t_positive = [-QVector.unit(dim + 1, dim)]
+    point = feasible_point(dim + 1, [pad(a) for a in cone.ineqs], [pad(e) for e in cone.eqs] + fiber, t_positive)
+    return point is not None
+
+
 def test_fm_project_matches_generator_projection():
+    # fm_project(C, keep) is the image of C: every generator of C projects
+    # into it, and every generator of it lifts into C
     r = rng(91)
-    for _ in range(12):
-        dim = r.choice([3, 4])
-        keep = r.choice([1, 2])
-        rows = [[r.randint(-2, 2) for _ in range(dim)] for _ in range(r.randint(1, 4))]
-        eqs = [[r.randint(-1, 1) for _ in range(dim)] for _ in range(r.randint(0, 1))]
-        cone = PolyCone.from_ineqs(dim, [q for q in rows if any(q)], [q for q in eqs if any(q)])
-        via_fm = fm_project(cone, keep)
-        via_generators = PolyCone.from_generators(
-            keep,
-            [QVector(g.entries[:keep]) for g in cone.rays],
-            [QVector(g.entries[:keep]) for g in cone.lin],
-        )
-        assert via_fm == via_generators
+    for i in range(48):
+        dim = r.choice([2, 3, 4])
+        keep = r.randint(1, dim)
+        shape = i % 4
+        if shape == 0:  # inequalities and at most one equation
+            rows = [[r.randint(-2, 2) for _ in range(dim)] for _ in range(r.randint(1, 4))]
+            eqs = [[r.randint(-1, 1) for _ in range(dim)] for _ in range(r.randint(0, 1))]
+            cone = PolyCone.from_ineqs(dim, [q for q in rows if any(q)], [q for q in eqs if any(q)])
+        elif shape == 1:  # rays plus a lineality space
+            rays = [[r.randint(-2, 2) for _ in range(dim)] for _ in range(r.randint(0, 3))]
+            lin = [[r.randint(-1, 1) for _ in range(dim)] for _ in range(r.randint(1, 2))]
+            cone = PolyCone.from_generators(dim, [q for q in rays if any(q)], [q for q in lin if any(q)])
+        elif shape == 2:  # equations only: a subspace
+            eqs = [[r.randint(-2, 2) for _ in range(dim)] for _ in range(r.randint(1, dim))]
+            cone = PolyCone.from_ineqs(dim, [], [q for q in eqs if any(q)])
+        else:  # fewer rays than the dimension: a lower-dimensional cone
+            rays = [[r.randint(-2, 2) for _ in range(dim)] for _ in range(r.randint(1, dim - 1))]
+            cone = PolyCone.from_generators(dim, [q for q in rays if any(q)])
+        proj = fm_project(cone, keep)
+        assert proj.dim == keep
+        for g in cone.generators():
+            assert proj.contains(QVector(g.entries[:keep]))
+        for g in proj.generators():
+            assert lifts_into(cone, g)
+        if keep == dim:
+            assert proj == cone
 
 
 def test_covers_space():

@@ -8,6 +8,7 @@ from polyvar.linalg import (
     QMatrix,
     QVector,
     kernel,
+    kernel_of_rows,
     orth_complement,
     rank_of_rows,
     rref,
@@ -25,6 +26,30 @@ def small_matrices(max_dim=5):
             st.lists(rationals, min_size=nc, max_size=nc), min_size=1, max_size=max_dim
         )
     ).map(QMatrix)
+
+
+@st.composite
+def matrices_with_zero_rows(draw, max_dim=5):
+    """(ncols, rows): often with zero rows, sometimes with no rows at all."""
+    nc = draw(st.integers(1, max_dim))
+    row = st.one_of(st.just([Fraction(0)] * nc), st.lists(rationals, min_size=nc, max_size=nc))
+    return nc, draw(st.lists(row, max_size=max_dim))
+
+
+def reference_rank(rows):
+    """Rank by Gaussian elimination over Fraction."""
+    m = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        p = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[rank], m[p] = m[p], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] / m[rank][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
 
 
 def test_rref_identity():
@@ -68,6 +93,13 @@ def test_orth_complement_empty_and_zero():
     assert len(orth_complement([QVector([0, 0])], 2)) == 2
 
 
+def test_kernel_of_rows_rejects_wrong_dimension():
+    with pytest.raises(ValueError):
+        kernel_of_rows([QVector([1, 2, 3])], 2)
+    with pytest.raises(ValueError):
+        kernel_of_rows([QVector([1, 2]), QVector([1])], 2)
+
+
 def test_orth_complement_line():
     basis = orth_complement([QVector([1, 2])], 2)
     assert len(basis) == 1
@@ -100,6 +132,33 @@ def test_rref_idempotent(m):
 def test_rank_nullity(m):
     res = rref(m)
     assert res.rank + len(kernel(m)) == m.ncols
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices_with_zero_rows())
+def test_rref_and_kernel_with_zero_rows(shape):
+    nc, rows = shape
+    res = rref(QMatrix(rows))
+    red = [list(r) for r in res.reduced.rows]
+    piv = res.pivot_cols
+    # reduced echelon shape: one row per input row, the zero rows last,
+    # rising pivots equal to 1 and alone in their columns
+    assert len(red) == len(rows) and res.rank == len(piv)
+    assert all(not any(r) for r in red[res.rank:])
+    assert list(piv) == sorted(set(piv))
+    for i, pc in enumerate(piv):
+        assert not any(red[i][:pc]) and red[i][pc] == 1
+        assert all(red[k][pc] == 0 for k in range(len(red)) if k != i)
+    # the same row space: the nonzero reduced rows are independent and add
+    # nothing to the span of the input
+    assert reference_rank(rows) == res.rank == reference_rank(rows + red[: res.rank])
+    # one kernel vector per free column: 1 there, 0 at the other free columns
+    free = [j for j in range(nc) if j not in piv]
+    basis = kernel_of_rows([QVector(r) for r in rows], nc)
+    assert len(basis) == len(free)
+    for f, v in zip(free, basis):
+        assert all(QVector(r).dot(v) == 0 for r in rows)
+        assert [v[j] for j in free] == [int(j == f) for j in free]
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,6 +7,10 @@ no violation.
 """
 
 from fractions import Fraction as F
+from itertools import permutations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyvar.certify import _form_value, _neg_definite, _negativity_on_cone
 from polyvar.cones import PolyCone
@@ -83,3 +87,37 @@ def test_mixed_lineality_and_ray():
     q = QMatrix([[-1, 3], [3, -1]])
     verdict, wit = _negativity_on_cone(q, halfplane)
     assert verdict == "viol" and halfplane.contains(wit) and _form_value(q, wit) >= 0
+
+
+def leibniz_det(rows):
+    total = F(0)
+    n = len(rows)
+    for perm in permutations(range(n)):
+        term = F((-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)))
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Small symmetric rational matrices, diagonals biased negative so that
+    definite, semidefinite and indefinite cases all come up."""
+    n = draw(st.integers(1, 4))
+    m = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = draw(st.fractions(F(-4), F(1), max_denominator=3))
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = draw(st.fractions(F(-2), F(2), max_denominator=3))
+    return QMatrix(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices())
+def test_neg_definite_matches_sylvester(m):
+    # Sylvester: negative definite iff (-1)^k d_k > 0 for every leading
+    # principal minor d_k, here by the Leibniz formula
+    rows = [r.entries for r in m.rows]
+    minors = [leibniz_det([r[:k] for r in rows[:k]]) for k in range(1, m.nrows + 1)]
+    assert _neg_definite(m) == all((-1) ** k * d > 0 for k, d in enumerate(minors, 1))
