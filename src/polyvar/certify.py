@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from itertools import product
+from itertools import combinations
 from math import lcm
 from typing import Sequence
 
@@ -41,7 +41,7 @@ from .graphmap import (
     graph_tangent_member,
     limiting_normal_graph,
 )
-from .linalg import IntVec, QMatrix, QVector, row_space_basis, vec_plain
+from .linalg import IntVec, QMatrix, QVector, solve, vec_plain
 from .sets import (
     ConeUnion,
     InfeasibleError,
@@ -53,7 +53,6 @@ from .sets import (
 
 HOLDS = "holds"
 NOT_CERTIFIED = "not_certified"
-INCONCLUSIVE = "inconclusive"
 
 
 class PreconditionError(ValueError):
@@ -307,23 +306,28 @@ def covers_space(pieces: Sequence[PolyCone], dim: int) -> tuple[bool, QVector | 
 # -- quadratic-form sign analysis (for the second order condition) -----------------
 
 
-def _neg_definite(m: QMatrix) -> bool:
-    """Is the symmetric matrix m negative definite?
+def _nonneg_direction(m: QMatrix) -> QVector | None:
+    """Coefficients c != 0 with c^T m c >= 0 for the symmetric matrix m, or
+    None exactly when m is negative definite.
 
     Gaussian elimination without row exchanges: while the leading principal
     minors d_1, ..., d_(k-1) are nonzero, pivot k is d_k / d_(k-1).  By
     Sylvester's criterion m is negative definite iff every pivot is negative,
-    so the pass stops at the first pivot >= 0.
+    so the pass stops at the first pivot >= 0.  There the leading k x k block
+    A is negative definite, hence invertible, and with b = m[:k, k] the
+    vector c = (-A^-1 b, 1, 0, ...) has c^T m c = m[k][k] - b^T A^-1 b, which
+    is that pivot.
     """
     rows = [list(r.entries) for r in m.rows]
     for k, pr in enumerate(rows):
         pv = pr[k]
         if pv >= 0:
-            return False
+            head = solve(QMatrix([r.entries[:k] for r in m.rows[:k]]), QVector([-r[k] for r in m.rows[:k]]))
+            return QVector(head.entries + (1,) + (0,) * (len(rows) - k - 1))
         for i in range(k + 1, len(rows)):
             f = rows[i][k] / pv
             rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-    return True
+    return None
 
 
 def _restrict_form(q: QMatrix, basis: Sequence[QVector]) -> QMatrix:
@@ -335,108 +339,53 @@ def _form_value(q: QMatrix, u: QVector) -> Fraction:
     return u.dot(q.matvec(u))
 
 
-def _subspace_nonneg_witness(q: QMatrix, basis: Sequence[QVector], dim: int) -> QVector | None:
-    """Some nonzero u in span(basis) with u^T q u >= 0, if one can be found."""
-    if not basis:
-        return None
-    m = _restrict_form(q, basis)
-    k = len(basis)
-
-    def lift(coeffs: Sequence[Fraction]) -> QVector:
-        u = QVector.zero(dim)
-        for c, b in zip(coeffs, basis):
-            u = u + b.scale(c)
-        return u
-
-    for i in range(k):
-        if m[i][i] >= 0:
-            return lift([Fraction(int(j == i)) for j in range(k)])
-    from .linalg import kernel
-
-    ker = kernel(m)
-    if ker:
-        return lift(ker[0].entries)
-    rng = range(-4, 5)
-    for combo in product(rng, repeat=k):
-        if all(c == 0 for c in combo):
-            continue
-        coeffs = [Fraction(c) for c in combo]
-        u = lift(coeffs)
-        if not u.is_zero() and _form_value(q, u) >= 0:
-            return u
-    return None
+def _lift(gens: Sequence[QVector], coeffs: Sequence[Fraction]) -> QVector:
+    """The primitive integer representative of sum c_i g_i."""
+    u = QVector.zero(gens[0].dim)
+    for c, g in zip(coeffs, gens):
+        u = u + g.scale(c)
+    return u.primitive()
 
 
-def _negativity_on_cone(q: QMatrix, cone: PolyCone) -> tuple[str, QVector | None]:
-    """Decide whether u^T q u < 0 for every nonzero u in the cone.
+def _negativity_on_cone(q: QMatrix, cone: PolyCone) -> QVector | None:
+    """A nonzero u in the cone with u^T q u >= 0, or None when the form is
+    strictly negative on the cone minus the origin.
 
-    Returns ("neg", None), ("viol", witness u) or ("unknown", None).  Exact
-    for cones with at most two generators, for subspaces, and whenever one of
-    the sound certificates (all cross terms nonpositive, or negative
-    definiteness on the span) applies; otherwise a bounded rational grid
-    search looks for a violation before giving up.
+    Write the cone as cone(R) + span(L), the canonical rays R pointed and
+    orthogonal to L.  If the form is not negative definite on span(L), that
+    subspace holds a witness.  Otherwise the maximum of u^T q u over
+    u = R lam + L c, lam in the simplex and c free, is attained, and a
+    violation exists iff it is >= 0.  At a maximiser with support J the KKT
+    conditions give R_J^T q u = mu 1 and L^T q u = 0 with lam_J > 0 and
+    mu = u^T q u.  Conversely every solution of that homogeneous system with
+    mu >= 0 is a witness, since u^T q u = mu sum(lam) and R_J lam != 0.  So
+    one feasibility test per support decides the question exactly (the
+    principal-submatrix criteria of Cottle, Habetler and Lemke, and of
+    Väliaho, 1986).  Singletons come first, so a ray with r^T q r >= 0 on a
+    pointed cone is its own witness.
     """
-    dim = cone.dim
-    rays = list(cone.rays)
-    lin = list(cone.lin)
-    if not rays and not lin:
-        return "neg", None
-
-    if not rays:
-        if _neg_definite(_restrict_form(q, lin)):
-            return "neg", None
-        wit = _subspace_nonneg_witness(q, lin, dim)
-        return ("viol", wit) if wit is not None else ("unknown", None)
-
-    diag = [_form_value(q, r) for r in rays]
-    for r, d in zip(rays, diag):
-        if d >= 0:
-            return "viol", r
-
+    rays, lin = list(cone.rays), list(cone.lin)
     if lin:
-        span = row_space_basis(lin + rays, dim)
-        if _neg_definite(_restrict_form(q, span)):
-            return "neg", None
-        wit = _subspace_nonneg_witness(q, lin, dim)
-        if wit is not None:
-            return "viol", wit
-        gens = rays + lin + [-l for l in lin]
-    else:
-        gens = rays
-
-    cross: dict[tuple[int, int], Fraction] = {}
-    for i in range(len(rays)):
-        for j in range(i + 1, len(rays)):
-            b = rays[i].dot(q.matvec(rays[j]))
-            cross[(i, j)] = b
-            ai, aj = diag[i], diag[j]
-            if b > 0 and b * b >= ai * aj:
-                # interior maximizer of the restricted 2-generator form
-                wit = rays[i].scale(-b / ai) + rays[j]
-                if _form_value(q, wit) >= 0 and not wit.is_zero():
-                    return "viol", wit
-    if not lin:
-        if len(rays) <= 2:
-            return "neg", None
-        if all(b <= 0 for b in cross.values()):
-            return "neg", None
-        span = row_space_basis(rays, dim)
-        if _neg_definite(_restrict_form(q, span)):
-            return "neg", None
-
-    # bounded simplex grid over generator coefficients
-    denom = 8 if len(gens) <= 3 else (4 if len(gens) <= 5 else 2)
-    rng = range(0, denom + 1)
-    for combo in product(rng, repeat=len(gens)):
-        if all(c == 0 for c in combo):
-            continue
-        u = QVector.zero(dim)
-        for c, g in zip(combo, gens):
-            if c:
-                u = u + g.scale(Fraction(c, denom))
-        if not u.is_zero() and _form_value(q, u) >= 0:
-            return "viol", u
-    return "unknown", None
+        c = _nonneg_direction(_restrict_form(q, lin))
+        if c is not None:
+            return _lift(lin, c)
+    if not rays:
+        return None
+    gens = rays + lin
+    gram = _restrict_form(q, gens)
+    free = tuple(range(len(rays), len(gens)))
+    for size in range(1, len(rays) + 1):
+        for support in combinations(range(len(rays)), size):
+            # variables (lam_J, c, mu)
+            idx = support + free
+            dim = len(idx) + 1
+            eqs = [QVector([gram[t][j] for j in idx] + [-1]) for t in support]
+            eqs += [QVector([gram[t][j] for j in idx] + [0]) for t in free]
+            strict = [-QVector.unit(dim, i) for i in range(size)]
+            z = feasible_point(dim, [-QVector.unit(dim, dim - 1)], eqs, strict)
+            if z is not None:
+                return _lift([gens[j] for j in idx], z.entries[:-1])
+    return None
 
 
 # -- constraint-system strata -------------------------------------------------------
@@ -490,14 +439,13 @@ def check_soscms(spec: ConstraintSystemSpec) -> Certificate:
 
     On every stratum that survives the first order test with a nontrivial
     dual cone, a violating pair must additionally make u^T (sum v*_i H_i) u
-    nonnegative; triviality of that bilinear system is decided exactly where
-    possible and honestly reported as inconclusive otherwise.
+    nonnegative.  The sign of the quadratic term on each admissible
+    direction cone is decided exactly (``_negativity_on_cone``).
     """
     if spec.hessians is None:
         raise PreconditionError("check_soscms needs the component Hessians")
     trace = []
     witnesses = []
-    inconclusive = False
     for s, v_cone, u_cells in _foscms_strata(spec):
         active_cells = [u for u in u_cells if not u.is_trivial()]
         rec = {
@@ -524,21 +472,13 @@ def check_soscms(spec: ConstraintSystemSpec) -> Certificate:
         for rstar in v_cone.rays:
             qform = _hessian_contraction(spec, rstar)
             for u_cell in active_cells:
-                verdict, wit = _negativity_on_cone(qform, u_cell)
-                if verdict == "viol":
+                wit = _negativity_on_cone(qform, u_cell)
+                if wit is not None:
                     witnesses.append(Witness(s.label, rstar, u=wit))
                     stratum_outcome = "violated"
-                elif verdict == "unknown":
-                    inconclusive = True
-                    stratum_outcome = "undecided"
         rec["outcome"] = stratum_outcome
         trace.append(rec)
-    if witnesses:
-        status = NOT_CERTIFIED
-    elif inconclusive:
-        status = INCONCLUSIVE
-    else:
-        status = HOLDS
+    status = NOT_CERTIFIED if witnesses else HOLDS
     return Certificate(status, tuple(witnesses), trace=tuple(trace))
 
 
@@ -919,38 +859,45 @@ def graphical_derivative_S(spec, q: QVector) -> list[Polyhedron]:
     return dedup
 
 
+def _directional_adjoints(spec, u: QVector, v: QVector) -> list[PolyCone] | None:
+    """The adjoint solution cones in the graph direction (u, v), one per
+    piece of the directional normal cone, or None when (u, v) is not tangent
+    to the graph.
+
+    For a constraint system these are ker Jx^T ∩ N_D(g0; Jx u - v), piece by
+    piece; for a variational system, the adjoint cone of each piece of the
+    directional limiting normal cone to the graph in direction (u, v - Jx u).
+    """
+    if spec.kind == "constraint":
+        w = spec.Jx.matvec(u) - v
+        if not _d_tangent(spec).contains(w):
+            return None
+        ker = _jx_kernel(spec)
+        return [ker.intersect(p) for p in directional_normal_cone(spec.D, spec.g0, w).pieces]
+    gp = spec.graph_point()
+    w = v - spec.Jx.matvec(u)
+    if not graph_tangent_member(gp, u, w):
+        return None
+    return [_variational_adjoint_cone(spec, p.k) for p in directional_limiting_normal_graph(gp, u, w).pieces]
+
+
 def check_directional_metric_regularity(spec, u: QVector, v: QVector) -> Certificate:
     """Directional metric regularity of the frozen-parameter system in the
     graph direction (u, v).  The criterion is exact, so a failure is a
     refutation and the certificate is flagged accordingly.  Directions off
     the graph tangent cone are vacuously regular.
     """
-    if spec.kind == "constraint":
-        w = spec.Jx.matvec(u) - v
-        if not _d_tangent(spec).contains(w):
-            return Certificate(
-                HOLDS,
-                notes=("direction is not tangent to the graph: metrically regular in it by definition",),
-            )
-        ker = _jx_kernel(spec)
-        pieces = directional_normal_cone(spec.D, spec.g0, w).pieces
-        adjoints = [(f"normal piece {i}", ker.intersect(p)) for i, p in enumerate(pieces)]
-    else:
-        gp = spec.graph_point()
-        wdir = v - spec.Jx.matvec(u)
-        if not graph_tangent_member(gp, u, wdir):
-            return Certificate(
-                HOLDS,
-                notes=("direction is not tangent to the graph: metrically regular in it by definition",),
-            )
-        gnc = directional_limiting_normal_graph(gp, u, wdir)
-        adjoints = [
-            (f"difference-cone piece {i}", _variational_adjoint_cone(spec, p.k))
-            for i, p in enumerate(gnc.pieces)
-        ]
+    adjoints = _directional_adjoints(spec, u, v)
+    if adjoints is None:
+        return Certificate(
+            HOLDS,
+            notes=("direction is not tangent to the graph: metrically regular in it by definition",),
+        )
+    piece = "normal piece" if spec.kind == "constraint" else "difference-cone piece"
     witnesses = []
     trace = []
-    for label, adj in adjoints:
+    for i, adj in enumerate(adjoints):
+        label = f"{piece} {i}"
         ok = adj.is_trivial()
         trace.append({"piece": label, "adjoint_cone": cone_plain(adj), "outcome": "ok" if ok else "violated"})
         if not ok:
@@ -982,21 +929,9 @@ def check_second_order_directional_subregularity(spec, u: QVector, gpp: QVector 
             gpp = QVector([_form_value(h, u) for h in spec.hessians])
         else:
             raise PreconditionError("gpp is required when no Hessians are stored")
-    if spec.kind == "constraint":
-        w = spec.Jx.matvec(u)
-        if not _d_tangent(spec).contains(w):
-            return Certificate(HOLDS, notes=("direction is not tangent: subregular in it by definition",))
-        ker = _jx_kernel(spec)
-        cones = [ker.intersect(p) for p in directional_normal_cone(spec.D, spec.g0, w).pieces]
-    else:
-        gp = spec.graph_point()
-        wdir = -spec.Jx.matvec(u)
-        if not graph_tangent_member(gp, u, wdir):
-            return Certificate(HOLDS, notes=("direction is not tangent: subregular in it by definition",))
-        cones = [
-            _variational_adjoint_cone(spec, p.k)
-            for p in directional_limiting_normal_graph(gp, u, wdir).pieces
-        ]
+    cones = _directional_adjoints(spec, u, QVector.zero(spec.Jx.nrows))
+    if cones is None:
+        return Certificate(HOLDS, notes=("direction is not tangent: subregular in it by definition",))
     witnesses = []
     trace = []
     for i, c in enumerate(cones):

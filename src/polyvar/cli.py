@@ -11,9 +11,10 @@ Subcommands::
 Vectors are comma-separated rationals ("1,-1/2"); graph directions take a
 primal and a dual part separated by ";".  Values starting with a minus sign
 need the "--dir=-1,0;0,0" form.  Exit codes: 0 holds/match,
-1 not certified/refuted/mismatch, 2 inconclusive, 3 usage or input error
-(a bad option or problem file, or a check's precondition not met),
-4 internal error (any other exception: a defect; the traceback goes to stderr).
+1 not certified/refuted/mismatch, 3 usage or input error (a bad option or
+problem file, or a check's precondition not met), 4 internal error (any
+other exception: a defect; the traceback goes to stderr).  Exit code 2 is
+unused: every check decides its condition.
 The environment variable POLYVAR_TRACE (full | summary | off) controls how
 much derivation detail is printed.
 """
@@ -29,7 +30,6 @@ from importlib import resources
 
 from .certify import (
     HOLDS,
-    INCONCLUSIVE,
     NOT_CERTIFIED,
     PreconditionError,
     check_aubin,
@@ -52,7 +52,7 @@ from .linalg import QVector, frac, vec_plain
 from .oracle import piece_sets_equal, sample_graph_directional, sample_union_normals
 from .sets import critical_cone, directional_normal_cone, union_tangent_cone
 
-EXIT_BY_STATUS = {HOLDS: 0, NOT_CERTIFIED: 1, INCONCLUSIVE: 2}
+EXIT_BY_STATUS = {HOLDS: 0, NOT_CERTIFIED: 1}
 
 
 class UsageError(Exception):

@@ -289,12 +289,6 @@ class PolyCone:
     def span_dim(self) -> int:
         return _rank(self._v[0] + self._v[1])
 
-    def lineality_dim(self) -> int:
-        return len(self.lin)
-
-    def is_subspace(self) -> bool:
-        return not self.rays
-
     # -- algebra -----------------------------------------------------------
 
     def polar(self) -> "PolyCone":

@@ -1,8 +1,9 @@
 """Problem-file parsing, certificate serialization and report rendering.
 
-Problem files are UTF-8 JSON.  Every scalar is an exact rational written as
-a string "n/d" or "n" (plain JSON integers are accepted too and
-canonicalized).  Two kinds exist:
+Problem files are UTF-8 JSON objects.  Every scalar is an exact rational
+written as a string "n/d" or "n" (plain JSON integers are accepted too and
+canonicalized).  The dims are non-negative JSON integers, "param_lipschitz"
+is a JSON boolean and "label" a string.  Two kinds exist:
 
 constraint system::
 
@@ -57,10 +58,14 @@ def _rat(value, path: str) -> Fraction:
         raise ProblemFileError(f"{path}: not a rational: {value!r} ({exc})") from None
 
 
-def _vector(value, path: str, dim: int | None = None) -> QVector:
+def _rats(value, path: str) -> list[Fraction]:
     if not isinstance(value, list):
         raise ProblemFileError(f"{path}: expected a list of rationals")
-    v = QVector([_rat(x, f"{path}[{i}]") for i, x in enumerate(value)])
+    return [_rat(x, f"{path}[{i}]") for i, x in enumerate(value)]
+
+
+def _vector(value, path: str, dim: int | None = None) -> QVector:
+    v = QVector(_rats(value, path))
     if dim is not None and v.dim != dim:
         raise ProblemFileError(f"{path}: expected length {dim}, got {v.dim}")
     return v
@@ -80,9 +85,9 @@ def _polyhedron(value, path: str, dim: int) -> Polyhedron:
     if not isinstance(value, dict):
         raise ProblemFileError(f"{path}: expected an object with A/b/E/e")
     a = _matrix(value.get("A", []), f"{path}.A", ncols=dim if value.get("A") else None)
-    b = [_rat(x, f"{path}.b[{i}]") for i, x in enumerate(value.get("b", []))]
+    b = _rats(value.get("b", []), f"{path}.b")
     e_mat = _matrix(value.get("E", []), f"{path}.E", ncols=dim if value.get("E") else None)
-    e_rhs = [_rat(x, f"{path}.e[{i}]") for i, x in enumerate(value.get("e", []))]
+    e_rhs = _rats(value.get("e", []), f"{path}.e")
     if a.nrows != len(b):
         raise ProblemFileError(f"{path}: A has {a.nrows} rows but b has {len(b)} entries")
     if e_mat.nrows != len(e_rhs):
@@ -93,20 +98,33 @@ def _polyhedron(value, path: str, dim: int) -> Polyhedron:
         raise ProblemFileError(f"{path}: polyhedron is empty") from None
 
 
+def _dim(dims: dict, key: str, source: str) -> int:
+    value = dims[key]
+    if type(value) is not int or value < 0:  # bool is a subclass of int
+        raise ProblemFileError(f"{source}.dims.{key}: expected a non-negative integer, got {value!r}")
+    return value
+
+
 def problem_from_dict(data: dict, source: str = "<problem>"):
+    if not isinstance(data, dict):
+        raise ProblemFileError(f"{source}: expected a JSON object")
     kind = data.get("kind")
     if kind not in ("constraint", "variational"):
         raise ProblemFileError(f"{source}.kind: must be 'constraint' or 'variational'")
     dims = data.get("dims")
     if not isinstance(dims, dict) or "l" not in dims or "n" not in dims:
         raise ProblemFileError(f"{source}.dims: need integer fields l, n" + (", m" if kind == "constraint" else ""))
-    l, n = int(dims["l"]), int(dims["n"])
-    lip = bool(data.get("param_lipschitz", False))
-    label = str(data.get("label", ""))
+    l, n = _dim(dims, "l", source), _dim(dims, "n", source)
+    lip = data.get("param_lipschitz", False)
+    if not isinstance(lip, bool):
+        raise ProblemFileError(f"{source}.param_lipschitz: expected true or false, got {lip!r}")
+    label = data.get("label", "")
+    if not isinstance(label, str):
+        raise ProblemFileError(f"{source}.label: expected a string, got {label!r}")
     if kind == "constraint":
         if "m" not in dims:
             raise ProblemFileError(f"{source}.dims.m: required for constraint systems")
-        m = int(dims["m"])
+        m = _dim(dims, "m", source)
         jp = _matrix(data.get("Jp"), f"{source}.Jp", nrows=m, ncols=l if l else None)
         jx = _matrix(data.get("Jx"), f"{source}.Jx", nrows=m, ncols=n)
         g0 = _vector(data.get("g0"), f"{source}.g0", m)
@@ -116,6 +134,8 @@ def problem_from_dict(data: dict, source: str = "<problem>"):
         pieces = [_polyhedron(p, f"{source}.D.pieces[{i}]", m) for i, p in enumerate(dd["pieces"])]
         hessians = None
         if data.get("hessians") is not None:
+            if not isinstance(data["hessians"], list):
+                raise ProblemFileError(f"{source}.hessians: expected a list of matrices")
             hessians = [
                 _matrix(h, f"{source}.hessians[{i}]", nrows=n, ncols=n)
                 for i, h in enumerate(data["hessians"])

@@ -66,9 +66,6 @@ class ProductPiece:
     def contains(self, xstar: QVector, ystar: QVector) -> bool:
         return self.kpolar.contains(xstar) and self.k.contains(ystar)
 
-    def subset_of(self, other: "ProductPiece") -> bool:
-        return self.kpolar.subcone_of(other.kpolar) and self.k.subcone_of(other.k)
-
 
 @dataclass(frozen=True)
 class GraphNormalCone:
@@ -78,12 +75,6 @@ class GraphNormalCone:
 
     def contains(self, xstar: QVector, ystar: QVector) -> bool:
         return any(p.contains(xstar, ystar) for p in self.pieces)
-
-    def cones(self) -> list[PolyCone]:
-        return [p.k for p in self.pieces]
-
-    def __len__(self):
-        return len(self.pieces)
 
     def to_plain(self) -> list[dict]:
         """JSON-plain view: one record per piece with its provenance faces."""

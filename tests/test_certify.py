@@ -5,7 +5,6 @@ import pytest
 from corpus import random_gamma, random_matrix, random_symmetric, random_union, rng
 from polyvar.certify import (
     HOLDS,
-    INCONCLUSIVE,
     NOT_CERTIFIED,
     Certificate,
     ConstraintSystemSpec,

@@ -25,6 +25,26 @@ def ex5_dict():
     return json.load(open(bundled_problem_path("ex5.json")))
 
 
+def malformed_ex4():
+    """(JSON path the error must name, ex4 data with that field malformed)."""
+    cases = [("<problem>:", [ex4_dict()])]  # the top level must be an object
+    for path, edit in (
+        (".dims.l", lambda d: d["dims"].update(l="x")),
+        (".dims.n", lambda d: d["dims"].update(n=2.5)),  # not truncated to 2
+        (".dims.m", lambda d: d["dims"].update(m=True)),
+        (".dims.l", lambda d: d["dims"].update(l=-1)),
+        (".D.pieces[0].b", lambda d: d["D"]["pieces"][0].update(b="00")),  # not two "0"s
+        (".D.pieces[0].e", lambda d: d["D"]["pieces"][0].update(e="")),
+        (".hessians", lambda d: d.update(hessians={"0": []})),
+        (".param_lipschitz", lambda d: d.update(param_lipschitz="false")),  # bool("false") is True
+        (".label", lambda d: d.update(label=3)),
+    ):
+        data = ex4_dict()
+        edit(data)
+        cases.append((path, data))
+    return cases
+
+
 def test_parse_bundled_examples():
     for name, kind in (("ex3.json", "constraint"), ("ex4.json", "constraint"), ("ex5.json", "variational")):
         spec = parse_problem(bundled_problem_path(name))
@@ -72,6 +92,10 @@ def test_parse_error_paths(tmp_path):
         parse_problem("/nonexistent/problem.json")
     with pytest.raises(ProblemFileError):
         parse_problem(str(tmp_path))
+    for path, data in malformed_ex4():
+        with pytest.raises(ProblemFileError) as err:
+            problem_from_dict(data)
+        assert path in str(err.value)
 
 
 def test_variational_validation():
@@ -113,6 +137,10 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert run_command(["certify", ex5, "--check", "foscms"]) == 3  # wrong kind
     assert run_command(["certify", ex4, "--check", "dir-subreg", "--dir", "1,0"]) == 0
     assert run_command(["certify", ex4, "--check", "dir-reg", "--dir", "1,0;0,0"]) == 1
+    for i, (_, data) in enumerate(malformed_ex4()):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps(data))
+        assert run_command(["certify", str(bad), "--check", "foscms"]) == 3
     capsys.readouterr()
 
 

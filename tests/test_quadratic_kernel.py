@@ -1,18 +1,19 @@
 """The sign-analysis kernel behind the second order condition.
 
-The decision is three-valued: "neg" certifies strict negativity of the form
-on the cone, "viol" returns an exact witness, "unknown" is the honest
-fallback when neither sound certificate applies and the bounded grid finds
-no violation.
+The decision is exact: ``_negativity_on_cone`` returns None when the form is
+strictly negative on the cone minus the origin, and otherwise a witness: a
+nonzero primitive integer vector of the cone on which the form is
+nonnegative.  ``_nonneg_direction`` is its subspace part: coefficients with
+c^T m c >= 0, or None exactly when m is negative definite.
 """
 
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import permutations, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyvar.certify import _form_value, _neg_definite, _negativity_on_cone
+from polyvar.certify import _form_value, _negativity_on_cone, _nonneg_direction
 from polyvar.cones import PolyCone
 from polyvar.linalg import QMatrix, QVector
 
@@ -21,72 +22,72 @@ def orthant(n):
     return PolyCone.from_ineqs(n, [[-(i == j) for j in range(n)] for i in range(n)])
 
 
+def violation(q, cone):
+    """The kernel's witness, checked: nonzero, in the cone, form >= 0."""
+    wit = _negativity_on_cone(q, cone)
+    assert wit is not None and not wit.is_zero()
+    assert cone.contains(wit) and _form_value(q, wit) >= 0
+    return wit
+
+
 def test_trivial_cone_is_vacuously_negative():
-    verdict, wit = _negativity_on_cone(QMatrix([[1]]), PolyCone.origin(1))
-    assert verdict == "neg" and wit is None
+    assert _negativity_on_cone(QMatrix([[1]]), PolyCone.origin(1)) is None
 
 
 def test_single_ray_exact():
     ray = PolyCone.from_generators(2, [[1, 0]])
-    assert _negativity_on_cone(QMatrix([[-1, 0], [0, 1]]), ray)[0] == "neg"
-    verdict, wit = _negativity_on_cone(QMatrix([[1, 0], [0, -1]]), ray)
-    assert verdict == "viol" and _form_value(QMatrix([[1, 0], [0, -1]]), wit) >= 0
+    assert _negativity_on_cone(QMatrix([[-1, 0], [0, 1]]), ray) is None
+    assert violation(QMatrix([[1, 0], [0, -1]]), ray) == QVector([1, 0])
 
 
 def test_two_rays_interior_violation_found_exactly():
     # diagonal entries negative but a large positive cross term pushes the
     # form nonnegative strictly inside the cone
-    q = QMatrix([[-1, 2], [2, -1]])
-    verdict, wit = _negativity_on_cone(q, orthant(2))
-    assert verdict == "viol"
-    assert _form_value(q, wit) >= 0 and not wit.is_zero()
-    assert orthant(2).contains(wit)
+    violation(QMatrix([[-1, 2], [2, -1]]), orthant(2))
 
 
 def test_two_rays_negative_with_positive_cross():
     q = QMatrix([[-1, F(9, 10)], [F(9, 10), -1]])
-    assert _negativity_on_cone(q, orthant(2))[0] == "neg"
+    assert _negativity_on_cone(q, orthant(2)) is None
 
 
 def test_subspace_cases():
     line = PolyCone.from_generators(2, lin=[[1, 0]])
-    assert _negativity_on_cone(QMatrix([[-1, 0], [0, 5]]), line)[0] == "neg"
-    verdict, wit = _negativity_on_cone(QMatrix([[1, 0], [0, -5]]), line)
-    assert verdict == "viol" and line.contains(wit)
+    assert _negativity_on_cone(QMatrix([[-1, 0], [0, 5]]), line) is None
+    violation(QMatrix([[1, 0], [0, -5]]), line)
     # negative semidefinite with a kernel direction: the kernel vector is a
     # witness since the condition demands strict negativity
-    verdict, wit = _negativity_on_cone(QMatrix([[0, 0], [0, -1]]), line)
-    assert verdict == "viol" and _form_value(QMatrix([[0, 0], [0, -1]]), wit) == 0
+    q = QMatrix([[0, 0], [0, -1]])
+    assert _form_value(q, violation(q, line)) == 0
 
 
 def test_three_rays_all_cross_nonpositive_certified():
     q = QMatrix([[-1, 0, -2], [0, -1, -2], [-2, -2, -1]])
-    assert _negativity_on_cone(q, orthant(3))[0] == "neg"
+    assert _negativity_on_cone(q, orthant(3)) is None
 
 
 def test_three_rays_span_negative_definite_certified():
     q = QMatrix([[-2, F(1, 2), 0], [F(1, 2), -2, 0], [0, 0, -1]])
-    assert _neg_definite(q)
-    assert _negativity_on_cone(q, orthant(3))[0] == "neg"
+    assert _nonneg_direction(q) is None
+    assert _negativity_on_cone(q, orthant(3)) is None
 
 
-def test_honest_unknown_when_no_certificate_applies():
-    # strictly negative on the orthant, but indefinite on its span (take
-    # u = (1,1,-2)), with one positive cross term defeating both sound
-    # certificates; the bounded grid finds no violation because none exists
-    q = QMatrix([[-1, F(9, 10), -2], [F(9, 10), -1, -2], [-2, -2, -1]])
-    assert not _neg_definite(q)
-    assert _form_value(q, QVector([1, 1, -2])) > 0
-    verdict, wit = _negativity_on_cone(q, orthant(3))
-    assert verdict == "unknown" and wit is None
+def test_negative_on_orthant_though_indefinite_on_span():
+    # indefinite on the span of the orthant (at n = 3 take u = (1,1,-2)),
+    # with one positive cross term; still strictly negative on the orthant,
+    # since 1.8 u1 u2 <= 0.9 (u1^2 + u2^2) and every other term is negative.
+    # At n = 10 all 1023 supports are tried, none feasible.
+    for n in (3, 10):
+        q = QMatrix([[-1 if i == j else (F(9, 10) if {i, j} == {0, 1} else -2) for j in range(n)] for i in range(n)])
+        assert _nonneg_direction(q) is not None
+        assert _form_value(q, QVector([1, 1, -2] + [0] * (n - 3))) > 0
+        assert _negativity_on_cone(q, orthant(n)) is None
 
 
 def test_mixed_lineality_and_ray():
     halfplane = PolyCone.from_generators(2, rays=[[0, 1]], lin=[[1, 0]])
-    assert _negativity_on_cone(QMatrix([[-1, 0], [0, -1]]), halfplane)[0] == "neg"
-    q = QMatrix([[-1, 3], [3, -1]])
-    verdict, wit = _negativity_on_cone(q, halfplane)
-    assert verdict == "viol" and halfplane.contains(wit) and _form_value(q, wit) >= 0
+    assert _negativity_on_cone(QMatrix([[-1, 0], [0, -1]]), halfplane) is None
+    violation(QMatrix([[-1, 3], [3, -1]]), halfplane)
 
 
 def leibniz_det(rows):
@@ -101,10 +102,10 @@ def leibniz_det(rows):
 
 
 @st.composite
-def symmetric_matrices(draw):
+def symmetric_matrices(draw, min_n=1, max_n=4):
     """Small symmetric rational matrices, diagonals biased negative so that
     definite, semidefinite and indefinite cases all come up."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(min_n, max_n))
     m = [[F(0)] * n for _ in range(n)]
     for i in range(n):
         m[i][i] = draw(st.fractions(F(-4), F(1), max_denominator=3))
@@ -120,4 +121,37 @@ def test_neg_definite_matches_sylvester(m):
     # principal minor d_k, here by the Leibniz formula
     rows = [r.entries for r in m.rows]
     minors = [leibniz_det([r[:k] for r in rows[:k]]) for k in range(1, m.nrows + 1)]
-    assert _neg_definite(m) == all((-1) ** k * d > 0 for k, d in enumerate(minors, 1))
+    c = _nonneg_direction(m)
+    assert (c is None) == all((-1) ** k * d > 0 for k, d in enumerate(minors, 1))
+    if c is not None:
+        assert c.dim == m.nrows and not c.is_zero() and _form_value(m, c) >= 0
+
+
+small_vectors = st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(any)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(small_vectors, min_size=1, max_size=3),
+    st.lists(small_vectors, max_size=1),
+    symmetric_matrices(3, 3),
+)
+def test_cone_decision_matches_dense_grid(rays, lin, q):
+    # every point sum c_i g_i with ray coefficients in 0..4 and lineality
+    # coefficients in -4..4 lies in the cone; the sign of the form does not
+    # depend on the scale, so this is a rational grid on the generators
+    cone = PolyCone.from_generators(3, rays, lin)
+    gens = [QVector(g) for g in rays + lin]
+    ranges = [range(5)] * len(rays) + [range(-4, 5)] * len(lin)
+    grid_hit = False
+    for coeffs in product(*ranges):
+        u = QVector.zero(3)
+        for c, g in zip(coeffs, gens):
+            u = u + g.scale(c)
+        if not u.is_zero() and _form_value(q, u) >= 0:
+            grid_hit = True
+            break
+    if _negativity_on_cone(q, cone) is None:
+        assert not grid_hit
+    else:
+        violation(q, cone)
