@@ -12,11 +12,14 @@ stratum's cells.  Cells are relatively open polyhedra: face assignments give
 equalities plus strict inequalities, and "outside a piece" splits facet-wise
 into strictly violated constraints.
 
-Reachability of a cell from ``ybar`` is decided exactly: every cell equality
-must hold at ``ybar``; strict constraints already violated at ``ybar`` kill
-the cell; the remaining active strict constraints must admit a strictly
-feasible direction, and then the closure of the feasible directions is the
-polyhedral cone with those constraints closed.
+Reachability of a cell from ``ybar`` is decided exactly, and each row of a
+piece is checked against ``ybar`` once, not once per cell.  Only faces that
+contain ``ybar`` can be assigned, so a piece that misses ``ybar`` is always
+"out".  Near ``ybar`` a slack row holds strictly and a violated row stays
+violated, so a cell is a homogeneous system in the rows tight at ``ybar``:
+equations plus strict rows in the direction.  The cell is reachable when
+some direction satisfies it, and then the closure of its feasible directions
+is the polyhedral cone with the strict rows closed.
 
 The faces of a polyhedron, from which the face assignments are drawn, are
 the faces of its homogenization cone that have a ray with t > 0; they come
@@ -27,13 +30,11 @@ for its normal cone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
 from .cones import PolyCone, _face_lattice, strictly_feasible
-from .linalg import QVector, frac
+from .linalg import QVector, _ints, frac
 
 
 class InfeasibleError(ValueError):
@@ -194,18 +195,6 @@ class PolyFace:
     normal: PolyCone
     parent: Polyhedron
 
-    def relint_constraints(self) -> tuple[list[tuple[QVector, Fraction]], list[tuple[QVector, Fraction]]]:
-        """(equalities, strict `<` constraints) cutting out relint(face)."""
-        p = self.parent
-        eqs = [(g, ev) for g, ev in zip(p.E, p.e)]
-        stricts = []
-        for i, (a, bv) in enumerate(zip(p.A, p.b)):
-            if i in self.active_set:
-                eqs.append((a, bv))
-            else:
-                stricts.append((a, bv))
-        return eqs, stricts
-
 
 def critical_cone(p: Polyhedron, y: QVector, ystar: QVector) -> PolyCone | None:
     """Tangent cone at y intersected with [ystar]^⊥, or None off the graph.
@@ -247,9 +236,13 @@ def nearby_critical_cone(
 
 
 class UnionSet:
-    """Finite union of convex polyhedra of equal dimension."""
+    """Finite union of convex polyhedra of equal dimension.
 
-    __slots__ = ("dim", "pieces")
+    ``_strata`` holds the direction strata already computed, by reference
+    point.
+    """
+
+    __slots__ = ("dim", "pieces", "_strata")
 
     def __init__(self, pieces: Sequence[Polyhedron]):
         pieces = tuple(pieces)
@@ -260,6 +253,7 @@ class UnionSet:
             raise ValueError("pieces have unequal dimensions")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "_strata", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("UnionSet is immutable")
@@ -341,23 +335,19 @@ def union_tangent_cone(d: UnionSet, y: QVector) -> ConeUnion:
 
 # -- direction strata ---------------------------------------------------------
 
-_OUT = "out"
-
 
 @dataclass(frozen=True)
 class DirectionStratum:
     """One signature of a union near a reference point.
 
-    ``assignment`` maps piece index to a PolyFace (active, point in the
-    relative interior of that face) or to the marker "out".  ``normal`` is
-    the constant regular normal cone of the union on the stratum, and
-    ``reach`` the list of direction cones (one per nonempty cell) whose
-    union is the closure of directions entering the stratum from the
-    reference point.
+    ``label`` names each piece's face (active, point in the relative
+    interior of that face) or marks it "out".  ``normal`` is the constant
+    regular normal cone of the union on the stratum, and ``reach`` the list
+    of direction cones (one per nonempty cell) whose union is the closure of
+    directions entering the stratum from the reference point.
     """
 
     label: str
-    assignment: tuple
     normal: PolyCone
     reach: tuple[PolyCone, ...]
 
@@ -365,101 +355,87 @@ class DirectionStratum:
         return any(q.contains(w) for q in self.reach)
 
 
+def _options_at(p: Polyhedron, ybar: QVector):
+    """A piece's choices near ybar, each row checked once against ybar.
+
+    Face options are (face, equation rows, strict rows) of the face's cell
+    in direction space: only faces containing ybar, closed on the rows of E
+    and the face's active rows, open on the tight rows it leaves inactive.
+    "Out" choices, one per strictly violated row (a.y > b, g.y < e or
+    g.y > e), are () when the violation holds at ybar and the homogeneous
+    strict row when the row is tight there; a row slack at ybar is no choice.
+    """
+    A, E = [_ints(a) for a in p.A], [_ints(g) for g in p.E]
+    sa = [a.dot(ybar) - bv for a, bv in zip(p.A, p.b)]
+    se = [g.dot(ybar) - ev for g, ev in zip(p.E, p.e)]
+    tight = {i for i, s in enumerate(sa) if s == 0}
+    faces = []
+    if all(s <= 0 for s in sa) and not any(se):
+        for f in p.faces():
+            if f.active_set <= tight:
+                eqs = E + [A[i] for i in sorted(f.active_set)]
+                faces.append((f, eqs, [A[i] for i in sorted(tight - f.active_set)]))
+    # (c, c.ybar - gamma) for each strict row c.y < gamma of "out"
+    strict = [(_negated(a), -s) for a, s in zip(A, sa)]
+    for g, s in zip(E, se):
+        strict += [(g, s), (_negated(g), -s)]
+    outs = [() if s < 0 else (c,) for c, s in strict if s <= 0]
+    return faces, list(dict.fromkeys(outs))  # equal choices give equal cells
+
+
+def _negated(v: tuple) -> tuple:
+    return tuple(-x for x in v)
+
+
 def direction_strata(d: UnionSet, ybar: QVector) -> tuple[DirectionStratum, ...]:
     """All strata of the union with their reach cones from ybar.
 
     Only strata reachable from ybar in at least one direction are returned.
-    Results are memoized: the certifiers evaluate the same stratification
-    several times per spec.
+    Results are memoized per union: the certifiers evaluate the same
+    stratification several times per spec.
     """
+    if ybar in d._strata:
+        return d._strata[ybar]
     if not d.contains(ybar):
         raise ValueError("reference point lies in no piece of the union")
-    return _direction_strata_cached(d, ybar)
+    face_options, out_options = zip(*(_options_at(p, ybar) for p in d.pieces))
 
-
-@lru_cache(maxsize=128)
-def _direction_strata_cached(d: UnionSet, ybar: QVector) -> tuple[DirectionStratum, ...]:
-    per_piece_options = []
-    for p in d.pieces:
-        per_piece_options.append([(True, f) for f in p.faces()] + [(False, None)])
-
-    # cells with identical equalities and active strict rows share one reach
-    # cone; the union of polyhedra reuses many such cells across signatures
+    # cells with identical equations and strict rows share one reach cone;
+    # the union of polyhedra reuses many such cells across signatures
     reach_memo: dict = {}
 
-    def memo_reach(dim, ybar_, eqs, stricts):
-        for g, ev in eqs:
-            if g.dot(ybar_) != ev:
-                return None
-        active = []
-        for c, gv in stricts:
-            val = c.dot(ybar_)
-            if val > gv:
-                return None
-            if val == gv:
-                active.append(c)
-        key = (
-            frozenset((g.entries, ev) for g, ev in eqs),
-            frozenset(c.entries for c in active),
-        )
+    def memo_reach(eqs: list, stricts: list) -> PolyCone | None:
+        key = (frozenset(eqs), frozenset(stricts))
         if key not in reach_memo:
-            eq_rows = [g for g, _ in eqs]
-            if not strictly_feasible(dim, eq_rows, active):
-                reach_memo[key] = None
-            else:
-                reach_memo[key] = PolyCone.from_ineqs(dim, active, eq_rows)
+            q_eqs, q_stricts = [QVector._of_ints(g) for g in eqs], [QVector._of_ints(c) for c in stricts]
+            feasible = strictly_feasible(d.dim, q_eqs, q_stricts)
+            reach_memo[key] = PolyCone.from_ineqs(d.dim, stricts, eqs) if feasible else None
         return reach_memo[key]
 
     strata: list[DirectionStratum] = []
-    for assignment in product(*per_piece_options):
-        if not any(active for active, _ in assignment):
+    for assignment in product(*(faces + [None] for faces in face_options)):
+        active = [opt for opt in assignment if opt is not None]
+        if not active:
             continue
-        base_eqs: list[tuple[QVector, Fraction]] = []
-        base_stricts: list[tuple[QVector, Fraction]] = []
-        normal: PolyCone | None = None
-        for (active, face) in assignment:
-            if not active:
-                continue
-            eqs, stricts = face.relint_constraints()
-            base_eqs.extend(eqs)
-            base_stricts.extend(stricts)
-            normal = face.normal if normal is None else normal.intersect(face.normal)
-        # "outside piece j" splits into one strictly violated constraint.
-        out_options = []
-        for (active, _), p in zip(assignment, d.pieces):
-            if active:
-                continue
-            opts: list[tuple[QVector, Fraction]] = []
-            for a, bv in zip(p.A, p.b):
-                opts.append((-a, -bv))  # a.y > bv
-            for g, ev in zip(p.E, p.e):
-                opts.append((g, ev))  # g.y < ev
-                opts.append((-g, -ev))  # g.y > ev
-            out_options.append(opts)
-
+        eqs = [g for _, rows, _ in active for g in rows]
+        stricts = [c for _, _, rows in active for c in rows]
+        outs = [out_options[i] for i, opt in enumerate(assignment) if opt is None]
         reach: list[PolyCone] = []
-        for combo in product(*out_options) if out_options else [()]:
-            stricts = base_stricts + list(combo)
-            q = memo_reach(d.dim, ybar, base_eqs, stricts)
+        for combo in product(*outs):
+            q = memo_reach(eqs, stricts + [c for choice in combo for c in choice])
             if q is not None:
                 reach.append(q)
         if not reach:
             continue
-        label_parts = []
-        for i, (active, face) in enumerate(assignment):
-            if active:
-                label_parts.append(f"P{i}@F{sorted(face.active_set)}")
-            else:
-                label_parts.append(f"P{i}:out")
-        strata.append(
-            DirectionStratum(
-                label=" & ".join(label_parts),
-                assignment=assignment,
-                normal=normal,
-                reach=tuple(dict.fromkeys(reach)),
-            )
+        normal = active[0][0].normal
+        for face, _, _ in active[1:]:
+            normal = normal.intersect(face.normal)
+        label = " & ".join(
+            f"P{i}:out" if opt is None else f"P{i}@F{sorted(opt[0].active_set)}" for i, opt in enumerate(assignment)
         )
-    return tuple(strata)
+        strata.append(DirectionStratum(label=label, normal=normal, reach=tuple(dict.fromkeys(reach))))
+    d._strata[ybar] = tuple(strata)
+    return d._strata[ybar]
 
 
 def directional_normal_cone(d: UnionSet, ybar: QVector, w: QVector) -> ConeUnion:

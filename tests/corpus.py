@@ -96,6 +96,41 @@ def random_union(r: random.Random, dim: int, max_pieces: int = 3) -> UnionSet:
     return UnionSet(pieces)
 
 
+def random_affine_union(r: random.Random, dim: int) -> tuple[UnionSet, QVector]:
+    """A union of polyhedra around a grid point ybar, returned with ybar.
+
+    Rows are tight, slack or violated at ybar and some pieces carry one
+    equation; one piece contains ybar and at least one piece misses it.
+    """
+    ybar = QVector([r.randint(-1, 1) for _ in range(dim)])
+
+    def row():
+        v = [r.randint(-1, 1) for _ in range(dim)]
+        if all(x == 0 for x in v):
+            v[r.randrange(dim)] = 1
+        return v
+
+    def rhs(v, offsets):
+        return QVector(v).dot(ybar) + r.choice(offsets)
+
+    def piece(offsets):
+        rows = [row() for _ in range(r.randint(1, 3))]
+        eqs = [row()] if r.random() < 0.3 else []
+        return Polyhedron(dim, rows, [rhs(v, offsets) for v in rows], eqs, [rhs(g, offsets[:2]) for g in eqs])
+
+    pieces = [piece((0, 0, 1))]  # contains ybar: every row tight or slack
+    for _ in range(r.randint(1, 2)):
+        try:
+            pieces.append(piece((0, -1, 1)))
+        except InfeasibleError:
+            continue
+    if all(p.contains(ybar) for p in pieces):
+        v = row()
+        pieces.append(Polyhedron(dim, [v], [QVector(v).dot(ybar) - 1]))
+    r.shuffle(pieces)
+    return UnionSet(pieces), ybar
+
+
 def random_matrix(r: random.Random, nrows: int, ncols: int, lo=-2, hi=2) -> QMatrix:
     return QMatrix([[r.randint(lo, hi) for _ in range(ncols)] for _ in range(nrows)])
 

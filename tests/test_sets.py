@@ -1,11 +1,19 @@
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corpus import boundary_points, random_gamma, random_graph_point, random_tangent_pair, random_union, rng
+from corpus import (
+    boundary_points,
+    random_affine_union,
+    random_gamma,
+    random_graph_point,
+    random_tangent_pair,
+    random_union,
+    rng,
+)
 from polyvar.cones import PolyCone
 from polyvar.linalg import QVector
 from polyvar.oracle import sample_union_normals
@@ -15,6 +23,7 @@ from polyvar.sets import (
     Polyhedron,
     UnionSet,
     critical_cone,
+    direction_strata,
     directional_normal_cone,
     nearby_critical_cone,
     union_tangent_cone,
@@ -174,6 +183,43 @@ def test_directional_normal_cone_complementarity():
     assert got.pieces == (PolyCone.from_generators(4, lin=[[0, 1, 0, 0]]),)
 
 
+def complementarity(k, bounds):
+    """The 2^k pieces of k pairs y_i >= 0, y_{k+i} >= 0, y_i y_{k+i} = 0 in
+    R^{2k}, with y_j <= bounds[j] on each piece where y_j may be positive."""
+    m = 2 * k
+
+    def unit(j, s=1):
+        return [s if i == j else 0 for i in range(m)]
+
+    pieces = []
+    for choice in product((0, 1), repeat=k):
+        A, b, E = [], [], []
+        for i, c in enumerate(choice):
+            free, zero = (i, k + i) if c == 0 else (k + i, i)
+            A.append(unit(free, -1))
+            b.append(0)
+            E.append(unit(zero))
+            if free in bounds:
+                A.append(unit(free))
+                b.append(bounds[free])
+        pieces.append(Polyhedron(m, A, b, E, [0] * k))
+    return UnionSet(pieces)
+
+
+def test_bounded_complementarity_has_the_strata_at_zero_of_the_unbounded_one():
+    # the bounds are slack at 0, so their faces miss 0 and change no stratum
+    y0 = QVector.zero(4)
+
+    def forms(d):
+        return [
+            [(c.key(), c._h, c._v) for c in (s.normal, *s.reach)] for s in direction_strata(d, y0)
+        ]
+
+    plain = forms(complementarity(2, {}))
+    assert len(plain) == 9
+    assert forms(complementarity(2, {0: 2, 1: 1, 3: 5})) == plain
+
+
 def test_directional_normal_cone_antitone_in_direction():
     r = rng(11)
     for i in range(8):
@@ -188,9 +234,27 @@ def test_directional_normal_cone_antitone_in_direction():
         assert direct.subset_of(full)
 
 
+def assert_enters(d, ybar, w, label):
+    """ybar + t w lies in the stratum named by ``label`` for an exact small t:
+    in the relative interior of each assigned face, outside each "out"
+    piece."""
+    t = F(1)  # small enough that no row slack or violated at ybar changes sign
+    for p in d.pieces:
+        for a, bv in [*zip(p.A, p.b), *zip(p.E, p.e)]:
+            s, aw = a.dot(ybar) - bv, a.dot(w)
+            if s != 0 and aw != 0:
+                t = min(t, abs(s / aw) / 2)
+    y = ybar + w.scale(t)
+    for p, part in zip(d.pieces, label.split(" & ")):
+        if part.endswith(":out"):
+            assert not p.contains(y), (label, w)
+        else:
+            assert p.contains(y) and f"@F{p.active_ineqs(y)}" in part, (label, w)
+
+
 def test_directional_normal_cone_matches_sampling_oracle():
     r = rng(13)
-    cases = 0
+    cases = []
     for i in range(10):
         dim = 2 if i % 2 == 0 else 3
         d = random_union(r, dim)
@@ -202,14 +266,27 @@ def test_directional_normal_cone_matches_sampling_oracle():
         dirs.append(t.pieces[0].rel_interior_point())
         if len(t.pieces) > 1:
             dirs.append(t.pieces[-1].rel_interior_point())
-        for w in dirs:
-            closed = directional_normal_cone(d, y0, w)
-            sampled = sample_union_normals(d, y0, w)
-            # the oracle is authoritative: it must find nothing beyond the
-            # closed form, and the closed form must reproduce it exactly
-            assert {c.key() for c in sampled.pieces} == {c.key() for c in closed.pieces}
-            cases += 1
-    assert cases >= 12
+        cases += [(d, y0, w) for w in dirs]
+    # away from the origin: rows slack or violated at ybar, pieces that miss
+    # it; the directions are 0 and one relative-interior point per reach cell,
+    # and each such point must enter its stratum
+    r = rng(17)
+    for _ in range(15):
+        d, ybar = random_affine_union(r, 2)
+        dirs = {QVector.zero(d.dim): None}
+        for s in direction_strata(d, ybar):
+            for q in s.reach:
+                w = q.rel_interior_point()
+                assert_enters(d, ybar, w, s.label)
+                dirs[w] = None
+        cases += [(d, ybar, w) for w in dirs]
+    for d, ybar, w in cases:
+        closed = directional_normal_cone(d, ybar, w)
+        sampled = sample_union_normals(d, ybar, w)
+        # the oracle is authoritative: it must find nothing beyond the
+        # closed form, and the closed form must reproduce it exactly
+        assert {c.key() for c in sampled.pieces} == {c.key() for c in closed.pieces}
+    assert len(cases) >= 12
 
 
 def test_cone_union_canonicalization():
@@ -315,8 +392,6 @@ def test_polyhedron_faces_match_active_set_definition_hypothesis(p):
         assert (f.normal.key(), f.normal._h, f.normal._v) == (normal.key(), normal._h, normal._v)
         assert f.normal == p.normal_cone(relint_point(p, f.active_set))
         assert f.parent is p
-        eqs, stricts = f.relint_constraints()
-        assert len(eqs) == len(p.E) + len(f.active_set) and len(stricts) == len(p.A) - len(f.active_set)
 
 
 def test_face_count_of_the_five_cube():
