@@ -41,7 +41,7 @@ from .graphmap import (
     graph_tangent_member,
     limiting_normal_graph,
 )
-from .linalg import IntVec, QMatrix, QVector, solve, vec_plain
+from .linalg import IntVec, QMatrix, QVector, _neg, solve, vec_plain
 from .sets import (
     ConeUnion,
     InfeasibleError,
@@ -218,10 +218,6 @@ def _apply(rows: Sequence[IntVec], v: IntVec) -> IntVec:
     return tuple(sum(x * y for x, y in zip(r, v)) for r in rows)
 
 
-def _neg(v: IntVec) -> IntVec:
-    return tuple(-x for x in v)
-
-
 @_per_spec
 def _w_map_T(spec) -> tuple[IntVec, ...]:
     """The transpose of the linearized map (q, u) -> w in integer rows, scaled
@@ -281,15 +277,16 @@ def covers_space(pieces: Sequence[PolyCone], dim: int) -> tuple[bool, QVector | 
     in the complement.  Decided by facet-wise splitting of the complement."""
     regions: list[tuple[list[QVector], list[QVector], list[QVector]]] = [([], [], [])]
     for piece in pieces:
+        ineqs, eqs = piece.ineqs, piece.eqs
         new_regions = []
         for (leq, eq, strict) in regions:
             held_leq: list[QVector] = []
             held_eq: list[QVector] = []
             cells: list[tuple[list[QVector], list[QVector], list[QVector]]] = []
-            for a in piece.ineqs:
+            for a in ineqs:
                 cells.append((leq + held_leq, eq + held_eq, strict + [-a]))
                 held_leq.append(a)
-            for e in piece.eqs:
+            for e in eqs:
                 cells.append((leq + held_leq, eq + held_eq, strict + [e]))
                 cells.append((leq + held_leq, eq + held_eq, strict + [-e]))
                 held_eq.append(e)
@@ -457,7 +454,7 @@ def check_soscms(spec: ConstraintSystemSpec) -> Certificate:
             rec["outcome"] = "ok (first order)"
             trace.append(rec)
             continue
-        if v_cone.lin:
+        if v_cone._v[1]:
             # both signs of a lineality direction are dual-feasible, so the
             # quadratic term can always be made nonnegative
             u = pick_nonzero(active_cells[0])
@@ -678,11 +675,10 @@ def _zero_direction_adjoints(spec) -> tuple[tuple[PolyCone, PolyCone], ...]:
             (p.k, _variational_adjoint_cone(spec, p.k))
             for p in limiting_normal_graph(spec.graph_point()).pieces
         )
-    ker = _jx_kernel(spec)
-    return tuple(
-        (piece, ker.intersect(piece))
-        for piece in directional_normal_cone(spec.D, spec.g0, QVector.zero(spec.m)).pieces
-    )
+    # Every reach cone contains 0, so N_D(g0; 0) is the union of all strata
+    # normals, and each stratum already carries ker Jx^T ∩ its normal.
+    adjoint = {s.normal: v_cone for s, v_cone, _ in _foscms_strata(spec)}
+    return tuple((piece, adjoint[piece]) for piece in ConeUnion(spec.m, adjoint).pieces)
 
 
 def _adjoint_strata(spec) -> tuple[tuple[_AdjointStratum, ...], tuple[PolyCone, ...]]:
@@ -939,7 +935,7 @@ def check_second_order_directional_subregularity(spec, u: QVector, gpp: QVector 
         if c.is_trivial():
             trace.append({"piece": label, "outcome": "ok (trivial)"})
             continue
-        if c.lin:
+        if c._v[1]:
             trace.append({"piece": label, "adjoint_cone": cone_plain(c), "outcome": "violated (lineality)"})
             witnesses.append(Witness(label, c.lin[0], u=u))
             continue

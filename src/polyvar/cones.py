@@ -28,9 +28,9 @@ combinatorially from their zero sets (Fukuda & Prodon, "Double description
 method revisited", 1996).  The start basis, the canonical lineality rows and
 the ranks of the extremality filter come from the integer elimination
 routines of ``linalg`` (echelon form, kernel, Bareiss rank), called directly.
-``fractions.Fraction`` appears only at the API boundary: the fields of a
-``PolyCone`` are ``QVector``s, and the cone keeps their integer forms for its
-own queries.
+A ``PolyCone`` stores only these integer forms.  ``fractions.Fraction``
+appears only at the API boundary: ``ineqs``, ``eqs``, ``rays`` and ``lin``
+are ``QVector`` views built from the integer forms when they are read.
 
 Face lattices are read off the ray/row incidence of the two representations
 (Kaibel & Pfetsch, 2002): a face is spanned by the rays zero on its active
@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .linalg import IntVec, QVector, _divided, _dot, _echelon, _ints, _kernel, _rank, _reduce, _rref_q, vec_plain
+from .linalg import IntVec, QVector, _divided, _dot, _echelon, _ints, _kernel, _neg, _rank, _reduce, _rref_q, vec_plain
 
 
 def _orthogonal(basis: Sequence[IntVec]) -> list[tuple[IntVec, int]]:
@@ -98,7 +98,7 @@ def _dd(dim: int, ineqs: Sequence, eqs: Sequence) -> tuple[list[IntVec], list[In
             # everything else is moved into the hyperplane <a, z> = 0 along b0.
             b0, p0 = basis[pivot], prods_b[pivot]
             if p0 > 0:
-                b0, p0 = tuple(-x for x in b0), -p0
+                b0, p0 = _neg(b0), -p0
             q = -p0
 
             def shift(v, p):
@@ -156,35 +156,33 @@ def _rows(dim: int, vectors: Iterable, what: str) -> list[IntVec]:
     return out
 
 
-def _generators(dim: int, ineqs: Sequence, eqs: Sequence) -> tuple[list[IntVec], tuple[IntVec, ...]]:
+def _generators(dim: int, ineqs: Sequence, eqs: Sequence) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
     """Canonical integer (lineality echelon rows, sorted rays) of the cone
     {z : ineqs.z <= 0, eqs.z = 0}."""
     basis, rays = _dd(dim, ineqs, eqs)
-    lin = _echelon(basis, dim)[0]
+    lin = tuple(_echelon(basis, dim)[0])
     return lin, _canonical_rays(rays, lin)
 
 
 class PolyCone:
     """Polyhedral convex cone; construct via from_ineqs / from_generators.
 
-    Besides the ``QVector`` fields, a cone keeps the integer forms of both
-    representations (``_h``: ineqs and eqs, ``_v``: rays and lin), each row a
-    positive multiple of the matching field row.
+    The integer forms of the two representations are the cone's only state:
+    ``_h`` holds (ineqs, eqs) and ``_v`` holds (rays, lin), the inequality
+    rows and rays as sorted primitive integer tuples, the equation rows and
+    lineality basis as integer echelon rows.  ``ineqs``, ``eqs``, ``rays``
+    and ``lin`` are rational views built from them on each read.
     """
 
-    __slots__ = ("dim", "ineqs", "eqs", "rays", "lin", "_faces", "_h", "_v")
+    __slots__ = ("dim", "_h", "_v", "_faces")
 
-    def __init__(self, dim, ineqs, eqs, rays, lin, _internal=False, _h=None, _v=None):
+    def __init__(self, dim, h, v, _internal=False):
         if not _internal:
             raise TypeError("use PolyCone.from_ineqs or PolyCone.from_generators")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "ineqs", ineqs)
-        object.__setattr__(self, "eqs", eqs)
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "lin", lin)
+        object.__setattr__(self, "_h", h)
+        object.__setattr__(self, "_v", v)
         object.__setattr__(self, "_faces", None)
-        object.__setattr__(self, "_h", _h)
-        object.__setattr__(self, "_v", _v)
 
     def __setattr__(self, name, value):
         if name == "_faces":
@@ -192,18 +190,25 @@ class PolyCone:
             return
         raise AttributeError("PolyCone is immutable")
 
-    # -- construction ------------------------------------------------------
+    # -- rational views ----------------------------------------------------
 
-    @staticmethod
-    def _from_forms(dim: int, h, v) -> "PolyCone":
-        """A cone from canonical integer forms: (sorted primitive rows,
-        integer echelon rows) for each side."""
-        (ineqs, eqs), (rays, lin) = h, v
-        q_ineqs, q_rays = tuple(map(QVector._of_ints, ineqs)), tuple(map(QVector._of_ints, rays))
-        return PolyCone(
-            dim, q_ineqs, _rref_q(eqs), q_rays, _rref_q(lin),
-            _internal=True, _h=(ineqs, tuple(eqs)), _v=(rays, tuple(lin)),
-        )
+    @property
+    def ineqs(self) -> tuple[QVector, ...]:
+        return tuple(map(QVector._of_ints, self._h[0]))
+
+    @property
+    def eqs(self) -> tuple[QVector, ...]:
+        return _rref_q(self._h[1])  # the RREF rows
+
+    @property
+    def rays(self) -> tuple[QVector, ...]:
+        return tuple(map(QVector._of_ints, self._v[0]))
+
+    @property
+    def lin(self) -> tuple[QVector, ...]:
+        return _rref_q(self._v[1])  # the RREF basis
+
+    # -- construction ------------------------------------------------------
 
     @staticmethod
     def from_ineqs(dim: int, ineqs: Iterable = (), eqs: Iterable = ()) -> "PolyCone":
@@ -212,7 +217,7 @@ class PolyCone:
         lin, rays = _generators(dim, iq, eq)
         # Irredundant H-rep = generators of the polar, computed the same way.
         peqs, pineqs = _generators(dim, rays, lin)
-        return PolyCone._from_forms(dim, (pineqs, peqs), (rays, lin))
+        return PolyCone(dim, (pineqs, peqs), (rays, lin), _internal=True)
 
     @staticmethod
     def from_generators(dim: int, rays: Iterable = (), lin: Iterable = ()) -> "PolyCone":
@@ -222,7 +227,7 @@ class PolyCone:
         # are the facet normals / equation rows of the original cone.
         peqs, pineqs = _generators(dim, ry, ln)
         lin_c, rays_c = _generators(dim, pineqs, peqs)
-        return PolyCone._from_forms(dim, (pineqs, peqs), (rays_c, lin_c))
+        return PolyCone(dim, (pineqs, peqs), (rays_c, lin_c), _internal=True)
 
     @staticmethod
     def full_space(dim: int) -> "PolyCone":
@@ -235,11 +240,8 @@ class PolyCone:
     # -- canonical identity ------------------------------------------------
 
     def key(self):
-        return (
-            self.dim,
-            tuple(v.entries for v in self.lin),
-            tuple(v.entries for v in self.rays),
-        )
+        # Integer rays compare and hash like the Fraction tuples of ``rays``.
+        return (self.dim, tuple(v.entries for v in self.lin), self._v[0])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyCone) and self.key() == other.key()
@@ -263,7 +265,7 @@ class PolyCone:
         return all(_dot(a, z) <= 0 for a in ineqs) and all(_dot(e, z) == 0 for e in eqs)
 
     def is_trivial(self) -> bool:
-        return not self.rays and not self.lin
+        return not self._v[0] and not self._v[1]
 
     def generators(self) -> list[QVector]:
         """Rays plus +/- lineality basis: a conic generating set."""
@@ -275,7 +277,7 @@ class PolyCone:
 
     def _int_generators(self) -> list[IntVec]:
         rays, lin = self._v
-        return list(rays) + [g for l in lin for g in (l, tuple(-x for x in l))]
+        return list(rays) + [g for l in lin for g in (l, _neg(l))]
 
     def subcone_of(self, other: "PolyCone") -> bool:
         self._check_dim(other)
@@ -298,9 +300,7 @@ class PolyCone:
         versa; both sides are already canonical so no recomputation is
         needed.
         """
-        return PolyCone(
-            self.dim, self.rays, self.lin, self.ineqs, self.eqs, _internal=True, _h=self._v, _v=self._h
-        )
+        return PolyCone(self.dim, self._v, self._h, _internal=True)
 
     def intersect(self, other: "PolyCone") -> "PolyCone":
         self._check_dim(other)
@@ -338,7 +338,7 @@ class PolyCone:
                 cone = self
             else:
                 peqs, pineqs = _generators(self.dim, face_rays, lin)
-                cone = PolyCone._from_forms(self.dim, (pineqs, peqs), (face_rays, lin))
+                cone = PolyCone(self.dim, (pineqs, peqs), (face_rays, lin), _internal=True)
             rows = [ineqs[i] for i in active]
             wit = QVector._of_ints(map(sum, zip(*rows))) if rows else QVector.zero(self.dim)
             out.append(Face(frozenset(active), cone, wit))
@@ -425,7 +425,7 @@ def face_difference(f1: PolyCone, f2: PolyCone) -> PolyCone:
         raise ValueError("face_difference requires F2 to be contained in F1")
     return PolyCone.from_generators(
         f1.dim,
-        f1._v[0] + tuple(tuple(-x for x in r) for r in f2._v[0]),
+        f1._v[0] + tuple(map(_neg, f2._v[0])),
         f1._v[1] + f2._v[1],
     )
 
@@ -443,9 +443,9 @@ def cone_plain(c: PolyCone) -> dict:
 
 def pick_nonzero(c: PolyCone) -> QVector | None:
     """Deterministic nonzero element of the cone, or None if trivial."""
-    if c.rays:
+    if c._v[0]:
         return c.rel_interior_point()  # of the pointed part; never zero
-    if c.lin:
+    if c._v[1]:
         return c.lin[0]
     return None
 

@@ -174,6 +174,10 @@ def parse_problem(path: str):
         raise ProblemFileError(f"{path}: cannot read ({exc.strerror or exc})") from None
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    except RecursionError:
+        raise ProblemFileError(f"{path}: JSON nested too deeply") from None
     return problem_from_dict(data, source=path)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cones import Face, PolyCone, cone_plain, face_difference
-from .linalg import QVector
+from .linalg import QVector, _dot, _ints
 from .sets import ConeUnion, Polyhedron, critical_cone
 
 
@@ -139,9 +139,10 @@ def directional_limiting_normal_graph(gp: GraphPoint, v: QVector, vstar: QVector
     if not graph_tangent_member(gp, v, vstar):
         raise ValueError("(v, vstar) is not tangent to the graph at the reference point")
     faces = gp.critical.faces()
+    vs = _ints(vstar)
     pairs = []
     for f1 in faces:
-        if any(vstar.dot(g) != 0 for g in f1.cone.generators()):
+        if any(_dot(vs, g) for g in f1.cone._int_generators()):
             continue
         for f2 in faces:
             if not f2.cone.contains(v):

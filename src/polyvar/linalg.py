@@ -295,6 +295,10 @@ def _dot(a: IntVec, b: IntVec) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
+def _neg(v: IntVec) -> IntVec:
+    return tuple(-x for x in v)
+
+
 def _rank(rows: Sequence[IntVec]) -> int:
     """Rank of an integer matrix by fraction-free Bareiss elimination.
 
@@ -336,7 +340,7 @@ def _echelon(rows: Sequence[IntVec], dim: int) -> tuple[list[IntVec], list[int]]
         if p is None:
             continue
         m[k], m[p] = m[p], m[k]
-        pr = m[k] if m[k][c] > 0 else tuple(-x for x in m[k])
+        pr = m[k] if m[k][c] > 0 else _neg(m[k])
         m[k] = pr
         pv = pr[c]
         for i, mi in enumerate(m):

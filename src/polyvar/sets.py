@@ -17,24 +17,26 @@ piece is checked against ``ybar`` once, not once per cell.  Only faces that
 contain ``ybar`` can be assigned, so a piece that misses ``ybar`` is always
 "out".  Near ``ybar`` a slack row holds strictly and a violated row stays
 violated, so a cell is a homogeneous system in the rows tight at ``ybar``:
-equations plus strict rows in the direction.  The cell is reachable when
-some direction satisfies it, and then the closure of its feasible directions
-is the polyhedral cone with the strict rows closed.
+equations plus strict rows in the direction.  Each distinct cell costs one
+conversion, of its closure (the cone with the strict rows closed): the cell
+is reachable iff each strict row is negative on some ray of the closure
+(``_cell_cone``), and then the closure is the closure of its directions.
 
 The faces of a polyhedron, from which the face assignments are drawn, are
 the faces of its homogenization cone that have a ray with t > 0; they come
-from the cone layer's incidence enumeration, with one conversion per face
-for its normal cone.
+from the cone layer's incidence enumeration with no conversion per face, and
+a face's normal cone is built when it is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
-from .cones import PolyCone, _face_lattice, strictly_feasible
-from .linalg import QVector, _ints, frac
+from .cones import PolyCone, _face_lattice
+from .linalg import IntVec, QVector, _dot, _ints, _neg, frac
 
 
 class InfeasibleError(ValueError):
@@ -66,27 +68,20 @@ class Polyhedron:
         h_ineqs.append(QVector([0] * dim + [-1]))
         h_eqs = [QVector(list(r.entries) + [-ev]) for r, ev in zip(E, e)]
         homog = PolyCone.from_ineqs(dim + 1, h_ineqs, h_eqs)
-        if not any(r[dim] > 0 for r in homog.rays):
+        if not any(r[dim] > 0 for r in homog._v[0]):
             raise InfeasibleError("polyhedron is empty")
         # Read the canonical H-rep back off the homogenization cone.
-        cA, cb, cE, ce = [], [], [], []
-        for row in homog.ineqs:
-            a, beta = QVector(row.entries[:dim]), -row[dim]
-            if a.is_zero():
-                continue  # the -t <= 0 row
-            cA.append(a)
-            cb.append(beta)
-        for row in homog.eqs:
-            g, eps = QVector(row.entries[:dim]), -row[dim]
-            if g.is_zero():
-                continue
-            cE.append(g)
-            ce.append(eps)
+        def split(rows):  # (y part, right-hand side), dropping the -t <= 0 row
+            rows = [r for r in rows if any(r.entries[:dim])]
+            return tuple(QVector(r.entries[:dim]) for r in rows), tuple(-r[dim] for r in rows)
+
+        cA, cb = split(homog.ineqs)
+        cE, ce = split(homog.eqs)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "A", tuple(cA))
-        object.__setattr__(self, "b", tuple(cb))
-        object.__setattr__(self, "E", tuple(cE))
-        object.__setattr__(self, "e", tuple(ce))
+        object.__setattr__(self, "A", cA)
+        object.__setattr__(self, "b", cb)
+        object.__setattr__(self, "E", cE)
+        object.__setattr__(self, "e", ce)
         object.__setattr__(self, "_homog", homog)
         object.__setattr__(self, "_faces", None)
 
@@ -138,14 +133,9 @@ class Polyhedron:
         return verts, rec
 
     def subset_of(self, other: "Polyhedron") -> bool:
-        verts, rec = self.vertices_and_recession()
-        if not all(other.contains(v) for v in verts):
-            return False
-        rec_other = other.recession_cone()
-        return all(rec_other.contains(g) for g in rec.generators())
-
-    def recession_cone(self) -> PolyCone:
-        return PolyCone.from_ineqs(self.dim, list(self.A), list(self.E))
+        # P ⊆ Q iff homogenization cones nest: that of P is generated by the
+        # (y, 1), y in P, and (r, 0), r a recession direction of P (so of Q).
+        return self._homog.subcone_of(other._homog)
 
     # -- variational cones ----------------------------------------------------
 
@@ -174,12 +164,10 @@ class Polyhedron:
         # homogenization row -> row of A (all rows but -t <= 0, in order)
         row_of = {k: i for i, k in enumerate(k for k, a in enumerate(rows) if any(a[: self.dim]))}
         finite = sum(1 << k for k, r in enumerate(rays) if r[self.dim] > 0)
-        out = []
-        for active, _ in _face_lattice(rows, rays, keep=finite):
-            implied = [row_of[k] for k in active]
-            normal = PolyCone.from_generators(self.dim, [self.A[i] for i in implied], list(self.E))
-            out.append(PolyFace(frozenset(implied), normal, self))
-        self._faces = tuple(out)
+        self._faces = tuple(
+            PolyFace(frozenset(row_of[k] for k in active), self)
+            for active, _ in _face_lattice(rows, rays, keep=finite)
+        )
         return self._faces
 
 
@@ -188,12 +176,18 @@ class PolyFace:
     """A nonempty closed face of a polyhedron.
 
     ``normal`` is the (constant) normal cone of the polyhedron at relative
-    interior points of the face.
+    interior points of the face, generated by the face's active rows of
+    ``A`` and the rows of ``E``.  It is built on first read: strata need it
+    only for the faces they assign.
     """
 
     active_set: frozenset
-    normal: PolyCone
     parent: Polyhedron
+
+    @cached_property
+    def normal(self) -> PolyCone:
+        p = self.parent
+        return PolyCone.from_generators(p.dim, [p.A[i] for i in sorted(self.active_set)], list(p.E))
 
 
 def critical_cone(p: Polyhedron, y: QVector, ystar: QVector) -> PolyCone | None:
@@ -209,8 +203,8 @@ def critical_cone(p: Polyhedron, y: QVector, ystar: QVector) -> PolyCone | None:
     tc = p.tangent_cone(y)
     if not tc.polar().contains(ystar):
         return None
-    eqs = [] if ystar.is_zero() else [ystar]
-    return PolyCone.from_ineqs(p.dim, list(tc.ineqs), list(tc.eqs) + eqs)
+    # a zero row (ystar = 0) constrains nothing; the conversion drops it
+    return PolyCone.from_ineqs(p.dim, tc._h[0], tc._h[1] + (_ints(ystar),))
 
 
 def nearby_critical_cone(
@@ -225,14 +219,9 @@ def nearby_critical_cone(
         raise ValueError("reference pair is not in the graph of the normal-cone map")
     if critical_cone(p, y, ystar) is None:
         return None
-    dstar = ystar - ybarstar
-    eqs = [] if dstar.is_zero() else [dstar]
-    restricted = PolyCone.from_ineqs(p.dim, list(kbar.ineqs), list(kbar.eqs) + eqs)
-    shift = y - ybar
-    lin = [] if shift.is_zero() else [shift]
-    return PolyCone.from_generators(
-        p.dim, list(restricted.rays), list(restricted.lin) + lin
-    )
+    restricted = PolyCone.from_ineqs(p.dim, kbar._h[0], kbar._h[1] + (_ints(ystar - ybarstar),))
+    rays, lin = restricted._v
+    return PolyCone.from_generators(p.dim, rays, lin + (_ints(y - ybar),))
 
 
 class UnionSet:
@@ -289,12 +278,7 @@ class ConeUnion:
 
     def __init__(self, dim: int, pieces: Iterable[PolyCone]):
         uniq = list(dict.fromkeys(pieces))
-        keep = []
-        for i, c in enumerate(uniq):
-            if any(j != i and c.subcone_of(d) and c != d for j, d in enumerate(uniq)):
-                continue
-            keep.append(c)
-        keep = list(dict.fromkeys(keep))
+        keep = [c for c in uniq if not any(d is not c and c.subcone_of(d) for d in uniq)]
         keep.sort(key=lambda c: c.key())
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "pieces", tuple(keep))
@@ -376,15 +360,24 @@ def _options_at(p: Polyhedron, ybar: QVector):
                 eqs = E + [A[i] for i in sorted(f.active_set)]
                 faces.append((f, eqs, [A[i] for i in sorted(tight - f.active_set)]))
     # (c, c.ybar - gamma) for each strict row c.y < gamma of "out"
-    strict = [(_negated(a), -s) for a, s in zip(A, sa)]
+    strict = [(_neg(a), -s) for a, s in zip(A, sa)]
     for g, s in zip(E, se):
-        strict += [(g, s), (_negated(g), -s)]
+        strict += [(g, s), (_neg(g), -s)]
     outs = [() if s < 0 else (c,) for c, s in strict if s <= 0]
     return faces, list(dict.fromkeys(outs))  # equal choices give equal cells
 
 
-def _negated(v: tuple) -> tuple:
-    return tuple(-x for x in v)
+def _cell_cone(dim: int, eqs: Sequence[IntVec], stricts: Sequence[IntVec]) -> PolyCone | None:
+    """The closure {eqs.z = 0, stricts.z <= 0} of the cell {eqs.z = 0,
+    stricts.z < 0}, or None when the cell is empty.
+
+    The cell is nonempty iff no strict row is an implicit equality of the
+    closure (Schrijver, "Theory of Linear and Integer Programming", 1986,
+    §8.2), i.e. iff each strict row is negative on some ray of the closure
+    (the rows vanish on its lineality space); the sum of those rays is in
+    the cell."""
+    q = PolyCone.from_ineqs(dim, stricts, eqs)
+    return q if all(any(_dot(c, r) < 0 for r in q._v[0]) for c in stricts) else None
 
 
 def direction_strata(d: UnionSet, ybar: QVector) -> tuple[DirectionStratum, ...]:
@@ -407,9 +400,7 @@ def direction_strata(d: UnionSet, ybar: QVector) -> tuple[DirectionStratum, ...]
     def memo_reach(eqs: list, stricts: list) -> PolyCone | None:
         key = (frozenset(eqs), frozenset(stricts))
         if key not in reach_memo:
-            q_eqs, q_stricts = [QVector._of_ints(g) for g in eqs], [QVector._of_ints(c) for c in stricts]
-            feasible = strictly_feasible(d.dim, q_eqs, q_stricts)
-            reach_memo[key] = PolyCone.from_ineqs(d.dim, stricts, eqs) if feasible else None
+            reach_memo[key] = _cell_cone(d.dim, eqs, stricts)
         return reach_memo[key]
 
     strata: list[DirectionStratum] = []

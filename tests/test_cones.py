@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from corpus import rng
 from polyvar.cones import PolyCone, face_difference, feasible_point, strictly_feasible
-from polyvar.linalg import QVector, rank_of_rows
+from polyvar.linalg import QVector, _ints, rank_of_rows
+from polyvar.sets import _cell_cone
 
 
 def wedge():
@@ -316,6 +317,34 @@ def test_strict_feasibility_matches_relative_interior_hypothesis(system, point):
     c = PolyCone.from_ineqs(dim, stricts, eqs)
     z = QVector(point[:dim])
     assert c.contains(z) == (all(a.dot(z) <= 0 for a in c.ineqs) and all(e.dot(z) == 0 for e in c.eqs))
+
+
+@st.composite
+def cells(draw):
+    """(dim, strict rows, equation rows) of a homogeneous cell, as integer
+    rows: the systems of ``rational_systems`` (orthant-prefixed, repeated,
+    opposite and zero rows, equations only), also with no strict rows, or
+    with every row zero on the last coordinate so that the closure has a
+    lineality direction."""
+    dim, stricts, eqs = draw(rational_systems())
+    shape = draw(st.sampled_from(["as_drawn", "no_stricts", "lineality"]))
+    if shape == "no_stricts":
+        stricts = []
+    elif shape == "lineality":
+        stricts, eqs = ([r[:-1] + [0] for r in rows] for rows in (stricts, eqs))
+    return dim, [_ints(a) for a in stricts], [_ints(e) for e in eqs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells())
+def test_cell_cone_decides_strict_feasibility_hypothesis(cell):
+    # the closed cone's rays decide what the LP of strictly_feasible decides
+    dim, stricts, eqs = cell
+    got = _cell_cone(dim, eqs, stricts)
+    assert (got is not None) == strictly_feasible(dim, [QVector(e) for e in eqs], [QVector(a) for a in stricts])
+    if got is not None:
+        want = PolyCone.from_ineqs(dim, stricts, eqs)
+        assert (got.key(), got._h, got._v) == (want.key(), want._h, want._v)
 
 
 # -- face lattices against the definition by active sets -------------------------

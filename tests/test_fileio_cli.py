@@ -45,6 +45,19 @@ def malformed_ex4():
     return cases
 
 
+def unreadable_files(tmp_path):
+    """Problem files that ``json.load`` cannot read: Latin-1 text, bytes that
+    are not UTF-8, and arrays nested deeper than the recursion limit."""
+    files = {
+        "latin1.json": '{"kind": "constraint", "label": "café"}'.encode("latin-1"),
+        "binary.json": bytes([0xFF, 0xFE, 0x80, 0x00, 0xC3]),
+        "deep.json": b"[" * 200_000,
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    return [tmp_path / name for name in files]
+
+
 def test_parse_bundled_examples():
     for name, kind in (("ex3.json", "constraint"), ("ex4.json", "constraint"), ("ex5.json", "variational")):
         spec = parse_problem(bundled_problem_path(name))
@@ -96,6 +109,10 @@ def test_parse_error_paths(tmp_path):
         with pytest.raises(ProblemFileError) as err:
             problem_from_dict(data)
         assert path in str(err.value)
+    for path in unreadable_files(tmp_path):
+        with pytest.raises(ProblemFileError) as err:
+            parse_problem(str(path))
+        assert str(path) in str(err.value)
 
 
 def test_variational_validation():
@@ -142,6 +159,9 @@ def test_cli_exit_codes(capsys, tmp_path):
         bad.write_text(json.dumps(data))
         assert run_command(["certify", str(bad), "--check", "foscms"]) == 3
     capsys.readouterr()
+    for path in unreadable_files(tmp_path):
+        assert run_command(["certify", str(path), "--check", "foscms"]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_cli_internal_error_exit_code(monkeypatch, capsys):

@@ -1,10 +1,12 @@
-"""Golden certificates, compared byte for byte.
+"""Golden certificates and cone listings, compared byte for byte.
 
 Cones are canonical, so a check's report is a deterministic function of its
-input.  Each file under ``golden/`` is the full-verbosity report and JSON
-block that ``POLYVAR_TRACE=full polyvar certify`` prints for one bundled
-example and check, plus two refuted Aubin certificates whose ``covers_space``
-gap witnesses depend on the order of the double description rays.
+input.  Each ``ex*`` file under ``golden/`` is the full-verbosity report and
+JSON block that ``POLYVAR_TRACE=full polyvar certify`` prints for one bundled
+example and check; two refuted Aubin certificates have gap witnesses from
+``covers_space`` that depend on the order of the double description rays;
+the ``cli-*`` files are what ``polyvar cones`` and ``polyvar graph-normal``
+print on the bundled examples.
 
 A change that is meant to alter a certificate regenerates the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why.
@@ -17,6 +19,8 @@ the golden files and with a fresh spec per check.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -26,7 +30,7 @@ import pytest
 
 from corpus import random_gamma, random_graph_point, random_matrix, random_symmetric, random_union, rng
 from polyvar.certify import ConstraintSystemSpec, VariationalSystemSpec, check_aubin
-from polyvar.cli import _EXPECTED, _run_check, bundled_problem_path
+from polyvar.cli import _EXPECTED, _run_check, bundled_problem_path, run_command
 from polyvar.fileio import parse_problem, render_report
 from polyvar.linalg import QMatrix
 from polyvar.sets import Polyhedron, UnionSet
@@ -73,6 +77,22 @@ CASES = {
 }
 CASES["aubin-refutation"] = _aubin_refutation
 CASES["aubin-refutation-3d"] = _aubin_refutation_3d
+
+
+def _cli(example: str, *argv: str) -> str:
+    # ``cones`` and ``graph-normal`` print every field of every cone they show.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run_command([argv[0], bundled_problem_path(f"{example}.json"), *argv[1:]])
+    assert code == 0
+    return out.getvalue()
+
+
+CASES["cli-cones-ex3"] = lambda: _cli("ex3", "cones", "--at", "0,0,0,0")
+CASES["cli-cones-ex5"] = lambda: _cli("ex5", "cones", "--at", "0,0", "--ystar", "0,0")
+CASES["cli-graph-normal-ex5-limiting"] = lambda: _cli("ex5", "graph-normal", "--limiting")
+CASES["cli-graph-normal-ex5-regular"] = lambda: _cli("ex5", "graph-normal", "--regular")
+CASES["cli-graph-normal-ex5-dir"] = lambda: _cli("ex5", "graph-normal", "--dir=-1,0;0,0")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -394,9 +394,24 @@ def test_polyhedron_faces_match_active_set_definition_hypothesis(p):
         assert f.parent is p
 
 
-def test_face_count_of_the_five_cube():
+def five_cube():
     n = 5
-    cube = Polyhedron(n, [[s if i == j else 0 for i in range(n)] for j in range(n) for s in (1, -1)], [1] * (2 * n))
-    faces = cube.faces()
-    assert len(faces) == 3**n
-    assert sum(1 for f in faces if len(f.active_set) == n) == 2**n  # the vertices
+    return Polyhedron(n, [[s if i == j else 0 for i in range(n)] for j in range(n) for s in (1, -1)], [1] * (2 * n))
+
+
+def test_face_count_of_the_five_cube():
+    faces = five_cube().faces()
+    assert len(faces) == 3**5
+    assert sum(1 for f in faces if len(f.active_set) == 5) == 2**5  # the vertices
+
+
+def test_polyhedron_faces_make_no_cone_conversion(monkeypatch):
+    # face normals are built on first read, not by faces()
+    cube = five_cube()
+
+    def conversion(*args, **kwargs):
+        raise AssertionError("faces() converted a cone")
+
+    monkeypatch.setattr(PolyCone, "from_generators", staticmethod(conversion))
+    monkeypatch.setattr(PolyCone, "from_ineqs", staticmethod(conversion))
+    assert len(cube.faces()) == 3**5
