@@ -34,7 +34,7 @@ from itertools import combinations
 from math import lcm
 from typing import Sequence
 
-from .cones import Face, PolyCone, cone_plain, feasible_point, pick_nonzero
+from .cones import PolyCone, cone_plain, feasible_point, pick_nonzero
 from .graphmap import (
     GraphPoint,
     directional_limiting_normal_graph,
@@ -101,11 +101,8 @@ class ConstraintSystemSpec:
         if not D.contains(g0):
             bad = []
             for i, p in enumerate(D.pieces):
-                viols = [
-                    f"row {j}" for j, (a, bv) in enumerate(zip(p.A, p.b)) if a.dot(g0) > bv
-                ] + [
-                    f"eq {j}" for j, (g, ev) in enumerate(zip(p.E, p.e)) if g.dot(g0) != ev
-                ]
+                sa, se = p._slacks(g0)
+                viols = [f"row {j}" for j, s in enumerate(sa) if s > 0] + [f"eq {j}" for j, s in enumerate(se) if s]
                 bad.append(f"piece {i}: violates " + ", ".join(viols))
             raise ValueError("g0 lies in no piece of D (" + "; ".join(bad) + ")")
         if hessians is not None:
@@ -275,11 +272,12 @@ def fm_project(cone: PolyCone, keep: int) -> PolyCone:
 def covers_space(pieces: Sequence[PolyCone], dim: int) -> tuple[bool, QVector | None]:
     """Does the union of the cones cover R^dim?  If not, return a direction
     in the complement.  Decided by facet-wise splitting of the complement."""
-    regions: list[tuple[list[QVector], list[QVector], list[QVector]]] = [([], [], [])]
+    # each region: its (leq, eq, strict) rows and a point in it
+    regions: list[tuple[tuple, QVector]] = [(([], [], []), QVector.zero(dim))]
     for piece in pieces:
         ineqs, eqs = piece.ineqs, piece.eqs
         new_regions = []
-        for (leq, eq, strict) in regions:
+        for (leq, eq, strict), _ in regions:
             held_leq: list[QVector] = []
             held_eq: list[QVector] = []
             cells: list[tuple[list[QVector], list[QVector], list[QVector]]] = []
@@ -291,13 +289,13 @@ def covers_space(pieces: Sequence[PolyCone], dim: int) -> tuple[bool, QVector | 
                 cells.append((leq + held_leq, eq + held_eq, strict + [-e]))
                 held_eq.append(e)
             for cell in cells:
-                if feasible_point(dim, *cell) is not None:
-                    new_regions.append(cell)
+                point = feasible_point(dim, *cell)
+                if point is not None:
+                    new_regions.append((cell, point))
         regions = new_regions
         if not regions:
             return True, None
-    wit = feasible_point(dim, *regions[0])
-    return False, wit
+    return False, regions[0][1]
 
 
 # -- quadratic-form sign analysis (for the second order condition) -----------------
@@ -541,19 +539,24 @@ class _AdjointStratum:
 
     label: str
     case_label: str
-    directions: PolyCone  # cone in (q, u) space
-    sample: QVector  # a nonzero direction in it
+    sample: QVector  # a nonzero (q, u) direction of the stratum
     piece: PolyCone  # difference cone K (variational) or normal-cone piece (constraint)
     adjoint: PolyCone  # solution cone in v*-space
 
 
 @_per_spec
-def _variational_solution_pieces(spec: VariationalSystemSpec) -> tuple[tuple[Face, PolyCone], ...]:
-    """Per-face solution pieces of the linearized generalized equation: for
-    each face F of the critical cone K, the cone of (q, u) with u ∈ F and
-    w = -Jp q - Jx u ∈ K° ∩ F^⊥."""
-    k = spec.graph_point().critical
+def _solution_pieces(spec) -> tuple[PolyCone, ...]:
+    """Solution cones of the linearized system in (q, u) space.
+
+    For a constraint system, one per piece T of the tangent cone of D at g0:
+    the (q, u) with Jp q + Jx u ∈ T.  For a variational system, one per face
+    F of the critical cone K, in the order of ``K.faces()``: the (q, u) with
+    u ∈ F and w = -Jp q - Jx u ∈ K° ∩ F^⊥.
+    """
     wt = _w_map_T(spec)
+    if spec.kind == "constraint":
+        return tuple(_pullback(t, wt) for t in _d_tangent(spec).pieces)
+    k = spec.graph_point().critical
     pad = (0,) * spec.l
     k_rays, k_lin = k._v  # the H-representation of K°
     pieces = []
@@ -563,7 +566,7 @@ def _variational_solution_pieces(spec: VariationalSystemSpec) -> tuple[tuple[Fac
         rows_i = [pad + a for a in f_ineqs] + [_apply(wt, a) for a in k_rays]
         rows_e = [pad + e for e in f_eqs] + [_apply(wt, e) for e in k_lin]
         rows_e += [_apply(wt, g) for g in f_rays + f_lin]  # w ⊥ span F
-        pieces.append((f, PolyCone.from_ineqs(spec.l + spec.n, rows_i, rows_e)))
+        pieces.append(PolyCone.from_ineqs(spec.l + spec.n, rows_i, rows_e))
     return tuple(pieces)
 
 
@@ -579,9 +582,7 @@ def _variational_adjoint_cone(spec: VariationalSystemSpec, kd: PolyCone) -> Poly
 
 
 @_per_spec
-def _variational_adjoint_strata(
-    spec: VariationalSystemSpec,
-) -> tuple[tuple[_AdjointStratum, ...], tuple[PolyCone, ...]]:
+def _variational_adjoint_strata(spec: VariationalSystemSpec) -> tuple[_AdjointStratum, ...]:
     """Direction-stratified adjoint inclusions of the variational system.
 
     One case per face of the critical cone whose solution piece is
@@ -590,11 +591,10 @@ def _variational_adjoint_strata(
     """
     gp = spec.graph_point()
     faces = gp.critical.faces()
-    sol_pieces = _variational_solution_pieces(spec)
     wt = _w_map_T(spec)
     adjoints: dict = {}  # difference cone key -> adjoint cone
     strata: list[_AdjointStratum] = []
-    for f, piece in sol_pieces:
+    for f, piece in zip(faces, _solution_pieces(spec)):
         if piece.is_trivial():
             continue
         case = f"u in face {sorted(f.active_set)} of the critical cone"
@@ -623,27 +623,16 @@ def _variational_adjoint_strata(
                     _AdjointStratum(
                         label=f"{case}; pair F1={sorted(f1.active_set)}, F2={sorted(f2.active_set)}",
                         case_label=case,
-                        directions=refined,
                         sample=pick_nonzero(refined),
                         piece=kd,
                         adjoint=adjoints[key],
                     )
                 )
-    return tuple(strata), tuple(p for _, p in sol_pieces)
+    return tuple(strata)
 
 
 @_per_spec
-def _constraint_solution_pieces(spec: ConstraintSystemSpec) -> tuple[PolyCone, ...]:
-    """Solution cones of the linearized constraint system: the (q, u) with
-    Jp q + Jx u in a piece of the tangent cone of D at g0."""
-    wt = _w_map_T(spec)
-    return tuple(_pullback(t, wt) for t in _d_tangent(spec).pieces)
-
-
-@_per_spec
-def _constraint_adjoint_strata(
-    spec: ConstraintSystemSpec,
-) -> tuple[tuple[_AdjointStratum, ...], tuple[PolyCone, ...]]:
+def _constraint_adjoint_strata(spec: ConstraintSystemSpec) -> tuple[_AdjointStratum, ...]:
     """Direction-stratified adjoint systems of the constraint formulation."""
     wt = _w_map_T(spec)
     strata: list[_AdjointStratum] = []
@@ -656,13 +645,12 @@ def _constraint_adjoint_strata(
                 _AdjointStratum(
                     label=f"{s.label} / cell {idx}",
                     case_label=s.label,
-                    directions=refined,
                     sample=pick_nonzero(refined),
                     piece=s.normal,
                     adjoint=adj,
                 )
             )
-    return tuple(strata), _constraint_solution_pieces(spec)
+    return tuple(strata)
 
 
 @_per_spec
@@ -681,8 +669,8 @@ def _zero_direction_adjoints(spec) -> tuple[tuple[PolyCone, PolyCone], ...]:
     return tuple((piece, adjoint[piece]) for piece in ConeUnion(spec.m, adjoint).pieces)
 
 
-def _adjoint_strata(spec) -> tuple[tuple[_AdjointStratum, ...], tuple[PolyCone, ...]]:
-    """(adjoint strata, solution pieces) of either kind of system."""
+def _adjoint_strata(spec) -> tuple[_AdjointStratum, ...]:
+    """The direction-stratified adjoint strata of either kind of system."""
     if spec.kind == "variational":
         return _variational_adjoint_strata(spec)
     return _constraint_adjoint_strata(spec)
@@ -692,7 +680,7 @@ def _adjoint_strata(spec) -> tuple[tuple[_AdjointStratum, ...], tuple[PolyCone, 
 def _solvability(spec) -> tuple[tuple[PolyCone, ...], bool, QVector | None]:
     """Projections of the solution pieces onto parameter space, whether they
     cover it, and a parameter direction outside them if not."""
-    projected = tuple(fm_project(p, spec.l) for p in _adjoint_strata(spec)[1])
+    projected = tuple(fm_project(p, spec.l) for p in _solution_pieces(spec))
     covered, gap = covers_space(projected, spec.l)
     return projected, covered, gap
 
@@ -737,12 +725,11 @@ def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) 
                 )
             notes.append("joint metric subregularity certified by check_foscms_joint")
 
-    strata, sol_pieces = _adjoint_strata(spec)
     projected, covered, gap = _solvability(spec)
     trace.append(
         {
             "phase": "A (solvability for every parameter direction)",
-            "solution_pieces": [cone_plain(p) for p in sol_pieces],
+            "solution_pieces": [cone_plain(p) for p in _solution_pieces(spec)],
             "projections": [cone_plain(p) for p in projected],
             "covered": covered,
         }
@@ -761,7 +748,7 @@ def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) 
 
     jpt = _w_map_T(spec)[: spec.l]  # a multiple of ±Jp^T
     cases: dict[str, list[dict]] = {}
-    for st in strata:
+    for st in _adjoint_strata(spec):
         if mode == "corollary":
             ok = st.adjoint.is_trivial()
             offender = None if ok else pick_nonzero(st.adjoint)
@@ -799,10 +786,9 @@ def check_foscms_joint(spec) -> Certificate:
     vanishing must be trivial, over all nonzero joint direction strata."""
     dim = spec.m if spec.kind == "constraint" else spec.n
     jpt = _w_map_T(spec)[: spec.l]  # ker Jp^T as equations
-    strata, _ = _adjoint_strata(spec)
     witnesses = []
     trace = []
-    for st in strata:
+    for st in _adjoint_strata(spec):
         ineqs, eqs = st.adjoint._h
         joint = PolyCone.from_ineqs(dim, ineqs, eqs + jpt)
         rec = {
@@ -824,13 +810,9 @@ def graphical_derivative_S(spec, q: QVector) -> list[Polyhedron]:
     Returns the set {u : (q, u) solves the linearized inclusion} as a list
     of polyhedra (possibly overlapping, canonically deduplicated).
     """
-    if spec.kind == "variational":
-        cones = [p for _, p in _variational_solution_pieces(spec)]
-    else:
-        cones = _constraint_solution_pieces(spec)
     n = spec.n
     out: list[Polyhedron] = []
-    for c in cones:
+    for c in _solution_pieces(spec):
         a_rows, b_rhs, e_rows, e_rhs = [], [], [], []
         for a in c.ineqs:
             aq, au = _split_qu(a, spec.l)

@@ -1,7 +1,8 @@
 """Problem-file parsing, certificate serialization and report rendering.
 
 Problem files are UTF-8 JSON objects.  Every scalar is an exact rational
-written as a string "n/d" or "n" (plain JSON integers are accepted too and
+written as a string "n/d" or "n", an optional sign and digits with no
+decimal point, exponent or space (plain JSON integers are accepted too and
 canonicalized).  The dims are non-negative JSON integers, "param_lipschitz"
 is a JSON boolean and "label" a string.  Two kinds exist:
 
@@ -41,7 +42,7 @@ from .certify import (
     VariationalSystemSpec,
     Witness,
 )
-from .linalg import QMatrix, QVector, vec_plain
+from .linalg import QMatrix, QVector, frac, vec_plain
 from .sets import InfeasibleError, Polyhedron, UnionSet
 
 
@@ -53,9 +54,9 @@ def _rat(value, path: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ProblemFileError(f"{path}: expected a rational string like '1/2', got {value!r}")
     try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ProblemFileError(f"{path}: not a rational: {value!r} ({exc})") from None
+        return frac(value)
+    except (ValueError, ZeroDivisionError):
+        raise ProblemFileError(f"{path}: not a rational 'n' or 'n/d': {value!r}") from None
 
 
 def _rats(value, path: str) -> list[Fraction]:
@@ -178,6 +179,8 @@ def parse_problem(path: str):
         raise ProblemFileError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     except RecursionError:
         raise ProblemFileError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:  # an integer literal beyond the int digit limit
+        raise ProblemFileError(f"{path}: unreadable JSON ({exc})") from None
     return problem_from_dict(data, source=path)
 
 

@@ -15,6 +15,7 @@ is exact.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -23,12 +24,23 @@ from typing import Iterable, Sequence
 IntVec = tuple[int, ...]
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # sign, digits, "/digits"
+
+
 def frac(x) -> Fraction:
-    """Coerce ints, strings like "2/4" or "-3", and Fractions to Fraction."""
+    """Coerce ints, Fractions and strings like "2/4" or "-3" to Fraction.
+
+    Other strings raise ValueError; ``Fraction`` never sees them, since it
+    would build a ten-million-digit integer for "1e10000000"."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, str):
+        m = _RATIONAL.fullmatch(x)
+        if m is None:
+            raise ValueError(f"not a rational 'n' or 'n/d': {x!r}")
+        return Fraction(int(m[1]), int(m[2])) if m[2] else Fraction(int(m[1]))
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 

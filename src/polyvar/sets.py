@@ -22,21 +22,24 @@ conversion, of its closure (the cone with the strict rows closed): the cell
 is reachable iff each strict row is negative on some ray of the closure
 (``_cell_cone``), and then the closure is the closure of its directions.
 
-The faces of a polyhedron, from which the face assignments are drawn, are
-the faces of its homogenization cone that have a ray with t > 0; they come
-from the cone layer's incidence enumeration with no conversion per face, and
-a face's normal cone is built when it is first read.
+A polyhedron is stored only as its homogenization cone: ``A``, ``b``, ``E``
+and ``e`` are rational views of the cone's integer rows, and a point is
+tested by one integer evaluation of those rows.  Its faces, from which the
+face assignments are drawn, are the faces of that cone that have a ray with
+t > 0; they come from the cone layer's incidence enumeration with no
+conversion per face, and a face's normal cone is built when it is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
 from .cones import PolyCone, _face_lattice
-from .linalg import IntVec, QVector, _dot, _ints, _neg, frac
+from .linalg import IntVec, QVector, _dot, _ints, _neg, _reduce, frac
 
 
 class InfeasibleError(ValueError):
@@ -46,43 +49,27 @@ class InfeasibleError(ValueError):
 class Polyhedron:
     """Nonempty convex polyhedron {y : A y <= b, E y = e}.
 
-    Feasibility is verified exactly at construction.  The representation is
-    canonicalized (irredundant) via the homogenization cone, which is also
-    kept for reuse by tangent cones and face enumeration.
+    Stored only as its homogenization cone, whose canonical irredundant rows
+    give the canonical H-representation; ``A``, ``b``, ``E`` and ``e`` are
+    rational views of them.  Feasibility is verified exactly at construction.
     """
 
-    __slots__ = ("dim", "A", "b", "E", "e", "_homog", "_faces")
+    __slots__ = ("dim", "_homog", "_rows", "_faces")
 
     def __init__(self, dim: int, A: Iterable = (), b: Iterable = (), E: Iterable = (), e: Iterable = ()):
-        A = [r if isinstance(r, QVector) else QVector(r) for r in A]
-        E = [r if isinstance(r, QVector) else QVector(r) for r in E]
-        b = [frac(x) for x in b]
-        e = [frac(x) for x in e]
+        A, b, E, e = list(A), list(b), list(E), list(e)
         if len(A) != len(b) or len(E) != len(e):
             raise ValueError("constraint rows and right-hand sides differ in length")
-        for r in A + E:
-            if r.dim != dim:
-                raise ValueError("constraint row has wrong dimension")
-        # Homogenize: {(y, t) : A y - b t <= 0, E y - e t = 0, -t <= 0}.
-        h_ineqs = [QVector(list(r.entries) + [-bv]) for r, bv in zip(A, b)]
-        h_ineqs.append(QVector([0] * dim + [-1]))
-        h_eqs = [QVector(list(r.entries) + [-ev]) for r, ev in zip(E, e)]
-        homog = PolyCone.from_ineqs(dim + 1, h_ineqs, h_eqs)
+        # Homogenize: {(y, t) : A y - b t <= 0, E y - e t = 0, -t <= 0}; the
+        # conversion rejects a row of the wrong length.
+        h_ineqs = [(*r, -frac(bv)) for r, bv in zip(A, b)] + [(0,) * dim + (-1,)]
+        homog = PolyCone.from_ineqs(dim + 1, h_ineqs, [(*g, -frac(ev)) for g, ev in zip(E, e)])
         if not any(r[dim] > 0 for r in homog._v[0]):
             raise InfeasibleError("polyhedron is empty")
-        # Read the canonical H-rep back off the homogenization cone.
-        def split(rows):  # (y part, right-hand side), dropping the -t <= 0 row
-            rows = [r for r in rows if any(r.entries[:dim])]
-            return tuple(QVector(r.entries[:dim]) for r in rows), tuple(-r[dim] for r in rows)
-
-        cA, cb = split(homog.ineqs)
-        cE, ce = split(homog.eqs)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "A", cA)
-        object.__setattr__(self, "b", cb)
-        object.__setattr__(self, "E", cE)
-        object.__setattr__(self, "e", ce)
         object.__setattr__(self, "_homog", homog)
+        # the rows (a, -b) of A: every homogenization row but -t <= 0
+        object.__setattr__(self, "_rows", tuple(r for r in homog._h[0] if any(r[:dim])))
         object.__setattr__(self, "_faces", None)
 
     def __setattr__(self, name, value):
@@ -90,6 +77,22 @@ class Polyhedron:
             object.__setattr__(self, name, value)
             return
         raise AttributeError("Polyhedron is immutable")
+
+    @property
+    def A(self) -> tuple[QVector, ...]:
+        return tuple(QVector._of_ints(r[: self.dim]) for r in self._rows)
+
+    @property
+    def b(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(-r[self.dim]) for r in self._rows)
+
+    @property
+    def E(self) -> tuple[QVector, ...]:
+        return tuple(QVector(g.entries[: self.dim]) for g in self._homog.eqs)
+
+    @property
+    def e(self) -> tuple[Fraction, ...]:
+        return tuple(-g[self.dim] for g in self._homog.eqs)
 
     def key(self):
         return (self.dim, tuple(v.entries for v in self.A), self.b, tuple(v.entries for v in self.E), self.e)
@@ -107,15 +110,24 @@ class Polyhedron:
 
     # -- basic queries -------------------------------------------------------
 
-    def contains(self, y: QVector) -> bool:
+    def _slacks(self, y: QVector) -> tuple[list[int], list[int]]:
+        """Positive multiples of a.y - b and g.y - e per row of A and of E:
+        each homogenization row dotted with a multiple of (y, 1)."""
         if y.dim != self.dim:
             raise ValueError("point has wrong dimension")
-        return all(a.dot(y) <= bv for a, bv in zip(self.A, self.b)) and all(
-            g.dot(y) == ev for g, ev in zip(self.E, self.e)
-        )
+        yt = _ints(y.entries + (1,))
+        return [_dot(r, yt) for r in self._rows], [_dot(g, yt) for g in self._homog._h[1]]
+
+    def _int_rows(self) -> tuple[list[IntVec], list[IntVec]]:
+        """The rows of A and of E as primitive integer vectors."""
+        return [_reduce(r[: self.dim]) for r in self._rows], [_reduce(g[: self.dim]) for g in self._homog._h[1]]
+
+    def contains(self, y: QVector) -> bool:
+        sa, se = self._slacks(y)
+        return all(s <= 0 for s in sa) and not any(se)
 
     def active_ineqs(self, y: QVector) -> list[int]:
-        return [i for i, (a, bv) in enumerate(zip(self.A, self.b)) if a.dot(y) == bv]
+        return [i for i, s in enumerate(self._slacks(y)[0]) if s == 0]
 
     def vertices_and_recession(self) -> tuple[list[QVector], PolyCone]:
         """Generator view: some vertices/points plus the recession cone."""
@@ -142,8 +154,8 @@ class Polyhedron:
     def tangent_cone(self, y: QVector) -> PolyCone:
         if not self.contains(y):
             raise ValueError("tangent cone requested at a point outside the polyhedron")
-        act = [self.A[i] for i in self.active_ineqs(y)]
-        return PolyCone.from_ineqs(self.dim, act, list(self.E))
+        A, E = self._int_rows()
+        return PolyCone.from_ineqs(self.dim, [A[i] for i in self.active_ineqs(y)], E)
 
     def normal_cone(self, y: QVector) -> PolyCone:
         return self.tangent_cone(y).polar()
@@ -155,18 +167,15 @@ class Polyhedron:
 
         The nonempty faces are the faces of the homogenization cone that are
         not inside {t = 0}, i.e. that have a ray with t > 0; they come from
-        the same incidence routine as cone faces, with homogenization rows
-        mapped back to rows of ``A``.
+        the same incidence routine as cone faces.  The row -t <= 0 is never
+        active on such a face, so the routine runs on the rows of ``A``.
         """
         if self._faces is not None:
             return self._faces
-        rows, rays = self._homog._h[0], self._homog._v[0]
-        # homogenization row -> row of A (all rows but -t <= 0, in order)
-        row_of = {k: i for i, k in enumerate(k for k, a in enumerate(rows) if any(a[: self.dim]))}
+        rays = self._homog._v[0]
         finite = sum(1 << k for k, r in enumerate(rays) if r[self.dim] > 0)
         self._faces = tuple(
-            PolyFace(frozenset(row_of[k] for k in active), self)
-            for active, _ in _face_lattice(rows, rays, keep=finite)
+            PolyFace(frozenset(active), self) for active, _ in _face_lattice(self._rows, rays, keep=finite)
         )
         return self._faces
 
@@ -186,8 +195,8 @@ class PolyFace:
 
     @cached_property
     def normal(self) -> PolyCone:
-        p = self.parent
-        return PolyCone.from_generators(p.dim, [p.A[i] for i in sorted(self.active_set)], list(p.E))
+        A, E = self.parent._int_rows()
+        return PolyCone.from_generators(self.parent.dim, [A[i] for i in sorted(self.active_set)], E)
 
 
 def critical_cone(p: Polyhedron, y: QVector, ystar: QVector) -> PolyCone | None:
@@ -246,15 +255,6 @@ class UnionSet:
 
     def __setattr__(self, name, value):
         raise AttributeError("UnionSet is immutable")
-
-    def key(self):
-        return tuple(p.key() for p in self.pieces)
-
-    def __eq__(self, other):
-        return isinstance(other, UnionSet) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return f"UnionSet({len(self.pieces)} pieces, dim={self.dim})"
@@ -349,9 +349,8 @@ def _options_at(p: Polyhedron, ybar: QVector):
     g.y > e), are () when the violation holds at ybar and the homogeneous
     strict row when the row is tight there; a row slack at ybar is no choice.
     """
-    A, E = [_ints(a) for a in p.A], [_ints(g) for g in p.E]
-    sa = [a.dot(ybar) - bv for a, bv in zip(p.A, p.b)]
-    se = [g.dot(ybar) - ev for g, ev in zip(p.E, p.e)]
+    A, E = p._int_rows()
+    sa, se = p._slacks(ybar)
     tight = {i for i, s in enumerate(sa) if s == 0}
     faces = []
     if all(s <= 0 for s in sa) and not any(se):
@@ -359,7 +358,7 @@ def _options_at(p: Polyhedron, ybar: QVector):
             if f.active_set <= tight:
                 eqs = E + [A[i] for i in sorted(f.active_set)]
                 faces.append((f, eqs, [A[i] for i in sorted(tight - f.active_set)]))
-    # (c, c.ybar - gamma) for each strict row c.y < gamma of "out"
+    # (c, a positive multiple of c.ybar - gamma) for each strict row c.y < gamma of "out"
     strict = [(_neg(a), -s) for a, s in zip(A, sa)]
     for g, s in zip(E, se):
         strict += [(g, s), (_neg(g), -s)]

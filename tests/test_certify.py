@@ -20,14 +20,14 @@ from polyvar.certify import (
     fm_project,
     PreconditionError,
     graphical_derivative_S,
-    _constraint_solution_pieces,
     _foscms_strata,
     _hessian_contraction,
     _form_value,
     _jx_kernel,
+    _solution_pieces,
     _variational_adjoint_cone,
-    _variational_solution_pieces,
 )
+from polyvar import certify
 from polyvar.cones import PolyCone, feasible_point
 from polyvar.graphmap import directional_limiting_normal_graph, limiting_normal_graph
 from polyvar.linalg import QMatrix, QVector, row_space_basis
@@ -267,6 +267,24 @@ def test_aubin_solvability_failure_is_refutation():
     gap = cert.witnesses[0]
     assert gap.vstar is None
     replay_aubin_witness(spec, gap, "corollary")
+
+
+def test_aubin_phase_a_refutation_builds_no_direction_strata(monkeypatch):
+    # Phase A refutes on its own, so the direction stratification of Phase B
+    # must not run
+    def strata(*args):
+        raise AssertionError("check_aubin stratified directions after Phase A refuted")
+
+    monkeypatch.setattr(certify, "direction_strata", strata)
+    wedge = Polyhedron(3, A=[[1, 1, 0], [1, -1, 0], [0, 0, 1]], b=[0, 0, 0])
+    for jp, jx, d in (  # the specs of tests/golden/aubin-refutation*.txt
+        ([[1]], [[0]], Polyhedron(1, A=[[1]], b=[0])),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0], [0], [1]], wedge),
+    ):
+        m = len(jp)
+        spec = ConstraintSystemSpec(l=len(jp[0]), n=1, m=m, Jp=jp, Jx=jx, g0=[0] * m, D=UnionSet([d]))
+        cert = check_aubin(spec, "corollary")
+        assert cert.status == NOT_CERTIFIED and cert.refuted
 
 
 def zero_jacobian_variational_spec():
@@ -590,7 +608,7 @@ def test_integer_pullbacks_match_rational_rows():
         dim = spec.l + spec.n
         tangent = union_tangent_cone(spec.D, spec.g0).pieces
         w_map = _w_map(spec, 1)
-        assert _constraint_solution_pieces(spec) == tuple(_rational_pullback(t, w_map, dim) for t in tangent)
+        assert _solution_pieces(spec) == tuple(_rational_pullback(t, w_map, dim) for t in tangent)
         ker = PolyCone.from_ineqs(spec.m, [], [spec.Jx.col(j) for j in range(spec.n)])
         assert _jx_kernel(spec) == ker
         for s, v_cone, u_cells in _foscms_strata(spec):
@@ -601,7 +619,7 @@ def test_integer_pullbacks_match_rational_rows():
         k = spec.graph_point().critical
         wt = _w_map(spec, -1).T
         pad = [0] * spec.l
-        for f, piece in _variational_solution_pieces(spec):
+        for f, piece in zip(k.faces(), _solution_pieces(spec)):
             rows_i = [QVector(pad + list(a.entries)) for a in f.cone.ineqs]
             rows_i += [wt.matvec(a) for a in k.polar().ineqs]
             rows_e = [QVector(pad + list(e.entries)) for e in f.cone.eqs]

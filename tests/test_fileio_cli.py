@@ -1,4 +1,6 @@
 import json
+import time
+from fractions import Fraction as F
 
 import pytest
 
@@ -7,6 +9,7 @@ from polyvar import cli
 from polyvar.cli import bundled_problem_path, run_command
 from polyvar.fileio import (
     ProblemFileError,
+    _rat,
     certificate_from_dict,
     certificate_to_dict,
     parse_problem,
@@ -35,6 +38,8 @@ def malformed_ex4():
         (".dims.l", lambda d: d["dims"].update(l=-1)),
         (".D.pieces[0].b", lambda d: d["D"]["pieces"][0].update(b="00")),  # not two "0"s
         (".D.pieces[0].e", lambda d: d["D"]["pieces"][0].update(e="")),
+        # Fraction() alone would spend seconds building a 10^7-digit integer
+        (".D.pieces[0].b[0]", lambda d: d["D"]["pieces"][0]["b"].__setitem__(0, "1e10000000")),
         (".hessians", lambda d: d.update(hessians={"0": []})),
         (".param_lipschitz", lambda d: d.update(param_lipschitz="false")),  # bool("false") is True
         (".label", lambda d: d.update(label=3)),
@@ -47,11 +52,13 @@ def malformed_ex4():
 
 def unreadable_files(tmp_path):
     """Problem files that ``json.load`` cannot read: Latin-1 text, bytes that
-    are not UTF-8, and arrays nested deeper than the recursion limit."""
+    are not UTF-8, arrays nested deeper than the recursion limit, and an
+    integer literal longer than the int digit limit."""
     files = {
         "latin1.json": '{"kind": "constraint", "label": "café"}'.encode("latin-1"),
         "binary.json": bytes([0xFF, 0xFE, 0x80, 0x00, 0xC3]),
         "deep.json": b"[" * 200_000,
+        "long-int.json": b'{"kind": ' + b"1" * 5000 + b"}",
     }
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
@@ -113,6 +120,17 @@ def test_parse_error_paths(tmp_path):
         with pytest.raises(ProblemFileError) as err:
             parse_problem(str(path))
         assert str(path) in str(err.value)
+
+
+def test_scalar_grammar():
+    # an optional sign, digits, and an optional "/digits"; JSON ints pass too
+    assert _rat("+2/4", "x") == F(1, 2) and _rat("-3", "x") == -3 and _rat(7, "x") == 7
+    for text in ("1e10000000", "1.5", " 1", "1 ", "1_000", "0x10", "1/-2", "/2", "", "\u0663", "inf", "1/0"):
+        start = time.perf_counter()
+        with pytest.raises(ProblemFileError) as err:
+            _rat(text, "$.b[0]")
+        assert time.perf_counter() - start < 1
+        assert "$.b[0]" in str(err.value)
 
 
 def test_variational_validation():
@@ -193,6 +211,7 @@ def test_cli_precondition_and_input_errors_are_usage_errors(capsys):
     assert run_command(["certify", ex5, "--check", "dir-subreg", "--dir", "1,0"]) == 3  # no --gpp
     assert run_command(["certify", ex4, "--check", "dir-subreg", "--dir", "1,0", "--gpp", "1,1,1"]) == 3
     assert run_command(["certify", ex4, "--check", "dir-subreg", "--dir", "1/0,1"]) == 3
+    assert run_command(["cones", ex5, "--at=1e10000000,0"]) == 3
     assert run_command(["graph-normal", ex5, "--dir", "1,0;1,0"]) == 3  # not tangent to the graph
     assert run_command(["oracle", ex5, "--dir", "1,0;1,0"]) == 3
     assert run_command(["oracle", bundled_problem_path("ex3.json"), "--at", "1,1,1,1", "--dir", "1,0,0,0"]) == 3

@@ -415,3 +415,66 @@ def test_polyhedron_faces_make_no_cone_conversion(monkeypatch):
     monkeypatch.setattr(PolyCone, "from_generators", staticmethod(conversion))
     monkeypatch.setattr(PolyCone, "from_ineqs", staticmethod(conversion))
     assert len(cube.faces()) == 3**5
+
+
+# -- the integer point test against the rational views ------------------------------
+
+
+def probe_points(p):
+    """The relative-interior point of each face, and points pushed off the
+    polyhedron along each row of A and of E, plus a few grid points."""
+    inside = [relint_point(p, f.active_set) for f in p.faces()]
+    pts = list(inside)
+    for a in list(p.A) + list(p.E):
+        pts += [inside[0] + a, inside[-1] - a.scale(F(1, 3))]
+    pts += [QVector(c) for c in product((-2, F(1, 2), 1), repeat=p.dim)]
+    return pts
+
+
+def assert_point_test_matches_views(p):
+    rows = list(zip(p.A, p.b))
+    eqs = list(zip(p.E, p.e))
+    for y in probe_points(p):
+        inside = all(a.dot(y) <= bv for a, bv in rows) and all(g.dot(y) == ev for g, ev in eqs)
+        assert p.contains(y) == inside, (p, y)
+        assert p.active_ineqs(y) == [i for i, (a, bv) in enumerate(rows) if a.dot(y) == bv], (p, y)
+    again = Polyhedron(p.dim, p.A, p.b, p.E, p.e)
+    assert again.key() == p.key()
+    assert (again._homog._h, again._homog._v) == (p._homog._h, p._homog._v)
+
+
+def point_test_shapes():
+    """Polyhedra of dimension 0, with no rows, with equations only, and a
+    single point."""
+    return [
+        Polyhedron(0),
+        Polyhedron(2),
+        Polyhedron(3, E=[[1, -2, 0], [0, 1, 1]], e=[1, F(1, 2)]),
+        Polyhedron(2, E=[[1, 0], [0, 3]], e=[F(-1, 2), 2]),
+        Polyhedron(2, A=[[1, 1], [-1, 0], [0, -1]], b=[1, 0, 0], E=[[1, -1]], e=[0]),
+    ]
+
+
+@pytest.mark.parametrize("p", point_test_shapes(), ids=["dim0", "no_rows", "eqs_only", "point", "segment"])
+def test_integer_point_test_matches_rational_views_on_shapes(p):
+    assert_point_test_matches_views(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polyhedra())
+def test_integer_point_test_matches_rational_views_hypothesis(p):
+    assert_point_test_matches_views(p)
+
+
+def test_point_tests_make_no_rational_dot(monkeypatch):
+    polys = point_test_shapes() + [five_cube(), wedge_poly()]
+    points = [(p, y) for p in polys for y in probe_points(p)]
+
+    def dot(self, other):
+        raise AssertionError("a point test took a rational dot product")
+
+    monkeypatch.setattr(QVector, "dot", dot)
+    for p, y in points:
+        if p.contains(y):
+            p.tangent_cone(y)
+        p.active_ineqs(y)
