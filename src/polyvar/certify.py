@@ -34,14 +34,14 @@ from itertools import combinations
 from math import lcm
 from typing import Sequence
 
-from .cones import PolyCone, cone_plain, feasible_point, pick_nonzero
+from .cones import PolyCone, cone_plain, open_cell, pick_nonzero
 from .graphmap import (
     GraphPoint,
     directional_limiting_normal_graph,
     graph_tangent_member,
     limiting_normal_graph,
 )
-from .linalg import IntVec, QMatrix, QVector, _neg, solve, vec_plain
+from .linalg import IntVec, QMatrix, QVector, _ints, _neg, _reduce, solve, vec_plain
 from .sets import (
     ConeUnion,
     InfeasibleError,
@@ -271,31 +271,32 @@ def fm_project(cone: PolyCone, keep: int) -> PolyCone:
 
 def covers_space(pieces: Sequence[PolyCone], dim: int) -> tuple[bool, QVector | None]:
     """Does the union of the cones cover R^dim?  If not, return a direction
-    in the complement.  Decided by facet-wise splitting of the complement."""
-    # each region: its (leq, eq, strict) rows and a point in it
-    regions: list[tuple[tuple, QVector]] = [(([], [], []), QVector.zero(dim))]
+    in the complement.
+
+    The complement is split facet-wise, piece by piece, into relatively open
+    cells, and only nonempty cells are kept (``open_cell``).  The direction
+    returned is the primitive sum of the rays of the first remaining cell's
+    closure, which lies in that cell.
+    """
+    # each region: its (leq, eq, strict) integer rows and the rays of its closure
+    regions: list[tuple[tuple, tuple]] = [(((), (), ()), ())]
     for piece in pieces:
-        ineqs, eqs = piece.ineqs, piece.eqs
+        ineqs, eqs = piece._h
         new_regions = []
         for (leq, eq, strict), _ in regions:
-            held_leq: list[QVector] = []
-            held_eq: list[QVector] = []
-            cells: list[tuple[list[QVector], list[QVector], list[QVector]]] = []
-            for a in ineqs:
-                cells.append((leq + held_leq, eq + held_eq, strict + [-a]))
-                held_leq.append(a)
-            for e in eqs:
-                cells.append((leq + held_leq, eq + held_eq, strict + [e]))
-                cells.append((leq + held_leq, eq + held_eq, strict + [-e]))
-                held_eq.append(e)
+            cells = [(leq + ineqs[:k], eq, strict + (_neg(a),)) for k, a in enumerate(ineqs)]
+            for k, e in enumerate(eqs):
+                held = (leq + ineqs, eq + eqs[:k])
+                cells += [(*held, strict + (e,)), (*held, strict + (_neg(e),))]
             for cell in cells:
-                point = feasible_point(dim, *cell)
-                if point is not None:
-                    new_regions.append((cell, point))
+                gens = open_cell(dim, *cell)
+                if gens is not None:
+                    new_regions.append((cell, gens[1]))
         regions = new_regions
         if not regions:
             return True, None
-    return False, regions[0][1]
+    rays = regions[0][1]
+    return False, QVector._of_ints(_reduce([sum(x) for x in zip(*rays)])) if rays else QVector.zero(dim)
 
 
 # -- quadratic-form sign analysis (for the second order condition) -----------------
@@ -374,12 +375,13 @@ def _negativity_on_cone(q: QMatrix, cone: PolyCone) -> QVector | None:
             # variables (lam_J, c, mu)
             idx = support + free
             dim = len(idx) + 1
-            eqs = [QVector([gram[t][j] for j in idx] + [-1]) for t in support]
-            eqs += [QVector([gram[t][j] for j in idx] + [0]) for t in free]
-            strict = [-QVector.unit(dim, i) for i in range(size)]
-            z = feasible_point(dim, [-QVector.unit(dim, dim - 1)], eqs, strict)
-            if z is not None:
-                return _lift([gens[j] for j in idx], z.entries[:-1])
+            eqs = [_ints([gram[t][j] for j in idx] + [-1]) for t in support]
+            eqs += [_ints([gram[t][j] for j in idx] + [0]) for t in free]
+            strict = [tuple(-int(j == i) for j in range(dim)) for i in range(size)]
+            cell = open_cell(dim, [(0,) * (dim - 1) + (-1,)], eqs, strict)
+            if cell is not None:
+                z = [sum(x) for x in zip(*cell[1])]  # a point of the cell
+                return _lift([gens[j] for j in idx], z[:-1])
     return None
 
 
@@ -437,6 +439,8 @@ def check_soscms(spec: ConstraintSystemSpec) -> Certificate:
     nonnegative.  The sign of the quadratic term on each admissible
     direction cone is decided exactly (``_negativity_on_cone``).
     """
+    if spec.kind != "constraint":
+        raise TypeError("check_soscms expects a constraint system")
     if spec.hessians is None:
         raise PreconditionError("check_soscms needs the component Hessians")
     trace = []

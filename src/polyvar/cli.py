@@ -6,7 +6,7 @@ Subcommands::
     polyvar graph-normal FILE [--dir "V;VSTAR"] [--regular | --limiting]
     polyvar certify FILE --check CHECK [--dir ...] [--gpp ...] [--assume-subregular]
     polyvar examples run {3,4,5}
-    polyvar oracle FILE [--at Y] --dir ...
+    polyvar oracle FILE [--at Y] --dir ...     (--at on constraint files only)
 
 Vectors are comma-separated rationals ("1,-1/2"); graph directions take a
 primal and a dual part separated by ";".  Values starting with a minus sign
@@ -288,6 +288,8 @@ def _cmd_oracle(args) -> int:
     else:
         if not args.dir:
             raise UsageError("oracle on a variational file needs --dir 'v;vstar'")
+        if args.at:
+            raise UsageError("oracle on a variational file takes no --at: it samples at the file's graph point")
         gp = spec.graph_point()
         v, vstar = _parse_graph_direction(args.dir, gp, spec.n)
         closed = directional_limiting_normal_graph(gp, v, vstar)

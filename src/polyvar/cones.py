@@ -32,6 +32,12 @@ A ``PolyCone`` stores only these integer forms.  ``fractions.Fraction``
 appears only at the API boundary: ``ineqs``, ``eqs``, ``rays`` and ``lin``
 are ``QVector`` views built from the integer forms when they are read.
 
+Strata, Phase A and the second order test ask one question, "is the open
+cell {leq.z <= 0, eqs.z = 0, strict.z < 0} nonempty?", and ``open_cell``
+answers it from the rays of the cell's closure, whose canonical generators
+it returns.  Cones are built from canonical generators in one step
+(``_of_generators``), so an empty cell never pays for the polar conversion.
+
 Face lattices are read off the ray/row incidence of the two representations
 (Kaibel & Pfetsch, 2002): a face is spanned by the rays zero on its active
 rows, and its implied active set is the rows zero on all of those rays.  The
@@ -46,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .linalg import IntVec, QVector, _divided, _dot, _echelon, _ints, _kernel, _neg, _rank, _reduce, _rref_q, vec_plain
+from .linalg import IntVec, QVector, _dot, _echelon, _ints, _kernel, _neg, _rank, _reduce, _rref_q, vec_plain
 
 
 def _orthogonal(basis: Sequence[IntVec]) -> list[tuple[IntVec, int]]:
@@ -164,6 +170,14 @@ def _generators(dim: int, ineqs: Sequence, eqs: Sequence) -> tuple[tuple[IntVec,
     return lin, _canonical_rays(rays, lin)
 
 
+def _of_generators(dim: int, lin: tuple[IntVec, ...], rays: tuple[IntVec, ...]) -> "PolyCone":
+    """The cone with these canonical generators (as ``_generators`` returns
+    them); its irredundant H-rep is the generators of the polar, computed
+    the same way."""
+    peqs, pineqs = _generators(dim, rays, lin)
+    return PolyCone(dim, (pineqs, peqs), (rays, lin), _internal=True)
+
+
 class PolyCone:
     """Polyhedral convex cone; construct via from_ineqs / from_generators.
 
@@ -212,22 +226,14 @@ class PolyCone:
 
     @staticmethod
     def from_ineqs(dim: int, ineqs: Iterable = (), eqs: Iterable = ()) -> "PolyCone":
-        iq = _rows(dim, ineqs, "constraint row")
-        eq = _rows(dim, eqs, "constraint row")
-        lin, rays = _generators(dim, iq, eq)
-        # Irredundant H-rep = generators of the polar, computed the same way.
-        peqs, pineqs = _generators(dim, rays, lin)
-        return PolyCone(dim, (pineqs, peqs), (rays, lin), _internal=True)
+        lin, rays = _generators(dim, _rows(dim, ineqs, "constraint row"), _rows(dim, eqs, "constraint row"))
+        return _of_generators(dim, lin, rays)
 
     @staticmethod
     def from_generators(dim: int, rays: Iterable = (), lin: Iterable = ()) -> "PolyCone":
-        ry = _rows(dim, rays, "generator")
-        ln = _rows(dim, lin, "generator")
-        # H-rep of the polar is {a : <a,r> <= 0, <a,l> = 0}; its generators
-        # are the facet normals / equation rows of the original cone.
-        peqs, pineqs = _generators(dim, ry, ln)
-        lin_c, rays_c = _generators(dim, pineqs, peqs)
-        return PolyCone(dim, (pineqs, peqs), (rays_c, lin_c), _internal=True)
+        # The cone is the polar of {a : <a,r> <= 0, <a,l> = 0}.
+        polar = _generators(dim, _rows(dim, rays, "generator"), _rows(dim, lin, "generator"))
+        return _of_generators(dim, *polar).polar()
 
     @staticmethod
     def full_space(dim: int) -> "PolyCone":
@@ -337,8 +343,7 @@ class PolyCone:
             if len(face_rays) == len(rays):
                 cone = self
             else:
-                peqs, pineqs = _generators(self.dim, face_rays, lin)
-                cone = PolyCone(self.dim, (pineqs, peqs), (face_rays, lin), _internal=True)
+                cone = _of_generators(self.dim, lin, face_rays)
             rows = [ineqs[i] for i in active]
             wit = QVector._of_ints(map(sum, zip(*rows))) if rows else QVector.zero(self.dim)
             out.append(Face(frozenset(active), cone, wit))
@@ -450,34 +455,27 @@ def pick_nonzero(c: PolyCone) -> QVector | None:
     return None
 
 
-def feasible_point(
-    dim: int,
-    leq: Sequence[QVector],
-    eq: Sequence[QVector],
-    strict: Sequence[QVector],
-) -> QVector | None:
-    """A point q with leq.q <= 0, eq.q = 0 and strict.q < 0, or None.
+def open_cell(
+    dim: int, leq: Sequence[IntVec], eqs: Sequence[IntVec], strict: Sequence[IntVec]
+) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]] | None:
+    """Canonical generators (lineality echelon rows, sorted rays) of the
+    closure {leq.z <= 0, eqs.z = 0, strict.z <= 0} of the relatively open
+    cell {leq.z <= 0, eqs.z = 0, strict.z < 0}, or None when the cell is
+    empty.  Rows are primitive integer tuples.
 
-    Homogenize with a slack s: such a q exists iff the cone
-    {(q, s) : eq.q = 0, leq.q <= 0, <c,q> + s <= 0 for each strict row c,
-    -s <= 0} has an extreme ray with s > 0 (its lineality space has s = 0).
-    The first such ray, divided by its s, is returned.
+    The cell is nonempty iff no strict row is an implicit equality of the
+    closure (Schrijver, "Theory of Linear and Integer Programming", 1986,
+    §8.2), i.e. iff each strict row is negative on some ray of the closure
+    (every row of the closure vanishes on its lineality space); the sum of
+    the rays then lies in the cell.
     """
-    if any(c.is_zero() for c in strict):
-        return None  # <0, q> < 0 is unsatisfiable
-    if not strict:
-        return QVector.zero(dim)  # q = 0 works
-    ineqs = [_ints(c.entries + (1,)) for c in strict]
-    ineqs += [_ints(a.entries + (0,)) for a in leq]
-    ineqs.append((0,) * dim + (-1,))
-    eqs = [_ints(e.entries + (0,)) for e in eq]
-    _, rays = _dd(dim + 1, ineqs, eqs)
-    for r in rays:
-        if r[dim] > 0:
-            return _divided(r[:dim], r[dim])
+    lin, rays = _generators(dim, [*leq, *strict], eqs)
+    if all(any(_dot(c, r) < 0 for r in rays) for c in strict):
+        return lin, rays
     return None
 
 
 def strictly_feasible(dim: int, eq_rows: Sequence[QVector], strict_rows: Sequence[QVector]) -> bool:
-    """Is there u with eq_rows.u = 0 and <c, u> < 0 for every strict row?"""
-    return feasible_point(dim, (), eq_rows, strict_rows) is not None
+    """Is there u with eq_rows.u = 0 and <c, u> < 0 for every strict row?
+    ``open_cell`` on rational rows; the package itself calls ``open_cell``."""
+    return open_cell(dim, (), [_ints(e) for e in eq_rows], [_ints(c) for c in strict_rows]) is not None

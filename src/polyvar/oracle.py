@@ -28,9 +28,10 @@ def _signature(d: UnionSet, y: QVector):
     sig = []
     inside = False
     for p in d.pieces:
-        if p.contains(y):
+        sa, se = p._slacks(y)  # one row evaluation answers both questions
+        if all(s <= 0 for s in sa) and not any(se):
             inside = True
-            sig.append(tuple(p.active_ineqs(y)))
+            sig.append(tuple(i for i, s in enumerate(sa) if s == 0))
         else:
             sig.append(None)
     return tuple(sig) if inside else None

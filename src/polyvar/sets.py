@@ -19,8 +19,9 @@ contain ``ybar`` can be assigned, so a piece that misses ``ybar`` is always
 violated, so a cell is a homogeneous system in the rows tight at ``ybar``:
 equations plus strict rows in the direction.  Each distinct cell costs one
 conversion, of its closure (the cone with the strict rows closed): the cell
-is reachable iff each strict row is negative on some ray of the closure
-(``_cell_cone``), and then the closure is the closure of its directions.
+is reachable iff it is nonempty (``cones.open_cell``, which decides this
+from the rays of the closure), and then the closure is the closure of its
+directions.  An empty cell costs no conversion of the polar.
 
 A polyhedron is stored only as its homogenization cone: ``A``, ``b``, ``E``
 and ``e`` are rational views of the cone's integer rows, and a point is
@@ -38,7 +39,7 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
-from .cones import PolyCone, _face_lattice
+from .cones import PolyCone, _face_lattice, _of_generators, open_cell
 from .linalg import IntVec, QVector, _dot, _ints, _neg, _reduce, frac
 
 
@@ -366,19 +367,6 @@ def _options_at(p: Polyhedron, ybar: QVector):
     return faces, list(dict.fromkeys(outs))  # equal choices give equal cells
 
 
-def _cell_cone(dim: int, eqs: Sequence[IntVec], stricts: Sequence[IntVec]) -> PolyCone | None:
-    """The closure {eqs.z = 0, stricts.z <= 0} of the cell {eqs.z = 0,
-    stricts.z < 0}, or None when the cell is empty.
-
-    The cell is nonempty iff no strict row is an implicit equality of the
-    closure (Schrijver, "Theory of Linear and Integer Programming", 1986,
-    §8.2), i.e. iff each strict row is negative on some ray of the closure
-    (the rows vanish on its lineality space); the sum of those rays is in
-    the cell."""
-    q = PolyCone.from_ineqs(dim, stricts, eqs)
-    return q if all(any(_dot(c, r) < 0 for r in q._v[0]) for c in stricts) else None
-
-
 def direction_strata(d: UnionSet, ybar: QVector) -> tuple[DirectionStratum, ...]:
     """All strata of the union with their reach cones from ybar.
 
@@ -399,7 +387,8 @@ def direction_strata(d: UnionSet, ybar: QVector) -> tuple[DirectionStratum, ...]
     def memo_reach(eqs: list, stricts: list) -> PolyCone | None:
         key = (frozenset(eqs), frozenset(stricts))
         if key not in reach_memo:
-            reach_memo[key] = _cell_cone(d.dim, eqs, stricts)
+            gens = open_cell(d.dim, (), eqs, stricts)
+            reach_memo[key] = None if gens is None else _of_generators(d.dim, *gens)
         return reach_memo[key]
 
     strata: list[DirectionStratum] = []

@@ -1,6 +1,10 @@
 from fractions import Fraction as F
+from itertools import product
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import random_gamma, random_matrix, random_symmetric, random_union, rng
 from polyvar.certify import (
@@ -28,9 +32,9 @@ from polyvar.certify import (
     _variational_adjoint_cone,
 )
 from polyvar import certify
-from polyvar.cones import PolyCone, feasible_point
+from polyvar.cones import PolyCone, open_cell
 from polyvar.graphmap import directional_limiting_normal_graph, limiting_normal_graph
-from polyvar.linalg import QMatrix, QVector, row_space_basis
+from polyvar.linalg import QMatrix, QVector, _ints, row_space_basis
 from polyvar.sets import (
     Polyhedron,
     UnionSet,
@@ -505,11 +509,11 @@ def lifts_into(cone, y):
     first len(y) coordinates?  Homogenized fiber: z in the cone with
     z[:keep] = t y and t > 0."""
     dim, keep = cone.dim, y.dim
-    pad = lambda v: QVector(v.entries + (0,))
-    fiber = [QVector([int(j == i) for j in range(dim)] + [-y[i]]) for i in range(keep)]
-    t_positive = [-QVector.unit(dim + 1, dim)]
-    point = feasible_point(dim + 1, [pad(a) for a in cone.ineqs], [pad(e) for e in cone.eqs] + fiber, t_positive)
-    return point is not None
+    pad = lambda v: v + (0,)
+    fiber = [_ints([int(j == i) for j in range(dim)] + [-y[i]]) for i in range(keep)]
+    t_positive = [(0,) * dim + (-1,)]
+    ineqs, eqs = cone._h
+    return open_cell(dim + 1, [pad(a) for a in ineqs], [pad(e) for e in eqs] + fiber, t_positive) is not None
 
 
 def test_fm_project_matches_generator_projection():
@@ -554,6 +558,46 @@ def test_covers_space():
     ok, wit = covers_space([plus, minus], 2)
     assert not ok and wit is not None
     assert not plus.contains(wit) and not minus.contains(wit)
+
+
+@st.composite
+def cone_unions(draw):
+    """(dim, pieces): one to four cones in R^1-R^3 from small integer rows
+    (zero rows and equations included); half the time the closed
+    complements of the first piece's rows are added, so the union covers
+    the space."""
+    dim = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    pieces = [
+        PolyCone.from_ineqs(dim, draw(st.lists(row, min_size=1, max_size=3)), draw(st.lists(row, max_size=1)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    if draw(st.booleans()):
+        ineqs, eqs = pieces[0]._h
+        pieces += [PolyCone.from_ineqs(dim, [[-x for x in a]]) for a in ineqs]
+        pieces += [PolyCone.from_ineqs(dim, [r]) for e in eqs for r in (e, [-x for x in e])]
+    return dim, pieces
+
+
+@settings(max_examples=150, deadline=None)
+@given(cone_unions())
+def test_covers_space_hypothesis(union):
+    dim, pieces = union
+    covered, gap = covers_space(pieces, dim)
+    if covered:
+        assert gap is None
+        for z in product(range(-2, 3), repeat=dim):
+            assert any(p.contains(QVector(z)) for p in pieces)
+    else:
+        assert all(x.denominator == 1 for x in gap) and gcd(*(int(x) for x in gap)) == 1
+        assert not any(p.contains(gap) for p in pieces)
+
+
+def test_constraint_checks_reject_variational_specs():
+    spec = ex5_spec()
+    for check in (check_foscms, check_soscms, lambda s: check_calmness_constraint(s, "second")):
+        with pytest.raises(TypeError, match="expects a constraint system"):
+            check(spec)
 
 
 def test_precondition_failures_raise_precondition_error():

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import rng
-from polyvar.cones import PolyCone, face_difference, feasible_point, strictly_feasible
-from polyvar.linalg import QVector, _ints, rank_of_rows
-from polyvar.sets import _cell_cone
+from polyvar.cones import PolyCone, _dd, _of_generators, face_difference, open_cell, strictly_feasible
+from polyvar.linalg import QVector, _dot, _ints, _reduce, rank_of_rows
 
 
 def wedge():
@@ -301,6 +300,27 @@ def test_generators_round_trip_hypothesis(system):
     assert PolyCone.from_ineqs(dim, [[F(3, 2) * x for x in a] for a in ineqs], eqs) == c
 
 
+def slack_point(dim, leq, eqs, strict):
+    """Reference for ``open_cell``: a point q with leq.q <= 0, eqs.q = 0 and
+    strict.q < 0, or None; rows are integer tuples.
+
+    Homogenize with a slack s: such a q exists iff the cone
+    {(q, s) : eqs.q = 0, leq.q <= 0, <c,q> + s <= 0 for each strict row c,
+    -s <= 0} has an extreme ray with s > 0 (its lineality space has s = 0).
+    The first such ray, divided by its s, is returned.
+    """
+    if not all(map(any, strict)):
+        return None  # <0, q> < 0 is unsatisfiable
+    if not strict:
+        return QVector.zero(dim)  # q = 0 works
+    ineqs = [_ints(c + (1,)) for c in strict] + [_ints(a + (0,)) for a in leq] + [(0,) * dim + (-1,)]
+    _, rays = _dd(dim + 1, ineqs, [_ints(e + (0,)) for e in eqs])
+    for r in rays:
+        if r[dim] > 0:
+            return QVector([F(x, r[dim]) for x in r[:dim]])
+    return None
+
+
 @settings(max_examples=80, deadline=None)
 @given(rational_systems(), st.lists(st.fractions(-2, 2, max_denominator=3), min_size=4, max_size=4))
 def test_strict_feasibility_matches_relative_interior_hypothesis(system, point):
@@ -309,7 +329,7 @@ def test_strict_feasibility_matches_relative_interior_hypothesis(system, point):
     p = PolyCone.from_ineqs(dim, stricts, eqs).rel_interior_point()
     want = all(a.dot(p) < 0 for a in rows)
     assert strictly_feasible(dim, [QVector(e) for e in eqs], rows) == want
-    q = feasible_point(dim, [], [QVector(e) for e in eqs], rows)
+    q = slack_point(dim, [], [_ints(e) for e in eqs], [_ints(a) for a in stricts])
     assert (q is not None) == want
     if q is not None:
         assert all(a.dot(q) < 0 for a in rows) and all(QVector(e).dot(q) == 0 for e in eqs)
@@ -321,30 +341,40 @@ def test_strict_feasibility_matches_relative_interior_hypothesis(system, point):
 
 @st.composite
 def cells(draw):
-    """(dim, strict rows, equation rows) of a homogeneous cell, as integer
-    rows: the systems of ``rational_systems`` (orthant-prefixed, repeated,
-    opposite and zero rows, equations only), also with no strict rows, or
-    with every row zero on the last coordinate so that the closure has a
-    lineality direction."""
+    """(dim, leq rows, strict rows, equation rows) of a homogeneous cell, as
+    integer rows: the systems of ``rational_systems`` (orthant-prefixed,
+    repeated, opposite and zero rows, equations only) as strict rows, also
+    with no strict rows, with every row zero on the last coordinate so that
+    the closure has a lineality direction, or with a prefix of the rows
+    taken as non-strict (leq) rows."""
     dim, stricts, eqs = draw(rational_systems())
-    shape = draw(st.sampled_from(["as_drawn", "no_stricts", "lineality"]))
+    leq = []
+    shape = draw(st.sampled_from(["as_drawn", "no_stricts", "lineality", "leq"]))
     if shape == "no_stricts":
         stricts = []
     elif shape == "lineality":
         stricts, eqs = ([r[:-1] + [0] for r in rows] for rows in (stricts, eqs))
-    return dim, [_ints(a) for a in stricts], [_ints(e) for e in eqs]
+    elif shape == "leq":
+        k = draw(st.integers(0, len(stricts)))
+        leq, stricts = stricts[:k], stricts[k:]
+    return dim, [_ints(a) for a in leq], [_ints(a) for a in stricts], [_ints(e) for e in eqs]
 
 
 @settings(max_examples=200, deadline=None)
 @given(cells())
-def test_cell_cone_decides_strict_feasibility_hypothesis(cell):
-    # the closed cone's rays decide what the LP of strictly_feasible decides
-    dim, stricts, eqs = cell
-    got = _cell_cone(dim, eqs, stricts)
-    assert (got is not None) == strictly_feasible(dim, [QVector(e) for e in eqs], [QVector(a) for a in stricts])
+def test_open_cell_matches_slack_lp_hypothesis(cell):
+    # the closure's rays decide what the homogenized slack LP decides
+    dim, leq, stricts, eqs = cell
+    got = open_cell(dim, leq, eqs, stricts)
+    assert (got is not None) == (slack_point(dim, leq, eqs, stricts) is not None)
     if got is not None:
-        want = PolyCone.from_ineqs(dim, stricts, eqs)
-        assert (got.key(), got._h, got._v) == (want.key(), want._h, want._v)
+        lin, rays = got
+        z = _reduce([sum(r[i] for r in rays) for i in range(dim)])
+        assert all(_dot(a, z) <= 0 for a in leq) and not any(_dot(e, z) for e in eqs)
+        assert all(_dot(c, z) < 0 for c in stricts)
+        built = _of_generators(dim, lin, rays)
+        want = PolyCone.from_ineqs(dim, leq + stricts, eqs)
+        assert cone_fields(built) == cone_fields(want) and (built.rays, built.lin) == (want.rays, want.lin)
 
 
 # -- face lattices against the definition by active sets -------------------------

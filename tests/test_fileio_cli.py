@@ -214,6 +214,7 @@ def test_cli_precondition_and_input_errors_are_usage_errors(capsys):
     assert run_command(["cones", ex5, "--at=1e10000000,0"]) == 3
     assert run_command(["graph-normal", ex5, "--dir", "1,0;1,0"]) == 3  # not tangent to the graph
     assert run_command(["oracle", ex5, "--dir", "1,0;1,0"]) == 3
+    assert run_command(["oracle", ex5, "--at=5,5", "--dir=0,0;0,0"]) == 3  # --at is for constraint files
     assert run_command(["oracle", bundled_problem_path("ex3.json"), "--at", "1,1,1,1", "--dir", "1,0,0,0"]) == 3
     err = capsys.readouterr().err
     assert "internal error" not in err

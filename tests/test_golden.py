@@ -4,9 +4,9 @@ Cones are canonical, so a check's report is a deterministic function of its
 input.  Each ``ex*`` file under ``golden/`` is the full-verbosity report and
 JSON block that ``POLYVAR_TRACE=full polyvar certify`` prints for one bundled
 example and check; two refuted Aubin certificates have gap witnesses from
-``covers_space`` that depend on the order of the double description rays;
-the ``cli-*`` files are what ``polyvar cones`` and ``polyvar graph-normal``
-print on the bundled examples.
+``covers_space``, the primitive sum of the rays of the closure of the first
+uncovered cell; the ``cli-*`` files are what ``polyvar cones`` and
+``polyvar graph-normal`` print on the bundled examples.
 
 A change that is meant to alter a certificate regenerates the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why.
@@ -29,7 +29,7 @@ from fractions import Fraction
 import pytest
 
 from corpus import random_gamma, random_graph_point, random_matrix, random_symmetric, random_union, rng
-from polyvar.certify import ConstraintSystemSpec, VariationalSystemSpec, check_aubin
+from polyvar.certify import ConstraintSystemSpec, VariationalSystemSpec, _solvability, check_aubin
 from polyvar.cli import _EXPECTED, _run_check, bundled_problem_path, run_command
 from polyvar.fileio import parse_problem, render_report
 from polyvar.linalg import QMatrix
@@ -50,24 +50,23 @@ def _example(name: str, check: str, extra: dict, spec=None) -> str:
     return _output(check, _run_check(spec, check, ns))
 
 
-def _aubin_refutation() -> str:
-    # G(p, x) = p with D = R_-: no solution direction for q > 0; the gap
-    # witness is the first DD ray with positive slack in covers_space.
-    spec = ConstraintSystemSpec(
+def _aubin_refutation_spec() -> ConstraintSystemSpec:
+    # G(p, x) = p with D = R_-: no solution direction for q > 0, and the
+    # uncovered cell {q > 0} has the single ray q = 1.
+    return ConstraintSystemSpec(
         l=1, n=1, m=1, Jp=[[1]], Jx=[[0]], g0=[0],
         D=UnionSet([Polyhedron(1, A=[[1]], b=[0])]),
     )
-    return _output("aubin", check_aubin(spec, "corollary"))
 
 
-def _aubin_refutation_3d() -> str:
-    # The uncovered parameter directions form a 3-dimensional open region,
-    # so the witness is one of several DD rays.
-    spec = ConstraintSystemSpec(
+def _aubin_refutation_3d_spec() -> ConstraintSystemSpec:
+    # The uncovered parameter directions form a 3-dimensional open region.
+    # Its first cell, {q1 > q2}, has a closure with a 2-dimensional
+    # lineality space and the one ray (1, -1, 0), which is the witness.
+    return ConstraintSystemSpec(
         l=3, n=1, m=3, Jp=[[1, 0, 0], [0, 1, 0], [0, 0, 1]], Jx=[[0], [0], [1]], g0=[0, 0, 0],
         D=UnionSet([Polyhedron(3, A=[[1, 1, 0], [1, -1, 0], [0, 0, 1]], b=[0, 0, 0])]),
     )
-    return _output("aubin", check_aubin(spec, "corollary"))
 
 
 CASES = {
@@ -75,8 +74,8 @@ CASES = {
     for name, checks in _EXPECTED.items()
     for check, _, extra in checks
 }
-CASES["aubin-refutation"] = _aubin_refutation
-CASES["aubin-refutation-3d"] = _aubin_refutation_3d
+CASES["aubin-refutation"] = lambda: _output("aubin", check_aubin(_aubin_refutation_spec(), "corollary"))
+CASES["aubin-refutation-3d"] = lambda: _output("aubin", check_aubin(_aubin_refutation_3d_spec(), "corollary"))
 
 
 def _cli(example: str, *argv: str) -> str:
@@ -99,6 +98,15 @@ CASES["cli-graph-normal-ex5-dir"] = lambda: _cli("ex5", "graph-normal", "--dir=-
 def test_certificate_matches_golden(case):
     want = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
     assert CASES[case]() == want
+
+
+@pytest.mark.parametrize("make", (_aubin_refutation_spec, _aubin_refutation_3d_spec))
+def test_refutation_gap_lies_outside_every_projection(make):
+    spec = make()
+    cert = check_aubin(spec, "corollary")
+    (gap,) = cert.witnesses
+    projections = _solvability(spec)[0]
+    assert projections and not any(p.contains(gap.q) for p in projections)
 
 
 @pytest.mark.parametrize("order", ("forward", "reversed"))
