@@ -134,7 +134,7 @@ class VariationalSystemSpec:
     """Frozen first order data of a generalized equation with a polyhedral
     normal-cone term (so the range dimension equals n)."""
 
-    __slots__ = ("l", "n", "Jp", "Jx", "gamma", "xbar", "ybarstar", "param_lipschitz", "label", "_memo")
+    __slots__ = ("l", "n", "Jp", "Jx", "gamma", "xbar", "ybarstar", "param_lipschitz", "label", "_memo", "_tangent")
 
     def __init__(self, l, n, Jp, Jx, gamma, xbar, ybarstar, param_lipschitz=True, label=""):
         Jp = Jp if isinstance(Jp, QMatrix) else QMatrix(Jp)
@@ -149,7 +149,8 @@ class VariationalSystemSpec:
             raise ValueError("gamma, xbar, ybarstar must live in R^n")
         if not gamma.contains(xbar):
             raise ValueError("xbar lies outside gamma")
-        if not gamma.normal_cone(xbar).contains(ybarstar):
+        tangent = gamma.tangent_cone(xbar)
+        if not tangent.polar().contains(ybarstar):
             raise ValueError("ybarstar is not a normal vector to gamma at xbar")
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "n", n)
@@ -161,6 +162,8 @@ class VariationalSystemSpec:
         object.__setattr__(self, "param_lipschitz", bool(param_lipschitz))
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "_memo", {})
+        # kept for graph_point(), whose critical cone is built from it
+        object.__setattr__(self, "_tangent", tangent)
 
     def __setattr__(self, name, value):
         raise AttributeError("spec is immutable")
@@ -169,7 +172,7 @@ class VariationalSystemSpec:
 
     @_per_spec
     def graph_point(self) -> GraphPoint:
-        return GraphPoint(self.gamma, self.xbar, self.ybarstar)
+        return GraphPoint(self.gamma, self.xbar, self.ybarstar, _tangent=self._tangent)
 
 
 # -- certificates ----------------------------------------------------------------

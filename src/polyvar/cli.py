@@ -22,7 +22,6 @@ much derivation detail is printed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import traceback
@@ -41,7 +40,7 @@ from .certify import (
     check_soscms,
 )
 from .cones import cone_plain
-from .fileio import ProblemFileError, parse_problem, render_report
+from .fileio import ProblemFileError, _dumps, parse_problem, render_report
 from .graphmap import (
     directional_limiting_normal_graph,
     graph_tangent_member,
@@ -50,7 +49,7 @@ from .graphmap import (
 )
 from .linalg import QVector, frac, vec_plain
 from .oracle import piece_sets_equal, sample_graph_directional, sample_union_normals
-from .sets import critical_cone, directional_normal_cone, union_tangent_cone
+from .sets import ConeUnion, _critical, directional_normal_cone
 
 EXIT_BY_STATUS = {HOLDS: 0, NOT_CERTIFIED: 1}
 
@@ -104,30 +103,31 @@ def _cmd_cones(args) -> int:
         idx = spec.D.pieces_containing(y)
         if not idx:
             raise UsageError("point lies in no piece of D")
-        for i in idx:
-            piece = spec.D.pieces[i]
-            _print_cone(f"tangent cone of piece {i}", piece.tangent_cone(y))
-            _print_cone(f"normal cone of piece {i}", piece.normal_cone(y))
+        tangents = [spec.D.pieces[i].tangent_cone(y) for i in idx]
+        for i, tangent in zip(idx, tangents):
+            _print_cone(f"tangent cone of piece {i}", tangent)
+            _print_cone(f"normal cone of piece {i}", tangent.polar())
             if args.ystar:
                 ystar = _parse_vector(args.ystar, spec.m, "--ystar")
-                cc = critical_cone(piece, y, ystar)
+                cc = _critical(tangent, ystar)
                 if cc is None:
                     print(f"critical cone of piece {i}: absent (ystar is not a normal vector there)")
                 else:
                     _print_cone(f"critical cone of piece {i}", cc)
-        tangent = union_tangent_cone(spec.D, y)
-        print(f"union tangent cone: {len(tangent.pieces)} piece(s)")
-        for j, c in enumerate(tangent.pieces):
+        union = ConeUnion(spec.m, tangents)  # union_tangent_cone(spec.D, y), from the cones above
+        print(f"union tangent cone: {len(union.pieces)} piece(s)")
+        for j, c in enumerate(union.pieces):
             _print_cone(f"  piece {j}", c)
     else:
         y = _parse_vector(args.at, spec.n, "--at point")
         if not spec.gamma.contains(y):
             raise UsageError("point lies outside gamma")
-        _print_cone("tangent cone", spec.gamma.tangent_cone(y))
-        _print_cone("normal cone", spec.gamma.normal_cone(y))
+        tangent = spec.gamma.tangent_cone(y)
+        _print_cone("tangent cone", tangent)
+        _print_cone("normal cone", tangent.polar())
         if args.ystar:
             ystar = _parse_vector(args.ystar, spec.n, "--ystar")
-            cc = critical_cone(spec.gamma, y, ystar)
+            cc = _critical(tangent, ystar)
             if cc is None:
                 print("critical cone: absent (ystar is not a normal vector there)")
             else:
@@ -156,7 +156,7 @@ def _cmd_graph_normal(args) -> int:
         _print_cone("  K", p.k)
         _print_cone("  K polar", p.kpolar)
     print("--- pieces JSON ---")
-    print(json.dumps(gnc.to_plain(), sort_keys=True, indent=1))
+    print(_dumps(gnc.to_plain()))
     return 0
 
 
@@ -367,8 +367,6 @@ def main() -> None:
         sys.stdout.flush()
     except BrokenPipeError:
         # downstream pager/head closed the pipe; exit quietly
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 0
     sys.exit(code)

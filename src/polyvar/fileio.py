@@ -28,6 +28,11 @@ variational system::
      "param_lipschitz": true}
 
 Parsing errors carry the JSON path of the offending field.
+
+Every report ends with a JSON block (``Report.json_block``): keys sorted,
+one space of indent per level, items separated by "," and a newline, keys
+by ": ", and strings with non-ASCII and control characters as ``\\uXXXX``
+escapes, the same bytes as ``json.dumps(obj, sort_keys=True, indent=1)``.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .certify import (
     Certificate,
@@ -126,7 +132,7 @@ def problem_from_dict(data: dict, source: str = "<problem>"):
         if "m" not in dims:
             raise ProblemFileError(f"{source}.dims.m: required for constraint systems")
         m = _dim(dims, "m", source)
-        jp = _matrix(data.get("Jp"), f"{source}.Jp", nrows=m, ncols=l if l else None)
+        jp = _matrix(data.get("Jp"), f"{source}.Jp", nrows=m, ncols=l)
         jx = _matrix(data.get("Jx"), f"{source}.Jx", nrows=m, ncols=n)
         g0 = _vector(data.get("g0"), f"{source}.g0", m)
         dd = data.get("D")
@@ -150,7 +156,7 @@ def problem_from_dict(data: dict, source: str = "<problem>"):
         except ValueError as exc:
             raise ProblemFileError(f"{source}: {exc}") from None
     else:
-        jp = _matrix(data.get("Jp"), f"{source}.Jp", nrows=n, ncols=l if l else None)
+        jp = _matrix(data.get("Jp"), f"{source}.Jp", nrows=n, ncols=l)
         jx = _matrix(data.get("Jx"), f"{source}.Jx", nrows=n, ncols=n)
         xbar = _vector(data.get("xbar"), f"{source}.xbar", n)
         ybarstar = _vector(data.get("ybarstar"), f"{source}.ybarstar", n)
@@ -229,6 +235,41 @@ def problem_to_dict(spec) -> dict:
 # -- certificates -------------------------------------------------------------
 
 
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _dumps(o, ind: str = "") -> str:
+    """``json.dumps(o, sort_keys=True, indent=1)`` for plain values nested at
+    indent ``ind``.
+
+    The standard encoder has no C implementation for ``indent`` on CPython
+    3.10/3.11 and spends as long on a certificate as a certifier phase.
+    Only str, dict, list, tuple, int, bool and None are written; anything
+    else, a float included (certificates are exact), and a non-str key
+    raise TypeError.
+    """
+    t = type(o)
+    if t is str:
+        return _quote(o)
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = ind + " "
+        items = [_quote(v) if type(v) is str else _dumps(v, inner) for v in o]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + ind + "]"
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = ind + " "
+        items = [_quote(k) + ": " + _dumps(o[k], inner) for k in sorted(o)]  # _quote rejects a non-str key
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + ind + "}"
+    if t is int:
+        return int.__repr__(o)
+    if t is bool or o is None:
+        return _CONSTANTS[o]
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def _witness_plain(w: Witness) -> dict:
     return {
         "stratum": w.stratum,
@@ -281,11 +322,7 @@ class Report:
     text: str
 
     def json_block(self) -> str:
-        return json.dumps(
-            {"check": self.check, "certificate": certificate_to_dict(self.certificate)},
-            sort_keys=True,
-            indent=1,
-        )
+        return _dumps({"check": self.check, "certificate": certificate_to_dict(self.certificate)})
 
 
 def _cone_line(c: dict) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .cones import Face, PolyCone, cone_plain, face_difference
 from .linalg import QVector, _dot, _ints
-from .sets import ConeUnion, Polyhedron, critical_cone
+from .sets import ConeUnion, Polyhedron, _critical, critical_cone
 
 
 class GraphPoint:
@@ -29,8 +29,9 @@ class GraphPoint:
 
     __slots__ = ("gamma", "ybar", "ybarstar", "critical", "_differences")
 
-    def __init__(self, gamma: Polyhedron, ybar: QVector, ybarstar: QVector):
-        k = critical_cone(gamma, ybar, ybarstar)
+    def __init__(self, gamma: Polyhedron, ybar: QVector, ybarstar: QVector, *, _tangent: PolyCone | None = None):
+        # _tangent: the tangent cone of gamma at ybar, from a caller that has built it
+        k = critical_cone(gamma, ybar, ybarstar) if _tangent is None else _critical(_tangent, ybarstar)
         if k is None:
             raise ValueError("(ybar, ybarstar) is not in the graph of the normal-cone map")
         object.__setattr__(self, "gamma", gamma)

@@ -210,11 +210,16 @@ def critical_cone(p: Polyhedron, y: QVector, ystar: QVector) -> PolyCone | None:
         raise ValueError("dimension mismatch")
     if not p.contains(y):
         return None
-    tc = p.tangent_cone(y)
-    if not tc.polar().contains(ystar):
+    return _critical(p.tangent_cone(y), ystar)
+
+
+def _critical(tangent: PolyCone, ystar: QVector) -> PolyCone | None:
+    """The critical cone from the tangent cone at y, for callers that hold
+    it already; None when ystar is not in its polar."""
+    if not tangent.polar().contains(ystar):
         return None
     # a zero row (ystar = 0) constrains nothing; the conversion drops it
-    return PolyCone.from_ineqs(p.dim, tc._h[0], tc._h[1] + (_ints(ystar),))
+    return PolyCone.from_ineqs(tangent.dim, tangent._h[0], tangent._h[1] + (_ints(ystar),))
 
 
 def nearby_critical_cone(

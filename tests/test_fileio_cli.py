@@ -3,12 +3,15 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyvar.certify import check_aubin, check_calmness_constraint, check_foscms
 from polyvar import cli
 from polyvar.cli import bundled_problem_path, run_command
 from polyvar.fileio import (
     ProblemFileError,
+    _dumps,
     _rat,
     certificate_from_dict,
     certificate_to_dict,
@@ -17,7 +20,9 @@ from polyvar.fileio import (
     problem_to_dict,
     render_report,
 )
+from polyvar.graphmap import GraphPoint
 from polyvar.linalg import QVector
+from polyvar.sets import Polyhedron
 
 
 def ex4_dict():
@@ -136,8 +141,72 @@ def test_scalar_grammar():
 def test_variational_validation():
     data = ex5_dict()
     data["ybarstar"] = ["0", "1"]  # not a normal vector to gamma at 0
-    with pytest.raises(ProblemFileError):
+    with pytest.raises(ProblemFileError) as err:
         problem_from_dict(data)
+    assert "ybarstar is not a normal vector to gamma at xbar" in str(err.value)
+
+
+def test_jp_columns_are_checked_without_parameters(tmp_path, capsys):
+    # with l = 0 every row of Jp must be empty; a row of length 1 is named by its path
+    for data in (ex4_dict(), ex5_dict()):
+        data["dims"]["l"] = 0
+        with pytest.raises(ProblemFileError) as err:
+            problem_from_dict(data)
+        assert str(err.value) == "<problem>.Jp[0]: expected length 0, got 1"
+        bad = tmp_path / f"{data['kind']}.json"
+        bad.write_text(json.dumps(data))
+        assert run_command(["certify", str(bad), "--check", "aubin"]) == 3
+        assert capsys.readouterr().err == f"error: {bad}.Jp[0]: expected length 0, got 1\n"
+        data["Jp"] = [[] for _ in data["Jp"]]
+        assert problem_from_dict(data).l == 0
+
+
+def test_each_tangent_cone_is_built_once(monkeypatch, capsys):
+    # the cone that validates ybarstar is the one the critical cone is built
+    # from, and `polyvar cones` derives the normal, critical and union
+    # tangent cones from the tangent cones it prints
+    calls = []
+    tangent_cone = Polyhedron.tangent_cone
+
+    def counted(self, y):
+        calls.append(y)
+        return tangent_cone(self, y)
+
+    monkeypatch.setattr(Polyhedron, "tangent_cone", counted)
+    ex3, ex5 = bundled_problem_path("ex3.json"), bundled_problem_path("ex5.json")
+    spec = parse_problem(ex5)
+    gp = spec.graph_point()
+    assert len(calls) == 1
+    del calls[:]
+    assert run_command(["cones", ex5, "--at", "0,0", "--ystar", "0,0"]) == 0
+    assert len(calls) == 2  # one while parsing ex5, one at --at
+    pieces = len(parse_problem(ex3).D.pieces_containing(QVector([0, 0, 0, 0])))
+    del calls[:]
+    assert run_command(["cones", ex3, "--at", "0,0,0,0", "--ystar", "0,0,0,0"]) == 0
+    assert len(calls) == pieces > 1
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert gp.critical == GraphPoint(spec.gamma, spec.xbar, spec.ybarstar).critical
+
+
+_strings = st.text() | st.sampled_from(["", "caf\u00e9", "\x00\x1f\t\n\"\\/", "\U0001f600", "\ud800", "\u2028"])
+_plain_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | _strings,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_strings, inner),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plain_values)
+def test_json_writer_matches_json_dumps_hypothesis(value):
+    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=1)
+
+
+def test_json_writer_rejects_non_plain_values():
+    for value in (1.5, {"rate": 0.5}, {1, 2}, [frozenset()], {1: "a"}, {"a": {None: "b"}}, F(1, 2)):
+        with pytest.raises(TypeError):
+            _dumps(value)
 
 
 def test_certificate_json_round_trip():
