@@ -41,7 +41,7 @@ from .graphmap import (
     graph_tangent_member,
     limiting_normal_graph,
 )
-from .linalg import IntVec, QMatrix, QVector, _ints, _neg, _reduce, solve, vec_plain
+from .linalg import IntVec, QMatrix, QVector, _dot, _ints, _neg, _reduce, solve, vec_plain
 from .sets import (
     ConeUnion,
     InfeasibleError,
@@ -79,6 +79,22 @@ def _per_spec(fn):
         if key not in memo:
             memo[key] = fn(spec)
         return memo[key]
+
+    return memoised
+
+
+def _per_spec_cone(fn):
+    """Compute ``fn(spec, cone)`` once per spec and distinct cone, in a dict
+    of the spec's memo keyed by the cone (cones compare by canonical key)."""
+    key = fn.__name__
+
+    @wraps(fn)
+    def memoised(spec, cone):
+        memo = spec._memo.setdefault(key, {})
+        out = memo.get(cone)
+        if out is None:
+            out = memo[cone] = fn(spec, cone)
+        return out
 
     return memoised
 
@@ -215,7 +231,7 @@ def _scaled(rows: Sequence[QVector]) -> tuple[IntVec, ...]:
 
 def _apply(rows: Sequence[IntVec], v: IntVec) -> IntVec:
     """The integer vector of the products <r, v>, one per row."""
-    return tuple(sum(x * y for x, y in zip(r, v)) for r in rows)
+    return tuple([_dot(r, v) for r in rows])
 
 
 @_per_spec
@@ -242,6 +258,18 @@ def _pullback(cone: PolyCone, mt: Sequence[IntVec]) -> PolyCone:
     return PolyCone.from_ineqs(len(mt), [_apply(mt, a) for a in ineqs], [_apply(mt, e) for e in eqs])
 
 
+@_per_spec_cone
+def _x_pullback(spec: ConstraintSystemSpec, cone: PolyCone) -> PolyCone:
+    """{u : Jx u ∈ cone} in R^n."""
+    return _pullback(cone, _w_map_T(spec)[spec.l:])
+
+
+@_per_spec_cone
+def _qu_pullback(spec: ConstraintSystemSpec, cone: PolyCone) -> PolyCone:
+    """{(q, u) : Jp q + Jx u ∈ cone} in R^(l+n)."""
+    return _pullback(cone, _w_map_T(spec))
+
+
 @_per_spec
 def _d_tangent(spec: ConstraintSystemSpec) -> ConeUnion:
     """The tangent cone of D at g0."""
@@ -252,6 +280,12 @@ def _d_tangent(spec: ConstraintSystemSpec) -> ConeUnion:
 def _jx_kernel(spec: ConstraintSystemSpec) -> PolyCone:
     """{v : Jx^T v = 0} as a subspace cone in R^m."""
     return PolyCone.from_ineqs(spec.m, [], _w_map_T(spec)[spec.l:])
+
+
+@_per_spec_cone
+def _kernel_meet(spec: ConstraintSystemSpec, normal: PolyCone) -> PolyCone:
+    """ker Jx^T ∩ normal: the adjoint cone of a normal-cone piece of D."""
+    return _jx_kernel(spec).intersect(normal)
 
 
 def _split_qu(vec: QVector, l: int) -> tuple[QVector, QVector]:
@@ -394,21 +428,22 @@ def _negativity_on_cone(q: QMatrix, cone: PolyCone) -> QVector | None:
 @_per_spec
 def _foscms_strata(spec: ConstraintSystemSpec):
     """(stratum, V, admissible u-cones per reach cell) for every direction
-    stratum of D, where V = ker Jx^T ∩ (stratum normal cone)."""
-    ker = _jx_kernel(spec)
-    jxt = _w_map_T(spec)[spec.l:]
+    stratum of D, where V = ker Jx^T ∩ (stratum normal cone).  Strata share
+    normal cones and reach cells, and each distinct one is converted once."""
     return tuple(
-        (s, ker.intersect(s.normal), tuple(_pullback(qc, jxt) for qc in s.reach))
+        (s, _kernel_meet(spec, s.normal), tuple(_x_pullback(spec, qc) for qc in s.reach))
         for s in direction_strata(spec.D, spec.g0)
     )
 
 
+@_per_spec
 def check_foscms(spec: ConstraintSystemSpec) -> Certificate:
     """First order sufficient condition for metric subregularity of the
     frozen-parameter constraint system at the reference point.
 
     For every direction stratum of D reachable by Jx u with u != 0, the cone
-    {v : Jx^T v = 0} ∩ (stratum normal cone) must be trivial.
+    {v : Jx^T v = 0} ∩ (stratum normal cone) must be trivial.  Computed once
+    per spec: the calmness check reuses it.
     """
     if spec.kind != "constraint":
         raise TypeError("check_foscms expects a constraint system")
@@ -434,13 +469,15 @@ def check_foscms(spec: ConstraintSystemSpec) -> Certificate:
     return Certificate(status, tuple(witnesses), trace=tuple(trace))
 
 
+@_per_spec
 def check_soscms(spec: ConstraintSystemSpec) -> Certificate:
     """Second order sufficient condition for metric subregularity.
 
     On every stratum that survives the first order test with a nontrivial
     dual cone, a violating pair must additionally make u^T (sum v*_i H_i) u
     nonnegative.  The sign of the quadratic term on each admissible
-    direction cone is decided exactly (``_negativity_on_cone``).
+    direction cone is decided exactly (``_negativity_on_cone``).  Computed
+    once per spec, like ``check_foscms``.
     """
     if spec.kind != "constraint":
         raise TypeError("check_soscms expects a constraint system")
@@ -508,11 +545,9 @@ def check_calmness_constraint(spec: ConstraintSystemSpec, order: str = "first") 
     if order not in ("first", "second"):
         raise PreconditionError("order must be 'first' or 'second'")
     base = check_foscms(spec) if order == "first" else check_soscms(spec)
-    tangent = _d_tangent(spec)
-    jxt = _w_map_T(spec)[spec.l:]
     utilde = None
-    for piece in tangent.pieces:
-        cand = pick_nonzero(_pullback(piece, jxt))
+    for piece in _d_tangent(spec).pieces:
+        cand = pick_nonzero(_x_pullback(spec, piece))
         if cand is not None:
             utilde = cand
             break
@@ -560,9 +595,9 @@ def _solution_pieces(spec) -> tuple[PolyCone, ...]:
     F of the critical cone K, in the order of ``K.faces()``: the (q, u) with
     u ∈ F and w = -Jp q - Jx u ∈ K° ∩ F^⊥.
     """
-    wt = _w_map_T(spec)
     if spec.kind == "constraint":
-        return tuple(_pullback(t, wt) for t in _d_tangent(spec).pieces)
+        return tuple(_qu_pullback(spec, t) for t in _d_tangent(spec).pieces)
+    wt = _w_map_T(spec)
     k = spec.graph_point().critical
     pad = (0,) * spec.l
     k_rays, k_lin = k._v  # the H-representation of K°
@@ -577,8 +612,10 @@ def _solution_pieces(spec) -> tuple[PolyCone, ...]:
     return tuple(pieces)
 
 
+@_per_spec_cone
 def _variational_adjoint_cone(spec: VariationalSystemSpec, kd: PolyCone) -> PolyCone:
-    """{v* : -Jx^T v* ∈ Kd°, -v* ∈ Kd} in R^n."""
+    """{v* : -Jx^T v* ∈ Kd°, -v* ∈ Kd} in R^n, once per difference cone Kd
+    for the strata, the zero direction and the directional check."""
     jx = _jx_rows(spec)
     rays, lin = kd._v  # the H-representation of Kd°
     ineqs, eqs = kd._h
@@ -599,7 +636,6 @@ def _variational_adjoint_strata(spec: VariationalSystemSpec) -> tuple[_AdjointSt
     gp = spec.graph_point()
     faces = gp.critical.faces()
     wt = _w_map_T(spec)
-    adjoints: dict = {}  # difference cone key -> adjoint cone
     strata: list[_AdjointStratum] = []
     for f, piece in zip(faces, _solution_pieces(spec)):
         if piece.is_trivial():
@@ -620,19 +656,16 @@ def _variational_adjoint_strata(spec: VariationalSystemSpec) -> tuple[_AdjointSt
                 if refined.is_trivial():
                     break
                 kd = gp.difference(f1, f2)
-                key = kd.key()
-                if key in seen_k:
+                if kd in seen_k:
                     continue
-                seen_k.add(key)
-                if key not in adjoints:
-                    adjoints[key] = _variational_adjoint_cone(spec, kd)
+                seen_k.add(kd)
                 strata.append(
                     _AdjointStratum(
                         label=f"{case}; pair F1={sorted(f1.active_set)}, F2={sorted(f2.active_set)}",
                         case_label=case,
                         sample=pick_nonzero(refined),
                         piece=kd,
-                        adjoint=adjoints[key],
+                        adjoint=_variational_adjoint_cone(spec, kd),
                     )
                 )
     return tuple(strata)
@@ -641,11 +674,10 @@ def _variational_adjoint_strata(spec: VariationalSystemSpec) -> tuple[_AdjointSt
 @_per_spec
 def _constraint_adjoint_strata(spec: ConstraintSystemSpec) -> tuple[_AdjointStratum, ...]:
     """Direction-stratified adjoint systems of the constraint formulation."""
-    wt = _w_map_T(spec)
     strata: list[_AdjointStratum] = []
     for s, adj, _ in _foscms_strata(spec):
         for idx, qc in enumerate(s.reach):
-            refined = _pullback(qc, wt)
+            refined = _qu_pullback(spec, qc)
             if refined.is_trivial():
                 continue
             strata.append(
@@ -671,9 +703,9 @@ def _zero_direction_adjoints(spec) -> tuple[tuple[PolyCone, PolyCone], ...]:
             for p in limiting_normal_graph(spec.graph_point()).pieces
         )
     # Every reach cone contains 0, so N_D(g0; 0) is the union of all strata
-    # normals, and each stratum already carries ker Jx^T ∩ its normal.
-    adjoint = {s.normal: v_cone for s, v_cone, _ in _foscms_strata(spec)}
-    return tuple((piece, adjoint[piece]) for piece in ConeUnion(spec.m, adjoint).pieces)
+    # normals, whose adjoint cones the strata have already built.
+    normals = ConeUnion(spec.m, [s.normal for s in direction_strata(spec.D, spec.g0)])
+    return tuple((piece, _kernel_meet(spec, piece)) for piece in normals.pieces)
 
 
 def _adjoint_strata(spec) -> tuple[_AdjointStratum, ...]:
@@ -791,13 +823,10 @@ def check_foscms_joint(spec) -> Certificate:
     """Metric subregularity of the joint map in (p, x) via the first order
     condition: every adjoint solution with both transposed-Jacobian images
     vanishing must be trivial, over all nonzero joint direction strata."""
-    dim = spec.m if spec.kind == "constraint" else spec.n
-    jpt = _w_map_T(spec)[: spec.l]  # ker Jp^T as equations
     witnesses = []
     trace = []
     for st in _adjoint_strata(spec):
-        ineqs, eqs = st.adjoint._h
-        joint = PolyCone.from_ineqs(dim, ineqs, eqs + jpt)
+        joint = _joint_adjoint(spec, st.adjoint)
         rec = {
             "adjoint_stratum": st.label,
             "joint_adjoint_cone": cone_plain(joint),
@@ -809,6 +838,14 @@ def check_foscms_joint(spec) -> Certificate:
             witnesses.append(Witness(st.label, pick_nonzero(joint), u=u, q=q))
     status = NOT_CERTIFIED if witnesses else HOLDS
     return Certificate(status, tuple(witnesses), trace=tuple(trace))
+
+
+@_per_spec_cone
+def _joint_adjoint(spec, adjoint: PolyCone) -> PolyCone:
+    """The adjoint cone cut down to ker Jp^T; once per spec, since theorem
+    mode runs ``check_foscms_joint`` a second time."""
+    ineqs, eqs = adjoint._h
+    return PolyCone.from_ineqs(adjoint.dim, ineqs, eqs + _w_map_T(spec)[: spec.l])
 
 
 def graphical_derivative_S(spec, q: QVector) -> list[Polyhedron]:
@@ -857,8 +894,7 @@ def _directional_adjoints(spec, u: QVector, v: QVector) -> list[PolyCone] | None
         w = spec.Jx.matvec(u) - v
         if not _d_tangent(spec).contains(w):
             return None
-        ker = _jx_kernel(spec)
-        return [ker.intersect(p) for p in directional_normal_cone(spec.D, spec.g0, w).pieces]
+        return [_kernel_meet(spec, p) for p in directional_normal_cone(spec.D, spec.g0, w).pieces]
     gp = spec.graph_point()
     w = v - spec.Jx.matvec(u)
     if not graph_tangent_member(gp, u, w):

@@ -1,11 +1,17 @@
-"""Polyhedral convex cones with synchronized H- and V-representations.
+"""Polyhedral convex cones whose second representation is built on first read.
 
-A ``PolyCone`` simultaneously stores
+A ``PolyCone`` has two representations:
 
 * an irredundant H-representation: rows ``a`` with ``<a, z> <= 0`` (``ineqs``)
   and rows ``e`` with ``<e, z> = 0`` (``eqs``), and
 * an irredundant V-representation: extreme-ray representatives of the pointed
   part (``rays``) and a basis of the lineality space (``lin``).
+
+A cone keeps the one it was built with (``from_ineqs`` converts its rows to
+generators, ``from_generators`` its generators to rows) and converts the
+other the first time it is read.  The polar swaps the two and shares them
+with the cone, so a cone and its polar make at most one conversion between
+them, and a side nothing reads is never built.
 
 Conversion between the two runs the double description method: equalities are
 absorbed into the start basis, inequalities are processed one at a time while
@@ -16,7 +22,8 @@ that cone equality is plain structural equality:
 * ``lin`` is the RREF basis of the lineality space (unique),
 * each ray is orthogonally projected onto the complement of the lineality
   space and scaled to a primitive integer vector (unique representative of
-  its ray class), and the ray list is sorted,
+  its ray class), and the ray list is sorted; the extremality filter makes
+  that projection, so it is made once per ray,
 * ``ineqs``/``eqs`` are obtained from the V-representation of the polar cone
   by the same pipeline, hence equally canonical.
 
@@ -30,13 +37,16 @@ the ranks of the extremality filter come from the integer elimination
 routines of ``linalg`` (echelon form, kernel, Bareiss rank), called directly.
 A ``PolyCone`` stores only these integer forms.  ``fractions.Fraction``
 appears only at the API boundary: ``ineqs``, ``eqs``, ``rays`` and ``lin``
-are ``QVector`` views built from the integer forms when they are read.
+are ``QVector`` views built from the integer forms when they are read, and
+``key()`` is built once per cone.  The JSON-plain view ``cone_plain`` writes
+its strings from the integer forms directly.
 
 Strata, Phase A and the second order test ask one question, "is the open
 cell {leq.z <= 0, eqs.z = 0, strict.z < 0} nonempty?", and ``open_cell``
 answers it from the rays of the cell's closure, whose canonical generators
 it returns.  Cones are built from canonical generators in one step
-(``_of_generators``), so an empty cell never pays for the polar conversion.
+(``_of_generators``), so an empty cell never pays for the polar conversion,
+and a nonempty one pays for it only when its rows are read.
 
 Face lattices are read off the ray/row incidence of the two representations
 (Kaibel & Pfetsch, 2002): a face is spanned by the rays zero on its active
@@ -50,9 +60,10 @@ Everything is exact; there is no tolerance anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
-from .linalg import IntVec, QVector, _dot, _echelon, _ints, _kernel, _neg, _rank, _reduce, _rref_q, vec_plain
+from .linalg import IntVec, QVector, _dot, _echelon, _ints, _kernel, _neg, _rank, _reduce, _rref_q
 
 
 def _orthogonal(basis: Sequence[IntVec]) -> list[tuple[IntVec, int]]:
@@ -75,11 +86,6 @@ def _project_off(v: IntVec, ortho: Sequence[tuple[IntVec, int]]) -> IntVec:
     return v
 
 
-def _canonical_rays(rays: Iterable[IntVec], lin: Sequence[IntVec]) -> tuple[IntVec, ...]:
-    ortho = _orthogonal(lin)
-    return tuple(sorted({p for p in (_project_off(r, ortho) for r in rays) if any(p)}))
-
-
 def _dd(dim: int, ineqs: Sequence, eqs: Sequence) -> tuple[list[IntVec], list[IntVec]]:
     """Generators (lineality basis, extreme rays) of {z : ineqs.z <= 0, eqs.z = 0}.
 
@@ -87,7 +93,11 @@ def _dd(dim: int, ineqs: Sequence, eqs: Sequence) -> tuple[list[IntVec], list[In
     generators that come back.  Incremental double description: the
     invariant after each step is that span(B) + cone(R) equals the cone of the
     constraints processed so far, with R one extreme ray per class.  Each ray
-    carries its zero set, a bitmask over the processed inequality rows.
+    carries its zero set, a bitmask over the processed inequality rows.  The
+    extremality filter projects each ray onto the orthogonal complement of
+    the lineality space, and the ray comes back as that projection: a
+    primitive vector that depends only on the ray class, its canonical
+    representative.
     """
     eq_rows = [e for e in eqs if any(e)]
     rows = [a for a in ineqs if any(a)]
@@ -151,7 +161,7 @@ def _dd(dim: int, ineqs: Sequence, eqs: Sequence) -> tuple[list[IntVec], list[In
         active = eq_rows + [a for j, a in enumerate(rows) if z >> j & 1]
         if _rank(active) == target:
             seen.add(rp)
-            result.append(r)
+            result.append(rp)
     return basis, result
 
 
@@ -166,37 +176,62 @@ def _generators(dim: int, ineqs: Sequence, eqs: Sequence) -> tuple[tuple[IntVec,
     """Canonical integer (lineality echelon rows, sorted rays) of the cone
     {z : ineqs.z <= 0, eqs.z = 0}."""
     basis, rays = _dd(dim, ineqs, eqs)
-    lin = tuple(_echelon(basis, dim)[0])
-    return lin, _canonical_rays(rays, lin)
+    return tuple(_echelon(basis, dim)[0]), tuple(sorted(rays))
 
 
 def _of_generators(dim: int, lin: tuple[IntVec, ...], rays: tuple[IntVec, ...]) -> "PolyCone":
     """The cone with these canonical generators (as ``_generators`` returns
-    them); its irredundant H-rep is the generators of the polar, computed
-    the same way."""
-    peqs, pineqs = _generators(dim, rays, lin)
-    return PolyCone(dim, (pineqs, peqs), (rays, lin), _internal=True)
+    them); its irredundant H-rep is built when it is first read."""
+    return _cone(dim, [(rays, lin), None], 0)
+
+
+def _cone(dim: int, reps: list, side: int) -> "PolyCone":
+    """The cone whose (rays, lin) are ``reps[side]`` and whose (ineqs, eqs)
+    are ``reps[1 - side]``; a side not converted yet is None.  The polar
+    reads the same list from the other side, so the two share conversions."""
+    c = object.__new__(PolyCone)
+    object.__setattr__(c, "dim", dim)
+    object.__setattr__(c, "_reps", reps)
+    object.__setattr__(c, "_side", side)
+    object.__setattr__(c, "_faces", None)
+    return c
 
 
 class PolyCone:
     """Polyhedral convex cone; construct via from_ineqs / from_generators.
 
-    The integer forms of the two representations are the cone's only state:
+    The integer forms of the two representations are the cone's only data:
     ``_h`` holds (ineqs, eqs) and ``_v`` holds (rays, lin), the inequality
     rows and rays as sorted primitive integer tuples, the equation rows and
-    lineality basis as integer echelon rows.  ``ineqs``, ``eqs``, ``rays``
-    and ``lin`` are rational views built from them on each read.
+    lineality basis as integer echelon rows.  A cone is built with one of
+    them; the other is converted the first time ``_h`` or ``_v`` is read,
+    kept in the list ``_reps`` that the cone shares with its polars, and
+    then held in its slot like the first.  ``key()`` is likewise computed
+    once.  ``ineqs``, ``eqs``, ``rays`` and ``lin`` are rational views built
+    from the integer forms on each read.
     """
 
-    __slots__ = ("dim", "_h", "_v", "_faces")
+    __slots__ = ("dim", "_reps", "_side", "_h", "_v", "_key", "_faces")
 
-    def __init__(self, dim, h, v, _internal=False):
-        if not _internal:
-            raise TypeError("use PolyCone.from_ineqs or PolyCone.from_generators")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_h", h)
-        object.__setattr__(self, "_v", v)
-        object.__setattr__(self, "_faces", None)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("use PolyCone.from_ineqs or PolyCone.from_generators")
+
+    def __getattr__(self, name):
+        # Called only for a slot not set yet: _h, _v and _key fill on first read.
+        if name == "_key":
+            # Integer rays compare and hash like the Fraction tuples of ``rays``.
+            value = (self.dim, tuple(v.entries for v in self.lin), self._v[0])
+        elif name == "_v" or name == "_h":
+            reps = self._reps
+            i = self._side if name == "_v" else 1 - self._side
+            value = reps[i]
+            if value is None:
+                # the canonical generators of one side are the rows of the other
+                value = reps[i] = _generators(self.dim, *reps[1 - i])[::-1]
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
 
     def __setattr__(self, name, value):
         if name == "_faces":
@@ -232,8 +267,8 @@ class PolyCone:
     @staticmethod
     def from_generators(dim: int, rays: Iterable = (), lin: Iterable = ()) -> "PolyCone":
         # The cone is the polar of {a : <a,r> <= 0, <a,l> = 0}.
-        polar = _generators(dim, _rows(dim, rays, "generator"), _rows(dim, lin, "generator"))
-        return _of_generators(dim, *polar).polar()
+        peqs, pineqs = _generators(dim, _rows(dim, rays, "generator"), _rows(dim, lin, "generator"))
+        return _cone(dim, [None, (pineqs, peqs)], 0)
 
     @staticmethod
     def full_space(dim: int) -> "PolyCone":
@@ -246,14 +281,13 @@ class PolyCone:
     # -- canonical identity ------------------------------------------------
 
     def key(self):
-        # Integer rays compare and hash like the Fraction tuples of ``rays``.
-        return (self.dim, tuple(v.entries for v in self.lin), self._v[0])
+        return self._key
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PolyCone) and self.key() == other.key()
+        return isinstance(other, PolyCone) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return hash(self._key)
 
     def __repr__(self) -> str:
         return f"PolyCone(dim={self.dim}, rays={list(self.rays)}, lin={list(self.lin)})"
@@ -303,10 +337,10 @@ class PolyCone:
         """Negative polar cone {z* : <z*, z> <= 0 on self}.
 
         Pure representation swap: generators become constraints and vice
-        versa; both sides are already canonical so no recomputation is
-        needed.
+        versa.  The polar reads the cone's own pair of representations, so a
+        side converted for either one is there for both.
         """
-        return PolyCone(self.dim, self._v, self._h, _internal=True)
+        return _cone(self.dim, self._reps, 1 - self._side)
 
     def intersect(self, other: "PolyCone") -> "PolyCone":
         self._check_dim(other)
@@ -329,9 +363,9 @@ class PolyCone:
         with no conversion per candidate face.  A face is spanned by the
         cone's rays zero on its active rows plus the lineality space, so its
         V-representation is a sorted subset of the cone's and is already
-        canonical; its H-representation costs one conversion.  Each face
-        carries a polar witness z* with F = C ∩ [z*]^⊥, namely the sum of the
-        active inequality normals.
+        canonical; its H-representation costs one conversion, made when it
+        is first read.  Each face carries a polar witness z* with
+        F = C ∩ [z*]^⊥, namely the sum of the active inequality normals.
         """
         if self._faces is not None:
             return self._faces
@@ -436,14 +470,29 @@ def face_difference(f1: PolyCone, f2: PolyCone) -> PolyCone:
 
 
 def cone_plain(c: PolyCone) -> dict:
-    """JSON-plain view of a cone: its dimension and both representations."""
+    """JSON-plain view of a cone: its dimension and both representations,
+    each entry as the string of the rational that ``rays``, ``lin``,
+    ``ineqs`` and ``eqs`` hold, written straight from the integer forms."""
+    (ineqs, eqs), (rays, lin) = c._h, c._v
     return {
         "dim": c.dim,
-        "rays": [vec_plain(r) for r in c.rays],
-        "lin": [vec_plain(l) for l in c.lin],
-        "ineqs": [vec_plain(a) for a in c.ineqs],
-        "eqs": [vec_plain(e) for e in c.eqs],
+        "rays": [list(map(str, r)) for r in rays],
+        "lin": [_rref_plain(l) for l in lin],
+        "ineqs": [list(map(str, a)) for a in ineqs],
+        "eqs": [_rref_plain(e) for e in eqs],
     }
+
+
+def _rref_plain(row: IntVec) -> list[str]:
+    """The strings of an integer echelon row divided by its (positive) pivot."""
+    p = next(x for x in row if x)
+    if p == 1:
+        return list(map(str, row))
+    out = []
+    for x in row:
+        g = gcd(x, p)
+        out.append(str(x // g) if g == p else f"{x // g}/{p // g}")
+    return out
 
 
 def pick_nonzero(c: PolyCone) -> QVector | None:

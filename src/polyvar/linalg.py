@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
@@ -304,7 +305,7 @@ def _ints(v) -> IntVec:
 
 
 def _dot(a: IntVec, b: IntVec) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _neg(v: IntVec) -> IntVec:

@@ -1,11 +1,14 @@
-"""Deterministic randomized instance generation shared by the test modules."""
+"""Deterministic randomized instance generation shared by the test modules,
+and a counter of cone conversions."""
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
+from polyvar import cones
 from polyvar.cones import PolyCone
 from polyvar.linalg import QMatrix, QVector
 from polyvar.sets import InfeasibleError, Polyhedron, UnionSet
@@ -13,6 +16,23 @@ from polyvar.sets import InfeasibleError, Polyhedron, UnionSet
 
 def rng(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+@contextmanager
+def counting_dd():
+    """The list of the arguments of every ``cones._dd`` call made inside."""
+    calls = []
+    real = cones._dd
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    cones._dd = counted
+    try:
+        yield calls
+    finally:
+        cones._dd = real
 
 
 def random_gamma(r: random.Random, dim: int, max_facets: int = 6) -> Polyhedron:

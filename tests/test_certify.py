@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import random_gamma, random_matrix, random_symmetric, random_union, rng
+from corpus import counting_dd, random_gamma, random_matrix, random_symmetric, random_union, rng
 from polyvar.certify import (
     HOLDS,
     NOT_CERTIFIED,
@@ -32,7 +32,7 @@ from polyvar.certify import (
     _variational_adjoint_cone,
 )
 from polyvar import certify
-from polyvar.cones import PolyCone, open_cell
+from polyvar.cones import PolyCone, open_cell, pick_nonzero
 from polyvar.graphmap import directional_limiting_normal_graph, limiting_normal_graph
 from polyvar.linalg import QMatrix, QVector, _ints, row_space_basis
 from polyvar.sets import (
@@ -675,3 +675,39 @@ def test_integer_pullbacks_match_rational_rows():
             rows_i = [-spec.Jx.matvec(a) for a in kdp.ineqs] + [-b for b in kd.ineqs]
             rows_e = [spec.Jx.matvec(e) for e in kdp.eqs] + list(kd.eqs)
             assert _variational_adjoint_cone(spec, kd) == PolyCone.from_ineqs(spec.n, rows_i, rows_e)
+
+
+# -- each distinct cone converted once per spec ------------------------------------
+
+
+def test_second_joint_check_makes_no_conversion():
+    # theorem mode runs check_foscms_joint first; its joint cones stay with the spec
+    spec = ex5_spec()
+    assert check_aubin(spec, "theorem").holds()
+    with counting_dd() as calls:
+        assert check_foscms_joint(spec).holds()
+    assert calls == []
+
+
+def test_pullback_read_through_its_generators_converts_once():
+    spec = ex3_spec()
+    jxt = certify._w_map_T(spec)[spec.l:]
+    pieces = union_tangent_cone(spec.D, spec.g0).pieces
+    for piece in pieces:
+        piece._h
+    with counting_dd() as calls:
+        for piece in pieces:
+            u = certify._pullback(piece, jxt)
+            u.is_trivial(), pick_nonzero(u)
+    assert len(calls) == len(pieces)
+
+
+def test_calmness_reuses_the_subregularity_certificates():
+    spec = ex4_spec()
+    first, second = check_foscms(spec), check_soscms(spec)
+    with counting_dd() as calls:
+        assert check_calmness_constraint(spec, "first").trace is first.trace
+        assert check_calmness_constraint(spec, "second").trace is second.trace
+        assert check_foscms(spec) is first
+    # the rate's pullbacks of the tangent pieces of D are the only conversions, once each
+    assert len(calls) == len(union_tangent_cone(spec.D, spec.g0).pieces)

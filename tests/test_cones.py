@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import rng
-from polyvar.cones import PolyCone, _dd, _of_generators, face_difference, open_cell, strictly_feasible
-from polyvar.linalg import QVector, _dot, _ints, _reduce, rank_of_rows
+from corpus import counting_dd, rng
+from polyvar.cones import PolyCone, _dd, _of_generators, cone_plain, face_difference, open_cell, strictly_feasible
+from polyvar.linalg import QVector, _dot, _ints, _reduce, rank_of_rows, vec_plain
 
 
 def wedge():
@@ -420,3 +420,75 @@ def test_faces_match_active_set_definition_hypothesis(system, as_generators):
         assert f.witness == witness
         assert PolyCone.from_ineqs(dim, list(c.ineqs), list(c.eqs) + [f.witness]) == f.cone
 
+
+# -- the second representation, built on first read -------------------------------
+
+
+def cone_views(c):
+    return (c.key(), c._h, c._v, c.rays, c.lin, c.ineqs, c.eqs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_systems(), st.booleans(), st.sampled_from(["h", "v", "polar"]))
+def test_second_representation_built_once_on_first_read_hypothesis(system, as_generators, first):
+    # Whichever side is read first, a cone and its polar hold the canonical
+    # forms of the cone built from its generators, and the two together make
+    # one conversion beyond the one that built the cone.
+    dim, rows, more = system
+    with counting_dd() as calls:
+        if as_generators:
+            c = PolyCone.from_generators(dim, [r for r in rows if any(r)], [r for r in more if any(r)])
+        else:
+            c = PolyCone.from_ineqs(dim, rows, more)
+        assert len(calls) == 1
+        p = c.polar()
+        if first == "h":
+            c._h
+        elif first == "v":
+            c._v
+        else:
+            p._h, p._v
+        got, got_polar = cone_views(c), cone_views(p)
+        assert len(calls) == 2
+    rays, lin = c._v
+    ref = _of_generators(dim, lin, rays)
+    assert got == cone_views(ref)
+    assert got_polar == cone_views(ref.polar())
+    assert p.polar() == c and p.polar()._h == c._h
+
+
+# -- the JSON-plain view, written from the integer forms --------------------------
+
+
+def reference_plain(c):
+    """``cone_plain`` built from the rational views."""
+    return {
+        "dim": c.dim,
+        "rays": [vec_plain(r) for r in c.rays],
+        "lin": [vec_plain(l) for l in c.lin],
+        "ineqs": [vec_plain(a) for a in c.ineqs],
+        "eqs": [vec_plain(e) for e in c.eqs],
+    }
+
+
+def test_cone_plain_divides_echelon_rows_by_their_pivot():
+    # lineality and equation rows whose integer pivots are not 1
+    c = PolyCone.from_generators(3, [[0, 0, 1]], [[2, 3, 0]])
+    assert cone_plain(c)["lin"] == [["1", "3/2", "0"]]
+    assert cone_plain(c.polar())["eqs"] == [["1", "3/2", "0"]]
+    d = PolyCone.from_ineqs(3, [], [[2, 3, 0], [0, 4, -6]])
+    assert cone_plain(d)["eqs"] == [["1", "0", "9/4"], ["0", "1", "-3/2"]]
+    for cone in (c, c.polar(), d, d.polar(), PolyCone.origin(2), PolyCone.full_space(2), wedge()):
+        assert cone_plain(cone) == reference_plain(cone)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_systems(), st.booleans())
+def test_cone_plain_matches_rational_views_hypothesis(system, as_generators):
+    dim, rows, more = system
+    if as_generators:
+        c = PolyCone.from_generators(dim, rows, more)
+    else:
+        c = PolyCone.from_ineqs(dim, rows, more)
+    assert cone_plain(c) == reference_plain(c)
+    assert cone_plain(c.polar()) == reference_plain(c.polar())
