@@ -34,14 +34,9 @@ from itertools import combinations
 from math import lcm
 from typing import Sequence
 
-from .cones import PolyCone, cone_plain, open_cell, pick_nonzero
-from .graphmap import (
-    GraphPoint,
-    directional_limiting_normal_graph,
-    graph_tangent_member,
-    limiting_normal_graph,
-)
-from .linalg import IntVec, QMatrix, QVector, _dot, _ints, _neg, _reduce, solve, vec_plain
+from .cones import Face, PolyCone, cone_plain, open_cell, pick_nonzero
+from .graphmap import GraphPoint, _along, graph_tangent_member, limiting_normal_graph
+from .linalg import IntVec, QMatrix, QVector, _dot, _ints, _kernel, _neg, _reduce, vec_plain
 from .sets import (
     ConeUnion,
     InfeasibleError,
@@ -150,7 +145,7 @@ class VariationalSystemSpec:
     """Frozen first order data of a generalized equation with a polyhedral
     normal-cone term (so the range dimension equals n)."""
 
-    __slots__ = ("l", "n", "Jp", "Jx", "gamma", "xbar", "ybarstar", "param_lipschitz", "label", "_memo", "_tangent")
+    __slots__ = ("l", "n", "Jp", "Jx", "gamma", "xbar", "ybarstar", "param_lipschitz", "label", "_memo")
 
     def __init__(self, l, n, Jp, Jx, gamma, xbar, ybarstar, param_lipschitz=True, label=""):
         Jp = Jp if isinstance(Jp, QMatrix) else QMatrix(Jp)
@@ -165,8 +160,7 @@ class VariationalSystemSpec:
             raise ValueError("gamma, xbar, ybarstar must live in R^n")
         if not gamma.contains(xbar):
             raise ValueError("xbar lies outside gamma")
-        tangent = gamma.tangent_cone(xbar)
-        if not tangent.polar().contains(ybarstar):
+        if not gamma.normal_cone(xbar).contains(ybarstar):
             raise ValueError("ybarstar is not a normal vector to gamma at xbar")
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "n", n)
@@ -178,8 +172,6 @@ class VariationalSystemSpec:
         object.__setattr__(self, "param_lipschitz", bool(param_lipschitz))
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "_memo", {})
-        # kept for graph_point(), whose critical cone is built from it
-        object.__setattr__(self, "_tangent", tangent)
 
     def __setattr__(self, name, value):
         raise AttributeError("spec is immutable")
@@ -188,7 +180,7 @@ class VariationalSystemSpec:
 
     @_per_spec
     def graph_point(self) -> GraphPoint:
-        return GraphPoint(self.gamma, self.xbar, self.ybarstar, _tangent=self._tangent)
+        return GraphPoint(self.gamma, self.xbar, self.ybarstar)
 
 
 # -- certificates ----------------------------------------------------------------
@@ -349,14 +341,15 @@ def _nonneg_direction(m: QMatrix) -> QVector | None:
     so the pass stops at the first pivot >= 0.  There the leading k x k block
     A is negative definite, hence invertible, and with b = m[:k, k] the
     vector c = (-A^-1 b, 1, 0, ...) has c^T m c = m[k][k] - b^T A^-1 b, which
-    is that pivot.
+    is that pivot.  The kernel of [A | b] is the line through (-A^-1 b, 1),
+    so c is returned as its primitive integer vector, positive at k.
     """
     rows = [list(r.entries) for r in m.rows]
     for k, pr in enumerate(rows):
         pv = pr[k]
         if pv >= 0:
-            head = solve(QMatrix([r.entries[:k] for r in m.rows[:k]]), QVector([-r[k] for r in m.rows[:k]]))
-            return QVector(head.entries + (1,) + (0,) * (len(rows) - k - 1))
+            (head,) = _kernel([_ints(r.entries[: k + 1]) for r in m.rows[:k]], k + 1)
+            return QVector._of_ints(head + (0,) * (len(rows) - k - 1))
         for i in range(k + 1, len(rows)):
             f = rows[i][k] / pv
             rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
@@ -591,25 +584,31 @@ def _solution_pieces(spec) -> tuple[PolyCone, ...]:
     """Solution cones of the linearized system in (q, u) space.
 
     For a constraint system, one per piece T of the tangent cone of D at g0:
-    the (q, u) with Jp q + Jx u ∈ T.  For a variational system, one per face
-    F of the critical cone K, in the order of ``K.faces()``: the (q, u) with
-    u ∈ F and w = -Jp q - Jx u ∈ K° ∩ F^⊥.
+    the (q, u) with Jp q + Jx u ∈ T.  For a variational system, the graph
+    cell of (F, F) for each face F of the critical cone, in the order of
+    ``K.faces()``.
     """
     if spec.kind == "constraint":
         return tuple(_qu_pullback(spec, t) for t in _d_tangent(spec).pieces)
-    wt = _w_map_T(spec)
-    k = spec.graph_point().critical
-    pad = (0,) * spec.l
-    k_rays, k_lin = k._v  # the H-representation of K°
-    pieces = []
-    for f in k.faces():
+    return tuple(_graph_cell(spec, f, f) for f in spec.graph_point().critical.faces())
+
+
+def _graph_cell(spec: VariationalSystemSpec, f: Face, f1: Face) -> PolyCone:
+    """{(q, u) : u ∈ F, w = -Jp q - Jx u ∈ K° ∩ F1^⊥} for faces F ⊆ F1 of the
+    critical cone K, once per spec and pair: the solution piece of F when
+    F1 = F, and a refined cell of Phase B otherwise."""
+    memo = spec._memo.setdefault("_graph_cell", {})
+    pair = (f.active_set, f1.active_set)
+    if pair not in memo:
+        wt = _w_map_T(spec)
+        pad = (0,) * spec.l
+        k_rays, k_lin = spec.graph_point().critical._v  # the H-representation of K°
         f_ineqs, f_eqs = f.cone._h
-        f_rays, f_lin = f.cone._v
+        f1_rays, f1_lin = f1.cone._v
         rows_i = [pad + a for a in f_ineqs] + [_apply(wt, a) for a in k_rays]
-        rows_e = [pad + e for e in f_eqs] + [_apply(wt, e) for e in k_lin]
-        rows_e += [_apply(wt, g) for g in f_rays + f_lin]  # w ⊥ span F
-        pieces.append(PolyCone.from_ineqs(spec.l + spec.n, rows_i, rows_e))
-    return tuple(pieces)
+        rows_e = [pad + e for e in f_eqs] + [_apply(wt, e) for e in k_lin + f1_rays + f1_lin]
+        memo[pair] = PolyCone.from_ineqs(spec.l + spec.n, rows_i, rows_e)
+    return memo[pair]
 
 
 @_per_spec_cone
@@ -635,24 +634,18 @@ def _variational_adjoint_strata(spec: VariationalSystemSpec) -> tuple[_AdjointSt
     """
     gp = spec.graph_point()
     faces = gp.critical.faces()
-    wt = _w_map_T(spec)
     strata: list[_AdjointStratum] = []
     for f, piece in zip(faces, _solution_pieces(spec)):
         if piece.is_trivial():
             continue
         case = f"u in face {sorted(f.active_set)} of the critical cone"
-        p_ineqs, p_eqs = piece._h
         seen_k: set = set()
         for f1 in faces:
-            refined = None  # depends on F1 only: w ⊥ span F1
             for f2 in faces:
                 # F ⊆ F2 ⊆ F1, read off the active sets
                 if not f1.active_set <= f2.active_set <= f.active_set:
                     continue
-                if refined is None:
-                    f1_rays, f1_lin = f1.cone._v
-                    extra_eqs = [_apply(wt, g) for g in f1_rays + f1_lin]
-                    refined = PolyCone.from_ineqs(spec.l + spec.n, p_ineqs, p_eqs + tuple(extra_eqs))
+                refined = _graph_cell(spec, f, f1)  # depends on F1 only
                 if refined.is_trivial():
                     break
                 kd = gp.difference(f1, f2)
@@ -899,7 +892,7 @@ def _directional_adjoints(spec, u: QVector, v: QVector) -> list[PolyCone] | None
     w = v - spec.Jx.matvec(u)
     if not graph_tangent_member(gp, u, w):
         return None
-    return [_variational_adjoint_cone(spec, p.k) for p in directional_limiting_normal_graph(gp, u, w).pieces]
+    return [_variational_adjoint_cone(spec, p.k) for p in _along(gp, u, w).pieces]
 
 
 def check_directional_metric_regularity(spec, u: QVector, v: QVector) -> Certificate:

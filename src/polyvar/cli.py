@@ -49,7 +49,7 @@ from .graphmap import (
 )
 from .linalg import QVector, frac, vec_plain
 from .oracle import piece_sets_equal, sample_graph_directional, sample_union_normals
-from .sets import ConeUnion, _critical, directional_normal_cone
+from .sets import critical_cone, directional_normal_cone, union_tangent_cone
 
 EXIT_BY_STATUS = {HOLDS: 0, NOT_CERTIFIED: 1}
 
@@ -98,40 +98,27 @@ def _print_cone(label: str, cone) -> None:
 
 def _cmd_cones(args) -> int:
     spec = parse_problem(args.file)
-    if spec.kind == "constraint":
-        y = _parse_vector(args.at, spec.m, "--at point")
-        idx = spec.D.pieces_containing(y)
-        if not idx:
-            raise UsageError("point lies in no piece of D")
-        tangents = [spec.D.pieces[i].tangent_cone(y) for i in idx]
-        for i, tangent in zip(idx, tangents):
-            _print_cone(f"tangent cone of piece {i}", tangent)
-            _print_cone(f"normal cone of piece {i}", tangent.polar())
-            if args.ystar:
-                ystar = _parse_vector(args.ystar, spec.m, "--ystar")
-                cc = _critical(tangent, ystar)
-                if cc is None:
-                    print(f"critical cone of piece {i}: absent (ystar is not a normal vector there)")
-                else:
-                    _print_cone(f"critical cone of piece {i}", cc)
-        union = ConeUnion(spec.m, tangents)  # union_tangent_cone(spec.D, y), from the cones above
+    constraint = spec.kind == "constraint"
+    dim, pieces = (spec.m, spec.D.pieces) if constraint else (spec.n, (spec.gamma,))
+    y = _parse_vector(args.at, dim, "--at point")
+    held = [i for i, p in enumerate(pieces) if p.contains(y)]
+    if not held:
+        raise UsageError("point lies in no piece of D" if constraint else "point lies outside gamma")
+    for i in held:
+        of = f" of piece {i}" if constraint else ""
+        _print_cone(f"tangent cone{of}", pieces[i].tangent_cone(y))
+        _print_cone(f"normal cone{of}", pieces[i].normal_cone(y))
+        if args.ystar:
+            cc = critical_cone(pieces[i], y, _parse_vector(args.ystar, dim, "--ystar"))
+            if cc is None:
+                print(f"critical cone{of}: absent (ystar is not a normal vector there)")
+            else:
+                _print_cone(f"critical cone{of}", cc)
+    if constraint:
+        union = union_tangent_cone(spec.D, y)
         print(f"union tangent cone: {len(union.pieces)} piece(s)")
         for j, c in enumerate(union.pieces):
             _print_cone(f"  piece {j}", c)
-    else:
-        y = _parse_vector(args.at, spec.n, "--at point")
-        if not spec.gamma.contains(y):
-            raise UsageError("point lies outside gamma")
-        tangent = spec.gamma.tangent_cone(y)
-        _print_cone("tangent cone", tangent)
-        _print_cone("normal cone", tangent.polar())
-        if args.ystar:
-            ystar = _parse_vector(args.ystar, spec.n, "--ystar")
-            cc = _critical(tangent, ystar)
-            if cc is None:
-                print("critical cone: absent (ystar is not a normal vector there)")
-            else:
-                _print_cone("critical cone", cc)
     return 0
 
 

@@ -48,14 +48,14 @@ def _cone_for_signature(d: UnionSet, sig) -> PolyCone:
     return normal
 
 
-def sample_union_normals(
-    d: UnionSet,
-    ybar: QVector,
-    w: QVector,
-    base=(Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)),
-    offset_scales=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)),
-    t_ladder=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)),
-) -> ConeUnion:
+# the sampling grids of ``sample_union_normals`` (g, delta, t) and ``_face_reps`` (s)
+_GRID = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2))
+_OFFSET_SCALES = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
+_T_LADDER = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
+_REP_SCALES = (Fraction(1, 2), Fraction(1, 8))
+
+
+def sample_union_normals(d: UnionSet, ybar: QVector, w: QVector) -> ConeUnion:
     """Union of regular normal cones sampled at ybar + t w' for perturbed
     directions w' = w + delta*g, g on a rational grid, and shrinking t.
 
@@ -68,11 +68,11 @@ def sample_union_normals(
     if not d.contains(ybar):
         raise ValueError("reference point lies in no piece of the union")
     per_scale: list[set] = []
-    for delta in offset_scales:
+    for delta in _OFFSET_SCALES:
         sigs = set()
-        for g in product(base, repeat=d.dim):
+        for g in product(_GRID, repeat=d.dim):
             wprime = w + QVector(g).scale(delta)
-            for t in t_ladder:
+            for t in _T_LADDER:
                 s0 = _signature(d, ybar + wprime.scale(t))
                 s1 = _signature(d, ybar + wprime.scale(t / 2))
                 s2 = _signature(d, ybar + wprime.scale(t / 4))
@@ -84,7 +84,7 @@ def sample_union_normals(
     return ConeUnion(d.dim, cones)
 
 
-def _face_reps(cone: PolyCone, base: QVector, scales=(Fraction(1, 2), Fraction(1, 8))):
+def _face_reps(cone: PolyCone, base: QVector):
     """Points base + s * (subset sums of generators), one or two
     representatives per activity class, all inside the cone."""
     gens = cone.generators()
@@ -98,7 +98,7 @@ def _face_reps(cone: PolyCone, base: QVector, scales=(Fraction(1, 2), Fraction(1
         step = QVector.zero(cone.dim)
         for g in sub:
             step = step + g
-        for s in scales:
+        for s in _REP_SCALES:
             pt = base + step.scale(s)
             if not cone.contains(pt):
                 continue

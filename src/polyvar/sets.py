@@ -28,14 +28,17 @@ and ``e`` are rational views of the cone's integer rows, and a point is
 tested by one integer evaluation of those rows.  Its faces, from which the
 face assignments are drawn, are the faces of that cone that have a ray with
 t > 0; they come from the cone layer's incidence enumeration with no
-conversion per face, and a face's normal cone is built when it is first read.
+conversion per face.  Its normal cone at y, cone(active rows of A) +
+span(E), is built once per active set when it is first read and serves the
+face with that active set too; the tangent cone is its polar, and the
+critical cone the face of the tangent cone that y* exposes, read off the
+tangent cone's rays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -55,7 +58,7 @@ class Polyhedron:
     rational views of them.  Feasibility is verified exactly at construction.
     """
 
-    __slots__ = ("dim", "_homog", "_rows", "_faces")
+    __slots__ = ("dim", "_homog", "_rows", "_faces", "_normals")
 
     def __init__(self, dim: int, A: Iterable = (), b: Iterable = (), E: Iterable = (), e: Iterable = ()):
         A, b, E, e = list(A), list(b), list(E), list(e)
@@ -72,6 +75,7 @@ class Polyhedron:
         # the rows (a, -b) of A: every homogenization row but -t <= 0
         object.__setattr__(self, "_rows", tuple(r for r in homog._h[0] if any(r[:dim])))
         object.__setattr__(self, "_faces", None)
+        object.__setattr__(self, "_normals", {})
 
     def __setattr__(self, name, value):
         if name == "_faces":
@@ -152,14 +156,22 @@ class Polyhedron:
 
     # -- variational cones ----------------------------------------------------
 
-    def tangent_cone(self, y: QVector) -> PolyCone:
-        if not self.contains(y):
-            raise ValueError("tangent cone requested at a point outside the polyhedron")
-        A, E = self._int_rows()
-        return PolyCone.from_ineqs(self.dim, [A[i] for i in self.active_ineqs(y)], E)
+    def _normal(self, active: frozenset) -> PolyCone:
+        """cone(rows of A in ``active``) + span(rows of E): the normal cone
+        at the points whose active set is ``active``, built once per set."""
+        if active not in self._normals:
+            A, E = self._int_rows()
+            self._normals[active] = PolyCone.from_generators(self.dim, [A[i] for i in sorted(active)], E)
+        return self._normals[active]
 
     def normal_cone(self, y: QVector) -> PolyCone:
-        return self.tangent_cone(y).polar()
+        sa, se = self._slacks(y)
+        if any(s > 0 for s in sa) or any(se):
+            raise ValueError("tangent cone requested at a point outside the polyhedron")
+        return self._normal(frozenset(i for i, s in enumerate(sa) if s == 0))
+
+    def tangent_cone(self, y: QVector) -> PolyCone:
+        return self.normal_cone(y).polar()
 
     # -- faces -----------------------------------------------------------------
 
@@ -187,39 +199,38 @@ class PolyFace:
 
     ``normal`` is the (constant) normal cone of the polyhedron at relative
     interior points of the face, generated by the face's active rows of
-    ``A`` and the rows of ``E``.  It is built on first read: strata need it
-    only for the faces they assign.
+    ``A`` and the rows of ``E``.  It is the cone ``normal_cone`` returns
+    there, built by the polyhedron once per active set when it is first
+    read: strata need it only for the faces they assign.
     """
 
     active_set: frozenset
     parent: Polyhedron
 
-    @cached_property
+    @property
     def normal(self) -> PolyCone:
-        A, E = self.parent._int_rows()
-        return PolyCone.from_generators(self.parent.dim, [A[i] for i in sorted(self.active_set)], E)
+        return self.parent._normal(self.active_set)
 
 
 def critical_cone(p: Polyhedron, y: QVector, ystar: QVector) -> PolyCone | None:
     """Tangent cone at y intersected with [ystar]^⊥, or None off the graph.
 
-    Returns None when y is outside the polyhedron or ystar is not a normal
-    vector at y; absence is a value, not an error.
+    When ystar is a normal vector at y, this is the face of the tangent cone
+    that ystar exposes: its rays orthogonal to ystar plus its lineality,
+    canonical generators with no conversion.  Returns None when y is outside
+    the polyhedron or ystar is not a normal vector at y; absence is a value,
+    not an error.
     """
     if y.dim != p.dim or ystar.dim != p.dim:
         raise ValueError("dimension mismatch")
     if not p.contains(y):
         return None
-    return _critical(p.tangent_cone(y), ystar)
-
-
-def _critical(tangent: PolyCone, ystar: QVector) -> PolyCone | None:
-    """The critical cone from the tangent cone at y, for callers that hold
-    it already; None when ystar is not in its polar."""
-    if not tangent.polar().contains(ystar):
+    normal = p.normal_cone(y)
+    if not normal.contains(ystar):
         return None
-    # a zero row (ystar = 0) constrains nothing; the conversion drops it
-    return PolyCone.from_ineqs(tangent.dim, tangent._h[0], tangent._h[1] + (_ints(ystar),))
+    rays, lin = normal.polar()._v
+    ys = _ints(ystar)
+    return _of_generators(p.dim, lin, tuple(r for r in rays if _dot(r, ys) == 0))
 
 
 def nearby_critical_cone(

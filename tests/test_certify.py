@@ -709,5 +709,7 @@ def test_calmness_reuses_the_subregularity_certificates():
         assert check_calmness_constraint(spec, "first").trace is first.trace
         assert check_calmness_constraint(spec, "second").trace is second.trace
         assert check_foscms(spec) is first
-    # the rate's pullbacks of the tangent pieces of D are the only conversions, once each
-    assert len(calls) == len(union_tangent_cone(spec.D, spec.g0).pieces)
+    # the tangent pieces of D are the polars of face normals the strata have
+    # built, and their pullbacks are reach cells' pullbacks: no conversion
+    assert union_tangent_cone(spec.D, spec.g0).pieces
+    assert calls == []

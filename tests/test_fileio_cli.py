@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import counting_dd
 from polyvar.certify import check_aubin, check_calmness_constraint, check_foscms
 from polyvar import cli
 from polyvar.cli import bundled_problem_path, run_command
@@ -20,9 +21,7 @@ from polyvar.fileio import (
     problem_to_dict,
     render_report,
 )
-from polyvar.graphmap import GraphPoint
 from polyvar.linalg import QVector
-from polyvar.sets import Polyhedron
 
 
 def ex4_dict():
@@ -161,32 +160,29 @@ def test_jp_columns_are_checked_without_parameters(tmp_path, capsys):
         assert problem_from_dict(data).l == 0
 
 
-def test_each_tangent_cone_is_built_once(monkeypatch, capsys):
-    # the cone that validates ybarstar is the one the critical cone is built
-    # from, and `polyvar cones` derives the normal, critical and union
-    # tangent cones from the tangent cones it prints
-    calls = []
-    tangent_cone = Polyhedron.tangent_cone
-
-    def counted(self, y):
-        calls.append(y)
-        return tangent_cone(self, y)
-
-    monkeypatch.setattr(Polyhedron, "tangent_cone", counted)
+def test_each_tangent_cone_is_built_once(capsys):
+    # Parsing ex5 converts gamma's homogenization cone both ways and builds
+    # the normal cone that validates ybarstar (gamma at xbar = 0); the
+    # critical cone is a face of that cone's polar, read off its rays, so
+    # graph_point() converts nothing.
     ex3, ex5 = bundled_problem_path("ex3.json"), bundled_problem_path("ex5.json")
-    spec = parse_problem(ex5)
-    gp = spec.graph_point()
-    assert len(calls) == 1
-    del calls[:]
-    assert run_command(["cones", ex5, "--at", "0,0", "--ystar", "0,0"]) == 0
-    assert len(calls) == 2  # one while parsing ex5, one at --at
-    pieces = len(parse_problem(ex3).D.pieces_containing(QVector([0, 0, 0, 0])))
-    del calls[:]
-    assert run_command(["cones", ex3, "--at", "0,0,0,0", "--ystar", "0,0,0,0"]) == 0
-    assert len(calls) == pieces > 1
+    with counting_dd() as calls:
+        parse_problem(ex5).graph_point()
+    assert len(calls) == 3
+    # `polyvar cones` adds the tangent cone's rows and the critical cone's
+    # rows; the normal cone at --at 0,0 is the one built while parsing.
+    with counting_dd() as calls:
+        assert run_command(["cones", ex5, "--at", "0,0", "--ystar", "0,0"]) == 0
+    assert len(calls) == 3 + 2
+    # On ex3 each piece that holds the point adds its normal cone, converted
+    # both ways, and its critical cone's rows; the union tangent cone reuses
+    # the pieces' tangent cones.
+    with counting_dd() as parsing:
+        pieces = len(parse_problem(ex3).D.pieces_containing(QVector([0, 0, 0, 0])))
+    with counting_dd() as calls:
+        assert run_command(["cones", ex3, "--at", "0,0,0,0", "--ystar", "0,0,0,0"]) == 0
+    assert pieces > 1 and len(calls) == len(parsing) + 3 * pieces
     capsys.readouterr()
-    monkeypatch.undo()
-    assert gp.critical == GraphPoint(spec.gamma, spec.xbar, spec.ybarstar).critical
 
 
 _strings = st.text() | st.sampled_from(["", "caf\u00e9", "\x00\x1f\t\n\"\\/", "\U0001f600", "\ud800", "\u2028"])

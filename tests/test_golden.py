@@ -88,6 +88,8 @@ def _cli(example: str, *argv: str) -> str:
 
 
 CASES["cli-cones-ex3"] = lambda: _cli("ex3", "cones", "--at", "0,0,0,0")
+# piece 0 has no critical cone, and piece 1's comes from a normal cone with lineality
+CASES["cli-cones-ex3-ystar"] = lambda: _cli("ex3", "cones", "--at", "0,0,0,0", "--ystar=1,0,1,0")
 CASES["cli-cones-ex5"] = lambda: _cli("ex5", "cones", "--at", "0,0", "--ystar", "0,0")
 CASES["cli-graph-normal-ex5-limiting"] = lambda: _cli("ex5", "graph-normal", "--limiting")
 CASES["cli-graph-normal-ex5-regular"] = lambda: _cli("ex5", "graph-normal", "--regular")

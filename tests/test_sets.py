@@ -382,16 +382,30 @@ def polyhedra(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(polyhedra())
-def test_polyhedron_faces_match_active_set_definition_hypothesis(p):
+@given(polyhedra(), st.data())
+def test_polyhedron_faces_match_active_set_definition_hypothesis(p, data):
     want = oracle_polyhedron_faces(p)
     got = p.faces()
     assert [f.active_set for f in got] == want
     for f in got:
-        normal = PolyCone.from_generators(p.dim, [p.A[i] for i in sorted(f.active_set)], list(p.E))
+        active = [p.A[i] for i in sorted(f.active_set)]
+        normal = PolyCone.from_generators(p.dim, active, list(p.E))
         assert (f.normal.key(), f.normal._h, f.normal._v) == (normal.key(), normal._h, normal._v)
-        assert f.normal == p.normal_cone(relint_point(p, f.active_set))
         assert f.parent is p
+        # the cones at a relative interior point, against cones built from rows
+        y = relint_point(p, f.active_set)
+        assert p.tangent_cone(y) == PolyCone.from_ineqs(p.dim, active, list(p.E))
+        mask = data.draw(st.lists(st.booleans(), min_size=len(active), max_size=len(active)))
+        ystar = QVector.zero(p.dim)
+        for a, keep in zip(active, mask):
+            if keep:
+                ystar = ystar + a
+        assert critical_cone(p, y, ystar) == PolyCone.from_ineqs(p.dim, active, list(p.E) + [ystar])
+        other = QVector(data.draw(st.lists(small, min_size=p.dim, max_size=p.dim)))
+        if normal.contains(other):
+            assert critical_cone(p, y, other) == PolyCone.from_ineqs(p.dim, active, list(p.E) + [other])
+        else:
+            assert critical_cone(p, y, other) is None
 
 
 def five_cube():
