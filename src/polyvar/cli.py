@@ -41,12 +41,7 @@ from .certify import (
 )
 from .cones import cone_plain
 from .fileio import ProblemFileError, _dumps, parse_problem, render_report
-from .graphmap import (
-    directional_limiting_normal_graph,
-    graph_tangent_member,
-    limiting_normal_graph,
-    regular_normal_graph,
-)
+from .graphmap import _along, graph_tangent_member, limiting_normal_graph, regular_normal_graph
 from .linalg import QVector, frac, vec_plain
 from .oracle import piece_sets_equal, sample_graph_directional, sample_union_normals
 from .sets import critical_cone, directional_normal_cone, union_tangent_cone
@@ -101,6 +96,7 @@ def _cmd_cones(args) -> int:
     constraint = spec.kind == "constraint"
     dim, pieces = (spec.m, spec.D.pieces) if constraint else (spec.n, (spec.gamma,))
     y = _parse_vector(args.at, dim, "--at point")
+    ystar = _parse_vector(args.ystar, dim, "--ystar") if args.ystar else None
     held = [i for i, p in enumerate(pieces) if p.contains(y)]
     if not held:
         raise UsageError("point lies in no piece of D" if constraint else "point lies outside gamma")
@@ -108,8 +104,8 @@ def _cmd_cones(args) -> int:
         of = f" of piece {i}" if constraint else ""
         _print_cone(f"tangent cone{of}", pieces[i].tangent_cone(y))
         _print_cone(f"normal cone{of}", pieces[i].normal_cone(y))
-        if args.ystar:
-            cc = critical_cone(pieces[i], y, _parse_vector(args.ystar, dim, "--ystar"))
+        if ystar is not None:
+            cc = critical_cone(pieces[i], y, ystar)
             if cc is None:
                 print(f"critical cone{of}: absent (ystar is not a normal vector there)")
             else:
@@ -135,7 +131,7 @@ def _cmd_graph_normal(args) -> int:
         title = "limiting normal cone to the graph"
     else:
         v, vstar = _parse_graph_direction(args.dir, gp, spec.n)
-        gnc = directional_limiting_normal_graph(gp, v, vstar)
+        gnc = _along(gp, v, vstar)
         title = f"directional limiting normal cone in direction ({v!r}; {vstar!r})"
     print(f"{title}: {len(gnc.pieces)} product piece(s)")
     for i, p in enumerate(gnc.pieces):
@@ -279,7 +275,7 @@ def _cmd_oracle(args) -> int:
             raise UsageError("oracle on a variational file takes no --at: it samples at the file's graph point")
         gp = spec.graph_point()
         v, vstar = _parse_graph_direction(args.dir, gp, spec.n)
-        closed = directional_limiting_normal_graph(gp, v, vstar)
+        closed = _along(gp, v, vstar)
         sampled = sample_graph_directional(gp, v, vstar)
         match = piece_sets_equal([p.k for p in closed.pieces], sampled)
         print(f"closed form: {len(closed.pieces)} piece(s); sampling oracle: {len(sampled)} piece(s)")

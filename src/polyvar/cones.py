@@ -15,15 +15,15 @@ them, and a side nothing reads is never built.
 
 Conversion between the two runs the double description method: equalities are
 absorbed into the start basis, inequalities are processed one at a time while
-the (lineality basis, ray list) pair is kept in sync, and a final extremality
-filter guarantees irredundancy.  Both representations are canonicalized so
-that cone equality is plain structural equality:
+the (lineality basis, ray list) pair is kept in sync, and the ray list is
+irredundant after every step, because adjacency is decided exactly.  Both
+representations are canonicalized so that cone equality is plain structural
+equality:
 
 * ``lin`` is the RREF basis of the lineality space (unique),
 * each ray is orthogonally projected onto the complement of the lineality
   space and scaled to a primitive integer vector (unique representative of
-  its ray class), and the ray list is sorted; the extremality filter makes
-  that projection, so it is made once per ray,
+  its ray class), once, and the ray list is sorted,
 * ``ineqs``/``eqs`` are obtained from the V-representation of the polar cone
   by the same pipeline, hence equally canonical.
 
@@ -32,9 +32,10 @@ once by a positive rational to coprime integers (``linalg._ints``), and every
 later update is an integer cross-multiplication followed by division by the
 gcd.  Two rays are combined only if they are adjacent, which is decided
 combinatorially from their zero sets (Fukuda & Prodon, "Double description
-method revisited", 1996).  The start basis, the canonical lineality rows and
-the ranks of the extremality filter come from the integer elimination
-routines of ``linalg`` (echelon form, kernel, Bareiss rank), called directly.
+method revisited", 1996), so every ray kept is extreme and no rank is computed
+per ray.  The start basis and the canonical lineality rows come from the
+integer elimination routines of ``linalg`` (echelon form, kernel), called
+directly.
 A ``PolyCone`` stores only these integer forms.  ``fractions.Fraction``
 appears only at the API boundary: ``ineqs``, ``eqs``, ``rays`` and ``lin``
 are ``QVector`` views built from the integer forms when they are read, and
@@ -90,18 +91,28 @@ def _dd(dim: int, ineqs: Sequence, eqs: Sequence) -> tuple[list[IntVec], list[In
     """Generators (lineality basis, extreme rays) of {z : ineqs.z <= 0, eqs.z = 0}.
 
     Rows are primitive integer tuples (see ``_ints``), and so are the
-    generators that come back.  Incremental double description: the
-    invariant after each step is that span(B) + cone(R) equals the cone of the
-    constraints processed so far, with R one extreme ray per class.  Each ray
-    carries its zero set, a bitmask over the processed inequality rows.  The
-    extremality filter projects each ray onto the orthogonal complement of
-    the lineality space, and the ray comes back as that projection: a
-    primitive vector that depends only on the ray class, its canonical
-    representative.
+    generators that come back.  Incremental double description: after each
+    step span(B) + cone(R) is the cone of the rows processed so far, and R
+    holds each extreme ray class once, with its zero set (a bitmask over the
+    processed inequality rows).  So no ray is tested for extremality:
+
+    * a row a that cuts span(B) splits the new cone as the direct sum
+      ray(b0) ⊕ (the old pointed part moved into <a, z> = 0 along b0);
+    * otherwise the new rays are the old ones with <a, r> <= 0 and a positive
+      combination w of each adjacent pair with <a, r> of both signs, adjacent
+      iff no third zero set holds their common one (Fukuda & Prodon 1996);
+      w's zero set is exactly ``common | bit``, as <a_j, w> adds two terms <= 0;
+    * different adjacent pairs span different 2-faces, so no w repeats.
+
+    An adjacent pair spans a face of dimension len(B) + 2, so its common rows
+    and the equations (of rank dim - len(start)) have rank dim - len(B) - 2: a
+    pair with fewer than len(start) - len(B) - 2 common rows is skipped before
+    the scan for a third ray.  Each ray comes back projected off span(B): a
+    primitive vector that depends only on its class.
     """
     eq_rows = [e for e in eqs if any(e)]
     rows = [a for a in ineqs if any(a)]
-    basis = _kernel(eq_rows, dim)
+    start = basis = _kernel(eq_rows, dim)
     rays: list[IntVec] = []
     zeros: list[int] = []
 
@@ -134,35 +145,23 @@ def _dd(dim: int, ineqs: Sequence, eqs: Sequence) -> tuple[list[IntVec], list[In
         zero = [i for i, v in enumerate(vals) if v == 0]
         new_rays = [rays[i] for i in neg] + [rays[i] for i in zero]
         new_zeros = [zeros[i] for i in neg] + [zeros[i] | bit for i in zero]
+        need = len(start) - len(basis) - 2
         for ip in (i for i, v in enumerate(vals) if v > 0):
             rp, zp, vp = rays[ip], zeros[ip], vals[ip]
             for jn in neg:
                 common = zp & zeros[jn]
+                if common.bit_count() < need:
+                    continue
                 # Adjacent iff no third ray's zero set contains the common one.
                 if any(z & common == common for t, z in enumerate(zeros) if t != ip and t != jn):
                     continue
                 vn = vals[jn]
-                comb = _reduce([vp * x - vn * y for x, y in zip(rays[jn], rp)])
-                if any(comb):
-                    new_rays.append(comb)
-                    new_zeros.append(common | bit)
+                new_rays.append(_reduce([vp * x - vn * y for x, y in zip(rays[jn], rp)]))
+                new_zeros.append(common | bit)
         rays, zeros = new_rays, new_zeros
 
-    # Extremality filter: r is an extreme ray iff its active constraints cut
-    # the space down to span(lin) + span(r).
-    target = dim - len(basis) - 1
     ortho = _orthogonal(basis)
-    result = []
-    seen = set()
-    for r, z in zip(rays, zeros):
-        rp = _project_off(r, ortho)
-        if not any(rp) or rp in seen:
-            continue
-        active = eq_rows + [a for j, a in enumerate(rows) if z >> j & 1]
-        if _rank(active) == target:
-            seen.add(rp)
-            result.append(rp)
-    return basis, result
+    return basis, [_project_off(r, ortho) for r in rays]
 
 
 def _rows(dim: int, vectors: Iterable, what: str) -> list[IntVec]:

@@ -6,8 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import counting_dd, rng
-from polyvar.cones import PolyCone, _dd, _of_generators, cone_plain, face_difference, open_cell, strictly_feasible
-from polyvar.linalg import QVector, _dot, _ints, _reduce, rank_of_rows, vec_plain
+from polyvar import cones
+from polyvar.cones import (
+    PolyCone,
+    _dd,
+    _of_generators,
+    _orthogonal,
+    _project_off,
+    cone_plain,
+    face_difference,
+    open_cell,
+    strictly_feasible,
+)
+from polyvar.linalg import QVector, _dot, _ints, _kernel, _neg, _rank, _reduce, rank_of_rows, vec_plain
 
 
 def wedge():
@@ -298,6 +309,127 @@ def test_generators_round_trip_hypothesis(system):
     assert PolyCone.from_generators(dim, c.rays, c.lin) == c
     # rescaling every row by a positive rational gives the same cone
     assert PolyCone.from_ineqs(dim, [[F(3, 2) * x for x in a] for a in ineqs], eqs) == c
+
+
+# -- the kernel against the per-ray extremality filter it no longer runs ----------
+
+
+def reference_dd(dim, ineqs, eqs):
+    """``cones._dd`` with the extremality filter it dropped: each ray is kept
+    only if its active rows have rank dim - len(lin) - 1 and its projection
+    off the lineality space is new."""
+    eq_rows = [e for e in eqs if any(e)]
+    rows = [a for a in ineqs if any(a)]
+    basis = _kernel(eq_rows, dim)
+    rays, zeros = [], []
+    for k, a in enumerate(rows):
+        bit = 1 << k
+        prods_b = [_dot(a, b) for b in basis]
+        pivot = next((i for i, p in enumerate(prods_b) if p), None)
+        if pivot is not None:
+            b0, p0 = basis[pivot], prods_b[pivot]
+            if p0 > 0:
+                b0, p0 = _neg(b0), -p0
+            q = -p0
+
+            def shift(v, p):
+                return _reduce([q * x + p * y for x, y in zip(v, b0)]) if p else v
+
+            basis = [shift(b, p) for i, (b, p) in enumerate(zip(basis, prods_b)) if i != pivot]
+            rays = [shift(r, _dot(a, r)) for r in rays]
+            zeros = [z | bit for z in zeros] + [bit - 1]
+            rays.append(b0)
+            continue
+        vals = [_dot(a, r) for r in rays]
+        if not any(v > 0 for v in vals):
+            zeros = [z | bit if v == 0 else z for z, v in zip(zeros, vals)]
+            continue
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        zero = [i for i, v in enumerate(vals) if v == 0]
+        new_rays = [rays[i] for i in neg] + [rays[i] for i in zero]
+        new_zeros = [zeros[i] for i in neg] + [zeros[i] | bit for i in zero]
+        for ip in (i for i, v in enumerate(vals) if v > 0):
+            for jn in neg:
+                common = zeros[ip] & zeros[jn]
+                if any(z & common == common for t, z in enumerate(zeros) if t != ip and t != jn):
+                    continue
+                comb = _reduce([vals[ip] * x - vals[jn] * y for x, y in zip(rays[jn], rays[ip])])
+                if any(comb):
+                    new_rays.append(comb)
+                    new_zeros.append(common | bit)
+        rays, zeros = new_rays, new_zeros
+    target = dim - len(basis) - 1
+    ortho = _orthogonal(basis)
+    result, seen = [], set()
+    for r, z in zip(rays, zeros):
+        rp = _project_off(r, ortho)
+        if not any(rp) or rp in seen:
+            continue
+        if _rank(eq_rows + [a for j, a in enumerate(rows) if z >> j & 1]) == target:
+            seen.add(rp)
+            result.append(rp)
+    return basis, result
+
+
+@st.composite
+def integer_systems(draw):
+    """(dim, ineqs, eqs) as primitive integer rows up to dimension 7 with up
+    to 12 inequality rows: zero, repeated and opposite rows, systems of
+    equations only, subspaces (every row with its opposite), and "pointed"
+    systems that start with the orthant rows."""
+    dim = draw(st.integers(1, 7))
+    row = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    ineqs = draw(st.lists(row, max_size=12))
+    eqs = draw(st.lists(row, max_size=2))
+    for shape in draw(st.sets(st.sampled_from(["pointed", "zero", "repeat", "opposite", "eqs_only", "subspace"]))):
+        if shape == "pointed":
+            ineqs = [[-1 if i == j else 0 for i in range(dim)] for j in range(dim)] + ineqs
+        elif shape == "zero":
+            ineqs.insert(draw(st.integers(0, len(ineqs))), [0] * dim)
+        elif shape == "repeat" and ineqs:
+            ineqs.append([2 * x for x in draw(st.sampled_from(ineqs))])
+        elif shape == "opposite" and ineqs:
+            ineqs.append([-x for x in draw(st.sampled_from(ineqs))])
+        elif shape == "eqs_only":
+            ineqs = []
+            eqs = eqs or [[1] + [0] * (dim - 1)]
+        elif shape == "subspace":
+            ineqs = [r for a in ineqs[:6] for r in (a, [-x for x in a])]
+    return dim, [_ints(a) for a in ineqs[:12]], [_ints(e) for e in eqs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+def test_dd_matches_reference_with_extremality_filter_hypothesis(system):
+    # Adjacency is decided exactly, so the filter never drops a ray: the
+    # kernel returns the same basis and the same rays in the same order.
+    assert _dd(*system) == reference_dd(*system)
+
+
+def test_family_ceiling_counts(monkeypatch):
+    # No rank is computed per ray: the conversions below run without _rank.
+    def no_rank(rows):
+        raise AssertionError("_dd computed a rank")
+
+    monkeypatch.setattr(cones, "_rank", no_rank)
+    # the orthant of R^12 from its rows: 12 rays and 12 facets, one
+    # conversion per side
+    orthant = [[-1 if i == j else 0 for i in range(12)] for j in range(12)]
+    with counting_dd() as calls:
+        c = PolyCone.from_ineqs(12, orthant)
+        assert len(c.rays) == 12 and c.lin == ()
+        assert len(calls) == 1
+        assert len(c.ineqs) == 12 and c.eqs == ()
+        assert len(calls) == 2
+    # the cone over the cross-polytope in R^7 from its 12 generators: 64
+    # facets, and converting the facets back gives the 12 generators
+    gens = [tuple(s if i == k else 1 if i == 6 else 0 for i in range(7)) for k in range(6) for s in (1, -1)]
+    with counting_dd() as calls:
+        x = PolyCone.from_generators(7, gens)
+        assert len(x.ineqs) == 64 and x.eqs == ()
+        assert len(calls) == 1
+        assert x._v == (tuple(sorted(gens)), ())
+        assert len(calls) == 2
 
 
 def slack_point(dim, leq, eqs, strict):

@@ -315,6 +315,36 @@ def test_cli_oracle_matches(capsys):
     capsys.readouterr()
 
 
+def test_cli_bad_ystar_exits_before_printing(capsys):
+    # --ystar is parsed with --at, before any piece's cones are printed
+    ex3 = bundled_problem_path("ex3.json")
+    for bad in ("0,0,0", "0,x,0,0"):
+        assert run_command(["cones", ex3, "--at", "0,0,0,0", f"--ystar={bad}"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+
+def test_cli_graph_direction_tested_for_tangency_once(monkeypatch, capsys):
+    # the CLI tests --dir for tangency and then filters the face pairs
+    # directly, as the certifier does, so the test runs once per command
+    from polyvar import graphmap
+
+    real, calls = graphmap.graph_tangent_member, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (cli, graphmap):
+        monkeypatch.setattr(module, "graph_tangent_member", counted)
+    ex5 = bundled_problem_path("ex5.json")
+    for command in ("graph-normal", "oracle"):
+        calls.clear()
+        assert run_command([command, ex5, "--dir=-1,0;0,0"]) == 0
+        assert len(calls) == 1, command
+    capsys.readouterr()
+
+
 def test_cli_deterministic_output(capsys):
     ex5 = bundled_problem_path("ex5.json")
     run_command(["certify", ex5, "--check", "aubin"])
