@@ -5,7 +5,10 @@ through its frozen Jacobians ``Jp`` (parameter) and ``Jx`` (decision) with a
 finite union of polyhedra ``D`` that the map must hit; a *variational system*
 couples the Jacobians with the normal-cone map of a convex polyhedron
 ``gamma``.  All certificates are sufficiency checks run entirely in exact
-rational arithmetic over direction strata:
+rational arithmetic over strata: the direction strata of D for a constraint
+system, and for a variational system the closed-form strata of the graph of
+the normal-cone map, one per difference cone F1 - F2 of a face pair
+F2 ⊆ F1 of the critical cone (``graphmap.face_pairs``):
 
 * ``check_foscms`` / ``check_soscms``: first/second order sufficient
   conditions for metric subregularity of the frozen-parameter system,
@@ -35,7 +38,7 @@ from math import lcm
 from typing import Sequence
 
 from .cones import Face, PolyCone, cone_plain, open_cell, pick_nonzero
-from .graphmap import GraphPoint, _along, graph_tangent_member, limiting_normal_graph
+from .graphmap import GraphPoint, _along, face_pairs, graph_tangent_member, limiting_normal_graph
 from .linalg import IntVec, QMatrix, QVector, _dot, _ints, _kernel, _neg, _reduce, vec_plain
 from .sets import (
     ConeUnion,
@@ -565,17 +568,21 @@ def check_calmness_constraint(spec: ConstraintSystemSpec, order: str = "first") 
     )
 
 
-# -- variational strata ---------------------------------------------------------------
+# -- adjoint strata ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _AdjointStratum:
-    """A refined direction stratum together with its adjoint solution cone."""
+    """One nontrivial (q, u) cell of a stratum, with the stratum's
+    coderivative piece and adjoint solution cone.  A constraint system's
+    strata are the direction strata of D; a variational system's are the
+    face pairs F2 ⊆ F1 of the critical cone, one per difference cone
+    Kd = F1 - F2, with cells (F2, F1)."""
 
     label: str
-    case_label: str
-    sample: QVector  # a nonzero (q, u) direction of the stratum
-    piece: PolyCone  # difference cone K (variational) or normal-cone piece (constraint)
+    case_label: str  # the stratum's label
+    sample: QVector  # a nonzero (q, u) direction of the cell
+    piece: PolyCone  # difference cone Kd (variational) or normal-cone piece (constraint)
     adjoint: PolyCone  # solution cone in v*-space
 
 
@@ -586,27 +593,28 @@ def _solution_pieces(spec) -> tuple[PolyCone, ...]:
     For a constraint system, one per piece T of the tangent cone of D at g0:
     the (q, u) with Jp q + Jx u ∈ T.  For a variational system, the graph
     cell of (F, F) for each face F of the critical cone, in the order of
-    ``K.faces()``.
+    ``K.faces()``; every cell (F, F1) of Phase B lies inside it.
     """
     if spec.kind == "constraint":
         return tuple(_qu_pullback(spec, t) for t in _d_tangent(spec).pieces)
     return tuple(_graph_cell(spec, f, f) for f in spec.graph_point().critical.faces())
 
 
-def _graph_cell(spec: VariationalSystemSpec, f: Face, f1: Face) -> PolyCone:
-    """{(q, u) : u ∈ F, w = -Jp q - Jx u ∈ K° ∩ F1^⊥} for faces F ⊆ F1 of the
-    critical cone K, once per spec and pair: the solution piece of F when
-    F1 = F, and a refined cell of Phase B otherwise."""
+def _graph_cell(spec: VariationalSystemSpec, f2: Face, f1: Face) -> PolyCone:
+    """{(q, u) : u ∈ F2, w = -Jp q - Jx u ∈ K° ∩ F1^⊥} for faces F2 ⊆ F1 of
+    the critical cone K, once per spec and pair: the reach cone
+    F2 × (K° ∩ F1^⊥) of the pair's stratum pulled back, and the solution
+    piece of F2 when F1 = F2."""
     memo = spec._memo.setdefault("_graph_cell", {})
-    pair = (f.active_set, f1.active_set)
+    pair = (f2.active_set, f1.active_set)
     if pair not in memo:
         wt = _w_map_T(spec)
         pad = (0,) * spec.l
         k_rays, k_lin = spec.graph_point().critical._v  # the H-representation of K°
-        f_ineqs, f_eqs = f.cone._h
+        f2_ineqs, f2_eqs = f2.cone._h
         f1_rays, f1_lin = f1.cone._v
-        rows_i = [pad + a for a in f_ineqs] + [_apply(wt, a) for a in k_rays]
-        rows_e = [pad + e for e in f_eqs] + [_apply(wt, e) for e in k_lin + f1_rays + f1_lin]
+        rows_i = [pad + a for a in f2_ineqs] + [_apply(wt, a) for a in k_rays]
+        rows_e = [pad + e for e in f2_eqs] + [_apply(wt, e) for e in k_lin + f1_rays + f1_lin]
         memo[pair] = PolyCone.from_ineqs(spec.l + spec.n, rows_i, rows_e)
     return memo[pair]
 
@@ -624,64 +632,43 @@ def _variational_adjoint_cone(spec: VariationalSystemSpec, kd: PolyCone) -> Poly
     return PolyCone.from_ineqs(spec.n, rows_i, rows_e)
 
 
-@_per_spec
-def _variational_adjoint_strata(spec: VariationalSystemSpec) -> tuple[_AdjointStratum, ...]:
-    """Direction-stratified adjoint inclusions of the variational system.
-
-    One case per face of the critical cone whose solution piece is
-    nontrivial; within a case, one adjoint inclusion per admissible face
-    pair, the pair filters imposed as linear equations on (q, u).
-    """
+def _graph_strata(spec: VariationalSystemSpec):
+    """(label, Kd, adjoint cone, (q, u) cells) for each difference cone
+    Kd = F1 - F2 of the face pairs of the critical cone that has a
+    nontrivial cell, in first-occurrence order and labelled after the first
+    pair that gives it a cell.  A pair whose F2 has a trivial solution piece
+    gives none, since its cell (F2, F1) lies inside that piece."""
     gp = spec.graph_point()
-    faces = gp.critical.faces()
-    strata: list[_AdjointStratum] = []
-    for f, piece in zip(faces, _solution_pieces(spec)):
-        if piece.is_trivial():
+    zero = QVector.zero(spec.n)
+    by_kd: dict[PolyCone, tuple[str, list[PolyCone]]] = {}
+    for f1, f2 in face_pairs(gp, zero, zero):
+        if _graph_cell(spec, f2, f2).is_trivial():
             continue
-        case = f"u in face {sorted(f.active_set)} of the critical cone"
-        seen_k: set = set()
-        for f1 in faces:
-            for f2 in faces:
-                # F ⊆ F2 ⊆ F1, read off the active sets
-                if not f1.active_set <= f2.active_set <= f.active_set:
-                    continue
-                refined = _graph_cell(spec, f, f1)  # depends on F1 only
-                if refined.is_trivial():
-                    break
-                kd = gp.difference(f1, f2)
-                if kd in seen_k:
-                    continue
-                seen_k.add(kd)
-                strata.append(
-                    _AdjointStratum(
-                        label=f"{case}; pair F1={sorted(f1.active_set)}, F2={sorted(f2.active_set)}",
-                        case_label=case,
-                        sample=pick_nonzero(refined),
-                        piece=kd,
-                        adjoint=_variational_adjoint_cone(spec, kd),
-                    )
-                )
-    return tuple(strata)
+        kd = gp.difference(f1, f2)
+        if kd not in by_kd:
+            by_kd[kd] = (f"pair F1={sorted(f1.active_set)}, F2={sorted(f2.active_set)}", [])
+        by_kd[kd][1].append(_graph_cell(spec, f2, f1))
+    for kd, (label, cells) in by_kd.items():
+        if not all(c.is_trivial() for c in cells):
+            yield label, kd, _variational_adjoint_cone(spec, kd), cells
 
 
 @_per_spec
-def _constraint_adjoint_strata(spec: ConstraintSystemSpec) -> tuple[_AdjointStratum, ...]:
-    """Direction-stratified adjoint systems of the constraint formulation."""
+def _adjoint_strata(spec) -> tuple[_AdjointStratum, ...]:
+    """Direction-stratified adjoint inclusions: one per nontrivial (q, u)
+    cell of each stratum, sharing the stratum's piece and adjoint cone."""
+    if spec.kind == "constraint":
+        sources = (
+            (s.label, s.normal, adj, [_qu_pullback(spec, qc) for qc in s.reach])
+            for s, adj, _ in _foscms_strata(spec)
+        )
+    else:
+        sources = _graph_strata(spec)
     strata: list[_AdjointStratum] = []
-    for s, adj, _ in _foscms_strata(spec):
-        for idx, qc in enumerate(s.reach):
-            refined = _qu_pullback(spec, qc)
-            if refined.is_trivial():
-                continue
-            strata.append(
-                _AdjointStratum(
-                    label=f"{s.label} / cell {idx}",
-                    case_label=s.label,
-                    sample=pick_nonzero(refined),
-                    piece=s.normal,
-                    adjoint=adj,
-                )
-            )
+    for label, piece, adjoint, cells in sources:
+        for idx, cell in enumerate(cells):
+            if not cell.is_trivial():
+                strata.append(_AdjointStratum(f"{label} / cell {idx}", label, pick_nonzero(cell), piece, adjoint))
     return tuple(strata)
 
 
@@ -699,13 +686,6 @@ def _zero_direction_adjoints(spec) -> tuple[tuple[PolyCone, PolyCone], ...]:
     # normals, whose adjoint cones the strata have already built.
     normals = ConeUnion(spec.m, [s.normal for s in direction_strata(spec.D, spec.g0)])
     return tuple((piece, _kernel_meet(spec, piece)) for piece in normals.pieces)
-
-
-def _adjoint_strata(spec) -> tuple[_AdjointStratum, ...]:
-    """The direction-stratified adjoint strata of either kind of system."""
-    if spec.kind == "variational":
-        return _variational_adjoint_strata(spec)
-    return _constraint_adjoint_strata(spec)
 
 
 @_per_spec

@@ -74,6 +74,30 @@ def random_graph_point(r: random.Random, gamma: Polyhedron):
     return y, random_normal_at(r, gamma, y)
 
 
+def graph_union(gamma: Polyhedron) -> UnionSet:
+    """The graph of the normal-cone map of gamma as an explicit union in
+    R^(2n): one piece per face F, the (y, y*) with y in F (F's active rows
+    as equations) and y* in the normal cone at the relative interior of F."""
+    zero = (0,) * gamma.dim
+    ys = [(*a.entries, *zero) for a in gamma.A]
+    pieces = []
+    for f in gamma.faces():
+        active = sorted(f.active_set)
+        n_ineqs, n_eqs = f.normal.ineqs, f.normal.eqs
+        pieces.append(
+            Polyhedron(
+                2 * gamma.dim,
+                ys + [(*zero, *a.entries) for a in n_ineqs],
+                list(gamma.b) + [0] * len(n_ineqs),
+                [ys[i] for i in active]
+                + [(*g.entries, *zero) for g in gamma.E]
+                + [(*zero, *g.entries) for g in n_eqs],
+                [gamma.b[i] for i in active] + list(gamma.e) + [0] * len(n_eqs),
+            )
+        )
+    return UnionSet(pieces)
+
+
 def random_member(r: random.Random, cone: PolyCone) -> QVector:
     v = QVector.zero(cone.dim)
     for g in cone.generators():

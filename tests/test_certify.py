@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import counting_dd, random_gamma, random_matrix, random_symmetric, random_union, rng
+from corpus import (
+    counting_dd,
+    graph_union,
+    random_gamma,
+    random_graph_point,
+    random_matrix,
+    random_symmetric,
+    random_union,
+    rng,
+)
 from polyvar.certify import (
     HOLDS,
     NOT_CERTIFIED,
@@ -24,6 +33,7 @@ from polyvar.certify import (
     fm_project,
     PreconditionError,
     graphical_derivative_S,
+    _adjoint_strata,
     _foscms_strata,
     _hessian_contraction,
     _form_value,
@@ -471,6 +481,69 @@ def test_metamorphic_aubin_corollary_implies_theorem():
         else:
             for w in cor.witnesses:
                 replay_aubin_witness(spec, w, "corollary")
+
+
+# -- the closed-form strata of gph N_Γ against the generic strata of its union -------
+
+
+def lifted_constraint_spec(spec):
+    """The variational system as a constraint system on D = gph N_Γ:
+    g(p, x) = (x, -f(p, x)), so Jp = [0; -Jp], Jx = [I; -Jx] and
+    g0 = (xbar, ybarstar)."""
+    n, l = spec.n, spec.l
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    return ConstraintSystemSpec(
+        l=l, n=n, m=2 * n,
+        Jp=[[0] * l for _ in range(n)] + [[-x for x in row.entries] for row in spec.Jp.rows],
+        Jx=eye + [[-x for x in row.entries] for row in spec.Jx.rows],
+        g0=QVector(spec.xbar.entries + spec.ybarstar.entries),
+        D=graph_union(spec.gamma),
+    )
+
+
+def test_graph_strata_agree_with_the_generic_strata_of_the_lift():
+    # The face-pair strata of gph N_Γ against the direction strata of the
+    # explicit union.  Jx entries in [-1, 1] make singular Jx common, so the
+    # draws include Phase B failures as well as Phase A refutations.
+    r = rng(87)
+    outcomes = set()
+    for _ in range(48):
+        n, l = r.choice([1, 2]), r.choice([1, 2])
+        gamma = random_gamma(r, n)
+        xbar, ystar = random_graph_point(r, gamma)
+        spec = VariationalSystemSpec(
+            l=l, n=n, Jp=random_matrix(r, n, l), Jx=random_matrix(r, n, n, -1, 1),
+            gamma=gamma, xbar=xbar, ybarstar=ystar,
+        )
+        lift = lifted_constraint_spec(spec)
+        cor, lifted = check_aubin(spec), check_aubin(lift)
+        assert (cor.status, cor.refuted) == (lifted.status, lifted.refuted)
+        joint = check_foscms_joint(spec)
+        assert joint.status == check_foscms_joint(lift).status
+        if joint.holds():
+            assert check_aubin(spec, "theorem").status == check_aubin(lift, "theorem").status
+        outcomes.add((cor.status, cor.refuted))
+    assert outcomes == {(HOLDS, False), (NOT_CERTIFIED, True), (NOT_CERTIFIED, False)}
+
+
+def orthant_spec(n):
+    """Γ = R^n_+ with xbar = ybarstar = 0, Jp = -e1 and Jx = I."""
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    return VariationalSystemSpec(
+        l=1, n=n, Jp=[[-int(i == 0)] for i in range(n)], Jx=eye,
+        gamma=Polyhedron(n, A=[[-x for x in row] for row in eye], b=[0] * n),
+        xbar=[0] * n, ybarstar=[0] * n,
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_orthant_strata_are_face_pairs(n):
+    # Of the 3^n face pairs F2 ⊆ F1 of K = R^n_+, the (q, u) cell is
+    # nontrivial exactly when e1 ∉ F1 or e1 ∈ F2, for 3^(n-1) pairs each,
+    # and every pair has its own difference cone.
+    spec = orthant_spec(n)
+    assert len(_adjoint_strata(spec)) == 2 * 3 ** (n - 1)
+    assert check_aubin(spec).holds()
 
 
 def test_certificates_invariant_under_row_rescaling():
