@@ -4,8 +4,9 @@ Two input shapes are supported.  A *constraint system* couples a smooth map
 through its frozen Jacobians ``Jp`` (parameter) and ``Jx`` (decision) with a
 finite union of polyhedra ``D`` that the map must hit; a *variational system*
 couples the Jacobians with the normal-cone map of a convex polyhedron
-``gamma``.  All certificates are sufficiency checks run entirely in exact
-rational arithmetic over strata: the direction strata of D for a constraint
+``gamma``.  All certificates are sufficiency checks run in exact integer
+arithmetic (rationals only in the spec's data and in returned vectors) over
+strata: the direction strata of D for a constraint
 system, and for a variational system the closed-form strata of the graph of
 the normal-cone map, one per difference cone F1 - F2 of a face pair
 F2 ⊆ F1 of the critical cone (``graphmap.face_pairs``):
@@ -31,7 +32,6 @@ through the cone layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import wraps
 from itertools import combinations
 from math import lcm
@@ -334,51 +334,52 @@ def covers_space(pieces: Sequence[PolyCone], dim: int) -> tuple[bool, QVector | 
 # -- quadratic-form sign analysis (for the second order condition) -----------------
 
 
-def _nonneg_direction(m: QMatrix) -> QVector | None:
-    """Coefficients c != 0 with c^T m c >= 0 for the symmetric matrix m, or
-    None exactly when m is negative definite.
+def _nonneg_direction(m: Sequence[IntVec]) -> IntVec | None:
+    """Coefficients c != 0 with c^T m c >= 0 for the symmetric integer
+    matrix m, or None exactly when m is negative definite.
 
-    Gaussian elimination without row exchanges: while the leading principal
-    minors d_1, ..., d_(k-1) are nonzero, pivot k is d_k / d_(k-1).  By
-    Sylvester's criterion m is negative definite iff every pivot is negative,
-    so the pass stops at the first pivot >= 0.  There the leading k x k block
-    A is negative definite, hence invertible, and with b = m[:k, k] the
-    vector c = (-A^-1 b, 1, 0, ...) has c^T m c = m[k][k] - b^T A^-1 b, which
-    is that pivot.  The kernel of [A | b] is the line through (-A^-1 b, 1),
-    so c is returned as its primitive integer vector, positive at k.
+    Elimination without row exchanges: while the leading principal minors
+    d_1, ..., d_(k-1) are nonzero, pivot k is d_k / d_(k-1).  By Sylvester's
+    criterion m is negative definite iff every pivot is negative, so the
+    pass stops at the first k with d_k d_(k-1) >= 0; fraction-free Bareiss
+    elimination (Bareiss 1968) gives d_k as pivot entry k.  There the leading
+    k x k block A is negative definite, hence invertible, and with
+    b = m[:k, k] the vector c = (-A^-1 b, 1, 0, ...) has
+    c^T m c = m[k][k] - b^T A^-1 b, which is that pivot.  The kernel of
+    [A | b] is the line through (-A^-1 b, 1), so c is returned as its
+    primitive integer vector, positive at k.
     """
-    rows = [list(r.entries) for r in m.rows]
+    rows = [list(r) for r in m]
+    prev = 1  # d_0
     for k, pr in enumerate(rows):
-        pv = pr[k]
-        if pv >= 0:
-            (head,) = _kernel([_ints(r.entries[: k + 1]) for r in m.rows[:k]], k + 1)
-            return QVector._of_ints(head + (0,) * (len(rows) - k - 1))
+        pv = pr[k]  # d_(k+1)
+        if pv * prev >= 0:
+            (head,) = _kernel([_reduce(r[: k + 1]) for r in m[:k]], k + 1)
+            return head + (0,) * (len(rows) - k - 1)
         for i in range(k + 1, len(rows)):
-            f = rows[i][k] / pv
-            rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+            mi, f = rows[i], rows[i][k]
+            rows[i] = [(pv * x - f * y) // prev for x, y in zip(mi, pr)]
+        prev = pv
     return None
 
 
-def _restrict_form(q: QMatrix, basis: Sequence[QVector]) -> QMatrix:
-    b = QMatrix(basis)
-    return b.matmul(q).matmul(b.T)
+def _restrict_form(q: Sequence[IntVec], basis: Sequence[IntVec]) -> tuple[IntVec, ...]:
+    qb = [_apply(q, g) for g in basis]
+    return tuple(tuple(_dot(g, qg) for qg in qb) for g in basis)
 
 
-def _form_value(q: QMatrix, u: QVector) -> Fraction:
-    return u.dot(q.matvec(u))
+def _form_value(q: Sequence[IntVec], u: IntVec) -> int:
+    return _dot(u, _apply(q, u))
 
 
-def _lift(gens: Sequence[QVector], coeffs: Sequence[Fraction]) -> QVector:
+def _lift(gens: Sequence[IntVec], coeffs: Sequence[int]) -> IntVec:
     """The primitive integer representative of sum c_i g_i."""
-    u = QVector.zero(gens[0].dim)
-    for c, g in zip(coeffs, gens):
-        u = u + g.scale(c)
-    return u.primitive()
+    return _reduce([_dot(coeffs, col) for col in zip(*gens)])
 
 
-def _negativity_on_cone(q: QMatrix, cone: PolyCone) -> QVector | None:
-    """A nonzero u in the cone with u^T q u >= 0, or None when the form is
-    strictly negative on the cone minus the origin.
+def _negativity_on_cone(q: Sequence[IntVec], cone: PolyCone) -> IntVec | None:
+    """A nonzero integer u in the cone with u^T q u >= 0, or None when the
+    integer form q is strictly negative on the cone minus the origin.
 
     Write the cone as cone(R) + span(L), the canonical rays R pointed and
     orthogonal to L.  If the form is not negative definite on span(L), that
@@ -393,7 +394,7 @@ def _negativity_on_cone(q: QMatrix, cone: PolyCone) -> QVector | None:
     Väliaho, 1986).  Singletons come first, so a ray with r^T q r >= 0 on a
     pointed cone is its own witness.
     """
-    rays, lin = list(cone.rays), list(cone.lin)
+    rays, lin = cone._v
     if lin:
         c = _nonneg_direction(_restrict_form(q, lin))
         if c is not None:
@@ -408,8 +409,8 @@ def _negativity_on_cone(q: QMatrix, cone: PolyCone) -> QVector | None:
             # variables (lam_J, c, mu)
             idx = support + free
             dim = len(idx) + 1
-            eqs = [_ints([gram[t][j] for j in idx] + [-1]) for t in support]
-            eqs += [_ints([gram[t][j] for j in idx] + [0]) for t in free]
+            eqs = [_reduce([gram[t][j] for j in idx] + [-1]) for t in support]
+            eqs += [_reduce([gram[t][j] for j in idx] + [0]) for t in free]
             strict = [tuple(-int(j == i) for j in range(dim)) for i in range(size)]
             cell = open_cell(dim, [(0,) * (dim - 1) + (-1,)], eqs, strict)
             if cell is not None:
@@ -472,8 +473,9 @@ def check_soscms(spec: ConstraintSystemSpec) -> Certificate:
     On every stratum that survives the first order test with a nontrivial
     dual cone, a violating pair must additionally make u^T (sum v*_i H_i) u
     nonnegative.  The sign of the quadratic term on each admissible
-    direction cone is decided exactly (``_negativity_on_cone``).  Computed
-    once per spec, like ``check_foscms``.
+    direction cone is decided exactly, in integers (``_negativity_on_cone``
+    on positive multiples of the forms).  Computed once per spec, like
+    ``check_foscms``.
     """
     if spec.kind != "constraint":
         raise TypeError("check_soscms expects a constraint system")
@@ -492,24 +494,25 @@ def check_soscms(spec: ConstraintSystemSpec) -> Certificate:
             rec["outcome"] = "ok (first order)"
             trace.append(rec)
             continue
-        if v_cone._v[1]:
+        rays, lin = v_cone._v
+        if lin:
             # both signs of a lineality direction are dual-feasible, so the
             # quadratic term can always be made nonnegative
             u = pick_nonzero(active_cells[0])
-            lstar = v_cone.lin[0]
-            qform = _hessian_contraction(spec, lstar)
-            vstar = lstar if _form_value(qform, u) >= 0 else -lstar
+            lstar = v_cone.lin[0]  # the RREF row; lin[0] is a positive multiple of it
+            qform = _hessian_contraction(spec, lin[0])
+            vstar = lstar if _form_value(qform, _ints(u)) >= 0 else -lstar
             witnesses.append(Witness(s.label, vstar, u=u))
             rec["outcome"] = "violated (dual lineality)"
             trace.append(rec)
             continue
         stratum_outcome = "ok (quadratic term negative)"
-        for rstar in v_cone.rays:
+        for rstar in rays:
             qform = _hessian_contraction(spec, rstar)
             for u_cell in active_cells:
                 wit = _negativity_on_cone(qform, u_cell)
                 if wit is not None:
-                    witnesses.append(Witness(s.label, rstar, u=wit))
+                    witnesses.append(Witness(s.label, QVector._of_ints(rstar), u=QVector._of_ints(wit)))
                     stratum_outcome = "violated"
         rec["outcome"] = stratum_outcome
         trace.append(rec)
@@ -517,16 +520,18 @@ def check_soscms(spec: ConstraintSystemSpec) -> Certificate:
     return Certificate(status, tuple(witnesses), trace=tuple(trace))
 
 
-def _hessian_contraction(spec: ConstraintSystemSpec, vstar: QVector) -> QMatrix:
-    acc = QMatrix.zero(spec.n, spec.n)
-    rows = [list(r.entries) for r in acc.rows]
-    for coef, h in zip(vstar.entries, spec.hessians):
-        if coef == 0:
-            continue
-        for i in range(spec.n):
-            for j in range(spec.n):
-                rows[i][j] += coef * h[i][j]
-    return QMatrix(rows)
+@_per_spec
+def _hessian_rows(spec: ConstraintSystemSpec) -> tuple[tuple[IntVec, ...], ...]:
+    """The Hessians as integer matrices, all times one positive integer (one
+    scale per matrix would change sum v*_i H_i)."""
+    rows, n = _scaled([r for h in spec.hessians for r in h.rows]), spec.n
+    return tuple(rows[i : i + n] for i in range(0, len(rows), n))
+
+
+def _hessian_contraction(spec: ConstraintSystemSpec, vstar: IntVec) -> tuple[IntVec, ...]:
+    """A positive multiple of sum v*_i H_i, given a positive integer multiple of v*."""
+    terms = [(c, h) for c, h in zip(vstar, _hessian_rows(spec)) if c]
+    return tuple(tuple(sum(c * h[i][j] for c, h in terms) for j in range(spec.n)) for i in range(spec.n))
 
 
 def check_calmness_constraint(spec: ConstraintSystemSpec, order: str = "first") -> Certificate:
@@ -825,32 +830,27 @@ def graphical_derivative_S(spec, q: QVector) -> list[Polyhedron]:
     """Slice of the linearized solution cone at a fixed parameter direction.
 
     Returns the set {u : (q, u) solves the linearized inclusion} as a list
-    of polyhedra (possibly overlapping, canonically deduplicated).
+    of polyhedra (possibly overlapping, canonically deduplicated), each
+    from the integer rows of a solution piece.
     """
-    n = spec.n
+    if q.dim != spec.l:
+        raise ValueError(f"dimension mismatch: {q.dim} vs {spec.l}")
+    l, qe = spec.l, q.entries
     out: list[Polyhedron] = []
     for c in _solution_pieces(spec):
-        a_rows, b_rhs, e_rows, e_rhs = [], [], [], []
-        for a in c.ineqs:
-            aq, au = _split_qu(a, spec.l)
-            a_rows.append(au)
-            b_rhs.append(-aq.dot(q))
-        for e in c.eqs:
-            eq_, eu = _split_qu(e, spec.l)
-            e_rows.append(eu)
-            e_rhs.append(-eq_.dot(q))
+        # a.(q, u) <= 0 on an integer row a = (a_q, a_u): a_u.u <= -a_q.q
+        ineqs, eqs = c._h
         try:
-            poly = Polyhedron(n, a_rows, b_rhs, e_rows, e_rhs)
+            poly = Polyhedron(
+                spec.n,
+                [a[l:] for a in ineqs], [-_dot(a[:l], qe) for a in ineqs],
+                [e[l:] for e in eqs], [-_dot(e[:l], qe) for e in eqs],
+            )
         except InfeasibleError:
             continue
         out.append(poly)
-    dedup: list[Polyhedron] = []
-    for p in out:
-        if any(p.subset_of(qp) and p.key() != qp.key() for qp in out):
-            continue
-        if p.key() not in {d.key() for d in dedup}:
-            dedup.append(p)
-    dedup.sort(key=lambda p: p.key())
+    dedup = [p for p in dict.fromkeys(out) if not any(p != o and p.subset_of(o) for o in out)]
+    dedup.sort(key=Polyhedron.key)
     return dedup
 
 
@@ -919,10 +919,14 @@ def check_second_order_directional_subregularity(spec, u: QVector, gpp: QVector 
     if u.is_zero():
         raise PreconditionError("direction u must be nonzero")
     if gpp is None:
-        if spec.kind == "constraint" and spec.hessians is not None:
-            gpp = QVector([_form_value(h, u) for h in spec.hessians])
-        else:
+        if spec.kind != "constraint" or spec.hessians is None:
             raise PreconditionError("gpp is required when no Hessians are stored")
+        ui = _ints(u)
+        curvature = tuple(_form_value(h, ui) for h in _hessian_rows(spec))  # a positive multiple of gpp
+    elif gpp.dim != spec.Jx.nrows:
+        raise ValueError(f"dimension mismatch: {gpp.dim} vs {spec.Jx.nrows}")
+    else:
+        curvature = _ints(gpp)
     cones = _directional_adjoints(spec, u, QVector.zero(spec.Jx.nrows))
     if cones is None:
         return Certificate(HOLDS, notes=("direction is not tangent: subregular in it by definition",))
@@ -937,10 +941,10 @@ def check_second_order_directional_subregularity(spec, u: QVector, gpp: QVector 
             trace.append({"piece": label, "adjoint_cone": cone_plain(c), "outcome": "violated (lineality)"})
             witnesses.append(Witness(label, c.lin[0], u=u))
             continue
-        bad = [r for r in c.rays if r.dot(gpp) >= 0]
+        bad = [r for r in c._v[0] if _dot(r, curvature) >= 0]
         if bad:
             trace.append({"piece": label, "adjoint_cone": cone_plain(c), "outcome": "violated (nonnegative ray)"})
-            witnesses.append(Witness(label, bad[0], u=u))
+            witnesses.append(Witness(label, QVector._of_ints(bad[0]), u=u))
         else:
             trace.append({"piece": label, "adjoint_cone": cone_plain(c), "outcome": "ok (strictly negative on rays)"})
     status = NOT_CERTIFIED if witnesses else HOLDS

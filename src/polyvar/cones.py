@@ -18,9 +18,10 @@ absorbed into the start basis, inequalities are processed one at a time while
 the (lineality basis, ray list) pair is kept in sync, and the ray list is
 irredundant after every step, because adjacency is decided exactly.  Both
 representations are canonicalized so that cone equality is plain structural
-equality:
+equality of integer tuples:
 
-* ``lin`` is the RREF basis of the lineality space (unique),
+* the lineality basis is in integer echelon form (unique; ``lin`` divides
+  each row by its pivot, which gives the RREF basis),
 * each ray is orthogonally projected onto the complement of the lineality
   space and scaled to a primitive integer vector (unique representative of
   its ray class), once, and the ray list is sorted,
@@ -36,11 +37,11 @@ method revisited", 1996), so every ray kept is extreme and no rank is computed
 per ray.  The start basis and the canonical lineality rows come from the
 integer elimination routines of ``linalg`` (echelon form, kernel), called
 directly.
-A ``PolyCone`` stores only these integer forms.  ``fractions.Fraction``
-appears only at the API boundary: ``ineqs``, ``eqs``, ``rays`` and ``lin``
-are ``QVector`` views built from the integer forms when they are read, and
-``key()`` is built once per cone.  The JSON-plain view ``cone_plain`` writes
-its strings from the integer forms directly.
+A ``PolyCone`` stores only these integer forms, and ``key()``, equality and
+hashing read them.  ``fractions.Fraction`` appears only at the API boundary:
+``ineqs``, ``eqs``, ``rays`` and ``lin`` are ``QVector`` views built from the
+integer forms when they are read, and ``cone_plain`` writes its strings from
+the integer forms directly.
 
 Strata, Phase A and the second order test ask one question, "is the open
 cell {leq.z <= 0, eqs.z = 0, strict.z < 0} nonempty?", and ``open_cell``
@@ -205,30 +206,26 @@ class PolyCone:
     lineality basis as integer echelon rows.  A cone is built with one of
     them; the other is converted the first time ``_h`` or ``_v`` is read,
     kept in the list ``_reps`` that the cone shares with its polars, and
-    then held in its slot like the first.  ``key()`` is likewise computed
-    once.  ``ineqs``, ``eqs``, ``rays`` and ``lin`` are rational views built
-    from the integer forms on each read.
+    then held in its slot like the first.  ``key()`` is (dim, lineality
+    rows, rays) of ``_v``.  ``ineqs``, ``eqs``, ``rays`` and ``lin`` are
+    rational views built from the integer forms on each read.
     """
 
-    __slots__ = ("dim", "_reps", "_side", "_h", "_v", "_key", "_faces")
+    __slots__ = ("dim", "_reps", "_side", "_h", "_v", "_faces")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use PolyCone.from_ineqs or PolyCone.from_generators")
 
     def __getattr__(self, name):
-        # Called only for a slot not set yet: _h, _v and _key fill on first read.
-        if name == "_key":
-            # Integer rays compare and hash like the Fraction tuples of ``rays``.
-            value = (self.dim, tuple(v.entries for v in self.lin), self._v[0])
-        elif name == "_v" or name == "_h":
-            reps = self._reps
-            i = self._side if name == "_v" else 1 - self._side
-            value = reps[i]
-            if value is None:
-                # the canonical generators of one side are the rows of the other
-                value = reps[i] = _generators(self.dim, *reps[1 - i])[::-1]
-        else:
+        # Called only for a slot not set yet: _h and _v fill on first read.
+        if name != "_v" and name != "_h":
             raise AttributeError(name)
+        reps = self._reps
+        i = self._side if name == "_v" else 1 - self._side
+        value = reps[i]
+        if value is None:
+            # the canonical generators of one side are the rows of the other
+            value = reps[i] = _generators(self.dim, *reps[1 - i])[::-1]
         object.__setattr__(self, name, value)
         return value
 
@@ -280,13 +277,14 @@ class PolyCone:
     # -- canonical identity ------------------------------------------------
 
     def key(self):
-        return self._key
+        rays, lin = self._v
+        return (self.dim, lin, rays)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PolyCone) and self._key == other._key
+        return isinstance(other, PolyCone) and self.key() == other.key()
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self.key())
 
     def __repr__(self) -> str:
         return f"PolyCone(dim={self.dim}, rays={list(self.rays)}, lin={list(self.lin)})"

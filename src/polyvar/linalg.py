@@ -3,14 +3,14 @@ everything else is built on.
 
 Values at the API are ``fractions.Fraction`` (arbitrary precision, always in
 canonical reduced form with positive denominator) held in immutable, hashable
-``QVector``/``QMatrix`` objects.  Elimination runs on integers: each row is
-scaled once by a positive rational to a primitive integer vector (``_ints``),
-the reduced echelon form is kept in integers by cross-multiplying and
-dividing by the gcd (``_echelon``), and ranks come from fraction-free Bareiss
-elimination (``_rank``, Bareiss 1968).  ``rref``, ``kernel`` and
-``QVector.primitive`` divide the integer results back into rationals once, at
-the end; the cone layer uses the integer routines directly.  Every operation
-is exact.
+``QVector``/``QMatrix`` objects, a boundary only: the package computes on
+primitive integer tuples (``IntVec``).  Each row is scaled once by a
+positive rational to a primitive integer vector (``_ints``), the reduced
+echelon form is kept in integers by cross-multiplying and dividing by the
+gcd (``_echelon``), and ranks come from fraction-free Bareiss elimination
+(``_rank``, Bareiss 1968).  ``rref``, ``kernel``, ``orth_complement`` and
+``QVector.primitive`` are public wrappers that divide the integer results
+back into rationals once, at the end.  Every operation is exact.
 """
 
 from __future__ import annotations
@@ -192,12 +192,6 @@ class QMatrix:
         if v.dim != self.ncols:
             raise ValueError("matvec dimension mismatch")
         return QVector(r.dot(v) for r in self.rows)
-
-    def matmul(self, other: "QMatrix") -> "QMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("matmul dimension mismatch")
-        cols = [other.col(j) for j in range(other.ncols)]
-        return QMatrix([[r.dot(c) for c in cols] for r in self.rows])
 
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and self == self.T

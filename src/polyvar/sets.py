@@ -15,9 +15,9 @@ into strictly violated constraints.
 Reachability of a cell from ``ybar`` is decided exactly, and each row of a
 piece is checked against ``ybar`` once, not once per cell.  Only faces that
 contain ``ybar`` can be assigned, so a piece that misses ``ybar`` is always
-"out".  Near ``ybar`` a slack row holds strictly and a violated row stays
-violated, so a cell is a homogeneous system in the rows tight at ``ybar``:
-equations plus strict rows in the direction.  Each distinct cell costs one
+"out" with no row in its cell.  Near ``ybar`` a slack row holds strictly and
+a violated row stays violated, so a cell is a homogeneous system in the rows
+tight at ``ybar``: equations plus strict rows in the direction.  Each distinct cell costs one
 conversion, of its closure (the cone with the strict rows closed): the cell
 is reachable iff it is nonempty (``cones.open_cell``, which decides this
 from the rays of the closure), and then the closure is the closure of its
@@ -55,7 +55,8 @@ class Polyhedron:
 
     Stored only as its homogenization cone, whose canonical irredundant rows
     give the canonical H-representation; ``A``, ``b``, ``E`` and ``e`` are
-    rational views of them.  Feasibility is verified exactly at construction.
+    rational views of them, and the cone is the polyhedron's identity.
+    Feasibility is verified exactly at construction.
     """
 
     __slots__ = ("dim", "_homog", "_rows", "_faces", "_normals")
@@ -100,13 +101,13 @@ class Polyhedron:
         return tuple(-g[self.dim] for g in self._homog.eqs)
 
     def key(self):
-        return (self.dim, tuple(v.entries for v in self.A), self.b, tuple(v.entries for v in self.E), self.e)
+        return self._homog.key()
 
     def __eq__(self, other):
-        return isinstance(other, Polyhedron) and self.key() == other.key()
+        return isinstance(other, Polyhedron) and self._homog == other._homog
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self._homog)
 
     def __repr__(self):
         ineq = ", ".join(f"{a!r}.y<={bv}" for a, bv in zip(self.A, self.b))
@@ -362,24 +363,23 @@ def _options_at(p: Polyhedron, ybar: QVector):
     Face options are (face, equation rows, strict rows) of the face's cell
     in direction space: only faces containing ybar, closed on the rows of E
     and the face's active rows, open on the tight rows it leaves inactive.
-    "Out" choices, one per strictly violated row (a.y > b, g.y < e or
-    g.y > e), are () when the violation holds at ybar and the homogeneous
-    strict row when the row is tight there; a row slack at ybar is no choice.
+    A piece that misses ybar has the single "out" choice (); one that holds
+    it has one per row that can be violated near it (a.y > b for a row
+    tight at ybar, g.y < e or g.y > e): the homogeneous strict row.
     """
-    A, E = p._int_rows()
     sa, se = p._slacks(ybar)
+    if any(s > 0 for s in sa) or any(se):
+        # near ybar the piece is absent in every direction: each other "out"
+        # cell would lie inside the cell of ()
+        return [], [()]
+    A, E = p._int_rows()
     tight = {i for i, s in enumerate(sa) if s == 0}
     faces = []
-    if all(s <= 0 for s in sa) and not any(se):
-        for f in p.faces():
-            if f.active_set <= tight:
-                eqs = E + [A[i] for i in sorted(f.active_set)]
-                faces.append((f, eqs, [A[i] for i in sorted(tight - f.active_set)]))
-    # (c, a positive multiple of c.ybar - gamma) for each strict row c.y < gamma of "out"
-    strict = [(_neg(a), -s) for a, s in zip(A, sa)]
-    for g, s in zip(E, se):
-        strict += [(g, s), (_neg(g), -s)]
-    outs = [() if s < 0 else (c,) for c, s in strict if s <= 0]
+    for f in p.faces():
+        if f.active_set <= tight:
+            eqs = E + [A[i] for i in sorted(f.active_set)]
+            faces.append((f, eqs, [A[i] for i in sorted(tight - f.active_set)]))
+    outs = [(_neg(A[i]),) for i in sorted(tight)] + [(c,) for g in E for c in (g, _neg(g))]
     return faces, list(dict.fromkeys(outs))  # equal choices give equal cells
 
 

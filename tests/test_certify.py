@@ -101,8 +101,8 @@ def replay_foscms_witness(spec, w):
 
 def replay_soscms_witness(spec, w):
     replay_foscms_witness(spec, w)
-    qform = _hessian_contraction(spec, w.vstar)
-    assert _form_value(qform, w.u) >= 0
+    qform = _hessian_contraction(spec, _ints(w.vstar))
+    assert _form_value(qform, _ints(w.u)) >= 0
 
 
 def replay_aubin_witness(spec, w, mode):
@@ -546,6 +546,25 @@ def test_orthant_strata_are_face_pairs(n):
     assert check_aubin(spec).holds()
 
 
+def test_orthant_checks_hash_no_fraction(monkeypatch):
+    # cones are identified by their integer rows, so no memo or dedup
+    # lookup of the certifiers hashes a Fraction
+    spec = orthant_spec(4)
+    hashed = []
+    real = F.__hash__
+
+    def counted(self):
+        hashed.append(self)
+        return real(self)
+
+    monkeypatch.setattr(F, "__hash__", counted)
+    assert check_aubin(spec).holds()
+    assert check_aubin(spec, "theorem").holds()
+    assert check_foscms_joint(spec).holds()
+    monkeypatch.undo()
+    assert hashed == []
+
+
 def test_certificates_invariant_under_row_rescaling():
     base = ex3_spec()
     p1, p2 = base.D.pieces
@@ -664,6 +683,14 @@ def test_covers_space_hypothesis(union):
     else:
         assert all(x.denominator == 1 for x in gap) and gcd(*(int(x) for x in gap)) == 1
         assert not any(p.contains(gap) for p in pieces)
+
+
+def test_directions_of_the_wrong_dimension_are_rejected():
+    # the integer rows would silently truncate a longer vector
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        graphical_derivative_S(ex5_spec(), QVector([1, 0]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        check_second_order_directional_subregularity(ex4_spec(), QVector([1, 0]), QVector([-1, -1, -1]))
 
 
 def test_constraint_checks_reject_variational_specs():

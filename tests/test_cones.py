@@ -624,3 +624,40 @@ def test_cone_plain_matches_rational_views_hypothesis(system, as_generators):
         c = PolyCone.from_ineqs(dim, rows, more)
     assert cone_plain(c) == reference_plain(c)
     assert cone_plain(c.polar()) == reference_plain(c.polar())
+
+
+# -- identity by the canonical integer generators ---------------------------------
+
+
+IDENTITY_POOL = CORPUS + [
+    cone
+    for d in (1, 2, 3)
+    for cone in (
+        PolyCone.origin(d),
+        PolyCone.full_space(d),
+        PolyCone.from_generators(d, lin=[[2] + [1] * (d - 1)]),  # lineality only, pivot 2
+        PolyCone.from_generators(d, [[1] + [0] * (d - 1)]),  # a ray: lower-dimensional
+    )
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(IDENTITY_POOL),
+    st.sampled_from(IDENTITY_POOL),
+    st.sampled_from(["drawn", "generators", "rows", "polar of polar"]),
+    st.fractions(F(1, 3), 3),
+)
+def test_equality_is_equality_of_the_rational_generators_hypothesis(a, b, rebuild, s):
+    # b is drawn, or rebuilt from a: from its generators scaled by s (so the
+    # lineality rows have other pivots), from its rows, or as a double polar
+    if rebuild == "generators":
+        b = PolyCone.from_generators(a.dim, [r.scale(s) for r in a.rays], [l.scale(s) for l in a.lin])
+    elif rebuild == "rows":
+        b = PolyCone.from_ineqs(a.dim, [r.scale(s) for r in a.ineqs], list(a.eqs))
+    elif rebuild == "polar of polar":
+        b = a.polar().polar()
+    same = (a.rays, a.lin) == (b.rays, b.lin)
+    assert (a == b) == same == (b == a)
+    if same:
+        assert hash(a) == hash(b) and a.key() == b.key()

@@ -4,11 +4,14 @@ The decision is exact: ``_negativity_on_cone`` returns None when the form is
 strictly negative on the cone minus the origin, and otherwise a witness: a
 nonzero primitive integer vector of the cone on which the form is
 nonnegative.  ``_nonneg_direction`` is its subspace part: coefficients with
-c^T m c >= 0, or None exactly when m is negative definite.
+c^T m c >= 0, or None exactly when m is negative definite.  Forms are
+integer matrices and directions integer tuples: each rational matrix below
+is scaled by one positive integer (``ints``), which keeps every sign.
 """
 
 from fractions import Fraction as F
 from itertools import permutations, product
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,52 +25,59 @@ def orthant(n):
     return PolyCone.from_ineqs(n, [[-(i == j) for j in range(n)] for i in range(n)])
 
 
+def ints(m):
+    """A rational matrix times the lcm of its denominators, as integer rows."""
+    rows = [[F(x) for x in r] for r in m]
+    den = lcm(*(x.denominator for r in rows for x in r))
+    return tuple(tuple(int(x * den) for x in r) for r in rows)
+
+
 def violation(q, cone):
     """The kernel's witness, checked: nonzero, in the cone, form >= 0."""
     wit = _negativity_on_cone(q, cone)
-    assert wit is not None and not wit.is_zero()
-    assert cone.contains(wit) and _form_value(q, wit) >= 0
+    assert wit is not None and any(wit)
+    assert cone.contains(QVector(wit)) and _form_value(q, wit) >= 0
     return wit
 
 
 def test_trivial_cone_is_vacuously_negative():
-    assert _negativity_on_cone(QMatrix([[1]]), PolyCone.origin(1)) is None
+    assert _negativity_on_cone(ints([[1]]), PolyCone.origin(1)) is None
 
 
 def test_single_ray_exact():
     ray = PolyCone.from_generators(2, [[1, 0]])
-    assert _negativity_on_cone(QMatrix([[-1, 0], [0, 1]]), ray) is None
-    assert violation(QMatrix([[1, 0], [0, -1]]), ray) == QVector([1, 0])
+    assert _negativity_on_cone(ints([[-1, 0], [0, 1]]), ray) is None
+    assert violation(ints([[1, 0], [0, -1]]), ray) == (1, 0)
 
 
 def test_two_rays_interior_violation_found_exactly():
     # diagonal entries negative but a large positive cross term pushes the
     # form nonnegative strictly inside the cone
-    violation(QMatrix([[-1, 2], [2, -1]]), orthant(2))
+    violation(ints([[-1, 2], [2, -1]]), orthant(2))
 
 
 def test_two_rays_negative_with_positive_cross():
-    q = QMatrix([[-1, F(9, 10)], [F(9, 10), -1]])
+    q = ints([[-1, F(9, 10)], [F(9, 10), -1]])
     assert _negativity_on_cone(q, orthant(2)) is None
 
 
 def test_subspace_cases():
     line = PolyCone.from_generators(2, lin=[[1, 0]])
-    assert _negativity_on_cone(QMatrix([[-1, 0], [0, 5]]), line) is None
-    violation(QMatrix([[1, 0], [0, -5]]), line)
+    assert _negativity_on_cone(ints([[-1, 0], [0, 5]]), line) is None
+    violation(ints([[1, 0], [0, -5]]), line)
     # negative semidefinite with a kernel direction: the kernel vector is a
     # witness since the condition demands strict negativity
-    q = QMatrix([[0, 0], [0, -1]])
+    q = ints([[0, 0], [0, -1]])
     assert _form_value(q, violation(q, line)) == 0
 
 
 def test_three_rays_all_cross_nonpositive_certified():
-    q = QMatrix([[-1, 0, -2], [0, -1, -2], [-2, -2, -1]])
+    q = ints([[-1, 0, -2], [0, -1, -2], [-2, -2, -1]])
     assert _negativity_on_cone(q, orthant(3)) is None
 
 
 def test_three_rays_span_negative_definite_certified():
-    q = QMatrix([[-2, F(1, 2), 0], [F(1, 2), -2, 0], [0, 0, -1]])
+    q = ints([[-2, F(1, 2), 0], [F(1, 2), -2, 0], [0, 0, -1]])
     assert _nonneg_direction(q) is None
     assert _negativity_on_cone(q, orthant(3)) is None
 
@@ -78,16 +88,16 @@ def test_negative_on_orthant_though_indefinite_on_span():
     # since 1.8 u1 u2 <= 0.9 (u1^2 + u2^2) and every other term is negative.
     # At n = 10 all 1023 supports are tried, none feasible.
     for n in (3, 10):
-        q = QMatrix([[-1 if i == j else (F(9, 10) if {i, j} == {0, 1} else -2) for j in range(n)] for i in range(n)])
+        q = ints([[-1 if i == j else (F(9, 10) if {i, j} == {0, 1} else -2) for j in range(n)] for i in range(n)])
         assert _nonneg_direction(q) is not None
-        assert _form_value(q, QVector([1, 1, -2] + [0] * (n - 3))) > 0
+        assert _form_value(q, (1, 1, -2) + (0,) * (n - 3)) > 0
         assert _negativity_on_cone(q, orthant(n)) is None
 
 
 def test_mixed_lineality_and_ray():
     halfplane = PolyCone.from_generators(2, rays=[[0, 1]], lin=[[1, 0]])
-    assert _negativity_on_cone(QMatrix([[-1, 0], [0, -1]]), halfplane) is None
-    violation(QMatrix([[-1, 3], [3, -1]]), halfplane)
+    assert _negativity_on_cone(ints([[-1, 0], [0, -1]]), halfplane) is None
+    violation(ints([[-1, 3], [3, -1]]), halfplane)
 
 
 def leibniz_det(rows):
@@ -121,10 +131,10 @@ def test_neg_definite_matches_sylvester(m):
     # principal minor d_k, here by the Leibniz formula
     rows = [r.entries for r in m.rows]
     minors = [leibniz_det([r[:k] for r in rows[:k]]) for k in range(1, m.nrows + 1)]
-    c = _nonneg_direction(m)
+    c = _nonneg_direction(ints(m))
     assert (c is None) == all((-1) ** k * d > 0 for k, d in enumerate(minors, 1))
     if c is not None:
-        assert c.dim == m.nrows and not c.is_zero() and _form_value(m, c) >= 0
+        assert len(c) == m.nrows and any(c) and _form_value(ints(m), c) >= 0
 
 
 small_vectors = st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(any)
@@ -141,14 +151,13 @@ def test_cone_decision_matches_dense_grid(rays, lin, q):
     # coefficients in -4..4 lies in the cone; the sign of the form does not
     # depend on the scale, so this is a rational grid on the generators
     cone = PolyCone.from_generators(3, rays, lin)
-    gens = [QVector(g) for g in rays + lin]
+    q = ints(q)
+    gens = rays + lin
     ranges = [range(5)] * len(rays) + [range(-4, 5)] * len(lin)
     grid_hit = False
     for coeffs in product(*ranges):
-        u = QVector.zero(3)
-        for c, g in zip(coeffs, gens):
-            u = u + g.scale(c)
-        if not u.is_zero() and _form_value(q, u) >= 0:
+        u = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(3))
+        if any(u) and _form_value(q, u) >= 0:
             grid_hit = True
             break
     if _negativity_on_cone(q, cone) is None:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from corpus import (
     boundary_points,
+    counting_dd,
+    graph_union,
     random_affine_union,
     random_gamma,
     random_graph_point,
@@ -14,8 +16,9 @@ from corpus import (
     random_union,
     rng,
 )
+from polyvar import sets
 from polyvar.cones import PolyCone
-from polyvar.linalg import QVector
+from polyvar.linalg import QVector, _neg
 from polyvar.oracle import sample_union_normals
 from polyvar.sets import (
     ConeUnion,
@@ -492,3 +495,72 @@ def test_point_tests_make_no_rational_dot(monkeypatch):
         if p.contains(y):
             p.tangent_cone(y)
         p.active_ineqs(y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polyhedra(), polyhedra(), st.booleans(), st.fractions(F(1, 3), 3))
+def test_polyhedron_equality_is_equality_of_the_rational_views_hypothesis(p, q, rebuild, s):
+    # q is drawn, or p rebuilt from its views with every row and right-hand
+    # side scaled by s
+    if rebuild:
+        q = Polyhedron(
+            p.dim, [a.scale(s) for a in p.A], [s * bv for bv in p.b], [g.scale(s) for g in p.E], [s * ev for ev in p.e]
+        )
+    same = (p.dim, p.A, p.b, p.E, p.e) == (q.dim, q.A, q.b, q.E, q.e)
+    assert (p == q) == same == (q == p)
+    if same:
+        assert hash(p) == hash(q) and p.key() == q.key()
+
+
+# -- a piece that misses the reference point ----------------------------------------
+
+
+def test_piece_missing_the_point_adds_one_out_cell():
+    # gph N_Γ of Γ = {-y1-y2 <= 1, -y1+2y2 <= 2, y1-y2 <= 1, y1 <= 1}: only 4
+    # of its 9 pieces hold g0, and each of the others has the single cell ()
+    gamma = Polyhedron(2, A=[[-1, -1], [-1, 2], [1, -1], [1, 0]], b=[1, 2, 1, 1])
+    d = graph_union(gamma)
+    g0 = QVector([0, -1, 0, 0])
+    assert sum(p.contains(g0) for p in d.pieces) == 4
+    with counting_dd() as calls:
+        strata = direction_strata(d, g0)
+    assert len(strata) == 9
+    assert len(calls) < 10_000
+
+
+def options_row_by_row(p, ybar):
+    """The choices of ``sets._options_at`` with one "out" choice per row
+    violated near ybar for every piece, also for one that misses ybar."""
+    A, E = p._int_rows()
+    sa, se = p._slacks(ybar)
+    tight = {i for i, s in enumerate(sa) if s == 0}
+    faces = []
+    if all(s <= 0 for s in sa) and not any(se):
+        for f in p.faces():
+            if f.active_set <= tight:
+                eqs = E + [A[i] for i in sorted(f.active_set)]
+                faces.append((f, eqs, [A[i] for i in sorted(tight - f.active_set)]))
+    strict = [(_neg(a), -s) for a, s in zip(A, sa)]
+    for g, s in zip(E, se):
+        strict += [(g, s), (_neg(g), -s)]
+    outs = [() if s < 0 else (c,) for c, s in strict if s <= 0]
+    return faces, list(dict.fromkeys(outs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 3), st.data())
+def test_missing_pieces_keep_the_strata_of_the_row_by_row_choices_hypothesis(seed, dim, data):
+    d = random_union(rng(seed), dim)
+    points = [QVector(y) for y in product((-1, 0, 1), repeat=dim)]
+    points = [y for y in points if d.contains(y) and not all(p.contains(y) for p in d.pieces)]
+    assume(points)
+    y = data.draw(st.sampled_from(points))
+    new = direction_strata(d, y)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sets, "_options_at", options_row_by_row)
+        old = direction_strata(UnionSet(d.pieces), y)
+    assert [s.label for s in new] == [s.label for s in old]
+    for s, t in zip(new, old):
+        assert s.normal == t.normal
+        assert set(s.reach) <= set(t.reach)
+        assert all(any(r.subcone_of(q) for q in s.reach) for r in t.reach)
