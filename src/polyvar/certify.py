@@ -38,7 +38,7 @@ from math import lcm
 from typing import Sequence
 
 from .cones import Face, PolyCone, cone_plain, open_cell, pick_nonzero
-from .graphmap import GraphPoint, _along, face_pairs, graph_tangent_member, limiting_normal_graph
+from .graphmap import GraphPoint, _along, face_pairs, graph_tangent_member
 from .linalg import IntVec, QMatrix, QVector, _dot, _ints, _kernel, _neg, _reduce, vec_plain
 from .sets import (
     ConeUnion,
@@ -271,16 +271,13 @@ def _d_tangent(spec: ConstraintSystemSpec) -> ConeUnion:
     return union_tangent_cone(spec.D, spec.g0)
 
 
-@_per_spec
-def _jx_kernel(spec: ConstraintSystemSpec) -> PolyCone:
-    """{v : Jx^T v = 0} as a subspace cone in R^m."""
-    return PolyCone.from_ineqs(spec.m, [], _w_map_T(spec)[spec.l:])
-
-
 @_per_spec_cone
 def _kernel_meet(spec: ConstraintSystemSpec, normal: PolyCone) -> PolyCone:
-    """ker Jx^T ∩ normal: the adjoint cone of a normal-cone piece of D."""
-    return _jx_kernel(spec).intersect(normal)
+    """ker Jx^T ∩ normal: the adjoint cone of a normal-cone piece of D, in
+    one conversion of the normal's integer rows with the columns of Jx (a
+    positive multiple of them) as further equations."""
+    ineqs, eqs = normal._h
+    return PolyCone.from_ineqs(spec.m, ineqs, eqs + _w_map_T(spec)[spec.l:])
 
 
 def _split_qu(vec: QVector, l: int) -> tuple[QVector, QVector]:
@@ -627,7 +624,7 @@ def _graph_cell(spec: VariationalSystemSpec, f2: Face, f1: Face) -> PolyCone:
 @_per_spec_cone
 def _variational_adjoint_cone(spec: VariationalSystemSpec, kd: PolyCone) -> PolyCone:
     """{v* : -Jx^T v* ∈ Kd°, -v* ∈ Kd} in R^n, once per difference cone Kd
-    for the strata, the zero direction and the directional check."""
+    for the strata and for the directional adjoints at every direction."""
     jx = _jx_rows(spec)
     rays, lin = kd._v  # the H-representation of Kd°
     ineqs, eqs = kd._h
@@ -679,18 +676,11 @@ def _adjoint_strata(spec) -> tuple[_AdjointStratum, ...]:
 
 @_per_spec
 def _zero_direction_adjoints(spec) -> tuple[tuple[PolyCone, PolyCone], ...]:
-    """(piece, adjoint cone) for each piece of the unstratified adjoint
-    inclusion: limiting graph normal pieces (variational) or normal-cone
-    pieces of D in the zero direction (constraint)."""
-    if spec.kind == "variational":
-        return tuple(
-            (p.k, _variational_adjoint_cone(spec, p.k))
-            for p in limiting_normal_graph(spec.graph_point()).pieces
-        )
-    # Every reach cone contains 0, so N_D(g0; 0) is the union of all strata
-    # normals, whose adjoint cones the strata have already built.
-    normals = ConeUnion(spec.m, [s.normal for s in direction_strata(spec.D, spec.g0)])
-    return tuple((piece, _kernel_meet(spec, piece)) for piece in normals.pieces)
+    """The (piece, adjoint cone) pairs of the standard adjoint inclusion,
+    read along the zero direction: there the directional limiting normal
+    cone is the limiting one (every reach cone of D contains 0, and the
+    graph's keeps every face pair)."""
+    return _directional_adjoints(spec, QVector.zero(spec.n), QVector.zero(spec.Jx.nrows))
 
 
 @_per_spec
@@ -854,25 +844,26 @@ def graphical_derivative_S(spec, q: QVector) -> list[Polyhedron]:
     return dedup
 
 
-def _directional_adjoints(spec, u: QVector, v: QVector) -> list[PolyCone] | None:
-    """The adjoint solution cones in the graph direction (u, v), one per
+def _directional_adjoints(spec, u: QVector, v: QVector) -> tuple[tuple[PolyCone, PolyCone], ...] | None:
+    """The (piece, adjoint cone) pairs in the graph direction (u, v), one per
     piece of the directional normal cone, or None when (u, v) is not tangent
-    to the graph.
+    to the graph; at (0, 0), the standard adjoint inclusion.
 
-    For a constraint system these are ker Jx^T ∩ N_D(g0; Jx u - v), piece by
-    piece; for a variational system, the adjoint cone of each piece of the
-    directional limiting normal cone to the graph in direction (u, v - Jx u).
+    For a constraint system the pieces are those of N_D(g0; Jx u - v), each
+    with ker Jx^T ∩ piece; for a variational system, the difference cones Kd
+    of the directional limiting normal cone to the graph in direction
+    (u, v - Jx u), each with ``_variational_adjoint_cone``.
     """
     if spec.kind == "constraint":
         w = spec.Jx.matvec(u) - v
         if not _d_tangent(spec).contains(w):
             return None
-        return [_kernel_meet(spec, p) for p in directional_normal_cone(spec.D, spec.g0, w).pieces]
+        return tuple((p, _kernel_meet(spec, p)) for p in directional_normal_cone(spec.D, spec.g0, w).pieces)
     gp = spec.graph_point()
     w = v - spec.Jx.matvec(u)
     if not graph_tangent_member(gp, u, w):
         return None
-    return [_variational_adjoint_cone(spec, p.k) for p in _along(gp, u, w).pieces]
+    return tuple((p.k, _variational_adjoint_cone(spec, p.k)) for p in _along(gp, u, w).pieces)
 
 
 def check_directional_metric_regularity(spec, u: QVector, v: QVector) -> Certificate:
@@ -890,7 +881,7 @@ def check_directional_metric_regularity(spec, u: QVector, v: QVector) -> Certifi
     piece = "normal piece" if spec.kind == "constraint" else "difference-cone piece"
     witnesses = []
     trace = []
-    for i, adj in enumerate(adjoints):
+    for i, (_, adj) in enumerate(adjoints):
         label = f"{piece} {i}"
         ok = adj.is_trivial()
         trace.append({"piece": label, "adjoint_cone": cone_plain(adj), "outcome": "ok" if ok else "violated"})
@@ -932,7 +923,7 @@ def check_second_order_directional_subregularity(spec, u: QVector, gpp: QVector 
         return Certificate(HOLDS, notes=("direction is not tangent: subregular in it by definition",))
     witnesses = []
     trace = []
-    for i, c in enumerate(cones):
+    for i, (_, c) in enumerate(cones):
         label = f"adjoint piece {i}"
         if c.is_trivial():
             trace.append({"piece": label, "outcome": "ok (trivial)"})

@@ -15,8 +15,10 @@ need the "--dir=-1,0;0,0" form.  Exit codes: 0 holds/match,
 problem file, or a check's precondition not met), 4 internal error (any
 other exception: a defect; the traceback goes to stderr).  Exit code 2 is
 unused: every check decides its condition.
-The environment variable POLYVAR_TRACE (full | summary | off) controls how
-much derivation detail is printed.
+The environment variable POLYVAR_TRACE (full | summary | off, any case;
+unset or empty means summary) controls how much derivation detail certify
+prints; any other value is a usage error, reported before the problem file
+is read.
 """
 
 from __future__ import annotations
@@ -78,8 +80,10 @@ def _parse_graph_direction(text: str, gp, dim: int) -> tuple[QVector, QVector]:
 
 
 def _verbosity() -> str:
-    v = os.environ.get("POLYVAR_TRACE", "summary").lower()
-    return v if v in ("full", "summary", "off") else "summary"
+    v = os.environ.get("POLYVAR_TRACE", "").lower() or "summary"
+    if v not in ("full", "summary", "off"):
+        raise UsageError(f"POLYVAR_TRACE must be full, summary or off, got {os.environ['POLYVAR_TRACE']!r}")
+    return v
 
 
 def _print_cone(label: str, cone) -> None:
@@ -176,9 +180,10 @@ def _run_check(spec, check: str, args):
 
 
 def _cmd_certify(args) -> int:
+    verbosity = _verbosity()
     spec = parse_problem(args.file)
     cert = _run_check(spec, args.check, args)
-    report = render_report(args.check, cert, _verbosity())
+    report = render_report(args.check, cert, verbosity)
     print(report.text)
     print("--- certificate JSON ---")
     print(report.json_block())
@@ -266,7 +271,7 @@ def _cmd_oracle(args) -> int:
         w = _parse_vector(args.dir, spec.m, "--dir")
         closed = directional_normal_cone(spec.D, y, w)
         sampled = sample_union_normals(spec.D, y, w)
-        match = {c.key() for c in closed.pieces} == {c.key() for c in sampled.pieces}
+        match = piece_sets_equal(closed.pieces, sampled.pieces)
         print(f"closed form: {len(closed.pieces)} piece(s); sampling oracle: {len(sampled.pieces)} piece(s)")
     else:
         if not args.dir:

@@ -116,12 +116,9 @@ def graph_tangent_member(gp: GraphPoint, v: QVector, vstar: QVector) -> bool:
 def regular_normal_graph(gp: GraphPoint) -> GraphNormalCone:
     """Regular normal cone to the graph: the single product K° × K."""
     k = gp.critical
-    faces = k.faces()
-    top = max(faces, key=lambda f: f.cone.span_dim())
-    bottom = min(faces, key=lambda f: f.cone.span_dim())
-    # F_top - F_bottom = K + lineality(K) = K, so the provenance pair is valid.
-    piece = ProductPiece(k.polar(), k, top, bottom)
-    return GraphNormalCone((piece,))
+    faces = k.faces()  # from K itself down to its lineality face
+    # K - lineality(K) = K, so the ends of the lattice are a valid provenance pair.
+    return GraphNormalCone((ProductPiece(k.polar(), k, faces[0], faces[-1]),))
 
 
 def face_pairs(gp: GraphPoint, v: QVector, vstar: QVector) -> list[tuple[Face, Face]]:

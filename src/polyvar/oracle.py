@@ -158,12 +158,9 @@ def _stable_nearby_cone(gp: GraphPoint, w: QVector, wstar: QVector) -> PolyCone 
 
 
 def piece_sets_equal(a, b) -> bool:
-    """Mutual piece-wise containment of two unions of product sets K° x K.
-
-    For product pieces, one product is contained in another iff the
-    difference cones coincide, so the check reduces to equality of the
-    canonical piece-key sets.
-    """
+    """Do two lists of cones hold the same cones, as sets of canonical keys?
+    For unions of products K° x K this is mutual piece-wise containment,
+    since one product lies in another iff the difference cones coincide."""
     keys_a = {c.key() for c in a}
     keys_b = {c.key() for c in b}
     return keys_a == keys_b

@@ -38,7 +38,6 @@ tangent cone's rays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -89,15 +88,17 @@ class Polyhedron:
         return tuple(QVector._of_ints(r[: self.dim]) for r in self._rows)
 
     @property
-    def b(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(-r[self.dim]) for r in self._rows)
+    def b(self) -> tuple:
+        """The right-hand sides of A, as Fractions."""
+        return tuple(frac(-r[self.dim]) for r in self._rows)
 
     @property
     def E(self) -> tuple[QVector, ...]:
         return tuple(QVector(g.entries[: self.dim]) for g in self._homog.eqs)
 
     @property
-    def e(self) -> tuple[Fraction, ...]:
+    def e(self) -> tuple:
+        """The right-hand sides of E, as Fractions."""
         return tuple(-g[self.dim] for g in self._homog.eqs)
 
     def key(self):

@@ -35,6 +35,22 @@ def counting_dd():
         cones._dd = real
 
 
+def random_cone(r: random.Random, dim: int) -> PolyCone:
+    """A cone from random small integer rows or from random generators (with
+    at most one lineality vector): often degenerate, a subspace or {0}."""
+    if r.random() < 0.5:
+        rows = []
+        for _ in range(r.randint(0, dim + 2)):
+            row = [r.randint(-2, 2) for _ in range(dim)]
+            rows.append(row)
+        return PolyCone.from_ineqs(dim, [q for q in rows if any(q)])
+    rays = [[r.randint(-2, 2) for _ in range(dim)] for _ in range(r.randint(0, dim + 1))]
+    lin = [[r.randint(-1, 1) for _ in range(dim)] for _ in range(r.randint(0, 1))]
+    return PolyCone.from_generators(
+        dim, [q for q in rays if any(q)], [q for q in lin if any(q)]
+    )
+
+
 def random_gamma(r: random.Random, dim: int, max_facets: int = 6) -> Polyhedron:
     """A nonempty polyhedron containing the origin, with small integer data."""
     nfac = r.randint(2, max_facets)

@@ -37,17 +37,19 @@ from polyvar.certify import (
     _foscms_strata,
     _hessian_contraction,
     _form_value,
-    _jx_kernel,
     _solution_pieces,
     _variational_adjoint_cone,
+    _zero_direction_adjoints,
 )
 from polyvar import certify
 from polyvar.cones import PolyCone, open_cell, pick_nonzero
 from polyvar.graphmap import directional_limiting_normal_graph, limiting_normal_graph
 from polyvar.linalg import QMatrix, QVector, _ints, row_space_basis
 from polyvar.sets import (
+    ConeUnion,
     Polyhedron,
     UnionSet,
+    direction_strata,
     directional_normal_cone,
     union_tangent_cone,
 )
@@ -754,7 +756,6 @@ def test_integer_pullbacks_match_rational_rows():
         w_map = _w_map(spec, 1)
         assert _solution_pieces(spec) == tuple(_rational_pullback(t, w_map, dim) for t in tangent)
         ker = PolyCone.from_ineqs(spec.m, [], [spec.Jx.col(j) for j in range(spec.n)])
-        assert _jx_kernel(spec) == ker
         for s, v_cone, u_cells in _foscms_strata(spec):
             assert v_cone == ker.intersect(s.normal)
             assert u_cells == tuple(_rational_pullback(qc, spec.Jx, spec.n) for qc in s.reach)
@@ -777,6 +778,21 @@ def test_integer_pullbacks_match_rational_rows():
             assert _variational_adjoint_cone(spec, kd) == PolyCone.from_ineqs(spec.n, rows_i, rows_e)
 
 
+def test_zero_direction_adjoints_match_the_limiting_construction():
+    # The standard adjoint inclusion is the directional one at (0, 0); it must
+    # equal the limiting construction: every stratum normal of D met with
+    # ker Jx^T, or every limiting graph piece with its adjoint cone.
+    for spec in [ex3_spec()] + random_constraint_specs():
+        ker = PolyCone.from_ineqs(spec.m, [], [spec.Jx.col(j) for j in range(spec.n)])
+        normals = ConeUnion(spec.m, [s.normal for s in direction_strata(spec.D, spec.g0)])
+        want = tuple((p, ker.intersect(p)) for p in normals.pieces)
+        assert _zero_direction_adjoints(spec) == want
+    for spec in [ex5_spec()] + random_variational_specs():
+        pieces = limiting_normal_graph(spec.graph_point()).pieces
+        want = tuple((p.k, _variational_adjoint_cone(spec, p.k)) for p in pieces)
+        assert _zero_direction_adjoints(spec) == want
+
+
 # -- each distinct cone converted once per spec ------------------------------------
 
 
@@ -787,6 +803,16 @@ def test_second_joint_check_makes_no_conversion():
     with counting_dd() as calls:
         assert check_foscms_joint(spec).holds()
     assert calls == []
+
+
+@pytest.mark.parametrize("make, conversions", ((ex3_spec, 184), (ex4_spec, 24)))
+def test_kernel_meets_take_one_conversion_each(make, conversions):
+    # each ker Jx^T ∩ N is one conversion of N's rows and Jx's columns; a
+    # kernel cone converted first and then intersected took two more on each
+    spec = make()
+    with counting_dd() as calls:
+        _foscms_strata(spec)
+    assert len(calls) == conversions
 
 
 def test_pullback_read_through_its_generators_converts_once():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import counting_dd, rng
+from corpus import counting_dd, random_cone, rng
 from polyvar import cones
 from polyvar.cones import (
     PolyCone,
@@ -24,20 +24,6 @@ from polyvar.linalg import QVector, _dot, _ints, _kernel, _neg, _rank, _reduce, 
 def wedge():
     # {z : z1/2 <= z2 <= -z1/2}
     return PolyCone.from_ineqs(2, [[F(1, 2), -1], [F(1, 2), 1]])
-
-
-def random_cone(r, dim):
-    if r.random() < 0.5:
-        rows = []
-        for _ in range(r.randint(0, dim + 2)):
-            row = [r.randint(-2, 2) for _ in range(dim)]
-            rows.append(row)
-        return PolyCone.from_ineqs(dim, [q for q in rows if any(q)])
-    rays = [[r.randint(-2, 2) for _ in range(dim)] for _ in range(r.randint(0, dim + 1))]
-    lin = [[r.randint(-1, 1) for _ in range(dim)] for _ in range(r.randint(0, 1))]
-    return PolyCone.from_generators(
-        dim, [q for q in rays if any(q)], [q for q in lin if any(q)]
-    )
 
 
 CORPUS = [random_cone(rng(100 + i), d) for d in (2, 3, 4) for i in range(14)]
@@ -657,7 +643,7 @@ def test_equality_is_equality_of_the_rational_generators_hypothesis(a, b, rebuil
         b = PolyCone.from_ineqs(a.dim, [r.scale(s) for r in a.ineqs], list(a.eqs))
     elif rebuild == "polar of polar":
         b = a.polar().polar()
-    same = (a.rays, a.lin) == (b.rays, b.lin)
+    same = (a.dim, a.rays, a.lin) == (b.dim, b.rays, b.lin)  # {0} in R^1 is not {0} in R^2
     assert (a == b) == same == (b == a)
     if same:
         assert hash(a) == hash(b) and a.key() == b.key()

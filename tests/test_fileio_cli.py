@@ -364,3 +364,31 @@ def test_trace_verbosity_env(monkeypatch, capsys):
     full = capsys.readouterr().out
     assert len(full) > len(quiet)
     assert "case:" in full and "case:" not in quiet.split("--- certificate JSON ---")[0]
+
+
+def test_trace_verbosity_is_case_insensitive_and_empty_means_summary(monkeypatch, capsys):
+    ex4 = bundled_problem_path("ex4.json")
+    outs = {}
+    for value in (None, "", "summary", "Summary", "FULL", "full", "Off", "off"):
+        if value is None:
+            monkeypatch.delenv("POLYVAR_TRACE", raising=False)
+        else:
+            monkeypatch.setenv("POLYVAR_TRACE", value)
+        assert run_command(["certify", ex4, "--check", "foscms"]) == 1
+        outs[value] = capsys.readouterr().out
+    assert outs[None] == outs[""] == outs["summary"] == outs["Summary"]
+    assert outs["FULL"] == outs["full"] != outs[None]
+    assert outs["Off"] == outs["off"] != outs[None]
+
+
+@pytest.mark.parametrize("value", ("ful", "verbose", "0", " full"))
+def test_unknown_trace_verbosity_is_a_usage_error_before_parsing(monkeypatch, capsys, tmp_path, value):
+    monkeypatch.setenv("POLYVAR_TRACE", value)
+    broken = tmp_path / "broken.json"
+    broken.write_text("{", encoding="utf-8")
+    for path in (bundled_problem_path("ex4.json"), str(broken)):
+        assert run_command(["certify", path, "--check", "foscms"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: POLYVAR_TRACE") and repr(value) in err
+

@@ -74,6 +74,12 @@ CASES = {
     for name, checks in _EXPECTED.items()
     for check, _, extra in checks
 }
+# dir-reg at the zero direction is the standard adjoint inclusion, refuted on
+# both examples; along a nonzero direction one piece survives and is trivial
+CASES["ex3-dir-reg-zero"] = lambda: _example("3", "dir-reg", {"dir": "0,0;0,0,0,0"})
+CASES["ex3-dir-reg"] = lambda: _example("3", "dir-reg", {"dir": "1,0;0,0,0,0"})
+CASES["ex5-dir-reg-zero"] = lambda: _example("5", "dir-reg", {"dir": "0,0;0,0"})
+CASES["ex5-dir-reg"] = lambda: _example("5", "dir-reg", {"dir": "0,0;1,0"})
 CASES["aubin-refutation"] = lambda: _output("aubin", check_aubin(_aubin_refutation_spec(), "corollary"))
 CASES["aubin-refutation-3d"] = lambda: _output("aubin", check_aubin(_aubin_refutation_3d_spec(), "corollary"))
 

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from corpus import random_gamma, random_graph_point, random_tangent_pair, rng
+from corpus import random_cone, random_gamma, random_graph_point, random_tangent_pair, rng
 from polyvar.cones import PolyCone, face_difference
 from polyvar.graphmap import (
     GraphPoint,
@@ -53,6 +53,23 @@ def test_regular_normal_graph_degenerate():
     gp2 = GraphPoint(point, QVector([0, 0]), QVector([3, -2]))
     piece2 = regular_normal_graph(gp2).pieces[0]
     assert piece2.k.is_trivial() and piece2.kpolar == PolyCone.full_space(2)
+
+
+def test_regular_provenance_is_the_faces_of_largest_and_smallest_span():
+    # K is the critical cone of K itself at (0, 0); the ends of its face
+    # lattice are the faces that span the most and the least
+    r = rng(919)
+    for i in range(3000):
+        k = random_cone(r, 1 + i % 4)
+        ineqs, eqs = k._h
+        gamma = Polyhedron(k.dim, A=ineqs, b=[0] * len(ineqs), E=eqs, e=[0] * len(eqs))
+        zero = QVector.zero(k.dim)
+        gp = GraphPoint(gamma, zero, zero)
+        (piece,) = regular_normal_graph(gp).pieces
+        faces = gp.critical.faces()
+        assert piece.k == k
+        assert piece.f1 == max(faces, key=lambda f: f.cone.span_dim())
+        assert piece.f2 == min(faces, key=lambda f: f.cone.span_dim())
 
 
 def test_limiting_normal_graph_nine_pieces():
