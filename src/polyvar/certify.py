@@ -318,9 +318,9 @@ def covers_space(pieces: Sequence[PolyCone], dim: int) -> tuple[bool, QVector | 
                 held = (leq + ineqs, eq + eqs[:k])
                 cells += [(*held, strict + (e,)), (*held, strict + (_neg(e),))]
             for cell in cells:
-                gens = open_cell(dim, *cell)
-                if gens is not None:
-                    new_regions.append((cell, gens[1]))
+                closure = open_cell(dim, *cell)
+                if closure is not None:
+                    new_regions.append((cell, closure._v[0]))
         regions = new_regions
         if not regions:
             return True, None
@@ -411,7 +411,7 @@ def _negativity_on_cone(q: Sequence[IntVec], cone: PolyCone) -> IntVec | None:
             strict = [tuple(-int(j == i) for j in range(dim)) for i in range(size)]
             cell = open_cell(dim, [(0,) * (dim - 1) + (-1,)], eqs, strict)
             if cell is not None:
-                z = [sum(x) for x in zip(*cell[1])]  # a point of the cell
+                z = [sum(x) for x in zip(*cell._v[0])]  # a point of the cell
                 return _lift([gens[j] for j in idx], z[:-1])
     return None
 

@@ -1,4 +1,4 @@
-"""Polyhedral convex cones whose second representation is built on first read.
+"""Polyhedral convex cones whose second representation is read off the incidence.
 
 A ``PolyCone`` has two representations:
 
@@ -8,10 +8,15 @@ A ``PolyCone`` has two representations:
   part (``rays``) and a basis of the lineality space (``lin``).
 
 A cone keeps the one it was built with (``from_ineqs`` converts its rows to
-generators, ``from_generators`` its generators to rows) and converts the
-other the first time it is read.  The polar swaps the two and shares them
-with the cone, so a cone and its polar make at most one conversion between
-them, and a side nothing reads is never built.
+generators, ``from_generators`` its generators to rows) together with the
+incidence that conversion tracks, one zero-set bitmask per ray over the
+rows, and reads the other off that incidence the first time it is read
+(``_read_off``): the rows zero on every ray are implicit equations, and
+among the others the rows with inclusion-maximal zero sets are the facets
+(Fukuda & Prodon 1996; Schrijver 1986, §8.2).  So each cone costs one
+conversion, a cone and its polar share both sides, and a side nothing reads
+is never built.  Faces, the closures ``open_cell`` returns and exposed faces
+(critical cones) read their rows off the same incidence, cut to their rays.
 
 Conversion between the two runs the double description method: equalities are
 absorbed into the start basis, inequalities are processed one at a time while
@@ -25,8 +30,9 @@ equality of integer tuples:
 * each ray is orthogonally projected onto the complement of the lineality
   space and scaled to a primitive integer vector (unique representative of
   its ray class), once, and the ray list is sorted,
-* ``ineqs``/``eqs`` are obtained from the V-representation of the polar cone
-  by the same pipeline, hence equally canonical.
+* ``ineqs``/``eqs`` are read off in the form the same pipeline gives the
+  V-representation of the polar cone: the equation rows in integer echelon
+  form, each facet row projected off their span, primitive, and sorted.
 
 The conversion works on primitive integer tuples: each input row is scaled
 once by a positive rational to coprime integers (``linalg._ints``), and every
@@ -41,14 +47,14 @@ A ``PolyCone`` stores only these integer forms, and ``key()``, equality and
 hashing read them.  ``fractions.Fraction`` appears only at the API boundary:
 ``ineqs``, ``eqs``, ``rays`` and ``lin`` are ``QVector`` views built from the
 integer forms when they are read, and ``cone_plain`` writes its strings from
-the integer forms directly.
+the integer forms directly, once per cone.
 
 Strata, Phase A and the second order test ask one question, "is the open
 cell {leq.z <= 0, eqs.z = 0, strict.z < 0} nonempty?", and ``open_cell``
 answers it from the rays of the cell's closure, whose canonical generators
-it returns.  Cones are built from canonical generators in one step
-(``_of_generators``), so an empty cell never pays for the polar conversion,
-and a nonempty one pays for it only when its rows are read.
+it returns as a cone.  Cones are built from canonical generators and their
+incidence in one step (``_of_generators``), so no cell pays for a polar
+conversion: a nonempty cell's rows are read off when they are first read.
 
 Face lattices are read off the ray/row incidence of the two representations
 (Kaibel & Pfetsch, 2002): a face is spanned by the rays zero on its active
@@ -65,7 +71,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
-from .linalg import IntVec, QVector, _dot, _echelon, _ints, _kernel, _neg, _rank, _reduce, _rref_q
+from .linalg import IntVec, QVector, _dot, _echelon, _echelon_kernel, _ints, _neg, _rank, _reduce, _rref_q
 
 
 def _orthogonal(basis: Sequence[IntVec]) -> list[tuple[IntVec, int]]:
@@ -88,14 +94,19 @@ def _project_off(v: IntVec, ortho: Sequence[tuple[IntVec, int]]) -> IntVec:
     return v
 
 
-def _dd(dim: int, ineqs: Sequence, eqs: Sequence) -> tuple[list[IntVec], list[IntVec]]:
-    """Generators (lineality basis, extreme rays) of {z : ineqs.z <= 0, eqs.z = 0}.
+def _dd(
+    dim: int, ineqs: Sequence, eqs: Sequence
+) -> tuple[list[IntVec], list[IntVec], list[int], list[IntVec], list[IntVec]]:
+    """Generators (lineality basis, extreme rays) of {z : ineqs.z <= 0, eqs.z = 0},
+    with the incidence the conversion tracks: the zero set of each ray (a
+    bitmask over the nonzero inequality rows), those rows, and the integer
+    echelon form of the equations.
 
     Rows are primitive integer tuples (see ``_ints``), and so are the
     generators that come back.  Incremental double description: after each
     step span(B) + cone(R) is the cone of the rows processed so far, and R
-    holds each extreme ray class once, with its zero set (a bitmask over the
-    processed inequality rows).  So no ray is tested for extremality:
+    holds each extreme ray class once, with its zero set over the processed
+    rows.  So no ray is tested for extremality:
 
     * a row a that cuts span(B) splits the new cone as the direct sum
       ray(b0) ⊕ (the old pointed part moved into <a, z> = 0 along b0);
@@ -109,11 +120,12 @@ def _dd(dim: int, ineqs: Sequence, eqs: Sequence) -> tuple[list[IntVec], list[In
     and the equations (of rank dim - len(start)) have rank dim - len(B) - 2: a
     pair with fewer than len(start) - len(B) - 2 common rows is skipped before
     the scan for a third ray.  Each ray comes back projected off span(B): a
-    primitive vector that depends only on its class.
+    primitive vector that depends only on its class, with the same zero set,
+    as every row vanishes on span(B).
     """
-    eq_rows = [e for e in eqs if any(e)]
     rows = [a for a in ineqs if any(a)]
-    start = basis = _kernel(eq_rows, dim)
+    eq_echelon, pivots = _echelon(eqs, dim)
+    start = basis = _echelon_kernel(eq_echelon, pivots, dim)
     rays: list[IntVec] = []
     zeros: list[int] = []
 
@@ -162,7 +174,7 @@ def _dd(dim: int, ineqs: Sequence, eqs: Sequence) -> tuple[list[IntVec], list[In
         rays, zeros = new_rays, new_zeros
 
     ortho = _orthogonal(basis)
-    return basis, [_project_off(r, ortho) for r in rays]
+    return basis, [_project_off(r, ortho) for r in rays], zeros, rows, eq_echelon
 
 
 def _rows(dim: int, vectors: Iterable, what: str) -> list[IntVec]:
@@ -172,28 +184,67 @@ def _rows(dim: int, vectors: Iterable, what: str) -> list[IntVec]:
     return out
 
 
-def _generators(dim: int, ineqs: Sequence, eqs: Sequence) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+def _generators(dim: int, ineqs: Sequence, eqs: Sequence) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], tuple]:
     """Canonical integer (lineality echelon rows, sorted rays) of the cone
-    {z : ineqs.z <= 0, eqs.z = 0}."""
-    basis, rays = _dd(dim, ineqs, eqs)
-    return tuple(_echelon(basis, dim)[0]), tuple(sorted(rays))
+    {z : ineqs.z <= 0, eqs.z = 0}, and the incidence (rows, equation echelon
+    rows, zero sets of the rays) that ``_read_off`` reads its rows from."""
+    basis, rays, zeros, rows, eq_echelon = _dd(dim, ineqs, eqs)
+    return tuple(_echelon(basis, dim)[0]), tuple(sorted(rays)), (rows, eq_echelon, zeros)
 
 
-def _of_generators(dim: int, lin: tuple[IntVec, ...], rays: tuple[IntVec, ...]) -> "PolyCone":
+def _read_off(
+    dim: int, rows: Sequence[IntVec], eqs: Sequence[IntVec], zeros: Sequence[int]
+) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+    """Canonical (sorted rays, lineality echelon rows) of the polar of a cone,
+    read off the incidence of the cone's rays with its rows; no conversion.
+
+    ``rows`` are primitive rows <= 0 on the cone and ``eqs`` echelon rows = 0
+    on it; ``zeros`` holds, per ray (in any order), the bitmask of the rows
+    zero on it.  The cone must be {rows.z <= 0, eqs.z = 0} with its implicit
+    equations, the rows zero on every ray, also taken as equations (a face is
+    its cone's rows with the face's active set).  Then the polar's lineality
+    space is spanned by ``eqs`` and the implicit equations.  Among the other
+    rows, those whose sets of zero rays are inclusion-maximal define the
+    facets (Schrijver, "Theory of Linear and Integer Programming", 1986,
+    §8.2); rows with one such set define the same facet.  Projected off the
+    lineality space and made primitive, one row per facet is the polar's
+    extreme ray as the double description of the polar returns it.
+    """
+    implicit = (1 << len(rows)) - 1
+    for z in zeros:
+        implicit &= z
+    lin = _echelon([*eqs, *(rows[i] for i in _bits(implicit))], dim)[0] if implicit else eqs
+    on_rays: dict[int, int] = {}  # set of zero rays -> the first row with it
+    for i in range(len(rows)):
+        if not implicit >> i & 1:
+            on_rays.setdefault(sum(1 << k for k, z in enumerate(zeros) if z >> i & 1), i)
+    ortho = _orthogonal(lin)
+    facets = [
+        _project_off(rows[i], ortho)
+        for s, i in on_rays.items()
+        if not any(t != s and t & s == s for t in on_rays)
+    ]
+    return tuple(sorted(facets)), tuple(lin)
+
+
+def _of_generators(dim: int, lin: tuple[IntVec, ...], rays: tuple[IntVec, ...], incidence: tuple) -> "PolyCone":
     """The cone with these canonical generators (as ``_generators`` returns
-    them); its irredundant H-rep is built when it is first read."""
-    return _cone(dim, [(rays, lin), None], 0)
+    them); its irredundant H-rep is read off ``incidence`` (the arguments of
+    ``_read_off`` after ``dim``) when it is first read."""
+    return _cone(dim, [(rays, lin), None, incidence], 0)
 
 
 def _cone(dim: int, reps: list, side: int) -> "PolyCone":
     """The cone whose (rays, lin) are ``reps[side]`` and whose (ineqs, eqs)
-    are ``reps[1 - side]``; a side not converted yet is None.  The polar
-    reads the same list from the other side, so the two share conversions."""
+    are ``reps[1 - side]``; a side not read yet is None, and ``reps[2]``
+    holds the incidence it is read off.  The polar reads the same list from
+    the other side, so the two share both sides."""
     c = object.__new__(PolyCone)
     object.__setattr__(c, "dim", dim)
     object.__setattr__(c, "_reps", reps)
     object.__setattr__(c, "_side", side)
     object.__setattr__(c, "_faces", None)
+    object.__setattr__(c, "_plain", None)
     return c
 
 
@@ -204,14 +255,17 @@ class PolyCone:
     ``_h`` holds (ineqs, eqs) and ``_v`` holds (rays, lin), the inequality
     rows and rays as sorted primitive integer tuples, the equation rows and
     lineality basis as integer echelon rows.  A cone is built with one of
-    them; the other is converted the first time ``_h`` or ``_v`` is read,
-    kept in the list ``_reps`` that the cone shares with its polars, and
-    then held in its slot like the first.  ``key()`` is (dim, lineality
-    rows, rays) of ``_v``.  ``ineqs``, ``eqs``, ``rays`` and ``lin`` are
-    rational views built from the integer forms on each read.
+    them and the incidence of its generators with the rows that describe
+    it; the other side is read off that incidence (``_read_off``, no
+    conversion) the first time ``_h`` or ``_v`` is read, kept in the list
+    ``_reps`` that the cone shares with its polars, and then held in its
+    slot like the first.  ``key()`` is (dim, lineality rows, rays) of
+    ``_v``.  ``ineqs``, ``eqs``, ``rays`` and ``lin`` are rational views
+    built from the integer forms on each read; ``_plain`` holds the
+    ``cone_plain`` view once it is built.
     """
 
-    __slots__ = ("dim", "_reps", "_side", "_h", "_v", "_faces")
+    __slots__ = ("dim", "_reps", "_side", "_h", "_v", "_faces", "_plain")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use PolyCone.from_ineqs or PolyCone.from_generators")
@@ -224,13 +278,13 @@ class PolyCone:
         i = self._side if name == "_v" else 1 - self._side
         value = reps[i]
         if value is None:
-            # the canonical generators of one side are the rows of the other
-            value = reps[i] = _generators(self.dim, *reps[1 - i])[::-1]
+            value = reps[i] = _read_off(self.dim, *reps[2])
+            reps[2] = None  # both sides are known
         object.__setattr__(self, name, value)
         return value
 
     def __setattr__(self, name, value):
-        if name == "_faces":
+        if name == "_faces" or name == "_plain":
             object.__setattr__(self, name, value)
             return
         raise AttributeError("PolyCone is immutable")
@@ -257,14 +311,14 @@ class PolyCone:
 
     @staticmethod
     def from_ineqs(dim: int, ineqs: Iterable = (), eqs: Iterable = ()) -> "PolyCone":
-        lin, rays = _generators(dim, _rows(dim, ineqs, "constraint row"), _rows(dim, eqs, "constraint row"))
-        return _of_generators(dim, lin, rays)
+        ineqs, eqs = _rows(dim, ineqs, "constraint row"), _rows(dim, eqs, "constraint row")
+        return _of_generators(dim, *_generators(dim, ineqs, eqs))
 
     @staticmethod
     def from_generators(dim: int, rays: Iterable = (), lin: Iterable = ()) -> "PolyCone":
         # The cone is the polar of {a : <a,r> <= 0, <a,l> = 0}.
-        peqs, pineqs = _generators(dim, _rows(dim, rays, "generator"), _rows(dim, lin, "generator"))
-        return _cone(dim, [None, (pineqs, peqs)], 0)
+        rays, lin = _rows(dim, rays, "generator"), _rows(dim, lin, "generator")
+        return _of_generators(dim, *_generators(dim, rays, lin)).polar()
 
     @staticmethod
     def full_space(dim: int) -> "PolyCone":
@@ -360,21 +414,25 @@ class PolyCone:
         with no conversion per candidate face.  A face is spanned by the
         cone's rays zero on its active rows plus the lineality space, so its
         V-representation is a sorted subset of the cone's and is already
-        canonical; its H-representation costs one conversion, made when it
-        is first read.  Each face carries a polar witness z* with
-        F = C ∩ [z*]^⊥, namely the sum of the active inequality normals.
+        canonical; its H-representation is read off the zero sets of those
+        rays over the cone's rows when it is first read (``_read_off``).
+        Each face carries a polar witness z* with F = C ∩ [z*]^⊥, namely the
+        sum of the active inequality normals.
         """
         if self._faces is not None:
             return self._faces
-        ineqs = self._h[0]
+        ineqs, eqs = self._h
         rays, lin = self._v
+        zero_sets = _zero_sets(ineqs, rays)
         out = []
-        for active, ray_mask in _face_lattice(ineqs, rays):
-            face_rays = tuple(rays[k] for k in _bits(ray_mask))
-            if len(face_rays) == len(rays):
+        for active, ray_mask in _face_lattice(len(ineqs), zero_sets):
+            on = _bits(ray_mask)
+            if len(on) == len(rays):
                 cone = self
             else:
-                cone = _of_generators(self.dim, lin, face_rays)
+                cone = _of_generators(
+                    self.dim, lin, tuple(rays[k] for k in on), (ineqs, eqs, [zero_sets[k] for k in on])
+                )
             rows = [ineqs[i] for i in active]
             wit = QVector._of_ints(map(sum, zip(*rows))) if rows else QVector.zero(self.dim)
             out.append(Face(frozenset(active), cone, wit))
@@ -393,13 +451,17 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _face_lattice(
-    rows: Sequence[IntVec], rays: Sequence[IntVec], keep: int | None = None
-) -> list[tuple[list[int], int]]:
+def _zero_sets(rows: Sequence[IntVec], rays: Sequence[IntVec]) -> list[int]:
+    """Per ray, the bitmask of the rows zero on it."""
+    return [sum(1 << i for i, a in enumerate(rows) if _dot(a, r) == 0) for r in rays]
+
+
+def _face_lattice(nrows: int, zero_sets: Sequence[int], keep: int | None = None) -> list[tuple[list[int], int]]:
     """Faces of a cone as (active row indices, ray mask) pairs, from incidence.
 
-    ``rows`` are the cone's irredundant inequality rows and ``rays`` its
-    extreme rays; the lineality space lies in every face.  Faces are exactly
+    ``zero_sets`` holds, per extreme ray of the cone, the bitmask of its
+    irredundant inequality rows (``nrows`` of them) zero on that ray
+    (``_zero_sets``); the lineality space lies in every face.  Faces are exactly
     the closed sets of the ray/row incidence relation (Kaibel & Pfetsch,
     "Computing the face lattice of a polytope from its vertex-facet
     incidences", 2002): a face's rays are the rays zero on its active rows,
@@ -409,9 +471,8 @@ def _face_lattice(
     faces with a ray in that mask are returned and expanded.  The result is
     sorted by the size of the active set, then by its sorted indices.
     """
-    full = (1 << len(rows)) - 1
-    zero_sets = [sum(1 << i for i, a in enumerate(rows) if _dot(a, r) == 0) for r in rays]
-    on_row = [sum(1 << k for k, z in enumerate(zero_sets) if z >> i & 1) for i in range(len(rows))]
+    full = (1 << nrows) - 1
+    on_row = [sum(1 << k for k, z in enumerate(zero_sets) if z >> i & 1) for i in range(nrows)]
 
     def closure(ray_mask: int) -> int:
         active = full
@@ -419,12 +480,12 @@ def _face_lattice(
             active &= zero_sets[k]
         return active
 
-    all_rays = (1 << len(rays)) - 1
+    all_rays = (1 << len(zero_sets)) - 1
     found = {closure(all_rays): all_rays}
     queue = list(found)
     for active in queue:  # grows while it is walked
         ray_mask = found[active]
-        for i in range(len(rows)):
+        for i in range(nrows):
             if active >> i & 1:
                 continue
             child_rays = ray_mask & on_row[i]
@@ -455,6 +516,18 @@ class Face:
         return f"Face(active={sorted(self.active_set)}, {self.cone!r})"
 
 
+def _exposed_face(cone: PolyCone, zstar: IntVec) -> PolyCone:
+    """The face cone ∩ [z*]^⊥ for an integer z* in the polar: the cone's rays
+    orthogonal to z* plus its lineality space, with no conversion.  Its rows
+    are read off the zero sets of those rays over the cone's rows; the rows
+    that write z* as a nonnegative combination (plus equations) are zero on
+    every such ray, so they come out as the face's equations."""
+    ineqs, eqs = cone._h
+    rays, lin = cone._v
+    face = tuple(r for r in rays if _dot(r, zstar) == 0)
+    return _of_generators(cone.dim, lin, face, (ineqs, eqs, _zero_sets(ineqs, face)))
+
+
 def face_difference(f1: PolyCone, f2: PolyCone) -> PolyCone:
     """The cone F1 - F2 = F1 + (-F2); requires F2 ⊆ F1."""
     if not f2.subcone_of(f1):
@@ -466,18 +539,31 @@ def face_difference(f1: PolyCone, f2: PolyCone) -> PolyCone:
     )
 
 
-def cone_plain(c: PolyCone) -> dict:
+class _PlainCone(dict):
+    """The JSON-plain view ``cone_plain`` returns: one per cone, shared by
+    every record that holds it, so it is never modified.  ``json`` is its
+    JSON text at indent 0, written once by ``fileio._dumps``."""
+
+    __slots__ = ("json",)
+
+
+def cone_plain(c: PolyCone) -> _PlainCone:
     """JSON-plain view of a cone: its dimension and both representations,
     each entry as the string of the rational that ``rays``, ``lin``,
-    ``ineqs`` and ``eqs`` hold, written straight from the integer forms."""
-    (ineqs, eqs), (rays, lin) = c._h, c._v
-    return {
-        "dim": c.dim,
-        "rays": [list(map(str, r)) for r in rays],
-        "lin": [_rref_plain(l) for l in lin],
-        "ineqs": [list(map(str, a)) for a in ineqs],
-        "eqs": [_rref_plain(e) for e in eqs],
-    }
+    ``ineqs`` and ``eqs`` hold, written straight from the integer forms.
+    It is built once per cone and the same dict is returned after that."""
+    if c._plain is None:
+        (ineqs, eqs), (rays, lin) = c._h, c._v
+        view = _PlainCone(
+            dim=c.dim,
+            rays=[list(map(str, r)) for r in rays],
+            lin=[_rref_plain(l) for l in lin],
+            ineqs=[list(map(str, a)) for a in ineqs],
+            eqs=[_rref_plain(e) for e in eqs],
+        )
+        view.json = None
+        c._plain = view
+    return c._plain
 
 
 def _rref_plain(row: IntVec) -> list[str]:
@@ -501,13 +587,11 @@ def pick_nonzero(c: PolyCone) -> QVector | None:
     return None
 
 
-def open_cell(
-    dim: int, leq: Sequence[IntVec], eqs: Sequence[IntVec], strict: Sequence[IntVec]
-) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]] | None:
-    """Canonical generators (lineality echelon rows, sorted rays) of the
-    closure {leq.z <= 0, eqs.z = 0, strict.z <= 0} of the relatively open
-    cell {leq.z <= 0, eqs.z = 0, strict.z < 0}, or None when the cell is
-    empty.  Rows are primitive integer tuples.
+def open_cell(dim: int, leq: Sequence[IntVec], eqs: Sequence[IntVec], strict: Sequence[IntVec]) -> PolyCone | None:
+    """The closure {leq.z <= 0, eqs.z = 0, strict.z <= 0} of the relatively
+    open cell {leq.z <= 0, eqs.z = 0, strict.z < 0}, or None when the cell
+    is empty.  Rows are primitive integer tuples.  The closure's rows are
+    read off the incidence of its one conversion when they are first read.
 
     The cell is nonempty iff no strict row is an implicit equality of the
     closure (Schrijver, "Theory of Linear and Integer Programming", 1986,
@@ -515,9 +599,9 @@ def open_cell(
     (every row of the closure vanishes on its lineality space); the sum of
     the rays then lies in the cell.
     """
-    lin, rays = _generators(dim, [*leq, *strict], eqs)
+    lin, rays, incidence = _generators(dim, [*leq, *strict], eqs)
     if all(any(_dot(c, r) < 0 for r in rays) for c in strict):
-        return lin, rays
+        return _of_generators(dim, lin, rays, incidence)
     return None
 
 

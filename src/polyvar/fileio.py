@@ -48,6 +48,7 @@ from .certify import (
     VariationalSystemSpec,
     Witness,
 )
+from .cones import _PlainCone
 from .linalg import QMatrix, QVector, frac, vec_plain
 from .sets import InfeasibleError, Polyhedron, UnionSet
 
@@ -246,11 +247,19 @@ def _dumps(o, ind: str = "") -> str:
     3.10/3.11 and spends as long on a certificate as a certifier phase.
     Only str, dict, list, tuple, int, bool and None are written; anything
     else, a float included (certificates are exact), and a non-str key
-    raise TypeError.
+    raise TypeError.  A cone's shared view (``cones.cone_plain``) is written
+    once, at indent 0, and its text kept on the view; at a deeper indent it
+    is re-indented with one ``str.replace``, exact because a JSON string
+    never holds a raw newline.
     """
     t = type(o)
     if t is str:
         return _quote(o)
+    if t is _PlainCone:
+        text = o.json
+        if text is None:
+            text = o.json = _dumps(dict(o))
+        return text.replace("\n", "\n" + ind) if ind else text
     if t is list or t is tuple:
         if not o:
             return "[]"

@@ -372,7 +372,12 @@ def _kernel(rows: Sequence[IntVec], dim: int) -> list[IntVec]:
     """Null space basis of primitive integer rows: one primitive vector per
     free column, positive there and zero at the other free columns (unit
     vectors when there are no rows)."""
-    ech, pivots = _echelon(rows, dim)
+    return _echelon_kernel(*_echelon(rows, dim), dim)
+
+
+def _echelon_kernel(ech: Sequence[IntVec], pivots: Sequence[int], dim: int) -> list[IntVec]:
+    """``_kernel`` of rows already in the integer echelon form ``_echelon``
+    returns."""
     basis = []
     for f in range(dim):
         if f in pivots:

@@ -21,7 +21,8 @@ tight at ``ybar``: equations plus strict rows in the direction.  Each distinct c
 conversion, of its closure (the cone with the strict rows closed): the cell
 is reachable iff it is nonempty (``cones.open_cell``, which decides this
 from the rays of the closure), and then the closure is the closure of its
-directions.  An empty cell costs no conversion of the polar.
+directions.  No cell costs a conversion of the polar: a reachable cell's
+rows are read off the incidence of its one conversion.
 
 A polyhedron is stored only as its homogenization cone: ``A``, ``b``, ``E``
 and ``e`` are rational views of the cone's integer rows, and a point is
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-from .cones import PolyCone, _face_lattice, _of_generators, open_cell
+from .cones import PolyCone, _exposed_face, _face_lattice, _zero_sets, open_cell
 from .linalg import IntVec, QVector, _dot, _ints, _neg, _reduce, frac
 
 
@@ -189,9 +190,8 @@ class Polyhedron:
             return self._faces
         rays = self._homog._v[0]
         finite = sum(1 << k for k, r in enumerate(rays) if r[self.dim] > 0)
-        self._faces = tuple(
-            PolyFace(frozenset(active), self) for active, _ in _face_lattice(self._rows, rays, keep=finite)
-        )
+        lattice = _face_lattice(len(self._rows), _zero_sets(self._rows, rays), keep=finite)
+        self._faces = tuple(PolyFace(frozenset(active), self) for active, _ in lattice)
         return self._faces
 
 
@@ -219,7 +219,8 @@ def critical_cone(p: Polyhedron, y: QVector, ystar: QVector) -> PolyCone | None:
 
     When ystar is a normal vector at y, this is the face of the tangent cone
     that ystar exposes: its rays orthogonal to ystar plus its lineality,
-    canonical generators with no conversion.  Returns None when y is outside
+    canonical generators with no conversion, and rows read off their
+    incidence with the tangent cone's rows.  Returns None when y is outside
     the polyhedron or ystar is not a normal vector at y; absence is a value,
     not an error.
     """
@@ -230,9 +231,7 @@ def critical_cone(p: Polyhedron, y: QVector, ystar: QVector) -> PolyCone | None:
     normal = p.normal_cone(y)
     if not normal.contains(ystar):
         return None
-    rays, lin = normal.polar()._v
-    ys = _ints(ystar)
-    return _of_generators(p.dim, lin, tuple(r for r in rays if _dot(r, ys) == 0))
+    return _exposed_face(normal.polar(), _ints(ystar))
 
 
 def nearby_critical_cone(
@@ -404,8 +403,7 @@ def direction_strata(d: UnionSet, ybar: QVector) -> tuple[DirectionStratum, ...]
     def memo_reach(eqs: list, stricts: list) -> PolyCone | None:
         key = (frozenset(eqs), frozenset(stricts))
         if key not in reach_memo:
-            gens = open_cell(d.dim, (), eqs, stricts)
-            reach_memo[key] = None if gens is None else _of_generators(d.dim, *gens)
+            reach_memo[key] = open_cell(d.dim, (), eqs, stricts)
         return reach_memo[key]
 
     strata: list[DirectionStratum] = []

@@ -805,7 +805,7 @@ def test_second_joint_check_makes_no_conversion():
     assert calls == []
 
 
-@pytest.mark.parametrize("make, conversions", ((ex3_spec, 184), (ex4_spec, 24)))
+@pytest.mark.parametrize("make, conversions", ((ex3_spec, 160), (ex4_spec, 16)))
 def test_kernel_meets_take_one_conversion_each(make, conversions):
     # each ker Jx^T ∩ N is one conversion of N's rows and Jx's columns; a
     # kernel cone converted first and then intersected took two more on each

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import counting_dd, random_cone, rng
@@ -10,7 +10,7 @@ from polyvar import cones
 from polyvar.cones import (
     PolyCone,
     _dd,
-    _of_generators,
+    _generators,
     _orthogonal,
     _project_off,
     cone_plain,
@@ -19,6 +19,7 @@ from polyvar.cones import (
     strictly_feasible,
 )
 from polyvar.linalg import QVector, _dot, _ints, _kernel, _neg, _rank, _reduce, rank_of_rows, vec_plain
+from polyvar.sets import Polyhedron, critical_cone
 
 
 def wedge():
@@ -389,7 +390,7 @@ def integer_systems(draw):
 def test_dd_matches_reference_with_extremality_filter_hypothesis(system):
     # Adjacency is decided exactly, so the filter never drops a ray: the
     # kernel returns the same basis and the same rays in the same order.
-    assert _dd(*system) == reference_dd(*system)
+    assert _dd(*system)[:2] == reference_dd(*system)
 
 
 def test_family_ceiling_counts(monkeypatch):
@@ -399,23 +400,23 @@ def test_family_ceiling_counts(monkeypatch):
 
     monkeypatch.setattr(cones, "_rank", no_rank)
     # the orthant of R^12 from its rows: 12 rays and 12 facets, one
-    # conversion per side
+    # conversion, and the facets are read off its incidence
     orthant = [[-1 if i == j else 0 for i in range(12)] for j in range(12)]
     with counting_dd() as calls:
         c = PolyCone.from_ineqs(12, orthant)
         assert len(c.rays) == 12 and c.lin == ()
         assert len(calls) == 1
         assert len(c.ineqs) == 12 and c.eqs == ()
-        assert len(calls) == 2
+        assert len(calls) == 1
     # the cone over the cross-polytope in R^7 from its 12 generators: 64
-    # facets, and converting the facets back gives the 12 generators
+    # facets, and the 12 generators are read back off their incidence
     gens = [tuple(s if i == k else 1 if i == 6 else 0 for i in range(7)) for k in range(6) for s in (1, -1)]
     with counting_dd() as calls:
         x = PolyCone.from_generators(7, gens)
         assert len(x.ineqs) == 64 and x.eqs == ()
         assert len(calls) == 1
         assert x._v == (tuple(sorted(gens)), ())
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 def slack_point(dim, leq, eqs, strict):
@@ -432,7 +433,7 @@ def slack_point(dim, leq, eqs, strict):
     if not strict:
         return QVector.zero(dim)  # q = 0 works
     ineqs = [_ints(c + (1,)) for c in strict] + [_ints(a + (0,)) for a in leq] + [(0,) * dim + (-1,)]
-    _, rays = _dd(dim + 1, ineqs, [_ints(e + (0,)) for e in eqs])
+    rays = _dd(dim + 1, ineqs, [_ints(e + (0,)) for e in eqs])[1]
     for r in rays:
         if r[dim] > 0:
             return QVector([F(x, r[dim]) for x in r[:dim]])
@@ -486,11 +487,11 @@ def test_open_cell_matches_slack_lp_hypothesis(cell):
     got = open_cell(dim, leq, eqs, stricts)
     assert (got is not None) == (slack_point(dim, leq, eqs, stricts) is not None)
     if got is not None:
-        lin, rays = got
+        rays, lin = got._v
         z = _reduce([sum(r[i] for r in rays) for i in range(dim)])
         assert all(_dot(a, z) <= 0 for a in leq) and not any(_dot(e, z) for e in eqs)
         assert all(_dot(c, z) < 0 for c in stricts)
-        built = _of_generators(dim, lin, rays)
+        built = got
         want = PolyCone.from_ineqs(dim, leq + stricts, eqs)
         assert cone_fields(built) == cone_fields(want) and (built.rays, built.lin) == (want.rays, want.lin)
 
@@ -539,7 +540,7 @@ def test_faces_match_active_set_definition_hypothesis(system, as_generators):
         assert PolyCone.from_ineqs(dim, list(c.ineqs), list(c.eqs) + [f.witness]) == f.cone
 
 
-# -- the second representation, built on first read -------------------------------
+# -- the second representation, read off the incidence on first read --------------
 
 
 def cone_views(c):
@@ -550,8 +551,8 @@ def cone_views(c):
 @given(rational_systems(), st.booleans(), st.sampled_from(["h", "v", "polar"]))
 def test_second_representation_built_once_on_first_read_hypothesis(system, as_generators, first):
     # Whichever side is read first, a cone and its polar hold the canonical
-    # forms of the cone built from its generators, and the two together make
-    # one conversion beyond the one that built the cone.
+    # forms of the cone built from its generators, and reading them makes no
+    # conversion beyond the one that built the cone.
     dim, rows, more = system
     with counting_dd() as calls:
         if as_generators:
@@ -567,12 +568,64 @@ def test_second_representation_built_once_on_first_read_hypothesis(system, as_ge
         else:
             p._h, p._v
         got, got_polar = cone_views(c), cone_views(p)
-        assert len(calls) == 2
+        assert len(calls) == 1
     rays, lin = c._v
-    ref = _of_generators(dim, lin, rays)
+    ref = PolyCone.from_generators(dim, rays, lin)
     assert got == cone_views(ref)
     assert got_polar == cone_views(ref.polar())
     assert p.polar() == c and p.polar()._h == c._h
+
+
+def assert_read_off_matches_a_fresh_conversion(make):
+    """``make()`` builds the same cone on each call, with one side kept and
+    the other still to be read.  Read through the cone and through its
+    polar, the other side is a fresh conversion of the kept side, and
+    reading it makes no conversion."""
+    c = make()
+    missing = c._reps.index(None)
+    lin, rays, _ = _generators(c.dim, *c._reps[1 - missing])
+    for cone in (c, make().polar()):
+        with counting_dd() as calls:
+            got = cone._v if cone._side == missing else cone._h
+        assert calls == [] and got == (rays, lin)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_systems(), st.sampled_from(["ineqs", "generators", "cell", "critical"]), st.integers(0, 2**12))
+@example((0, [], []), "ineqs", 0)  # dim 0
+@example((0, [], []), "generators", 0)
+@example((3, [], []), "ineqs", 0)  # R^n
+@example((3, [], []), "generators", 0)  # {0}
+@example((3, [], [(1, 2, 0)]), "generators", 0)  # lineality only
+@example((3, [(1, 0, 0), (0, 0, 0), (0, 1, 0)], []), "ineqs", 0)  # a zero row
+@example((2, [(1, 0), (1, 0), (0, 1), (0, 1)], []), "generators", 0)  # duplicate rows
+@example((2, [(1, 1), (-1, -1), (0, 1)], []), "ineqs", 0)  # an implicit equation
+@example((2, [(1, 1), (-1, -1), (0, 1)], []), "critical", 0b100)
+@example((3, [], [(1, 1, 0), (0, 1, 1)]), "ineqs", 0)  # equations only
+@example((3, [], [(1, 1, 0), (0, 1, 1)]), "cell", 0)
+def test_second_side_from_incidence_matches_a_fresh_conversion_hypothesis(system, kind, pick):
+    # Covers from_ineqs, from_generators, open_cell closures (the first
+    # ``pick`` rows non-strict) and critical cones of the cone as a
+    # polyhedron at 0 (y* the sum of the rows in the mask ``pick`` and of the
+    # equations), and then every face of each.
+    dim, ineqs, eqs = system
+    if kind == "ineqs":
+        make = lambda: PolyCone.from_ineqs(dim, ineqs, eqs)
+    elif kind == "generators":
+        make = lambda: PolyCone.from_generators(dim, [r for r in ineqs if any(r)], [e for e in eqs if any(e)])
+    elif kind == "cell":
+        k = pick % (len(ineqs) + 1)
+        make = lambda: open_cell(dim, ineqs[:k], eqs, ineqs[k:])
+        if make() is None:
+            return
+    else:
+        p = Polyhedron(dim, ineqs, [0] * len(ineqs), eqs, [0] * len(eqs))
+        ystar = [sum(x) for x in zip([0] * dim, *(a for i, a in enumerate(ineqs) if pick >> i & 1), *eqs)]
+        make = lambda: critical_cone(p, QVector.zero(dim), QVector(ystar))
+    assert_read_off_matches_a_fresh_conversion(make)
+    for i, face in enumerate(make().faces()):
+        if None in face.cone._reps[:2]:
+            assert_read_off_matches_a_fresh_conversion(lambda: make().faces()[i].cone)
 
 
 # -- the JSON-plain view, written from the integer forms --------------------------
@@ -610,6 +663,7 @@ def test_cone_plain_matches_rational_views_hypothesis(system, as_generators):
         c = PolyCone.from_ineqs(dim, rows, more)
     assert cone_plain(c) == reference_plain(c)
     assert cone_plain(c.polar()) == reference_plain(c.polar())
+    assert cone_plain(c) is cone_plain(c)  # built once per cone
 
 
 # -- identity by the canonical integer generators ---------------------------------

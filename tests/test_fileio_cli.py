@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import counting_dd
-from polyvar.certify import check_aubin, check_calmness_constraint, check_foscms
+from polyvar.certify import Certificate, check_aubin, check_calmness_constraint, check_foscms
 from polyvar import cli
 from polyvar.cli import bundled_problem_path, run_command
+from polyvar.cones import PolyCone, _PlainCone, cone_plain
 from polyvar.fileio import (
     ProblemFileError,
+    Report,
     _dumps,
     _rat,
     certificate_from_dict,
@@ -161,33 +163,46 @@ def test_jp_columns_are_checked_without_parameters(tmp_path, capsys):
 
 
 def test_each_tangent_cone_is_built_once(capsys):
-    # Parsing ex5 converts gamma's homogenization cone both ways and builds
-    # the normal cone that validates ybarstar (gamma at xbar = 0); the
-    # critical cone is a face of that cone's polar, read off its rays, so
-    # graph_point() converts nothing.
+    # Parsing ex5 converts gamma's homogenization cone once (its other side
+    # is read off the incidence) and builds the normal cone that validates
+    # ybarstar (gamma at xbar = 0); the critical cone is a face of that
+    # cone's polar, read off its rays, so graph_point() converts nothing.
     ex3, ex5 = bundled_problem_path("ex3.json"), bundled_problem_path("ex5.json")
     with counting_dd() as calls:
         parse_problem(ex5).graph_point()
-    assert len(calls) == 3
-    # `polyvar cones` adds the tangent cone's rows and the critical cone's
-    # rows; the normal cone at --at 0,0 is the one built while parsing.
+    assert len(calls) == 2
+    # `polyvar cones` converts nothing more: the normal cone at --at 0,0 is
+    # the one built while parsing, and the rows of its polar (the tangent
+    # cone) and of the critical cone are read off their incidence.
     with counting_dd() as calls:
         assert run_command(["cones", ex5, "--at", "0,0", "--ystar", "0,0"]) == 0
-    assert len(calls) == 3 + 2
-    # On ex3 each piece that holds the point adds its normal cone, converted
-    # both ways, and its critical cone's rows; the union tangent cone reuses
-    # the pieces' tangent cones.
+    assert len(calls) == 2
+    # On ex3 each piece that holds the point adds one conversion, its normal
+    # cone; the union tangent cone reuses the pieces' tangent cones.
     with counting_dd() as parsing:
         pieces = len(parse_problem(ex3).D.pieces_containing(QVector([0, 0, 0, 0])))
     with counting_dd() as calls:
         assert run_command(["cones", ex3, "--at", "0,0,0,0", "--ystar", "0,0,0,0"]) == 0
-    assert pieces > 1 and len(calls) == len(parsing) + 3 * pieces
+    assert pieces > 1 and len(calls) == len(parsing) + pieces
     capsys.readouterr()
 
 
 _strings = st.text() | st.sampled_from(["", "caf\u00e9", "\x00\x1f\t\n\"\\/", "\U0001f600", "\ud800", "\u2028"])
+# cones' shared views: each is written once, at the depth of its first
+# write, and its text is kept and re-indented at every later depth
+_views = st.sampled_from(
+    [
+        cone_plain(c)
+        for c in (
+            PolyCone.from_generators(3, [[0, 0, 1]], [[2, 3, 0]]),
+            PolyCone.from_ineqs(2, [[1, -2]]),
+            PolyCone.origin(2),
+            PolyCone.full_space(1),
+        )
+    ]
+)
 _plain_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | _strings,
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | _strings | _views,
     lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_strings, inner),
     max_leaves=25,
 )
@@ -197,6 +212,38 @@ _plain_values = st.recursive(
 @given(_plain_values)
 def test_json_writer_matches_json_dumps_hypothesis(value):
     assert _dumps(value) == json.dumps(value, sort_keys=True, indent=1)
+
+
+def test_a_cone_view_shared_at_two_depths_is_written_as_json_dumps_writes_it():
+    view = cone_plain(PolyCone.from_generators(3, [[0, 0, 1]], [[2, 3, 0]]).polar())
+    assert type(view) is _PlainCone and view.json is None
+    trace = ({"cases": [{"pieces": [{"piece": view}]}]}, {"phase": "x", "cone": view})
+    report = Report("check", Certificate("holds", trace=trace), "")
+    block = {"check": "check", "certificate": certificate_to_dict(report.certificate)}
+    want = json.dumps(block, sort_keys=True, indent=1)
+    assert report.json_block() == want  # the first write is the deeper one
+    assert view.json == json.dumps(view, sort_keys=True, indent=1)
+    assert report.json_block() == want
+
+
+def test_certificates_of_one_spec_share_cone_views():
+    # check_aubin's trace holds the views of check_foscms's normal cones and
+    # dual test cones (the same cones, memoised per spec), not copies
+    spec = parse_problem(bundled_problem_path("ex3.json"))
+    certs = (check_foscms(spec), check_calmness_constraint(spec, "first"), check_aubin(spec, "corollary"))
+
+    def views(o):
+        if type(o) is _PlainCone:
+            return [o]
+        items = o.values() if isinstance(o, dict) else o if isinstance(o, (list, tuple)) else ()
+        return [v for item in items for v in views(item)]
+
+    found = [{id(v): v for v in views(cert.trace)} for cert in certs]
+    assert found[0] and found[0].keys() <= found[1].keys() and found[0].keys() <= found[2].keys()
+    for check, cert in zip(("foscms", "calmness", "aubin"), certs):
+        block = render_report(check, cert, "full").json_block()
+        assert block == json.dumps(json.loads(block), sort_keys=True, indent=1)
+        assert certificate_from_dict(json.loads(block)["certificate"]) == cert
 
 
 def test_json_writer_rejects_non_plain_values():
