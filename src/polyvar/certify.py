@@ -37,7 +37,7 @@ from itertools import combinations
 from math import lcm
 from typing import Sequence
 
-from .cones import Face, PolyCone, cone_plain, open_cell, pick_nonzero
+from .cones import Face, PolyCone, _of_rows, cone_plain, open_cell, pick_nonzero
 from .graphmap import GraphPoint, _along, face_pairs, graph_tangent_member
 from .linalg import IntVec, QMatrix, QVector, _dot, _ints, _kernel, _neg, _reduce, vec_plain
 from .sets import (
@@ -218,10 +218,11 @@ class Certificate:
 # -- shared linear-geometry helpers ------------------------------------------------
 
 
-def _scaled(rows: Sequence[QVector]) -> tuple[IntVec, ...]:
-    """The rows times one positive integer that clears every denominator."""
-    den = lcm(*(x.denominator for r in rows for x in r.entries))
-    return tuple(tuple(x.numerator * (den // x.denominator) for x in r.entries) for r in rows)
+def _cleared(rows: Sequence[Sequence]) -> tuple[tuple[IntVec, ...], int]:
+    """Rows of rationals times the least positive integer d that clears every
+    denominator, and d."""
+    den = lcm(*(x.denominator for r in rows for x in r))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in rows), den
 
 
 def _apply(rows: Sequence[IntVec], v: IntVec) -> IntVec:
@@ -230,27 +231,36 @@ def _apply(rows: Sequence[IntVec], v: IntVec) -> IntVec:
 
 
 @_per_spec
+def _jacobian(spec) -> tuple[tuple[IntVec, ...], int]:
+    """The rows of [Jp Jx] in integers, times the least positive integer s
+    that clears their denominators, and s: every linear map the certifiers
+    apply is read off this one form."""
+    return _cleared([p.entries + x.entries for p, x in zip(spec.Jp.rows, spec.Jx.rows)])
+
+
+@_per_spec
 def _w_map_T(spec) -> tuple[IntVec, ...]:
     """The transpose of the linearized map (q, u) -> w in integer rows, scaled
     by a positive integer: w = Jp q + Jx u for a constraint system and
     w = -Jp q - Jx u for a variational one.  Row j < l is the column of q_j,
     row l + j the column of u_j; the last n rows are a multiple of ±Jx^T."""
-    cols = _scaled([spec.Jp.col(j) for j in range(spec.l)] + [spec.Jx.col(j) for j in range(spec.n)])
+    rows = _jacobian(spec)[0]
+    cols = tuple(tuple(r[j] for r in rows) for j in range(spec.l + spec.n))
     return cols if spec.kind == "constraint" else tuple(map(_neg, cols))
 
 
 @_per_spec
 def _jx_rows(spec) -> tuple[IntVec, ...]:
-    """The rows of Jx, scaled by a positive integer."""
-    return _scaled(spec.Jx.rows)
+    """The rows of s Jx, with s the scale of ``_jacobian``."""
+    return tuple(r[spec.l :] for r in _jacobian(spec)[0])
 
 
 def _pullback(cone: PolyCone, mt: Sequence[IntVec]) -> PolyCone:
     """Preimage {z : M z ∈ cone} in R^len(mt), where ``mt`` holds the rows
-    of a positive multiple of M^T.  ``from_ineqs`` makes every pulled-back
+    of a positive multiple of M^T.  ``_of_rows`` makes every pulled-back
     row primitive, so the scale does not show in the cone."""
     ineqs, eqs = cone._h
-    return PolyCone.from_ineqs(len(mt), [_apply(mt, a) for a in ineqs], [_apply(mt, e) for e in eqs])
+    return _of_rows(len(mt), [_apply(mt, a) for a in ineqs], [_apply(mt, e) for e in eqs])
 
 
 @_per_spec_cone
@@ -277,7 +287,7 @@ def _kernel_meet(spec: ConstraintSystemSpec, normal: PolyCone) -> PolyCone:
     one conversion of the normal's integer rows with the columns of Jx (a
     positive multiple of them) as further equations."""
     ineqs, eqs = normal._h
-    return PolyCone.from_ineqs(spec.m, ineqs, eqs + _w_map_T(spec)[spec.l:])
+    return _of_rows(spec.m, ineqs, eqs + _w_map_T(spec)[spec.l:])
 
 
 def _split_qu(vec: QVector, l: int) -> tuple[QVector, QVector]:
@@ -292,10 +302,11 @@ def fm_project(cone: PolyCone, keep: int) -> PolyCone:
 
     A linear map carries generators to generators: the image of
     cone(R) + span(L) is cone(πR) + span(πL), so the projection is the cone
-    generated by the truncated rays and lineality vectors.
+    generated by the truncated rays and lineality vectors: the polar of
+    {a : <a, πr> <= 0, <a, πl> = 0}.
     """
     rays, lin = cone._v
-    return PolyCone.from_generators(keep, [r[:keep] for r in rays], [l[:keep] for l in lin])
+    return _of_rows(keep, [r[:keep] for r in rays], [l[:keep] for l in lin], "generator").polar()
 
 
 def covers_space(pieces: Sequence[PolyCone], dim: int) -> tuple[bool, QVector | None]:
@@ -521,7 +532,7 @@ def check_soscms(spec: ConstraintSystemSpec) -> Certificate:
 def _hessian_rows(spec: ConstraintSystemSpec) -> tuple[tuple[IntVec, ...], ...]:
     """The Hessians as integer matrices, all times one positive integer (one
     scale per matrix would change sum v*_i H_i)."""
-    rows, n = _scaled([r for h in spec.hessians for r in h.rows]), spec.n
+    rows, n = _cleared([r.entries for h in spec.hessians for r in h.rows])[0], spec.n
     return tuple(rows[i : i + n] for i in range(0, len(rows), n))
 
 
@@ -617,7 +628,7 @@ def _graph_cell(spec: VariationalSystemSpec, f2: Face, f1: Face) -> PolyCone:
         f1_rays, f1_lin = f1.cone._v
         rows_i = [pad + a for a in f2_ineqs] + [_apply(wt, a) for a in k_rays]
         rows_e = [pad + e for e in f2_eqs] + [_apply(wt, e) for e in k_lin + f1_rays + f1_lin]
-        memo[pair] = PolyCone.from_ineqs(spec.l + spec.n, rows_i, rows_e)
+        memo[pair] = _of_rows(spec.l + spec.n, rows_i, rows_e)
     return memo[pair]
 
 
@@ -631,7 +642,7 @@ def _variational_adjoint_cone(spec: VariationalSystemSpec, kd: PolyCone) -> Poly
     # a.(-Jx^T v*) <= 0  <=>  -(Jx a).v* <= 0, and b.(-v*) <= 0
     rows_i = [_neg(_apply(jx, a)) for a in rays] + [_neg(b) for b in ineqs]
     rows_e = [_apply(jx, e) for e in lin] + list(eqs)
-    return PolyCone.from_ineqs(spec.n, rows_i, rows_e)
+    return _of_rows(spec.n, rows_i, rows_e)
 
 
 def _graph_strata(spec: VariationalSystemSpec):
@@ -813,7 +824,7 @@ def _joint_adjoint(spec, adjoint: PolyCone) -> PolyCone:
     """The adjoint cone cut down to ker Jp^T; once per spec, since theorem
     mode runs ``check_foscms_joint`` a second time."""
     ineqs, eqs = adjoint._h
-    return PolyCone.from_ineqs(adjoint.dim, ineqs, eqs + _w_map_T(spec)[: spec.l])
+    return _of_rows(adjoint.dim, ineqs, eqs + _w_map_T(spec)[: spec.l])
 
 
 def graphical_derivative_S(spec, q: QVector) -> list[Polyhedron]:
@@ -852,15 +863,26 @@ def _directional_adjoints(spec, u: QVector, v: QVector) -> tuple[tuple[PolyCone,
     For a constraint system the pieces are those of N_D(g0; Jx u - v), each
     with ker Jx^T ∩ piece; for a variational system, the difference cones Kd
     of the directional limiting normal cone to the graph in direction
-    (u, v - Jx u), each with ``_variational_adjoint_cone``.
+    (u, v - Jx u), each with ``_variational_adjoint_cone``.  Both test w for
+    membership in cones only, so they take a positive multiple of it, computed
+    in integers.
     """
-    if spec.kind == "constraint":
-        w = spec.Jx.matvec(u) - v
-        if not _d_tangent(spec).contains(w):
+    constraint, m = spec.kind == "constraint", spec.Jx.nrows
+    # the errors of the rational Jx u - v and v - Jx u
+    if u.dim != spec.Jx.ncols:
+        raise ValueError("matvec dimension mismatch")
+    if v.dim != m:
+        raise ValueError(f"dimension mismatch: {m} vs {v.dim}" if constraint else f"dimension mismatch: {v.dim} vs {m}")
+    ((ui,), du), ((vi,), dv), s = _cleared([u.entries]), _cleared([v.entries]), _jacobian(spec)[1]
+    # s du dv (Jx u - v), as u = ui / du, v = vi / dv and _jx_rows holds s Jx
+    w = _reduce([dv * a - s * du * b for a, b in zip(_apply(_jx_rows(spec), ui), vi)])
+    if constraint:
+        if not any(t._holds(w) for t in _d_tangent(spec).pieces):
             return None
-        return tuple((p, _kernel_meet(spec, p)) for p in directional_normal_cone(spec.D, spec.g0, w).pieces)
+        normals = directional_normal_cone(spec.D, spec.g0, QVector._of_ints(w))
+        return tuple((p, _kernel_meet(spec, p)) for p in normals.pieces)
     gp = spec.graph_point()
-    w = v - spec.Jx.matvec(u)
+    w = QVector._of_ints(_neg(w))
     if not graph_tangent_member(gp, u, w):
         return None
     return tuple((p.k, _variational_adjoint_cone(spec, p.k)) for p in _along(gp, u, w).pieces)

@@ -10,7 +10,9 @@ Subcommands::
 
 Vectors are comma-separated rationals ("1,-1/2"); graph directions take a
 primal and a dual part separated by ";".  Values starting with a minus sign
-need the "--dir=-1,0;0,0" form.  Exit codes: 0 holds/match,
+need the "--dir=-1,0;0,0" form.  certify rejects an option its check does
+not read: --dir is for dir-subreg and dir-reg, --gpp for dir-subreg and
+--assume-subregular for aubin-theorem.  Exit codes: 0 holds/match,
 1 not certified/refuted/mismatch, 3 usage or input error (a bad option or
 problem file, or a check's precondition not met), 4 internal error (any
 other exception: a defect; the traceback goes to stderr).  Exit code 2 is
@@ -179,8 +181,15 @@ def _run_check(spec, check: str, args):
     raise UsageError(f"unknown check {check!r}")
 
 
+# The checks that read each certify option; any other check rejects it.
+_OPTION_CHECKS = {"dir": ("dir-subreg", "dir-reg"), "gpp": ("dir-subreg",), "assume_subregular": ("aubin-theorem",)}
+
+
 def _cmd_certify(args) -> int:
     verbosity = _verbosity()
+    for option, checks in _OPTION_CHECKS.items():
+        if getattr(args, option) and args.check not in checks:
+            raise UsageError(f"--{option.replace('_', '-')} applies only to --check {' or '.join(checks)}")
     spec = parse_problem(args.file)
     cert = _run_check(spec, args.check, args)
     report = render_report(args.check, cert, verbosity)

@@ -37,7 +37,11 @@ equality of integer tuples:
 The conversion works on primitive integer tuples: each input row is scaled
 once by a positive rational to coprime integers (``linalg._ints``), and every
 later update is an integer cross-multiplication followed by division by the
-gcd.  Two rays are combined only if they are adjacent, which is decided
+gcd.  Rows that are integer tuples already (the rows and generators of other
+cones, the certifiers' pullbacks, a problem file's polyhedra) enter through
+``_of_rows``, which only divides each row by its gcd and checks its length;
+``from_ineqs`` and ``from_generators`` are ``_of_rows`` after ``_ints``.
+Two rays are combined only if they are adjacent, which is decided
 combinatorially from their zero sets (Fukuda & Prodon, "Double description
 method revisited", 1996), so every ray kept is extreme and no rank is computed
 per ray.  The start basis and the canonical lineality rows come from the
@@ -177,13 +181,6 @@ def _dd(
     return basis, [_project_off(r, ortho) for r in rays], zeros, rows, eq_echelon
 
 
-def _rows(dim: int, vectors: Iterable, what: str) -> list[IntVec]:
-    out = [_ints(v) for v in vectors]
-    if any(len(v) != dim for v in out):
-        raise ValueError(f"{what} has wrong dimension")
-    return out
-
-
 def _generators(dim: int, ineqs: Sequence, eqs: Sequence) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], tuple]:
     """Canonical integer (lineality echelon rows, sorted rays) of the cone
     {z : ineqs.z <= 0, eqs.z = 0}, and the incidence (rows, equation echelon
@@ -225,6 +222,24 @@ def _read_off(
         if not any(t != s and t & s == s for t in on_rays)
     ]
     return tuple(sorted(facets)), tuple(lin)
+
+
+def _of_rows(
+    dim: int, ineqs: Iterable[Sequence[int]], eqs: Iterable[Sequence[int]], what: str = "constraint row"
+) -> "PolyCone":
+    """The cone {z : ineqs.z <= 0, eqs.z = 0} of rows that are integer
+    tuples already: ``from_ineqs`` with no type scan.  Each row is made
+    primitive and its length checked; ``what`` names a row in the error.
+    ``from_ineqs`` and ``from_generators`` call it after ``_ints``."""
+    ineqs, eqs = _primitive(dim, ineqs, what), _primitive(dim, eqs, what)
+    return _of_generators(dim, *_generators(dim, ineqs, eqs))
+
+
+def _primitive(dim: int, rows: Iterable[Sequence[int]], what: str) -> list[IntVec]:
+    out = [_reduce(r) for r in rows]
+    if any(len(r) != dim for r in out):
+        raise ValueError(f"{what} has wrong dimension")
+    return out
 
 
 def _of_generators(dim: int, lin: tuple[IntVec, ...], rays: tuple[IntVec, ...], incidence: tuple) -> "PolyCone":
@@ -311,14 +326,12 @@ class PolyCone:
 
     @staticmethod
     def from_ineqs(dim: int, ineqs: Iterable = (), eqs: Iterable = ()) -> "PolyCone":
-        ineqs, eqs = _rows(dim, ineqs, "constraint row"), _rows(dim, eqs, "constraint row")
-        return _of_generators(dim, *_generators(dim, ineqs, eqs))
+        return _of_rows(dim, map(_ints, ineqs), map(_ints, eqs))
 
     @staticmethod
     def from_generators(dim: int, rays: Iterable = (), lin: Iterable = ()) -> "PolyCone":
         # The cone is the polar of {a : <a,r> <= 0, <a,l> = 0}.
-        rays, lin = _rows(dim, rays, "generator"), _rows(dim, lin, "generator")
-        return _of_generators(dim, *_generators(dim, rays, lin)).polar()
+        return _of_rows(dim, map(_ints, rays), map(_ints, lin), "generator").polar()
 
     @staticmethod
     def full_space(dim: int) -> "PolyCone":

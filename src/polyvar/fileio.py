@@ -27,7 +27,16 @@ variational system::
      "gamma": {"A": [...], "b": [...], "E": [...], "e": [...]},
      "param_lipschitz": true}
 
-Parsing errors carry the JSON path of the offending field.
+Each list of scalars is read in one pass: a string in the grammar (or a
+JSON integer) becomes a (numerator, denominator) pair of ints, with no
+``Fraction``.  The first entry that fails that match goes through ``_rat``,
+so every message about a bad scalar comes from one place.  The rows of
+``gamma`` and of each piece of ``D`` become homogenized integer rows (a, -b)
+and (g, -e), each times one common denominator, and go to the polyhedron's
+integer constructor; the Jacobians, the reference vectors and the Hessians
+are ``QMatrix``/``QVector`` values built from the pairs with no second
+coercion.  Parsing errors carry the JSON path of the offending field, and a
+field is checked in full (its entries, then its length) before the next.
 
 Every report ends with a JSON block (``Report.json_block``): keys sorted,
 one space of indent per level, items separated by "," and a newline, keys
@@ -41,6 +50,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import lcm
 
 from .certify import (
     Certificate,
@@ -49,7 +59,7 @@ from .certify import (
     Witness,
 )
 from .cones import _PlainCone
-from .linalg import QMatrix, QVector, frac, vec_plain
+from .linalg import _RATIONAL, IntVec, QMatrix, QVector, frac, vec_plain
 from .sets import InfeasibleError, Polyhedron, UnionSet
 
 
@@ -66,42 +76,80 @@ def _rat(value, path: str) -> Fraction:
         raise ProblemFileError(f"{path}: not a rational 'n' or 'n/d': {value!r}") from None
 
 
-def _rats(value, path: str) -> list[Fraction]:
+def _ratio(x) -> tuple[int, int] | None:
+    """(numerator, denominator) of a scalar in the grammar, unreduced, with
+    no Fraction; None for anything else, which ``_rat`` then rejects."""
+    if type(x) is int:  # not bool
+        return x, 1
+    if type(x) is str:
+        m = _RATIONAL.fullmatch(x)
+        if m is not None:
+            try:
+                num, den = int(m[1]), int(m[2] or 1)
+            except ValueError:  # past the int digit limit
+                return None
+            if den:
+                return num, den
+    return None
+
+
+def _ratios(value, path: str, dim: int | None = None) -> list[tuple[int, int]]:
+    """A list of scalars as (numerator, denominator) pairs, in one pass; the
+    first entry that fails the fast match goes through ``_rat``, which names
+    it in its error."""
     if not isinstance(value, list):
         raise ProblemFileError(f"{path}: expected a list of rationals")
-    return [_rat(x, f"{path}[{i}]") for i, x in enumerate(value)]
+    out = [_ratio(x) for x in value]
+    for i, r in enumerate(out):
+        if r is None:
+            x = _rat(value[i], f"{path}[{i}]")
+            out[i] = x.numerator, x.denominator
+    if dim is not None and len(out) != dim:
+        raise ProblemFileError(f"{path}: expected length {dim}, got {len(out)}")
+    return out
 
 
-def _vector(value, path: str, dim: int | None = None) -> QVector:
-    v = QVector(_rats(value, path))
-    if dim is not None and v.dim != dim:
-        raise ProblemFileError(f"{path}: expected length {dim}, got {v.dim}")
-    return v
-
-
-def _matrix(value, path: str, nrows: int | None = None, ncols: int | None = None) -> QMatrix:
+def _ratio_rows(value, path: str, nrows: int | None = None, ncols: int | None = None) -> list[list[tuple[int, int]]]:
     if not isinstance(value, list):
         raise ProblemFileError(f"{path}: expected a list of rows")
-    rows = [_vector(r, f"{path}[{i}]", ncols) for i, r in enumerate(value)]
-    m = QMatrix(rows)
-    if nrows is not None and m.nrows != nrows:
-        raise ProblemFileError(f"{path}: expected {nrows} rows, got {m.nrows}")
-    return m
+    rows = [_ratios(r, f"{path}[{i}]", ncols) for i, r in enumerate(value)]
+    if nrows is not None and len(rows) != nrows:
+        raise ProblemFileError(f"{path}: expected {nrows} rows, got {len(rows)}")
+    return rows
+
+
+def _vector(value, path: str, dim: int) -> QVector:
+    return QVector._of_ratios(_ratios(value, path, dim))
+
+
+def _matrix(value, path: str, nrows: int, ncols: int) -> QMatrix:
+    return QMatrix([QVector._of_ratios(r) for r in _ratio_rows(value, path, nrows, ncols)])
+
+
+def _cleared_rows(rows: list[list[tuple[int, int]]], rhs: list[tuple[int, int]]) -> list[IntVec]:
+    """The integer rows (a, -b) of a.y <= b (or = b), each times the least
+    common denominator of its entries."""
+    out = []
+    for row, (num, den) in zip(rows, rhs):
+        row = [*row, (-num, den)]
+        den = lcm(*(d for _, d in row))
+        out.append(tuple(n for n, _ in row) if den == 1 else tuple(n * (den // d) for n, d in row))
+    return out
 
 
 def _polyhedron(value, path: str, dim: int) -> Polyhedron:
     if not isinstance(value, dict):
         raise ProblemFileError(f"{path}: expected an object with A/b/E/e")
-    a = _matrix(value.get("A", []), f"{path}.A", ncols=dim if value.get("A") else None)
-    b = _rats(value.get("b", []), f"{path}.b")
-    e_mat = _matrix(value.get("E", []), f"{path}.E", ncols=dim if value.get("E") else None)
-    e_rhs = _rats(value.get("e", []), f"{path}.e")
-    if a.nrows != len(b):
-        raise ProblemFileError(f"{path}: A has {a.nrows} rows but b has {len(b)} entries")
-    if e_mat.nrows != len(e_rhs):
-        raise ProblemFileError(f"{path}: E has {e_mat.nrows} rows but e has {len(e_rhs)} entries")
+    a = _ratio_rows(value.get("A", []), f"{path}.A", ncols=dim if value.get("A") else None)
+    b = _ratios(value.get("b", []), f"{path}.b")
+    e_mat = _ratio_rows(value.get("E", []), f"{path}.E", ncols=dim if value.get("E") else None)
+    e_rhs = _ratios(value.get("e", []), f"{path}.e")
+    if len(a) != len(b):
+        raise ProblemFileError(f"{path}: A has {len(a)} rows but b has {len(b)} entries")
+    if len(e_mat) != len(e_rhs):
+        raise ProblemFileError(f"{path}: E has {len(e_mat)} rows but e has {len(e_rhs)} entries")
     try:
-        return Polyhedron(dim, list(a.rows), b, list(e_mat.rows), e_rhs)
+        return Polyhedron._of_int_rows(dim, _cleared_rows(a, b), _cleared_rows(e_mat, e_rhs))
     except InfeasibleError:
         raise ProblemFileError(f"{path}: polyhedron is empty") from None
 

@@ -107,10 +107,10 @@ def graph_tangent_member(gp: GraphPoint, v: QVector, vstar: QVector) -> bool:
     """Is (v, v*) tangent to the graph at the reference point?
 
     Tangency means v lies in the critical cone and v* in its polar with
-    v ⊥ v*.
+    v ⊥ v*.  Each test reads v and v* only through their rays.
     """
     k = gp.critical
-    return k.contains(v) and k.polar().contains(vstar) and v.dot(vstar) == 0
+    return k.contains(v) and k.polar().contains(vstar) and _dot(_ints(v), _ints(vstar)) == 0
 
 
 def regular_normal_graph(gp: GraphPoint) -> GraphNormalCone:

@@ -122,8 +122,21 @@ class QVector:
         return v
 
     @staticmethod
+    def _of_ratios(pairs: Iterable[tuple[int, int]]) -> "QVector":
+        """The vector with entries n/d, from (n, d) int pairs with d > 0
+        (no coercion, no checks)."""
+        v = object.__new__(QVector)
+        small = _SMALL
+        object.__setattr__(
+            v,
+            "entries",
+            tuple([small[n] if d == 1 and -256 <= n <= 256 else Fraction(n, d) for n, d in pairs]),
+        )
+        return v
+
+    @staticmethod
     def zero(dim: int) -> "QVector":
-        return QVector([0] * dim)
+        return QVector._of_ints((0,) * dim)
 
     @staticmethod
     def unit(dim: int, i: int) -> "QVector":
@@ -290,7 +303,10 @@ def _ints(v) -> IntVec:
     Accepts a QVector or a sequence of exact scalars (ints, Fractions, or
     strings such as "1/2").
     """
-    xs = v.entries if isinstance(v, QVector) else tuple(v)
+    if isinstance(v, QVector):  # entries are Fractions
+        den = lcm(*(x.denominator for x in v.entries))
+        return _reduce([x.numerator * (den // x.denominator) for x in v.entries])
+    xs = tuple(v)
     if not all(type(x) is int for x in xs):
         xs = [x if isinstance(x, (int, Fraction)) else frac(x) for x in xs]
         den = lcm(*(x.denominator for x in xs))

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-from .cones import PolyCone, _exposed_face, _face_lattice, _zero_sets, open_cell
+from .cones import PolyCone, _exposed_face, _face_lattice, _of_rows, _zero_sets, open_cell
 from .linalg import IntVec, QVector, _dot, _ints, _neg, _reduce, frac
 
 
@@ -56,7 +56,11 @@ class Polyhedron:
     Stored only as its homogenization cone, whose canonical irredundant rows
     give the canonical H-representation; ``A``, ``b``, ``E`` and ``e`` are
     rational views of them, and the cone is the polyhedron's identity.
-    Feasibility is verified exactly at construction.
+    Feasibility is verified exactly at construction.  The rational
+    constructor scales each homogenized row (a, -b) and (g, -e) to
+    integers; ``_of_int_rows`` takes such integer rows directly (a problem
+    file's rows, parsed straight to integers), and both build the cone in
+    ``_homogenized``.
     """
 
     __slots__ = ("dim", "_homog", "_rows", "_faces", "_normals")
@@ -65,10 +69,21 @@ class Polyhedron:
         A, b, E, e = list(A), list(b), list(E), list(e)
         if len(A) != len(b) or len(E) != len(e):
             raise ValueError("constraint rows and right-hand sides differ in length")
-        # Homogenize: {(y, t) : A y - b t <= 0, E y - e t = 0, -t <= 0}; the
-        # conversion rejects a row of the wrong length.
-        h_ineqs = [(*r, -frac(bv)) for r, bv in zip(A, b)] + [(0,) * dim + (-1,)]
-        homog = PolyCone.from_ineqs(dim + 1, h_ineqs, [(*g, -frac(ev)) for g, ev in zip(E, e)])
+        ineqs = [_ints((*r, -frac(bv))) for r, bv in zip(A, b)]
+        self._homogenized(dim, ineqs, [_ints((*g, -frac(ev))) for g, ev in zip(E, e)])
+
+    @staticmethod
+    def _of_int_rows(dim: int, ineqs: Iterable[Sequence[int]], eqs: Iterable[Sequence[int]]) -> "Polyhedron":
+        """The polyhedron {y : a.y <= b, g.y = e} from integer tuples that are
+        positive multiples of its homogenized rows (a, -b) and (g, -e)."""
+        p = object.__new__(Polyhedron)
+        p._homogenized(dim, ineqs, eqs)
+        return p
+
+    def _homogenized(self, dim: int, ineqs: Iterable[Sequence[int]], eqs: Iterable[Sequence[int]]) -> None:
+        # The homogenization cone {(y, t) : A y - b t <= 0, E y - e t = 0,
+        # -t <= 0}; the conversion rejects a row of the wrong length.
+        homog = _of_rows(dim + 1, [*ineqs, (0,) * dim + (-1,)], eqs)
         if not any(r[dim] > 0 for r in homog._v[0]):
             raise InfeasibleError("polyhedron is empty")
         object.__setattr__(self, "dim", dim)
@@ -164,7 +179,7 @@ class Polyhedron:
         at the points whose active set is ``active``, built once per set."""
         if active not in self._normals:
             A, E = self._int_rows()
-            self._normals[active] = PolyCone.from_generators(self.dim, [A[i] for i in sorted(active)], E)
+            self._normals[active] = _of_rows(self.dim, [A[i] for i in sorted(active)], E, "generator").polar()
         return self._normals[active]
 
     def normal_cone(self, y: QVector) -> PolyCone:

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from corpus import (
     counting_dd,
     graph_union,
+    random_affine_union,
     random_gamma,
     random_graph_point,
     random_matrix,
+    random_member,
     random_symmetric,
+    random_tangent_pair,
     random_union,
     rng,
 )
@@ -43,7 +46,7 @@ from polyvar.certify import (
 )
 from polyvar import certify
 from polyvar.cones import PolyCone, open_cell, pick_nonzero
-from polyvar.graphmap import directional_limiting_normal_graph, limiting_normal_graph
+from polyvar.graphmap import _along, directional_limiting_normal_graph, limiting_normal_graph
 from polyvar.linalg import QMatrix, QVector, _ints, row_space_basis
 from polyvar.sets import (
     ConeUnion,
@@ -693,6 +696,101 @@ def test_directions_of_the_wrong_dimension_are_rejected():
         graphical_derivative_S(ex5_spec(), QVector([1, 0]))
     with pytest.raises(ValueError, match="dimension mismatch"):
         check_second_order_directional_subregularity(ex4_spec(), QVector([1, 0]), QVector([-1, -1, -1]))
+
+
+def rational_directional_adjoints(spec, u, v):
+    """The directional adjoints with w = Jx u - v computed in rationals, as
+    the certifier computed it before its integer form."""
+    if spec.kind == "constraint":
+        w = spec.Jx.matvec(u) - v
+        if not union_tangent_cone(spec.D, spec.g0).contains(w):
+            return None
+        return tuple((p, certify._kernel_meet(spec, p)) for p in directional_normal_cone(spec.D, spec.g0, w).pieces)
+    gp = spec.graph_point()
+    w = v - spec.Jx.matvec(u)
+    k = gp.critical
+    if not (k.contains(u) and k.polar().contains(w) and u.dot(w) == 0):
+        return None
+    return tuple((p.k, _variational_adjoint_cone(spec, p.k)) for p in _along(gp, u, w).pieces)
+
+
+def random_spec(r, kind):
+    """A constraint spec on a corpus union (of cones at 0, or of polyhedra
+    around a grid point g0) or a variational spec on a corpus polyhedron at
+    a corpus graph point, with Jacobians that are often fractional."""
+
+    def jacobian(nrows, ncols):
+        den = r.choice([1, 1, 2, 3])
+        return QMatrix([[F(r.randint(-2, 2), den) for _ in range(ncols)] for _ in range(nrows)])
+
+    l, n = r.choice([1, 2]), r.choice([2, 2, 3])
+    if kind == "constraint":
+        m = r.choice([2, 3])
+        d, g0 = random_affine_union(r, m) if r.random() < 0.5 else (random_union(r, m), QVector.zero(m))
+        return ConstraintSystemSpec(l=l, n=n, m=m, Jp=jacobian(m, l), Jx=jacobian(m, n), g0=g0, D=d)
+    gamma = random_gamma(r, n)
+    xbar, ystar = random_graph_point(r, gamma)
+    return VariationalSystemSpec(l=l, n=n, Jp=jacobian(n, l), Jx=jacobian(n, n), gamma=gamma, xbar=xbar, ybarstar=ystar)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(["constraint", "variational"]),
+    st.sampled_from(["zero", "tangent", "other", "long u", "short u", "long v", "short v"]),
+)
+def test_directional_adjoints_match_the_rational_direction_hypothesis(seed, kind, direction):
+    # w = Jx u - v is computed in integers, as a positive multiple; the
+    # pieces and adjoint cones, the tangency verdict and the errors for a
+    # direction of the wrong length are those of the rational w
+    r = rng(seed)
+    spec = random_spec(r, kind)
+    m = spec.Jx.nrows
+
+    def rational(dim):
+        return QVector([F(r.randint(-2, 2), r.choice([1, 2, 3])) for _ in range(dim)])
+
+    u, v = rational(spec.n), rational(m)
+    if direction == "zero":
+        u, v = QVector.zero(spec.n), QVector.zero(m)
+    elif direction == "tangent" and kind == "constraint":
+        t = random_member(r, r.choice(union_tangent_cone(spec.D, spec.g0).pieces))
+        v = spec.Jx.matvec(u) - t
+    elif direction == "tangent":
+        u, w = random_tangent_pair(r, spec.graph_point().critical)
+        v = w + spec.Jx.matvec(u)
+    elif direction != "other":
+        grow = 1 if direction.startswith("long") else -1
+        if direction.endswith("u"):
+            u = rational(spec.n + grow)
+        else:
+            v = rational(m + grow)
+        with pytest.raises(ValueError) as want:
+            rational_directional_adjoints(spec, u, v)
+        with pytest.raises(ValueError) as got:
+            certify._directional_adjoints(spec, u, v)
+        assert str(got.value) == str(want.value)
+        return
+    want = rational_directional_adjoints(spec, u, v)
+    assert certify._directional_adjoints(spec, u, v) == want
+    assert want is not None or direction == "other"
+
+
+def test_directions_of_the_wrong_length_raise_the_rational_errors():
+    # the integer dot product stops at the shorter vector, so the lengths
+    # are checked first, with the messages of the rational Jx u - v
+    for spec, m in ((ex4_spec(), 2), (ex5_spec(), 2)):
+        for check in (
+            lambda u: check_directional_metric_regularity(spec, u, QVector.zero(m)),
+            lambda u: check_second_order_directional_subregularity(spec, u, QVector([-1] * m)),
+        ):
+            for u in (QVector([1, 0, 0]), QVector([1])):
+                with pytest.raises(ValueError, match="^matvec dimension mismatch$"):
+                    check(u)
+    with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):  # Jx u - v
+        check_directional_metric_regularity(ex4_spec(), QVector([1, 0]), QVector([0, 0, 0]))
+    with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 2$"):  # v - Jx u
+        check_directional_metric_regularity(ex5_spec(), QVector([1, 0]), QVector([0, 0, 0]))
 
 
 def test_constraint_checks_reject_variational_specs():

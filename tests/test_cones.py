@@ -11,6 +11,7 @@ from polyvar.cones import (
     PolyCone,
     _dd,
     _generators,
+    _of_rows,
     _orthogonal,
     _project_off,
     cone_plain,
@@ -701,3 +702,58 @@ def test_equality_is_equality_of_the_rational_generators_hypothesis(a, b, rebuil
     assert (a == b) == same == (b == a)
     if same:
         assert hash(a) == hash(b) and a.key() == b.key()
+
+
+@st.composite
+def unreduced_integer_rows(draw):
+    """(dim, ineqs, eqs) as integer tuples that are not primitive in
+    general: ``integer_systems`` rows times positive integers, with zero
+    rows, duplicates and positive multiples mixed in, and dim 0."""
+    if draw(st.integers(0, 9)) == 0:
+        return 0, [()] * draw(st.integers(0, 2)), [()] * draw(st.integers(0, 1))
+    dim, ineqs, eqs = draw(integer_systems())
+    scale = st.integers(1, 6)
+    ineqs = [tuple(draw(scale) * x for x in a) for a in ineqs]
+    eqs = [tuple(draw(scale) * x for x in e) for e in eqs]
+    for shape in draw(st.sets(st.sampled_from(["zero", "duplicate", "multiple", "eqs_only"]))):
+        if shape == "zero":
+            ineqs.insert(draw(st.integers(0, len(ineqs))), (0,) * dim)
+            eqs.append((0,) * dim)
+        elif shape == "duplicate" and ineqs:
+            ineqs.append(draw(st.sampled_from(ineqs)))
+        elif shape == "multiple" and ineqs:
+            ineqs.append(tuple(draw(scale) * x for x in draw(st.sampled_from(ineqs))))
+        elif shape == "eqs_only":
+            ineqs = []
+    return dim, ineqs, eqs
+
+
+@settings(max_examples=200, deadline=None)
+@given(unreduced_integer_rows())
+@example((0, [], []))
+@example((0, [()], [()]))
+@example((2, [(2, 4), (0, 0), (2, 4), (3, 6)], []))
+@example((3, [], [(2, 2, 0), (0, 0, 0)]))
+def test_integer_rows_give_the_cone_of_the_public_constructors_hypothesis(system):
+    # the integer entry point runs no type scan, but makes rows primitive and
+    # checks their length: the same cone as from_ineqs, and as
+    # from_generators when the rows are generators
+    dim, ineqs, eqs = system
+    for got, want in (
+        (_of_rows(dim, ineqs, eqs), PolyCone.from_ineqs(dim, ineqs, eqs)),
+        (_of_rows(dim, ineqs, eqs, "generator").polar(), PolyCone.from_generators(dim, ineqs, eqs)),
+    ):
+        assert got == want and got.key() == want.key()
+        assert got._h == want._h and got._v == want._v
+    longer = [(*ineqs[0], 1)] if ineqs else [(1,) * (dim + 1)]
+    for rows in ((longer, eqs), (ineqs, longer)):
+        with pytest.raises(ValueError) as want:
+            PolyCone.from_ineqs(dim, *rows)
+        with pytest.raises(ValueError) as got:
+            _of_rows(dim, *rows)
+        assert str(got.value) == str(want.value) == "constraint row has wrong dimension"
+    with pytest.raises(ValueError) as want:
+        PolyCone.from_generators(dim, longer)
+    with pytest.raises(ValueError) as got:
+        _of_rows(dim, longer, (), "generator")
+    assert str(got.value) == str(want.value) == "generator has wrong dimension"

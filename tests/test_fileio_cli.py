@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import counting_dd
-from polyvar.certify import Certificate, check_aubin, check_calmness_constraint, check_foscms
+from polyvar.certify import (
+    Certificate,
+    ConstraintSystemSpec,
+    VariationalSystemSpec,
+    check_aubin,
+    check_calmness_constraint,
+    check_foscms,
+)
 from polyvar import cli
 from polyvar.cli import bundled_problem_path, run_command
 from polyvar.cones import PolyCone, _PlainCone, cone_plain
@@ -23,7 +30,8 @@ from polyvar.fileio import (
     problem_to_dict,
     render_report,
 )
-from polyvar.linalg import QVector
+from polyvar.linalg import QMatrix, QVector
+from polyvar.sets import InfeasibleError, Polyhedron, UnionSet
 
 
 def ex4_dict():
@@ -137,6 +145,176 @@ def test_scalar_grammar():
             _rat(text, "$.b[0]")
         assert time.perf_counter() - start < 1
         assert "$.b[0]" in str(err.value)
+
+
+BAD_SCALARS = ("1e10000000", "1.5", " 1", "1 ", "1_000", "0x10", "1/-2", "/2", "", "\u0663", "inf", "1/0")
+LONG_NUMERATOR = "1" * 5000  # past CPython's int digit limit: int() raises ValueError
+
+
+@pytest.mark.parametrize("text", BAD_SCALARS + (LONG_NUMERATOR, LONG_NUMERATOR + "/3"))
+def test_bad_scalars_name_their_path_wherever_they_sit(text):
+    # the one-pass reader hands every entry it cannot read to _rat, so each
+    # field gives _rat's message, with its path, and fast
+    for load, place, path in (
+        (ex4_dict, lambda d: d["Jx"][0].__setitem__(1, text), "<problem>.Jx[0][1]"),
+        (ex4_dict, lambda d: d["g0"].__setitem__(1, text), "<problem>.g0[1]"),
+        (ex5_dict, lambda d: d["gamma"]["A"][1].__setitem__(0, text), "<problem>.gamma.A[1][0]"),
+        (ex5_dict, lambda d: d["gamma"]["b"].__setitem__(1, text), "<problem>.gamma.b[1]"),
+        (ex4_dict, lambda d: d["D"]["pieces"][0]["b"].__setitem__(0, text), "<problem>.D.pieces[0].b[0]"),
+    ):
+        data = load()
+        place(data)
+        start = time.perf_counter()
+        with pytest.raises(ProblemFileError) as err:
+            problem_from_dict(data)
+        assert time.perf_counter() - start < 1
+        assert str(err.value) == f"{path}: not a rational 'n' or 'n/d': {text!r}"
+
+
+def test_a_row_is_checked_in_full_before_the_next():
+    data = ex5_dict()
+    data["gamma"]["A"] = [["1"], ["x", "1"]]
+    with pytest.raises(ProblemFileError) as err:
+        problem_from_dict(data)
+    assert str(err.value) == "<problem>.gamma.A[0]: expected length 2, got 1"
+    data["gamma"]["A"] = [["1", "x"], ["1"]]
+    with pytest.raises(ProblemFileError) as err:
+        problem_from_dict(data)
+    assert str(err.value) == "<problem>.gamma.A[0][1]: not a rational 'n' or 'n/d': 'x'"
+
+
+@st.composite
+def spelled(draw, value: F):
+    """One way a problem file may write a rational: a JSON int, or a string
+    with a "+" sign, "-0", leading zeros or an unreduced "n/d"."""
+    if value.denominator == 1 and draw(st.booleans()):
+        return int(value)
+    k = draw(st.integers(1, 3))
+    num, den = abs(value.numerator) * k, value.denominator * k
+    sign = "-" if value < 0 or (value == 0 and draw(st.booleans())) else draw(st.sampled_from(["", "+"]))
+    zeros = "0" * draw(st.integers(0, 2))
+    tail = "" if den == 1 and draw(st.booleans()) else f"/{zeros}{den}"
+    return f"{sign}{zeros}{num}{tail}"
+
+
+@st.composite
+def problem_files(draw):
+    """(problem dict, the same data as Fractions) for either kind, with
+    fractional Jacobians, zero rows, E-only and empty polyhedra, and
+    reference points that often, but not always, make a valid spec."""
+    value = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 1, 1, 2, 3]))
+
+    def vector(dim, values=value):
+        vals = draw(st.lists(values, min_size=dim, max_size=dim))
+        return [draw(spelled(x)) for x in vals], vals
+
+    def matrix(nrows, ncols, values=value):
+        rows = [vector(ncols, values) for _ in range(nrows)]
+        return [r for r, _ in rows], [v for _, v in rows]
+
+    anchored = draw(st.booleans())  # reference point 0, inside every polyhedron
+
+    def polyhedron(dim):
+        A, Av = matrix(draw(st.integers(0, 3)), dim)
+        if A and draw(st.booleans()):
+            A[0], Av[0] = [0] * dim, [F(0)] * dim  # a zero row
+        b, bv = vector(len(A), st.sampled_from([F(0), F(1), F(2)]) if anchored else value)
+        E, Ev = matrix(draw(st.integers(0, 1)), dim)
+        e, ev = vector(len(E), st.just(F(0)) if anchored else value)
+        return {"A": A, "b": b, "E": E, "e": e}, (Av, bv, Ev, ev)
+
+    l, n = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    label = draw(st.sampled_from(["", "drawn"]))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 3))
+        Jp, Jpv = matrix(m, l)
+        Jx, Jxv = matrix(m, n)
+        g0, g0v = vector(m, st.just(F(0)) if anchored else value)
+        pieces = [polyhedron(m) for _ in range(draw(st.integers(1, 2)))]
+        data = {
+            "kind": "constraint", "dims": {"l": l, "n": n, "m": m}, "Jp": Jp, "Jx": Jx, "g0": g0,
+            "D": {"pieces": [p for p, _ in pieces]}, "param_lipschitz": True, "label": label,
+        }
+        values = {"Jp": Jpv, "Jx": Jxv, "g0": g0v, "pieces": [v for _, v in pieces], "hessians": None}
+        if draw(st.booleans()):
+            hessians = []
+            for _ in range(m):
+                upper = [[draw(value) for _ in range(n)] for _ in range(n)]
+                hessians.append([[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+            data["hessians"] = [[[draw(spelled(x)) for x in row] for row in h] for h in hessians]
+            values["hessians"] = hessians
+        return data, values
+    Jp, Jpv = matrix(n, l)
+    Jx, Jxv = matrix(n, n)
+    xbar, xv = vector(n, st.just(F(0)) if anchored else value)
+    ystar, yv = vector(n, st.just(F(0)) if draw(st.booleans()) else value)
+    gamma, gv = polyhedron(n)
+    data = {
+        "kind": "variational", "dims": {"l": l, "n": n}, "Jp": Jp, "Jx": Jx, "xbar": xbar,
+        "ybarstar": ystar, "gamma": gamma, "param_lipschitz": False, "label": label,
+    }
+    return data, {"Jp": Jpv, "Jx": Jxv, "xbar": xv, "ybarstar": yv, "gamma": gv}
+
+
+def _rational_spec(data, values):
+    """The spec of a drawn file built by the public rational constructors,
+    or the ProblemFileError message the parser must give instead."""
+    source = "<problem>"
+    dims = data["dims"]
+    try:
+        if data["kind"] == "constraint":
+            pieces = []
+            for i, (A, b, E, e) in enumerate(values["pieces"]):
+                try:
+                    pieces.append(Polyhedron(dims["m"], A, b, E, e))
+                except InfeasibleError:
+                    return f"{source}.D.pieces[{i}]: polyhedron is empty"
+            hessians = values["hessians"]
+            return ConstraintSystemSpec(
+                dims["l"], dims["n"], dims["m"], QMatrix(values["Jp"]), QMatrix(values["Jx"]), QVector(values["g0"]),
+                UnionSet(pieces), None if hessians is None else [QMatrix(h) for h in hessians],
+                param_lipschitz=True, label=data["label"],
+            )
+        try:
+            gamma = Polyhedron(dims["n"], *values["gamma"])
+        except InfeasibleError:
+            return f"{source}.gamma: polyhedron is empty"
+        return VariationalSystemSpec(
+            dims["l"], dims["n"], QMatrix(values["Jp"]), QMatrix(values["Jx"]), gamma,
+            QVector(values["xbar"]), QVector(values["ybarstar"]), param_lipschitz=False, label=data["label"],
+        )
+    except ValueError as exc:
+        return f"{source}: {exc}"
+
+
+def _polyhedra(spec):
+    return spec.D.pieces if spec.kind == "constraint" else (spec.gamma,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem_files())
+def test_parsed_problems_equal_the_rational_constructors_hypothesis(drawn):
+    # integer rows straight from the strings give the polyhedra and specs of
+    # the public rational constructors, and the same errors
+    data, values = drawn
+    want = _rational_spec(data, values)
+    if isinstance(want, str):
+        with pytest.raises(ProblemFileError) as err:
+            problem_from_dict(data)
+        assert str(err.value) == want
+        return
+    got = problem_from_dict(data)
+    fields = ("Jp", "Jx", "g0", "hessians") if got.kind == "constraint" else ("Jp", "Jx", "xbar", "ybarstar")
+    for name in fields:
+        assert getattr(got, name) == getattr(want, name)
+    for v in (got.Jp, got.Jx, *(getattr(got, "hessians", None) or ())):
+        assert all(type(x) is F for r in v.rows for x in r)
+    for p, q in zip(_polyhedra(got), _polyhedra(want), strict=True):
+        assert p == q and p.key() == q.key()
+        assert (p.A, p.b, p.E, p.e) == (q.A, q.b, q.E, q.e)
+    plain = problem_to_dict(got)
+    assert plain == problem_to_dict(want)
+    assert problem_to_dict(problem_from_dict(plain)) == plain
 
 
 def test_variational_validation():
@@ -330,6 +508,15 @@ def test_cli_precondition_and_input_errors_are_usage_errors(capsys):
     assert run_command(["oracle", bundled_problem_path("ex3.json"), "--at", "1,1,1,1", "--dir", "1,0,0,0"]) == 3
     err = capsys.readouterr().err
     assert "internal error" not in err
+    # an option the check does not read is rejected, not ignored
+    ex3 = bundled_problem_path("ex3.json")
+    for args, message in (
+        (["--check", "calmness2", "--gpp=1,2"], "--gpp applies only to --check dir-subreg"),
+        (["--check", "foscms", "--dir=1,2"], "--dir applies only to --check dir-subreg or dir-reg"),
+        (["--check", "aubin", "--assume-subregular"], "--assume-subregular applies only to --check aubin-theorem"),
+    ):
+        assert run_command(["certify", ex3, *args]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_golden_examples(capsys):
