@@ -19,11 +19,15 @@ is never built.  Faces, the closures ``open_cell`` returns and exposed faces
 (critical cones) read their rows off the same incidence, cut to their rays.
 
 Conversion between the two runs the double description method: equalities are
-absorbed into the start basis, inequalities are processed one at a time while
-the (lineality basis, ray list) pair is kept in sync, and the ray list is
-irredundant after every step, because adjacency is decided exactly.  Both
-representations are canonicalized so that cone equality is plain structural
-equality of integer tuples:
+absorbed into the start basis (``_dd``), inequalities are processed one at a
+time while the (lineality basis, ray list) pair is kept in sync
+(``_dd_steps``), and the ray list is irredundant after every step, because
+adjacency is decided exactly.  The method is incremental, so an intersection
+continues its first operand's conversion: ``intersect`` starts the step loop
+from that cone's generators and their zero sets over its facets, and
+processes only the other operand's rows; ``minkowski_sum`` is the polar of
+the intersection of the polars.  Both representations are canonicalized so
+that cone equality is plain structural equality of integer tuples:
 
 * the lineality basis is in integer echelon form (unique; ``lin`` divides
   each row by its pivot, which gives the RREF basis),
@@ -106,11 +110,39 @@ def _dd(
     bitmask over the nonzero inequality rows), those rows, and the integer
     echelon form of the equations.
 
+    The start of a double description: the equations are absorbed into the
+    start basis, the kernel of their echelon form, with no ray and no row
+    processed; ``_dd_steps`` processes the nonzero inequality rows from there.
     Rows are primitive integer tuples (see ``_ints``), and so are the
-    generators that come back.  Incremental double description: after each
-    step span(B) + cone(R) is the cone of the rows processed so far, and R
-    holds each extreme ray class once, with its zero set over the processed
-    rows.  So no ray is tested for extremality:
+    generators that come back.
+    """
+    eq_echelon, pivots = _echelon(eqs, dim)
+    basis = _echelon_kernel(eq_echelon, pivots, dim)
+    return _dd_steps(dim, basis, [], [], [], [a for a in ineqs if any(a)], eq_echelon)
+
+
+def _dd_steps(
+    dim: int,
+    basis: Sequence[IntVec],
+    rays: Sequence[IntVec],
+    zeros: Sequence[int],
+    done: Sequence[IntVec],
+    new: Sequence[IntVec],
+    eq_echelon: Sequence[IntVec],
+) -> tuple[list[IntVec], list[IntVec], list[int], list[IntVec], list[IntVec]]:
+    """Continue a double description pair through the rows ``new``.
+
+    span(basis) + cone(rays) must be {z : done.z <= 0, eq_echelon.z = 0},
+    with each extreme ray class in ``rays`` once and ``zeros`` its bitmask
+    over ``done``; ``eq_echelon`` is an integer echelon form (independent
+    rows).  ``_dd`` starts with no row done; ``PolyCone.intersect`` starts
+    from a cone's generators and facets.  Returns what ``_dd`` does, over
+    the rows ``done`` then ``new``.
+
+    Incremental double description: after each step span(B) + cone(R) is
+    the cone of the rows processed so far, and R holds each extreme ray
+    class once, with its zero set over the processed rows.  So no ray is
+    tested for extremality:
 
     * a row a that cuts span(B) splits the new cone as the direct sum
       ray(b0) ⊕ (the old pointed part moved into <a, z> = 0 along b0);
@@ -121,19 +153,14 @@ def _dd(
     * different adjacent pairs span different 2-faces, so no w repeats.
 
     An adjacent pair spans a face of dimension len(B) + 2, so its common rows
-    and the equations (of rank dim - len(start)) have rank dim - len(B) - 2: a
-    pair with fewer than len(start) - len(B) - 2 common rows is skipped before
-    the scan for a third ray.  Each ray comes back projected off span(B): a
-    primitive vector that depends only on its class, with the same zero set,
-    as every row vanishes on span(B).
+    and the equations (of rank dim - nstart, nstart = dim - len(eq_echelon))
+    have rank dim - len(B) - 2: a pair with fewer than nstart - len(B) - 2
+    common rows is skipped before the scan for a third ray.  Each ray comes
+    back projected off span(B): a primitive vector that depends only on its
+    class, with the same zero set, as every row vanishes on span(B).
     """
-    rows = [a for a in ineqs if any(a)]
-    eq_echelon, pivots = _echelon(eqs, dim)
-    start = basis = _echelon_kernel(eq_echelon, pivots, dim)
-    rays: list[IntVec] = []
-    zeros: list[int] = []
-
-    for k, a in enumerate(rows):
+    nstart = dim - len(eq_echelon)
+    for k, a in enumerate(new, len(done)):
         bit = 1 << k
         prods_b = [_dot(a, b) for b in basis]
         pivot = next((i for i, p in enumerate(prods_b) if p), None)
@@ -162,7 +189,7 @@ def _dd(
         zero = [i for i, v in enumerate(vals) if v == 0]
         new_rays = [rays[i] for i in neg] + [rays[i] for i in zero]
         new_zeros = [zeros[i] for i in neg] + [zeros[i] | bit for i in zero]
-        need = len(start) - len(basis) - 2
+        need = nstart - len(basis) - 2
         for ip in (i for i, v in enumerate(vals) if v > 0):
             rp, zp, vp = rays[ip], zeros[ip], vals[ip]
             for jn in neg:
@@ -178,14 +205,25 @@ def _dd(
         rays, zeros = new_rays, new_zeros
 
     ortho = _orthogonal(basis)
-    return basis, [_project_off(r, ortho) for r in rays], zeros, rows, eq_echelon
+    return basis, [_project_off(r, ortho) for r in rays], zeros, [*done, *new], eq_echelon
 
 
 def _generators(dim: int, ineqs: Sequence, eqs: Sequence) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], tuple]:
     """Canonical integer (lineality echelon rows, sorted rays) of the cone
     {z : ineqs.z <= 0, eqs.z = 0}, and the incidence (rows, equation echelon
     rows, zero sets of the rays) that ``_read_off`` reads its rows from."""
-    basis, rays, zeros, rows, eq_echelon = _dd(dim, ineqs, eqs)
+    return _canonical(dim, *_dd(dim, ineqs, eqs))
+
+
+def _canonical(
+    dim: int,
+    basis: Sequence[IntVec],
+    rays: Sequence[IntVec],
+    zeros: Sequence[int],
+    rows: Sequence[IntVec],
+    eq_echelon: Sequence[IntVec],
+) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], tuple]:
+    """What ``_generators`` returns, from what ``_dd`` or ``_dd_steps`` does."""
     return tuple(_echelon(basis, dim)[0]), tuple(sorted(rays)), (rows, eq_echelon, zeros)
 
 
@@ -407,12 +445,28 @@ class PolyCone:
         return _cone(self.dim, self._reps, 1 - self._side)
 
     def intersect(self, other: "PolyCone") -> "PolyCone":
+        """The cone self ∩ other, by continuing self's conversion.
+
+        Double description is incremental, so the meet starts from self's
+        generators (its lineality basis and extreme rays, with their zero
+        sets over self's facets, under self's equations) and processes only
+        other's facets that are not self's, and each of other's equations e
+        as the two rows e and -e: one pass of ``_dd_steps`` over other's
+        rows.  The meet's rows are read off that incidence when they are
+        first read.
+        """
         self._check_dim(other)
-        return PolyCone.from_ineqs(self.dim, self._h[0] + other._h[0], self._h[1] + other._h[1])
+        (ineqs, eqs), (rays, lin) = self._h, self._v
+        other_ineqs, other_eqs = other._h
+        mine = set(ineqs)
+        new = [a for a in other_ineqs if a not in mine] + [r for e in other_eqs for r in (e, _neg(e))]
+        steps = _dd_steps(self.dim, list(lin), rays, _zero_sets(ineqs, rays), ineqs, new, eqs)
+        return _of_generators(self.dim, *_canonical(self.dim, *steps))
 
     def minkowski_sum(self, other: "PolyCone") -> "PolyCone":
-        self._check_dim(other)
-        return PolyCone.from_generators(self.dim, self._v[0] + other._v[0], self._v[1] + other._v[1])
+        """The cone self + other: the polar of the meet of the polars, so it
+        continues the conversion of self's polar (see ``intersect``)."""
+        return self.polar().intersect(other.polar()).polar()
 
     def _check_dim(self, other: "PolyCone") -> None:
         if self.dim != other.dim:

@@ -107,10 +107,14 @@ def graph_tangent_member(gp: GraphPoint, v: QVector, vstar: QVector) -> bool:
     """Is (v, v*) tangent to the graph at the reference point?
 
     Tangency means v lies in the critical cone and v* in its polar with
-    v ⊥ v*.  Each test reads v and v* only through their rays.
+    v ⊥ v*.  Each test reads v and v* only through their rays, so each is
+    turned into a primitive integer vector once.
     """
     k = gp.critical
-    return k.contains(v) and k.polar().contains(vstar) and _dot(_ints(v), _ints(vstar)) == 0
+    if v.dim != k.dim or vstar.dim != k.dim:
+        raise ValueError("point has wrong dimension")
+    vi, vs = _ints(v), _ints(vstar)
+    return k._holds(vi) and k.polar()._holds(vs) and _dot(vi, vs) == 0
 
 
 def regular_normal_graph(gp: GraphPoint) -> GraphNormalCone:

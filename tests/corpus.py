@@ -20,19 +20,21 @@ def rng(seed: int) -> random.Random:
 
 @contextmanager
 def counting_dd():
-    """The list of the arguments of every ``cones._dd`` call made inside."""
+    """The list of the arguments of every pass of the double description
+    step loop (``cones._dd_steps``) made inside: one per conversion, cold
+    (``cones._dd``) or continued (``PolyCone.intersect``)."""
     calls = []
-    real = cones._dd
+    real = cones._dd_steps
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    cones._dd = counted
+    cones._dd_steps = counted
     try:
         yield calls
     finally:
-        cones._dd = real
+        cones._dd_steps = real
 
 
 def random_cone(r: random.Random, dim: int) -> PolyCone:

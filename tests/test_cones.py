@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -232,6 +233,112 @@ def test_polar_involution_hypothesis(c):
 def test_duality_laws_hypothesis(c1, c2):
     assert c1.intersect(c2).polar() == c1.polar().minkowski_sum(c2.polar())
     assert c1.minkowski_sum(c2).polar() == c1.polar().intersect(c2.polar())
+
+
+# -- meets and sums continue the first operand's conversion -------------------------
+
+
+def cold_meet(a, b):
+    """Reference for ``PolyCone.intersect``: one fresh conversion of the
+    stacked rows of both operands."""
+    return PolyCone.from_ineqs(a.dim, a._h[0] + b._h[0], a._h[1] + b._h[1])
+
+
+def cold_sum(a, b):
+    """Reference for ``PolyCone.minkowski_sum``: one fresh conversion of the
+    stacked generators of both operands."""
+    return PolyCone.from_generators(a.dim, a._v[0] + b._v[0], a._v[1] + b._v[1])
+
+
+def make_cone(dim, side):
+    """A cone from (as_generators, rows, more): rays and lineality vectors
+    when ``as_generators``, inequality and equation rows otherwise."""
+    as_generators, rows, more = side
+    return (PolyCone.from_generators if as_generators else PolyCone.from_ineqs)(dim, rows, more)
+
+
+@st.composite
+def cone_pairs(draw):
+    """(dim, side of a, side of b) for ``make_cone``, up to dimension 4: each
+    operand from either side, with zero, repeated and opposite rows; "same"
+    gives b the rows of a, "nested" gives b more rows of a's kind (more
+    constraints, or fewer generators), and "swap" exchanges the two."""
+    dim = draw(st.integers(0, 4))
+    row = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+
+    def side():
+        return draw(st.booleans()), draw(st.lists(row, max_size=dim + 2)), draw(st.lists(row, max_size=2))
+
+    a, b = side(), side()
+    relation = draw(st.sampled_from(["free", "same", "nested"]))
+    if relation == "same":
+        b = a
+    elif relation == "nested":
+        as_generators, rows, more = a
+        b = (as_generators, rows[: len(rows) // 2], more) if as_generators else (False, rows + b[1], more)
+    if draw(st.booleans()):
+        a, b = b, a
+    return dim, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(cone_pairs())
+@example((0, (False, [], []), (True, [], [])))  # dim 0
+@example((3, (True, [], []), (False, [[1, 0, 0]], [])))  # a = {0}
+@example((3, (False, [[-1, 0, 0]], []), (True, [], [])))  # b = {0}
+@example((3, (False, [], []), (True, [[1, 0, 0], [0, 1, 1]], [])))  # a = R^n
+@example((3, (True, [[1, 0, 0]], [[0, 1, 0]]), (False, [], [])))  # b = R^n
+@example((3, (True, [], [[1, 2, 0]]), (False, [[1, 0, 0], [0, -1, 0]], [])))  # lineality only
+@example((3, (False, [[0, 0, 1]], []), (True, [], [[1, 2, 0], [0, 1, 1]])))
+@example((3, (False, [], [[1, 1, 0], [0, 1, 1]]), (False, [], [[1, 0, 0]])))  # equations only
+@example((2, (False, [[-1, 0], [0, -1]], []), (False, [[-1, 0]], [])))  # a ⊆ b
+@example((2, (False, [[-1, 0]], []), (True, [[1, 0], [1, 1]], [])))  # b ⊆ a
+@example((2, (False, [[-1, 0], [0, -1]], []), (True, [[1, 0], [0, 1]], [])))  # a == b
+@example((2, (False, [[-1, 0], [0, -1]], []), (False, [[1, 0], [0, 1]], [])))  # meet only at 0
+@example((3, (True, [[1, 0, 0], [0, 1, 0]], []), (True, [[-1, 0, 0], [0, -1, 0]], [])))  # sum a plane
+@example((2, (False, [[1, 1], [1, 1], [-1, -1]], []), (False, [[1, 1], [2, 2], [-1, -1], [0, 1]], [])))  # duplicates
+@example((3, (True, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], []), (False, [[0, 0, 1]], [[1, -1, 0]])))  # b has eqs
+@example((3, (False, [[-1, 0, 0]], [[0, 0, 1]]), (False, [[0, 1, 0]], [[1, -1, 0], [0, 0, 1]])))
+def test_meet_and_sum_match_the_cold_conversion_hypothesis(pair):
+    # The warm meet and sum give the cone, the canonical forms and the JSON
+    # of one conversion of the stacked rows (or generators) of both
+    # operands; each is one conversion, and reading its second side (off the
+    # incidence for the meet, off the meet of the polars for the sum) makes
+    # none.
+    dim, a_side, b_side = pair
+    for op, cold in (("intersect", cold_meet), ("minkowski_sum", cold_sum)):
+        a, b = make_cone(dim, a_side), make_cone(dim, b_side)
+        with counting_dd() as calls:
+            got = getattr(a, op)(b)
+            assert len(calls) == 1
+            views = (got.key(), got._h, got._v, json.dumps(cone_plain(got), sort_keys=True))
+            assert len(calls) == 1
+        want = cold(a, b)
+        assert views == (want.key(), want._h, want._v, json.dumps(cone_plain(want), sort_keys=True))
+
+
+def test_a_meet_processes_only_the_second_operands_new_rows():
+    # a ∩ b is one pass of the step loop from a's generators and facets: its
+    # new rows are b's facets that are not a's, and each of b's equations e
+    # as e and -e.
+    a = PolyCone.from_ineqs(3, [[-1, 0, 0], [0, -1, 0], [1, 1, -1]])
+    b = PolyCone.from_ineqs(3, [[-1, 0, 0], [0, 1, -2]], [[0, 1, -1]])
+    (a_ineqs, a_eqs), (a_rays, a_lin) = a._h, a._v
+    assert b._h == (((-1, 0, 0), (0, -1, -1)), ((0, 1, -1),))
+    with counting_dd() as calls:
+        meet = a.intersect(b)
+    [(dim, basis, rays, zeros, done, new, eq_echelon)] = calls
+    assert (dim, list(basis), rays, done, eq_echelon) == (3, list(a_lin), a_rays, a_ineqs, a_eqs)
+    assert zeros == [sum(1 << i for i, r in enumerate(a_ineqs) if _dot(r, ray) == 0) for ray in a_rays]
+    assert new == [(0, -1, -1), (0, 1, -1), (0, -1, 1)]
+    assert meet == cold_meet(a, b)
+    # the sum continues the polar of a through the rays of b (its facets)
+    with counting_dd() as calls:
+        total = a.minkowski_sum(b)
+    [(*_, done, new, eq_echelon)] = calls
+    assert done == a._v[0] and eq_echelon == a._v[1]
+    assert new == [r for r in b._v[0] if r not in a._v[0]] + [r for l in b._v[1] for r in (l, _neg(l))]
+    assert total == cold_sum(a, b)
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,7 +6,8 @@ JSON block that ``POLYVAR_TRACE=full polyvar certify`` prints for one bundled
 example and check; two refuted Aubin certificates have gap witnesses from
 ``covers_space``, the primitive sum of the rays of the closure of the first
 uncovered cell; the ``cli-*`` files are what ``polyvar cones`` and
-``polyvar graph-normal`` print on the bundled examples.
+``polyvar graph-normal`` print on the bundled examples; and
+``demo-cone-playground.txt`` is what ``demos/cone_playground.py`` prints.
 
 A change that is meant to alter a certificate regenerates the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import runpy
 import sys
 from pathlib import Path
 
@@ -100,6 +102,18 @@ CASES["cli-cones-ex5"] = lambda: _cli("ex5", "cones", "--at", "0,0", "--ystar", 
 CASES["cli-graph-normal-ex5-limiting"] = lambda: _cli("ex5", "graph-normal", "--limiting")
 CASES["cli-graph-normal-ex5-regular"] = lambda: _cli("ex5", "graph-normal", "--regular")
 CASES["cli-graph-normal-ex5-dir"] = lambda: _cli("ex5", "graph-normal", "--dir=-1,0;0,0")
+
+
+
+def _demo(name: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(Path(__file__).parent.parent / "demos" / f"{name}.py"), run_name="__main__")
+    return out.getvalue()
+
+
+# polar, faces, face differences, intersect and minkowski_sum on small cones
+CASES["demo-cone-playground"] = lambda: _demo("cone_playground")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from corpus import random_cone, random_gamma, random_graph_point, random_tangent_pair, rng
+from polyvar import cones, graphmap
 from polyvar.cones import PolyCone, face_difference
 from polyvar.graphmap import (
     GraphPoint,
@@ -33,6 +34,31 @@ def test_graph_tangent_member_cases():
     assert graph_tangent_member(gp, QVector([-1, 0]), QVector([0, 0]))
     assert graph_tangent_member(gp, QVector([0, 0]), gp.critical.polar().rays[0])
     assert not graph_tangent_member(gp, QVector([1, 1]), QVector([0, 0]))
+
+
+def test_graph_tangent_member_turns_each_vector_into_integers_once(monkeypatch):
+    gp = wedge_graph_point()
+    calls = []
+    for module in (graphmap, cones):
+        real = module._ints
+        monkeypatch.setattr(module, "_ints", lambda v, real=real: calls.append(v) or real(v))
+    assert graph_tangent_member(gp, QVector([-1, 0]), QVector([0, 0]))
+    assert graph_tangent_member(gp, QVector([0, 0]), gp.critical.polar().rays[0])
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize(
+    "v, vstar",
+    (
+        ([-1, 0, 0], [0, 0]),  # v too long
+        ([-1], [0, 0]),  # v too short
+        ([-1, 0], [0, 0, 0]),  # v* too long, v in K
+        ([1, 1], [0]),  # v* too short, v not in K
+    ),
+)
+def test_graph_tangent_member_rejects_vectors_of_the_wrong_length(v, vstar):
+    with pytest.raises(ValueError, match="point has wrong dimension"):
+        graph_tangent_member(wedge_graph_point(), QVector(v), QVector(vstar))
 
 
 def test_regular_normal_graph():
