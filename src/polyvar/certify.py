@@ -38,7 +38,7 @@ from math import lcm
 from typing import Sequence
 
 from .cones import Face, PolyCone, _of_rows, cone_plain, open_cell, pick_nonzero
-from .graphmap import GraphPoint, _along, face_pairs, graph_tangent_member
+from .graphmap import GraphPoint, _assemble, _tangent, face_pairs
 from .linalg import IntVec, QMatrix, QVector, _dot, _ints, _kernel, _neg, _reduce, vec_plain
 from .sets import (
     ConeUnion,
@@ -336,7 +336,7 @@ def covers_space(pieces: Sequence[PolyCone], dim: int) -> tuple[bool, QVector | 
         if not regions:
             return True, None
     rays = regions[0][1]
-    return False, QVector._of_ints(_reduce([sum(x) for x in zip(*rays)])) if rays else QVector.zero(dim)
+    return False, QVector(_reduce([sum(x) for x in zip(*rays)])) if rays else QVector.zero(dim)
 
 
 # -- quadratic-form sign analysis (for the second order condition) -----------------
@@ -520,7 +520,7 @@ def check_soscms(spec: ConstraintSystemSpec) -> Certificate:
             for u_cell in active_cells:
                 wit = _negativity_on_cone(qform, u_cell)
                 if wit is not None:
-                    witnesses.append(Witness(s.label, QVector._of_ints(rstar), u=QVector._of_ints(wit)))
+                    witnesses.append(Witness(s.label, QVector(rstar), u=QVector(wit)))
                     stratum_outcome = "violated"
         rec["outcome"] = stratum_outcome
         trace.append(rec)
@@ -652,7 +652,7 @@ def _graph_strata(spec: VariationalSystemSpec):
     pair that gives it a cell.  A pair whose F2 has a trivial solution piece
     gives none, since its cell (F2, F1) lies inside that piece."""
     gp = spec.graph_point()
-    zero = QVector.zero(spec.n)
+    zero = (0,) * spec.n
     by_kd: dict[PolyCone, tuple[str, list[PolyCone]]] = {}
     for f1, f2 in face_pairs(gp, zero, zero):
         if _graph_cell(spec, f2, f2).is_trivial():
@@ -863,9 +863,9 @@ def _directional_adjoints(spec, u: QVector, v: QVector) -> tuple[tuple[PolyCone,
     For a constraint system the pieces are those of N_D(g0; Jx u - v), each
     with ker Jx^T ∩ piece; for a variational system, the difference cones Kd
     of the directional limiting normal cone to the graph in direction
-    (u, v - Jx u), each with ``_variational_adjoint_cone``.  Both test w for
-    membership in cones only, so they take a positive multiple of it, computed
-    in integers.
+    (u, v - Jx u), each with ``_variational_adjoint_cone``.  Both test w (and
+    the variational one u) for membership in cones only, so they take
+    positive multiples of them, computed in integers once.
     """
     constraint, m = spec.kind == "constraint", spec.Jx.nrows
     # the errors of the rational Jx u - v and v - Jx u
@@ -879,13 +879,13 @@ def _directional_adjoints(spec, u: QVector, v: QVector) -> tuple[tuple[PolyCone,
     if constraint:
         if not any(t._holds(w) for t in _d_tangent(spec).pieces):
             return None
-        normals = directional_normal_cone(spec.D, spec.g0, QVector._of_ints(w))
+        normals = directional_normal_cone(spec.D, spec.g0, QVector(w))
         return tuple((p, _kernel_meet(spec, p)) for p in normals.pieces)
     gp = spec.graph_point()
-    w = QVector._of_ints(_neg(w))
-    if not graph_tangent_member(gp, u, w):
+    w = _neg(w)
+    if not _tangent(gp, ui, w):
         return None
-    return tuple((p.k, _variational_adjoint_cone(spec, p.k)) for p in _along(gp, u, w).pieces)
+    return tuple((p.k, _variational_adjoint_cone(spec, p.k)) for p in _assemble(gp, face_pairs(gp, ui, w)).pieces)
 
 
 def check_directional_metric_regularity(spec, u: QVector, v: QVector) -> Certificate:
@@ -957,7 +957,7 @@ def check_second_order_directional_subregularity(spec, u: QVector, gpp: QVector 
         bad = [r for r in c._v[0] if _dot(r, curvature) >= 0]
         if bad:
             trace.append({"piece": label, "adjoint_cone": cone_plain(c), "outcome": "violated (nonnegative ray)"})
-            witnesses.append(Witness(label, QVector._of_ints(bad[0]), u=u))
+            witnesses.append(Witness(label, QVector(bad[0]), u=u))
         else:
             trace.append({"piece": label, "adjoint_cone": cone_plain(c), "outcome": "ok (strictly negative on rays)"})
     status = NOT_CERTIFIED if witnesses else HOLDS

@@ -46,7 +46,7 @@ from .certify import (
 from .cones import cone_plain
 from .fileio import ProblemFileError, _dumps, parse_problem, render_report
 from .graphmap import _along, graph_tangent_member, limiting_normal_graph, regular_normal_graph
-from .linalg import QVector, frac, vec_plain
+from .linalg import QVector, vec_plain
 from .oracle import piece_sets_equal, sample_graph_directional, sample_union_normals
 from .sets import critical_cone, directional_normal_cone, union_tangent_cone
 
@@ -59,7 +59,7 @@ class UsageError(Exception):
 
 def _parse_vector(text: str, dim: int | None = None, what: str = "vector") -> QVector:
     try:
-        v = QVector([frac(part.strip()) for part in text.split(",")])
+        v = QVector([part.strip() for part in text.split(",")])
     except (ValueError, TypeError, ZeroDivisionError):
         raise UsageError(f"cannot parse {what} {text!r}; expected comma-separated rationals")
     if dim is not None and v.dim != dim:

@@ -346,7 +346,7 @@ class PolyCone:
 
     @property
     def ineqs(self) -> tuple[QVector, ...]:
-        return tuple(map(QVector._of_ints, self._h[0]))
+        return tuple(map(QVector, self._h[0]))
 
     @property
     def eqs(self) -> tuple[QVector, ...]:
@@ -354,7 +354,7 @@ class PolyCone:
 
     @property
     def rays(self) -> tuple[QVector, ...]:
-        return tuple(map(QVector._of_ints, self._v[0]))
+        return tuple(map(QVector, self._v[0]))
 
     @property
     def lin(self) -> tuple[QVector, ...]:
@@ -428,7 +428,7 @@ class PolyCone:
     def rel_interior_point(self) -> QVector:
         """A point in the relative interior (0 for the trivial cone)."""
         rays = self._v[0]
-        return QVector._of_ints(map(sum, zip(*rays))) if rays else QVector.zero(self.dim)
+        return QVector(map(sum, zip(*rays))) if rays else QVector.zero(self.dim)
 
     def span_dim(self) -> int:
         return _rank(self._v[0] + self._v[1])
@@ -501,7 +501,7 @@ class PolyCone:
                     self.dim, lin, tuple(rays[k] for k in on), (ineqs, eqs, [zero_sets[k] for k in on])
                 )
             rows = [ineqs[i] for i in active]
-            wit = QVector._of_ints(map(sum, zip(*rows))) if rows else QVector.zero(self.dim)
+            wit = QVector(map(sum, zip(*rows))) if rows else QVector.zero(self.dim)
             out.append(Face(frozenset(active), cone, wit))
         self._faces = tuple(out)
         return self._faces

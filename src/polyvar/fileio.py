@@ -119,11 +119,11 @@ def _ratio_rows(value, path: str, nrows: int | None = None, ncols: int | None = 
 
 
 def _vector(value, path: str, dim: int) -> QVector:
-    return QVector._of_ratios(_ratios(value, path, dim))
+    return QVector([n if d == 1 else Fraction(n, d) for n, d in _ratios(value, path, dim)])
 
 
 def _matrix(value, path: str, nrows: int, ncols: int) -> QMatrix:
-    return QMatrix([QVector._of_ratios(r) for r in _ratio_rows(value, path, nrows, ncols)])
+    return QMatrix([[n if d == 1 else Fraction(n, d) for n, d in r] for r in _ratio_rows(value, path, nrows, ncols)])
 
 
 def _cleared_rows(rows: list[list[tuple[int, int]]], rhs: list[tuple[int, int]]) -> list[IntVec]:

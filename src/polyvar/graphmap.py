@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cones import Face, PolyCone, cone_plain, face_difference
-from .linalg import QVector, _dot, _ints
+from .linalg import IntVec, QVector, _dot, _ints
 from .sets import ConeUnion, Polyhedron, critical_cone
 
 
@@ -110,10 +110,20 @@ def graph_tangent_member(gp: GraphPoint, v: QVector, vstar: QVector) -> bool:
     v ⊥ v*.  Each test reads v and v* only through their rays, so each is
     turned into a primitive integer vector once.
     """
+    return _tangent(gp, *_direction(gp, v, vstar))
+
+
+def _direction(gp: GraphPoint, v: QVector, vstar: QVector) -> tuple[IntVec, IntVec]:
+    """v and v* as primitive integer vectors, checked to lie in R^n."""
     k = gp.critical
     if v.dim != k.dim or vstar.dim != k.dim:
         raise ValueError("point has wrong dimension")
-    vi, vs = _ints(v), _ints(vstar)
+    return _ints(v), _ints(vstar)
+
+
+def _tangent(gp: GraphPoint, vi: IntVec, vs: IntVec) -> bool:
+    """``graph_tangent_member`` on positive integer multiples of v and v*."""
+    k = gp.critical
     return k._holds(vi) and k.polar()._holds(vs) and _dot(vi, vs) == 0
 
 
@@ -125,17 +135,17 @@ def regular_normal_graph(gp: GraphPoint) -> GraphNormalCone:
     return GraphNormalCone((ProductPiece(k.polar(), k, faces[0], faces[-1]),))
 
 
-def face_pairs(gp: GraphPoint, v: QVector, vstar: QVector) -> list[tuple[Face, Face]]:
+def face_pairs(gp: GraphPoint, vi: IntVec, vs: IntVec) -> list[tuple[Face, Face]]:
     """The ordered face pairs (F1, F2) of the critical cone K with F2 ⊆ F1,
-    v ∈ F2 and F1 ⊥ v*, for (v, v*) tangent to the graph: F1 in the order of
-    ``K.faces()``, and F2 in that order within each F1.
+    v ∈ F2 and F1 ⊥ v*, for (v, v*) tangent to the graph, given as integer
+    tuples ``vi`` and ``vs`` that are positive multiples of v and v*: F1 in
+    the order of ``K.faces()``, and F2 in that order within each F1.
 
     For faces of one cone, F2 ⊆ F1 iff F1's active set is inside F2's, and
     for v ∈ K a face contains v iff its active rows all vanish at v.
     """
     k = gp.critical
     faces = k.faces()
-    vi, vs = _ints(v), _ints(vstar)
     tight = {i for i, a in enumerate(k._h[0]) if _dot(a, vi) == 0}
     holding_v = [f for f in faces if f.active_set <= tight]
     pairs = []
@@ -147,15 +157,15 @@ def face_pairs(gp: GraphPoint, v: QVector, vstar: QVector) -> list[tuple[Face, F
 
 
 def _along(gp: GraphPoint, v: QVector, vstar: QVector) -> GraphNormalCone:
-    """The products (F1-F2)° × (F1-F2) over ``face_pairs(gp, v, vstar)``."""
-    return _assemble(gp, face_pairs(gp, v, vstar))
+    """The products (F1-F2)° × (F1-F2) over the face pairs of (v, v*)."""
+    return _assemble(gp, face_pairs(gp, _ints(v), _ints(vstar)))
 
 
 def limiting_normal_graph(gp: GraphPoint) -> GraphNormalCone:
     """Limiting normal cone to the graph: the directional cone at (0, 0),
     so products over all face pairs F2 ⊆ F1."""
-    zero = QVector.zero(gp.gamma.dim)
-    return _along(gp, zero, zero)
+    zero = (0,) * gp.gamma.dim
+    return _assemble(gp, face_pairs(gp, zero, zero))
 
 
 def directional_limiting_normal_graph(gp: GraphPoint, v: QVector, vstar: QVector) -> GraphNormalCone:
@@ -164,9 +174,10 @@ def directional_limiting_normal_graph(gp: GraphPoint, v: QVector, vstar: QVector
     Only defined on the graph tangent cone; face pairs F2 ⊆ F1 of the
     critical cone survive exactly when v ∈ F2 and F1 ⊥ v*.
     """
-    if not graph_tangent_member(gp, v, vstar):
+    vi, vs = _direction(gp, v, vstar)
+    if not _tangent(gp, vi, vs):
         raise ValueError("(v, vstar) is not tangent to the graph at the reference point")
-    return _along(gp, v, vstar)
+    return _assemble(gp, face_pairs(gp, vi, vs))
 
 
 def directional_coderivative_normal_map(

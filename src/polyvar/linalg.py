@@ -4,7 +4,9 @@ everything else is built on.
 Values at the API are ``fractions.Fraction`` (arbitrary precision, always in
 canonical reduced form with positive denominator) held in immutable, hashable
 ``QVector``/``QMatrix`` objects, a boundary only: the package computes on
-primitive integer tuples (``IntVec``).  Each row is scaled once by a
+primitive integer tuples (``IntVec``).  ``QVector(entries)`` is the one way
+to build a rational vector, from integer rows as from user input; small
+integers share their Fractions (``_SMALL``).  Each row is scaled once by a
 positive rational to a primitive integer vector (``_ints``), the reduced
 echelon form is kept in integers by cross-multiplying and dividing by the
 gcd (``_echelon``), and ranks come from fraction-free Bareiss elimination
@@ -36,18 +38,18 @@ def frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
+        return _SMALL[x] if type(x) is int and -256 <= x <= 256 else Fraction(x)
     if isinstance(x, str):
         m = _RATIONAL.fullmatch(x)
         if m is None:
             raise ValueError(f"not a rational 'n' or 'n/d': {x!r}")
-        return Fraction(int(m[1]), int(m[2])) if m[2] else Fraction(int(m[1]))
+        return Fraction(int(m[1]), int(m[2])) if m[2] else frac(int(m[1]))
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
-# One shared Fraction per small integer: canonical cone data is small
-# primitive integers (over 99% of the entries ``_of_ints`` sees on each
-# benchmark workload lie in this range), so most vectors built from integers
+# One shared Fraction per small integer, for ``frac`` and ``QVector``: cone
+# data and problem rows are mostly small integers (over 99% of the integer
+# entries on each benchmark workload lie in this range), so most vectors
 # allocate no new Fractions, and cached cones share them.
 _SMALL = {n: Fraction(n) for n in range(-256, 257)}
 
@@ -58,7 +60,9 @@ class QVector:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable):
-        object.__setattr__(self, "entries", tuple(frac(x) for x in entries))
+        small = _SMALL  # the int branch of ``frac``, inline
+        entries = tuple([small[x] if type(x) is int and -256 <= x <= 256 else frac(x) for x in entries])
+        object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name, value):
         raise AttributeError("QVector is immutable")
@@ -102,7 +106,7 @@ class QVector:
 
     def dot(self, other: "QVector") -> Fraction:
         self._check_dim(other)
-        return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
+        return sum((a * b for a, b in zip(self.entries, other.entries)), _SMALL[0])
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
@@ -112,34 +116,13 @@ class QVector:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     @staticmethod
-    def _of_ints(ints: Iterable[int]) -> "QVector":
-        """The vector with the given int entries (no coercion, no checks)."""
-        v = object.__new__(QVector)
-        small = _SMALL
-        object.__setattr__(
-            v, "entries", tuple([small[x] if -256 <= x <= 256 else Fraction(x) for x in ints])
-        )
-        return v
-
-    @staticmethod
-    def _of_ratios(pairs: Iterable[tuple[int, int]]) -> "QVector":
-        """The vector with entries n/d, from (n, d) int pairs with d > 0
-        (no coercion, no checks)."""
-        v = object.__new__(QVector)
-        small = _SMALL
-        object.__setattr__(
-            v,
-            "entries",
-            tuple([small[n] if d == 1 and -256 <= n <= 256 else Fraction(n, d) for n, d in pairs]),
-        )
-        return v
-
-    @staticmethod
     def zero(dim: int) -> "QVector":
-        return QVector._of_ints((0,) * dim)
+        return QVector((0,) * dim)
 
     @staticmethod
     def unit(dim: int, i: int) -> "QVector":
+        if not 0 <= i < dim:
+            raise ValueError(f"unit vector index {i} outside range({dim})")
         return QVector([1 if j == i else 0 for j in range(dim)])
 
     def primitive(self) -> "QVector":
@@ -148,7 +131,7 @@ class QVector:
         The zero vector stays zero.  Sign is preserved, so this is the
         canonical representative of a ray direction.
         """
-        return QVector._of_ints(_ints(self))
+        return QVector(_ints(self))
 
 
 def vec_plain(v: QVector) -> list[str]:
@@ -270,7 +253,7 @@ def solve(a: QMatrix, b: QVector) -> QVector | None:
     aug = QMatrix([list(r.entries) + [bv] for r, bv in zip(a.rows, b.entries)])
     res = rref(aug)
     nc = a.ncols
-    x = [Fraction(0)] * nc
+    x = [0] * nc
     for i, pc in enumerate(res.pivot_cols):
         if pc == nc:
             return None  # pivot in the augmented column: inconsistent
@@ -376,7 +359,7 @@ def _echelon(rows: Sequence[IntVec], dim: int) -> tuple[list[IntVec], list[int]]
 
 def _divided(v: IntVec, d: int) -> QVector:
     """The rational vector v / d."""
-    return QVector._of_ints(v) if d == 1 else QVector([Fraction(x, d) for x in v])
+    return QVector(v if d == 1 else [Fraction(x, d) for x in v])
 
 
 def _rref_q(rows: Sequence[IntVec]) -> tuple[QVector, ...]:

@@ -101,7 +101,7 @@ class Polyhedron:
 
     @property
     def A(self) -> tuple[QVector, ...]:
-        return tuple(QVector._of_ints(r[: self.dim]) for r in self._rows)
+        return tuple(QVector(r[: self.dim]) for r in self._rows)
 
     @property
     def b(self) -> tuple:
@@ -304,13 +304,15 @@ class ConeUnion:
 
     Pieces subsumed by another piece are dropped, duplicates merged, and the
     list is sorted by canonical key, so equality of values is structural.
-    The empty union (empty set) is allowed.
+    Every piece lies in R^dim; the empty union (empty set) is allowed.
     """
 
     __slots__ = ("dim", "pieces")
 
     def __init__(self, dim: int, pieces: Iterable[PolyCone]):
         uniq = list(dict.fromkeys(pieces))
+        if any(c.dim != dim for c in uniq):
+            raise ValueError("cone dimension mismatch")
         keep = [c for c in uniq if not any(d is not c and c.subcone_of(d) for d in uniq)]
         keep.sort(key=lambda c: c.key())
         object.__setattr__(self, "dim", dim)

@@ -551,6 +551,23 @@ def test_orthant_strata_are_face_pairs(n):
     assert check_aubin(spec).holds()
 
 
+def test_zero_direction_face_pairs_make_no_ints_call(monkeypatch):
+    # the zero graph direction is the integer tuple (0,) * n, so neither
+    # the limiting normal cone nor the certifier's strata of the graph turn
+    # a direction into integers
+    from polyvar import graphmap
+
+    spec = orthant_spec(3)
+    gp = spec.graph_point()
+    calls = []
+    for module in (certify, graphmap):
+        real = module._ints
+        monkeypatch.setattr(module, "_ints", lambda v, real=real: calls.append(v) or real(v))
+    assert len(limiting_normal_graph(gp).pieces) == 3 ** 3
+    assert len(list(certify._graph_strata(spec))) == 2 * 3 ** 2
+    assert calls == []
+
+
 def test_orthant_checks_hash_no_fraction(monkeypatch):
     # cones are identified by their integer rows, so no memo or dedup
     # lookup of the certifiers hashes a Fraction

@@ -6,8 +6,8 @@ JSON block that ``POLYVAR_TRACE=full polyvar certify`` prints for one bundled
 example and check; two refuted Aubin certificates have gap witnesses from
 ``covers_space``, the primitive sum of the rays of the closure of the first
 uncovered cell; the ``cli-*`` files are what ``polyvar cones`` and
-``polyvar graph-normal`` print on the bundled examples; and
-``demo-cone-playground.txt`` is what ``demos/cone_playground.py`` prints.
+``polyvar graph-normal`` print on the bundled examples; and each
+``demo-*.txt`` is what the matching script under ``demos/`` prints.
 
 A change that is meant to alter a certificate regenerates the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why.
@@ -114,6 +114,10 @@ def _demo(name: str) -> str:
 
 # polar, faces, face differences, intersect and minkowski_sum on small cones
 CASES["demo-cone-playground"] = lambda: _demo("cone_playground")
+# regular, limiting and directional normal cones to the graph of N_gamma
+CASES["demo-graph-normal-cones"] = lambda: _demo("graph_normal_cones")
+# the certifiers' verdicts, witnesses and slices on the bundled examples
+CASES["demo-stability-certificates"] = lambda: _demo("stability_certificates")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyvar import linalg
+from polyvar.cones import PolyCone
 from polyvar.linalg import (
+    _SMALL,
     QMatrix,
     QVector,
+    frac,
     kernel,
     kernel_of_rows,
     orth_complement,
@@ -195,3 +199,69 @@ def test_vector_ops_and_immutability():
 def test_primitive_scaling():
     assert QVector(["2/3", "-4/3"]).primitive() == QVector([1, -2])
     assert QVector([0, 0]).primitive() == QVector([0, 0])
+
+
+def test_unit_rejects_an_index_outside_the_dimension():
+    assert QVector.unit(3, 2) == QVector([0, 0, 1])
+    for i in (3, 7, -1):
+        with pytest.raises(ValueError):
+            QVector.unit(3, i)
+
+
+# ints inside and just outside the shared range, bools, Fractions, integer
+# strings (with an optional sign) and "n/d" strings
+entries = st.one_of(
+    st.integers(-260, 260),
+    st.booleans(),
+    rationals,
+    st.integers(-260, 260).map(str),
+    st.integers(0, 260).map(lambda n: f"+{n}"),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-260, 260), st.integers(1, 9)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(entries, max_size=8))
+def test_qvector_coerces_each_entry_as_fraction_does(xs):
+    v = QVector(xs)
+    assert v.entries == tuple(Fraction(x) for x in xs)
+    assert all(type(x) is Fraction for x in v.entries)
+
+
+def test_small_integers_give_the_shared_fractions():
+    for n in (-256, -1, 0, 1, 256):
+        assert frac(n) is _SMALL[n]
+        assert frac(str(n)) is _SMALL[n]
+        assert all(x is _SMALL[n] for x in QVector([n, str(n)]))
+    assert frac(257) == 257 and frac("-257") == -257
+
+
+def test_bad_entries_raise_as_fraction_parsing_does():
+    with pytest.raises(TypeError):
+        QVector([1, 0.5])
+    for text in ("1e3", "0.5"):
+        with pytest.raises(ValueError):
+            QVector([text])
+    with pytest.raises(ZeroDivisionError):
+        QVector(["1/0"])
+
+
+def test_small_integers_construct_no_fraction(monkeypatch):
+    orthant = PolyCone.from_ineqs(8, [[-int(i == j) for j in range(8)] for i in range(8)])
+    made = []
+
+    class Counting(type):
+        def __instancecheck__(cls, x):
+            return isinstance(x, Fraction)
+
+        def __call__(cls, *args):
+            made.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(linalg, "Fraction", Counting("Fraction", (), {}))
+    frac(7), frac("-7"), frac(Fraction(1, 2))
+    QVector([1, -256, 256, 0]), QVector(["3", "-3", "+0"])
+    views = orthant.rays, orthant.lin, orthant.ineqs, orthant.eqs
+    monkeypatch.undo()
+    assert made == []
+    assert [len(v) for v in views] == [8, 0, 8, 0]

@@ -300,6 +300,13 @@ def test_cone_union_canonicalization():
     assert ConeUnion(2, []).is_empty()
 
 
+def test_cone_union_rejects_pieces_of_another_dimension():
+    with pytest.raises(ValueError, match="cone dimension mismatch"):
+        ConeUnion(2, [PolyCone.full_space(3)])
+    with pytest.raises(ValueError, match="cone dimension mismatch"):
+        ConeUnion(3, [PolyCone.origin(3), PolyCone.origin(2)])
+
+
 def test_polyhedron_subset_and_canonical_hrep():
     p = Polyhedron(2, A=[[1, 0], [0, 1], [1, 1]], b=[1, 1, 5])  # third row redundant
     assert len(p.A) == 2
