@@ -37,17 +37,10 @@ from itertools import combinations
 from math import lcm
 from typing import Sequence
 
-from .cones import Face, PolyCone, _of_rows, cone_plain, open_cell, pick_nonzero
+from .cones import PolyCone, _of_rows, cone_plain, open_cell, pick_nonzero
 from .graphmap import GraphPoint, _assemble, _tangent, face_pairs
 from .linalg import IntVec, QMatrix, QVector, _dot, _ints, _kernel, _neg, _reduce, vec_plain
-from .sets import (
-    ConeUnion,
-    InfeasibleError,
-    Polyhedron,
-    direction_strata,
-    directional_normal_cone,
-    union_tangent_cone,
-)
+from .sets import ConeUnion, InfeasibleError, Polyhedron, direction_strata, union_tangent_cone
 
 HOLDS = "holds"
 NOT_CERTIFIED = "not_certified"
@@ -63,36 +56,23 @@ class PreconditionError(ValueError):
 
 
 def _per_spec(fn):
-    """Compute ``fn(spec)`` once per spec and keep it in the spec's memo.
-
-    Specs are immutable, so a derived object stays valid for as long as its
-    spec lives, and dies with it.  Memoised values are tuples or immutable
-    objects; callers only read them.
+    """Compute ``fn(spec, *args)`` once per spec and arguments, kept in the
+    spec's memo under ``(fn.__name__, *args)``: the one cache of geometry
+    derived from a spec.  Specs are immutable, so a memoised value (a tuple
+    or an immutable object, only read) stays valid while its spec lives and
+    dies with it; arguments are cones or active sets, never rationals.
     """
-    key = fn.__name__
+    name = fn.__name__
 
     @wraps(fn)
-    def memoised(spec):
+    def memoised(spec, *args):
+        key = (name, *args)  # hashed once on a hit: a cone's hash is not cached
         memo = spec._memo
-        if key not in memo:
-            memo[key] = fn(spec)
-        return memo[key]
-
-    return memoised
-
-
-def _per_spec_cone(fn):
-    """Compute ``fn(spec, cone)`` once per spec and distinct cone, in a dict
-    of the spec's memo keyed by the cone (cones compare by canonical key)."""
-    key = fn.__name__
-
-    @wraps(fn)
-    def memoised(spec, cone):
-        memo = spec._memo.setdefault(key, {})
-        out = memo.get(cone)
-        if out is None:
-            out = memo[cone] = fn(spec, cone)
-        return out
+        try:
+            return memo[key]
+        except KeyError:
+            out = memo[key] = fn(spec, *args)
+            return out
 
     return memoised
 
@@ -263,13 +243,13 @@ def _pullback(cone: PolyCone, mt: Sequence[IntVec]) -> PolyCone:
     return _of_rows(len(mt), [_apply(mt, a) for a in ineqs], [_apply(mt, e) for e in eqs])
 
 
-@_per_spec_cone
+@_per_spec
 def _x_pullback(spec: ConstraintSystemSpec, cone: PolyCone) -> PolyCone:
     """{u : Jx u ∈ cone} in R^n."""
     return _pullback(cone, _w_map_T(spec)[spec.l:])
 
 
-@_per_spec_cone
+@_per_spec
 def _qu_pullback(spec: ConstraintSystemSpec, cone: PolyCone) -> PolyCone:
     """{(q, u) : Jp q + Jx u ∈ cone} in R^(l+n)."""
     return _pullback(cone, _w_map_T(spec))
@@ -281,7 +261,7 @@ def _d_tangent(spec: ConstraintSystemSpec) -> ConeUnion:
     return union_tangent_cone(spec.D, spec.g0)
 
 
-@_per_spec_cone
+@_per_spec
 def _kernel_meet(spec: ConstraintSystemSpec, normal: PolyCone) -> PolyCone:
     """ker Jx^T ∩ normal: the adjoint cone of a normal-cone piece of D, in
     one conversion of the normal's integer rows with the columns of Jx (a
@@ -431,13 +411,19 @@ def _negativity_on_cone(q: Sequence[IntVec], cone: PolyCone) -> IntVec | None:
 
 
 @_per_spec
+def _strata(spec: ConstraintSystemSpec):
+    """The direction strata of D at g0: every certificate of a constraint
+    system reads them, along the zero direction or along one direction."""
+    return direction_strata(spec.D, spec.g0)
+
+
+@_per_spec
 def _foscms_strata(spec: ConstraintSystemSpec):
     """(stratum, V, admissible u-cones per reach cell) for every direction
     stratum of D, where V = ker Jx^T ∩ (stratum normal cone).  Strata share
     normal cones and reach cells, and each distinct one is converted once."""
     return tuple(
-        (s, _kernel_meet(spec, s.normal), tuple(_x_pullback(spec, qc) for qc in s.reach))
-        for s in direction_strata(spec.D, spec.g0)
+        (s, _kernel_meet(spec, s.normal), tuple(_x_pullback(spec, qc) for qc in s.reach)) for s in _strata(spec)
     )
 
 
@@ -610,29 +596,30 @@ def _solution_pieces(spec) -> tuple[PolyCone, ...]:
     """
     if spec.kind == "constraint":
         return tuple(_qu_pullback(spec, t) for t in _d_tangent(spec).pieces)
-    return tuple(_graph_cell(spec, f, f) for f in spec.graph_point().critical.faces())
+    return tuple(_graph_cell(spec, f.active_set, f.active_set) for f in spec.graph_point().critical.faces())
 
 
-def _graph_cell(spec: VariationalSystemSpec, f2: Face, f1: Face) -> PolyCone:
-    """{(q, u) : u ∈ F2, w = -Jp q - Jx u ∈ K° ∩ F1^⊥} for faces F2 ⊆ F1 of
-    the critical cone K, once per spec and pair: the reach cone
+@_per_spec
+def _graph_cell(spec: VariationalSystemSpec, f2_active: frozenset, f1_active: frozenset) -> PolyCone:
+    """{(q, u) : u ∈ F2, w = -Jp q - Jx u ∈ K° ∩ F1^⊥} for the faces F2 ⊆ F1
+    of the critical cone K with these active sets: the reach cone
     F2 × (K° ∩ F1^⊥) of the pair's stratum pulled back, and the solution
-    piece of F2 when F1 = F2."""
-    memo = spec._memo.setdefault("_graph_cell", {})
-    pair = (f2.active_set, f1.active_set)
-    if pair not in memo:
-        wt = _w_map_T(spec)
-        pad = (0,) * spec.l
-        k_rays, k_lin = spec.graph_point().critical._v  # the H-representation of K°
-        f2_ineqs, f2_eqs = f2.cone._h
-        f1_rays, f1_lin = f1.cone._v
-        rows_i = [pad + a for a in f2_ineqs] + [_apply(wt, a) for a in k_rays]
-        rows_e = [pad + e for e in f2_eqs] + [_apply(wt, e) for e in k_lin + f1_rays + f1_lin]
-        memo[pair] = _of_rows(spec.l + spec.n, rows_i, rows_e)
-    return memo[pair]
+    piece of F2 when F1 = F2.  Both factors are read off K: F2 is K with
+    F2's active rows as equations, and K° ∩ F1^⊥ is <= 0 on K's rays and
+    = 0 on K's lineality and on F1's rays, the rays of K that vanish on
+    F1's active rows."""
+    wt = _w_map_T(spec)
+    pad = (0,) * spec.l
+    k = spec.graph_point().critical
+    (ineqs, eqs), (rays, lin) = k._h, k._v
+    f1_rays = [r for r in rays if all(_dot(ineqs[i], r) == 0 for i in f1_active)]
+    rows_i = [pad + a for i, a in enumerate(ineqs) if i not in f2_active] + [_apply(wt, r) for r in rays]
+    rows_e = [pad + e for e in (*eqs, *(ineqs[i] for i in sorted(f2_active)))]
+    rows_e += [_apply(wt, e) for e in (*lin, *f1_rays)]
+    return _of_rows(spec.l + spec.n, rows_i, rows_e)
 
 
-@_per_spec_cone
+@_per_spec
 def _variational_adjoint_cone(spec: VariationalSystemSpec, kd: PolyCone) -> PolyCone:
     """{v* : -Jx^T v* ∈ Kd°, -v* ∈ Kd} in R^n, once per difference cone Kd
     for the strata and for the directional adjoints at every direction."""
@@ -655,12 +642,12 @@ def _graph_strata(spec: VariationalSystemSpec):
     zero = (0,) * spec.n
     by_kd: dict[PolyCone, tuple[str, list[PolyCone]]] = {}
     for f1, f2 in face_pairs(gp, zero, zero):
-        if _graph_cell(spec, f2, f2).is_trivial():
+        if _graph_cell(spec, f2.active_set, f2.active_set).is_trivial():
             continue
         kd = gp.difference(f1, f2)
         if kd not in by_kd:
             by_kd[kd] = (f"pair F1={sorted(f1.active_set)}, F2={sorted(f2.active_set)}", [])
-        by_kd[kd][1].append(_graph_cell(spec, f2, f1))
+        by_kd[kd][1].append(_graph_cell(spec, f2.active_set, f1.active_set))
     for kd, (label, cells) in by_kd.items():
         if not all(c.is_trivial() for c in cells):
             yield label, kd, _variational_adjoint_cone(spec, kd), cells
@@ -798,10 +785,12 @@ def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) 
     return Certificate(status, tuple(witnesses), trace=tuple(trace), notes=tuple(notes))
 
 
+@_per_spec
 def check_foscms_joint(spec) -> Certificate:
     """Metric subregularity of the joint map in (p, x) via the first order
     condition: every adjoint solution with both transposed-Jacobian images
-    vanishing must be trivial, over all nonzero joint direction strata."""
+    vanishing must be trivial, over all nonzero joint direction strata.
+    Computed once per spec: theorem-mode ``check_aubin`` reads it too."""
     witnesses = []
     trace = []
     for st in _adjoint_strata(spec):
@@ -819,10 +808,9 @@ def check_foscms_joint(spec) -> Certificate:
     return Certificate(status, tuple(witnesses), trace=tuple(trace))
 
 
-@_per_spec_cone
+@_per_spec
 def _joint_adjoint(spec, adjoint: PolyCone) -> PolyCone:
-    """The adjoint cone cut down to ker Jp^T; once per spec, since theorem
-    mode runs ``check_foscms_joint`` a second time."""
+    """The adjoint cone cut down to ker Jp^T, once per spec and cone."""
     ineqs, eqs = adjoint._h
     return _of_rows(adjoint.dim, ineqs, eqs + _w_map_T(spec)[: spec.l])
 
@@ -860,16 +848,19 @@ def _directional_adjoints(spec, u: QVector, v: QVector) -> tuple[tuple[PolyCone,
     piece of the directional normal cone, or None when (u, v) is not tangent
     to the graph; at (0, 0), the standard adjoint inclusion.
 
-    For a constraint system the pieces are those of N_D(g0; Jx u - v), each
-    with ker Jx^T ∩ piece; for a variational system, the difference cones Kd
-    of the directional limiting normal cone to the graph in direction
-    (u, v - Jx u), each with ``_variational_adjoint_cone``.  Both test w (and
-    the variational one u) for membership in cones only, so they take
-    positive multiples of them, computed in integers once.
+    For a constraint system the pieces are those of N_D(g0; Jx u - v), the
+    normals of the spec's strata whose reach cone holds w = Jx u - v, each
+    with ker Jx^T ∩ piece; as D is polyhedral, no stratum reaches w exactly
+    when w is not tangent to D (Gfrerer, SIAM J. Optim. 2014).  For a
+    variational system, the difference cones Kd of the directional limiting
+    normal cone to the graph in direction (u, v - Jx u), each with
+    ``_variational_adjoint_cone``.  Both test w (and the variational one u)
+    for membership in cones only, so they take positive multiples of them,
+    computed in integers once.
     """
     constraint, m = spec.kind == "constraint", spec.Jx.nrows
     # the errors of the rational Jx u - v and v - Jx u
-    if u.dim != spec.Jx.ncols:
+    if u.dim != spec.n:
         raise ValueError("matvec dimension mismatch")
     if v.dim != m:
         raise ValueError(f"dimension mismatch: {m} vs {v.dim}" if constraint else f"dimension mismatch: {v.dim} vs {m}")
@@ -877,10 +868,10 @@ def _directional_adjoints(spec, u: QVector, v: QVector) -> tuple[tuple[PolyCone,
     # s du dv (Jx u - v), as u = ui / du, v = vi / dv and _jx_rows holds s Jx
     w = _reduce([dv * a - s * du * b for a, b in zip(_apply(_jx_rows(spec), ui), vi)])
     if constraint:
-        if not any(t._holds(w) for t in _d_tangent(spec).pieces):
+        normals = [s.normal for s in _strata(spec) if any(q._holds(w) for q in s.reach)]
+        if not normals:
             return None
-        normals = directional_normal_cone(spec.D, spec.g0, QVector(w))
-        return tuple((p, _kernel_meet(spec, p)) for p in normals.pieces)
+        return tuple((p, _kernel_meet(spec, p)) for p in ConeUnion(m, normals).pieces)
     gp = spec.graph_point()
     w = _neg(w)
     if not _tangent(gp, ui, w):

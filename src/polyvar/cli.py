@@ -8,15 +8,16 @@ Subcommands::
     polyvar examples run {3,4,5}
     polyvar oracle FILE [--at Y] --dir ...     (--at on constraint files only)
 
-Vectors are comma-separated rationals ("1,-1/2"); graph directions take a
-primal and a dual part separated by ";".  Values starting with a minus sign
-need the "--dir=-1,0;0,0" form.  certify rejects an option its check does
-not read: --dir is for dir-subreg and dir-reg, --gpp for dir-subreg and
---assume-subregular for aubin-theorem.  Exit codes: 0 holds/match,
-1 not certified/refuted/mismatch, 3 usage or input error (a bad option or
-problem file, or a check's precondition not met), 4 internal error (any
-other exception: a defect; the traceback goes to stderr).  Exit code 2 is
-unused: every check decides its condition.
+Vectors are comma-separated rationals ("1,-1/2"), and "" (as in "--at=") is
+the vector with no entries; graph directions take a primal and a dual part
+separated by ";".  Values starting with a minus sign need the
+"--dir=-1,0;0,0" form.  certify rejects an option its check does not read,
+also when it is "": --dir is for dir-subreg and dir-reg, --gpp for
+dir-subreg and --assume-subregular for aubin-theorem.  Exit codes: 0
+holds/match, 1 not certified/refuted/mismatch, 3 usage or input error (a
+bad option or problem file, or a check's precondition not met), 4 internal
+error (any other exception: a defect; the traceback goes to stderr).  Exit
+code 2 is unused: every check decides its condition.
 The environment variable POLYVAR_TRACE (full | summary | off, any case;
 unset or empty means summary) controls how much derivation detail certify
 prints; any other value is a usage error, reported before the problem file
@@ -59,7 +60,7 @@ class UsageError(Exception):
 
 def _parse_vector(text: str, dim: int | None = None, what: str = "vector") -> QVector:
     try:
-        v = QVector([part.strip() for part in text.split(",")])
+        v = QVector([part.strip() for part in text.split(",")] if text.strip() else [])
     except (ValueError, TypeError, ZeroDivisionError):
         raise UsageError(f"cannot parse {what} {text!r}; expected comma-separated rationals")
     if dim is not None and v.dim != dim:
@@ -102,7 +103,7 @@ def _cmd_cones(args) -> int:
     constraint = spec.kind == "constraint"
     dim, pieces = (spec.m, spec.D.pieces) if constraint else (spec.n, (spec.gamma,))
     y = _parse_vector(args.at, dim, "--at point")
-    ystar = _parse_vector(args.ystar, dim, "--ystar") if args.ystar else None
+    ystar = _parse_vector(args.ystar, dim, "--ystar") if args.ystar is not None else None
     held = [i for i, p in enumerate(pieces) if p.contains(y)]
     if not held:
         raise UsageError("point lies in no piece of D" if constraint else "point lies outside gamma")
@@ -132,7 +133,7 @@ def _cmd_graph_normal(args) -> int:
     if args.regular:
         gnc = regular_normal_graph(gp)
         title = "regular normal cone to the graph"
-    elif args.limiting or not args.dir:
+    elif args.limiting or args.dir is None:
         gnc = limiting_normal_graph(gp)
         title = "limiting normal cone to the graph"
     else:
@@ -168,13 +169,13 @@ def _run_check(spec, check: str, args):
     if check == "foscms-joint":
         return check_foscms_joint(spec)
     if check == "dir-subreg":
-        if not args.dir:
+        if args.dir is None:
             raise UsageError("--check dir-subreg needs --dir u")
         u = _parse_vector(args.dir, spec.n, "--dir")
-        gpp = _parse_vector(args.gpp, m, "--gpp") if args.gpp else None
+        gpp = _parse_vector(args.gpp, m, "--gpp") if args.gpp is not None else None
         return check_second_order_directional_subregularity(spec, u, gpp)
     if check == "dir-reg":
-        if not args.dir:
+        if args.dir is None:
             raise UsageError("--check dir-reg needs --dir 'u;v'")
         u, v = _parse_pair(args.dir, (spec.n, m))
         return check_directional_metric_regularity(spec, u, v)
@@ -188,7 +189,7 @@ _OPTION_CHECKS = {"dir": ("dir-subreg", "dir-reg"), "gpp": ("dir-subreg",), "ass
 def _cmd_certify(args) -> int:
     verbosity = _verbosity()
     for option, checks in _OPTION_CHECKS.items():
-        if getattr(args, option) and args.check not in checks:
+        if getattr(args, option) not in (None, False) and args.check not in checks:
             raise UsageError(f"--{option.replace('_', '-')} applies only to --check {' or '.join(checks)}")
     spec = parse_problem(args.file)
     cert = _run_check(spec, args.check, args)
@@ -272,9 +273,9 @@ def _cmd_examples(args) -> int:
 def _cmd_oracle(args) -> int:
     spec = parse_problem(args.file)
     if spec.kind == "constraint":
-        if not args.dir:
+        if args.dir is None:
             raise UsageError("oracle on a constraint file needs --dir w")
-        y = _parse_vector(args.at, spec.m, "--at") if args.at else spec.g0
+        y = _parse_vector(args.at, spec.m, "--at") if args.at is not None else spec.g0
         if not spec.D.contains(y):
             raise UsageError("--at point lies in no piece of D")
         w = _parse_vector(args.dir, spec.m, "--dir")
@@ -283,9 +284,9 @@ def _cmd_oracle(args) -> int:
         match = piece_sets_equal(closed.pieces, sampled.pieces)
         print(f"closed form: {len(closed.pieces)} piece(s); sampling oracle: {len(sampled.pieces)} piece(s)")
     else:
-        if not args.dir:
+        if args.dir is None:
             raise UsageError("oracle on a variational file needs --dir 'v;vstar'")
-        if args.at:
+        if args.at is not None:
             raise UsageError("oracle on a variational file takes no --at: it samples at the file's graph point")
         gp = spec.graph_point()
         v, vstar = _parse_graph_direction(args.dir, gp, spec.n)

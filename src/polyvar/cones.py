@@ -596,14 +596,16 @@ def _exposed_face(cone: PolyCone, zstar: IntVec) -> PolyCone:
 
 
 def face_difference(f1: PolyCone, f2: PolyCone) -> PolyCone:
-    """The cone F1 - F2 = F1 + (-F2); requires F2 ⊆ F1."""
-    if not f2.subcone_of(f1):
+    """The cone F1 - F2 = F1 + (-F2); requires F2 ⊆ F1.  It is the tangent
+    cone of F1 at a relative-interior point of F2: F1's equations and the
+    inequality rows of F1 that vanish on every generator of F2.  The same
+    products of F1's rows with F2's generators check F2 ⊆ F1."""
+    f1._check_dim(f2)
+    (ineqs, eqs), gens = f1._h, f2._int_generators()
+    prods = [[_dot(a, g) for g in gens] for a in ineqs]
+    if any(p > 0 for row in prods for p in row) or any(_dot(e, g) for e in eqs for g in gens):
         raise ValueError("face_difference requires F2 to be contained in F1")
-    return PolyCone.from_generators(
-        f1.dim,
-        f1._v[0] + tuple(map(_neg, f2._v[0])),
-        f1._v[1] + f2._v[1],
-    )
+    return _of_rows(f1.dim, [a for a, row in zip(ineqs, prods) if not any(row)], eqs)
 
 
 class _PlainCone(dict):

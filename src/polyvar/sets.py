@@ -22,7 +22,10 @@ conversion, of its closure (the cone with the strict rows closed): the cell
 is reachable iff it is nonempty (``cones.open_cell``, which decides this
 from the rays of the closure), and then the closure is the closure of its
 directions.  No cell costs a conversion of the polar: a reachable cell's
-rows are read off the incidence of its one conversion.
+rows are read off the incidence of its one conversion.  The strata are a
+function of the union and the reference point together, so neither object
+keeps them: ``direction_strata`` computes them on every call, and a
+certifier keeps the strata of D at g0 in its spec's memo.
 
 A polyhedron is stored only as its homogenization cone: ``A``, ``b``, ``E``
 and ``e`` are rational views of the cone's integer rows, and a point is
@@ -267,13 +270,9 @@ def nearby_critical_cone(
 
 
 class UnionSet:
-    """Finite union of convex polyhedra of equal dimension.
+    """Finite union of convex polyhedra of equal dimension."""
 
-    ``_strata`` holds the direction strata already computed, by reference
-    point.
-    """
-
-    __slots__ = ("dim", "pieces", "_strata")
+    __slots__ = ("dim", "pieces")
 
     def __init__(self, pieces: Sequence[Polyhedron]):
         pieces = tuple(pieces)
@@ -284,7 +283,6 @@ class UnionSet:
             raise ValueError("pieces have unequal dimensions")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "_strata", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("UnionSet is immutable")
@@ -404,11 +402,9 @@ def direction_strata(d: UnionSet, ybar: QVector) -> tuple[DirectionStratum, ...]
     """All strata of the union with their reach cones from ybar.
 
     Only strata reachable from ybar in at least one direction are returned.
-    Results are memoized per union: the certifiers evaluate the same
-    stratification several times per spec.
+    A pure function of its arguments with no memo: the union is not its
+    cache, and a certifier keeps the strata of D at g0 in its spec's memo.
     """
-    if ybar in d._strata:
-        return d._strata[ybar]
     if not d.contains(ybar):
         raise ValueError("reference point lies in no piece of the union")
     face_options, out_options = zip(*(_options_at(p, ybar) for p in d.pieces))
@@ -445,8 +441,7 @@ def direction_strata(d: UnionSet, ybar: QVector) -> tuple[DirectionStratum, ...]
             f"P{i}:out" if opt is None else f"P{i}@F{sorted(opt[0].active_set)}" for i, opt in enumerate(assignment)
         )
         strata.append(DirectionStratum(label=label, normal=normal, reach=tuple(dict.fromkeys(reach))))
-    d._strata[ybar] = tuple(strata)
-    return d._strata[ybar]
+    return tuple(strata)
 
 
 def directional_normal_cone(d: UnionSet, ybar: QVector, w: QVector) -> ConeUnion:

@@ -44,7 +44,7 @@ from polyvar.certify import (
     _variational_adjoint_cone,
     _zero_direction_adjoints,
 )
-from polyvar import certify
+from polyvar import certify, sets
 from polyvar.cones import PolyCone, open_cell, pick_nonzero
 from polyvar.graphmap import _along, directional_limiting_normal_graph, limiting_normal_graph
 from polyvar.linalg import QMatrix, QVector, _ints, row_space_basis
@@ -909,6 +909,45 @@ def test_zero_direction_adjoints_match_the_limiting_construction():
 
 
 # -- each distinct cone converted once per spec ------------------------------------
+
+
+def test_every_check_of_a_spec_reads_one_stratification(monkeypatch):
+    # the strata of D at g0 live in the spec's memo: the first order, second
+    # order, calmness, Aubin (both modes), joint and directional checks all
+    # read them, whichever module's binding of direction_strata they reach
+    calls = []
+    real = sets.direction_strata
+
+    def counted(d, ybar):
+        calls.append(ybar)
+        return real(d, ybar)
+
+    monkeypatch.setattr(certify, "direction_strata", counted)
+    monkeypatch.setattr(sets, "direction_strata", counted)
+    spec = ex3_spec()
+    check_foscms(spec)
+    check_soscms(spec)
+    check_calmness_constraint(spec, "first")
+    check_aubin(spec, "corollary")
+    check_aubin(spec, "theorem")
+    check_foscms_joint(spec)
+    check_directional_metric_regularity(spec, QVector([1, 0]), QVector.zero(4))
+    check_directional_metric_regularity(spec, QVector([1, 0]), QVector([0, 0, 1, 1]))
+    check_second_order_directional_subregularity(spec, QVector([1, 0]))
+    assert len(calls) == 1
+
+
+def test_constraint_systems_with_no_components():
+    # m = 0: D = R^0 is one point, every u is a solution direction, and the
+    # directions u of the checks live in R^n, not in R^(columns of Jx)
+    spec = ConstraintSystemSpec(l=1, n=1, m=0, Jp=[], Jx=[], g0=[], D=UnionSet([Polyhedron(0)]))
+    assert check_aubin(spec, "corollary").holds()
+    assert check_aubin(spec, "theorem").holds()
+    assert check_foscms_joint(spec).holds()
+    assert check_directional_metric_regularity(spec, QVector([1]), QVector([])).holds()
+    assert check_second_order_directional_subregularity(spec, QVector([1]), QVector([])).holds()
+    with pytest.raises(ValueError, match="^matvec dimension mismatch$"):
+        check_directional_metric_regularity(spec, QVector([1, 0]), QVector([]))
 
 
 def test_second_joint_check_makes_no_conversion():

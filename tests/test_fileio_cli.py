@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 from fractions import Fraction as F
@@ -10,6 +11,7 @@ from corpus import counting_dd
 from polyvar.certify import (
     Certificate,
     ConstraintSystemSpec,
+    PreconditionError,
     VariationalSystemSpec,
     check_aubin,
     check_calmness_constraint,
@@ -517,6 +519,121 @@ def test_cli_precondition_and_input_errors_are_usage_errors(capsys):
     ):
         assert run_command(["certify", ex3, *args]) == 3
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_cli_an_empty_option_is_the_empty_vector(capsys):
+    # "" names the vector with no entries, and the dimension check runs on it
+    assert cli._parse_vector("") == QVector([])
+    ex4 = bundled_problem_path("ex4.json")
+    for args, message in (
+        (["certify", ex4, "--check", "foscms", "--gpp="], "--gpp applies only to --check dir-subreg"),
+        (["certify", ex4, "--check", "aubin", "--dir="], "--dir applies only to --check dir-subreg or dir-reg"),
+        (["certify", ex4, "--check", "dir-subreg", "--dir=1,0", "--gpp="], "--gpp must have 2 entries, got 0"),
+        (["certify", ex4, "--check", "dir-subreg", "--dir="], "--dir must have 2 entries, got 0"),
+        (["cones", ex4, "--at=0,0", "--ystar="], "--ystar must have 2 entries, got 0"),
+    ):
+        assert run_command(args) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def no_components_dict():
+    """A constraint file with m = 0: D = R^0 is one point."""
+    return {
+        "kind": "constraint", "dims": {"l": 1, "n": 1, "m": 0},
+        "Jp": [], "Jx": [], "g0": [], "D": {"pieces": [{"A": [], "b": []}]},
+    }
+
+
+def test_cli_files_with_no_components(tmp_path, capsys):
+    path = tmp_path / "m0.json"
+    path.write_text(json.dumps(no_components_dict()))
+    f = str(path)
+    for args, code in (
+        (["certify", f, "--check", "aubin"], 0),
+        (["certify", f, "--check", "aubin-theorem"], 0),
+        (["certify", f, "--check", "dir-reg", "--dir=1;"], 0),
+        (["certify", f, "--check", "dir-subreg", "--dir=1", "--gpp="], 0),
+        (["certify", f, "--check", "dir-subreg", "--dir=1", "--gpp=1"], 3),
+        (["cones", f, "--at="], 0),
+        (["oracle", f, "--dir="], 0),
+    ):
+        assert run_command(args) == code, args
+    assert "internal error" not in capsys.readouterr().err
+
+
+def degenerate_shapes() -> dict[str, dict]:
+    """Problem files of degenerate shape: l = 0, n = 0, m = 0, D a single
+    point, and gamma the whole space or a point."""
+
+    def mat(nrows, ncols, x="1"):
+        return [[x] * ncols for _ in range(nrows)]
+
+    def eye(k):
+        return [[str(int(i == j)) for j in range(k)] for i in range(k)]
+
+    def constraint(l, n, m, piece):
+        return {
+            "kind": "constraint", "dims": {"l": l, "n": n, "m": m},
+            "Jp": mat(m, l), "Jx": mat(m, n), "g0": ["0"] * m, "D": {"pieces": [piece]},
+            "hessians": [mat(n, n, "0") for _ in range(m)],
+        }
+
+    def variational(l, n, gamma):
+        return {
+            "kind": "variational", "dims": {"l": l, "n": n}, "Jp": mat(n, l), "Jx": eye(n),
+            "xbar": ["0"] * n, "ybarstar": ["0"] * n, "gamma": gamma,
+        }
+
+    orthant = {"A": [["1", "0"], ["0", "1"]], "b": ["0", "0"]}
+    return {
+        "l=0": constraint(0, 2, 2, orthant),
+        "n=0": constraint(1, 0, 2, orthant),
+        "m=0": no_components_dict(),
+        "D a point": constraint(1, 2, 2, {"E": eye(2), "e": ["0", "0"]}),
+        "variational l=0": variational(0, 2, {"A": [["1", "-2"], ["1", "2"]], "b": ["0", "0"]}),
+        "variational n=0": variational(1, 0, {}),
+        "gamma = R^n": variational(1, 2, {}),
+        "gamma a point": variational(1, 2, {"E": eye(2), "e": ["0", "0"]}),
+    }
+
+
+def degenerate_check_options(n: int, m: int):
+    """(check, --dir, --gpp, --assume-subregular) for every check, with zero
+    and nonzero directions."""
+    zeros, ones = ",".join(["0"] * n), ",".join(["1"] * n)
+    plain = ("foscms", "soscms", "calmness", "calmness2", "aubin", "aubin-theorem", "foscms-joint")
+    out = [(check, None, None, False) for check in plain]
+    out.append(("aubin-theorem", None, None, True))
+    for u in (zeros, ones):
+        out += [("dir-subreg", u, None, False), ("dir-subreg", u, ",".join(["-1"] * m), False)]
+        out += [("dir-reg", f"{u};{v}", None, False) for v in (",".join(["0"] * m), ",".join(["1"] * m))]
+    return out
+
+
+def test_degenerate_shapes_get_a_verdict_or_a_usage_error(tmp_path, capsys):
+    for name, data in degenerate_shapes().items():
+        spec = problem_from_dict(data, name)
+        m = spec.m if spec.kind == "constraint" else spec.n
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(data))
+        for check, u, gpp, assume in degenerate_check_options(spec.n, m):
+            args = argparse.Namespace(dir=u, gpp=gpp, assume_subregular=assume)
+            try:
+                assert isinstance(cli._run_check(spec, check, args), Certificate)
+            except (PreconditionError, cli.UsageError):
+                pass
+            argv = ["certify", str(path), "--check", check]
+            argv += [f"--dir={u}"] * (u is not None) + [f"--gpp={gpp}"] * (gpp is not None)
+            argv += ["--assume-subregular"] * assume
+            assert run_command(argv) in (0, 1, 3), (name, argv)
+        zero = ",".join(["0"] * m)
+        assert run_command(["cones", str(path), f"--at={zero}", f"--ystar={zero}"]) == 0, name
+        if spec.kind == "variational":
+            for mode in ("--regular", "--limiting", f"--dir={zero};{zero}"):
+                assert run_command(["graph-normal", str(path), mode]) == 0, (name, mode)
+        direction = f"{zero};{zero}" if spec.kind == "variational" else zero
+        assert run_command(["oracle", str(path), f"--dir={direction}"]) == 0, name
+    assert "internal error" not in capsys.readouterr().err
 
 
 def test_cli_golden_examples(capsys):

@@ -292,6 +292,40 @@ def test_directional_normal_cone_matches_sampling_oracle():
     assert len(cases) >= 12
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3), st.booleans())
+def test_strata_decide_tangency_hypothesis(seed, dim, affine):
+    # D is polyhedral, so N_D(ybar; w) is nonempty exactly when w is tangent
+    # to D at ybar: some reach cone of the strata holds w iff the tangent
+    # cone of the union does
+    r = rng(seed)
+    if affine:
+        d, ybar = random_affine_union(r, dim)
+        assume(not ybar.is_zero())
+    else:
+        d, ybar = random_union(r, dim), QVector.zero(dim)
+    strata = direction_strata(d, ybar)
+    tangent = union_tangent_cone(d, ybar)
+    dirs = [QVector(w) for w in product((-1, 0, 1), repeat=dim)]
+    dirs += [q.rel_interior_point() for s in strata for q in s.reach]
+    for w in dirs:
+        reached = any(q.contains(w) for s in strata for q in s.reach)
+        assert reached == tangent.contains(w), w
+        assert reached == (not directional_normal_cone(d, ybar, w).is_empty())
+
+
+def test_union_keeps_no_strata():
+    # the strata are a function of the union and the point together, so the
+    # union holds only its pieces and each call computes them again
+    d = ex3_union()
+    assert UnionSet.__slots__ == ("dim", "pieces")
+    y0 = QVector.zero(4)
+    first = direction_strata(d, y0)
+    with counting_dd() as calls:
+        again = direction_strata(d, y0)
+    assert again == first and calls
+
+
 def test_cone_union_canonicalization():
     ray = PolyCone.from_generators(2, [[1, 0]])
     quad = PolyCone.from_ineqs(2, [[-1, 0], [0, -1]])
