@@ -3,7 +3,7 @@
 Subcommands::
 
     polyvar cones FILE --at Y [--ystar YSTAR]
-    polyvar graph-normal FILE [--dir "V;VSTAR"] [--regular | --limiting]
+    polyvar graph-normal FILE [--dir "V;VSTAR" | --regular | --limiting]
     polyvar certify FILE --check CHECK [--dir ...] [--gpp ...] [--assume-subregular]
     polyvar examples run {3,4,5}
     polyvar oracle FILE [--at Y] --dir ...     (--at on constraint files only)
@@ -46,7 +46,7 @@ from .certify import (
 )
 from .cones import cone_plain
 from .fileio import ProblemFileError, _dumps, parse_problem, render_report
-from .graphmap import _along, graph_tangent_member, limiting_normal_graph, regular_normal_graph
+from .graphmap import directional_limiting_normal_graph, graph_tangent_member, limiting_normal_graph, regular_normal_graph
 from .linalg import QVector, vec_plain
 from .oracle import piece_sets_equal, sample_graph_directional, sample_union_normals
 from .sets import critical_cone, directional_normal_cone, union_tangent_cone
@@ -138,7 +138,7 @@ def _cmd_graph_normal(args) -> int:
         title = "limiting normal cone to the graph"
     else:
         v, vstar = _parse_graph_direction(args.dir, gp, spec.n)
-        gnc = _along(gp, v, vstar)
+        gnc = directional_limiting_normal_graph(gp, v, vstar)
         title = f"directional limiting normal cone in direction ({v!r}; {vstar!r})"
     print(f"{title}: {len(gnc.pieces)} product piece(s)")
     for i, p in enumerate(gnc.pieces):
@@ -290,7 +290,7 @@ def _cmd_oracle(args) -> int:
             raise UsageError("oracle on a variational file takes no --at: it samples at the file's graph point")
         gp = spec.graph_point()
         v, vstar = _parse_graph_direction(args.dir, gp, spec.n)
-        closed = _along(gp, v, vstar)
+        closed = directional_limiting_normal_graph(gp, v, vstar)
         sampled = sample_graph_directional(gp, v, vstar)
         match = piece_sets_equal([p.k for p in closed.pieces], sampled)
         print(f"closed form: {len(closed.pieces)} piece(s); sampling oracle: {len(sampled)} piece(s)")
@@ -310,9 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph-normal", help="normal cones to the graph of the normal-cone map")
     p.add_argument("file")
-    p.add_argument("--dir")
-    p.add_argument("--regular", action="store_true")
-    p.add_argument("--limiting", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--dir")
+    mode.add_argument("--regular", action="store_true")
+    mode.add_argument("--limiting", action="store_true")
     p.set_defaults(fn=_cmd_graph_normal)
 
     p = sub.add_parser("certify", help="run a stability certificate")

@@ -79,7 +79,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
-from .linalg import IntVec, QVector, _dot, _echelon, _echelon_kernel, _ints, _neg, _rank, _reduce, _rref_q
+from .linalg import IntVec, QVector, _dot, _echelon, _echelon_kernel, _ints, _neg, _reduce, _rref_q
 
 
 def _orthogonal(basis: Sequence[IntVec]) -> list[tuple[IntVec, int]]:
@@ -431,7 +431,9 @@ class PolyCone:
         return QVector(map(sum, zip(*rays))) if rays else QVector.zero(self.dim)
 
     def span_dim(self) -> int:
-        return _rank(self._v[0] + self._v[1])
+        # span(C) is the orthogonal complement of the lineality space of the
+        # polar, and the equation rows are an echelon basis of that space
+        return self.dim - len(self._h[1])
 
     # -- algebra -----------------------------------------------------------
 

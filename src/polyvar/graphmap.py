@@ -156,11 +156,6 @@ def face_pairs(gp: GraphPoint, vi: IntVec, vs: IntVec) -> list[tuple[Face, Face]
     return pairs
 
 
-def _along(gp: GraphPoint, v: QVector, vstar: QVector) -> GraphNormalCone:
-    """The products (F1-F2)° × (F1-F2) over the face pairs of (v, v*)."""
-    return _assemble(gp, face_pairs(gp, _ints(v), _ints(vstar)))
-
-
 def limiting_normal_graph(gp: GraphPoint) -> GraphNormalCone:
     """Limiting normal cone to the graph: the directional cone at (0, 0),
     so products over all face pairs F2 ⊆ F1."""

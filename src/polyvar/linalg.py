@@ -1,5 +1,5 @@
 """Exact rational vectors, matrices and the one elimination kernel that
-everything else is built on.
+the cone layer is built on.
 
 Values at the API are ``fractions.Fraction`` (arbitrary precision, always in
 canonical reduced form with positive denominator) held in immutable, hashable
@@ -9,10 +9,11 @@ to build a rational vector, from integer rows as from user input; small
 integers share their Fractions (``_SMALL``).  Each row is scaled once by a
 positive rational to a primitive integer vector (``_ints``), the reduced
 echelon form is kept in integers by cross-multiplying and dividing by the
-gcd (``_echelon``), and ranks come from fraction-free Bareiss elimination
-(``_rank``, Bareiss 1968).  ``rref``, ``kernel``, ``orth_complement`` and
-``QVector.primitive`` are public wrappers that divide the integer results
-back into rationals once, at the end.  Every operation is exact.
+gcd (``_echelon``), and the null space is read off that echelon form
+(``_kernel``): that is the one elimination.  ``rref``, ``rank_of_rows``,
+``kernel``, ``orth_complement`` and ``QVector.primitive`` are public
+wrappers that read their results off the integer ones, dividing back into
+rationals once, at the end.  Every operation is exact.
 """
 
 from __future__ import annotations
@@ -303,30 +304,6 @@ def _dot(a: IntVec, b: IntVec) -> int:
 
 def _neg(v: IntVec) -> IntVec:
     return tuple(-x for x in v)
-
-
-def _rank(rows: Sequence[IntVec]) -> int:
-    """Rank of an integer matrix by fraction-free Bareiss elimination.
-
-    After the step with pivot ``pv`` every remaining entry is a minor of the
-    input, so the division by the previous pivot is exact.
-    """
-    m = [list(r) for r in rows]
-    rank, prev = 0, 1
-    for c in range(len(m[0]) if m else 0):
-        p = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if p is None:
-            continue
-        m[rank], m[p] = m[p], m[rank]
-        pr, pv = m[rank], m[rank][c]
-        for i in range(rank + 1, len(m)):
-            mi, f = m[i], m[i][c]
-            m[i] = [(pv * x - f * y) // prev for x, y in zip(mi, pr)]
-        prev = pv
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
 
 
 def _echelon(rows: Sequence[IntVec], dim: int) -> tuple[list[IntVec], list[int]]:

@@ -32,11 +32,12 @@ and ``e`` are rational views of the cone's integer rows, and a point is
 tested by one integer evaluation of those rows.  Its faces, from which the
 face assignments are drawn, are the faces of that cone that have a ray with
 t > 0; they come from the cone layer's incidence enumeration with no
-conversion per face.  Its normal cone at y, cone(active rows of A) +
-span(E), is built once per active set when it is first read and serves the
-face with that active set too; the tangent cone is its polar, and the
-critical cone the face of the tangent cone that y* exposes, read off the
-tangent cone's rays.
+conversion per face, and are not kept: their one reader,
+``direction_strata``, runs once per spec.  Its normal cone at y,
+cone(active rows of A) + span(E), is built once per active set when it is
+first read and serves the face with that active set too; the tangent cone
+is its polar, and the critical cone the face of the tangent cone that y*
+exposes, read off the tangent cone's rays.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class Polyhedron:
     ``_homogenized``.
     """
 
-    __slots__ = ("dim", "_homog", "_rows", "_faces", "_normals")
+    __slots__ = ("dim", "_homog", "_rows", "_normals")
 
     def __init__(self, dim: int, A: Iterable = (), b: Iterable = (), E: Iterable = (), e: Iterable = ()):
         A, b, E, e = list(A), list(b), list(E), list(e)
@@ -93,13 +94,9 @@ class Polyhedron:
         object.__setattr__(self, "_homog", homog)
         # the rows (a, -b) of A: every homogenization row but -t <= 0
         object.__setattr__(self, "_rows", tuple(r for r in homog._h[0] if any(r[:dim])))
-        object.__setattr__(self, "_faces", None)
         object.__setattr__(self, "_normals", {})
 
     def __setattr__(self, name, value):
-        if name == "_faces":
-            object.__setattr__(self, name, value)
-            return
         raise AttributeError("Polyhedron is immutable")
 
     @property
@@ -203,14 +200,12 @@ class Polyhedron:
         not inside {t = 0}, i.e. that have a ray with t > 0; they come from
         the same incidence routine as cone faces.  The row -t <= 0 is never
         active on such a face, so the routine runs on the rows of ``A``.
+        Not cached: ``direction_strata`` reads it once per spec.
         """
-        if self._faces is not None:
-            return self._faces
         rays = self._homog._v[0]
         finite = sum(1 << k for k, r in enumerate(rays) if r[self.dim] > 0)
         lattice = _face_lattice(len(self._rows), _zero_sets(self._rows, rays), keep=finite)
-        self._faces = tuple(PolyFace(frozenset(active), self) for active, _ in lattice)
-        return self._faces
+        return tuple(PolyFace(frozenset(active), self) for active, _ in lattice)
 
 
 @dataclass(frozen=True)
@@ -368,9 +363,6 @@ class DirectionStratum:
     normal: PolyCone
     reach: tuple[PolyCone, ...]
 
-    def reachable(self, w: QVector) -> bool:
-        return any(q.contains(w) for q in self.reach)
-
 
 def _options_at(p: Polyhedron, ybar: QVector):
     """A piece's choices near ybar, each row checked once against ybar.
@@ -380,7 +372,9 @@ def _options_at(p: Polyhedron, ybar: QVector):
     and the face's active rows, open on the tight rows it leaves inactive.
     A piece that misses ybar has the single "out" choice (); one that holds
     it has one per row that can be violated near it (a.y > b for a row
-    tight at ybar, g.y < e or g.y > e): the homogeneous strict row.
+    tight at ybar, g.y < e or g.y > e): the homogeneous strict row.  They
+    are distinct, as the rows are canonical and irredundant: no two tight
+    rows, and no tight row and row of E, are parallel.
     """
     sa, se = p._slacks(ybar)
     if any(s > 0 for s in sa) or any(se):
@@ -395,7 +389,7 @@ def _options_at(p: Polyhedron, ybar: QVector):
             eqs = E + [A[i] for i in sorted(f.active_set)]
             faces.append((f, eqs, [A[i] for i in sorted(tight - f.active_set)]))
     outs = [(_neg(A[i]),) for i in sorted(tight)] + [(c,) for g in E for c in (g, _neg(g))]
-    return faces, list(dict.fromkeys(outs))  # equal choices give equal cells
+    return faces, outs
 
 
 def direction_strata(d: UnionSet, ybar: QVector) -> tuple[DirectionStratum, ...]:
@@ -454,6 +448,6 @@ def directional_normal_cone(d: UnionSet, ybar: QVector, w: QVector) -> ConeUnion
     """
     if w.dim != d.dim:
         raise ValueError("direction has wrong dimension")
-    strata = direction_strata(d, ybar)
-    hit = [s.normal for s in strata if s.reachable(w)]
+    wi = _ints(w)
+    hit = [s.normal for s in direction_strata(d, ybar) if any(q._holds(wi) for q in s.reach)]
     return ConeUnion(d.dim, hit)

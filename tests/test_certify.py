@@ -46,7 +46,7 @@ from polyvar.certify import (
 )
 from polyvar import certify, sets
 from polyvar.cones import PolyCone, open_cell, pick_nonzero
-from polyvar.graphmap import _along, directional_limiting_normal_graph, limiting_normal_graph
+from polyvar.graphmap import directional_limiting_normal_graph, limiting_normal_graph
 from polyvar.linalg import QMatrix, QVector, _ints, row_space_basis
 from polyvar.sets import (
     ConeUnion,
@@ -90,6 +90,59 @@ def ex5_spec():
         gamma=Polyhedron(2, A=[[1, -2], [1, 2]], b=[0, 0]),
         xbar=[0, 0], ybarstar=[0, 0],
     )
+
+
+def constraint_args(**change):
+    """ex4's constructor arguments (without Hessians), with ``change`` applied."""
+    args = dict(l=1, n=2, m=2, Jp=[[1], [1]], Jx=[[0, 1], [0, -1]], g0=[0, 0], D=ex4_spec().D)
+    return {**args, **change}
+
+
+def variational_args(**change):
+    """ex5's constructor arguments, with ``change`` applied."""
+    args = dict(l=1, n=2, Jp=[[-1], [0]], Jx=[[1, 0], [0, -1]], gamma=ex5_spec().gamma, xbar=[0, 0], ybarstar=[0, 0])
+    return {**args, **change}
+
+
+def half_space_of_r3():
+    return Polyhedron(3, A=[[1, 0, 0]], b=[0])
+
+
+# (the ValueError's message, the spec it is raised building)
+SPEC_SHAPE_ERRORS = (
+    ("Jp must be m x l", lambda: ConstraintSystemSpec(**constraint_args(Jp=[[1, 0], [1, 0]]))),
+    ("Jp must be m x l", lambda: ConstraintSystemSpec(**constraint_args(Jp=[[1]]))),
+    ("Jx must be m x n", lambda: ConstraintSystemSpec(**constraint_args(Jx=[[0, 1, 0], [0, -1, 0]]))),
+    ("Jx must be m x n", lambda: ConstraintSystemSpec(**constraint_args(Jx=[]))),
+    ("g0 and D must live in R^m", lambda: ConstraintSystemSpec(**constraint_args(g0=[0, 0, 0]))),
+    ("g0 and D must live in R^m", lambda: ConstraintSystemSpec(**constraint_args(D=UnionSet([half_space_of_r3()])))),
+    ("need one Hessian per component", lambda: ConstraintSystemSpec(**constraint_args(hessians=[QMatrix.zero(2, 2)]))),
+    (
+        "Hessians must be symmetric n x n",
+        lambda: ConstraintSystemSpec(**constraint_args(hessians=[QMatrix.zero(3, 3)] * 2)),
+    ),
+    (
+        "Hessians must be symmetric n x n",
+        lambda: ConstraintSystemSpec(**constraint_args(hessians=[QMatrix([[0, 1], [0, 0]])] * 2)),
+    ),
+    ("Jp must be n x l", lambda: VariationalSystemSpec(**variational_args(Jp=[[-1]]))),
+    ("Jp must be n x l", lambda: VariationalSystemSpec(**variational_args(Jp=[[-1, 0], [0, 0]]))),
+    ("Jx must be n x n", lambda: VariationalSystemSpec(**variational_args(Jx=[[1, 0]]))),
+    ("Jx must be n x n", lambda: VariationalSystemSpec(**variational_args(Jx=[[1, 0, 0], [0, -1, 0]]))),
+    ("gamma, xbar, ybarstar must live in R^n", lambda: VariationalSystemSpec(**variational_args(xbar=[0]))),
+    ("gamma, xbar, ybarstar must live in R^n", lambda: VariationalSystemSpec(**variational_args(ybarstar=[0, 0, 0]))),
+    (
+        "gamma, xbar, ybarstar must live in R^n",
+        lambda: VariationalSystemSpec(**variational_args(gamma=half_space_of_r3())),
+    ),
+)
+
+
+@pytest.mark.parametrize("message, build", SPEC_SHAPE_ERRORS)
+def test_spec_constructors_reject_wrong_shapes(message, build):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 # -- witness replay ------------------------------------------------------------
@@ -728,7 +781,7 @@ def rational_directional_adjoints(spec, u, v):
     k = gp.critical
     if not (k.contains(u) and k.polar().contains(w) and u.dot(w) == 0):
         return None
-    return tuple((p.k, _variational_adjoint_cone(spec, p.k)) for p in _along(gp, u, w).pieces)
+    return tuple((p.k, _variational_adjoint_cone(spec, p.k)) for p in directional_limiting_normal_graph(gp, u, w).pieces)
 
 
 def random_spec(r, kind):

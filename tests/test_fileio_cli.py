@@ -453,6 +453,45 @@ def test_report_renders_and_embeds_json():
     assert certificate_from_dict(payload["certificate"]) == cert
 
 
+def _edited(base, edit) -> str:
+    data = base()
+    edit(data)
+    return json.dumps(data)
+
+
+# (the error after the file name, the file's text)
+MALFORMED_FILES = (
+    (".Jp: expected a list of rows", lambda: _edited(ex4_dict, lambda d: d.update(Jp="1"))),
+    (".Jx: expected 2 rows, got 1", lambda: _edited(ex4_dict, lambda d: d.update(Jx=[["0", "1"]]))),
+    (".gamma: expected an object with A/b/E/e", lambda: _edited(ex5_dict, lambda d: d.update(gamma=[]))),
+    (
+        ".D.pieces[0]: A has 2 rows but b has 1 entries",
+        lambda: _edited(ex4_dict, lambda d: d["D"]["pieces"][0].update(b=["0"])),
+    ),
+    (
+        ".D.pieces[0]: E has 1 rows but e has 0 entries",
+        lambda: _edited(ex4_dict, lambda d: d["D"]["pieces"][0].update(E=[["1", "1"]], e=[])),
+    ),
+    (".dims: need integer fields l, n, m", lambda: _edited(ex4_dict, lambda d: d.update(dims={"l": 1, "m": 2}))),
+    (".dims: need integer fields l, n", lambda: _edited(ex5_dict, lambda d: d.update(dims={"n": 2}))),
+    (".dims.m: required for constraint systems", lambda: _edited(ex4_dict, lambda d: d["dims"].pop("m"))),
+    (".D.pieces: need a nonempty list of polyhedra", lambda: _edited(ex4_dict, lambda d: d["D"].update(pieces=[]))),
+    (".hessians: expected 2 matrices, got 1", lambda: _edited(ex4_dict, lambda d: d["hessians"].pop())),
+    (": invalid JSON at line 2: Expecting property name enclosed in double quotes", lambda: "{\n"),
+)
+
+
+@pytest.mark.parametrize("message, text", MALFORMED_FILES, ids=[m for m, _ in MALFORMED_FILES])
+def test_malformed_problem_files_name_the_path_and_exit_3(tmp_path, capsys, message, text):
+    path = tmp_path / "problem.json"
+    path.write_text(text())
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem(str(path))
+    assert str(err.value) == f"{path}{message}"
+    assert run_command(["certify", str(path), "--check", "foscms"]) == 3
+    assert capsys.readouterr() == ("", f"error: {err.value}\n")
+
+
 def test_cli_exit_codes(capsys, tmp_path):
     ex4 = bundled_problem_path("ex4.json")
     ex5 = bundled_problem_path("ex5.json")
@@ -675,9 +714,45 @@ def test_cli_bad_ystar_exits_before_printing(capsys):
         assert out == "" and err.startswith("error: ")
 
 
+# (argv, with exN.json for the bundled example N, and what stderr must say)
+CLI_USAGE_ERRORS = (
+    (["graph-normal", "ex5.json", "--dir=1,0"], "error: graph directions look like 'v1,v2;w1,w2'"),
+    (["oracle", "ex5.json", "--dir=0,0"], "error: graph directions look like 'v1,v2;w1,w2'"),
+    (["cones", "ex3.json", "--at=1,1,1,1"], "error: point lies in no piece of D"),
+    (["cones", "ex5.json", "--at=5,5"], "error: point lies outside gamma"),
+    (["graph-normal", "ex3.json"], "error: graph-normal needs a variational problem file"),
+    (["certify", "ex4.json", "--check", "dir-subreg"], "error: --check dir-subreg needs --dir u"),
+    (["certify", "ex4.json", "--check", "dir-reg"], "error: --check dir-reg needs --dir 'u;v'"),
+    (["oracle", "ex3.json"], "error: oracle on a constraint file needs --dir w"),
+    (["oracle", "ex5.json"], "error: oracle on a variational file needs --dir 'v;vstar'"),
+    (["examples", "run", "7"], "error: known examples: 3, 4, 5"),
+    (["examples", "walk", "3"], "invalid choice: 'walk'"),  # rejected by argparse
+)
+
+
+@pytest.mark.parametrize("argv, message", CLI_USAGE_ERRORS, ids=[" ".join(a) for a, _ in CLI_USAGE_ERRORS])
+def test_cli_usage_errors_exit_3(capsys, argv, message):
+    argv = [bundled_problem_path(a) if a.endswith(".json") else a for a in argv]
+    assert run_command(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and message in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "modes", (["--regular", "--dir=-1,0;0,0"], ["--limiting", "--dir=5,5;1,1"], ["--regular", "--limiting"])
+)
+def test_cli_graph_normal_takes_one_mode(capsys, modes):
+    # --dir, --regular and --limiting are alternatives: two of them are a
+    # usage error, not one of them silently ignored
+    assert run_command(["graph-normal", bundled_problem_path("ex5.json"), *modes]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument" in err
+
+
 def test_cli_graph_direction_tested_for_tangency_once(monkeypatch, capsys):
-    # the CLI tests --dir for tangency and then filters the face pairs
-    # directly, as the certifier does, so the test runs once per command
+    # the CLI tests --dir with graph_tangent_member once per command, for
+    # its usage error; directional_limiting_normal_graph then runs the
+    # integer test on the same pair without calling it
     from polyvar import graphmap
 
     real, calls = graphmap.graph_tangent_member, []

@@ -326,6 +326,21 @@ def test_union_keeps_no_strata():
     assert again == first and calls
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3), st.booleans())
+def test_out_choices_are_distinct_hypothesis(seed, dim, affine):
+    # a polyhedron's rows are canonical and irredundant, so at a point it
+    # holds no two of its strict "out" rows coincide: no two tight rows are
+    # parallel, and no tight row is parallel to a row of E
+    r = rng(seed)
+    d = random_affine_union(r, dim)[0] if affine else random_union(r, dim)
+    for p in d.pieces:
+        for y in product(range(-2, 3), repeat=dim):
+            if p.contains(QVector(y)):
+                outs = sets._options_at(p, QVector(y))[1]
+                assert len(set(outs)) == len(outs), (p, y)
+
+
 def test_cone_union_canonicalization():
     ray = PolyCone.from_generators(2, [[1, 0]])
     quad = PolyCone.from_ineqs(2, [[-1, 0], [0, -1]])
