@@ -225,8 +225,6 @@ _EXPECTED = {
 
 
 def _cmd_examples(args) -> int:
-    if args.action != "run":
-        raise UsageError("usage: polyvar examples run {3|4|5}")
     name = args.which
     if name not in _EXPECTED:
         raise UsageError("known examples: 3, 4, 5")

@@ -157,7 +157,9 @@ def _dd_steps(
     have rank dim - len(B) - 2: a pair with fewer than nstart - len(B) - 2
     common rows is skipped before the scan for a third ray.  Each ray comes
     back projected off span(B): a primitive vector that depends only on its
-    class, with the same zero set, as every row vanishes on span(B).
+    class, with the same zero set, as every row vanishes on span(B).  With
+    no lineality basis left there is nothing to project off, and the rays
+    come back as they are.
     """
     nstart = dim - len(eq_echelon)
     for k, a in enumerate(new, len(done)):
@@ -204,8 +206,10 @@ def _dd_steps(
                 new_zeros.append(common | bit)
         rays, zeros = new_rays, new_zeros
 
-    ortho = _orthogonal(basis)
-    return basis, [_project_off(r, ortho) for r in rays], zeros, [*done, *new], eq_echelon
+    if basis:
+        ortho = _orthogonal(basis)
+        rays = [_project_off(r, ortho) for r in rays]
+    return basis, rays, zeros, [*done, *new], eq_echelon
 
 
 def _generators(dim: int, ineqs: Sequence, eqs: Sequence) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], tuple]:
@@ -298,6 +302,7 @@ def _cone(dim: int, reps: list, side: int) -> "PolyCone":
     object.__setattr__(c, "_side", side)
     object.__setattr__(c, "_faces", None)
     object.__setattr__(c, "_plain", None)
+    object.__setattr__(c, "_hash", None)
     return c
 
 
@@ -313,12 +318,13 @@ class PolyCone:
     conversion) the first time ``_h`` or ``_v`` is read, kept in the list
     ``_reps`` that the cone shares with its polars, and then held in its
     slot like the first.  ``key()`` is (dim, lineality rows, rays) of
-    ``_v``.  ``ineqs``, ``eqs``, ``rays`` and ``lin`` are rational views
-    built from the integer forms on each read; ``_plain`` holds the
-    ``cone_plain`` view once it is built.
+    ``_v``; ``_hash`` holds its hash once the cone is first hashed, as
+    ``_v`` never changes once it is read.  ``ineqs``, ``eqs``, ``rays`` and
+    ``lin`` are rational views built from the integer forms on each read;
+    ``_plain`` holds the ``cone_plain`` view once it is built.
     """
 
-    __slots__ = ("dim", "_reps", "_side", "_h", "_v", "_faces", "_plain")
+    __slots__ = ("dim", "_reps", "_side", "_h", "_v", "_faces", "_plain", "_hash")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use PolyCone.from_ineqs or PolyCone.from_generators")
@@ -389,7 +395,11 @@ class PolyCone:
         return isinstance(other, PolyCone) and self.key() == other.key()
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        h = self._hash
+        if h is None:
+            h = hash(self.key())
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         return f"PolyCone(dim={self.dim}, rays={list(self.rays)}, lin={list(self.lin)})"

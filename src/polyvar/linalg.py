@@ -6,10 +6,11 @@ canonical reduced form with positive denominator) held in immutable, hashable
 ``QVector``/``QMatrix`` objects, a boundary only: the package computes on
 primitive integer tuples (``IntVec``).  ``QVector(entries)`` is the one way
 to build a rational vector, from integer rows as from user input; small
-integers share their Fractions (``_SMALL``).  Each row is scaled once by a
-positive rational to a primitive integer vector (``_ints``), the reduced
-echelon form is kept in integers by cross-multiplying and dividing by the
-gcd (``_echelon``), and the null space is read off that echelon form
+integers share their Fractions (``_SMALL``), and so does their text, with
+one lookup (``_SMALL_TEXT``).  Each row is scaled once by a positive
+rational to a primitive integer vector (``_ints``), the reduced echelon
+form is kept in integers by cross-multiplying and dividing by the gcd
+(``_echelon``), and the null space is read off that echelon form
 (``_kernel``): that is the one elimination.  ``rref``, ``rank_of_rows``,
 ``kernel``, ``orth_complement`` and ``QVector.primitive`` are public
 wrappers that read their results off the integer ones, dividing back into
@@ -34,8 +35,14 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # sign, digits, "/digits
 def frac(x) -> Fraction:
     """Coerce ints, Fractions and strings like "2/4" or "-3" to Fraction.
 
-    Other strings raise ValueError; ``Fraction`` never sees them, since it
-    would build a ten-million-digit integer for "1e10000000"."""
+    The text of a small integer, as ``str`` writes it, is one table lookup
+    that returns the shared Fraction (``_SMALL_TEXT``); any other text is
+    parsed.  Other strings raise ValueError; ``Fraction`` never sees them,
+    since it would build a ten-million-digit integer for "1e10000000"."""
+    if type(x) is str:
+        shared = _SMALL_TEXT.get(x)
+        if shared is not None:
+            return shared
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -51,8 +58,11 @@ def frac(x) -> Fraction:
 # One shared Fraction per small integer, for ``frac`` and ``QVector``: cone
 # data and problem rows are mostly small integers (over 99% of the integer
 # entries on each benchmark workload lie in this range), so most vectors
-# allocate no new Fractions, and cached cones share them.
+# allocate no new Fractions, and cached cones share them.  Their text as
+# ``str`` writes it ("-2", never "+2", "-0" or "007") maps to the same
+# Fractions, so integer text from a file or the command line is one lookup.
 _SMALL = {n: Fraction(n) for n in range(-256, 257)}
+_SMALL_TEXT = {str(n): x for n, x in _SMALL.items()}
 
 
 class QVector:
@@ -312,8 +322,16 @@ def _echelon(rows: Sequence[IntVec], dim: int) -> tuple[list[IntVec], list[int]]
     Each returned row is primitive with a positive pivot and zeros in the
     other pivot columns; divided by its pivot it is the matching row of the
     rational RREF.  Zero rows are dropped.  Input rows must be primitive.
+    No elimination runs when at most one row is nonzero: that row is its
+    own echelon form, its sign made positive at its first nonzero column.
     """
     m = [r for r in rows if any(r)]
+    if len(m) <= 1:
+        if not m:
+            return [], []
+        r = m[0]
+        c = next(i for i, x in enumerate(r) if x)
+        return [r if r[c] > 0 else _neg(r)], [c]
     pivots: list[int] = []
     for c in range(dim):
         k = len(pivots)
@@ -354,6 +372,8 @@ def _kernel(rows: Sequence[IntVec], dim: int) -> list[IntVec]:
 def _echelon_kernel(ech: Sequence[IntVec], pivots: Sequence[int], dim: int) -> list[IntVec]:
     """``_kernel`` of rows already in the integer echelon form ``_echelon``
     returns."""
+    if not ech:
+        return [(0,) * f + (1,) + (0,) * (dim - 1 - f) for f in range(dim)]
     basis = []
     for f in range(dim):
         if f in pivots:

@@ -809,6 +809,31 @@ def test_equality_is_equality_of_the_rational_generators_hypothesis(a, b, rebuil
         assert hash(a) == hash(b) and a.key() == b.key()
 
 
+def test_a_cone_reads_its_key_once_however_often_it_is_hashed(monkeypatch):
+    # equal cones built five ways hash equal, and each cone builds key()
+    # for its first hash only: the memo, ConeUnion and the graph map's
+    # dedup hash the same cones many times
+    real, calls = PolyCone.key, []
+
+    def counted(self):
+        calls.append(id(self))
+        return real(self)
+
+    monkeypatch.setattr(PolyCone, "key", counted)
+    rows = [[-1, 0, 0], [0, -1, 0]]
+    orthant = PolyCone.from_ineqs(3, rows)
+    cones = [
+        orthant,
+        PolyCone.from_generators(3, [[1, 0, 0], [0, 2, 0]], [[0, 0, -3]]),
+        PolyCone.from_ineqs(3, rows[:1]).intersect(PolyCone.from_ineqs(3, rows[1:])),
+        orthant.polar().polar(),
+        PolyCone.from_ineqs(3, rows + [[-1, -1, 0]]),
+    ]
+    assert len({hash(c) for c in cones for _ in range(4)}) == 1
+    assert sorted(calls) == sorted(map(id, cones))
+    assert all(c == orthant for c in cones)
+
+
 @st.composite
 def unreduced_integer_rows(draw):
     """(dim, ineqs, eqs) as integer tuples that are not primitive in

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +164,93 @@ def test_rref_and_kernel_with_zero_rows(shape):
     for f, v in zip(free, basis):
         assert all(QVector(r).dot(v) == 0 for r in rows)
         assert [v[j] for j in free] == [int(j == f) for j in free]
+
+
+def reference_rref(rows, dim):
+    """(nonzero rows, pivot columns) of the RREF by Gauss-Jordan over Fraction."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(dim):
+        k = len(pivots)
+        p = next((i for i in range(k, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[k], m[p] = m[p], m[k]
+        m[k] = [x / m[k][c] for x in m[k]]
+        for i in range(len(m)):
+            if i != k and m[i][c]:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[k])]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def primitive(row):
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else tuple(row)
+
+
+@st.composite
+def primitive_rows(draw):
+    """(dim, rows): no row, one row or several primitive integer rows in
+    dimensions 0 to 7, with zero rows, repeated rows (some negated) and
+    negative leading entries mixed in."""
+    dim = draw(st.integers(0, 7))
+    row = st.one_of(
+        st.just((0,) * dim), st.lists(st.integers(-4, 4), min_size=dim, max_size=dim).map(primitive)
+    )
+    rows = draw(st.one_of(st.just([]), st.lists(row, min_size=1, max_size=1), st.lists(row, max_size=6)))
+    if rows:
+        for i, negate in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.booleans()), max_size=3)):
+            rows.append(tuple(-x for x in rows[i]) if negate else rows[i])
+    return dim, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(primitive_rows())
+def test_integer_echelon_is_a_positive_multiple_of_the_rref_hypothesis(system):
+    # the integer form the cone layer reads, rank 0 and 1 included: each row
+    # primitive with a positive pivot, zero in the other pivot columns, and a
+    # positive integer multiple of the matching row of the rational RREF
+    dim, rows = system
+    ech, pivots = linalg._echelon(rows, dim)
+    ref, ref_pivots = reference_rref(rows, dim)
+    assert pivots == ref_pivots and len(ech) == len(ref)
+    for i, (r, q, pc) in enumerate(zip(ech, ref, pivots)):
+        assert len(r) == dim and gcd(*r) == 1 and r[pc] > 0
+        assert all(r[c] == 0 for k, c in enumerate(pivots) if k != i)
+        assert [Fraction(x, r[pc]) for x in r] == q
+
+
+def test_echelon_kernel_of_no_rows_is_the_unit_basis():
+    for d in range(8):
+        assert linalg._echelon_kernel([], [], d) == [tuple(int(j == i) for j in range(d)) for i in range(d)]
+
+
+def test_integer_text_in_every_spelling_gives_the_integer():
+    # str(n) is a table lookup; "+n", the zero-padded form and "-0" are
+    # parsed, and give the shared Fraction whenever n is small; "0/5" is zero
+    for n in range(-300, 301):
+        for text in (str(n), f"{n:+d}", f"{n:05d}"):
+            x = frac(text)
+            assert type(x) is Fraction and x == n
+            if -256 <= n <= 256:
+                assert x is _SMALL[n]
+    assert frac("-0") is _SMALL[0] and frac("0/5") == 0
+
+
+def test_canonical_small_integer_text_skips_the_parser(monkeypatch):
+    class Parsed(Exception):
+        pass
+
+    class Stub:
+        def fullmatch(self, text):
+            raise Parsed(text)
+
+    monkeypatch.setattr(linalg, "_RATIONAL", Stub())
+    v = QVector([str(n) for n in range(-256, 257)])
+    assert all(x is _SMALL[n] for x, n in zip(v, range(-256, 257)))
+    with pytest.raises(Parsed):
+        QVector(["+1"])
 
 
 @settings(max_examples=40, deadline=None)
