@@ -26,8 +26,10 @@ adjacency is decided exactly.  The method is incremental, so an intersection
 continues its first operand's conversion: ``intersect`` starts the step loop
 from that cone's generators and their zero sets over its facets, and
 processes only the other operand's rows; ``minkowski_sum`` is the polar of
-the intersection of the polars.  Both representations are canonicalized so
-that cone equality is plain structural equality of integer tuples:
+the intersection of the polars, and ``sets.direction_strata`` cuts a cell
+by one more hyperplane the same way.  Both representations are
+canonicalized so that cone equality is plain structural equality of integer
+tuples:
 
 * the lineality basis is in integer echelon form (unique; ``lin`` divides
   each row by its pivot, which gives the RREF basis),
@@ -57,7 +59,7 @@ hashing read them.  ``fractions.Fraction`` appears only at the API boundary:
 integer forms when they are read, and ``cone_plain`` writes its strings from
 the integer forms directly, once per cone.
 
-Strata, Phase A and the second order test ask one question, "is the open
+Phase A and the second order test ask one question, "is the open
 cell {leq.z <= 0, eqs.z = 0, strict.z < 0} nonempty?", and ``open_cell``
 answers it from the rays of the cell's closure, whose canonical generators
 it returns as a cone.  Cones are built from canonical generators and their
@@ -136,8 +138,9 @@ def _dd_steps(
     with each extreme ray class in ``rays`` once and ``zeros`` its bitmask
     over ``done``; ``eq_echelon`` is an integer echelon form (independent
     rows).  ``_dd`` starts with no row done; ``PolyCone.intersect`` starts
-    from a cone's generators and facets.  Returns what ``_dd`` does, over
-    the rows ``done`` then ``new``.
+    from a cone's generators and facets, ``sets.direction_strata`` from a
+    cell's closure.  Returns what ``_dd`` does, over the rows ``done`` then
+    ``new``.
 
     Incremental double description: after each step span(B) + cone(R) is
     the cone of the rows processed so far, and R holds each extreme ray

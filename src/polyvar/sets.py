@@ -7,46 +7,36 @@ interior of that face") or marked inactive ("the point lies outside the
 piece").  On such a stratum the regular normal cone of the union is constant
 (the intersection of the active pieces' normal cones), and a stratum
 contributes to the directional cone at ``ybar`` in direction ``w`` exactly
-when ``w`` lies in the closure of the feasible-direction cone of one of the
-stratum's cells.  Cells are relatively open polyhedra: face assignments give
-equalities plus strict inequalities, and "outside a piece" splits facet-wise
-into strictly violated constraints.
+when ``w`` lies in the closure of the directions that enter the stratum
+from ``ybar``.
 
-Reachability of a cell from ``ybar`` is decided exactly, and each row of a
-piece is checked against ``ybar`` once, not once per cell.  Only faces that
-contain ``ybar`` can be assigned, so a piece that misses ``ybar`` is always
-"out" with no row in its cell.  Near ``ybar`` a slack row holds strictly and
-a violated row stays violated, so a cell is a homogeneous system in the rows
-tight at ``ybar``: equations plus strict rows in the direction.  Each distinct cell costs one
-conversion, of its closure (the cone with the strict rows closed): the cell
-is reachable iff it is nonempty (``cones.open_cell``, which decides this
-from the rays of the closure), and then the closure is the closure of its
-directions.  No cell costs a conversion of the polar: a reachable cell's
-rows are read off the incidence of its one conversion.  The strata are a
-function of the union and the reference point together, so neither object
-keeps them: ``direction_strata`` computes them on every call, and a
-certifier keeps the strata of D at g0 in its spec's memo.
+Near ``ybar`` the union is locally conic: a slack row holds strictly, a
+violated row stays violated, and a piece that misses ``ybar`` stays out.
+So the stratum that ``ybar + t w`` enters for small t > 0 depends only on
+the signs of h.w over the hyperplanes h of the rows tight at ``ybar``
+(the union's tangent cone is the common refinement of the pieces'; Gfrerer,
+SIAM J. Optim. 2014), and ``direction_strata`` walks those signs.  The
+strata are a function of the union and the reference point together, so
+neither object keeps them: ``direction_strata`` computes them on every
+call, and a certifier keeps the strata of D at g0 in its spec's memo.
 
 A polyhedron is stored only as its homogenization cone: ``A``, ``b``, ``E``
 and ``e`` are rational views of the cone's integer rows, and a point is
-tested by one integer evaluation of those rows.  Its faces, from which the
-face assignments are drawn, are the faces of that cone that have a ray with
-t > 0; they come from the cone layer's incidence enumeration with no
-conversion per face, and are not kept: their one reader,
-``direction_strata``, runs once per spec.  Its normal cone at y,
-cone(active rows of A) + span(E), is built once per active set when it is
-first read and serves the face with that active set too; the tangent cone
-is its polar, and the critical cone the face of the tangent cone that y*
-exposes, read off the tangent cone's rays.
+tested by one integer evaluation of those rows.  Its faces are the faces of
+that cone that have a ray with t > 0; they come from the cone layer's
+incidence enumeration with no conversion per face, and are not kept.  Its
+normal cone at y, cone(active rows of A) + span(E), is built once per
+active set when it is first read and serves the face with that active set
+too; the tangent cone is its polar, and the critical cone the face of the
+tangent cone that y* exposes, read off the tangent cone's rays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Sequence
 
-from .cones import PolyCone, _exposed_face, _face_lattice, _of_rows, _zero_sets, open_cell
+from .cones import PolyCone, _canonical, _dd, _dd_steps, _exposed_face, _face_lattice, _of_generators, _of_rows, _zero_sets
 from .linalg import IntVec, QVector, _dot, _ints, _neg, _reduce, frac
 
 
@@ -200,7 +190,8 @@ class Polyhedron:
         not inside {t = 0}, i.e. that have a ray with t > 0; they come from
         the same incidence routine as cone faces.  The row -t <= 0 is never
         active on such a face, so the routine runs on the rows of ``A``.
-        Not cached: ``direction_strata`` reads it once per spec.
+        Not cached, and nothing in the package reads it: a stratum names a
+        face by the active set that the signs of a direction give.
         """
         rays = self._homog._v[0]
         finite = sum(1 << k for k, r in enumerate(rays) if r[self.dim] > 0)
@@ -355,8 +346,9 @@ class DirectionStratum:
     ``label`` names each piece's face (active, point in the relative
     interior of that face) or marks it "out".  ``normal`` is the constant
     regular normal cone of the union on the stratum, and ``reach`` the list
-    of direction cones (one per nonempty cell) whose union is the closure of
-    directions entering the stratum from the reference point.
+    of direction cones (the closures of the stratum's cells, one per leaf
+    of the walk) whose union is the closure of directions entering the
+    stratum from the reference point.
     """
 
     label: str
@@ -364,77 +356,80 @@ class DirectionStratum:
     reach: tuple[PolyCone, ...]
 
 
-def _options_at(p: Polyhedron, ybar: QVector):
-    """A piece's choices near ybar, each row checked once against ybar.
-
-    Face options are (face, equation rows, strict rows) of the face's cell
-    in direction space: only faces containing ybar, closed on the rows of E
-    and the face's active rows, open on the tight rows it leaves inactive.
-    A piece that misses ybar has the single "out" choice (); one that holds
-    it has one per row that can be violated near it (a.y > b for a row
-    tight at ybar, g.y < e or g.y > e): the homogeneous strict row.  They
-    are distinct, as the rows are canonical and irredundant: no two tight
-    rows, and no tight row and row of E, are parallel.
-    """
-    sa, se = p._slacks(ybar)
-    if any(s > 0 for s in sa) or any(se):
-        # near ybar the piece is absent in every direction: each other "out"
-        # cell would lie inside the cell of ()
-        return [], [()]
-    A, E = p._int_rows()
-    tight = {i for i, s in enumerate(sa) if s == 0}
-    faces = []
-    for f in p.faces():
-        if f.active_set <= tight:
-            eqs = E + [A[i] for i in sorted(f.active_set)]
-            faces.append((f, eqs, [A[i] for i in sorted(tight - f.active_set)]))
-    outs = [(_neg(A[i]),) for i in sorted(tight)] + [(c,) for g in E for c in (g, _neg(g))]
-    return faces, outs
-
-
 def direction_strata(d: UnionSet, ybar: QVector) -> tuple[DirectionStratum, ...]:
     """All strata of the union with their reach cones from ybar.
 
-    Only strata reachable from ybar in at least one direction are returned.
-    A pure function of its arguments with no memo: the union is not its
-    cache, and a certifier keeps the strata of D at g0 in its spec's memo.
+    Only strata reachable from ybar in at least one direction are returned,
+    in the product order over the pieces of (faces by active set size, then
+    by indices; "out" last).
+
+    A depth-first walk over the hyperplanes h (up to sign) of the rows tight
+    at ybar, trying the signs 0, -, + of h.w.  A node is a relatively open
+    cell, held as the double description of its closure.  Only hyperplanes
+    of pieces that no chosen sign violates are decided; a child with no such
+    piece is pruned, and a node with no hyperplane left is a leaf, labelled
+    by those pieces' faces (their tight rows of sign 0).  The cell is dense
+    in its closure, so h takes - (or +) on it iff it does on a generator, and
+    0 iff it takes both signs or vanishes on all; when it takes both, h cuts
+    the cell and each child continues the conversion by one ``_dd_steps``
+    pass over h (or h and -h).
     """
-    if not d.contains(ybar):
+    planes: dict[IntVec, int] = {}  # hyperplane, first entry positive -> index
+    holding = []  # per piece that holds ybar: {hyperplane: (sign, row of A, or None for E)}
+    for i, p in enumerate(d.pieces):
+        sa, se = p._slacks(ybar)
+        if any(s > 0 for s in sa) or any(se):
+            continue  # out in every direction
+        A, E = p._int_rows()
+        rows = {}  # no two rows of a piece are parallel: they are canonical
+        for r, j in [*((g, None) for g in E), *((A[j], j) for j, s in enumerate(sa) if s == 0)]:
+            sign = 1 if next(x for x in r if x) > 0 else -1
+            rows[planes.setdefault(r if sign > 0 else _neg(r), len(planes))] = (sign, j)
+        holding.append((i, p, rows))
+    if not holding:
         raise ValueError("reference point lies in no piece of the union")
-    face_options, out_options = zip(*(_options_at(p, ybar) for p in d.pieces))
+    hyper, dim = list(planes), d.dim
+    signs: dict[int, int] = {}  # the signs chosen on the path to the node
+    leaves: dict[tuple, tuple[list, list]] = {}  # order key -> (faces, leaf closures)
 
-    # cells with identical equations and strict rows share one reach cone;
-    # the union of polyhedra reuses many such cells across signatures
-    reach_memo: dict = {}
+    def compatible(rows: dict, k: int, s: int) -> bool:
+        # a row of E on h allows the sign 0, a row of A the signs keeping it <= 0
+        sign, j = rows.get(k, (0, 0))
+        return not s if j is None else sign * s <= 0
 
-    def memo_reach(eqs: list, stricts: list) -> PolyCone | None:
-        key = (frozenset(eqs), frozenset(stricts))
-        if key not in reach_memo:
-            reach_memo[key] = open_cell(d.dim, (), eqs, stricts)
-        return reach_memo[key]
+    def walk(live: list, cell: tuple) -> None:
+        k = next((k for _, _, rows in live for k in rows if k not in signs), None)
+        if k is None:
+            faces = {i: PolyFace(frozenset(j for q, (_, j) in rows.items() if j is not None and not signs[q]), p)
+                     for i, p, rows in live}
+            key = tuple((0, len(f.active_set), tuple(sorted(f.active_set))) if (f := faces.get(i)) else (1,)
+                        for i in range(len(d.pieces)))
+            leaves.setdefault(key, (list(faces.values()), []))[1].append(cell)
+            return
+        h, (basis, rays, zeros, done, eqs) = hyper[k], cell
+        if any(_dot(h, b) for b in basis):  # the signs of h on the closure's generators
+            found = {-1, 1}
+        else:
+            found = {(v > 0) - (v < 0) for v in (_dot(h, r) for r in rays)} - {0}
+        cuts = len(found) == 2
+        for s, new in ((0, (h, _neg(h))), (-1, (h,)), (1, (_neg(h),))):
+            if cuts or s in found or not (s or found):
+                kept = [piece for piece in live if compatible(piece[2], k, s)]
+                if kept:
+                    signs[k] = s
+                    walk(kept, _dd_steps(dim, basis, rays, zeros, done, new, eqs) if cuts else cell)
+                    del signs[k]
 
+    walk(holding, _dd(dim, (), ()))
     strata: list[DirectionStratum] = []
-    for assignment in product(*(faces + [None] for faces in face_options)):
-        active = [opt for opt in assignment if opt is not None]
-        if not active:
-            continue
-        eqs = [g for _, rows, _ in active for g in rows]
-        stricts = [c for _, _, rows in active for c in rows]
-        outs = [out_options[i] for i, opt in enumerate(assignment) if opt is None]
-        reach: list[PolyCone] = []
-        for combo in product(*outs):
-            q = memo_reach(eqs, stricts + [c for choice in combo for c in choice])
-            if q is not None:
-                reach.append(q)
-        if not reach:
-            continue
-        normal = active[0][0].normal
-        for face, _, _ in active[1:]:
+    for key in sorted(leaves):
+        faces, cells = leaves[key]
+        normal = faces[0].normal
+        for face in faces[1:]:
             normal = normal.intersect(face.normal)
-        label = " & ".join(
-            f"P{i}:out" if opt is None else f"P{i}@F{sorted(opt[0].active_set)}" for i, opt in enumerate(assignment)
-        )
-        strata.append(DirectionStratum(label=label, normal=normal, reach=tuple(dict.fromkeys(reach))))
+        label = " & ".join(f"P{i}@F{list(part[2])}" if part[0] == 0 else f"P{i}:out" for i, part in enumerate(key))
+        reach = tuple(_of_generators(dim, *_canonical(dim, *cell)) for cell in cells)
+        strata.append(DirectionStratum(label=label, normal=normal, reach=reach))
     return tuple(strata)
 
 

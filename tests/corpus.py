@@ -4,6 +4,7 @@ and a counter of cone conversions."""
 from __future__ import annotations
 
 import random
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
@@ -22,7 +23,9 @@ def rng(seed: int) -> random.Random:
 def counting_dd():
     """The list of the arguments of every pass of the double description
     step loop (``cones._dd_steps``) made inside: one per conversion, cold
-    (``cones._dd``) or continued (``PolyCone.intersect``)."""
+    (``cones._dd``) or continued (``PolyCone.intersect``, a step of
+    ``sets.direction_strata``).  Every module that bound the loop sees the
+    counting one."""
     calls = []
     real = cones._dd_steps
 
@@ -30,11 +33,14 @@ def counting_dd():
         calls.append(args)
         return real(*args)
 
-    cones._dd_steps = counted
+    bound = [m for name, m in sys.modules.items() if name.startswith("polyvar.") and vars(m).get("_dd_steps") is real]
+    for m in bound:
+        m._dd_steps = counted
     try:
         yield calls
     finally:
-        cones._dd_steps = real
+        for m in bound:
+            m._dd_steps = real
 
 
 def random_cone(r: random.Random, dim: int) -> PolyCone:

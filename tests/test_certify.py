@@ -1012,14 +1012,26 @@ def test_second_joint_check_makes_no_conversion():
     assert calls == []
 
 
-@pytest.mark.parametrize("make, conversions", ((ex3_spec, 160), (ex4_spec, 16)))
+@pytest.mark.parametrize("make, conversions", ((ex3_spec, 24), (ex4_spec, 8)))
 def test_kernel_meets_take_one_conversion_each(make, conversions):
     # each ker Jx^T ∩ N is one conversion of N's rows and Jx's columns; a
-    # kernel cone converted first and then intersected took two more on each
+    # kernel cone converted first and then intersected took two more on each.
+    # The strata are built first, so only the meets and pullbacks count.
     spec = make()
+    certify._strata(spec)
     with counting_dd() as calls:
         _foscms_strata(spec)
     assert len(calls) == conversions
+
+
+@pytest.mark.parametrize("make, passes", ((ex3_spec, 44), (ex4_spec, 11)))
+def test_strata_walk_passes(make, passes):
+    # the walk makes one step pass per hyperplane that cuts a cell, and the
+    # face normals and their meets one each
+    spec = make()
+    with counting_dd() as calls:
+        certify._strata(spec)
+    assert len(calls) == passes
 
 
 def test_pullback_read_through_its_generators_converts_once():

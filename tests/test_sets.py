@@ -16,8 +16,7 @@ from corpus import (
     random_union,
     rng,
 )
-from polyvar import sets
-from polyvar.cones import PolyCone
+from polyvar.cones import PolyCone, open_cell
 from polyvar.linalg import QVector, _neg
 from polyvar.oracle import sample_union_normals
 from polyvar.sets import (
@@ -210,17 +209,18 @@ def complementarity(k, bounds):
 
 
 def test_bounded_complementarity_has_the_strata_at_zero_of_the_unbounded_one():
-    # the bounds are slack at 0, so their faces miss 0 and change no stratum
-    y0 = QVector.zero(4)
-
-    def forms(d):
+    # the bounds are slack at 0, so their faces miss 0 and change no stratum;
+    # per pair y_i > 0, y_(k+i) > 0 or both 0, so 3^k strata
+    def forms(d, y0):
         return [
             [(c.key(), c._h, c._v) for c in (s.normal, *s.reach)] for s in direction_strata(d, y0)
         ]
 
-    plain = forms(complementarity(2, {}))
-    assert len(plain) == 9
-    assert forms(complementarity(2, {0: 2, 1: 1, 3: 5})) == plain
+    for k, count in ((2, 9), (3, 27), (4, 81)):
+        y0 = QVector.zero(2 * k)
+        plain = forms(complementarity(k, {}), y0)
+        assert len(plain) == count
+        assert forms(complementarity(k, {0: 2, 1: 1, 3: 5}), y0) == plain
 
 
 def test_directional_normal_cone_antitone_in_direction():
@@ -324,21 +324,6 @@ def test_union_keeps_no_strata():
     with counting_dd() as calls:
         again = direction_strata(d, y0)
     assert again == first and calls
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10**6), st.integers(1, 3), st.booleans())
-def test_out_choices_are_distinct_hypothesis(seed, dim, affine):
-    # a polyhedron's rows are canonical and irredundant, so at a point it
-    # holds no two of its strict "out" rows coincide: no two tight rows are
-    # parallel, and no tight row is parallel to a row of E
-    r = rng(seed)
-    d = random_affine_union(r, dim)[0] if affine else random_union(r, dim)
-    for p in d.pieces:
-        for y in product(range(-2, 3), repeat=dim):
-            if p.contains(QVector(y)):
-                outs = sets._options_at(p, QVector(y))[1]
-                assert len(set(outs)) == len(outs), (p, y)
 
 
 def test_cone_union_canonicalization():
@@ -573,7 +558,8 @@ def test_polyhedron_equality_is_equality_of_the_rational_views_hypothesis(p, q, 
 
 def test_piece_missing_the_point_adds_one_out_cell():
     # gph N_Γ of Γ = {-y1-y2 <= 1, -y1+2y2 <= 2, y1-y2 <= 1, y1 <= 1}: only 4
-    # of its 9 pieces hold g0, and each of the others has the single cell ()
+    # of its 9 pieces hold g0; the others are out in every direction and add
+    # no hyperplane to the walk
     gamma = Polyhedron(2, A=[[-1, -1], [-1, 2], [1, -1], [1, 0]], b=[1, 2, 1, 1])
     d = graph_union(gamma)
     g0 = QVector([0, -1, 0, 0])
@@ -584,9 +570,36 @@ def test_piece_missing_the_point_adds_one_out_cell():
     assert len(calls) < 10_000
 
 
+# -- the enumeration the walk replaced, kept as a reference --------------------------
+
+
+def options_at(p, ybar):
+    """A piece's choices near ybar, each row checked once against ybar.
+
+    Face options are (face, equation rows, strict rows) of the face's cell
+    in direction space: only faces containing ybar, closed on the rows of E
+    and the face's active rows, open on the tight rows it leaves inactive.
+    A piece that misses ybar has the single "out" choice (); one that holds
+    it has one per row that can be violated near it (a.y > b for a row
+    tight at ybar, g.y < e or g.y > e): the homogeneous strict row.
+    """
+    sa, se = p._slacks(ybar)
+    if any(s > 0 for s in sa) or any(se):
+        return [], [()]
+    A, E = p._int_rows()
+    tight = {i for i, s in enumerate(sa) if s == 0}
+    faces = []
+    for f in p.faces():
+        if f.active_set <= tight:
+            eqs = E + [A[i] for i in sorted(f.active_set)]
+            faces.append((f, eqs, [A[i] for i in sorted(tight - f.active_set)]))
+    outs = [(_neg(A[i]),) for i in sorted(tight)] + [(c,) for g in E for c in (g, _neg(g))]
+    return faces, outs
+
+
 def options_row_by_row(p, ybar):
-    """The choices of ``sets._options_at`` with one "out" choice per row
-    violated near ybar for every piece, also for one that misses ybar."""
+    """The choices of ``options_at`` with one "out" choice per row violated
+    near ybar for every piece, also for one that misses ybar."""
     A, E = p._int_rows()
     sa, se = p._slacks(ybar)
     tight = {i for i, s in enumerate(sa) if s == 0}
@@ -603,20 +616,57 @@ def options_row_by_row(p, ybar):
     return faces, list(dict.fromkeys(outs))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6), st.integers(2, 3), st.data())
-def test_missing_pieces_keep_the_strata_of_the_row_by_row_choices_hypothesis(seed, dim, data):
-    d = random_union(rng(seed), dim)
-    points = [QVector(y) for y in product((-1, 0, 1), repeat=dim)]
-    points = [y for y in points if d.contains(y) and not all(p.contains(y) for p in d.pieces)]
-    assume(points)
-    y = data.draw(st.sampled_from(points))
-    new = direction_strata(d, y)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sets, "_options_at", options_row_by_row)
-        old = direction_strata(UnionSet(d.pieces), y)
-    assert [s.label for s in new] == [s.label for s in old]
-    for s, t in zip(new, old):
-        assert s.normal == t.normal
-        assert set(s.reach) <= set(t.reach)
-        assert all(any(r.subcone_of(q) for q in s.reach) for r in t.reach)
+def enumerated_strata(d, ybar, options=options_at):
+    """(label, normal, reach cones) of every stratum reachable from ybar, by
+    the product over the pieces of (face, or "out") and, per assignment, the
+    product of the out pieces' choices: one open cell each."""
+    face_options, out_options = zip(*(options(p, ybar) for p in d.pieces))
+    strata = []
+    for assignment in product(*(faces + [None] for faces in face_options)):
+        active = [opt for opt in assignment if opt is not None]
+        if not active:
+            continue
+        eqs = [g for _, rows, _ in active for g in rows]
+        stricts = [c for _, _, rows in active for c in rows]
+        outs = [out_options[i] for i, opt in enumerate(assignment) if opt is None]
+        cells = (open_cell(d.dim, (), eqs, stricts + [c for choice in combo for c in choice]) for combo in product(*outs))
+        reach = [q for q in cells if q is not None]
+        if not reach:
+            continue
+        normal = active[0][0].normal
+        for face, _, _ in active[1:]:
+            normal = normal.intersect(face.normal)
+        label = " & ".join(
+            f"P{i}:out" if opt is None else f"P{i}@F{sorted(opt[0].active_set)}" for i, opt in enumerate(assignment)
+        )
+        strata.append((label, normal, reach))
+    return strata
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["cones", "affine", "graph"]), st.booleans(), st.data())
+def test_walk_has_the_strata_of_the_enumeration_hypothesis(seed, kind, row_by_row, data):
+    # the same labels in the same order, the same normal cones, and reach
+    # cones that hold the same points of {-2..2}^dim; on cone unions the
+    # point is any grid point of the union, so pieces can miss it, and there
+    # each violated row of every piece can be an "out" choice
+    r = rng(seed)
+    if kind == "cones":
+        d = random_union(r, data.draw(st.integers(1, 3)))
+        points = [QVector(y) for y in product((-1, 0, 1), repeat=d.dim)]
+        ybar = data.draw(st.sampled_from([y for y in points if d.contains(y)]))
+    elif kind == "affine":
+        d, ybar = random_affine_union(r, data.draw(st.integers(1, 3)))
+    else:
+        gamma = random_gamma(r, 2)
+        d = graph_union(gamma)
+        y, ystar = random_graph_point(r, gamma)
+        ybar = QVector((*y.entries, *ystar.entries))
+    walk = direction_strata(d, ybar)
+    ref = enumerated_strata(d, ybar, options_row_by_row if row_by_row else options_at)
+    assert [s.label for s in walk] == [label for label, _, _ in ref]
+    grid = [tuple(w) for w in product(range(-2, 3), repeat=d.dim)]
+    for s, (_, normal, reach) in zip(walk, ref):
+        assert s.normal == normal
+        for w in grid:
+            assert any(q._holds(w) for q in s.reach) == any(q._holds(w) for q in reach), (s.label, w)
