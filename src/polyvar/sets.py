@@ -15,10 +15,11 @@ violated row stays violated, and a piece that misses ``ybar`` stays out.
 So the stratum that ``ybar + t w`` enters for small t > 0 depends only on
 the signs of h.w over the hyperplanes h of the rows tight at ``ybar``
 (the union's tangent cone is the common refinement of the pieces'; Gfrerer,
-SIAM J. Optim. 2014), and ``direction_strata`` walks those signs.  The
-strata are a function of the union and the reference point together, so
-neither object keeps them: ``direction_strata`` computes them on every
-call, and a certifier keeps the strata of D at g0 in its spec's memo.
+SIAM J. Optim. 2014), and ``direction_strata`` walks those signs; along
+one w, only over the cells whose closure holds w.  The strata are a
+function of the union and the reference point together, so neither object
+keeps them: ``direction_strata`` computes them on every call, and a
+certifier keeps the strata of D at g0 in its spec's memo.
 
 A polyhedron is stored only as its homogenization cone: ``A``, ``b``, ``E``
 and ``e`` are rational views of the cone's integer rows, and a point is
@@ -289,15 +290,27 @@ class ConeUnion:
     Pieces subsumed by another piece are dropped, duplicates merged, and the
     list is sorted by canonical key, so equality of values is structural.
     Every piece lies in R^dim; the empty union (empty set) is allowed.
+
+    Each distinct piece's integer generators are built once.  A piece c is
+    tested against d only when span(c) and lin(c) are no larger than d's,
+    as c ⊆ d needs both, and a point of c's relative interior is tested
+    first.  A single piece is kept with no second side read.
     """
 
     __slots__ = ("dim", "pieces")
 
     def __init__(self, dim: int, pieces: Iterable[PolyCone]):
-        uniq = list(dict.fromkeys(pieces))
-        if any(c.dim != dim for c in uniq):
+        keep = list(dict.fromkeys(pieces))
+        if any(c.dim != dim for c in keep):
             raise ValueError("cone dimension mismatch")
-        keep = [c for c in uniq if not any(d is not c and c.subcone_of(d) for d in uniq)]
+        if len(keep) > 1:
+            sized = []  # per cone: a relative-interior point, then its generators
+            for c in keep:
+                rays, lin = c._v
+                point = tuple(map(sum, zip((0,) * dim, *rays, *lin)))
+                sized.append((c, [point, *c._int_generators()], c.span_dim(), len(lin)))
+            keep = [c for c, gens, s, l in sized
+                    if not any(d is not c and s <= t and l <= m and all(map(d._holds, gens)) for d, _, t, m in sized)]
         keep.sort(key=lambda c: c.key())
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "pieces", tuple(keep))
@@ -348,7 +361,8 @@ class DirectionStratum:
     regular normal cone of the union on the stratum, and ``reach`` the list
     of direction cones (the closures of the stratum's cells, one per leaf
     of the walk) whose union is the closure of directions entering the
-    stratum from the reference point.
+    stratum from the reference point; along w, only the cells whose
+    closure holds w.
     """
 
     label: str
@@ -356,24 +370,27 @@ class DirectionStratum:
     reach: tuple[PolyCone, ...]
 
 
-def direction_strata(d: UnionSet, ybar: QVector) -> tuple[DirectionStratum, ...]:
-    """All strata of the union with their reach cones from ybar.
+def direction_strata(d: UnionSet, ybar: QVector, w: QVector | None = None) -> tuple[DirectionStratum, ...]:
+    """The strata of the union reachable from ybar, with their reach cones;
+    along w != 0, those whose closed cells hold w, with just those cells.
 
-    Only strata reachable from ybar in at least one direction are returned,
-    in the product order over the pieces of (faces by active set size, then
-    by indices; "out" last).
-
-    A depth-first walk over the hyperplanes h (up to sign) of the rows tight
-    at ybar, trying the signs 0, -, + of h.w.  A node is a relatively open
-    cell, held as the double description of its closure.  Only hyperplanes
-    of pieces that no chosen sign violates are decided; a child with no such
-    piece is pruned, and a node with no hyperplane left is a leaf, labelled
-    by those pieces' faces (their tight rows of sign 0).  The cell is dense
-    in its closure, so h takes - (or +) on it iff it does on a generator, and
-    0 iff it takes both signs or vanishes on all; when it takes both, h cuts
-    the cell and each child continues the conversion by one ``_dd_steps``
-    pass over h (or h and -h).
+    Strata come in the product order over the pieces of (faces by active set
+    size, then by indices; "out" last).  A depth-first walk over the
+    hyperplanes h (up to sign) of the rows tight at ybar tries the signs
+    0, -, + of h.z; along w only the sign of h.w where it is not 0, so it
+    visits exactly the cells whose closure holds w.  A node is a relatively
+    open cell, held as the double description of its closure.  Only
+    hyperplanes of pieces that no chosen sign violates are decided; a child
+    with no such piece is pruned, and a node with no hyperplane left is a
+    leaf, labelled by those pieces' faces (their tight rows of sign 0).  The
+    cell is dense in its closure, so h takes - (or +) on it iff it does on a
+    generator, and 0 iff it takes both signs or vanishes on all; when it takes
+    both, h cuts the cell and each child continues the conversion by one
+    ``_dd_steps`` pass over h (or h and -h).
     """
+    wi = _ints(w) if w is not None else (0,) * d.dim
+    if len(wi) != d.dim:
+        raise ValueError("direction has wrong dimension")
     planes: dict[IntVec, int] = {}  # hyperplane, first entry positive -> index
     holding = []  # per piece that holds ybar: {hyperplane: (sign, row of A, or None for E)}
     for i, p in enumerate(d.pieces):
@@ -411,9 +428,9 @@ def direction_strata(d: UnionSet, ybar: QVector) -> tuple[DirectionStratum, ...]
             found = {-1, 1}
         else:
             found = {(v > 0) - (v < 0) for v in (_dot(h, r) for r in rays)} - {0}
-        cuts = len(found) == 2
+        cuts, hw = len(found) == 2, _dot(h, wi)
         for s, new in ((0, (h, _neg(h))), (-1, (h,)), (1, (_neg(h),))):
-            if cuts or s in found or not (s or found):
+            if (cuts or s in found or not (s or found)) and (not hw or s * hw > 0):
                 kept = [piece for piece in live if compatible(piece[2], k, s)]
                 if kept:
                     signs[k] = s
@@ -436,13 +453,8 @@ def direction_strata(d: UnionSet, ybar: QVector) -> tuple[DirectionStratum, ...]
 def directional_normal_cone(d: UnionSet, ybar: QVector, w: QVector) -> ConeUnion:
     """Directional limiting normal cone to the union at ybar in direction w.
 
-    Union over all strata reachable from ybar in direction w of their
-    (constant) regular normal cones.  Direction w = 0 yields the full
-    limiting normal cone.  An empty union means no sequence approaches ybar
-    along w inside the set.
+    The union of the normal cones of the strata ``direction_strata`` walks
+    along w.  Direction w = 0 yields the full limiting normal cone.  An
+    empty union means no sequence approaches ybar along w inside the set.
     """
-    if w.dim != d.dim:
-        raise ValueError("direction has wrong dimension")
-    wi = _ints(w)
-    hit = [s.normal for s in direction_strata(d, ybar) if any(q._holds(wi) for q in s.reach)]
-    return ConeUnion(d.dim, hit)
+    return ConeUnion(d.dim, [s.normal for s in direction_strata(d, ybar, w)])

@@ -10,6 +10,7 @@ from corpus import (
     counting_dd,
     graph_union,
     random_affine_union,
+    random_cone,
     random_gamma,
     random_graph_point,
     random_tangent_pair,
@@ -17,7 +18,7 @@ from corpus import (
     rng,
 )
 from polyvar.cones import PolyCone, open_cell
-from polyvar.linalg import QVector, _neg
+from polyvar.linalg import QVector, _ints, _neg
 from polyvar.oracle import sample_union_normals
 from polyvar.sets import (
     ConeUnion,
@@ -332,6 +333,40 @@ def test_cone_union_canonicalization():
     u = ConeUnion(2, [ray, quad, ray])
     assert u.pieces == (quad,)
     assert ConeUnion(2, []).is_empty()
+
+
+def quadratic_union(pieces):
+    """The pieces of ``ConeUnion(dim, pieces)`` by the filter it replaced:
+    every distinct cone tested against every other one."""
+    uniq = list(dict.fromkeys(pieces))
+    keep = [c for c in uniq if not any(d is not c and c.subcone_of(d) for d in uniq)]
+    return tuple(sorted(keep, key=lambda c: c.key()))
+
+
+@st.composite
+def cone_lists(draw):
+    # corpus cones, their faces (nested by construction), equal cones built
+    # apart, the trivial cone and cones that are only a lineality space
+    dim = draw(st.integers(1, 4))
+    r = rng(draw(st.integers(0, 10**6)))
+    pool = [PolyCone.origin(dim), PolyCone.full_space(dim), PolyCone.from_generators(dim, lin=[[1] * dim])]
+    for c in (random_cone(r, dim) for _ in range(draw(st.integers(1, 4)))):
+        pool += [c, PolyCone.from_ineqs(dim, c.ineqs, c.eqs), PolyCone.from_generators(dim, lin=c.lin)]
+        pool += [f.cone for f in c.faces()]
+    return dim, draw(st.lists(st.sampled_from(pool), max_size=16))
+
+
+@settings(max_examples=120, deadline=None)
+@given(cone_lists())
+def test_cone_union_keeps_the_pieces_of_the_quadratic_filter_hypothesis(case):
+    dim, pieces = case
+    assert ConeUnion(dim, pieces).pieces == quadratic_union(pieces)
+
+
+def test_cone_union_of_one_piece_reads_no_rows():
+    c = PolyCone.from_ineqs(3, [[1, 0, 0], [0, 1, -1]])  # built with its generators
+    assert ConeUnion(3, [c, PolyCone.from_ineqs(3, [[0, 1, -1], [1, 0, 0]])]).pieces == (c,)
+    assert c._reps[1] is None  # its rows are not read off
 
 
 def test_cone_union_rejects_pieces_of_another_dimension():
@@ -670,3 +705,40 @@ def test_walk_has_the_strata_of_the_enumeration_hypothesis(seed, kind, row_by_ro
         assert s.normal == normal
         for w in grid:
             assert any(q._holds(w) for q in s.reach) == any(q._holds(w) for q in reach), (s.label, w)
+
+
+# -- the walk along one direction -----------------------------------------------------
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["cones", "affine", "graph"]), st.data())
+def test_walk_along_a_direction_is_the_filtered_walk_hypothesis(seed, kind, data):
+    # along w the walk visits exactly the cells whose closure holds w: the
+    # strata of the full walk with such a cell, in order, with their normals
+    # and just those cells; directions are 0, a point of each cell and
+    # random grid points
+    r = rng(seed)
+    if kind == "cones":
+        d = random_union(r, data.draw(st.integers(1, 3)))
+        points = [QVector(y) for y in product((-1, 0, 1), repeat=d.dim)]
+        ybar = data.draw(st.sampled_from([y for y in points if d.contains(y)]))
+    elif kind == "affine":
+        d, ybar = random_affine_union(r, data.draw(st.integers(1, 3)))
+    else:
+        gamma = random_gamma(r, 2)
+        d = graph_union(gamma)
+        y, ystar = random_graph_point(r, gamma)
+        ybar = QVector((*y.entries, *ystar.entries))
+    full = direction_strata(d, ybar)
+    dirs = [QVector.zero(d.dim), *(q.rel_interior_point() for s in full for q in s.reach)]
+    grid = st.lists(st.integers(-2, 2), min_size=d.dim, max_size=d.dim)
+    dirs += [QVector(data.draw(grid)) for _ in range(4)]
+    for w in dirs:
+        wi = _ints(w)
+        hit = [(s.label, s.normal, [q.key() for q in s.reach if q._holds(wi)]) for s in full]
+        walk = [(s.label, s.normal, [q.key() for q in s.reach]) for s in direction_strata(d, ybar, w)]
+        assert walk == [h for h in hit if h[2]], w
+    assert direction_strata(d, ybar, QVector.zero(d.dim)) == full
+    for n in (d.dim - 1, d.dim + 1):
+        with pytest.raises(ValueError, match="direction has wrong dimension"):
+            direction_strata(d, ybar, QVector([1] * n))
