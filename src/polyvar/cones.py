@@ -15,8 +15,9 @@ rows, and reads the other off that incidence the first time it is read
 among the others the rows with inclusion-maximal zero sets are the facets
 (Fukuda & Prodon 1996; Schrijver 1986, §8.2).  So each cone costs one
 conversion, a cone and its polar share both sides, and a side nothing reads
-is never built.  Faces, the closures ``open_cell`` returns and exposed faces
-(critical cones) read their rows off the same incidence, cut to their rays.
+is never built.  Faces, the closures ``open_cell`` returns and exposed
+faces (critical cones, stratum normals, polars of difference cones) read
+their rows off the same incidence, cut to their rays.
 
 Conversion between the two runs the double description method: equalities are
 absorbed into the start basis (``_dd``), inequalities are processed one at a
@@ -600,10 +601,10 @@ class Face:
 
 def _exposed_face(cone: PolyCone, zstar: IntVec) -> PolyCone:
     """The face cone ∩ [z*]^⊥ for an integer z* in the polar: the cone's rays
-    orthogonal to z* plus its lineality space, with no conversion.  Its rows
-    are read off the zero sets of those rays over the cone's rows; the rows
-    that write z* as a nonnegative combination (plus equations) are zero on
-    every such ray, so they come out as the face's equations."""
+    orthogonal to z* plus its lineality, with no conversion, and rows read
+    off their zero sets over the cone's rows (those writing z* come out as
+    equations).  Critical cones, stratum normals (``sets.direction_strata``)
+    and, as polars, difference cones (``face_difference``) are such faces."""
     ineqs, eqs = cone._h
     rays, lin = cone._v
     face = tuple(r for r in rays if _dot(r, zstar) == 0)
@@ -611,16 +612,13 @@ def _exposed_face(cone: PolyCone, zstar: IntVec) -> PolyCone:
 
 
 def face_difference(f1: PolyCone, f2: PolyCone) -> PolyCone:
-    """The cone F1 - F2 = F1 + (-F2); requires F2 ⊆ F1.  It is the tangent
-    cone of F1 at a relative-interior point of F2: F1's equations and the
-    inequality rows of F1 that vanish on every generator of F2.  The same
-    products of F1's rows with F2's generators check F2 ⊆ F1."""
-    f1._check_dim(f2)
-    (ineqs, eqs), gens = f1._h, f2._int_generators()
-    prods = [[_dot(a, g) for g in gens] for a in ineqs]
-    if any(p > 0 for row in prods for p in row) or any(_dot(e, g) for e in eqs for g in gens):
+    """The cone F1 - F2 = F1 + (-F2); requires F2 ⊆ F1.  Its polar is the
+    face of F1's polar that z, the sum of F2's rays, exposes (every vector
+    of F1's polar vanishes on lin F1, so on lin F2), and the polar's polar
+    is read off that face's incidence: no conversion."""
+    if not f2.subcone_of(f1):
         raise ValueError("face_difference requires F2 to be contained in F1")
-    return _of_rows(f1.dim, [a for a, row in zip(ineqs, prods) if not any(row)], eqs)
+    return _exposed_face(f1.polar(), tuple(map(sum, zip((0,) * f1.dim, *f2._v[0])))).polar()
 
 
 class _PlainCone(dict):

@@ -16,7 +16,9 @@ So the stratum that ``ybar + t w`` enters for small t > 0 depends only on
 the signs of h.w over the hyperplanes h of the rows tight at ``ybar``
 (the union's tangent cone is the common refinement of the pieces'; Gfrerer,
 SIAM J. Optim. 2014), and ``direction_strata`` walks those signs; along
-one w, only over the cells whose closure holds w.  The strata are a
+one w, only over the cells whose closure holds w.  A stratum's normal is
+read off, not converted: the face of the meet of its pieces' normal cones
+at ``ybar`` that a direction in its cell exposes.  The strata are a
 function of the union and the reference point together, so neither object
 keeps them: ``direction_strata`` computes them on every call, and a
 certifier keeps the strata of D at g0 in its spec's memo.
@@ -27,8 +29,8 @@ tested by one integer evaluation of those rows.  Its faces are the faces of
 that cone that have a ray with t > 0; they come from the cone layer's
 incidence enumeration with no conversion per face, and are not kept.  Its
 normal cone at y, cone(active rows of A) + span(E), is built once per
-active set when it is first read and serves the face with that active set
-too; the tangent cone is its polar, and the critical cone the face of the
+active set when it is first read, and a face's ``normal`` reads the same
+cone; the tangent cone is its polar, and the critical cone the face of the
 tangent cone that y* exposes, read off the tangent cone's rays.
 """
 
@@ -208,7 +210,7 @@ class PolyFace:
     interior points of the face, generated by the face's active rows of
     ``A`` and the rows of ``E``.  It is the cone ``normal_cone`` returns
     there, built by the polyhedron once per active set when it is first
-    read: strata need it only for the faces they assign.
+    read; strata read their normals off the normal cones at ``ybar``.
     """
 
     active_set: frozenset
@@ -358,11 +360,11 @@ class DirectionStratum:
 
     ``label`` names each piece's face (active, point in the relative
     interior of that face) or marks it "out".  ``normal`` is the constant
-    regular normal cone of the union on the stratum, and ``reach`` the list
-    of direction cones (the closures of the stratum's cells, one per leaf
-    of the walk) whose union is the closure of directions entering the
-    stratum from the reference point; along w, only the cells whose
-    closure holds w.
+    regular normal cone of the union on the stratum (the meet of its faces'
+    normals, read off as an exposed face), and ``reach`` the list of
+    direction cones (the closures of the stratum's cells, one per leaf of
+    the walk) whose union is the closure of directions entering the stratum
+    from the reference point; along w, only the cells whose closure holds w.
     """
 
     label: str
@@ -387,12 +389,19 @@ def direction_strata(d: UnionSet, ybar: QVector, w: QVector | None = None) -> tu
     generator, and 0 iff it takes both signs or vanishes on all; when it takes
     both, h cuts the cell and each child continues the conversion by one
     ``_dd_steps`` pass over h (or h and -h).
+
+    For w in a cell where piece P has the face F, N_P(F) = N_P(ybar) ∩ w^⊥,
+    so a stratum's normal is the face of M_S, the meet of the normal cones
+    at ybar of its live pieces S, that w exposes (``_exposed_face``), w the
+    sum of the rays of its first cell's closure.  Each piece's normal at
+    ybar is converted once and M_S once per S of two or more pieces, from
+    their stacked rows; leaves keep only piece indices and active sets.
     """
     wi = _ints(w) if w is not None else (0,) * d.dim
     if len(wi) != d.dim:
         raise ValueError("direction has wrong dimension")
     planes: dict[IntVec, int] = {}  # hyperplane, first entry positive -> index
-    holding = []  # per piece that holds ybar: {hyperplane: (sign, row of A, or None for E)}
+    holding = {}  # index of a piece that holds ybar -> {hyperplane: (sign, row of A, or None for E)}
     for i, p in enumerate(d.pieces):
         sa, se = p._slacks(ybar)
         if any(s > 0 for s in sa) or any(se):
@@ -402,12 +411,12 @@ def direction_strata(d: UnionSet, ybar: QVector, w: QVector | None = None) -> tu
         for r, j in [*((g, None) for g in E), *((A[j], j) for j, s in enumerate(sa) if s == 0)]:
             sign = 1 if next(x for x in r if x) > 0 else -1
             rows[planes.setdefault(r if sign > 0 else _neg(r), len(planes))] = (sign, j)
-        holding.append((i, p, rows))
+        holding[i] = rows
     if not holding:
         raise ValueError("reference point lies in no piece of the union")
     hyper, dim = list(planes), d.dim
     signs: dict[int, int] = {}  # the signs chosen on the path to the node
-    leaves: dict[tuple, tuple[list, list]] = {}  # order key -> (faces, leaf closures)
+    leaves: dict[tuple, list] = {}  # order key (the active set of each live piece's face) -> leaf cells
 
     def compatible(rows: dict, k: int, s: int) -> bool:
         # a row of E on h allows the sign 0, a row of A the signs keeping it <= 0
@@ -415,13 +424,11 @@ def direction_strata(d: UnionSet, ybar: QVector, w: QVector | None = None) -> tu
         return not s if j is None else sign * s <= 0
 
     def walk(live: list, cell: tuple) -> None:
-        k = next((k for _, _, rows in live for k in rows if k not in signs), None)
+        k = next((k for _, rows in live for k in rows if k not in signs), None)
         if k is None:
-            faces = {i: PolyFace(frozenset(j for q, (_, j) in rows.items() if j is not None and not signs[q]), p)
-                     for i, p, rows in live}
-            key = tuple((0, len(f.active_set), tuple(sorted(f.active_set))) if (f := faces.get(i)) else (1,)
-                        for i in range(len(d.pieces)))
-            leaves.setdefault(key, (list(faces.values()), []))[1].append(cell)
+            faces = {i: sorted(j for q, (_, j) in rows.items() if j is not None and not signs[q]) for i, rows in live}
+            key = tuple((0, len(faces[i]), tuple(faces[i])) if i in faces else (1,) for i in range(len(d.pieces)))
+            leaves.setdefault(key, []).append(cell)
             return
         h, (basis, rays, zeros, done, eqs) = hyper[k], cell
         if any(_dot(h, b) for b in basis):  # the signs of h on the closure's generators
@@ -431,19 +438,22 @@ def direction_strata(d: UnionSet, ybar: QVector, w: QVector | None = None) -> tu
         cuts, hw = len(found) == 2, _dot(h, wi)
         for s, new in ((0, (h, _neg(h))), (-1, (h,)), (1, (_neg(h),))):
             if (cuts or s in found or not (s or found)) and (not hw or s * hw > 0):
-                kept = [piece for piece in live if compatible(piece[2], k, s)]
+                kept = [piece for piece in live if compatible(piece[1], k, s)]
                 if kept:
                     signs[k] = s
                     walk(kept, _dd_steps(dim, basis, rays, zeros, done, new, eqs) if cuts else cell)
                     del signs[k]
 
-    walk(holding, _dd(dim, (), ()))
+    walk(list(holding.items()), _dd(dim, (), ()))
     strata: list[DirectionStratum] = []
+    meets: dict[tuple, PolyCone] = {}  # live pieces -> the meet of their normal cones at ybar
     for key in sorted(leaves):
-        faces, cells = leaves[key]
-        normal = faces[0].normal
-        for face in faces[1:]:
-            normal = normal.intersect(face.normal)
+        cells, live = leaves[key], tuple(i for i, part in enumerate(key) if not part[0])
+        if live not in meets:
+            normals = [d.pieces[i]._normal(frozenset(j for _, j in holding[i].values() if j is not None)) for i in live]
+            stacked = [dict.fromkeys(r for n in normals for r in n._h[side]) for side in (0, 1)]
+            meets[live] = normals[0] if len(live) == 1 else _of_rows(dim, *stacked)
+        normal = _exposed_face(meets[live], tuple(map(sum, zip((0,) * dim, *cells[0][1]))))
         label = " & ".join(f"P{i}@F{list(part[2])}" if part[0] == 0 else f"P{i}:out" for i, part in enumerate(key))
         reach = tuple(_of_generators(dim, *_canonical(dim, *cell)) for cell in cells)
         strata.append(DirectionStratum(label=label, normal=normal, reach=reach))

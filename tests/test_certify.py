@@ -19,6 +19,7 @@ from corpus import (
     random_union,
     rng,
 )
+from test_sets import complementarity
 from polyvar.certify import (
     HOLDS,
     NOT_CERTIFIED,
@@ -1024,13 +1025,21 @@ def test_kernel_meets_take_one_conversion_each(make, conversions):
     assert len(calls) == conversions
 
 
-@pytest.mark.parametrize("make, passes", ((ex3_spec, 44), (ex4_spec, 11)))
+@pytest.mark.parametrize("make, passes", ((ex3_spec, 27), (ex4_spec, 8), (2, 29), (3, 87), (4, 257)))
 def test_strata_walk_passes(make, passes):
-    # the walk makes one step pass per hyperplane that cuts a cell, and the
-    # face normals and their meets one each
-    spec = make()
+    # the walk makes one step pass per hyperplane that cuts a cell; the
+    # normals take one conversion per holding piece's normal at ybar and one
+    # per set of two or more compatible pieces (the meet of their normals),
+    # and none per face or per stratum: a stratum's normal is the face of
+    # its meet that a direction of its first cell exposes.  An int k is
+    # complementarity with k pairs at 0.
+    if isinstance(make, int):
+        d, ybar = complementarity(make, {}), QVector.zero(2 * make)
+    else:
+        spec = make()
+        d, ybar = spec.D, spec.g0
     with counting_dd() as calls:
-        certify._strata(spec)
+        sets.direction_strata(d, ybar)
     assert len(calls) == passes
 
 

@@ -211,6 +211,56 @@ def test_face_difference_of_face_with_itself_is_its_span():
     assert d.rays == () and len(d.lin) == 1
 
 
+def tangent_difference(f1, f2):
+    """F1 - F2 by the conversion ``face_difference`` replaced: the cone of
+    F1's equations and of the rows of F1 that vanish on every generator of
+    F2, the tangent cone of F1 at a relative-interior point of F2."""
+    (ineqs, eqs), gens = f1._h, f2._int_generators()
+    return _of_rows(f1.dim, [a for a in ineqs if not any(_dot(a, g) for g in gens)], eqs)
+
+
+@st.composite
+def nested_cones(draw):
+    """(F1, F2) with F2 ⊆ F1: F1 a corpus cone, one of its faces, the trivial
+    cone, the full space or a lineality-only cone; F2 a face of F1, a cone of
+    the pool inside F1, or the cone of some of F1's generators (not always a
+    face)."""
+    dim = draw(st.integers(1, 4))
+    r = rng(draw(st.integers(0, 10**6)))
+    c = random_cone(r, dim)
+    pool = [PolyCone.origin(dim), PolyCone.full_space(dim), PolyCone.from_generators(dim, lin=[[1] * dim])]
+    pool += [c, PolyCone.from_generators(dim, lin=c.lin), *(f.cone for f in c.faces())]
+    f1 = draw(st.sampled_from(pool))
+    inner = [f.cone for f in f1.faces()] + [d for d in pool if d.subcone_of(f1)]
+    gens = f1.generators()
+    inner.append(PolyCone.from_generators(dim, draw(st.lists(st.sampled_from(gens), max_size=4)) if gens else []))
+    return f1, draw(st.sampled_from(inner))
+
+
+@settings(max_examples=150, deadline=None)
+@given(nested_cones())
+def test_face_difference_is_the_tangent_cone_conversion_hypothesis(pair):
+    # F1 - F2 is the polar of the face of F1's polar that F2's rays expose:
+    # the same canonical cone as the conversion of F1's rows that vanish on
+    # F2, read off with no double description pass
+    f1, f2 = pair
+    with counting_dd() as calls:
+        got = face_difference(f1, f2)
+        views = got.key(), got._h, got._v
+    ref = tangent_difference(f1, f2)
+    assert calls == [] and views == (ref.key(), ref._h, ref._v)
+    if not f1.subcone_of(f2):
+        with pytest.raises(ValueError, match="^face_difference requires F2 to be contained in F1$"):
+            face_difference(f2, f1)
+
+
+def test_face_difference_errors():
+    with pytest.raises(ValueError, match="^face_difference requires F2 to be contained in F1$"):
+        face_difference(PolyCone.from_generators(2, [[1, 0]]), PolyCone.from_generators(2, lin=[[1, 0]]))
+    with pytest.raises(ValueError, match="^cone dimension mismatch$"):
+        face_difference(PolyCone.full_space(3), PolyCone.origin(2))
+
+
 small_ints = st.integers(-2, 2)
 
 
