@@ -9,7 +9,8 @@ arithmetic (rationals only in the spec's data and in returned vectors) over
 strata: the direction strata of D for a constraint
 system, and for a variational system the closed-form strata of the graph of
 the normal-cone map, one per difference cone F1 - F2 of a face pair
-F2 ⊆ F1 of the critical cone (``graphmap.face_pairs``):
+F2 ⊆ F1 of the critical cone (``graphmap.face_pairs``), whose (q, u) cells
+are faces of one pulled-back cone:
 
 * ``check_foscms`` / ``check_soscms``: first/second order sufficient
   conditions for metric subregularity of the frozen-parameter system,
@@ -37,7 +38,7 @@ from itertools import combinations
 from math import lcm
 from typing import Sequence
 
-from .cones import PolyCone, _of_rows, cone_plain, open_cell, pick_nonzero
+from .cones import PolyCone, _exposed_face, _of_rows, cone_plain, open_cell, pick_nonzero
 from .graphmap import GraphPoint, _assemble, _tangent, face_pairs
 from .linalg import IntVec, QMatrix, QVector, _dot, _ints, _kernel, _neg, _reduce, vec_plain
 from .sets import ConeUnion, InfeasibleError, Polyhedron, direction_strata, union_tangent_cone
@@ -591,8 +592,8 @@ def _solution_pieces(spec) -> tuple[PolyCone, ...]:
 
     For a constraint system, one per piece T of the tangent cone of D at g0:
     the (q, u) with Jp q + Jx u ∈ T.  For a variational system, the graph
-    cell of (F, F) for each face F of the critical cone, in the order of
-    ``K.faces()``; every cell (F, F1) of Phase B lies inside it.
+    cell (F, F) of each face F of the critical cone in the order of
+    ``K.faces()``, a face of ``_graph_cone`` holding each cell (F, F1).
     """
     if spec.kind == "constraint":
         return tuple(_qu_pullback(spec, t) for t in _d_tangent(spec).pieces)
@@ -600,23 +601,27 @@ def _solution_pieces(spec) -> tuple[PolyCone, ...]:
 
 
 @_per_spec
-def _graph_cell(spec: VariationalSystemSpec, f2_active: frozenset, f1_active: frozenset) -> PolyCone:
-    """{(q, u) : u ∈ F2, w = -Jp q - Jx u ∈ K° ∩ F1^⊥} for the faces F2 ⊆ F1
-    of the critical cone K with these active sets: the reach cone
-    F2 × (K° ∩ F1^⊥) of the pair's stratum pulled back, and the solution
-    piece of F2 when F1 = F2.  Both factors are read off K: F2 is K with
-    F2's active rows as equations, and K° ∩ F1^⊥ is <= 0 on K's rays and
-    = 0 on K's lineality and on F1's rays, the rays of K that vanish on
-    F1's active rows."""
-    wt = _w_map_T(spec)
-    pad = (0,) * spec.l
-    k = spec.graph_point().critical
+def _graph_cone(spec: VariationalSystemSpec) -> PolyCone:
+    """G = {(q, u) : u ∈ K, -Jp q - Jx u ∈ K°} for the critical cone K, in one
+    conversion of K's rows padded with zeros in q and of K°'s pulled back."""
+    wt, pad, k = _w_map_T(spec), (0,) * spec.l, spec.graph_point().critical
     (ineqs, eqs), (rays, lin) = k._h, k._v
+    rows_i = [pad + a for a in ineqs] + [_apply(wt, r) for r in rays]
+    return _of_rows(spec.l + spec.n, rows_i, [pad + e for e in eqs] + [_apply(wt, e) for e in lin])
+
+
+@_per_spec
+def _graph_cell(spec: VariationalSystemSpec, f2_active: frozenset, f1_active: frozenset) -> PolyCone:
+    """{(q, u) : u ∈ F2, -Jp q - Jx u ∈ K° ∩ F1^⊥} for the faces F2 ⊆ F1 of
+    the critical cone K with these active sets: the pair's reach cone
+    F2 × (K° ∩ F1^⊥) pulled back, and F2's solution piece when F1 = F2.  It
+    is the face of ``_graph_cone`` exposed by the sum of G's rows for F2's
+    active rows and F1's rays (K's rays zero on those), each <= 0 on G."""
+    wt, k = _w_map_T(spec), spec.graph_point().critical
+    ineqs, rays = k._h[0], k._v[0]
     f1_rays = [r for r in rays if all(_dot(ineqs[i], r) == 0 for i in f1_active)]
-    rows_i = [pad + a for i, a in enumerate(ineqs) if i not in f2_active] + [_apply(wt, r) for r in rays]
-    rows_e = [pad + e for e in (*eqs, *(ineqs[i] for i in sorted(f2_active)))]
-    rows_e += [_apply(wt, e) for e in (*lin, *f1_rays)]
-    return _of_rows(spec.l + spec.n, rows_i, rows_e)
+    zeta = [(0,) * spec.l + ineqs[i] for i in f2_active] + [_apply(wt, tuple(map(sum, zip((0,) * spec.n, *f1_rays))))]
+    return _exposed_face(_graph_cone(spec), tuple(map(sum, zip(*zeta))))
 
 
 @_per_spec
@@ -633,11 +638,11 @@ def _variational_adjoint_cone(spec: VariationalSystemSpec, kd: PolyCone) -> Poly
 
 
 def _graph_strata(spec: VariationalSystemSpec):
-    """(label, Kd, adjoint cone, (q, u) cells) for each difference cone
-    Kd = F1 - F2 of the face pairs of the critical cone that has a
-    nontrivial cell, in first-occurrence order and labelled after the first
-    pair that gives it a cell.  A pair whose F2 has a trivial solution piece
-    gives none, since its cell (F2, F1) lies inside that piece."""
+    """(label, Kd, adjoint cone, (q, u) cells: faces of ``_graph_cone``) for
+    each difference cone Kd = F1 - F2 of the face pairs of the critical cone
+    that has a nontrivial cell, in first-occurrence order and labelled after
+    the first pair that gives it a cell.  A pair whose F2 has a trivial
+    solution piece gives none, since its cell (F2, F1) lies inside it."""
     gp = spec.graph_point()
     zero = (0,) * spec.n
     by_kd: dict[PolyCone, tuple[str, list[PolyCone]]] = {}

@@ -16,8 +16,8 @@ among the others the rows with inclusion-maximal zero sets are the facets
 (Fukuda & Prodon 1996; Schrijver 1986, §8.2).  So each cone costs one
 conversion, a cone and its polar share both sides, and a side nothing reads
 is never built.  Faces, the closures ``open_cell`` returns and exposed
-faces (critical cones, stratum normals, polars of difference cones) read
-their rows off the same incidence, cut to their rays.
+faces (critical cones, stratum normals, polars of difference cones, graph
+cells) read their rows off the same incidence, cut to their rays.
 
 Conversion between the two runs the double description method: equalities are
 absorbed into the start basis (``_dd``), inequalities are processed one at a
@@ -603,8 +603,9 @@ def _exposed_face(cone: PolyCone, zstar: IntVec) -> PolyCone:
     """The face cone ∩ [z*]^⊥ for an integer z* in the polar: the cone's rays
     orthogonal to z* plus its lineality, with no conversion, and rows read
     off their zero sets over the cone's rows (those writing z* come out as
-    equations).  Critical cones, stratum normals (``sets.direction_strata``)
-    and, as polars, difference cones (``face_difference``) are such faces."""
+    equations).  Critical cones, stratum normals (``sets.direction_strata``),
+    graph cells (``certify._graph_cell``) and, as polars, difference cones
+    (``face_difference``) are such faces."""
     ineqs, eqs = cone._h
     rays, lin = cone._v
     face = tuple(r for r in rays if _dot(r, zstar) == 0)

@@ -47,7 +47,7 @@ from polyvar.certify import (
 )
 from polyvar import certify, sets
 from polyvar.cones import PolyCone, open_cell, pick_nonzero
-from polyvar.graphmap import directional_limiting_normal_graph, limiting_normal_graph
+from polyvar.graphmap import directional_limiting_normal_graph, face_pairs, limiting_normal_graph
 from polyvar.linalg import QMatrix, QVector, _ints, row_space_basis
 from polyvar.sets import (
     ConeUnion,
@@ -585,6 +585,36 @@ def test_graph_strata_agree_with_the_generic_strata_of_the_lift():
     assert outcomes == {(HOLDS, False), (NOT_CERTIFIED, True), (NOT_CERTIFIED, False)}
 
 
+def degenerate_spec(shape):
+    """A variational spec at xbar = ybarstar = 0 of a degenerate shape."""
+    eye, zero = [[1, 0], [0, 1]], [[0, 0], [0, 0]]
+    l, n, jx, gamma = {
+        "l = 0, orthant": (0, 2, eye, Polyhedron(2, A=[[-1, 0], [0, -1]], b=[0, 0])),
+        "plane": (1, 2, eye, Polyhedron(2)),
+        "point": (1, 2, eye, Polyhedron(2, E=eye, e=[0, 0])),
+        "line, Jx = 0": (1, 2, zero, Polyhedron(2, E=[[0, 1]], e=[0])),
+        "n = 0": (1, 0, [], Polyhedron(0)),
+    }[shape]
+    jp = [[-int(i == 0)] * l for i in range(n)]
+    return VariationalSystemSpec(l=l, n=n, Jp=jp, Jx=jx, gamma=gamma, xbar=[0] * n, ybarstar=[0] * n)
+
+
+@pytest.mark.parametrize("shape", ("l = 0, orthant", "plane", "point", "line, Jx = 0", "n = 0"))
+def test_degenerate_graph_strata_agree_with_the_lift(shape):
+    # K = R^2_+ with no parameter, K all lineality (Γ = R^2), K = {0} (Γ a
+    # point), K a line that Jx = 0 cannot move, and n = 0: the closed-form
+    # strata give the lift's verdicts, and the solution set at q = 0 is one
+    # polyhedron, whose cells are the row-built ones
+    spec = degenerate_spec(shape)
+    lift = lifted_constraint_spec(spec)
+    cor, lifted = check_aubin(spec), check_aubin(lift)
+    assert (cor.status, cor.refuted) == (lifted.status, lifted.refuted)
+    assert cor.holds() == (shape != "line, Jx = 0")
+    assert check_foscms_joint(spec).status == check_foscms_joint(lift).status
+    assert len(graphical_derivative_S(spec, QVector.zero(spec.l))) == 1
+    assert_graph_cells_are_row_built(spec)
+
+
 def orthant_spec(n):
     """Γ = R^n_+ with xbar = ybarstar = 0, Jp = -e1 and Jx = I."""
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -639,6 +669,57 @@ def test_orthant_checks_hash_no_fraction(monkeypatch):
     assert check_foscms_joint(spec).holds()
     monkeypatch.undo()
     assert hashed == []
+
+
+def row_built_graph_cell(spec, f2_active, f1_active):
+    """The (q, u) cell of the face pair converted from its own rows: K's
+    rows with F2's active rows as equations, and K° ∩ F1^⊥ (<= 0 on K's
+    rays, = 0 on its lineality and on F1's rays) pulled back."""
+    wt, pad, k = certify._w_map_T(spec), (0,) * spec.l, spec.graph_point().critical
+    (ineqs, eqs), (rays, lin) = k._h, k._v
+    f1_rays = [r for r in rays if all(certify._dot(ineqs[i], r) == 0 for i in f1_active)]
+    rows_i = [pad + a for i, a in enumerate(ineqs) if i not in f2_active] + [certify._apply(wt, r) for r in rays]
+    rows_e = [pad + e for e in (*eqs, *(ineqs[i] for i in sorted(f2_active)))]
+    rows_e += [certify._apply(wt, e) for e in (*lin, *f1_rays)]
+    return certify._of_rows(spec.l + spec.n, rows_i, rows_e)
+
+
+def assert_graph_cells_are_row_built(spec):
+    zero = (0,) * spec.n
+    for f1, f2 in face_pairs(spec.graph_point(), zero, zero):
+        cell = certify._graph_cell(spec, f2.active_set, f1.active_set)
+        ref = row_built_graph_cell(spec, f2.active_set, f1.active_set)
+        assert (cell.key(), cell._h, cell._v) == (ref.key(), ref._h, ref._v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_graph_cells_are_faces_of_the_graph_cone_hypothesis(seed):
+    # every cell (F2, F1) at (0, 0) is the face of the one pulled-back cone
+    # G that the sum of its rows exposes, equal to the cell built from rows
+    assert_graph_cells_are_row_built(random_spec(rng(seed), "variational"))
+
+
+@pytest.mark.parametrize("make, passes", ((2, 16), (3, 38), (4, 100), (ex5_spec, 18)))
+def test_aubin_graph_passes(make, passes):
+    # one conversion for G and none per graph cell (the row-built cells
+    # took 24 / 64 / 180 and 26); an int n is the orthant family
+    spec = orthant_spec(make) if isinstance(make, int) else make()
+    with counting_dd() as calls:
+        check_aubin(spec)
+    assert len(calls) == passes
+
+
+@pytest.mark.parametrize("make", (4, ex5_spec))
+def test_graph_cells_make_no_conversion_once_the_graph_cone_is_built(make):
+    spec = orthant_spec(make) if isinstance(make, int) else make()
+    zero = (0,) * spec.n
+    pairs = [(f2.active_set, f1.active_set) for f1, f2 in face_pairs(spec.graph_point(), zero, zero)]
+    certify._graph_cone(spec)
+    with counting_dd() as calls:
+        for pair in pairs:
+            certify._graph_cell(spec, *pair)
+    assert calls == []
 
 
 def test_certificates_invariant_under_row_rescaling():
