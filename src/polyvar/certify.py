@@ -823,14 +823,14 @@ def _joint_adjoint(spec, adjoint: PolyCone) -> PolyCone:
 def graphical_derivative_S(spec, q: QVector) -> list[Polyhedron]:
     """Slice of the linearized solution cone at a fixed parameter direction.
 
-    Returns the set {u : (q, u) solves the linearized inclusion} as a list
-    of polyhedra (possibly overlapping, canonically deduplicated), each
-    from the integer rows of a solution piece.
+    Returns the set {u : (q, u) solves the linearized inclusion} as the
+    polyhedra cut from the solution pieces' integer rows, those not inside
+    another, in key order: the ``ConeUnion`` of their homogenization cones.
     """
     if q.dim != spec.l:
         raise ValueError(f"dimension mismatch: {q.dim} vs {spec.l}")
     l, qe = spec.l, q.entries
-    out: list[Polyhedron] = []
+    out: dict[PolyCone, Polyhedron] = {}  # homogenization cone -> polyhedron
     for c in _solution_pieces(spec):
         # a.(q, u) <= 0 on an integer row a = (a_q, a_u): a_u.u <= -a_q.q
         ineqs, eqs = c._h
@@ -842,10 +842,8 @@ def graphical_derivative_S(spec, q: QVector) -> list[Polyhedron]:
             )
         except InfeasibleError:
             continue
-        out.append(poly)
-    dedup = [p for p in dict.fromkeys(out) if not any(p != o and p.subset_of(o) for o in out)]
-    dedup.sort(key=Polyhedron.key)
-    return dedup
+        out.setdefault(poly._homog, poly)
+    return [out[c] for c in ConeUnion(spec.n + 1, out).pieces]
 
 
 def _directional_adjoints(spec, u: QVector, v: QVector) -> tuple[tuple[PolyCone, PolyCone], ...] | None:

@@ -37,6 +37,8 @@ tangent cone that y* exposes, read off the tangent cone's rays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import and_
 from typing import Iterable, Sequence
 
 from .cones import PolyCone, _canonical, _dd, _dd_steps, _exposed_face, _face_lattice, _of_generators, _of_rows, _zero_sets
@@ -293,27 +295,27 @@ class ConeUnion:
     list is sorted by canonical key, so equality of values is structural.
     Every piece lies in R^dim; the empty union (empty set) is allowed.
 
-    Each distinct piece's integer generators are built once.  A piece c is
-    tested against d only when span(c) and lin(c) are no larger than d's,
-    as c ⊆ d needs both, and a point of c's relative interior is tested
-    first.  A single piece is kept with no second side read.
+    c ⊆ d iff d holds every generator of c: each distinct generator gets,
+    on first use, the bitmask of the cones that hold it, and cone k is
+    dropped iff the AND of its generators' masks has a bit other than k.
     """
 
     __slots__ = ("dim", "pieces")
 
     def __init__(self, dim: int, pieces: Iterable[PolyCone]):
-        keep = list(dict.fromkeys(pieces))
-        if any(c.dim != dim for c in keep):
+        cones = list(dict.fromkeys(pieces))
+        if any(c.dim != dim for c in cones):
             raise ValueError("cone dimension mismatch")
-        if len(keep) > 1:
-            sized = []  # per cone: a relative-interior point, then its generators
-            for c in keep:
-                rays, lin = c._v
-                point = tuple(map(sum, zip((0,) * dim, *rays, *lin)))
-                sized.append((c, [point, *c._int_generators()], c.span_dim(), len(lin)))
-            keep = [c for c, gens, s, l in sized
-                    if not any(d is not c and s <= t and l <= m and all(map(d._holds, gens)) for d, _, t, m in sized)]
-        keep.sort(key=lambda c: c.key())
+        pool: dict[IntVec, int] = {}  # generator -> bitmask of the cones that hold it
+
+        def held(g: IntVec) -> int:
+            if g not in pool:
+                pool[g] = sum(1 << j for j, d in enumerate(cones) if d._holds(g))
+            return pool[g]
+
+        everyone = (1 << len(cones)) - 1  # the AND over no generator
+        keep = [c for k, c in enumerate(cones) if 1 << k in accumulate(map(held, c._int_generators()), and_, initial=everyone)]
+        keep.sort(key=PolyCone.key)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "pieces", tuple(keep))
 
@@ -327,6 +329,8 @@ class ConeUnion:
         return any(c.contains(v) for c in self.pieces)
 
     def subset_of(self, other: "ConeUnion") -> bool:
+        if self.dim != other.dim:
+            raise ValueError("cone dimension mismatch")
         return all(any(c.subcone_of(d) for d in other.pieces) for c in self.pieces)
 
     def __eq__(self, other):

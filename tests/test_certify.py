@@ -48,9 +48,10 @@ from polyvar.certify import (
 from polyvar import certify, sets
 from polyvar.cones import PolyCone, open_cell, pick_nonzero
 from polyvar.graphmap import directional_limiting_normal_graph, face_pairs, limiting_normal_graph
-from polyvar.linalg import QMatrix, QVector, _ints, row_space_basis
+from polyvar.linalg import QMatrix, QVector, _dot, _ints, row_space_basis
 from polyvar.sets import (
     ConeUnion,
+    InfeasibleError,
     Polyhedron,
     UnionSet,
     direction_strata,
@@ -327,6 +328,40 @@ def test_graphical_derivative_positive_homogeneity():
     assert len(b) == len(scaled)
     for pb in b:
         assert any(pb.subset_of(ps) and ps.subset_of(pb) for ps in scaled)
+
+
+def pairwise_derivative_S(spec, q):
+    """``graphical_derivative_S`` by the dedup it replaced: each distinct
+    polyhedron is tested against every other one with ``Polyhedron.subset_of``."""
+    l, qe, out = spec.l, q.entries, []
+    for c in _solution_pieces(spec):
+        ineqs, eqs = c._h
+        try:
+            out.append(Polyhedron(
+                spec.n,
+                [a[l:] for a in ineqs], [-_dot(a[:l], qe) for a in ineqs],
+                [e[l:] for e in eqs], [-_dot(e[:l], qe) for e in eqs],
+            ))
+        except InfeasibleError:
+            continue
+    dedup = [p for p in dict.fromkeys(out) if not any(p != o and p.subset_of(o) for o in out)]
+    return sorted(dedup, key=Polyhedron.key)
+
+
+def test_graphical_derivative_dedup_is_the_pairwise_filter_on_ex5():
+    spec = ex5_spec()
+    for q in (-1, 0, 1):
+        assert graphical_derivative_S(spec, QVector([q])) == pairwise_derivative_S(spec, QVector([q]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["constraint", "variational"]), st.booleans())
+def test_graphical_derivative_dedup_is_the_pairwise_filter_hypothesis(seed, kind, zero):
+    # the same polyhedra in the same order, at q = 0 and at a random q
+    r = rng(seed)
+    spec = random_spec(r, kind)
+    q = QVector.zero(spec.l) if zero else QVector([F(r.randint(-2, 2), r.choice([1, 2, 3])) for _ in range(spec.l)])
+    assert graphical_derivative_S(spec, q) == pairwise_derivative_S(spec, q)
 
 
 def test_aubin_solvability_failure_is_refutation():

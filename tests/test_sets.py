@@ -345,18 +345,26 @@ def quadratic_union(pieces):
 
 @st.composite
 def cone_lists(draw):
-    # corpus cones, their faces (nested by construction), equal cones built
-    # apart, the trivial cone and cones that are only a lineality space
-    dim = draw(st.integers(1, 4))
+    # corpus cones and their faces (nested by construction), or the strata
+    # normals at 0 of a corpus union or of complementarity with k <= 3 pairs
+    # (pieces that share generators); with equal cones built apart, the
+    # trivial cone and cones that are only a lineality space
+    kind = draw(st.sampled_from(["corpus", "strata", "complementarity"]))
     r = rng(draw(st.integers(0, 10**6)))
+    if kind == "corpus":
+        dim, found = draw(st.integers(1, 4)), []
+        for c in (random_cone(r, dim) for _ in range(draw(st.integers(1, 4)))):
+            found += [c, *(f.cone for f in c.faces())]
+    else:
+        d = random_union(r, draw(st.integers(1, 3))) if kind == "strata" else complementarity(draw(st.integers(1, 3)), {})
+        dim, found = d.dim, [s.normal for s in direction_strata(d, QVector.zero(d.dim))]
     pool = [PolyCone.origin(dim), PolyCone.full_space(dim), PolyCone.from_generators(dim, lin=[[1] * dim])]
-    for c in (random_cone(r, dim) for _ in range(draw(st.integers(1, 4)))):
+    for c in found:
         pool += [c, PolyCone.from_ineqs(dim, c.ineqs, c.eqs), PolyCone.from_generators(dim, lin=c.lin)]
-        pool += [f.cone for f in c.faces()]
-    return dim, draw(st.lists(st.sampled_from(pool), max_size=16))
+    return dim, draw(st.lists(st.sampled_from(pool), max_size=32))
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(cone_lists())
 def test_cone_union_keeps_the_pieces_of_the_quadratic_filter_hypothesis(case):
     dim, pieces = case
@@ -367,6 +375,28 @@ def test_cone_union_of_one_piece_reads_no_rows():
     c = PolyCone.from_ineqs(3, [[1, 0, 0], [0, 1, -1]])  # built with its generators
     assert ConeUnion(3, [c, PolyCone.from_ineqs(3, [[0, 1, -1], [1, 0, 0]])]).pieces == (c,)
     assert c._reps[1] is None  # its rows are not read off
+
+
+@pytest.mark.parametrize("k, pair_tests", [(4, 1840), (5, 15282)])
+def test_cone_union_tests_each_pooled_generator_once_per_piece(monkeypatch, k, pair_tests):
+    # the 3^k normals of complementarity k at 0 have the 4k generators +-e_j,
+    # so one holds test per piece and generator makes at most 4k 3^k of
+    # them; the guarded pair tests it replaced made pair_tests
+    normals = [s.normal for s in direction_strata(complementarity(k, {}), QVector.zero(2 * k))]
+    calls, holds = [], PolyCone._holds
+    monkeypatch.setattr(PolyCone, "_holds", lambda c, z: calls.append((c, z)) or holds(c, z))
+    assert len(ConeUnion(2 * k, normals).pieces) == 3**k
+    assert len(calls) <= 4 * k * 3**k < pair_tests
+    assert len(set(calls)) == len(calls) and len({z for _, z in calls}) <= 4 * k
+
+
+def test_cone_union_subset_of_rejects_another_dimension():
+    # also when either union is empty: no piece is read to find the mismatch
+    plane, space = ConeUnion(2, [PolyCone.full_space(2)]), ConeUnion(3, [PolyCone.full_space(3)])
+    for a, b in ((ConeUnion(2, []), space), (plane, ConeUnion(3, [])), (plane, space)):
+        with pytest.raises(ValueError, match="cone dimension mismatch"):
+            a.subset_of(b)
+    assert ConeUnion(2, []).subset_of(plane) and not plane.subset_of(ConeUnion(2, []))
 
 
 def test_cone_union_rejects_pieces_of_another_dimension():
