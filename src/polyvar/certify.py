@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from functools import wraps
 from itertools import combinations
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .cones import PolyCone, _exposed_face, _of_rows, cone_plain, open_cell, pick_nonzero
@@ -67,13 +68,12 @@ def _per_spec(fn):
 
     @wraps(fn)
     def memoised(spec, *args):
-        key = (name, *args)  # hashed once on a hit: a cone's hash is not cached
+        key = (name, *args)
         memo = spec._memo
-        try:
-            return memo[key]
-        except KeyError:
+        out = memo.get(key, memo)  # the memo itself marks a miss
+        if out is memo:
             out = memo[key] = fn(spec, *args)
-            return out
+        return out
 
     return memoised
 
@@ -196,6 +196,20 @@ class Certificate:
         return bool(self.rates) and dict(self.rates).get(name, False)
 
 
+class _Record(dict):
+    """A JSON-plain trace record that two certificates of one spec share:
+    calmness holds the records of ``check_foscms`` or ``check_soscms``, and
+    both modes of ``check_aubin`` hold the Phase A and zero-direction
+    records.  Never modified once built; ``json`` is its JSON text at
+    indent 0, written once by ``fileio._dumps`` (None until then)."""
+
+    __slots__ = ("json",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.json = None
+
+
 # -- shared linear-geometry helpers ------------------------------------------------
 
 
@@ -208,7 +222,7 @@ def _cleared(rows: Sequence[Sequence]) -> tuple[tuple[IntVec, ...], int]:
 
 def _apply(rows: Sequence[IntVec], v: IntVec) -> IntVec:
     """The integer vector of the products <r, v>, one per row."""
-    return tuple([_dot(r, v) for r in rows])
+    return tuple([sum(map(mul, r, v)) for r in rows])
 
 
 @_per_spec
@@ -443,12 +457,12 @@ def check_foscms(spec: ConstraintSystemSpec) -> Certificate:
     witnesses = []
     for s, v_cone, u_cells in _foscms_strata(spec):
         active_cells = [u for u in u_cells if not u.is_trivial()]
-        rec = {
-            "stratum": s.label,
-            "normal_cone": cone_plain(s.normal),
-            "dual_test_cone": cone_plain(v_cone),
-            "admissible_directions": bool(active_cells),
-        }
+        rec = _Record(
+            stratum=s.label,
+            normal_cone=cone_plain(s.normal),
+            dual_test_cone=cone_plain(v_cone),
+            admissible_directions=bool(active_cells),
+        )
         if active_cells and not v_cone.is_trivial():
             u = pick_nonzero(active_cells[0])
             vstar = pick_nonzero(v_cone)
@@ -480,11 +494,11 @@ def check_soscms(spec: ConstraintSystemSpec) -> Certificate:
     witnesses = []
     for s, v_cone, u_cells in _foscms_strata(spec):
         active_cells = [u for u in u_cells if not u.is_trivial()]
-        rec = {
-            "stratum": s.label,
-            "dual_test_cone": cone_plain(v_cone),
-            "admissible_directions": bool(active_cells),
-        }
+        rec = _Record(
+            stratum=s.label,
+            dual_test_cone=cone_plain(v_cone),
+            admissible_directions=bool(active_cells),
+        )
         if not active_cells or v_cone.is_trivial():
             rec["outcome"] = "ok (first order)"
             trace.append(rec)
@@ -695,9 +709,26 @@ def _solvability(spec) -> tuple[tuple[PolyCone, ...], bool, QVector | None]:
     return projected, covered, gap
 
 
-def _standard_adjoint_report(spec) -> list[dict]:
-    """The unstratified (zero-direction) adjoint inclusion, for comparison."""
-    return [
+@_per_spec
+def _phase_a(spec) -> tuple[_Record, bool, QVector | None]:
+    """Phase A of ``check_aubin`` in either mode: its trace record, whether
+    the projected solution pieces cover parameter space, and a parameter
+    direction outside them if not."""
+    projected, covered, gap = _solvability(spec)
+    rec = _Record(
+        phase="A (solvability for every parameter direction)",
+        solution_pieces=[cone_plain(p) for p in _solution_pieces(spec)],
+        projections=[cone_plain(p) for p in projected],
+        covered=covered,
+    )
+    return rec, covered, gap
+
+
+@_per_spec
+def _standard_adjoint_record(spec) -> _Record:
+    """The unstratified (zero-direction) adjoint inclusion, for comparison:
+    the last record of ``check_aubin`` in either mode."""
+    pieces = [
         {
             "piece": cone_plain(piece),
             "adjoint_cone": cone_plain(adj),
@@ -705,6 +736,7 @@ def _standard_adjoint_report(spec) -> list[dict]:
         }
         for piece, adj in _zero_direction_adjoints(spec)
     ]
+    return _Record(phase="standard adjoint inclusion (zero direction)", pieces=pieces)
 
 
 def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) -> Certificate:
@@ -735,15 +767,8 @@ def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) 
                 )
             notes.append("joint metric subregularity certified by check_foscms_joint")
 
-    projected, covered, gap = _solvability(spec)
-    trace.append(
-        {
-            "phase": "A (solvability for every parameter direction)",
-            "solution_pieces": [cone_plain(p) for p in _solution_pieces(spec)],
-            "projections": [cone_plain(p) for p in projected],
-            "covered": covered,
-        }
-    )
+    phase_a, covered, gap = _phase_a(spec)
+    trace.append(phase_a)
     witnesses: list[Witness] = []
     if not covered:
         witnesses.append(Witness("uncovered parameter direction", None, q=gap))
@@ -785,7 +810,7 @@ def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) 
             "cases": [{"case": c, "adjoint_inclusions": v} for c, v in cases.items()],
         }
     )
-    trace.append({"phase": "standard adjoint inclusion (zero direction)", "pieces": _standard_adjoint_report(spec)})
+    trace.append(_standard_adjoint_record(spec))
     status = NOT_CERTIFIED if witnesses else HOLDS
     return Certificate(status, tuple(witnesses), trace=tuple(trace), notes=tuple(notes))
 

@@ -80,6 +80,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .linalg import IntVec, QVector, _dot, _echelon, _echelon_kernel, _ints, _neg, _reduce, _rref_q
@@ -91,7 +92,7 @@ def _orthogonal(basis: Sequence[IntVec]) -> list[tuple[IntVec, int]]:
     out: list[tuple[IntVec, int]] = []
     for b in basis:
         q = _project_off(b, out)
-        out.append((q, _dot(q, q)))
+        out.append((q, sum(map(mul, q, q))))
     return out
 
 
@@ -99,7 +100,7 @@ def _project_off(v: IntVec, ortho: Sequence[tuple[IntVec, int]]) -> IntVec:
     """Positive multiple of the component of v orthogonal to span(ortho),
     primitive when v is; ``ortho`` comes from ``_orthogonal``."""
     for q, qq in ortho:
-        c = _dot(q, v)
+        c = sum(map(mul, q, v))
         if c:
             v = _reduce([qq * x - c * y for x, y in zip(v, q)])
     return v
@@ -119,7 +120,7 @@ def _dd(
     Rows are primitive integer tuples (see ``_ints``), and so are the
     generators that come back.
     """
-    eq_echelon, pivots = _echelon(eqs, dim)
+    eq_echelon, pivots = _echelon(eqs, dim) if eqs else ([], [])
     basis = _echelon_kernel(eq_echelon, pivots, dim)
     return _dd_steps(dim, basis, [], [], [], [a for a in ineqs if any(a)], eq_echelon)
 
@@ -168,27 +169,31 @@ def _dd_steps(
     nstart = dim - len(eq_echelon)
     for k, a in enumerate(new, len(done)):
         bit = 1 << k
-        prods_b = [_dot(a, b) for b in basis]
-        pivot = next((i for i, p in enumerate(prods_b) if p), None)
-        if pivot is not None:
+        prods_b = [sum(map(mul, a, b)) for b in basis]
+        for pivot, p0 in enumerate(prods_b):
+            if p0:
+                break
+        else:
+            pivot = -1
+        if pivot >= 0:
             # a cuts the lineality space: b0 (with <a, b0> < 0) becomes a ray,
             # everything else is moved into the hyperplane <a, z> = 0 along b0.
-            b0, p0 = basis[pivot], prods_b[pivot]
+            b0 = basis[pivot]
             if p0 > 0:
                 b0, p0 = _neg(b0), -p0
             q = -p0
-
-            def shift(v, p):
-                return _reduce([q * x + p * y for x, y in zip(v, b0)]) if p else v
-
-            basis = [shift(b, p) for i, (b, p) in enumerate(zip(basis, prods_b)) if i != pivot]
-            rays = [shift(r, _dot(a, r)) for r in rays]
+            basis = [
+                _reduce([q * x + p * y for x, y in zip(b, b0)]) if p else b
+                for i, (b, p) in enumerate(zip(basis, prods_b))
+                if i != pivot
+            ]
+            rays = [_reduce([q * x + p * y for x, y in zip(r, b0)]) if (p := sum(map(mul, a, r))) else r for r in rays]
             zeros = [z | bit for z in zeros]
             rays.append(b0)
             zeros.append(bit - 1)  # b0 lies in the old lineality space
             continue
-        vals = [_dot(a, r) for r in rays]
-        if not any(v > 0 for v in vals):
+        vals = [sum(map(mul, a, r)) for r in rays]
+        if max(vals, default=0) <= 0:
             zeros = [z | bit if v == 0 else z for z, v in zip(zeros, vals)]
             continue
         neg = [i for i, v in enumerate(vals) if v < 0]
@@ -196,21 +201,25 @@ def _dd_steps(
         new_rays = [rays[i] for i in neg] + [rays[i] for i in zero]
         new_zeros = [zeros[i] for i in neg] + [zeros[i] | bit for i in zero]
         need = nstart - len(basis) - 2
-        for ip in (i for i, v in enumerate(vals) if v > 0):
-            rp, zp, vp = rays[ip], zeros[ip], vals[ip]
+        for ip, vp in enumerate(vals):
+            if vp <= 0:
+                continue
+            rp, zp = rays[ip], zeros[ip]
             for jn in neg:
                 common = zp & zeros[jn]
                 if common.bit_count() < need:
                     continue
                 # Adjacent iff no third ray's zero set contains the common one.
-                if any(z & common == common for t, z in enumerate(zeros) if t != ip and t != jn):
-                    continue
-                vn = vals[jn]
-                new_rays.append(_reduce([vp * x - vn * y for x, y in zip(rays[jn], rp)]))
-                new_zeros.append(common | bit)
+                for t, z in enumerate(zeros):
+                    if z & common == common and t != ip and t != jn:
+                        break
+                else:
+                    vn = vals[jn]
+                    new_rays.append(_reduce([vp * x - vn * y for x, y in zip(rays[jn], rp)]))
+                    new_zeros.append(common | bit)
         rays, zeros = new_rays, new_zeros
 
-    if basis:
+    if basis and rays:
         ortho = _orthogonal(basis)
         rays = [_project_off(r, ortho) for r in rays]
     return basis, rays, zeros, [*done, *new], eq_echelon
@@ -232,7 +241,8 @@ def _canonical(
     eq_echelon: Sequence[IntVec],
 ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], tuple]:
     """What ``_generators`` returns, from what ``_dd`` or ``_dd_steps`` does."""
-    return tuple(_echelon(basis, dim)[0]), tuple(sorted(rays)), (rows, eq_echelon, zeros)
+    lin = tuple(_echelon(basis, dim)[0]) if basis else ()
+    return lin, tuple(sorted(rays)), (rows, eq_echelon, zeros)
 
 
 def _read_off(
@@ -260,14 +270,23 @@ def _read_off(
     on_rays: dict[int, int] = {}  # set of zero rays -> the first row with it
     for i in range(len(rows)):
         if not implicit >> i & 1:
-            on_rays.setdefault(sum(1 << k for k, z in enumerate(zeros) if z >> i & 1), i)
-    ortho = _orthogonal(lin)
-    facets = [
-        _project_off(rows[i], ortho)
-        for s, i in on_rays.items()
-        if not any(t != s and t & s == s for t in on_rays)
-    ]
-    return tuple(sorted(facets)), tuple(lin)
+            mask = 0
+            for k, z in enumerate(zeros):
+                if z >> i & 1:
+                    mask |= 1 << k
+            on_rays.setdefault(mask, i)
+    facets = []
+    for s, i in on_rays.items():
+        for t in on_rays:
+            if t & s == s and t != s:
+                break
+        else:
+            facets.append(rows[i])
+    if lin and facets:
+        ortho = _orthogonal(lin)
+        facets = [_project_off(a, ortho) for a in facets]
+    facets.sort()
+    return tuple(facets), tuple(lin)
 
 
 def _of_rows(
@@ -282,9 +301,14 @@ def _of_rows(
 
 
 def _primitive(dim: int, rows: Iterable[Sequence[int]], what: str) -> list[IntVec]:
-    out = [_reduce(r) for r in rows]
-    if any(len(r) != dim for r in out):
-        raise ValueError(f"{what} has wrong dimension")
+    """The rows divided by their gcds (``_reduce`` inline), each of length
+    ``dim``; a row that is primitive already is kept as a tuple."""
+    out = []
+    for r in rows:
+        if len(r) != dim:
+            raise ValueError(f"{what} has wrong dimension")
+        g = gcd(*r)
+        out.append(tuple([x // g for x in r]) if g > 1 else tuple(r))
     return out
 
 
@@ -418,7 +442,7 @@ class PolyCone:
     def _holds(self, z: IntVec) -> bool:
         """Membership of a positive multiple of a point, in integers."""
         ineqs, eqs = self._h
-        return all(_dot(a, z) <= 0 for a in ineqs) and all(_dot(e, z) == 0 for e in eqs)
+        return all(sum(map(mul, a, z)) <= 0 for a in ineqs) and not any(sum(map(mul, e, z)) for e in eqs)
 
     def is_trivial(self) -> bool:
         return not self._v[0] and not self._v[1]
@@ -536,7 +560,14 @@ def _bits(mask: int) -> list[int]:
 
 def _zero_sets(rows: Sequence[IntVec], rays: Sequence[IntVec]) -> list[int]:
     """Per ray, the bitmask of the rows zero on it."""
-    return [sum(1 << i for i, a in enumerate(rows) if _dot(a, r) == 0) for r in rays]
+    out = []
+    for r in rays:
+        zero = 0
+        for i, a in enumerate(rows):
+            if not sum(map(mul, a, r)):
+                zero |= 1 << i
+        out.append(zero)
+    return out
 
 
 def _face_lattice(nrows: int, zero_sets: Sequence[int], keep: int | None = None) -> list[tuple[list[int], int]]:
@@ -608,7 +639,7 @@ def _exposed_face(cone: PolyCone, zstar: IntVec) -> PolyCone:
     (``face_difference``) are such faces."""
     ineqs, eqs = cone._h
     rays, lin = cone._v
-    face = tuple(r for r in rays if _dot(r, zstar) == 0)
+    face = tuple([r for r in rays if not sum(map(mul, r, zstar))])
     return _of_generators(cone.dim, lin, face, (ineqs, eqs, _zero_sets(ineqs, face)))
 
 
@@ -651,7 +682,9 @@ def cone_plain(c: PolyCone) -> _PlainCone:
 
 def _rref_plain(row: IntVec) -> list[str]:
     """The strings of an integer echelon row divided by its (positive) pivot."""
-    p = next(x for x in row if x)
+    for p in row:
+        if p:
+            break
     if p == 1:
         return list(map(str, row))
     out = []

@@ -42,6 +42,9 @@ Every report ends with a JSON block (``Report.json_block``): keys sorted,
 one space of indent per level, items separated by "," and a newline, keys
 by ": ", and strings with non-ASCII and control characters as ``\\uXXXX``
 escapes, the same bytes as ``json.dumps(obj, sort_keys=True, indent=1)``.
+``_dumps`` writes it in one pass: scalars inline, a cone view's numeral
+rows with ``str.join``, and each cone view and each trace record that two
+certificates share written once, its text kept on it (see ``_dumps``).
 """
 
 from __future__ import annotations
@@ -51,12 +54,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
+from operator import itemgetter
 
 from .certify import (
     Certificate,
     ConstraintSystemSpec,
     VariationalSystemSpec,
     Witness,
+    _Record,
 )
 from .cones import _PlainCone
 from .linalg import _RATIONAL, IntVec, QMatrix, QVector, frac, vec_plain
@@ -285,6 +290,9 @@ def problem_to_dict(spec) -> dict:
 
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
+# the writer of each scalar type, by exact type (so not for a subclass)
+_WRITE = {str: _quote, int: int.__repr__, bool: _CONSTANTS.__getitem__, type(None): _CONSTANTS.__getitem__}
+_key = itemgetter(0)
 
 
 def _dumps(o, ind: str = "") -> str:
@@ -295,36 +303,58 @@ def _dumps(o, ind: str = "") -> str:
     3.10/3.11 and spends as long on a certificate as a certifier phase.
     Only str, dict, list, tuple, int, bool and None are written; anything
     else, a float included (certificates are exact), and a non-str key
-    raise TypeError.  A cone's shared view (``cones.cone_plain``) is written
-    once, at indent 0, and its text kept on the view; at a deeper indent it
-    is re-indented with one ``str.replace``, exact because a JSON string
-    never holds a raw newline.
+    raise TypeError.  A string, int, bool or None item of a list or value
+    of a dict is written inline by its type's writer (``_WRITE``), with no
+    recursive call.
+
+    Two kinds of value are shared and written once, at indent 0, with the
+    text kept on the value: a cone's view (``cones.cone_plain``) and a
+    trace record that two certificates of one spec hold
+    (``certify._Record``).  At a deeper indent the text is re-indented with
+    one ``str.replace``, exact because a JSON string never holds a raw
+    newline.  A cone view's rows are lists of numerals ("-2", "1/3"), which
+    need no escaping, so each row is one ``str.join``.
     """
     t = type(o)
-    if t is str:
-        return _quote(o)
-    if t is _PlainCone:
+    write = _WRITE.get(t)
+    if write is not None:
+        return write(o)
+    if t is _PlainCone or t is _Record:
         text = o.json
         if text is None:
-            text = o.json = _dumps(dict(o))
+            text = o.json = _cone_text(o) if t is _PlainCone else _dumps(dict(o))
         return text.replace("\n", "\n" + ind) if ind else text
     if t is list or t is tuple:
         if not o:
             return "[]"
         inner = ind + " "
-        items = [_quote(v) if type(v) is str else _dumps(v, inner) for v in o]
+        items = [w(v) if (w := _WRITE.get(type(v))) else _dumps(v, inner) for v in o]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + ind + "]"
     if t is dict:
         if not o:
             return "{}"
         inner = ind + " "
-        items = [_quote(k) + ": " + _dumps(o[k], inner) for k in sorted(o)]  # _quote rejects a non-str key
+        items = [
+            _quote(k) + ": " + (w(v) if (w := _WRITE.get(type(v))) else _dumps(v, inner))
+            for k, v in sorted(o.items(), key=_key)  # _quote rejects a non-str key
+        ]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + ind + "}"
-    if t is int:
-        return int.__repr__(o)
-    if t is bool or o is None:
-        return _CONSTANTS[o]
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+def _cone_text(view: _PlainCone) -> str:
+    """A cone view's JSON text at indent 0: ``dim``, then its four lists of
+    numeral rows in key order, all rows of a list in one ``str.join``."""
+    parts = ['{\n "dim": ', int.__repr__(view["dim"])]
+    for key in ("eqs", "ineqs", "lin", "rays"):
+        rows = view[key]
+        if rows:  # each row is a nonzero vector, so never empty
+            rows = '"\n  ],\n  [\n   "'.join(['",\n   "'.join(r) for r in rows])
+            parts.append(f',\n "{key}": [\n  [\n   "{rows}"\n  ]\n ]')
+        else:
+            parts.append(f',\n "{key}": []')
+    parts.append("\n}")
+    return "".join(parts)
 
 
 def _witness_plain(w: Witness) -> dict:

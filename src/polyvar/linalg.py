@@ -288,7 +288,7 @@ def row_space_basis(rows: Sequence[QVector], dim: int) -> list[QVector]:
 def _reduce(v: Sequence[int]) -> IntVec:
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
     g = gcd(*v)
-    return tuple(x // g for x in v) if g > 1 else tuple(v)
+    return tuple([x // g for x in v]) if g > 1 else tuple(v)
 
 
 def _ints(v) -> IntVec:
@@ -313,7 +313,7 @@ def _dot(a: IntVec, b: IntVec) -> int:
 
 
 def _neg(v: IntVec) -> IntVec:
-    return tuple(-x for x in v)
+    return tuple([-x for x in v])
 
 
 def _echelon(rows: Sequence[IntVec], dim: int) -> tuple[list[IntVec], list[int]]:
@@ -324,32 +324,48 @@ def _echelon(rows: Sequence[IntVec], dim: int) -> tuple[list[IntVec], list[int]]
     rational RREF.  Zero rows are dropped.  Input rows must be primitive.
     No elimination runs when at most one row is nonzero: that row is its
     own echelon form, its sign made positive at its first nonzero column.
+    Otherwise each column takes one plain scan for a pivot row below the
+    rows placed so far and one swap; the pivot row is negated only when
+    its pivot is negative, and every other row with a nonzero entry there
+    is cross-multiplied against it and divided by its gcd.
     """
     m = [r for r in rows if any(r)]
-    if len(m) <= 1:
+    n = len(m)
+    if n <= 1:
         if not m:
             return [], []
         r = m[0]
-        c = next(i for i, x in enumerate(r) if x)
-        return [r if r[c] > 0 else _neg(r)], [c]
+        for c, x in enumerate(r):
+            if x:
+                break
+        return [r if x > 0 else _neg(r)], [c]
     pivots: list[int] = []
+    k = 0
     for c in range(dim):
-        k = len(pivots)
-        if k == len(m):
-            break
-        p = next((i for i in range(k, len(m)) if m[i][c]), None)
-        if p is None:
+        for p in range(k, n):
+            if m[p][c]:
+                break
+        else:
             continue
-        m[k], m[p] = m[p], m[k]
-        pr = m[k] if m[k][c] > 0 else _neg(m[k])
-        m[k] = pr
+        pr = m[p]
+        if p != k:
+            m[p] = m[k]
         pv = pr[c]
-        for i, mi in enumerate(m):
+        if pv < 0:
+            pr, pv = _neg(pr), -pv
+        m[k] = pr
+        for i in range(n):
+            mi = m[i]
             f = mi[c]
-            if i != k and f:
-                m[i] = _reduce([pv * x - f * y for x, y in zip(mi, pr)])
+            if f and i != k:
+                v = [pv * x - f * y for x, y in zip(mi, pr)]
+                g = gcd(*v)
+                m[i] = tuple([x // g for x in v]) if g > 1 else tuple(v)
         pivots.append(c)
-    return m[: len(pivots)], pivots
+        k += 1
+        if k == n:
+            break
+    return m[:k], pivots
 
 
 def _divided(v: IntVec, d: int) -> QVector:
@@ -375,13 +391,18 @@ def _echelon_kernel(ech: Sequence[IntVec], pivots: Sequence[int], dim: int) -> l
     if not ech:
         return [(0,) * f + (1,) + (0,) * (dim - 1 - f) for f in range(dim)]
     basis = []
+    rows = list(zip(ech, pivots))
     for f in range(dim):
         if f in pivots:
             continue
-        scale = lcm(*(r[pc] for r, pc in zip(ech, pivots) if r[f]))
+        scale = 1
+        for r, pc in rows:
+            if r[f]:
+                scale = lcm(scale, r[pc])
         v = [0] * dim
         v[f] = scale
-        for r, pc in zip(ech, pivots):
-            v[pc] = -r[f] * (scale // r[pc])
+        for r, pc in rows:
+            if r[f]:
+                v[pc] = -r[f] * (scale // r[pc])
         basis.append(_reduce(v))
     return basis

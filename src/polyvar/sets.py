@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import and_
+from operator import and_, mul
 from typing import Iterable, Sequence
 
 from .cones import PolyCone, _canonical, _dd, _dd_steps, _exposed_face, _face_lattice, _of_generators, _of_rows, _zero_sets
@@ -298,6 +298,10 @@ class ConeUnion:
     c ⊆ d iff d holds every generator of c: each distinct generator gets,
     on first use, the bitmask of the cones that hold it, and cone k is
     dropped iff the AND of its generators' masks has a bit other than k.
+    The rows are pooled too: each distinct row a (a cone's inequality
+    a.z <= 0, and e and -e for an equation e.z = 0) keeps the bitmask of
+    the cones that have it, so a generator g is held by the cones none of
+    whose rows has a.g > 0, with one dot per distinct row.
     """
 
     __slots__ = ("dim", "pieces")
@@ -306,14 +310,24 @@ class ConeUnion:
         cones = list(dict.fromkeys(pieces))
         if any(c.dim != dim for c in cones):
             raise ValueError("cone dimension mismatch")
+        everyone = (1 << len(cones)) - 1  # the AND over no generator
+        rows: dict[IntVec, int] = {}  # row -> bitmask of the cones that have it
+        if len(cones) > 1:  # one cone is kept with no test, and its rows are not read
+            for j, c in enumerate(cones):
+                ineqs, eqs = c._h
+                for a in (*ineqs, *eqs, *map(_neg, eqs)):
+                    rows[a] = rows.get(a, 0) | 1 << j
         pool: dict[IntVec, int] = {}  # generator -> bitmask of the cones that hold it
 
         def held(g: IntVec) -> int:
             if g not in pool:
-                pool[g] = sum(1 << j for j, d in enumerate(cones) if d._holds(g))
+                violated = 0
+                for a, cones_with_a in rows.items():
+                    if _dot(a, g) > 0:
+                        violated |= cones_with_a
+                pool[g] = everyone & ~violated
             return pool[g]
 
-        everyone = (1 << len(cones)) - 1  # the AND over no generator
         keep = [c for k, c in enumerate(cones) if 1 << k in accumulate(map(held, c._int_generators()), and_, initial=everyone)]
         keep.sort(key=PolyCone.key)
         object.__setattr__(self, "dim", dim)
@@ -435,12 +449,12 @@ def direction_strata(d: UnionSet, ybar: QVector, w: QVector | None = None) -> tu
             leaves.setdefault(key, []).append(cell)
             return
         h, (basis, rays, zeros, done, eqs) = hyper[k], cell
-        if any(_dot(h, b) for b in basis):  # the signs of h on the closure's generators
+        if any(sum(map(mul, h, b)) for b in basis):  # the signs of h on the closure's generators
             found = {-1, 1}
         else:
-            found = {(v > 0) - (v < 0) for v in (_dot(h, r) for r in rays)} - {0}
-        cuts, hw = len(found) == 2, _dot(h, wi)
-        for s, new in ((0, (h, _neg(h))), (-1, (h,)), (1, (_neg(h),))):
+            found = {(v > 0) - (v < 0) for r in rays if (v := sum(map(mul, h, r)))}
+        cuts, hw, nh = len(found) == 2, _dot(h, wi), _neg(h)
+        for s, new in ((0, (h, nh)), (-1, (h,)), (1, (nh,))):
             if (cuts or s in found or not (s or found)) and (not hw or s * hw > 0):
                 kept = [piece for piece in live if compatible(piece[1], k, s)]
                 if kept:

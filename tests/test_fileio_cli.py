@@ -13,6 +13,7 @@ from polyvar.certify import (
     ConstraintSystemSpec,
     PreconditionError,
     VariationalSystemSpec,
+    _Record,
     check_aubin,
     check_calmness_constraint,
     check_foscms,
@@ -381,8 +382,17 @@ _views = st.sampled_from(
         )
     ]
 )
+# trace records that two certificates share, written once like the views
+# (at the depth of their first write) and re-indented at every later depth
+_records = st.sampled_from(
+    [
+        _Record(stratum="P0@F[0]", normal_cone=cone_plain(PolyCone.from_ineqs(2, [[1, -2]])), outcome="ok"),
+        _Record(phase="A", covered=False, notes=["caf\u00e9", "\n"], pieces=[{"piece": cone_plain(PolyCone.origin(2))}]),
+        _Record(),
+    ]
+)
 _plain_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | _strings | _views,
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | _strings | _views | _records,
     lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_strings, inner),
     max_leaves=25,
 )
@@ -404,6 +414,19 @@ def test_a_cone_view_shared_at_two_depths_is_written_as_json_dumps_writes_it():
     assert report.json_block() == want  # the first write is the deeper one
     assert view.json == json.dumps(view, sort_keys=True, indent=1)
     assert report.json_block() == want
+    # a trace record two certificates share, with that view inside: first at
+    # the depth of a trace record in both, then deeper in a third
+    record = _Record(stratum="s", normal_cone=view, admissible_directions=True, outcome="ok")
+    assert record.json is None
+    reports = [
+        Report("foscms", Certificate("holds", trace=(record,)), ""),
+        Report("calmness", Certificate("holds", rates=(("linear_solvability", True),), trace=(record, {"x": 1})), ""),
+        Report("deeper", Certificate("holds", trace=({"records": [{"record": record}]},)), ""),
+    ]
+    for rep in reports + reports:
+        want = json.dumps({"check": rep.check, "certificate": certificate_to_dict(rep.certificate)}, sort_keys=True, indent=1)
+        assert rep.json_block() == want
+    assert record.json == json.dumps(record, sort_keys=True, indent=1)
 
 
 def test_certificates_of_one_spec_share_cone_views():

@@ -193,7 +193,9 @@ def primitive(row):
 def primitive_rows(draw):
     """(dim, rows): no row, one row or several primitive integer rows in
     dimensions 0 to 7, with zero rows, repeated rows (some negated) and
-    negative leading entries mixed in."""
+    negative leading entries mixed in; or rows built so that elimination
+    must swap a lower row up to the pivot (the first rows are zero in a
+    column a later row is not) and meets pivots of both signs."""
     dim = draw(st.integers(0, 7))
     row = st.one_of(
         st.just((0,) * dim), st.lists(st.integers(-4, 4), min_size=dim, max_size=dim).map(primitive)
@@ -202,6 +204,14 @@ def primitive_rows(draw):
     if rows:
         for i, negate in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.booleans()), max_size=3)):
             rows.append(tuple(-x for x in rows[i]) if negate else rows[i])
+    if dim >= 2 and draw(st.booleans()):
+        # rows zero in column c, then a row with a pivot of either sign there
+        c = draw(st.integers(0, dim - 2))
+        tail = st.lists(st.integers(-4, 4), min_size=dim - c - 1, max_size=dim - c - 1)
+        zero_at_c = [primitive((0,) * (c + 1) + tuple(t)) for t in draw(st.lists(tail, min_size=1, max_size=3))]
+        pivot = draw(st.sampled_from([-3, -1, 1, 2]))
+        lead = primitive((0,) * c + (pivot,) + tuple(draw(tail)))
+        return dim, zero_at_c + [lead] + rows
     return dim, draw(st.permutations(rows))
 
 

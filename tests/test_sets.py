@@ -17,6 +17,7 @@ from corpus import (
     random_union,
     rng,
 )
+from polyvar import sets
 from polyvar.cones import PolyCone, open_cell
 from polyvar.linalg import QVector, _ints, _neg
 from polyvar.oracle import sample_union_normals
@@ -377,17 +378,20 @@ def test_cone_union_of_one_piece_reads_no_rows():
     assert c._reps[1] is None  # its rows are not read off
 
 
-@pytest.mark.parametrize("k, pair_tests", [(4, 1840), (5, 15282)])
-def test_cone_union_tests_each_pooled_generator_once_per_piece(monkeypatch, k, pair_tests):
-    # the 3^k normals of complementarity k at 0 have the 4k generators +-e_j,
-    # so one holds test per piece and generator makes at most 4k 3^k of
-    # them; the guarded pair tests it replaced made pair_tests
+@pytest.mark.parametrize("k, holds_tests", [(4, 1296), (5, 4860)])
+def test_cone_union_tests_each_pooled_generator_once_per_pooled_row(monkeypatch, k, holds_tests):
+    # the 3^k normals of complementarity k at 0 have the 4k generators +-e_j
+    # and their rows (e and -e for an equation e) are among the 4k rows
+    # +-e_j, so one dot per pooled generator and distinct row makes at most
+    # (4k)^2 of them; the generator pool it replaced made holds_tests,
+    # 4k 3^k tests of a generator against a cone's rows
     normals = [s.normal for s in direction_strata(complementarity(k, {}), QVector.zero(2 * k))]
-    calls, holds = [], PolyCone._holds
-    monkeypatch.setattr(PolyCone, "_holds", lambda c, z: calls.append((c, z)) or holds(c, z))
+    rows = {a for c in normals for a in (*c._h[0], *c._h[1], *map(_neg, c._h[1]))}
+    calls, dot = [], sets._dot
+    monkeypatch.setattr(sets, "_dot", lambda a, z: calls.append((a, z)) or dot(a, z))
     assert len(ConeUnion(2 * k, normals).pieces) == 3**k
-    assert len(calls) <= 4 * k * 3**k < pair_tests
-    assert len(set(calls)) == len(calls) and len({z for _, z in calls}) <= 4 * k
+    assert len(rows) <= 4 * k and len(calls) <= len(rows) * 4 * k < holds_tests
+    assert len(set(calls)) == len(calls) and {a for a, _ in calls} == rows and len({z for _, z in calls}) <= 4 * k
 
 
 def test_cone_union_subset_of_rejects_another_dimension():
