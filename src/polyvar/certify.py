@@ -83,7 +83,7 @@ class ConstraintSystemSpec:
 
     __slots__ = ("l", "n", "m", "Jp", "Jx", "g0", "D", "hessians", "param_lipschitz", "label", "_memo")
 
-    def __init__(self, l, n, m, Jp, Jx, g0, D, hessians=None, param_lipschitz=True, label=""):
+    def __init__(self, l, n, m, Jp, Jx, g0, D, hessians=None, param_lipschitz=False, label=""):
         Jp = Jp if isinstance(Jp, QMatrix) else QMatrix(Jp)
         Jx = Jx if isinstance(Jx, QMatrix) else QMatrix(Jx)
         g0 = g0 if isinstance(g0, QVector) else QVector(g0)
@@ -131,7 +131,7 @@ class VariationalSystemSpec:
 
     __slots__ = ("l", "n", "Jp", "Jx", "gamma", "xbar", "ybarstar", "param_lipschitz", "label", "_memo")
 
-    def __init__(self, l, n, Jp, Jx, gamma, xbar, ybarstar, param_lipschitz=True, label=""):
+    def __init__(self, l, n, Jp, Jx, gamma, xbar, ybarstar, param_lipschitz=False, label=""):
         Jp = Jp if isinstance(Jp, QMatrix) else QMatrix(Jp)
         Jx = Jx if isinstance(Jx, QMatrix) else QMatrix(Jx)
         xbar = xbar if isinstance(xbar, QVector) else QVector(xbar)
@@ -433,16 +433,6 @@ def _strata(spec: ConstraintSystemSpec):
 
 
 @_per_spec
-def _foscms_strata(spec: ConstraintSystemSpec):
-    """(stratum, V, admissible u-cones per reach cell) for every direction
-    stratum of D, where V = ker Jx^T ∩ (stratum normal cone).  Strata share
-    normal cones and reach cells, and each distinct one is converted once."""
-    return tuple(
-        (s, _kernel_meet(spec, s.normal), tuple(_x_pullback(spec, qc) for qc in s.reach)) for s in _strata(spec)
-    )
-
-
-@_per_spec
 def check_foscms(spec: ConstraintSystemSpec) -> Certificate:
     """First order sufficient condition for metric subregularity of the
     frozen-parameter constraint system at the reference point.
@@ -455,7 +445,9 @@ def check_foscms(spec: ConstraintSystemSpec) -> Certificate:
         raise TypeError("check_foscms expects a constraint system")
     trace = []
     witnesses = []
-    for s, v_cone, u_cells in _foscms_strata(spec):
+    for s in _strata(spec):
+        v_cone = _kernel_meet(spec, s.normal)
+        u_cells = (_x_pullback(spec, qc) for qc in s.reach)
         active_cells = [u for u in u_cells if not u.is_trivial()]
         rec = _Record(
             stratum=s.label,
@@ -492,7 +484,9 @@ def check_soscms(spec: ConstraintSystemSpec) -> Certificate:
         raise PreconditionError("check_soscms needs the component Hessians")
     trace = []
     witnesses = []
-    for s, v_cone, u_cells in _foscms_strata(spec):
+    for s in _strata(spec):
+        v_cone = _kernel_meet(spec, s.normal)
+        u_cells = (_x_pullback(spec, qc) for qc in s.reach)
         active_cells = [u for u in u_cells if not u.is_trivial()]
         rec = _Record(
             stratum=s.label,
@@ -678,8 +672,8 @@ def _adjoint_strata(spec) -> tuple[_AdjointStratum, ...]:
     cell of each stratum, sharing the stratum's piece and adjoint cone."""
     if spec.kind == "constraint":
         sources = (
-            (s.label, s.normal, adj, [_qu_pullback(spec, qc) for qc in s.reach])
-            for s, adj, _ in _foscms_strata(spec)
+            (s.label, s.normal, _kernel_meet(spec, s.normal), [_qu_pullback(spec, qc) for qc in s.reach])
+            for s in _strata(spec)
         )
     else:
         sources = _graph_strata(spec)
@@ -691,7 +685,6 @@ def _adjoint_strata(spec) -> tuple[_AdjointStratum, ...]:
     return tuple(strata)
 
 
-@_per_spec
 def _zero_direction_adjoints(spec) -> tuple[tuple[PolyCone, PolyCone], ...]:
     """The (piece, adjoint cone) pairs of the standard adjoint inclusion,
     read along the zero direction: there the directional limiting normal
@@ -701,23 +694,16 @@ def _zero_direction_adjoints(spec) -> tuple[tuple[PolyCone, PolyCone], ...]:
 
 
 @_per_spec
-def _solvability(spec) -> tuple[tuple[PolyCone, ...], bool, QVector | None]:
-    """Projections of the solution pieces onto parameter space, whether they
-    cover it, and a parameter direction outside them if not."""
-    projected = tuple(fm_project(p, spec.l) for p in _solution_pieces(spec))
-    covered, gap = covers_space(projected, spec.l)
-    return projected, covered, gap
-
-
-@_per_spec
 def _phase_a(spec) -> tuple[_Record, bool, QVector | None]:
     """Phase A of ``check_aubin`` in either mode: its trace record, whether
-    the projected solution pieces cover parameter space, and a parameter
-    direction outside them if not."""
-    projected, covered, gap = _solvability(spec)
+    the projections of the solution pieces onto parameter space cover it,
+    and a parameter direction outside them if not."""
+    pieces = _solution_pieces(spec)
+    projected = [fm_project(p, spec.l) for p in pieces]
+    covered, gap = covers_space(projected, spec.l)
     rec = _Record(
         phase="A (solvability for every parameter direction)",
-        solution_pieces=[cone_plain(p) for p in _solution_pieces(spec)],
+        solution_pieces=[cone_plain(p) for p in pieces],
         projections=[cone_plain(p) for p in projected],
         covered=covered,
     )

@@ -201,6 +201,9 @@ def problem_from_dict(data: dict, source: str = "<problem>"):
                 _matrix(h, f"{source}.hessians[{i}]", nrows=n, ncols=n)
                 for i, h in enumerate(data["hessians"])
             ]
+            for i, h in enumerate(hessians):
+                if not h.is_symmetric():
+                    raise ProblemFileError(f"{source}.hessians[{i}]: expected a symmetric matrix")
             if len(hessians) != m:
                 raise ProblemFileError(f"{source}.hessians: expected {m} matrices, got {len(hessians)}")
         try:

@@ -1,5 +1,5 @@
 """Deterministic randomized instance generation shared by the test modules,
-and a counter of cone conversions."""
+the scalable complementarity families, and a counter of cone conversions."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import product
 
 from polyvar import cones
+from polyvar.certify import ConstraintSystemSpec
 from polyvar.cones import PolyCone
 from polyvar.linalg import QMatrix, QVector
 from polyvar.sets import InfeasibleError, Polyhedron, UnionSet
@@ -209,3 +210,42 @@ def random_symmetric(r: random.Random, n: int) -> QMatrix:
         for j in range(i, n):
             m[i][j] = m[j][i] = r.randint(-2, 2)
     return QMatrix(m)
+
+
+def complementarity(k, bounds):
+    """The 2^k pieces of k pairs y_i >= 0, y_{k+i} >= 0, y_i y_{k+i} = 0 in
+    R^{2k}, with y_j <= bounds[j] on each piece where y_j may be positive."""
+    m = 2 * k
+
+    def unit(j, s=1):
+        return [s if i == j else 0 for i in range(m)]
+
+    pieces = []
+    for choice in product((0, 1), repeat=k):
+        A, b, E = [], [], []
+        for i, c in enumerate(choice):
+            free, zero = (i, k + i) if c == 0 else (k + i, i)
+            A.append(unit(free, -1))
+            b.append(0)
+            E.append(unit(zero))
+            if free in bounds:
+                A.append(unit(free))
+                b.append(bounds[free])
+        pieces.append(Polyhedron(m, A, b, E, [0] * k))
+    return UnionSet(pieces)
+
+
+def admissible_complementarity(k: int, second: int = 1) -> ConstraintSystemSpec:
+    """Complementarity with k pairs at g0 = 0 (l = 1, n = 2, m = 2k) with
+    admissible strata: Jx = [e_1 e_(second+1)], Jp = e_1, and every
+    Hessian diag(1, -1).  The default puts Jx's columns at the first
+    coordinates of pairs 0 and 1; ``second=k`` puts both in pair 0."""
+    m = 2 * k
+    return ConstraintSystemSpec(
+        l=1, n=2, m=m,
+        Jp=[[int(i == 0)] for i in range(m)],
+        Jx=[[int(i == 0), int(i == second)] for i in range(m)],
+        g0=[0] * m,
+        D=complementarity(k, {}),
+        hessians=[QMatrix([[1, 0], [0, -1]])] * m,
+    )

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import (
+    admissible_complementarity,
+    complementarity,
     counting_dd,
     graph_union,
     random_affine_union,
@@ -19,7 +21,6 @@ from corpus import (
     random_union,
     rng,
 )
-from test_sets import complementarity
 from polyvar.certify import (
     HOLDS,
     NOT_CERTIFIED,
@@ -38,7 +39,6 @@ from polyvar.certify import (
     PreconditionError,
     graphical_derivative_S,
     _adjoint_strata,
-    _foscms_strata,
     _hessian_contraction,
     _form_value,
     _solution_pieces,
@@ -577,6 +577,86 @@ def test_metamorphic_aubin_corollary_implies_theorem():
                 replay_aubin_witness(spec, w, "corollary")
 
 
+# -- a family whose strata are admissible -------------------------------------------
+#
+# admissible_complementarity(k) is complementarity with k pairs (y_i, y_(k+i))
+# at 0, Jx = [e_1 e_2] and Jp = e_1.  Per pair, a direction w of T_D(0) has
+# w_i > 0 = w_(k+i) (state A), w_(k+i) > 0 = w_i (B) or both 0 (Z): 3^k
+# strata, one reach cell each, with normal cones v_i = 0 (A), v_(k+i) = 0
+# (B) or v_i, v_(k+i) <= 0 (Z) per pair.  Jx u = (u_1, u_2, 0, ...), so a
+# u-cell is nontrivial iff pair 0 or pair 1 is in A: 9 - 4 = 5 choices for
+# those two pairs times 3^(k-2) for the rest.  ker Jx^T = {v_0 = v_1 = 0}
+# keeps the free v_(k+i) of a pair in A, so each of these 5 * 3^(k-2)
+# strata is violated, with dual lineality: check_soscms takes the lineality
+# branch there and never reaches _negativity_on_cone.  Its lin[0] is a unit
+# e_j, and every Hessian is diag(1, -1), so v* = +e_j iff u^T diag(1, -1) u
+# >= 0 for the cell's sample u: (1, 0) when only pair 0 is in A, (0, 1)
+# when only pair 1 is, (1, 1) when both are; that is 3 * 3^(k-2) plus signs
+# and 2 * 3^(k-2) minus signs.  (q, u) = (1, -1, 0) spans ker [Jp Jx], so
+# Phase A covers every q and every stratum's (q, u) cell is nontrivial: 3^k
+# Phase B entries.  For k >= 3 a pair i >= 2 keeps a free or a <= 0
+# coordinate of v in ker Jx^T, and ker Jp^T = {v_0 = 0} cuts nothing more,
+# so all 3^k entries are violated in the corollary and in the joint check.
+
+
+@pytest.mark.parametrize("k", (3, 4))
+def test_admissible_complementarity_verdicts_match_their_derivation(k):
+    spec = admissible_complementarity(k)
+    first, second = check_foscms(spec), check_soscms(spec)
+    assert len(first.witnesses) == len(second.witnesses) == 5 * 3 ** (k - 2)
+    assert sum(r["outcome"] == "violated (dual lineality)" for r in second.trace) == 5 * 3 ** (k - 2)
+    plus = [w for w in second.witnesses if sum(w.vstar.entries) > 0]
+    assert len(plus) == 3 * 3 ** (k - 2)
+    for w in first.witnesses:
+        replay_foscms_witness(spec, w)
+    for w in second.witnesses:
+        replay_soscms_witness(spec, w)
+    aubin, joint = check_aubin(spec, "corollary"), check_foscms_joint(spec)
+    (phase_b,) = [r for r in aubin.trace if r.get("phase", "").startswith("B")]
+    assert sum(len(c["adjoint_inclusions"]) for c in phase_b["cases"]) == 3 ** k
+    assert len(aubin.witnesses) == len(joint.witnesses) == 3 ** k
+    for w in aubin.witnesses:
+        replay_aubin_witness(spec, w, "corollary")
+    for w in joint.witnesses:
+        replay_aubin_witness(spec, w, "corollary")
+        assert spec.Jp.T.matvec(w.vstar).is_zero()
+
+
+def test_admissible_complementarity_in_one_pair_reaches_both_quadratic_outcomes():
+    # With Jx = [e_1 e_(k+1)], both coordinates of pair 0, a u-cell is
+    # nontrivial iff pair 0 is in A or B: 2 * 3^(k-1) violated strata.  Now
+    # ker Jx^T kills v_0 and v_k, so the dual cone is pointed exactly when
+    # every other pair is in Z, with the 2(k - 1) rays -e_i, -e_(k+i), each
+    # contracting the Hessians to -diag(1, -1).  The u-cell is the ray
+    # (1, 0) in A, where the form is -1 < 0 (no witness), and (0, 1) in B,
+    # where it is 1 (one witness per ray).
+    k = 4
+    spec = admissible_complementarity(k, second=k)
+    second = check_soscms(spec)
+    outcomes = [r["outcome"] for r in second.trace]
+    assert outcomes.count("violated (dual lineality)") == 2 * 3 ** (k - 1) - 2
+    assert outcomes.count("ok (quadratic term negative)") == outcomes.count("violated") == 1
+    assert len(check_foscms(spec).witnesses) == 2 * 3 ** (k - 1)
+    assert len(second.witnesses) == 2 * 3 ** (k - 1) - 2 + 2 * (k - 1)
+    for w in second.witnesses:
+        replay_soscms_witness(spec, w)
+
+
+@pytest.mark.parametrize("check, passes", ((check_aubin, 435), (check_foscms_joint, 500)))
+def test_adjoint_strata_convert_no_first_order_cell(monkeypatch, check, passes):
+    # Phase B and the joint check read each stratum's kernel meet and (q, u)
+    # cells, never its u-cells {u : Jx u ∈ C}, so on their own they pull
+    # no cell back through Jx alone (that would be 3^4 = 81 more passes)
+    calls = []
+    real = certify._x_pullback
+    monkeypatch.setattr(certify, "_x_pullback", lambda spec, cone: calls.append(cone) or real(spec, cone))
+    spec = admissible_complementarity(4)
+    with counting_dd() as dd:
+        check(spec)
+    assert calls == []
+    assert len(dd) == passes
+
+
 # -- the closed-form strata of gph N_Γ against the generic strata of its union -------
 
 
@@ -1041,9 +1121,10 @@ def test_integer_pullbacks_match_rational_rows():
         w_map = _w_map(spec, 1)
         assert _solution_pieces(spec) == tuple(_rational_pullback(t, w_map, dim) for t in tangent)
         ker = PolyCone.from_ineqs(spec.m, [], [spec.Jx.col(j) for j in range(spec.n)])
-        for s, v_cone, u_cells in _foscms_strata(spec):
-            assert v_cone == ker.intersect(s.normal)
-            assert u_cells == tuple(_rational_pullback(qc, spec.Jx, spec.n) for qc in s.reach)
+        for s in certify._strata(spec):
+            assert certify._kernel_meet(spec, s.normal) == ker.intersect(s.normal)
+            for qc in s.reach:
+                assert certify._x_pullback(spec, qc) == _rational_pullback(qc, spec.Jx, spec.n)
     for spec in [ex5_spec()] + random_variational_specs():
         spec = _rational(spec)
         k = spec.graph_point().critical
@@ -1133,11 +1214,12 @@ def test_second_joint_check_makes_no_conversion():
 def test_kernel_meets_take_one_conversion_each(make, conversions):
     # each ker Jx^T ∩ N is one conversion of N's rows and Jx's columns; a
     # kernel cone converted first and then intersected took two more on each.
-    # The strata are built first, so only the meets and pullbacks count.
+    # The strata are built first, so only the meets and the pullbacks of
+    # check_foscms count.
     spec = make()
     certify._strata(spec)
     with counting_dd() as calls:
-        _foscms_strata(spec)
+        check_foscms(spec)
     assert len(calls) == conversions
 
 

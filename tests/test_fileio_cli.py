@@ -58,6 +58,7 @@ def malformed_ex4():
         # Fraction() alone would spend seconds building a 10^7-digit integer
         (".D.pieces[0].b[0]", lambda d: d["D"]["pieces"][0]["b"].__setitem__(0, "1e10000000")),
         (".hessians", lambda d: d.update(hessians={"0": []})),
+        (".hessians[1]", lambda d: d["hessians"].__setitem__(1, [["0", "1"], ["0", "0"]])),
         (".param_lipschitz", lambda d: d.update(param_lipschitz="false")),  # bool("false") is True
         (".label", lambda d: d.update(label=3)),
     ):
@@ -87,6 +88,23 @@ def test_parse_bundled_examples():
         spec = parse_problem(bundled_problem_path(name))
         assert spec.kind == kind
         assert spec.param_lipschitz
+
+
+def test_an_unasserted_parameter_bound_reads_the_same_built_or_parsed():
+    # a spec built without param_lipschitz and a file without the field
+    # assert nothing, so both default to False and calmness says the same
+    data, vdata = ex4_dict(), ex5_dict()
+    del data["param_lipschitz"], vdata["param_lipschitz"]
+    parsed = problem_from_dict(data)
+    built = ConstraintSystemSpec(parsed.l, parsed.n, parsed.m, parsed.Jp, parsed.Jx, parsed.g0, parsed.D, parsed.hessians)
+    notes = check_calmness_constraint(built).notes
+    assert notes == check_calmness_constraint(parsed).notes
+    assert "param_lipschitz asserted by user: False" in notes
+    vparsed = problem_from_dict(vdata)
+    vbuilt = VariationalSystemSpec(
+        vparsed.l, vparsed.n, vparsed.Jp, vparsed.Jx, vparsed.gamma, vparsed.xbar, vparsed.ybarstar
+    )
+    assert vbuilt.param_lipschitz is vparsed.param_lipschitz is False
 
 
 def test_round_trip_is_field_identical():

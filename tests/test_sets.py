@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from corpus import (
     boundary_points,
+    complementarity,
     counting_dd,
     graph_union,
     random_affine_union,
@@ -185,29 +186,6 @@ def test_directional_normal_cone_complementarity():
     w = QVector([1, 0, -1, -1])
     got = directional_normal_cone(d, QVector([0, 0, 0, 0]), w)
     assert got.pieces == (PolyCone.from_generators(4, lin=[[0, 1, 0, 0]]),)
-
-
-def complementarity(k, bounds):
-    """The 2^k pieces of k pairs y_i >= 0, y_{k+i} >= 0, y_i y_{k+i} = 0 in
-    R^{2k}, with y_j <= bounds[j] on each piece where y_j may be positive."""
-    m = 2 * k
-
-    def unit(j, s=1):
-        return [s if i == j else 0 for i in range(m)]
-
-    pieces = []
-    for choice in product((0, 1), repeat=k):
-        A, b, E = [], [], []
-        for i, c in enumerate(choice):
-            free, zero = (i, k + i) if c == 0 else (k + i, i)
-            A.append(unit(free, -1))
-            b.append(0)
-            E.append(unit(zero))
-            if free in bounds:
-                A.append(unit(free))
-                b.append(bounds[free])
-        pieces.append(Polyhedron(m, A, b, E, [0] * k))
-    return UnionSet(pieces)
 
 
 def test_bounded_complementarity_has_the_strata_at_zero_of_the_unbounded_one():
