@@ -309,29 +309,29 @@ def covers_space(pieces: Sequence[PolyCone], dim: int) -> tuple[bool, QVector | 
     in the complement.
 
     The complement is split facet-wise, piece by piece, into relatively open
-    cells, and only nonempty cells are kept (``open_cell``).  The direction
-    returned is the primitive sum of the rays of the first remaining cell's
-    closure, which lies in that cell.
+    cells, searched depth first in split order: empty cells are pruned
+    (``open_cell``), and a repeated piece is skipped (it leaves each cell,
+    all outside it, whole).  The search stops at the first cell that avoids
+    every piece and returns the primitive sum of its closure's rays.
     """
-    # each region: its (leq, eq, strict) integer rows and the rays of its closure
-    regions: list[tuple[tuple, tuple]] = [(((), (), ()), ())]
-    for piece in pieces:
-        ineqs, eqs = piece._h
-        new_regions = []
-        for (leq, eq, strict), _ in regions:
-            cells = [(leq + ineqs[:k], eq, strict + (_neg(a),)) for k, a in enumerate(ineqs)]
-            for k, e in enumerate(eqs):
-                held = (leq + ineqs, eq + eqs[:k])
-                cells += [(*held, strict + (e,)), (*held, strict + (_neg(e),))]
-            for cell in cells:
-                closure = open_cell(dim, *cell)
-                if closure is not None:
-                    new_regions.append((cell, closure._v[0]))
-        regions = new_regions
-        if not regions:
-            return True, None
-    rays = regions[0][1]
-    return False, QVector(_reduce([sum(x) for x in zip(*rays)])) if rays else QVector.zero(dim)
+    rows = [p._h for p in dict.fromkeys(pieces)]
+    stack = [(0, ((), (), ()), ())]  # (pieces split by, cell rows, closure rays or None if unchecked)
+    while stack:
+        i, (leq, eq, strict), rays = stack.pop()
+        if rays is None:
+            closure = open_cell(dim, leq, eq, strict)
+            if closure is None:
+                continue
+            rays = closure._v[0]
+        if i == len(rows):
+            return False, QVector(_reduce([sum(x) for x in zip(*rays)])) if rays else QVector.zero(dim)
+        ineqs, eqs = rows[i]
+        cells = [(leq + ineqs[:k], eq, strict + (_neg(a),)) for k, a in enumerate(ineqs)]
+        for k, e in enumerate(eqs):
+            held = (leq + ineqs, eq + eqs[:k])
+            cells += [(*held, strict + (e,)), (*held, strict + (_neg(e),))]
+        stack += [(i + 1, cell, None) for cell in reversed(cells)]
+    return True, None
 
 
 # -- quadratic-form sign analysis (for the second order condition) -----------------

@@ -144,9 +144,6 @@ class Polyhedron:
         sa, se = self._slacks(y)
         return all(s <= 0 for s in sa) and not any(se)
 
-    def active_ineqs(self, y: QVector) -> list[int]:
-        return [i for i, s in enumerate(self._slacks(y)[0]) if s == 0]
-
     def vertices_and_recession(self) -> tuple[list[QVector], PolyCone]:
         """Generator view: some vertices/points plus the recession cone."""
         verts = []
@@ -161,11 +158,6 @@ class Polyhedron:
             rec_lin.append(QVector(l.entries[:self.dim]))
         rec = PolyCone.from_generators(self.dim, rec_rays, rec_lin)
         return verts, rec
-
-    def subset_of(self, other: "Polyhedron") -> bool:
-        # P ⊆ Q iff homogenization cones nest: that of P is generated by the
-        # (y, 1), y in P, and (r, 0), r a recession direction of P (so of Q).
-        return self._homog.subcone_of(other._homog)
 
     # -- variational cones ----------------------------------------------------
 
@@ -292,7 +284,8 @@ class ConeUnion:
     """Finite union of polyhedral cones in canonical irredundant form.
 
     Pieces subsumed by another piece are dropped, duplicates merged, and the
-    list is sorted by canonical key, so equality of values is structural.
+    list is sorted by canonical key, so unions built from the same cones, in
+    any order and with any repeats, have equal ``pieces`` tuples.
     Every piece lies in R^dim; the empty union (empty set) is allowed.
 
     c ⊆ d iff d holds every generator of c: each distinct generator gets,
@@ -341,21 +334,6 @@ class ConeUnion:
 
     def contains(self, v: QVector) -> bool:
         return any(c.contains(v) for c in self.pieces)
-
-    def subset_of(self, other: "ConeUnion") -> bool:
-        if self.dim != other.dim:
-            raise ValueError("cone dimension mismatch")
-        return all(any(c.subcone_of(d) for d in other.pieces) for c in self.pieces)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ConeUnion)
-            and self.dim == other.dim
-            and self.pieces == other.pieces
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.pieces))
 
     def __repr__(self):
         return f"ConeUnion({list(self.pieces)!r})"

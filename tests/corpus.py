@@ -3,15 +3,18 @@ the scalable complementarity families, and a counter of cone conversions."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 from polyvar import cones
 from polyvar.certify import ConstraintSystemSpec
 from polyvar.cones import PolyCone
+from polyvar.fileio import problem_from_dict
 from polyvar.linalg import QMatrix, QVector
 from polyvar.sets import InfeasibleError, Polyhedron, UnionSet
 
@@ -80,7 +83,7 @@ def boundary_points(gamma: Polyhedron, limit: int = 12) -> list[QVector]:
     for combo in product((-1, 0, 1, Fraction(1, 2), Fraction(-1, 2)), repeat=dim):
         y = QVector(combo)
         if gamma.contains(y):
-            pts.append((len(gamma.active_ineqs(y)), y))
+            pts.append((gamma._slacks(y)[0].count(0), y))
     pts.sort(key=lambda t: (-t[0], tuple(map(str, t[1].entries))))
     return [y for _, y in pts[:limit]]
 
@@ -249,3 +252,14 @@ def admissible_complementarity(k: int, second: int = 1) -> ConstraintSystemSpec:
         D=complementarity(k, {}),
         hessians=[QMatrix([[1, 0], [0, -1]])] * m,
     )
+
+
+def parametric_complementarity(k: int, l: int) -> ConstraintSystemSpec:
+    """The benchmark's ``constraint_complementarity(0, 0, k, False, l)``
+    (perfbench/problems.py, loaded read-only): k pairs with l parameters and
+    seeded Jacobians, so Phase A projects up to 2^k pieces into R^l."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "problems.py"
+    found = importlib.util.spec_from_file_location("perfbench_problems", path)
+    problems = importlib.util.module_from_spec(found)
+    found.loader.exec_module(problems)
+    return problem_from_dict(problems.constraint_complementarity(0, 0, k, False, l))

@@ -11,6 +11,7 @@ from corpus import (
     complementarity,
     counting_dd,
     graph_union,
+    parametric_complementarity,
     random_affine_union,
     random_gamma,
     random_graph_point,
@@ -48,7 +49,7 @@ from polyvar.certify import (
 from polyvar import certify, sets
 from polyvar.cones import PolyCone, open_cell, pick_nonzero
 from polyvar.graphmap import directional_limiting_normal_graph, face_pairs, limiting_normal_graph
-from polyvar.linalg import QMatrix, QVector, _dot, _ints, row_space_basis
+from polyvar.linalg import QMatrix, QVector, _dot, _ints, _neg, _reduce, row_space_basis
 from polyvar.sets import (
     ConeUnion,
     InfeasibleError,
@@ -327,12 +328,13 @@ def test_graphical_derivative_positive_homogeneity():
         )
     assert len(b) == len(scaled)
     for pb in b:
-        assert any(pb.subset_of(ps) and ps.subset_of(pb) for ps in scaled)
+        assert any(pb._homog.subcone_of(ps._homog) and ps._homog.subcone_of(pb._homog) for ps in scaled)
 
 
 def pairwise_derivative_S(spec, q):
     """``graphical_derivative_S`` by the dedup it replaced: each distinct
-    polyhedron is tested against every other one with ``Polyhedron.subset_of``."""
+    polyhedron is tested against every other one for containment: P ⊆ Q iff
+    their homogenization cones nest."""
     l, qe, out = spec.l, q.entries, []
     for c in _solution_pieces(spec):
         ineqs, eqs = c._h
@@ -344,7 +346,7 @@ def pairwise_derivative_S(spec, q):
             ))
         except InfeasibleError:
             continue
-    dedup = [p for p in dict.fromkeys(out) if not any(p != o and p.subset_of(o) for o in out)]
+    dedup = [p for p in dict.fromkeys(out) if not any(p != o and p._homog.subcone_of(o._homog) for o in out)]
     return sorted(dedup, key=Polyhedron.key)
 
 
@@ -815,10 +817,13 @@ def test_graph_cells_are_faces_of_the_graph_cone_hypothesis(seed):
     assert_graph_cells_are_row_built(random_spec(rng(seed), "variational"))
 
 
-@pytest.mark.parametrize("make, passes", ((2, 16), (3, 38), (4, 100), (ex5_spec, 18)))
+@pytest.mark.parametrize("make, passes", ((2, 16), (3, 38), (4, 100), (ex5_spec, 16)))
 def test_aubin_graph_passes(make, passes):
     # one conversion for G and none per graph cell (the row-built cells
-    # took 24 / 64 / 180 and 26); an int n is the orthant family
+    # took 24 / 64 / 180 and 26); an int n is the orthant family.  Phase A
+    # searches depth first, stops at its first gap and skips a repeated
+    # projection: ex5 projects onto the rays -1, -1, -1 and +1 of R^1, so
+    # two of its cell tests go (18 passes when every cell was kept)
     spec = orthant_spec(make) if isinstance(make, int) else make()
     with counting_dd() as calls:
         check_aubin(spec)
@@ -927,19 +932,24 @@ def test_covers_space():
 @st.composite
 def cone_unions(draw):
     """(dim, pieces): one to four cones in R^1-R^3 from small integer rows
-    (zero rows and equations included); half the time the closed
-    complements of the first piece's rows are added, so the union covers
-    the space."""
+    (zero rows included, and up to two equations, so lower-dimensional
+    cones too); half the time the closed complements of the first piece's
+    rows are added, so the union covers the space; then up to three pieces
+    are repeated at drawn places, as the same cone or rebuilt from its
+    rows."""
     dim = draw(st.integers(1, 3))
     row = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
     pieces = [
-        PolyCone.from_ineqs(dim, draw(st.lists(row, min_size=1, max_size=3)), draw(st.lists(row, max_size=1)))
+        PolyCone.from_ineqs(dim, draw(st.lists(row, min_size=1, max_size=3)), draw(st.lists(row, max_size=2)))
         for _ in range(draw(st.integers(1, 4)))
     ]
     if draw(st.booleans()):
         ineqs, eqs = pieces[0]._h
         pieces += [PolyCone.from_ineqs(dim, [[-x for x in a]]) for a in ineqs]
         pieces += [PolyCone.from_ineqs(dim, [r]) for e in eqs for r in (e, [-x for x in e])]
+    for i in draw(st.lists(st.integers(0, len(pieces) - 1), max_size=3)):
+        c = pieces[i] if draw(st.booleans()) else PolyCone.from_ineqs(dim, pieces[i].ineqs, pieces[i].eqs)
+        pieces.insert(draw(st.integers(0, len(pieces))), c)
     return dim, pieces
 
 
@@ -955,6 +965,66 @@ def test_covers_space_hypothesis(union):
     else:
         assert all(x.denominator == 1 for x in gap) and gcd(*(int(x) for x in gap)) == 1
         assert not any(p.contains(gap) for p in pieces)
+
+
+def breadth_first_covers_space(pieces, dim, tested):
+    """``covers_space`` by the search it replaced: every nonempty cell of
+    the split by each piece in turn is kept, repeated pieces included, and
+    the gap is read off the first cell left after the last piece.  Every
+    cell it tests with ``open_cell`` is appended to ``tested``."""
+    regions = [(((), (), ()), ())]
+    for piece in pieces:
+        ineqs, eqs = piece._h
+        new_regions = []
+        for (leq, eq, strict), _ in regions:
+            cells = [(leq + ineqs[:k], eq, strict + (_neg(a),)) for k, a in enumerate(ineqs)]
+            for k, e in enumerate(eqs):
+                held = (leq + ineqs, eq + eqs[:k])
+                cells += [(*held, strict + (e,)), (*held, strict + (_neg(e),))]
+            for cell in cells:
+                tested.append(cell)
+                closure = open_cell(dim, *cell)
+                if closure is not None:
+                    new_regions.append((cell, closure._v[0]))
+        regions = new_regions
+        if not regions:
+            return True, None
+    rays = regions[0][1]
+    return False, QVector(_reduce([sum(x) for x in zip(*rays)])) if rays else QVector.zero(dim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cone_unions())
+def test_covers_space_is_the_breadth_first_search_hypothesis(union):
+    # the breadth-first list keeps split order, so its first cell after the
+    # last piece is the depth-first search's first leaf; a cell outside a
+    # piece is its only nonempty cell when split by it again.  When the
+    # union covers the space, both test the same cells of distinct pieces
+    dim, pieces = union
+    calls, real = [], certify.open_cell
+    certify.open_cell = lambda dim, *cell: calls.append(cell) or real(dim, *cell)
+    try:
+        got = covers_space(pieces, dim)
+    finally:
+        certify.open_cell = real
+    reference = []
+    assert got == breadth_first_covers_space(pieces, dim, reference)
+    assert len(calls) <= len(reference)
+    if got[0] and len(set(pieces)) == len(pieces):
+        assert sorted(calls) == sorted(reference)
+
+
+def test_phase_a_refutes_complementarity_with_four_parameters():
+    # the benchmark's complementarity family with k = 4 pairs and l = 4
+    # parameters: 16 solution pieces whose projections (13 distinct) leave
+    # a gap in R^4.  The pinned gap is the breadth-first search's answer;
+    # the depth-first one reaches it after testing 13 cells
+    spec = parametric_complementarity(4, 4)
+    cert = check_aubin(spec)
+    assert cert.status == NOT_CERTIFIED and cert.refuted
+    (w,) = cert.witnesses
+    assert w.q == QVector([-415274, -1061177, -595114, 104801])
+    assert not any(fm_project(p, spec.l).contains(w.q) for p in _solution_pieces(spec))
 
 
 def test_directions_of_the_wrong_dimension_are_rejected():

@@ -5,7 +5,7 @@ input.  Each ``ex*`` file under ``golden/`` is the full-verbosity report and
 JSON block that ``POLYVAR_TRACE=full polyvar certify`` prints for one bundled
 example and check; two refuted Aubin certificates have gap witnesses from
 ``covers_space``, the primitive sum of the rays of the closure of the first
-uncovered cell; the ``cli-*`` files are what ``polyvar cones`` and
+uncovered cell in split order; the ``cli-*`` files are what ``polyvar cones`` and
 ``polyvar graph-normal`` print on the bundled examples; and each
 ``demo-*.txt`` is what the matching script under ``demos/`` prints.
 
