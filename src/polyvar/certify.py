@@ -39,9 +39,9 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .cones import PolyCone, _exposed_face, _of_rows, cone_plain, open_cell, pick_nonzero
+from .cones import PolyCone, _dd_steps, _exposed_face, _of_rows, cone_plain, open_cell, pick_nonzero
 from .graphmap import GraphPoint, _assemble, _tangent, face_pairs
-from .linalg import IntVec, QMatrix, QVector, _dot, _ints, _kernel, _neg, _reduce, vec_plain
+from .linalg import IntVec, QMatrix, QVector, _dot, _echelon_kernel, _ints, _kernel, _neg, _reduce, vec_plain
 from .sets import ConeUnion, InfeasibleError, Polyhedron, direction_strata, union_tangent_cone
 
 HOLDS = "holds"
@@ -309,28 +309,28 @@ def covers_space(pieces: Sequence[PolyCone], dim: int) -> tuple[bool, QVector | 
     in the complement.
 
     The complement is split facet-wise, piece by piece, into relatively open
-    cells, searched depth first in split order: empty cells are pruned
-    (``open_cell``), and a repeated piece is skipped (it leaves each cell,
-    all outside it, whole).  The search stops at the first cell that avoids
-    every piece and returns the primitive sum of its closure's rays.
+    cells, searched depth first in split order.  A cell continues its
+    parent's double description by one ``_dd_steps`` pass over its rows (an
+    equation e as e and -e) and is pruned when a strict row is negative on
+    no ray of its closure; a repeated piece is skipped (it leaves each cell
+    whole).  The first cell that avoids every piece ends the search, with
+    the primitive sum of its closure's rays as the gap.
     """
     rows = [p._h for p in dict.fromkeys(pieces)]
-    stack = [(0, ((), (), ()), ())]  # (pieces split by, cell rows, closure rays or None if unchecked)
+    stack = [(0, (_echelon_kernel((), (), dim), [], [], [], []), None, ())]
     while stack:
-        i, (leq, eq, strict), rays = stack.pop()
-        if rays is None:
-            closure = open_cell(dim, leq, eq, strict)
-            if closure is None:
+        i, (basis, rays, zeros, done, eqs), new, strict = stack.pop()
+        if new is not None:
+            basis, rays, zeros, done, eqs = _dd_steps(dim, basis, rays, zeros, done, new, eqs)
+            if not all(any(_dot(c, r) < 0 for r in rays) for c in strict):
                 continue
-            rays = closure._v[0]
         if i == len(rows):
             return False, QVector(_reduce([sum(x) for x in zip(*rays)])) if rays else QVector.zero(dim)
-        ineqs, eqs = rows[i]
-        cells = [(leq + ineqs[:k], eq, strict + (_neg(a),)) for k, a in enumerate(ineqs)]
-        for k, e in enumerate(eqs):
-            held = (leq + ineqs, eq + eqs[:k])
-            cells += [(*held, strict + (e,)), (*held, strict + (_neg(e),))]
-        stack += [(i + 1, cell, None) for cell in reversed(cells)]
+        ineqs, eq_rows = rows[i]
+        pairs = [r for e in eq_rows for r in (e, _neg(e))]
+        cells = [(ineqs[:k] + (_neg(a),), _neg(a)) for k, a in enumerate(ineqs)]
+        cells += [((*ineqs, *pairs[: k - k % 2], c), c) for k, c in enumerate(pairs)]
+        stack += [(i + 1, (basis, rays, zeros, done, eqs), cell, strict + (c,)) for cell, c in reversed(cells)]
     return True, None
 
 
@@ -594,7 +594,6 @@ class _AdjointStratum:
     adjoint: PolyCone  # solution cone in v*-space
 
 
-@_per_spec
 def _solution_pieces(spec) -> tuple[PolyCone, ...]:
     """Solution cones of the linearized system in (q, u) space.
 

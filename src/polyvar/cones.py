@@ -27,8 +27,8 @@ adjacency is decided exactly.  The method is incremental, so an intersection
 continues its first operand's conversion: ``intersect`` starts the step loop
 from that cone's generators and their zero sets over its facets, and
 processes only the other operand's rows; ``minkowski_sum`` is the polar of
-the intersection of the polars, and ``sets.direction_strata`` cuts a cell
-by one more hyperplane the same way.  Both representations are
+the intersection of the polars, and ``sets.direction_strata`` and Phase A's
+``certify.covers_space`` cut a cell by more rows the same way.  Both representations are
 canonicalized so that cone equality is plain structural equality of integer
 tuples:
 
@@ -60,10 +60,9 @@ hashing read them.  ``fractions.Fraction`` appears only at the API boundary:
 integer forms when they are read, and ``cone_plain`` writes its strings from
 the integer forms directly, once per cone.
 
-Phase A and the second order test ask one question, "is the open
-cell {leq.z <= 0, eqs.z = 0, strict.z < 0} nonempty?", and ``open_cell``
-answers it from the rays of the cell's closure, whose canonical generators
-it returns as a cone.  Cones are built from canonical generators and their
+The second order test asks "is the open cell {leq.z <= 0, eqs.z = 0,
+strict.z < 0} nonempty?", and ``open_cell`` answers it from the rays of the
+cell's closure, whose canonical generators it returns as a cone.  Cones are built from canonical generators and their
 incidence in one step (``_of_generators``), so no cell pays for a polar
 conversion: a nonempty cell's rows are read off when they are first read.
 

@@ -37,6 +37,8 @@ integer constructor; the Jacobians, the reference vectors and the Hessians
 are ``QMatrix``/``QVector`` values built from the pairs with no second
 coercion.  Parsing errors carry the JSON path of the offending field, and a
 field is checked in full (its entries, then its length) before the next.
+A key that is not a field of its object (of the file's kind, of ``dims``,
+of ``D`` or of a polyhedron) is refused as an unknown field.
 
 Every report ends with a JSON block (``Report.json_block``): keys sorted,
 one space of indent per level, items separated by "," and a newline, keys
@@ -142,9 +144,24 @@ def _cleared_rows(rows: list[list[tuple[int, int]]], rhs: list[tuple[int, int]])
     return out
 
 
+_FIELDS = {
+    "constraint": ("kind", "dims", "Jp", "Jx", "g0", "D", "hessians", "param_lipschitz", "label"),
+    "variational": ("kind", "dims", "Jp", "Jx", "xbar", "ybarstar", "gamma", "param_lipschitz", "label"),
+}
+
+
+def _known(value: dict, fields, path: str) -> None:
+    """Reject a key that is none of ``fields``: a misspelled field would
+    otherwise be read as absent."""
+    for key in value:
+        if key not in fields:
+            raise ProblemFileError(f"{path}.{key}: unknown field")
+
+
 def _polyhedron(value, path: str, dim: int) -> Polyhedron:
     if not isinstance(value, dict):
         raise ProblemFileError(f"{path}: expected an object with A/b/E/e")
+    _known(value, ("A", "b", "E", "e"), path)
     a = _ratio_rows(value.get("A", []), f"{path}.A", ncols=dim if value.get("A") else None)
     b = _ratios(value.get("b", []), f"{path}.b")
     e_mat = _ratio_rows(value.get("E", []), f"{path}.E", ncols=dim if value.get("E") else None)
@@ -172,9 +189,11 @@ def problem_from_dict(data: dict, source: str = "<problem>"):
     kind = data.get("kind")
     if kind not in ("constraint", "variational"):
         raise ProblemFileError(f"{source}.kind: must be 'constraint' or 'variational'")
+    _known(data, _FIELDS[kind], source)
     dims = data.get("dims")
     if not isinstance(dims, dict) or "l" not in dims or "n" not in dims:
         raise ProblemFileError(f"{source}.dims: need integer fields l, n" + (", m" if kind == "constraint" else ""))
+    _known(dims, ("l", "n", "m") if kind == "constraint" else ("l", "n"), f"{source}.dims")
     l, n = _dim(dims, "l", source), _dim(dims, "n", source)
     lip = data.get("param_lipschitz", False)
     if not isinstance(lip, bool):
@@ -192,6 +211,7 @@ def problem_from_dict(data: dict, source: str = "<problem>"):
         dd = data.get("D")
         if not isinstance(dd, dict) or not isinstance(dd.get("pieces"), list) or not dd["pieces"]:
             raise ProblemFileError(f"{source}.D.pieces: need a nonempty list of polyhedra")
+        _known(dd, ("pieces",), f"{source}.D")
         pieces = [_polyhedron(p, f"{source}.D.pieces[{i}]", m) for i, p in enumerate(dd["pieces"])]
         hessians = None
         if data.get("hessians") is not None:

@@ -12,7 +12,7 @@ from itertools import product
 from pathlib import Path
 
 from polyvar import cones
-from polyvar.certify import ConstraintSystemSpec
+from polyvar.certify import ConstraintSystemSpec, VariationalSystemSpec
 from polyvar.cones import PolyCone
 from polyvar.fileio import problem_from_dict
 from polyvar.linalg import QMatrix, QVector
@@ -251,6 +251,25 @@ def admissible_complementarity(k: int, second: int = 1) -> ConstraintSystemSpec:
         g0=[0] * m,
         D=complementarity(k, {}),
         hessians=[QMatrix([[1, 0], [0, -1]])] * m,
+    )
+
+
+def refuted_orthant(n: int) -> VariationalSystemSpec:
+    """Γ = R^n_+ at xbar = ybarstar = 0 with Jx = 0 and Jp = -e_1 (l = 1): a
+    variational family that Phase A refutes at every n >= 1.
+
+    The critical cone is K = R^n_+, with K° = R^n_-, and the solution piece
+    of a face F of K is the cell (F, F): u ∈ F and -Jp q - Jx u = q e_1 ∈
+    K° ∩ F^⊥.  So q e_1 must lie in R^n_- ∩ F^⊥.  Of the 2^n faces, the
+    2^(n-1) that contain e_1 have e_1 ∉ F^⊥ and force q = 0: their pieces
+    project to {0}.  The other 2^(n-1) have e_1 ∈ F^⊥, leave only q <= 0,
+    and project to R_-.  The two projections leave q > 0 uncovered, and the
+    gap is q = (1).  (With Jp = 0 instead, q is free and Phase A covers.)
+    """
+    return VariationalSystemSpec(
+        l=1, n=n, Jp=[[-int(i == 0)] for i in range(n)], Jx=[[0] * n for _ in range(n)],
+        gamma=Polyhedron(n, A=[[-int(i == j) for j in range(n)] for i in range(n)], b=[0] * n),
+        xbar=[0] * n, ybarstar=[0] * n,
     )
 
 

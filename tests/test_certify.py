@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 from math import gcd
@@ -20,6 +21,7 @@ from corpus import (
     random_symmetric,
     random_tangent_pair,
     random_union,
+    refuted_orthant,
     rng,
 )
 from polyvar.certify import (
@@ -993,6 +995,21 @@ def breadth_first_covers_space(pieces, dim, tested):
     return False, QVector(_reduce([sum(x) for x in zip(*rays)])) if rays else QVector.zero(dim)
 
 
+def converted_cells(passes):
+    """The cells ``covers_space`` converted, one ``_dd_steps`` pass each, as
+    (<= rows, equations, strict rows), each a set.  A pass continues its
+    parent's rows ``done`` by the cell's own ``new``: its <= rows, each
+    equation e as e and -e, and last its strict row (as a closure row)."""
+    cells = {(): (frozenset(), frozenset(), frozenset())}
+    for _, _, _, _, done, new, _ in passes:
+        leq, eq, strict = cells[tuple(done)]
+        *held, last = new
+        pairs = [r for r in held if _neg(r) in held]
+        own = (leq | {r for r in held if r not in pairs}, eq | set(pairs[::2]), strict | {last})
+        cells[(*done, *new)] = own
+        yield own
+
+
 @settings(max_examples=150, deadline=None)
 @given(cone_unions())
 def test_covers_space_is_the_breadth_first_search_hypothesis(union):
@@ -1001,17 +1018,16 @@ def test_covers_space_is_the_breadth_first_search_hypothesis(union):
     # piece is its only nonempty cell when split by it again.  When the
     # union covers the space, both test the same cells of distinct pieces
     dim, pieces = union
-    calls, real = [], certify.open_cell
-    certify.open_cell = lambda dim, *cell: calls.append(cell) or real(dim, *cell)
-    try:
+    for p in pieces:
+        p._h  # the pieces' rows, read before the passes are counted
+    with counting_dd() as passes:
         got = covers_space(pieces, dim)
-    finally:
-        certify.open_cell = real
     reference = []
     assert got == breadth_first_covers_space(pieces, dim, reference)
-    assert len(calls) <= len(reference)
+    assert len(passes) <= len(reference)
     if got[0] and len(set(pieces)) == len(pieces):
-        assert sorted(calls) == sorted(reference)
+        as_sets = [tuple(frozenset(rows) for rows in (leq, eq, strict)) for leq, eq, strict in reference]
+        assert Counter(converted_cells(passes)) == Counter(as_sets)
 
 
 def test_phase_a_refutes_complementarity_with_four_parameters():
@@ -1025,6 +1041,26 @@ def test_phase_a_refutes_complementarity_with_four_parameters():
     (w,) = cert.witnesses
     assert w.q == QVector([-415274, -1061177, -595114, 104801])
     assert not any(fm_project(p, spec.l).contains(w.q) for p in _solution_pieces(spec))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_phase_a_refutes_the_orthant_with_jx_zero(n):
+    # tests/corpus.py derives the counts: of the 2^n solution pieces, the
+    # 2^(n-1) whose face of K = R^n_+ holds e1 project to {0}, the other
+    # 2^(n-1) to R_-, and the gap is q = (1)
+    spec = refuted_orthant(n)
+    e1 = QVector([1] + [0] * (n - 1))
+    zero, minus = PolyCone.from_ineqs(1, [], [[1]]), PolyCone.from_ineqs(1, [[1]])
+    projected = [fm_project(p, spec.l) for p in _solution_pieces(spec)]
+    assert len(projected) == 2**n
+    for face, p in zip(spec.graph_point().critical.faces(), projected, strict=True):
+        assert p == (zero if face.cone.contains(e1) else minus)
+    assert projected.count(zero) == 2 ** (n - 1)
+    cert = check_aubin(spec)
+    assert cert.status == NOT_CERTIFIED and cert.refuted
+    (w,) = cert.witnesses
+    assert w.q == QVector([1])
+    assert not any(p.contains(w.q) for p in projected)
 
 
 def test_directions_of_the_wrong_dimension_are_rejected():

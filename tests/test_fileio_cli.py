@@ -61,6 +61,13 @@ def malformed_ex4():
         (".hessians[1]", lambda d: d["hessians"].__setitem__(1, [["0", "1"], ["0", "0"]])),
         (".param_lipschitz", lambda d: d.update(param_lipschitz="false")),  # bool("false") is True
         (".label", lambda d: d.update(label=3)),
+        # a misspelled field is unknown, not absent
+        (".hessian:", lambda d: d.update(hessian=d.pop("hessians"))),
+        (".param_lipshitz:", lambda d: d.update(param_lipshitz=d.pop("param_lipschitz"))),
+        (".xbar:", lambda d: d.update(xbar=["0", "0"])),  # a field of the other kind
+        (".dims.k:", lambda d: d["dims"].update(k=1)),
+        (".D.piece:", lambda d: d["D"].update(piece=[])),
+        (".D.pieces[0].B:", lambda d: d["D"]["pieces"][0].update(B=[])),
     ):
         data = ex4_dict()
         edit(data)
@@ -518,6 +525,10 @@ MALFORMED_FILES = (
     (".dims.m: required for constraint systems", lambda: _edited(ex4_dict, lambda d: d["dims"].pop("m"))),
     (".D.pieces: need a nonempty list of polyhedra", lambda: _edited(ex4_dict, lambda d: d["D"].update(pieces=[]))),
     (".hessians: expected 2 matrices, got 1", lambda: _edited(ex4_dict, lambda d: d["hessians"].pop())),
+    (".hessian: unknown field", lambda: _edited(ex4_dict, lambda d: d.update(hessian=d.pop("hessians")))),
+    (".g0: unknown field", lambda: _edited(ex5_dict, lambda d: d.update(g0=["0", "0"]))),
+    (".dims.m: unknown field", lambda: _edited(ex5_dict, lambda d: d["dims"].update(m=2))),
+    (".gamma.a: unknown field", lambda: _edited(ex5_dict, lambda d: d["gamma"].update(a=[]))),
     (": invalid JSON at line 2: Expecting property name enclosed in double quotes", lambda: "{\n"),
 )
 
