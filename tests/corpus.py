@@ -242,7 +242,38 @@ def admissible_complementarity(k: int, second: int = 1) -> ConstraintSystemSpec:
     """Complementarity with k pairs at g0 = 0 (l = 1, n = 2, m = 2k) with
     admissible strata: Jx = [e_1 e_(second+1)], Jp = e_1, and every
     Hessian diag(1, -1).  The default puts Jx's columns at the first
-    coordinates of pairs 0 and 1; ``second=k`` puts both in pair 0."""
+    coordinates of pairs 0 and 1; ``second=k`` puts both in pair 0.
+
+    Per pair (y_i, y_(k+i)), a direction w of T_D(0) has w_i > 0 = w_(k+i)
+    (state A), w_(k+i) > 0 = w_i (B) or both 0 (Z): 3^k strata, one reach
+    cell each, with normal cones v_i = 0 (A), v_(k+i) = 0 (B) or v_i,
+    v_(k+i) <= 0 (Z) per pair.
+
+    By default Jx u = (u_1, u_2, 0, ...), so a u-cell is nontrivial iff
+    pair 0 or pair 1 is in A: 9 - 4 = 5 choices for those two pairs times
+    3^(k-2) for the rest.  ker Jx^T = {v_0 = v_1 = 0} keeps the free
+    v_(k+i) of a pair in A, so each of these 5 * 3^(k-2) strata is violated,
+    with dual lineality: check_soscms takes the lineality branch there and
+    never reaches _negativity_on_cone.  Its lin[0] is a unit e_j, and every
+    Hessian is diag(1, -1), so v* = +e_j iff u^T diag(1, -1) u >= 0 for the
+    cell's sample u: (1, 0) when only pair 0 is in A, (0, 1) when only pair
+    1 is, (1, 1) when both are; that is 3 * 3^(k-2) plus signs and
+    2 * 3^(k-2) minus signs.  (q, u) = (1, -1, 0) spans ker [Jp Jx], so
+    Phase A covers every q and every stratum's (q, u) cell is nontrivial:
+    3^k Phase B entries.  For k >= 3 a pair i >= 2 keeps a free or a <= 0
+    coordinate of v in ker Jx^T, and ker Jp^T = {v_0 = 0} cuts nothing
+    more, so all 3^k entries are violated in the corollary and in the joint
+    check.
+
+    With ``second=k``, Jx = [e_1 e_(k+1)], a u-cell is nontrivial iff pair
+    0 is in A or B: 2 * 3^(k-1) violated strata.  Now ker Jx^T kills v_0
+    and v_k, so the dual cone is pointed exactly when every other pair is
+    in Z, with the 2(k - 1) rays -e_i, -e_(k+i), each contracting the
+    Hessians to -diag(1, -1).  The u-cell is the ray (1, 0) in A, where the
+    form is -1 < 0 (no witness), and (0, 1) in B, where it is 1 (one
+    witness per ray): 2 * 3^(k-1) - 2 strata violated with dual lineality
+    and 2 * 3^(k-1) - 2 + 2(k - 1) second order witnesses.
+    """
     m = 2 * k
     return ConstraintSystemSpec(
         l=1, n=2, m=m,
@@ -254,23 +285,64 @@ def admissible_complementarity(k: int, second: int = 1) -> ConstraintSystemSpec:
     )
 
 
-def refuted_orthant(n: int) -> VariationalSystemSpec:
-    """Γ = R^n_+ at xbar = ybarstar = 0 with Jx = 0 and Jp = -e_1 (l = 1): a
-    variational family that Phase A refutes at every n >= 1.
-
-    The critical cone is K = R^n_+, with K° = R^n_-, and the solution piece
-    of a face F of K is the cell (F, F): u ∈ F and -Jp q - Jx u = q e_1 ∈
-    K° ∩ F^⊥.  So q e_1 must lie in R^n_- ∩ F^⊥.  Of the 2^n faces, the
-    2^(n-1) that contain e_1 have e_1 ∉ F^⊥ and force q = 0: their pieces
-    project to {0}.  The other 2^(n-1) have e_1 ∈ F^⊥, leave only q <= 0,
-    and project to R_-.  The two projections leave q > 0 uncovered, and the
-    gap is q = (1).  (With Jp = 0 instead, q is free and Phase A covers.)
-    """
+def _orthant_system(n: int, jx_diagonal) -> VariationalSystemSpec:
+    """Γ = R^n_+ at xbar = ybarstar = 0 with Jp = -e_1 (l = 1) and Jx =
+    diag(jx_diagonal).  The critical cone is K = R^n_+, and a face pair F2 ⊆
+    F1 of K puts each coordinate in F2, in F1 only, or outside F1: 3^n pairs,
+    whose difference cones Kd = F1 - F2 are R, R_+ or {0} in those states."""
     return VariationalSystemSpec(
-        l=1, n=n, Jp=[[-int(i == 0)] for i in range(n)], Jx=[[0] * n for _ in range(n)],
+        l=1, n=n, Jp=[[-int(i == 0)] for i in range(n)],
+        Jx=[[jx_diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)],
         gamma=Polyhedron(n, A=[[-int(i == j) for j in range(n)] for i in range(n)], b=[0] * n),
         xbar=[0] * n, ybarstar=[0] * n,
     )
+
+
+def orthant_spec(n: int) -> VariationalSystemSpec:
+    """The orthant system with Jx = I, which Phase B certifies at every n.
+
+    The (q, u) cell of (F2, F1) holds the u ∈ F2 with q e_1 - u ∈ K° ∩ F1^⊥:
+    u_i = 0 for i >= 2, and u_1 = q >= 0 if e_1 ∈ F2, q = u_1 = 0 if e_1 ∈ F1
+    only, and u_1 = 0 >= q otherwise.  So the cell is nontrivial exactly when
+    e_1 ∉ F1 or e_1 ∈ F2: 2 * 3^(n-1) adjoint strata.  Every adjoint cone is
+    {0}, as -v* lies in Kd and in Kd°.
+    """
+    return _orthant_system(n, [1] * n)
+
+
+def refuted_orthant(n: int) -> VariationalSystemSpec:
+    """The orthant system with Jx = 0, which Phase A refutes at every n.
+
+    The solution piece of a face F of K is the cell (F, F): u ∈ F and
+    -Jp q - Jx u = q e_1 ∈ K° ∩ F^⊥.  So q e_1 must lie in R^n_- ∩ F^⊥.  Of
+    the 2^n faces, the 2^(n-1) that contain e_1 have e_1 ∉ F^⊥ and force
+    q = 0: their pieces project to {0}.  The other 2^(n-1) have e_1 ∈ F^⊥,
+    leave only q <= 0, and project to R_-.  The two projections leave q > 0
+    uncovered, and the gap is q = (1).  (With Jp = 0 instead, q is free and
+    Phase A covers.)
+    """
+    return _orthant_system(n, [0] * n)
+
+
+def singular_orthant(n: int) -> VariationalSystemSpec:
+    """The orthant system with Jx = diag(1, ..., 1, 0), which Phase B does
+    not certify and Phase A does not refute at every n >= 2.
+
+    In the cell of (F2, F1), q e_1 - Jx u ∈ K° ∩ F1^⊥ forces u_i = 0 for
+    1 < i < n as for the orthant with Jx = I, constrains coordinate 1 as
+    there, and leaves u_n >= 0 free when e_n ∈ F2 (Jx's last column is
+    zero).  So the cell is trivial exactly when e_1 ∈ F1 only and e_n ∉ F2:
+    of the 3^n pairs, 3^n - 2 * 3^(n-2) = 7 * 3^(n-2) are adjoint strata.
+    The solution pieces (F, F) project to R_+ (e_1 ∈ F) and R_- (e_1 ∉ F),
+    so Phase A covers R.  The adjoint cone {v* : -v* ∈ Kd, -Jx^T v* ∈ Kd°}
+    has v*_i = 0 for i < n, as for Jx = I, while v*_n is free when e_n ∈
+    F2, <= 0 when e_n ∈ F1 only, and 0 when e_n ∉ F1.  So a stratum is
+    violated when e_n ∈ F2 (3 states of coordinate 1) or when e_n ∈ F1 only
+    and e_1 ∈ F2 or e_1 ∉ F1 (2 states): 5 * 3^(n-2) witnesses of
+    check_aubin.  Every adjoint cone lies in ker Jp^T = {v*_1 = 0}, so the
+    joint check has the same 5 * 3^(n-2) witnesses.
+    """
+    return _orthant_system(n, [1] * (n - 1) + [0])
 
 
 def parametric_complementarity(k: int, l: int) -> ConstraintSystemSpec:

@@ -12,6 +12,7 @@ from corpus import (
     complementarity,
     counting_dd,
     graph_union,
+    orthant_spec,
     parametric_complementarity,
     random_affine_union,
     random_gamma,
@@ -24,10 +25,10 @@ from corpus import (
     refuted_orthant,
     rng,
 )
+from families import FAMILIES
 from polyvar.certify import (
     HOLDS,
     NOT_CERTIFIED,
-    Certificate,
     ConstraintSystemSpec,
     VariationalSystemSpec,
     check_aubin,
@@ -41,7 +42,6 @@ from polyvar.certify import (
     fm_project,
     PreconditionError,
     graphical_derivative_S,
-    _adjoint_strata,
     _hessian_contraction,
     _form_value,
     _solution_pieces,
@@ -581,69 +581,34 @@ def test_metamorphic_aubin_corollary_implies_theorem():
                 replay_aubin_witness(spec, w, "corollary")
 
 
-# -- a family whose strata are admissible -------------------------------------------
-#
-# admissible_complementarity(k) is complementarity with k pairs (y_i, y_(k+i))
-# at 0, Jx = [e_1 e_2] and Jp = e_1.  Per pair, a direction w of T_D(0) has
-# w_i > 0 = w_(k+i) (state A), w_(k+i) > 0 = w_i (B) or both 0 (Z): 3^k
-# strata, one reach cell each, with normal cones v_i = 0 (A), v_(k+i) = 0
-# (B) or v_i, v_(k+i) <= 0 (Z) per pair.  Jx u = (u_1, u_2, 0, ...), so a
-# u-cell is nontrivial iff pair 0 or pair 1 is in A: 9 - 4 = 5 choices for
-# those two pairs times 3^(k-2) for the rest.  ker Jx^T = {v_0 = v_1 = 0}
-# keeps the free v_(k+i) of a pair in A, so each of these 5 * 3^(k-2)
-# strata is violated, with dual lineality: check_soscms takes the lineality
-# branch there and never reaches _negativity_on_cone.  Its lin[0] is a unit
-# e_j, and every Hessian is diag(1, -1), so v* = +e_j iff u^T diag(1, -1) u
-# >= 0 for the cell's sample u: (1, 0) when only pair 0 is in A, (0, 1)
-# when only pair 1 is, (1, 1) when both are; that is 3 * 3^(k-2) plus signs
-# and 2 * 3^(k-2) minus signs.  (q, u) = (1, -1, 0) spans ker [Jp Jx], so
-# Phase A covers every q and every stratum's (q, u) cell is nontrivial: 3^k
-# Phase B entries.  For k >= 3 a pair i >= 2 keeps a free or a <= 0
-# coordinate of v in ker Jx^T, and ker Jp^T = {v_0 = 0} cuts nothing more,
-# so all 3^k entries are violated in the corollary and in the joint check.
+# -- the scaled families of families.py at their tier-1 sizes, every witness replayed
 
 
-@pytest.mark.parametrize("k", (3, 4))
+@pytest.mark.parametrize("k", FAMILIES["admissible"].tier1)
 def test_admissible_complementarity_verdicts_match_their_derivation(k):
-    spec = admissible_complementarity(k)
-    first, second = check_foscms(spec), check_soscms(spec)
-    assert len(first.witnesses) == len(second.witnesses) == 5 * 3 ** (k - 2)
-    assert sum(r["outcome"] == "violated (dual lineality)" for r in second.trace) == 5 * 3 ** (k - 2)
-    plus = [w for w in second.witnesses if sum(w.vstar.entries) > 0]
-    assert len(plus) == 3 * 3 ** (k - 2)
+    spec, first, second, aubin, joint = FAMILIES["admissible"].check(k)
     for w in first.witnesses:
         replay_foscms_witness(spec, w)
     for w in second.witnesses:
         replay_soscms_witness(spec, w)
-    aubin, joint = check_aubin(spec, "corollary"), check_foscms_joint(spec)
-    (phase_b,) = [r for r in aubin.trace if r.get("phase", "").startswith("B")]
-    assert sum(len(c["adjoint_inclusions"]) for c in phase_b["cases"]) == 3 ** k
-    assert len(aubin.witnesses) == len(joint.witnesses) == 3 ** k
-    for w in aubin.witnesses:
+    for w in aubin.witnesses + joint.witnesses:
         replay_aubin_witness(spec, w, "corollary")
-    for w in joint.witnesses:
-        replay_aubin_witness(spec, w, "corollary")
-        assert spec.Jp.T.matvec(w.vstar).is_zero()
+    assert all(spec.Jp.T.matvec(w.vstar).is_zero() for w in joint.witnesses)
 
 
-def test_admissible_complementarity_in_one_pair_reaches_both_quadratic_outcomes():
-    # With Jx = [e_1 e_(k+1)], both coordinates of pair 0, a u-cell is
-    # nontrivial iff pair 0 is in A or B: 2 * 3^(k-1) violated strata.  Now
-    # ker Jx^T kills v_0 and v_k, so the dual cone is pointed exactly when
-    # every other pair is in Z, with the 2(k - 1) rays -e_i, -e_(k+i), each
-    # contracting the Hessians to -diag(1, -1).  The u-cell is the ray
-    # (1, 0) in A, where the form is -1 < 0 (no witness), and (0, 1) in B,
-    # where it is 1 (one witness per ray).
-    k = 4
-    spec = admissible_complementarity(k, second=k)
-    second = check_soscms(spec)
-    outcomes = [r["outcome"] for r in second.trace]
-    assert outcomes.count("violated (dual lineality)") == 2 * 3 ** (k - 1) - 2
-    assert outcomes.count("ok (quadratic term negative)") == outcomes.count("violated") == 1
-    assert len(check_foscms(spec).witnesses) == 2 * 3 ** (k - 1)
-    assert len(second.witnesses) == 2 * 3 ** (k - 1) - 2 + 2 * (k - 1)
+@pytest.mark.parametrize("k", FAMILIES["one-pair"].tier1)
+def test_admissible_complementarity_in_one_pair_reaches_both_quadratic_outcomes(k):
+    spec, second = FAMILIES["one-pair"].check(k)
     for w in second.witnesses:
         replay_soscms_witness(spec, w)
+
+
+@pytest.mark.parametrize("n", FAMILIES["singular-orthant"].tier1)
+def test_singular_orthant_fails_phase_b_without_refutation(n):
+    spec, aubin, joint = FAMILIES["singular-orthant"].check(n)
+    for w in aubin.witnesses + joint.witnesses:
+        replay_aubin_witness(spec, w, "corollary")
+    assert all(spec.Jp.T.matvec(w.vstar).is_zero() for w in joint.witnesses)
 
 
 @pytest.mark.parametrize("check, passes", ((check_aubin, 435), (check_foscms_joint, 500)))
@@ -734,24 +699,9 @@ def test_degenerate_graph_strata_agree_with_the_lift(shape):
     assert_graph_cells_are_row_built(spec)
 
 
-def orthant_spec(n):
-    """Γ = R^n_+ with xbar = ybarstar = 0, Jp = -e1 and Jx = I."""
-    eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    return VariationalSystemSpec(
-        l=1, n=n, Jp=[[-int(i == 0)] for i in range(n)], Jx=eye,
-        gamma=Polyhedron(n, A=[[-x for x in row] for row in eye], b=[0] * n),
-        xbar=[0] * n, ybarstar=[0] * n,
-    )
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", FAMILIES["orthant"].tier1)
 def test_orthant_strata_are_face_pairs(n):
-    # Of the 3^n face pairs F2 ⊆ F1 of K = R^n_+, the (q, u) cell is
-    # nontrivial exactly when e1 ∉ F1 or e1 ∈ F2, for 3^(n-1) pairs each,
-    # and every pair has its own difference cone.
-    spec = orthant_spec(n)
-    assert len(_adjoint_strata(spec)) == 2 * 3 ** (n - 1)
-    assert check_aubin(spec).holds()
+    FAMILIES["orthant"].check(n)
 
 
 def test_zero_direction_face_pairs_make_no_ints_call(monkeypatch):
@@ -1030,37 +980,28 @@ def test_covers_space_is_the_breadth_first_search_hypothesis(union):
         assert Counter(converted_cells(passes)) == Counter(as_sets)
 
 
-def test_phase_a_refutes_complementarity_with_four_parameters():
-    # the benchmark's complementarity family with k = 4 pairs and l = 4
-    # parameters: 16 solution pieces whose projections (13 distinct) leave
-    # a gap in R^4.  The pinned gap is the breadth-first search's answer;
-    # the depth-first one reaches it after testing 13 cells
-    spec = parametric_complementarity(4, 4)
-    cert = check_aubin(spec)
+# Phase A's gap at k = l = 4, the breadth-first search's answer (the
+# Jacobians are seeded, so it is pinned, not derived)
+PHASE_A_GAPS = {4: QVector([-415274, -1061177, -595114, 104801])}
+
+
+@pytest.mark.parametrize("k", FAMILIES["phase-a"].tier1)
+def test_phase_a_refutes_parametric_complementarity(k):
+    gap = FAMILIES["phase-a"].check(k)
+    cert = check_aubin(parametric_complementarity(k, k))
     assert cert.status == NOT_CERTIFIED and cert.refuted
-    (w,) = cert.witnesses
-    assert w.q == QVector([-415274, -1061177, -595114, 104801])
-    assert not any(fm_project(p, spec.l).contains(w.q) for p in _solution_pieces(spec))
+    assert [w.q for w in cert.witnesses] == [gap] == [PHASE_A_GAPS[k]]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", FAMILIES["refuted-orthant"].tier1)
 def test_phase_a_refutes_the_orthant_with_jx_zero(n):
-    # tests/corpus.py derives the counts: of the 2^n solution pieces, the
-    # 2^(n-1) whose face of K = R^n_+ holds e1 project to {0}, the other
-    # 2^(n-1) to R_-, and the gap is q = (1)
-    spec = refuted_orthant(n)
+    # the solution piece of a face of K = R^n_+ that holds e1 projects to
+    # {0}, and of one that does not, to R_-
+    projected = FAMILIES["refuted-orthant"].check(n)
     e1 = QVector([1] + [0] * (n - 1))
     zero, minus = PolyCone.from_ineqs(1, [], [[1]]), PolyCone.from_ineqs(1, [[1]])
-    projected = [fm_project(p, spec.l) for p in _solution_pieces(spec)]
-    assert len(projected) == 2**n
-    for face, p in zip(spec.graph_point().critical.faces(), projected, strict=True):
+    for face, p in zip(refuted_orthant(n).graph_point().critical.faces(), projected, strict=True):
         assert p == (zero if face.cone.contains(e1) else minus)
-    assert projected.count(zero) == 2 ** (n - 1)
-    cert = check_aubin(spec)
-    assert cert.status == NOT_CERTIFIED and cert.refuted
-    (w,) = cert.witnesses
-    assert w.q == QVector([1])
-    assert not any(p.contains(w.q) for p in projected)
 
 
 def test_directions_of_the_wrong_dimension_are_rejected():
