@@ -345,6 +345,42 @@ def singular_orthant(n: int) -> VariationalSystemSpec:
     return _orthant_system(n, [1] * (n - 1) + [0])
 
 
+def cross_polytope_spec(n: int) -> VariationalSystemSpec:
+    """Γ = {x : s.x <= 1 for every s in {1, -1}^n}, the cross-polytope, at
+    its vertex xbar = -e_1 with ybarstar = 0, Jx = I and Jp = -a for
+    a = e_1 + e_2 (l = 1).  Phase B certifies it at every n >= 3; at n = 2
+    Γ is a square.
+
+    The critical cone is K = T_Γ(-e_1) = {w : w_1 >= |w_2| + ... + |w_n|},
+    the cone over an (n-1)-dimensional cross-polytope: not a product for
+    n >= 3.  Its rays are e_1 ± e_i (i >= 2), and K° = {z : z_1 <= -|z_i|
+    for every i >= 2}.  Every face other than K spans the rays e_1 + τ_i e_i
+    of a sign vector τ in {-, 0, +}^(n-1) ({0} for τ = 0): 3^(n-1) + 1 faces.
+    Face pairs F2 ⊆ F1 take (0, 0), (0, ±) or (±, ±) per coordinate, or
+    have F1 = K: 5^(n-1) + 3^(n-1) + 1 pairs.
+
+    The cell of (F2, F1) holds the (q, u) with u ∈ F2 and z = qa - u ∈
+    K° ∩ F1^⊥.  There u ∈ K, z ∈ K° and u.z = 0, so u and z are the
+    projections of qa onto K and K° (Moreau).  For q > 0, qa lies on the ray
+    a of K, so u = qa and z = 0: the pairs with a ∈ F2 have a cell,
+    5^(n-2) + 3^(n-2) + 1 of them.  For q < 0, qa ∈ K°, so u = 0 and z = qa,
+    which is orthogonal to F1 iff F1 lies in K ∩ a^⊥, the ray b = e_1 - e_2:
+    the pairs ({0}, {0}), ({0}, b) and (b, b).  So there are
+    5^(n-2) + 3^(n-2) + 4 adjoint strata, one difference cone Kd = F1 - F2
+    each (K is pointed, so F2 = lin Kd and F1 = K ∩ span Kd), and every
+    adjoint cone is {0}, as -v* lies in Kd and in Kd°.  The solution piece
+    (F, F) projects to R_+ when a ∈ F (3^(n-2) + 1 faces), to R_- for
+    F = {0} and F = b, and to {0} for the other 2 * 3^(n-2) - 2 faces, so
+    Phase A covers R.
+    """
+    return VariationalSystemSpec(
+        l=1, n=n, Jp=[[-int(i < 2)] for i in range(n)],
+        Jx=[[int(i == j) for j in range(n)] for i in range(n)],
+        gamma=Polyhedron(n, A=[list(s) for s in product((1, -1), repeat=n)], b=[1] * 2**n),
+        xbar=[-int(i == 0) for i in range(n)], ybarstar=[0] * n,
+    )
+
+
 def parametric_complementarity(k: int, l: int) -> ConstraintSystemSpec:
     """The benchmark's ``constraint_complementarity(0, 0, k, False, l)``
     (perfbench/problems.py, loaded read-only): k pairs with l parameters and

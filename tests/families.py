@@ -17,6 +17,7 @@ from corpus import (
     admissible_complementarity,
     complementarity,
     counting_dd,
+    cross_polytope_spec,
     orthant_spec,
     parametric_complementarity,
     refuted_orthant,
@@ -146,6 +147,31 @@ def check_singular_orthant(n: int) -> tuple:
     return spec, aubin, joint
 
 
+def check_cross_polytope(n: int) -> None:
+    """``cross_polytope_spec(n)``, n >= 3: K has 3^(n-1) + 1 faces, there
+    are 5^(n-2) + 3^(n-2) + 4 adjoint strata, the solution pieces project
+    to R_+, R_- and {0} 3^(n-2) + 1, 2 and 2 * 3^(n-2) - 2 times, and
+    check_aubin holds in 5^(n-1) + 2 * 3^(n-1) + 7 passes of the double
+    description: one adjoint cone per face pair, one projection per face,
+    the graph cone and four cover-test cells.  The projections first appear
+    as R_+ (from K), {0} and R_- (faces run from K down to {0}), and the
+    cells are q < 0 after R_+, q < 0 and the empty q > 0 after {0}, and the
+    empty q > 0 after R_-."""
+    spec = cross_polytope_spec(n)
+    with counting_dd() as passes:
+        assert check_aubin(spec).holds()
+    projected = [fm_project(p, spec.l) for p in _solution_pieces(spec)]
+    r_plus, r_minus, origin = PolyCone.from_ineqs(1, [[-1]]), PolyCone.from_ineqs(1, [[1]]), PolyCone.from_ineqs(1, [], [[1]])
+    counts = (
+        len(spec.graph_point().critical.faces()),
+        len(_adjoint_strata(spec)),
+        *map(projected.count, (r_plus, r_minus, origin)),
+        len(passes),
+    )
+    derived = (3 ** (n - 1) + 1, 5 ** (n - 2) + 3 ** (n - 2) + 4, 3 ** (n - 2) + 1, 2, 2 * 3 ** (n - 2) - 2)
+    assert counts == (*derived, 5 ** (n - 1) + 2 * 3 ** (n - 1) + 7), counts
+
+
 class Family(NamedTuple):
     check: Callable[[int], object]
     tier1: tuple[int, ...]
@@ -160,6 +186,7 @@ FAMILIES = {
     "phase-a": Family(check_phase_a, (4,), (6, 8)),
     "refuted-orthant": Family(check_refuted_orthant, (2, 3, 4), (10,)),
     "singular-orthant": Family(check_singular_orthant, (2, 3, 4), (8,)),
+    "cross-polytope": Family(check_cross_polytope, (3, 4, 5), (6, 7)),
 }
 
 

@@ -704,6 +704,11 @@ def test_orthant_strata_are_face_pairs(n):
     FAMILIES["orthant"].check(n)
 
 
+@pytest.mark.parametrize("n", FAMILIES["cross-polytope"].tier1)
+def test_cross_polytope_strata_are_the_face_pairs_with_a_cell(n):
+    FAMILIES["cross-polytope"].check(n)
+
+
 def test_zero_direction_face_pairs_make_no_ints_call(monkeypatch):
     # the zero graph direction is the integer tuple (0,) * n, so neither
     # the limiting normal cone nor the certifier's strata of the graph turn

@@ -775,9 +775,11 @@ def test_second_side_from_incidence_matches_a_fresh_conversion_hypothesis(system
         ystar = [sum(x) for x in zip([0] * dim, *(a for i, a in enumerate(ineqs) if pick >> i & 1), *eqs)]
         make = lambda: critical_cone(p, QVector.zero(dim), QVector(ystar))
     assert_read_off_matches_a_fresh_conversion(make)
-    for i, face in enumerate(make().faces()):
-        if None in face.cone._reps[:2]:
-            assert_read_off_matches_a_fresh_conversion(lambda: make().faces()[i].cone)
+    # the helper reads face i of one fresh lattice, then face i of another
+    for first, second in zip(make().faces(), make().faces()):
+        if None in first.cone._reps[:2]:
+            fresh = iter((first.cone, second.cone))
+            assert_read_off_matches_a_fresh_conversion(lambda: next(fresh))
     # span_dim reads the span's dimension off the equation rows, an echelon
     # basis of the polar's lineality space
     for c in (make(), *(f.cone for f in make().faces())):

@@ -757,6 +757,22 @@ def test_cli_oracle_matches(capsys):
     capsys.readouterr()
 
 
+def test_cli_one_value_in_two_spellings_prints_the_same_bytes(capsys):
+    # canonical small integers are read from linalg's text table, and +1,
+    # -0, 0/3 and 00 by the parser: the same values print the same bytes
+    # either way
+    ex3 = bundled_problem_path("ex3.json")
+    for code, table, parsed in (
+        (0, ["cones", ex3, "--at", "0,0,0,0", "--ystar=1,0,1,0"], ["cones", ex3, "--at=+0,-0,0/7,00", "--ystar=+1,0/3,2/2,-0"]),
+        (1, ["certify", ex3, "--check", "dir-reg", "--dir=0,0;0,0,0,0"], ["certify", ex3, "--check", "dir-reg", "--dir=+0,-0;0/2,00,0,-0"]),
+    ):
+        outs = []
+        for argv in (table, parsed):
+            assert run_command(argv) == code
+            outs.append(capsys.readouterr().out.encode())
+        assert outs[0] and outs[0] == outs[1], table[0]
+
+
 def test_cli_bad_ystar_exits_before_printing(capsys):
     # --ystar is parsed with --at, before any piece's cones are printed
     ex3 = bundled_problem_path("ex3.json")

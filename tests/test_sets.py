@@ -636,30 +636,11 @@ def options_at(p, ybar):
     return faces, outs
 
 
-def options_row_by_row(p, ybar):
-    """The choices of ``options_at`` with one "out" choice per row violated
-    near ybar for every piece, also for one that misses ybar."""
-    A, E = p._int_rows()
-    sa, se = p._slacks(ybar)
-    tight = {i for i, s in enumerate(sa) if s == 0}
-    faces = []
-    if all(s <= 0 for s in sa) and not any(se):
-        for f in p.faces():
-            if f.active_set <= tight:
-                eqs = E + [A[i] for i in sorted(f.active_set)]
-                faces.append((f, eqs, [A[i] for i in sorted(tight - f.active_set)]))
-    strict = [(_neg(a), -s) for a, s in zip(A, sa)]
-    for g, s in zip(E, se):
-        strict += [(g, s), (_neg(g), -s)]
-    outs = [() if s < 0 else (c,) for c, s in strict if s <= 0]
-    return faces, list(dict.fromkeys(outs))
-
-
-def enumerated_strata(d, ybar, options=options_at):
+def enumerated_strata(d, ybar):
     """(label, normal, reach cones) of every stratum reachable from ybar, by
     the product over the pieces of (face, or "out") and, per assignment, the
     product of the out pieces' choices: one open cell each."""
-    face_options, out_options = zip(*(options(p, ybar) for p in d.pieces))
+    face_options, out_options = zip(*(options_at(p, ybar) for p in d.pieces))
     strata = []
     for assignment in product(*(faces + [None] for faces in face_options)):
         active = [opt for opt in assignment if opt is not None]
@@ -683,12 +664,11 @@ def enumerated_strata(d, ybar, options=options_at):
 
 
 @settings(max_examples=90, deadline=None)
-@given(st.integers(0, 10**6), st.sampled_from(["cones", "affine", "graph"]), st.booleans(), st.data())
-def test_walk_has_the_strata_of_the_enumeration_hypothesis(seed, kind, row_by_row, data):
+@given(st.integers(0, 10**6), st.sampled_from(["cones", "affine", "graph"]), st.data())
+def test_walk_has_the_strata_of_the_enumeration_hypothesis(seed, kind, data):
     # the same labels in the same order, the same normal cones, and reach
     # cones that hold the same points of {-2..2}^dim; on cone unions the
-    # point is any grid point of the union, so pieces can miss it, and there
-    # each violated row of every piece can be an "out" choice
+    # point is any grid point of the union, so pieces can miss it
     r = rng(seed)
     if kind == "cones":
         d = random_union(r, data.draw(st.integers(1, 3)))
@@ -702,7 +682,7 @@ def test_walk_has_the_strata_of_the_enumeration_hypothesis(seed, kind, row_by_ro
         y, ystar = random_graph_point(r, gamma)
         ybar = QVector((*y.entries, *ystar.entries))
     walk = direction_strata(d, ybar)
-    ref = enumerated_strata(d, ybar, options_row_by_row if row_by_row else options_at)
+    ref = enumerated_strata(d, ybar)
     assert [s.label for s in walk] == [label for label, _, _ in ref]
     grid = [tuple(w) for w in product(range(-2, 3), repeat=d.dim)]
     for s, (_, normal, reach) in zip(walk, ref):
