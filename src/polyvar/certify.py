@@ -78,89 +78,84 @@ def _per_spec(fn):
     return memoised
 
 
-class ConstraintSystemSpec:
-    """Frozen first/second order data of a parameterized constraint system."""
+class _SystemSpec:
+    """The data both kinds of system share: the dimensions l (parameter), n
+    (decision) and m (range), the frozen Jacobians ``Jp`` (m x l) and ``Jx``
+    (m x n), the parameter-Lipschitz assertion, a label and the memo of
+    ``_per_spec``.  Immutable once built; ``m_name`` is how the shape
+    messages write m."""
 
-    __slots__ = ("l", "n", "m", "Jp", "Jx", "g0", "D", "hessians", "param_lipschitz", "label", "_memo")
+    __slots__ = ("l", "n", "m", "Jp", "Jx", "param_lipschitz", "label", "_memo")
 
-    def __init__(self, l, n, m, Jp, Jx, g0, D, hessians=None, param_lipschitz=False, label=""):
+    def __init__(self, l, n, m, Jp, Jx, param_lipschitz, label, m_name):
         Jp = Jp if isinstance(Jp, QMatrix) else QMatrix(Jp)
         Jx = Jx if isinstance(Jx, QMatrix) else QMatrix(Jx)
-        g0 = g0 if isinstance(g0, QVector) else QVector(g0)
         if Jp.nrows != m or (Jp.rows and Jp.ncols != l):
-            raise ValueError("Jp must be m x l")
+            raise ValueError(f"Jp must be {m_name} x l")
         if Jx.nrows != m or (Jx.rows and Jx.ncols != n):
-            raise ValueError("Jx must be m x n")
+            raise ValueError(f"Jx must be {m_name} x n")
+        self._set(l=l, n=n, m=m, Jp=Jp, Jx=Jx, param_lipschitz=bool(param_lipschitz), label=label, _memo={})
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("spec is immutable")
+
+
+class ConstraintSystemSpec(_SystemSpec):
+    """Frozen first/second order data of a parameterized constraint system.
+    ``_hessian_rows`` holds the Hessians as integer matrices, all times one
+    positive integer (one scale per matrix would change sum v*_i H_i)."""
+
+    __slots__ = ("g0", "D", "hessians", "_hessian_rows")
+    kind = "constraint"
+
+    def __init__(self, l, n, m, Jp, Jx, g0, D, hessians=None, param_lipschitz=False, label=""):
+        super().__init__(l, n, m, Jp, Jx, param_lipschitz, label, "m")
+        g0 = g0 if isinstance(g0, QVector) else QVector(g0)
         if g0.dim != m or D.dim != m:
             raise ValueError("g0 and D must live in R^m")
         if not D.contains(g0):
             bad = []
             for i, p in enumerate(D.pieces):
-                sa, se = p._slacks(g0)
-                viols = [f"row {j}" for j, s in enumerate(sa) if s > 0] + [f"eq {j}" for j, s in enumerate(se) if s]
+                (sa, se), (ineqs, eqs) = p._slacks(g0), p._row_texts()
+                viols = [t for t, s in zip(ineqs, sa) if s > 0] + [t for t, s in zip(eqs, se) if s]
                 bad.append(f"piece {i}: violates " + ", ".join(viols))
             raise ValueError("g0 lies in no piece of D (" + "; ".join(bad) + ")")
+        rows = None
         if hessians is not None:
             hessians = tuple(h if isinstance(h, QMatrix) else QMatrix(h) for h in hessians)
             if len(hessians) != m:
                 raise ValueError("need one Hessian per component")
-            for h in hessians:
-                if h.nrows != n or h.ncols != n or not h.is_symmetric():
-                    raise ValueError("Hessians must be symmetric n x n")
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "Jp", Jp)
-        object.__setattr__(self, "Jx", Jx)
-        object.__setattr__(self, "g0", g0)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "hessians", hessians)
-        object.__setattr__(self, "param_lipschitz", bool(param_lipschitz))
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "_memo", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("spec is immutable")
-
-    kind = "constraint"
+            if any(h.nrows != n or h.ncols != n for h in hessians):
+                raise ValueError("Hessians must be symmetric n x n")
+            flat = _cleared([r.entries for h in hessians for r in h.rows])[0]
+            rows = tuple(flat[k * n : (k + 1) * n] for k in range(m))
+            if any(h[i][j] != h[j][i] for h in rows for i in range(n) for j in range(i)):
+                raise ValueError("Hessians must be symmetric n x n")
+        self._set(g0=g0, D=D, hessians=hessians, _hessian_rows=rows)
 
 
-class VariationalSystemSpec:
+class VariationalSystemSpec(_SystemSpec):
     """Frozen first order data of a generalized equation with a polyhedral
-    normal-cone term (so the range dimension equals n)."""
+    normal-cone term (so the range dimension m equals n)."""
 
-    __slots__ = ("l", "n", "Jp", "Jx", "gamma", "xbar", "ybarstar", "param_lipschitz", "label", "_memo")
+    __slots__ = ("gamma", "xbar", "ybarstar")
+    kind = "variational"
 
     def __init__(self, l, n, Jp, Jx, gamma, xbar, ybarstar, param_lipschitz=False, label=""):
-        Jp = Jp if isinstance(Jp, QMatrix) else QMatrix(Jp)
-        Jx = Jx if isinstance(Jx, QMatrix) else QMatrix(Jx)
+        super().__init__(l, n, n, Jp, Jx, param_lipschitz, label, "n")
         xbar = xbar if isinstance(xbar, QVector) else QVector(xbar)
         ybarstar = ybarstar if isinstance(ybarstar, QVector) else QVector(ybarstar)
-        if Jp.nrows != n or (Jp.rows and Jp.ncols != l):
-            raise ValueError("Jp must be n x l")
-        if Jx.nrows != n or Jx.ncols != n:
-            raise ValueError("Jx must be n x n")
         if gamma.dim != n or xbar.dim != n or ybarstar.dim != n:
             raise ValueError("gamma, xbar, ybarstar must live in R^n")
         if not gamma.contains(xbar):
             raise ValueError("xbar lies outside gamma")
         if not gamma.normal_cone(xbar).contains(ybarstar):
             raise ValueError("ybarstar is not a normal vector to gamma at xbar")
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "Jp", Jp)
-        object.__setattr__(self, "Jx", Jx)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "xbar", xbar)
-        object.__setattr__(self, "ybarstar", ybarstar)
-        object.__setattr__(self, "param_lipschitz", bool(param_lipschitz))
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "_memo", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("spec is immutable")
-
-    kind = "variational"
+        self._set(gamma=gamma, xbar=xbar, ybarstar=ybarstar)
 
     @_per_spec
     def graph_point(self) -> GraphPoint:
@@ -523,17 +518,9 @@ def check_soscms(spec: ConstraintSystemSpec) -> Certificate:
     return Certificate(status, tuple(witnesses), trace=tuple(trace))
 
 
-@_per_spec
-def _hessian_rows(spec: ConstraintSystemSpec) -> tuple[tuple[IntVec, ...], ...]:
-    """The Hessians as integer matrices, all times one positive integer (one
-    scale per matrix would change sum v*_i H_i)."""
-    rows, n = _cleared([r.entries for h in spec.hessians for r in h.rows])[0], spec.n
-    return tuple(rows[i : i + n] for i in range(0, len(rows), n))
-
-
 def _hessian_contraction(spec: ConstraintSystemSpec, vstar: IntVec) -> tuple[IntVec, ...]:
     """A positive multiple of sum v*_i H_i, given a positive integer multiple of v*."""
-    terms = [(c, h) for c, h in zip(vstar, _hessian_rows(spec)) if c]
+    terms = [(c, h) for c, h in zip(vstar, spec._hessian_rows) if c]
     return tuple(tuple(sum(c * h[i][j] for c, h in terms) for j in range(spec.n)) for i in range(spec.n))
 
 
@@ -689,7 +676,7 @@ def _zero_direction_adjoints(spec) -> tuple[tuple[PolyCone, PolyCone], ...]:
     read along the zero direction: there the directional limiting normal
     cone is the limiting one (every reach cone of D contains 0, and the
     graph's keeps every face pair)."""
-    return _directional_adjoints(spec, QVector.zero(spec.n), QVector.zero(spec.Jx.nrows))
+    return _directional_adjoints(spec, QVector.zero(spec.n), QVector.zero(spec.m))
 
 
 @_per_spec
@@ -871,7 +858,7 @@ def _directional_adjoints(spec, u: QVector, v: QVector) -> tuple[tuple[PolyCone,
     for membership in cones only, so they take positive multiples of them,
     computed in integers once.
     """
-    constraint, m = spec.kind == "constraint", spec.Jx.nrows
+    constraint, m = spec.kind == "constraint", spec.m
     # the errors of the rational Jx u - v and v - Jx u
     if u.dim != spec.n:
         raise ValueError("matvec dimension mismatch")
@@ -939,12 +926,12 @@ def check_second_order_directional_subregularity(spec, u: QVector, gpp: QVector 
         if spec.kind != "constraint" or spec.hessians is None:
             raise PreconditionError("gpp is required when no Hessians are stored")
         ui = _ints(u)
-        curvature = tuple(_form_value(h, ui) for h in _hessian_rows(spec))  # a positive multiple of gpp
-    elif gpp.dim != spec.Jx.nrows:
-        raise ValueError(f"dimension mismatch: {gpp.dim} vs {spec.Jx.nrows}")
+        curvature = tuple(_form_value(h, ui) for h in spec._hessian_rows)  # a positive multiple of gpp
+    elif gpp.dim != spec.m:
+        raise ValueError(f"dimension mismatch: {gpp.dim} vs {spec.m}")
     else:
         curvature = _ints(gpp)
-    cones = _directional_adjoints(spec, u, QVector.zero(spec.Jx.nrows))
+    cones = _directional_adjoints(spec, u, QVector.zero(spec.m))
     if cones is None:
         return Certificate(HOLDS, notes=("direction is not tangent: subregular in it by definition",))
     witnesses = []

@@ -101,9 +101,9 @@ def _print_cone(label: str, cone) -> None:
 def _cmd_cones(args) -> int:
     spec = parse_problem(args.file)
     constraint = spec.kind == "constraint"
-    dim, pieces = (spec.m, spec.D.pieces) if constraint else (spec.n, (spec.gamma,))
-    y = _parse_vector(args.at, dim, "--at point")
-    ystar = _parse_vector(args.ystar, dim, "--ystar") if args.ystar is not None else None
+    pieces = spec.D.pieces if constraint else (spec.gamma,)
+    y = _parse_vector(args.at, spec.m, "--at point")
+    ystar = _parse_vector(args.ystar, spec.m, "--ystar") if args.ystar is not None else None
     held = [i for i, p in enumerate(pieces) if p.contains(y)]
     if not held:
         raise UsageError("point lies in no piece of D" if constraint else "point lies outside gamma")
@@ -153,7 +153,6 @@ def _cmd_graph_normal(args) -> int:
 def _run_check(spec, check: str, args):
     if check in ("foscms", "soscms", "calmness", "calmness2") and spec.kind != "constraint":
         raise UsageError(f"--check {check} needs a constraint system")
-    m = spec.m if spec.kind == "constraint" else spec.n  # range dimension
     if check == "foscms":
         return check_foscms(spec)
     if check == "soscms":
@@ -172,12 +171,12 @@ def _run_check(spec, check: str, args):
         if args.dir is None:
             raise UsageError("--check dir-subreg needs --dir u")
         u = _parse_vector(args.dir, spec.n, "--dir")
-        gpp = _parse_vector(args.gpp, m, "--gpp") if args.gpp is not None else None
+        gpp = _parse_vector(args.gpp, spec.m, "--gpp") if args.gpp is not None else None
         return check_second_order_directional_subregularity(spec, u, gpp)
     if check == "dir-reg":
         if args.dir is None:
             raise UsageError("--check dir-reg needs --dir 'u;v'")
-        u, v = _parse_pair(args.dir, (spec.n, m))
+        u, v = _parse_pair(args.dir, (spec.n, spec.m))
         return check_directional_metric_regularity(spec, u, v)
     raise UsageError(f"unknown check {check!r}")
 

@@ -405,10 +405,6 @@ class PolyCone:
         return _of_rows(dim, map(_ints, rays), map(_ints, lin), "generator").polar()
 
     @staticmethod
-    def full_space(dim: int) -> "PolyCone":
-        return PolyCone.from_ineqs(dim)
-
-    @staticmethod
     def origin(dim: int) -> "PolyCone":
         return PolyCone.from_generators(dim)
 
@@ -467,11 +463,6 @@ class PolyCone:
         rays = self._v[0]
         return QVector(map(sum, zip(*rays))) if rays else QVector.zero(self.dim)
 
-    def span_dim(self) -> int:
-        # span(C) is the orthogonal complement of the lineality space of the
-        # polar, and the equation rows are an echelon basis of that space
-        return self.dim - len(self._h[1])
-
     # -- algebra -----------------------------------------------------------
 
     def polar(self) -> "PolyCone":
@@ -522,8 +513,6 @@ class PolyCone:
         V-representation is a sorted subset of the cone's and is already
         canonical; its H-representation is read off the zero sets of those
         rays over the cone's rows when it is first read (``_read_off``).
-        Each face carries a polar witness z* with F = C ∩ [z*]^⊥, namely the
-        sum of the active inequality normals.
         """
         if self._faces is not None:
             return self._faces
@@ -539,9 +528,7 @@ class PolyCone:
                 cone = _of_generators(
                     self.dim, lin, tuple(rays[k] for k in on), (ineqs, eqs, [zero_sets[k] for k in on])
                 )
-            rows = [ineqs[i] for i in active]
-            wit = QVector(map(sum, zip(*rows))) if rows else QVector.zero(self.dim)
-            out.append(Face(frozenset(active), cone, wit))
+            out.append(Face(frozenset(active), cone))
         self._faces = tuple(out)
         return self._faces
 
@@ -617,13 +604,11 @@ class Face:
     """A closed face of a PolyCone.
 
     ``active_set`` is the implied active set of inequality rows (canonical
-    face id), ``cone`` the face itself, ``witness`` a polar vector z* with
-    face = cone ∩ [z*]^⊥.
+    face id) and ``cone`` the face itself.
     """
 
     active_set: frozenset
     cone: PolyCone
-    witness: QVector
 
     def __repr__(self) -> str:
         return f"Face(active={sorted(self.active_set)}, {self.cone!r})"

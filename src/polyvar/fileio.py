@@ -201,12 +201,14 @@ def problem_from_dict(data: dict, source: str = "<problem>"):
     label = data.get("label", "")
     if not isinstance(label, str):
         raise ProblemFileError(f"{source}.label: expected a string, got {label!r}")
+    m = n  # the range dimension of a variational system
     if kind == "constraint":
         if "m" not in dims:
             raise ProblemFileError(f"{source}.dims.m: required for constraint systems")
         m = _dim(dims, "m", source)
-        jp = _matrix(data.get("Jp"), f"{source}.Jp", nrows=m, ncols=l)
-        jx = _matrix(data.get("Jx"), f"{source}.Jx", nrows=m, ncols=n)
+    jp = _matrix(data.get("Jp"), f"{source}.Jp", nrows=m, ncols=l)
+    jx = _matrix(data.get("Jx"), f"{source}.Jx", nrows=m, ncols=n)
+    if kind == "constraint":
         g0 = _vector(data.get("g0"), f"{source}.g0", m)
         dd = data.get("D")
         if not isinstance(dd, dict) or not isinstance(dd.get("pieces"), list) or not dd["pieces"]:
@@ -226,24 +228,16 @@ def problem_from_dict(data: dict, source: str = "<problem>"):
                     raise ProblemFileError(f"{source}.hessians[{i}]: expected a symmetric matrix")
             if len(hessians) != m:
                 raise ProblemFileError(f"{source}.hessians: expected {m} matrices, got {len(hessians)}")
-        try:
-            return ConstraintSystemSpec(
-                l, n, m, jp, jx, g0, UnionSet(pieces), hessians, param_lipschitz=lip, label=label
-            )
-        except ValueError as exc:
-            raise ProblemFileError(f"{source}: {exc}") from None
     else:
-        jp = _matrix(data.get("Jp"), f"{source}.Jp", nrows=n, ncols=l)
-        jx = _matrix(data.get("Jx"), f"{source}.Jx", nrows=n, ncols=n)
         xbar = _vector(data.get("xbar"), f"{source}.xbar", n)
         ybarstar = _vector(data.get("ybarstar"), f"{source}.ybarstar", n)
         gamma = _polyhedron(data.get("gamma"), f"{source}.gamma", n)
-        try:
-            return VariationalSystemSpec(
-                l, n, jp, jx, gamma, xbar, ybarstar, param_lipschitz=lip, label=label
-            )
-        except ValueError as exc:
-            raise ProblemFileError(f"{source}: {exc}") from None
+    try:
+        if kind == "constraint":
+            return ConstraintSystemSpec(l, n, m, jp, jx, g0, UnionSet(pieces), hessians, lip, label)
+        return VariationalSystemSpec(l, n, jp, jx, gamma, xbar, ybarstar, lip, label)
+    except ValueError as exc:
+        raise ProblemFileError(f"{source}: {exc}") from None
 
 
 def parse_problem(path: str):
@@ -282,31 +276,25 @@ def _poly_plain(p: Polyhedron) -> dict:
 
 def problem_to_dict(spec) -> dict:
     """Serialize a spec back to the problem-file shape (canonicalized)."""
-    if spec.kind == "constraint":
-        out = {
-            "kind": "constraint",
-            "dims": {"l": spec.l, "n": spec.n, "m": spec.m},
-            "Jp": _mat_plain(spec.Jp),
-            "Jx": _mat_plain(spec.Jx),
-            "g0": vec_plain(spec.g0),
-            "D": {"pieces": [_poly_plain(p) for p in spec.D.pieces]},
-            "param_lipschitz": spec.param_lipschitz,
-            "label": spec.label,
-        }
-        if spec.hessians is not None:
-            out["hessians"] = [_mat_plain(h) for h in spec.hessians]
-        return out
-    return {
-        "kind": "variational",
-        "dims": {"l": spec.l, "n": spec.n},
+    constraint = spec.kind == "constraint"
+    out = {
+        "kind": spec.kind,
+        "dims": {"l": spec.l, "n": spec.n, "m": spec.m} if constraint else {"l": spec.l, "n": spec.n},
         "Jp": _mat_plain(spec.Jp),
         "Jx": _mat_plain(spec.Jx),
-        "xbar": vec_plain(spec.xbar),
-        "ybarstar": vec_plain(spec.ybarstar),
-        "gamma": _poly_plain(spec.gamma),
-        "param_lipschitz": spec.param_lipschitz,
-        "label": spec.label,
     }
+    if constraint:
+        out["g0"] = vec_plain(spec.g0)
+        out["D"] = {"pieces": [_poly_plain(p) for p in spec.D.pieces]}
+    else:
+        out["xbar"] = vec_plain(spec.xbar)
+        out["ybarstar"] = vec_plain(spec.ybarstar)
+        out["gamma"] = _poly_plain(spec.gamma)
+    out["param_lipschitz"] = spec.param_lipschitz
+    out["label"] = spec.label
+    if constraint and spec.hessians is not None:
+        out["hessians"] = [_mat_plain(h) for h in spec.hessians]
+    return out
 
 
 # -- certificates -------------------------------------------------------------

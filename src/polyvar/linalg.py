@@ -201,7 +201,8 @@ class QMatrix:
         return QVector(r.dot(v) for r in self.rows)
 
     def is_symmetric(self) -> bool:
-        return self.nrows == self.ncols and self == self.T
+        rows = [r.entries for r in self.rows]
+        return self.nrows == self.ncols and all(r[j] == rows[j][i] for i, r in enumerate(rows) for j in range(i))
 
     @staticmethod
     def identity(n: int) -> "QMatrix":

@@ -122,9 +122,13 @@ class Polyhedron:
         return hash(self._homog)
 
     def __repr__(self):
-        ineq = ", ".join(f"{a!r}.y<={bv}" for a, bv in zip(self.A, self.b))
-        eq = ", ".join(f"{g!r}.y={ev}" for g, ev in zip(self.E, self.e))
-        return f"Polyhedron(dim={self.dim}, [{ineq}] [{eq}])"
+        ineqs, eqs = self._row_texts()
+        return f"Polyhedron(dim={self.dim}, [{', '.join(ineqs)}] [{', '.join(eqs)}])"
+
+    def _row_texts(self) -> tuple[list[str], list[str]]:
+        """Each row of A written as its inequality ``(1, 0).y<=0`` and each
+        row of E as its equation ``(0, 1).y=2``."""
+        return [f"{a!r}.y<={bv}" for a, bv in zip(self.A, self.b)], [f"{g!r}.y={ev}" for g, ev in zip(self.E, self.e)]
 
     # -- basic queries -------------------------------------------------------
 

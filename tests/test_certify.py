@@ -150,6 +150,35 @@ def test_spec_constructors_reject_wrong_shapes(message, build):
     assert str(err.value) == message
 
 
+def test_both_kinds_share_one_immutable_core_with_the_range_dimension():
+    for spec, m in ((ex3_spec(), 4), (ex4_spec(), 2), (ex5_spec(), 2)):
+        assert spec.m == m == spec.Jx.nrows == spec.Jp.nrows
+        for name, value in (("m", 7), ("Jx", spec.Jp), ("label", "x"), ("_memo", {}), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, value)
+        assert spec.m == m
+    assert ex5_spec().m == ex5_spec().n
+
+
+def test_hessians_are_kept_as_integer_rows_of_one_scale():
+    spec = ConstraintSystemSpec(
+        **constraint_args(hessians=[QMatrix([[F(1, 2), 1], [1, 0]]), QMatrix([[0, F(-1, 3)], [F(-1, 3), 2]])])
+    )
+    assert spec._hessian_rows == (((3, 6), (6, 0)), ((0, -2), (-2, 12)))
+    assert ex4_spec(hessians=False)._hessian_rows is None
+
+
+def test_g0_outside_d_names_each_violated_row_as_written():
+    # the canonical rows are sorted: the file's row 0, (2, 0).y <= 0, is
+    # canonical row 1, (1, 0).y <= 0
+    piece = Polyhedron(2, A=[[2, 0], [0, 1], [1, 1]], b=[0, 0, 5])
+    assert piece.A[1] == QVector([1, 0])
+    line = Polyhedron(2, E=[[0, 1]], e=[3])
+    with pytest.raises(ValueError) as err:
+        ConstraintSystemSpec(**constraint_args(g0=[1, 0], D=UnionSet([piece, line])))
+    assert str(err.value) == "g0 lies in no piece of D (piece 0: violates (1, 0).y<=0; piece 1: violates (0, 1).y=3)"
+
+
 # -- witness replay ------------------------------------------------------------
 
 

@@ -70,7 +70,7 @@ def test_polar_wedge():
 
 
 def test_polar_origin_is_everything():
-    assert PolyCone.origin(3).polar() == PolyCone.full_space(3)
+    assert PolyCone.origin(3).polar() == PolyCone.from_ineqs(3)
 
 
 def test_intersect_orthants_trivial():
@@ -88,7 +88,7 @@ def test_minkowski_sum_of_wedge_edges():
 def test_faces_of_wedge():
     faces = wedge().faces()
     assert len(faces) == 4
-    spans = sorted(f.cone.span_dim() for f in faces)
+    spans = sorted(f.cone.dim - len(f.cone._h[1]) for f in faces)
     assert spans == [0, 1, 1, 2]
 
 
@@ -107,10 +107,12 @@ def test_faces_of_line():
 
 
 def test_face_witness_recovers_face():
+    # the sum z* of a face's active rows lies in the polar and exposes it
     c = wedge()
     for f in c.faces():
-        assert c.polar().contains(f.witness)
-        cut = PolyCone.from_ineqs(2, list(c.ineqs), list(c.eqs) + [f.witness])
+        witness = sum((c.ineqs[i] for i in f.active_set), QVector.zero(2))
+        assert c.polar().contains(witness)
+        cut = PolyCone.from_ineqs(2, list(c.ineqs), list(c.eqs) + [witness])
         assert cut == f.cone
 
 
@@ -228,7 +230,7 @@ def nested_cones(draw):
     dim = draw(st.integers(1, 4))
     r = rng(draw(st.integers(0, 10**6)))
     c = random_cone(r, dim)
-    pool = [PolyCone.origin(dim), PolyCone.full_space(dim), PolyCone.from_generators(dim, lin=[[1] * dim])]
+    pool = [PolyCone.origin(dim), PolyCone.from_ineqs(dim), PolyCone.from_generators(dim, lin=[[1] * dim])]
     pool += [c, PolyCone.from_generators(dim, lin=c.lin), *(f.cone for f in c.faces())]
     f1 = draw(st.sampled_from(pool))
     inner = [f.cone for f in f1.faces()] + [d for d in pool if d.subcone_of(f1)]
@@ -258,7 +260,7 @@ def test_face_difference_errors():
     with pytest.raises(ValueError, match="^face_difference requires F2 to be contained in F1$"):
         face_difference(PolyCone.from_generators(2, [[1, 0]]), PolyCone.from_generators(2, lin=[[1, 0]]))
     with pytest.raises(ValueError, match="^cone dimension mismatch$"):
-        face_difference(PolyCone.full_space(3), PolyCone.origin(2))
+        face_difference(PolyCone.from_ineqs(3), PolyCone.origin(2))
 
 
 small_ints = st.integers(-2, 2)
@@ -438,7 +440,7 @@ def test_rays_are_extreme_and_complete_hypothesis(system):
         assert all(a.dot(r) <= 0 for a in rows) and all(QVector(e).dot(r) == 0 for e in eqs)
         tight = list(c.eqs) + [a for a in c.ineqs if a.dot(r) == 0]
         assert rank_of_rows(tight) == dim - len(c.lin) - 1
-    assert c.span_dim() == rank_of_rows(list(c.rays) + list(c.lin))
+    assert c.dim - len(c._h[1]) == rank_of_rows(list(c.rays) + list(c.lin))
     # no ray is missing: on a grid, membership agrees with the input rows
     for z in map(QVector, product(range(-2, 3), repeat=dim)):
         feasible = all(a.dot(z) <= 0 for a in rows) and all(QVector(e).dot(z) == 0 for e in eqs)
@@ -688,8 +690,7 @@ def test_faces_match_active_set_definition_hypothesis(system, as_generators):
         witness = QVector.zero(dim)
         for i in sorted(active):
             witness = witness + c.ineqs[i]
-        assert f.witness == witness
-        assert PolyCone.from_ineqs(dim, list(c.ineqs), list(c.eqs) + [f.witness]) == f.cone
+        assert PolyCone.from_ineqs(dim, list(c.ineqs), list(c.eqs) + [witness]) == f.cone
 
 
 # -- the second representation, read off the incidence on first read --------------
@@ -780,10 +781,10 @@ def test_second_side_from_incidence_matches_a_fresh_conversion_hypothesis(system
         if None in first.cone._reps[:2]:
             fresh = iter((first.cone, second.cone))
             assert_read_off_matches_a_fresh_conversion(lambda: next(fresh))
-    # span_dim reads the span's dimension off the equation rows, an echelon
-    # basis of the polar's lineality space
+    # the span's dimension reads off the equation rows, an echelon basis of
+    # the polar's lineality space
     for c in (make(), *(f.cone for f in make().faces())):
-        assert c.span_dim() == c.dim - len(c.eqs) == rank_of_rows(list(c.rays) + list(c.lin))
+        assert c.dim - len(c._h[1]) == rank_of_rows(list(c.rays) + list(c.lin))
 
 
 # -- the JSON-plain view, written from the integer forms --------------------------
@@ -807,7 +808,7 @@ def test_cone_plain_divides_echelon_rows_by_their_pivot():
     assert cone_plain(c.polar())["eqs"] == [["1", "3/2", "0"]]
     d = PolyCone.from_ineqs(3, [], [[2, 3, 0], [0, 4, -6]])
     assert cone_plain(d)["eqs"] == [["1", "0", "9/4"], ["0", "1", "-3/2"]]
-    for cone in (c, c.polar(), d, d.polar(), PolyCone.origin(2), PolyCone.full_space(2), wedge()):
+    for cone in (c, c.polar(), d, d.polar(), PolyCone.origin(2), PolyCone.from_ineqs(2), wedge()):
         assert cone_plain(cone) == reference_plain(cone)
 
 
@@ -832,7 +833,7 @@ IDENTITY_POOL = CORPUS + [
     for d in (1, 2, 3)
     for cone in (
         PolyCone.origin(d),
-        PolyCone.full_space(d),
+        PolyCone.from_ineqs(d),
         PolyCone.from_generators(d, lin=[[2] + [1] * (d - 1)]),  # lineality only, pivot 2
         PolyCone.from_generators(d, [[1] + [0] * (d - 1)]),  # a ray: lower-dimensional
     )

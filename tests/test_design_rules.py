@@ -3,9 +3,9 @@
 Fractions stay at the boundary: the cone layer, the polyhedra, the graph map
 and the certifiers work on integer rows; rationals enter and leave only
 through linalg's views, so these modules import nothing from fractions and
-call none of the rational QVector/QMatrix methods matvec, dot, col, scale
-and T (is_symmetric, which validates the Hessians when a spec is built, is
-allowed).
+call none of the rational QVector/QMatrix methods matvec, dot, col, scale,
+is_symmetric and T (a constraint spec checks its Hessians' symmetry on their
+integer rows).
 
 Derived geometry lives on its owner or in the spec memo: an object caches
 only what is a function of itself, and geometry derived from a spec lives
@@ -15,6 +15,7 @@ anywhere in the package.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,7 +39,7 @@ def test_fractions_stay_at_the_boundary():
                 modules = [alias.name for alias in node.names]
             else:
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                    if node.func.attr in ("matvec", "dot", "col", "scale"):
+                    if node.func.attr in ("matvec", "dot", "col", "scale", "is_symmetric"):
                         bad.append(f"{path}:{node.lineno} calls the rational .{node.func.attr}")
                 elif isinstance(node, ast.Attribute) and node.attr == "T":
                     bad.append(f"{path}:{node.lineno} reads the rational .T")
@@ -60,3 +61,25 @@ def test_derived_geometry_lives_on_its_owner_or_in_the_spec_memo():
                 if isinstance(node.value, ast.Name) and node.value.id == "functools":
                     bad.append(f"{path}:{node.lineno} uses functools.{node.attr}")
     assert not bad, "\n".join(bad)
+
+
+def test_the_benchmark_tracer_binds_only_names_the_package_has():
+    """``perfbench/tracer.py`` wraps package functions and methods by name
+    (its ``FUNCTIONS`` and ``METHODS`` tables, read here with ``ast`` and not
+    imported); a renamed or deleted one would break only a traced run.  A
+    method must be defined on its class itself, since the tracer reads it
+    from the class ``__dict__``, as it does ``QVector.dot``."""
+    tables = {}
+    for node in ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] in (["FUNCTIONS"], ["METHODS"]):
+            tables[node.targets[0].id] = ast.literal_eval(node.value)
+    names = [(mod, None, f) for mod, fns in tables["FUNCTIONS"].items() for f in fns]
+    names += [*tables["METHODS"], ("linalg", "QVector", "dot")]
+    bad = []
+    for mod, cls, attr in names:
+        owner = importlib.import_module(f"polyvar.{mod}")
+        if cls is not None:
+            owner = vars(owner).get(cls)
+        if owner is None or not callable(vars(owner).get(attr)):
+            bad.append(".".join(filter(None, (mod, cls, attr))))
+    assert not bad, "the tracer binds names the package lacks: " + ", ".join(bad)

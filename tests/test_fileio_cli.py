@@ -403,7 +403,7 @@ _views = st.sampled_from(
             PolyCone.from_generators(3, [[0, 0, 1]], [[2, 3, 0]]),
             PolyCone.from_ineqs(2, [[1, -2]]),
             PolyCone.origin(2),
-            PolyCone.full_space(1),
+            PolyCone.from_ineqs(1),
         )
     ]
 )

@@ -74,11 +74,11 @@ def test_regular_normal_graph_degenerate():
     whole = Polyhedron(2)
     gp = GraphPoint(whole, QVector([1, 1]), QVector([0, 0]))
     piece = regular_normal_graph(gp).pieces[0]
-    assert piece.k == PolyCone.full_space(2) and piece.kpolar.is_trivial()
+    assert piece.k == PolyCone.from_ineqs(2) and piece.kpolar.is_trivial()
     point = Polyhedron(2, E=[[1, 0], [0, 1]], e=[0, 0])
     gp2 = GraphPoint(point, QVector([0, 0]), QVector([3, -2]))
     piece2 = regular_normal_graph(gp2).pieces[0]
-    assert piece2.k.is_trivial() and piece2.kpolar == PolyCone.full_space(2)
+    assert piece2.k.is_trivial() and piece2.kpolar == PolyCone.from_ineqs(2)
 
 
 def test_regular_provenance_is_the_faces_of_largest_and_smallest_span():
@@ -94,8 +94,8 @@ def test_regular_provenance_is_the_faces_of_largest_and_smallest_span():
         (piece,) = regular_normal_graph(gp).pieces
         faces = gp.critical.faces()
         assert piece.k == k
-        assert piece.f1 == max(faces, key=lambda f: f.cone.span_dim())
-        assert piece.f2 == min(faces, key=lambda f: f.cone.span_dim())
+        assert piece.f1 == max(faces, key=lambda f: f.cone.dim - len(f.cone._h[1]))
+        assert piece.f2 == min(faces, key=lambda f: f.cone.dim - len(f.cone._h[1]))
 
 
 def test_limiting_normal_graph_nine_pieces():
@@ -106,14 +106,14 @@ def test_limiting_normal_graph_nine_pieces():
     assert PolyCone.from_ineqs(2, [[1, 2]]).key() in cones  # halfplane v1/2 + v2 <= 0
     assert PolyCone.from_ineqs(2, [[1, -2]]).key() in cones
     assert PolyCone.origin(2).key() in cones
-    assert PolyCone.full_space(2).key() in cones
+    assert PolyCone.from_ineqs(2).key() in cones
 
 
 def test_limiting_normal_graph_small_cases():
     whole = Polyhedron(3)
     gp = GraphPoint(whole, QVector([0, 0, 0]), QVector([0, 0, 0]))
     gnc = limiting_normal_graph(gp)
-    assert len(gnc.pieces) == 1 and gnc.pieces[0].k == PolyCone.full_space(3)
+    assert len(gnc.pieces) == 1 and gnc.pieces[0].k == PolyCone.from_ineqs(3)
     # a supported halfline: critical cone is one ray; pairs give {0}, ray, line
     halfline = Polyhedron(2, A=[[0, -1], [0, 1]], b=[0, 0], E=[], e=[])
     gp2 = GraphPoint(halfline, QVector([0, 0]), QVector([0, 0]))
@@ -137,12 +137,12 @@ def test_directional_cases_of_worked_example():
     gp = wedge_graph_point()
     d1 = directional_limiting_normal_graph(gp, QVector([-1, 0]), QVector([0, 0]))
     assert len(d1.pieces) == 1
-    assert d1.pieces[0].k == PolyCone.full_space(2)
+    assert d1.pieces[0].k == PolyCone.from_ineqs(2)
     assert d1.pieces[0].kpolar.is_trivial()
     d4 = directional_limiting_normal_graph(gp, QVector([0, 0]), QVector([1, 0]))
     assert len(d4.pieces) == 1
     assert d4.pieces[0].k.is_trivial()
-    assert d4.pieces[0].kpolar == PolyCone.full_space(2)
+    assert d4.pieces[0].kpolar == PolyCone.from_ineqs(2)
     # case (ii): direction along the upper edge with its normal shift
     v = QVector([F(-4, 3), F(2, 3)])
     vstar = QVector([F(1, 3), F(2, 3)])

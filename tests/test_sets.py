@@ -165,7 +165,7 @@ def test_union_tangent_cone_examples():
     t2 = union_tangent_cone(single, QVector([0, 0]))
     assert t2.pieces == (PolyCone.from_ineqs(2, [[1, 0], [0, 1]]),)
     t3 = union_tangent_cone(single, QVector([-1, -1]))
-    assert t3.pieces == (PolyCone.full_space(2),)
+    assert t3.pieces == (PolyCone.from_ineqs(2),)
     with pytest.raises(ValueError):
         union_tangent_cone(single, QVector([1, 1]))
 
@@ -337,7 +337,7 @@ def cone_lists(draw):
     else:
         d = random_union(r, draw(st.integers(1, 3))) if kind == "strata" else complementarity(draw(st.integers(1, 3)), {})
         dim, found = d.dim, [s.normal for s in direction_strata(d, QVector.zero(d.dim))]
-    pool = [PolyCone.origin(dim), PolyCone.full_space(dim), PolyCone.from_generators(dim, lin=[[1] * dim])]
+    pool = [PolyCone.origin(dim), PolyCone.from_ineqs(dim), PolyCone.from_generators(dim, lin=[[1] * dim])]
     for c in found:
         pool += [c, PolyCone.from_ineqs(dim, c.ineqs, c.eqs), PolyCone.from_generators(dim, lin=c.lin)]
     return dim, draw(st.lists(st.sampled_from(pool), max_size=32))
@@ -374,7 +374,7 @@ def test_cone_union_tests_each_pooled_generator_once_per_pooled_row(monkeypatch,
 
 def test_cone_union_rejects_pieces_of_another_dimension():
     with pytest.raises(ValueError, match="cone dimension mismatch"):
-        ConeUnion(2, [PolyCone.full_space(3)])
+        ConeUnion(2, [PolyCone.from_ineqs(3)])
     with pytest.raises(ValueError, match="cone dimension mismatch"):
         ConeUnion(3, [PolyCone.origin(3), PolyCone.origin(2)])
 
