@@ -15,6 +15,7 @@ from polyvar import (
     QVector,
     check_aubin,
     check_calmness_constraint,
+    check_directional_metric_regularity,
     check_foscms,
     check_second_order_directional_subregularity,
     check_soscms,
@@ -56,8 +57,9 @@ for case in phase_b["cases"]:
     entries = case["adjoint_inclusions"]
     print(f"  {case['case']}: {len(entries)} adjoint inclusion(s), all trivial:",
           all(e["trivial"] for e in entries))
-std = next(t for t in cert.trace if str(t["phase"]).startswith("standard"))
-gens = [g for p in std["pieces"] for g in p["nontrivial_generators"]]
+# the unstratified adjoint inclusion is the directional one at (0, 0)
+zero = check_directional_metric_regularity(ex5, QVector.zero(2), QVector.zero(2))
+gens = [g for t in zero.trace for key in ("rays", "lin") for g in t["adjoint_cone"][key]]
 print("  unstratified adjoint inclusion admits nontrivial duals:", gens)
 
 print("\nlinearized solution slices of ex5:")

@@ -194,9 +194,9 @@ class Certificate:
 class _Record(dict):
     """A JSON-plain trace record that two certificates of one spec share:
     calmness holds the records of ``check_foscms`` or ``check_soscms``, and
-    both modes of ``check_aubin`` hold the Phase A and zero-direction
-    records.  Never modified once built; ``json`` is its JSON text at
-    indent 0, written once by ``fileio._dumps`` (None until then)."""
+    both modes of ``check_aubin`` hold the Phase A record.  Never modified
+    once built; ``json`` is its JSON text at indent 0, written once by
+    ``fileio._dumps`` (None until then)."""
 
     __slots__ = ("json",)
 
@@ -548,7 +548,7 @@ def check_calmness_constraint(spec: ConstraintSystemSpec, order: str = "first") 
     notes.append(f"param_lipschitz asserted by user: {spec.param_lipschitz}")
     if utilde is not None:
         notes.append(
-            f"solvability direction u={vec_plain(utilde)}; its image is a derivable tangent "
+            f"solvability direction u={utilde!r}; its image is a derivable tangent "
             "(polyhedral sets: projection arc)"
         )
     if not spec.param_lipschitz:
@@ -675,7 +675,8 @@ def _zero_direction_adjoints(spec) -> tuple[tuple[PolyCone, PolyCone], ...]:
     """The (piece, adjoint cone) pairs of the standard adjoint inclusion,
     read along the zero direction: there the directional limiting normal
     cone is the limiting one (every reach cone of D contains 0, and the
-    graph's keeps every face pair)."""
+    graph's keeps every face pair).  ``check_directional_metric_regularity``
+    at (0, 0) decides from the same pairs."""
     return _directional_adjoints(spec, QVector.zero(spec.n), QVector.zero(spec.m))
 
 
@@ -696,21 +697,6 @@ def _phase_a(spec) -> tuple[_Record, bool, QVector | None]:
     return rec, covered, gap
 
 
-@_per_spec
-def _standard_adjoint_record(spec) -> _Record:
-    """The unstratified (zero-direction) adjoint inclusion, for comparison:
-    the last record of ``check_aubin`` in either mode."""
-    pieces = [
-        {
-            "piece": cone_plain(piece),
-            "adjoint_cone": cone_plain(adj),
-            "nontrivial_generators": [vec_plain(g) for g in adj.generators()],
-        }
-        for piece, adj in _zero_direction_adjoints(spec)
-    ]
-    return _Record(phase="standard adjoint inclusion (zero direction)", pieces=pieces)
-
-
 def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) -> Certificate:
     """Aubin property of the solution map around the reference point.
 
@@ -722,6 +708,11 @@ def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) 
     (mode "corollary") or contained in the kernel of Jp^T (mode "theorem",
     which additionally needs metric subregularity of the joint map -
     discharged through check_foscms_joint or asserted by the caller).
+
+    The trace holds the Phase A record and, when Phase A holds, the Phase B
+    record.  The unstratified (standard) adjoint inclusion is not repeated
+    here: it is ``check_directional_metric_regularity`` at the direction
+    (0, 0), which decides it exactly.
     """
     if mode not in ("corollary", "theorem"):
         raise PreconditionError("mode must be 'corollary' or 'theorem'")
@@ -782,7 +773,6 @@ def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) 
             "cases": [{"case": c, "adjoint_inclusions": v} for c, v in cases.items()],
         }
     )
-    trace.append(_standard_adjoint_record(spec))
     status = NOT_CERTIFIED if witnesses else HOLDS
     return Certificate(status, tuple(witnesses), trace=tuple(trace), notes=tuple(notes))
 

@@ -90,8 +90,8 @@ def _verbosity() -> str:
 
 
 def _print_cone(label: str, cone) -> None:
-    view = cone_plain(cone)
-    rays, lin, ineqs, eqs = ([tuple(v) for v in view[key]] for key in ("rays", "lin", "ineqs", "eqs"))
+    view, polar = cone_plain(cone), cone_plain(cone.polar())  # the polar's generators are the cone's rows
+    rays, lin, ineqs, eqs = ([tuple(r) for r in v[key]] for v in (view, polar) for key in ("rays", "lin"))
     print(f"{label}:")
     print(f"  rays: {rays}")
     print(f"  lin:  {lin}")
@@ -257,8 +257,9 @@ def _cmd_examples(args) -> int:
             ok &= n_cases == extra["cases"] and all_trivial
             detail.append(f"direction cases={n_cases}, all adjoint inclusions trivial={all_trivial}")
         if "std_nontrivial" in extra:
-            std = next(t for t in cert.trace if str(t.get("phase", "")).startswith("standard"))
-            gens = sorted(g for p in std["pieces"] for g in p["nontrivial_generators"])
+            # the standard adjoint inclusion is the directional one at (0, 0)
+            zero = check_directional_metric_regularity(spec, QVector.zero(spec.n), QVector.zero(spec.m))
+            gens = sorted(g for t in zero.trace for key in ("rays", "lin") for g in t["adjoint_cone"][key])
             ok &= gens == sorted(extra["std_nontrivial"])
             detail.append(f"standard adjoint nontrivial generators={gens}")
         print(("PASS" if ok else "FAIL") + f" example {name} {check}: " + "; ".join(detail))

@@ -57,8 +57,9 @@ directly.
 A ``PolyCone`` stores only these integer forms, and ``key()``, equality and
 hashing read them.  ``fractions.Fraction`` appears only at the API boundary:
 ``ineqs``, ``eqs``, ``rays`` and ``lin`` are ``QVector`` views built from the
-integer forms when they are read, and ``cone_plain`` writes its strings from
-the integer forms directly, once per cone.
+integer forms when they are read, and ``cone_plain`` writes the generators'
+strings from the integer forms directly, once per cone; a cone's rows are
+the generators of its polar, so their strings are the polar's view.
 
 The second order test asks "is the open cell {leq.z <= 0, eqs.z = 0,
 strict.z < 0} nonempty?", and ``open_cell`` answers it from the rays of the
@@ -638,27 +639,25 @@ def face_difference(f1: PolyCone, f2: PolyCone) -> PolyCone:
 
 
 class _PlainCone(dict):
-    """The JSON-plain view ``cone_plain`` returns: one per cone, shared by
-    every record that holds it, so it is never modified.  ``json`` is its
-    JSON text at indent 0, written once by ``fileio._dumps``."""
+    """The JSON-plain view ``cone_plain`` returns, ``{dim, lin, rays}``: one
+    per cone, shared by every record that holds it, so it is never
+    modified.  ``json`` is its JSON text at indent 0, written once by
+    ``fileio._dumps``."""
 
     __slots__ = ("json",)
 
 
 def cone_plain(c: PolyCone) -> _PlainCone:
-    """JSON-plain view of a cone: its dimension and both representations,
-    each entry as the string of the rational that ``rays``, ``lin``,
-    ``ineqs`` and ``eqs`` hold, written straight from the integer forms.
-    It is built once per cone and the same dict is returned after that."""
+    """JSON-plain view of a cone: its dimension and its generators, each
+    entry as the string of the rational that ``rays`` and ``lin`` hold,
+    written straight from the integer forms.  The generators are the
+    cone's identity (``key()``), so the view never reads the row side; the
+    facets and equations are the view of the polar, whose rays and lineality
+    rows are this cone's ``ineqs`` and ``eqs``.  It is built once per cone
+    and the same dict is returned after that."""
     if c._plain is None:
-        (ineqs, eqs), (rays, lin) = c._h, c._v
-        view = _PlainCone(
-            dim=c.dim,
-            rays=[list(map(str, r)) for r in rays],
-            lin=[_rref_plain(l) for l in lin],
-            ineqs=[list(map(str, a)) for a in ineqs],
-            eqs=[_rref_plain(e) for e in eqs],
-        )
+        rays, lin = c._v
+        view = _PlainCone(dim=c.dim, rays=[list(map(str, r)) for r in rays], lin=[_rref_plain(l) for l in lin])
         view.json = None
         c._plain = view
     return c._plain

@@ -47,6 +47,8 @@ escapes, the same bytes as ``json.dumps(obj, sort_keys=True, indent=1)``.
 ``_dumps`` writes it in one pass: scalars inline, a cone view's numeral
 rows with ``str.join``, and each cone view and each trace record that two
 certificates share written once, its text kept on it (see ``_dumps``).
+A cone is written by its generators only (``cones.cone_plain``): they are
+its identity, and its rows are the generators of its polar.
 """
 
 from __future__ import annotations
@@ -354,10 +356,11 @@ def _dumps(o, ind: str = "") -> str:
 
 
 def _cone_text(view: _PlainCone) -> str:
-    """A cone view's JSON text at indent 0: ``dim``, then its four lists of
-    numeral rows in key order, all rows of a list in one ``str.join``."""
+    """A cone view's JSON text at indent 0: ``dim``, then its two lists of
+    numeral rows, ``lin`` and ``rays``, all rows of a list in one
+    ``str.join``."""
     parts = ['{\n "dim": ', int.__repr__(view["dim"])]
-    for key in ("eqs", "ineqs", "lin", "rays"):
+    for key in ("lin", "rays"):
         rows = view[key]
         if rows:  # each row is a nonzero vector, so never empty
             rows = '"\n  ],\n  [\n   "'.join(['",\n   "'.join(r) for r in rows])
@@ -451,16 +454,6 @@ def _render_trace(trace, verbosity: str) -> list[str]:
                         "    direction q=(" + ",".join(s["q"]) + "), u=(" + ",".join(s["u"]) + ")"
                         f" -> adjoint cone {_cone_line(entry['adjoint_cone'])}: {entry['outcome']}"
                     )
-            for piece in rec.get("pieces", []):
-                gens = piece.get("nontrivial_generators", [])
-                if gens:
-                    lines.append(
-                        "  zero-direction piece " + _cone_line(piece["piece"]) +
-                        " admits nontrivial duals: " +
-                        " ".join("(" + ",".join(g) + ")" for g in gens)
-                    )
-                elif verbosity == "full":
-                    lines.append("  zero-direction piece " + _cone_line(piece["piece"]) + ": trivial dual")
         elif "stratum" in rec or "adjoint_stratum" in rec or "piece" in rec:
             label = rec.get("stratum") or rec.get("adjoint_stratum") or rec.get("piece")
             lines.append(f"  stratum {label}: {rec.get('outcome', '')}")

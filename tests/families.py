@@ -54,15 +54,16 @@ def check_complementarity(k: int) -> None:
 
 
 def check_orthant(n: int) -> None:
-    """``orthant_spec(n)``: check_aubin holds in 3^n + 2^n + 3 passes of the
-    double description: one adjoint cone per face pair, one projection per
-    face, one cover-test cell for each of the distinct projections R_+ and
-    R_-, and the graph cone G, whose faces are the (q, u) cells."""
+    """``orthant_spec(n)``: check_aubin holds in 2 * 3^(n-1) + 2^n + 3 passes
+    of the double description: one adjoint cone per adjoint stratum (the
+    difference cones with a cell), one projection per face, one cover-test
+    cell for each of the distinct projections R_+ and R_-, and the graph
+    cone G, whose faces are the (q, u) cells."""
     spec = orthant_spec(n)
     with counting_dd() as passes:
         assert check_aubin(spec).holds()
     counts = (len(_adjoint_strata(spec)), len(passes))
-    assert counts == (2 * 3 ** (n - 1), 3**n + 2**n + 3), counts
+    assert counts == (2 * 3 ** (n - 1), 2 * 3 ** (n - 1) + 2**n + 3), counts
 
 
 def check_admissible(k: int) -> tuple:
@@ -151,12 +152,12 @@ def check_cross_polytope(n: int) -> None:
     """``cross_polytope_spec(n)``, n >= 3: K has 3^(n-1) + 1 faces, there
     are 5^(n-2) + 3^(n-2) + 4 adjoint strata, the solution pieces project
     to R_+, R_- and {0} 3^(n-2) + 1, 2 and 2 * 3^(n-2) - 2 times, and
-    check_aubin holds in 5^(n-1) + 2 * 3^(n-1) + 7 passes of the double
-    description: one adjoint cone per face pair, one projection per face,
-    the graph cone and four cover-test cells.  The projections first appear
-    as R_+ (from K), {0} and R_- (faces run from K down to {0}), and the
-    cells are q < 0 after R_+, q < 0 and the empty q > 0 after {0}, and the
-    empty q > 0 after R_-."""
+    check_aubin holds in 5^(n-2) + 3^(n-2) + 3^(n-1) + 10 passes of the
+    double description: one adjoint cone per adjoint stratum, one
+    projection per face, the graph cone and four cover-test cells.  The
+    projections first appear as R_+ (from K), {0} and R_- (faces run from K
+    down to {0}), and the cells are q < 0 after R_+, q < 0 and the empty
+    q > 0 after {0}, and the empty q > 0 after R_-."""
     spec = cross_polytope_spec(n)
     with counting_dd() as passes:
         assert check_aubin(spec).holds()
@@ -169,7 +170,7 @@ def check_cross_polytope(n: int) -> None:
         len(passes),
     )
     derived = (3 ** (n - 1) + 1, 5 ** (n - 2) + 3 ** (n - 2) + 4, 3 ** (n - 2) + 1, 2, 2 * 3 ** (n - 2) - 2)
-    assert counts == (*derived, 5 ** (n - 1) + 2 * 3 ** (n - 1) + 7), counts
+    assert counts == (*derived, 5 ** (n - 2) + 3 ** (n - 2) + 3 ** (n - 1) + 10), counts
 
 
 class Family(NamedTuple):

@@ -1,12 +1,13 @@
 """Certificate bytes of the benchmark streams, as one sha256 per workload.
 
 For each workload of ``perfbench/workloads.py`` this runs the prologue plus
-the first 200 stream ops at seed 6161, and hashes what they return: the
-report text and the JSON block of every certificate, and the ``key()``,
-``_h`` and ``_v`` of every cone the op hands back (faces, graph pieces and
-critical cones included).  Cones are canonical and certificates are
-deterministic, so a change that means to keep every output byte keeps
-these digests.
+the first 200 stream ops at seed 6161, and hashes what they return as it
+is printed: the report text and the JSON block of every certificate, and
+the ``key()``, ``_h`` and ``_v`` of every cone the op hands back (faces,
+graph pieces and critical cones included), with the active sets that name
+faces and graph pieces.  No other field of a returned object is hashed.
+Cones are canonical and certificates are deterministic, so a change that
+means to keep every output byte keeps these digests.
 
     PYTHONPATH=src python tests/stream_sha256.py            # print the digests
     PYTHONPATH=src python tests/stream_sha256.py --check    # compare with golden/stream-sha256.txt
@@ -19,7 +20,6 @@ SHA-512-hashed strings, so they are the same on every Python version.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import os
 import sys
@@ -36,23 +36,30 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import ops  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-from polyvar.cones import PolyCone  # noqa: E402
-from polyvar.graphmap import GraphPoint  # noqa: E402
+from polyvar.cones import Face, PolyCone  # noqa: E402
+from polyvar.graphmap import GraphNormalCone, GraphPoint  # noqa: E402
 from polyvar.linalg import QVector  # noqa: E402
 from polyvar.sets import PolyFace  # noqa: E402
 
 
 def _feed(h, value) -> None:
-    """Hash the cones (and the plain values around them) that an op returned."""
+    """Hash what an op returned, as it is printed: each cone's ``key()``,
+    ``_h`` and ``_v``, each face's active set, a graph point's critical cone,
+    and each piece of a graph normal cone as ``graph-normal`` writes it (K,
+    K° and the active sets of its two faces), by explicit type."""
     if isinstance(value, PolyCone):
         h.update(repr((value.key(), value._h, value._v)).encode())
+    elif isinstance(value, Face):
+        h.update(repr(sorted(value.active_set)).encode())
+        _feed(h, value.cone)
     elif isinstance(value, PolyFace):
         h.update(repr(sorted(value.active_set)).encode())
     elif isinstance(value, GraphPoint):
         _feed(h, value.critical)
-    elif dataclasses.is_dataclass(value):  # faces, graph normal cones and their pieces
-        for f in dataclasses.fields(value):
-            _feed(h, getattr(value, f.name))
+    elif isinstance(value, GraphNormalCone):
+        for p in value.pieces:
+            _feed(h, (p.k, p.kpolar))
+            h.update(repr((sorted(p.f1.active_set), sorted(p.f2.active_set))).encode())
     elif isinstance(value, dict):
         for k in sorted(value):
             h.update(repr(k).encode())
@@ -60,8 +67,6 @@ def _feed(h, value) -> None:
     elif isinstance(value, (list, tuple)):
         for v in value:
             _feed(h, v)
-    elif isinstance(value, frozenset):
-        h.update(repr(sorted(value)).encode())
     elif isinstance(value, QVector):
         h.update(repr(value).encode())
     else:

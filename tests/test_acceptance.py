@@ -12,6 +12,7 @@ from polyvar.certify import (
     NOT_CERTIFIED,
     check_aubin,
     check_calmness_constraint,
+    check_directional_metric_regularity,
     check_foscms,
     check_second_order_directional_subregularity,
     check_soscms,
@@ -74,8 +75,9 @@ def test_criterion_2_example5_aubin_via_cli(capsys):
     n_cases = len(phase_b["cases"])
     n_ges = sum(len(c["adjoint_inclusions"]) for c in phase_b["cases"])
     all_trivial = all(e["trivial"] for c in phase_b["cases"] for e in c["adjoint_inclusions"])
-    std = next(t for t in cert.trace if str(t["phase"]).startswith("standard"))
-    gens = sorted(g for p in std["pieces"] for g in p["nontrivial_generators"])
+    # the standard adjoint inclusion is the directional one at (0, 0)
+    zero = check_directional_metric_regularity(ex5_spec(), QVector.zero(2), QVector.zero(2))
+    gens = sorted(g for t in zero.trace for key in ("rays", "lin") for g in t["adjoint_cone"][key])
     with capsys.disabled():
         ok = (
             code == 0

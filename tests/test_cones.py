@@ -791,25 +791,31 @@ def test_second_side_from_incidence_matches_a_fresh_conversion_hypothesis(system
 
 
 def reference_plain(c):
-    """``cone_plain`` built from the rational views."""
-    return {
-        "dim": c.dim,
-        "rays": [vec_plain(r) for r in c.rays],
-        "lin": [vec_plain(l) for l in c.lin],
-        "ineqs": [vec_plain(a) for a in c.ineqs],
-        "eqs": [vec_plain(e) for e in c.eqs],
-    }
+    """``cone_plain`` built from the rational views of the generators."""
+    return {"dim": c.dim, "rays": [vec_plain(r) for r in c.rays], "lin": [vec_plain(l) for l in c.lin]}
+
+
+def reference_rows(c):
+    """The rows of a cone as strings, built from the rational views."""
+    return {"ineqs": [vec_plain(a) for a in c.ineqs], "eqs": [vec_plain(e) for e in c.eqs]}
+
+
+def polar_rows(c):
+    """The rows of a cone as the view of its polar writes them."""
+    view = cone_plain(c.polar())
+    return {"ineqs": view["rays"], "eqs": view["lin"]}
 
 
 def test_cone_plain_divides_echelon_rows_by_their_pivot():
     # lineality and equation rows whose integer pivots are not 1
     c = PolyCone.from_generators(3, [[0, 0, 1]], [[2, 3, 0]])
     assert cone_plain(c)["lin"] == [["1", "3/2", "0"]]
-    assert cone_plain(c.polar())["eqs"] == [["1", "3/2", "0"]]
+    assert polar_rows(c.polar())["eqs"] == [["1", "3/2", "0"]]
     d = PolyCone.from_ineqs(3, [], [[2, 3, 0], [0, 4, -6]])
-    assert cone_plain(d)["eqs"] == [["1", "0", "9/4"], ["0", "1", "-3/2"]]
+    assert polar_rows(d)["eqs"] == [["1", "0", "9/4"], ["0", "1", "-3/2"]]
     for cone in (c, c.polar(), d, d.polar(), PolyCone.origin(2), PolyCone.from_ineqs(2), wedge()):
         assert cone_plain(cone) == reference_plain(cone)
+        assert polar_rows(cone) == reference_rows(cone)
 
 
 @settings(max_examples=80, deadline=None)
@@ -822,7 +828,32 @@ def test_cone_plain_matches_rational_views_hypothesis(system, as_generators):
         c = PolyCone.from_ineqs(dim, rows, more)
     assert cone_plain(c) == reference_plain(c)
     assert cone_plain(c.polar()) == reference_plain(c.polar())
+    assert polar_rows(c) == reference_rows(c)
     assert cone_plain(c) is cone_plain(c)  # built once per cone
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_systems(), st.booleans())
+def test_a_view_determines_its_cone_hypothesis(system, as_generators):
+    # the view holds the generators only, and they rebuild the cone
+    dim, rows, more = system
+    if as_generators:
+        c = PolyCone.from_generators(dim, rows, more)
+    else:
+        c = PolyCone.from_ineqs(dim, rows, more)
+    view = cone_plain(c)
+    assert sorted(view) == ["dim", "lin", "rays"]
+    assert PolyCone.from_generators(view["dim"], map(QVector, view["rays"]), map(QVector, view["lin"])) == c
+    # the polar's view writes the strings of the "ineqs" and "eqs" keys that
+    # a cone's view held when it wrote both sides: each facet row's integers,
+    # and each echelon equation row divided by its pivot
+    ineqs, eqs = c._h
+    pivots = [next(x for x in e if x) for e in eqs]
+    both_sides = {
+        "ineqs": [[str(x) for x in a] for a in ineqs],
+        "eqs": [[str(F(x, p)) for x in e] for e, p in zip(eqs, pivots)],
+    }
+    assert polar_rows(c) == both_sides
 
 
 # -- identity by the canonical integer generators ---------------------------------

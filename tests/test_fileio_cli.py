@@ -455,8 +455,9 @@ def test_a_cone_view_shared_at_two_depths_is_written_as_json_dumps_writes_it():
 
 
 def test_certificates_of_one_spec_share_cone_views():
-    # check_aubin's trace holds the views of check_foscms's normal cones and
-    # dual test cones (the same cones, memoised per spec), not copies
+    # calmness holds check_foscms's records, and Phase B of check_aubin holds
+    # the views of the normal cones and dual test cones of the strata it
+    # reads (the same cones, memoised per spec), not copies
     spec = parse_problem(bundled_problem_path("ex3.json"))
     certs = (check_foscms(spec), check_calmness_constraint(spec, "first"), check_aubin(spec, "corollary"))
 
@@ -467,11 +468,60 @@ def test_certificates_of_one_spec_share_cone_views():
         return [v for item in items for v in views(item)]
 
     found = [{id(v): v for v in views(cert.trace)} for cert in certs]
-    assert found[0] and found[0].keys() <= found[1].keys() and found[0].keys() <= found[2].keys()
+    assert found[0] and found[0].keys() <= found[1].keys()
+    phase_b = next(t for t in certs[2].trace if t["phase"].startswith("B"))
+    held = {c["case"] for c in phase_b["cases"]}
+    read = {id(v) for rec in certs[0].trace if rec["stratum"] in held for v in views(rec)}
+    assert read and read <= found[2].keys()
     for check, cert in zip(("foscms", "calmness", "aubin"), certs):
         block = render_report(check, cert, "full").json_block()
         assert block == json.dumps(json.loads(block), sort_keys=True, indent=1)
         assert certificate_from_dict(json.loads(block)["certificate"]) == cert
+
+
+# The JSON block of check_aubin on G(p, x) = p + x with D = R_- when each
+# cone view also wrote its rows ("ineqs" and "eqs") and the trace ended with
+# the standard (zero-direction) adjoint inclusion's record.
+_BOTH_SIDES_BLOCK = (
+    '{"certificate": {"notes": [], "rates": null, "refuted": false, "status": "holds", "witnesses": [], "trace": ['
+    '{"covered": true, "phase": "A (solvability for every parameter direction)", '
+    '"projections": [{"dim": 1, "eqs": [], "ineqs": [], "lin": [["1"]], "rays": []}], '
+    '"solution_pieces": [{"dim": 2, "eqs": [], "ineqs": [["1", "1"]], "lin": [["1", "-1"]], "rays": [["-1", "-1"]]}]}, '
+    '{"cases": ['
+    '{"adjoint_inclusions": [{"adjoint_cone": {"dim": 1, "eqs": [["1"]], "ineqs": [], "lin": [], "rays": []}, '
+    '"adjoint_stratum": "P0@F[] / cell 0", '
+    '"coderivative_piece": {"dim": 1, "eqs": [["1"]], "ineqs": [], "lin": [], "rays": []}, '
+    '"outcome": "ok", "sample_direction": {"q": ["-1"], "u": ["-1"]}, "trivial": true}], "case": "P0@F[]"}, '
+    '{"adjoint_inclusions": [{"adjoint_cone": {"dim": 1, "eqs": [["1"]], "ineqs": [], "lin": [], "rays": []}, '
+    '"adjoint_stratum": "P0@F[0] / cell 0", '
+    '"coderivative_piece": {"dim": 1, "eqs": [], "ineqs": [["-1"]], "lin": [], "rays": [["1"]]}, '
+    '"outcome": "ok", "sample_direction": {"q": ["1"], "u": ["-1"]}, "trivial": true}], "case": "P0@F[0]"}'
+    '], "mode": "corollary", "phase": "B (direction-stratified adjoint inclusions)"}, '
+    '{"phase": "standard adjoint inclusion (zero direction)", "pieces": ['
+    '{"adjoint_cone": {"dim": 1, "eqs": [["1"]], "ineqs": [], "lin": [], "rays": []}, "nontrivial_generators": [], '
+    '"piece": {"dim": 1, "eqs": [], "ineqs": [["-1"]], "lin": [], "rays": [["1"]]}}]}'
+    ']}, "check": "aubin"}'
+)
+
+
+def test_a_certificate_whose_views_wrote_both_sides_still_loads():
+    spec = ConstraintSystemSpec(l=1, n=1, m=1, Jp=[[1]], Jx=[[1]], g0=[0], D=UnionSet([Polyhedron(1, A=[[1]], b=[0])]))
+    old = certificate_from_dict(json.loads(_BOTH_SIDES_BLOCK)["certificate"])
+    new = check_aubin(spec)
+    assert old.holds() and old.witnesses == new.witnesses == ()
+    assert old.trace[2]["phase"] == "standard adjoint inclusion (zero direction)"
+    # the old block has the new one's records with each view's rows, plus the last record
+
+    def generators_only(o):
+        if isinstance(o, dict):
+            return {k: generators_only(v) for k, v in o.items() if not ("dim" in o and k in ("ineqs", "eqs"))}
+        return [generators_only(v) for v in o] if isinstance(o, list) else o
+
+    want = json.loads(render_report("aubin", new, "full").json_block())["certificate"]
+    assert generators_only(certificate_to_dict(old)) == {**want, "trace": want["trace"] + [generators_only(old.trace[2])]}
+    # and it renders as the new one, with the last record's header line
+    text = render_report("aubin", old, "full").text
+    assert text == render_report("aubin", new, "full").text + "\n[standard adjoint inclusion (zero direction)]"
 
 
 def test_json_writer_rejects_non_plain_values():
