@@ -39,7 +39,7 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .cones import PolyCone, _dd_steps, _exposed_face, _of_rows, cone_plain, open_cell, pick_nonzero
+from .cones import PolyCone, _dd_steps, _exposed_face, _of_rows, _projected, cone_plain, open_cell, pick_nonzero
 from .graphmap import GraphPoint, _assemble, _tangent, face_pairs
 from .linalg import IntVec, QMatrix, QVector, _dot, _echelon_kernel, _ints, _kernel, _neg, _reduce, vec_plain
 from .sets import ConeUnion, InfeasibleError, Polyhedron, direction_strata, union_tangent_cone
@@ -308,8 +308,10 @@ def covers_space(pieces: Sequence[PolyCone], dim: int) -> tuple[bool, QVector | 
     parent's double description by one ``_dd_steps`` pass over its rows (an
     equation e as e and -e) and is pruned when a strict row is negative on
     no ray of its closure; a repeated piece is skipped (it leaves each cell
-    whole).  The first cell that avoids every piece ends the search, with
-    the primitive sum of its closure's rays as the gap.
+    whole).  The first cell that avoids every piece ends the search, and
+    the gap is the primitive sum of its closure's rays, each projected off
+    the closure's lineality space (``cones._projected``): a pass leaves its
+    rays unprojected, and the projected rays depend only on the cell.
     """
     rows = [p._h for p in dict.fromkeys(pieces)]
     stack = [(0, (_echelon_kernel((), (), dim), [], [], [], []), None, ())]
@@ -320,7 +322,7 @@ def covers_space(pieces: Sequence[PolyCone], dim: int) -> tuple[bool, QVector | 
             if not all(any(_dot(c, r) < 0 for r in rays) for c in strict):
                 continue
         if i == len(rows):
-            return False, QVector(_reduce([sum(x) for x in zip(*rays)])) if rays else QVector.zero(dim)
+            return False, QVector(_reduce([sum(x) for x in zip(*_projected(basis, rays))])) if rays else QVector.zero(dim)
         ineqs, eq_rows = rows[i]
         pairs = [r for e in eq_rows for r in (e, _neg(e))]
         cells = [(ineqs[:k] + (_neg(a),), _neg(a)) for k, a in enumerate(ineqs)]

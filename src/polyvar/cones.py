@@ -36,18 +36,24 @@ tuples:
   each row by its pivot, which gives the RREF basis),
 * each ray is orthogonally projected onto the complement of the lineality
   space and scaled to a primitive integer vector (unique representative of
-  its ray class), once, and the ray list is sorted,
+  its ray class), once, when the cone is made canonical (``_canonical``),
+  and the ray list is sorted,
 * ``ineqs``/``eqs`` are read off in the form the same pipeline gives the
   V-representation of the polar cone: the equation rows in integer echelon
   form, each facet row projected off their span, primitive, and sorted.
 
 The conversion works on primitive integer tuples: each input row is scaled
-once by a positive rational to coprime integers (``linalg._ints``), and every
-later update is an integer cross-multiplication followed by division by the
-gcd.  Rows that are integer tuples already (the rows and generators of other
-cones, the certifiers' pullbacks, a problem file's polyhedra) enter through
-``_of_rows``, which only divides each row by its gcd and checks its length;
-``from_ineqs`` and ``from_generators`` are ``_of_rows`` after ``_ints``.
+once by a positive rational to coprime integers (``linalg._ints``).  Within
+a pass of ``_dd_steps`` a row that cuts the lineality space moves the basis
+and the rays by integer cross-multiplication with no division, a new ray is
+the combination of an adjacent pair divided by its gcd, and the pass divides
+its basis and rays by their gcds once, before it returns; it leaves its rays
+unprojected off the lineality space, as the pass that continues them tests
+only rows that vanish there.  Rows that are integer tuples already (the rows
+and generators of other cones, the certifiers' pullbacks, a problem file's
+polyhedra) enter through ``_of_rows``, which divides each row by its gcd and
+checks its length; ``from_ineqs`` and ``from_generators`` scale their rows
+with ``_ints`` and only check the lengths (``_of_primitive``).
 Two rays are combined only if they are adjacent, which is decided
 combinatorially from their zero sets (Fukuda & Prodon, "Double description
 method revisited", 1996), so every ray kept is extreme and no rank is computed
@@ -118,7 +124,8 @@ def _dd(
     start basis, the kernel of their echelon form, with no ray and no row
     processed; ``_dd_steps`` processes the nonzero inequality rows from there.
     Rows are primitive integer tuples (see ``_ints``), and so are the
-    generators that come back.
+    generators that come back, the rays not projected off the basis
+    (``_canonical`` projects them).
     """
     eq_echelon, pivots = _echelon(eqs, dim) if eqs else ([], [])
     basis = _echelon_kernel(eq_echelon, pivots, dim)
@@ -137,11 +144,12 @@ def _dd_steps(
     """Continue a double description pair through the rows ``new``.
 
     span(basis) + cone(rays) must be {z : done.z <= 0, eq_echelon.z = 0},
-    with each extreme ray class in ``rays`` once and ``zeros`` its bitmask
-    over ``done``; ``eq_echelon`` is an integer echelon form (independent
-    rows).  ``_dd`` starts with no row done; ``PolyCone.intersect`` starts
-    from a cone's generators and facets, ``sets.direction_strata`` from a
-    cell's closure.  Returns what ``_dd`` does, over the rows ``done`` then
+    with each extreme ray class in ``rays`` once (any primitive
+    representative of the class modulo span(basis)) and ``zeros`` its
+    bitmask over ``done``; ``eq_echelon`` is an integer echelon form
+    (independent rows).  ``_dd`` starts with no row done;
+    ``PolyCone.intersect`` starts from a cone's generators and facets,
+    ``sets.direction_strata`` from a cell's closure.  Returns what ``_dd`` does, over the rows ``done`` then
     ``new``.
 
     Incremental double description: after each step span(B) + cone(R) is
@@ -160,68 +168,80 @@ def _dd_steps(
     An adjacent pair spans a face of dimension len(B) + 2, so its common rows
     and the equations (of rank dim - nstart, nstart = dim - len(eq_echelon))
     have rank dim - len(B) - 2: a pair with fewer than nstart - len(B) - 2
-    common rows is skipped before the scan for a third ray.  Each ray comes
-    back projected off span(B): a primitive vector that depends only on its
-    class, with the same zero set, as every row vanishes on span(B).  With
-    no lineality basis left there is nothing to project off, and the rays
-    come back as they are.
+    common rows is skipped before the scan for a third ray.
+
+    The pass normalises once.  The pivot b0 is the first basis vector with
+    <a, b0> != 0, and the vectors before it are kept as they are; the other
+    basis vectors and the rays are moved by cross-multiplication with no
+    gcd, and the vectors so moved are divided by their gcds just before the
+    pass returns.  A combination of an adjacent pair is divided by its gcd
+    at once, since its entries would otherwise double in size at every
+    step.  Every update is a positive multiple of the primitive one, so the
+    signs, zero sets and order of the rays do not depend on when the gcd is
+    taken.  The rays come back unprojected off span(B): a ray of the class
+    may carry any vector of span(B), and every processed row vanishes there,
+    so the signs and zero sets that a later pass tests are those of the
+    class.  ``_canonical`` projects them.
     """
     nstart = dim - len(eq_echelon)
+    cut = False
     for k, a in enumerate(new, len(done)):
         bit = 1 << k
-        prods_b = [sum(map(mul, a, b)) for b in basis]
-        for pivot, p0 in enumerate(prods_b):
-            if p0:
+        for pivot, b0 in enumerate(basis):
+            if p0 := sum(map(mul, a, b0)):
                 break
         else:
-            pivot = -1
-        if pivot >= 0:
+            p0 = 0
+        if p0:
             # a cuts the lineality space: b0 (with <a, b0> < 0) becomes a ray,
-            # everything else is moved into the hyperplane <a, z> = 0 along b0.
-            b0 = basis[pivot]
+            # and the basis vectors after it and the rays are moved into the
+            # hyperplane <a, z> = 0 along b0, with no gcd: a vector moved in
+            # this pass is a list until the pass reduces it at its end.
             if p0 > 0:
-                b0, p0 = _neg(b0), -p0
+                b0, p0 = (_neg(b0) if type(b0) is tuple else [-x for x in b0]), -p0
             q = -p0
-            basis = [
-                _reduce([q * x + p * y for x, y in zip(b, b0)]) if p else b
-                for i, (b, p) in enumerate(zip(basis, prods_b))
-                if i != pivot
+            basis = list(basis[:pivot]) + [
+                [q * x + p * y for x, y in zip(b, b0)] if (p := sum(map(mul, a, b))) else b for b in basis[pivot + 1 :]
             ]
-            rays = [_reduce([q * x + p * y for x, y in zip(r, b0)]) if (p := sum(map(mul, a, r))) else r for r in rays]
+            rays = [[q * x + p * y for x, y in zip(r, b0)] if (p := sum(map(mul, a, r))) else r for r in rays]
             zeros = [z | bit for z in zeros]
             rays.append(b0)
             zeros.append(bit - 1)  # b0 lies in the old lineality space
+            cut = True
             continue
         vals = [sum(map(mul, a, r)) for r in rays]
-        if max(vals, default=0) <= 0:
+        neg, zero, pos = [], [], []
+        for i, v in enumerate(vals):
+            (neg if v < 0 else pos if v else zero).append(i)
+        if not pos:
             zeros = [z | bit if v == 0 else z for z, v in zip(zeros, vals)]
             continue
-        neg = [i for i, v in enumerate(vals) if v < 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
         new_rays = [rays[i] for i in neg] + [rays[i] for i in zero]
         new_zeros = [zeros[i] for i in neg] + [zeros[i] | bit for i in zero]
         need = nstart - len(basis) - 2
-        for ip, vp in enumerate(vals):
-            if vp <= 0:
-                continue
-            rp, zp = rays[ip], zeros[ip]
+        for ip in pos:
+            rp, zp, vp = rays[ip], zeros[ip], vals[ip]
             for jn in neg:
                 common = zp & zeros[jn]
                 if common.bit_count() < need:
                     continue
-                # Adjacent iff no third ray's zero set contains the common one.
-                for t, z in enumerate(zeros):
-                    if z & common == common and t != ip and t != jn:
-                        break
+                # Adjacent iff no third ray's zero set contains the common one
+                # (the pair's own two do).
+                held = 0
+                for z in zeros:
+                    if z & common == common:
+                        held += 1
+                        if held > 2:
+                            break
                 else:
                     vn = vals[jn]
                     new_rays.append(_reduce([vp * x - vn * y for x, y in zip(rays[jn], rp)]))
                     new_zeros.append(common | bit)
         rays, zeros = new_rays, new_zeros
 
-    if basis and rays:
-        ortho = _orthogonal(basis)
-        rays = [_project_off(r, ortho) for r in rays]
+    if cut:
+        basis = [_reduce(b) if type(b) is list else b for b in basis]
+        rays = [_reduce(r) if type(r) is list else r for r in rays]
     return basis, rays, zeros, [*done, *new], eq_echelon
 
 
@@ -240,9 +260,22 @@ def _canonical(
     rows: Sequence[IntVec],
     eq_echelon: Sequence[IntVec],
 ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], tuple]:
-    """What ``_generators`` returns, from what ``_dd`` or ``_dd_steps`` does."""
+    """What ``_generators`` returns, from what ``_dd`` or ``_dd_steps`` does:
+    the lineality basis in integer echelon form and the rays projected off
+    it (``_projected``), sorted."""
     lin = tuple(_echelon(basis, dim)[0]) if basis else ()
-    return lin, tuple(sorted(rays)), (rows, eq_echelon, zeros)
+    return lin, tuple(sorted(_projected(basis, rays))), (rows, eq_echelon, zeros)
+
+
+def _projected(basis: Sequence[IntVec], rays: Sequence[IntVec]) -> Sequence[IntVec]:
+    """Each (primitive) ray projected off span(basis), made primitive: the
+    one representative of its class modulo the lineality space.  A pass of
+    ``_dd_steps`` leaves its rays unprojected; ``_canonical`` projects them,
+    as does ``certify.covers_space`` before it sums a gap cell's rays."""
+    if basis and rays:
+        ortho = _orthogonal(basis)
+        return [_project_off(r, ortho) for r in rays]
+    return rays
 
 
 def _read_off(
@@ -294,21 +327,27 @@ def _of_rows(
 ) -> "PolyCone":
     """The cone {z : ineqs.z <= 0, eqs.z = 0} of rows that are integer
     tuples already: ``from_ineqs`` with no type scan.  Each row is made
-    primitive and its length checked; ``what`` names a row in the error.
-    ``from_ineqs`` and ``from_generators`` call it after ``_ints``."""
-    ineqs, eqs = _primitive(dim, ineqs, what), _primitive(dim, eqs, what)
+    primitive and its length checked; ``what`` names a row in the error."""
+    return _of_primitive(dim, map(_reduce, ineqs), map(_reduce, eqs), what)
+
+
+def _of_primitive(
+    dim: int, ineqs: Iterable[IntVec], eqs: Iterable[IntVec], what: str = "constraint row"
+) -> "PolyCone":
+    """``_of_rows`` of rows that are primitive already, such as those
+    ``_ints`` returns to ``from_ineqs`` and ``from_generators``: only their
+    lengths are checked."""
+    ineqs, eqs = _sized(dim, ineqs, what), _sized(dim, eqs, what)
     return _of_generators(dim, *_generators(dim, ineqs, eqs))
 
 
-def _primitive(dim: int, rows: Iterable[Sequence[int]], what: str) -> list[IntVec]:
-    """The rows divided by their gcds (``_reduce`` inline), each of length
-    ``dim``; a row that is primitive already is kept as a tuple."""
+def _sized(dim: int, rows: Iterable[IntVec], what: str) -> list[IntVec]:
+    """The rows as a list, each checked to have length ``dim``."""
     out = []
     for r in rows:
         if len(r) != dim:
             raise ValueError(f"{what} has wrong dimension")
-        g = gcd(*r)
-        out.append(tuple([x // g for x in r]) if g > 1 else tuple(r))
+        out.append(r)
     return out
 
 
@@ -398,12 +437,12 @@ class PolyCone:
 
     @staticmethod
     def from_ineqs(dim: int, ineqs: Iterable = (), eqs: Iterable = ()) -> "PolyCone":
-        return _of_rows(dim, map(_ints, ineqs), map(_ints, eqs))
+        return _of_primitive(dim, map(_ints, ineqs), map(_ints, eqs))
 
     @staticmethod
     def from_generators(dim: int, rays: Iterable = (), lin: Iterable = ()) -> "PolyCone":
         # The cone is the polar of {a : <a,r> <= 0, <a,l> = 0}.
-        return _of_rows(dim, map(_ints, rays), map(_ints, lin), "generator").polar()
+        return _of_primitive(dim, map(_ints, rays), map(_ints, lin), "generator").polar()
 
     @staticmethod
     def origin(dim: int) -> "PolyCone":

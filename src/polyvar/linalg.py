@@ -299,8 +299,12 @@ def _ints(v) -> IntVec:
     strings such as "1/2").
     """
     if isinstance(v, QVector):  # entries are Fractions
-        den = lcm(*(x.denominator for x in v.entries))
-        return _reduce([x.numerator * (den // x.denominator) for x in v.entries])
+        nums = [x.numerator for x in v.entries]
+        dens = [x.denominator for x in v.entries]
+        if dens.count(1) == len(dens):  # integer entries: no lcm
+            return _reduce(nums)
+        den = lcm(*dens)
+        return _reduce([n * (den // d) for n, d in zip(nums, dens)])
     xs = tuple(v)
     if not all(type(x) is int for x in xs):
         xs = [x if isinstance(x, (int, Fraction)) else frac(x) for x in xs]

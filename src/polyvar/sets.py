@@ -393,7 +393,11 @@ def direction_strata(d: UnionSet, ybar: QVector, w: QVector | None = None) -> tu
     For w in a cell where piece P has the face F, N_P(F) = N_P(ybar) ∩ w^⊥,
     so a stratum's normal is the face of M_S, the meet of the normal cones
     at ybar of its live pieces S, that w exposes (``_exposed_face``), w the
-    sum of the rays of its first cell's closure.  Each piece's normal at
+    sum of the rays of its first cell's closure as the walk's pass left
+    them, unprojected: M_S is <= 0 on the closure, so it vanishes on the
+    closure's lineality space, and a ray of M_S is orthogonal to w iff it
+    is to every ray of the closure, whichever representatives those are.
+    Each piece's normal at
     ybar is converted once and M_S once per S of two or more pieces, from
     their stacked rows; leaves keep only piece indices and active sets.
     """

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction as F
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from corpus import counting_dd, random_cone, rng
 from polyvar.cones import (
     PolyCone,
+    _canonical,
     _dd,
+    _dd_steps,
     _generators,
     _of_rows,
     _orthogonal,
@@ -548,8 +551,30 @@ def integer_systems(draw):
 @given(integer_systems())
 def test_dd_matches_reference_with_extremality_filter_hypothesis(system):
     # Adjacency is decided exactly, so the filter never drops a ray: the
-    # kernel returns the same basis and the same rays in the same order.
-    assert _dd(*system)[:2] == reference_dd(*system)
+    # kernel returns the same basis and, once projected off it (a pass
+    # leaves its rays unprojected), the same rays in the same order.
+    basis, rays = _dd(*system)[:2]
+    ortho = _orthogonal(basis)
+    assert (basis, [_project_off(r, ortho) for r in rays]) == reference_dd(*system)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_systems(), st.integers(0, 14))
+def test_a_pass_continued_from_an_unprojected_state_is_the_cold_conversion_hypothesis(system, split):
+    # A pass reduces its basis and rays once, at its end, and does not
+    # project the rays off span(B).  Continuing the first rows' state
+    # through the rest gives the conversion of all rows at once, once
+    # ``_canonical`` projects the rays, and every vector a pass returns is
+    # primitive.
+    dim, ineqs, eqs = system
+    rows = [a for a in ineqs if any(a)]
+    first = _dd(dim, rows[:split], eqs)
+    state = _dd_steps(dim, *first[:4], rows[split:], first[4])
+    for basis, rays, *_ in (first, state):
+        assert all(type(v) is tuple and gcd(*v) == 1 for v in [*basis, *rays])
+    lin, rays, incidence = _canonical(dim, *state)
+    assert (lin, rays, incidence) == _generators(dim, ineqs, eqs)
+    assert not any(_dot(r, v) for r in rays for v in lin)  # projected off the lineality space
 
 
 def test_family_ceiling_counts():
