@@ -191,20 +191,6 @@ class Certificate:
         return bool(self.rates) and dict(self.rates).get(name, False)
 
 
-class _Record(dict):
-    """A JSON-plain trace record that two certificates of one spec share:
-    calmness holds the records of ``check_foscms`` or ``check_soscms``, and
-    both modes of ``check_aubin`` hold the Phase A record.  Never modified
-    once built; ``json`` is its JSON text at indent 0, written once by
-    ``fileio._dumps`` (None until then)."""
-
-    __slots__ = ("json",)
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.json = None
-
-
 # -- shared linear-geometry helpers ------------------------------------------------
 
 
@@ -446,7 +432,7 @@ def check_foscms(spec: ConstraintSystemSpec) -> Certificate:
         v_cone = _kernel_meet(spec, s.normal)
         u_cells = (_x_pullback(spec, qc) for qc in s.reach)
         active_cells = [u for u in u_cells if not u.is_trivial()]
-        rec = _Record(
+        rec = dict(
             stratum=s.label,
             normal_cone=cone_plain(s.normal),
             dual_test_cone=cone_plain(v_cone),
@@ -485,7 +471,7 @@ def check_soscms(spec: ConstraintSystemSpec) -> Certificate:
         v_cone = _kernel_meet(spec, s.normal)
         u_cells = (_x_pullback(spec, qc) for qc in s.reach)
         active_cells = [u for u in u_cells if not u.is_trivial()]
-        rec = _Record(
+        rec = dict(
             stratum=s.label,
             dual_test_cone=cone_plain(v_cone),
             admissible_directions=bool(active_cells),
@@ -683,14 +669,14 @@ def _zero_direction_adjoints(spec) -> tuple[tuple[PolyCone, PolyCone], ...]:
 
 
 @_per_spec
-def _phase_a(spec) -> tuple[_Record, bool, QVector | None]:
+def _phase_a(spec) -> tuple[dict, bool, QVector | None]:
     """Phase A of ``check_aubin`` in either mode: its trace record, whether
     the projections of the solution pieces onto parameter space cover it,
     and a parameter direction outside them if not."""
     pieces = _solution_pieces(spec)
     projected = [fm_project(p, spec.l) for p in pieces]
     covered, gap = covers_space(projected, spec.l)
-    rec = _Record(
+    rec = dict(
         phase="A (solvability for every parameter direction)",
         solution_pieces=[cone_plain(p) for p in pieces],
         projections=[cone_plain(p) for p in projected],

@@ -27,6 +27,7 @@ is read.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import traceback
@@ -45,7 +46,7 @@ from .certify import (
     check_soscms,
 )
 from .cones import cone_plain
-from .fileio import ProblemFileError, _dumps, parse_problem, render_report
+from .fileio import ProblemFileError, parse_problem, render_report
 from .graphmap import directional_limiting_normal_graph, graph_tangent_member, limiting_normal_graph, regular_normal_graph
 from .linalg import QVector, vec_plain
 from .oracle import piece_sets_equal, sample_graph_directional, sample_union_normals
@@ -146,7 +147,7 @@ def _cmd_graph_normal(args) -> int:
         _print_cone("  K", p.k)
         _print_cone("  K polar", p.kpolar)
     print("--- pieces JSON ---")
-    print(_dumps(gnc.to_plain()))
+    print(json.dumps(gnc.to_plain(), sort_keys=True))
     return 0
 
 

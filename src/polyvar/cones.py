@@ -677,28 +677,18 @@ def face_difference(f1: PolyCone, f2: PolyCone) -> PolyCone:
     return _exposed_face(f1.polar(), tuple(map(sum, zip((0,) * f1.dim, *f2._v[0])))).polar()
 
 
-class _PlainCone(dict):
-    """The JSON-plain view ``cone_plain`` returns, ``{dim, lin, rays}``: one
-    per cone, shared by every record that holds it, so it is never
-    modified.  ``json`` is its JSON text at indent 0, written once by
-    ``fileio._dumps``."""
-
-    __slots__ = ("json",)
-
-
-def cone_plain(c: PolyCone) -> _PlainCone:
-    """JSON-plain view of a cone: its dimension and its generators, each
-    entry as the string of the rational that ``rays`` and ``lin`` hold,
-    written straight from the integer forms.  The generators are the
-    cone's identity (``key()``), so the view never reads the row side; the
-    facets and equations are the view of the polar, whose rays and lineality
-    rows are this cone's ``ineqs`` and ``eqs``.  It is built once per cone
-    and the same dict is returned after that."""
+def cone_plain(c: PolyCone) -> dict:
+    """JSON-plain view of a cone, ``{dim, lin, rays}``: its dimension and its
+    generators, each entry as the string of the rational that ``rays`` and
+    ``lin`` hold, written straight from the integer forms.  The generators
+    are the cone's identity (``key()``), so the view never reads the row
+    side; the facets and equations are the view of the polar, whose rays and
+    lineality rows are this cone's ``ineqs`` and ``eqs``.  It is built once
+    per cone and the same dict is returned after that, shared by every
+    record that holds it, so it is never modified."""
     if c._plain is None:
         rays, lin = c._v
-        view = _PlainCone(dim=c.dim, rays=[list(map(str, r)) for r in rays], lin=[_rref_plain(l) for l in lin])
-        view.json = None
-        c._plain = view
+        c._plain = {"dim": c.dim, "rays": [list(map(str, r)) for r in rays], "lin": [_rref_plain(l) for l in lin]}
     return c._plain
 
 

@@ -40,15 +40,13 @@ field is checked in full (its entries, then its length) before the next.
 A key that is not a field of its object (of the file's kind, of ``dims``,
 of ``D`` or of a polyhedron) is refused as an unknown field.
 
-Every report ends with a JSON block (``Report.json_block``): keys sorted,
-one space of indent per level, items separated by "," and a newline, keys
-by ": ", and strings with non-ASCII and control characters as ``\\uXXXX``
-escapes, the same bytes as ``json.dumps(obj, sort_keys=True, indent=1)``.
-``_dumps`` writes it in one pass: scalars inline, a cone view's numeral
-rows with ``str.join``, and each cone view and each trace record that two
-certificates share written once, its text kept on it (see ``_dumps``).
-A cone is written by its generators only (``cones.cone_plain``): they are
-its identity, and its rows are the generators of its polar.
+Every report ends with a JSON block (``Report.json_block``), written by the
+standard library's C encoder as ``json.dumps(obj, sort_keys=True)``: one
+line, keys sorted, the default separators ", " and ": ", and strings with
+non-ASCII and control characters as ``\\uXXXX`` escapes.  ``python -m
+json.tool`` indents it for reading.  A cone is written by its generators
+only (``cones.cone_plain``): they are its identity, and its rows are the
+generators of its polar.
 """
 
 from __future__ import annotations
@@ -56,18 +54,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
-from operator import itemgetter
 
 from .certify import (
     Certificate,
     ConstraintSystemSpec,
     VariationalSystemSpec,
     Witness,
-    _Record,
 )
-from .cones import _PlainCone
 from .linalg import _RATIONAL, IntVec, QMatrix, QVector, frac, vec_plain
 from .sets import InfeasibleError, Polyhedron, UnionSet
 
@@ -302,75 +296,6 @@ def problem_to_dict(spec) -> dict:
 # -- certificates -------------------------------------------------------------
 
 
-_CONSTANTS = {None: "null", True: "true", False: "false"}
-# the writer of each scalar type, by exact type (so not for a subclass)
-_WRITE = {str: _quote, int: int.__repr__, bool: _CONSTANTS.__getitem__, type(None): _CONSTANTS.__getitem__}
-_key = itemgetter(0)
-
-
-def _dumps(o, ind: str = "") -> str:
-    """``json.dumps(o, sort_keys=True, indent=1)`` for plain values nested at
-    indent ``ind``.
-
-    The standard encoder has no C implementation for ``indent`` on CPython
-    3.10/3.11 and spends as long on a certificate as a certifier phase.
-    Only str, dict, list, tuple, int, bool and None are written; anything
-    else, a float included (certificates are exact), and a non-str key
-    raise TypeError.  A string, int, bool or None item of a list or value
-    of a dict is written inline by its type's writer (``_WRITE``), with no
-    recursive call.
-
-    Two kinds of value are shared and written once, at indent 0, with the
-    text kept on the value: a cone's view (``cones.cone_plain``) and a
-    trace record that two certificates of one spec hold
-    (``certify._Record``).  At a deeper indent the text is re-indented with
-    one ``str.replace``, exact because a JSON string never holds a raw
-    newline.  A cone view's rows are lists of numerals ("-2", "1/3"), which
-    need no escaping, so each row is one ``str.join``.
-    """
-    t = type(o)
-    write = _WRITE.get(t)
-    if write is not None:
-        return write(o)
-    if t is _PlainCone or t is _Record:
-        text = o.json
-        if text is None:
-            text = o.json = _cone_text(o) if t is _PlainCone else _dumps(dict(o))
-        return text.replace("\n", "\n" + ind) if ind else text
-    if t is list or t is tuple:
-        if not o:
-            return "[]"
-        inner = ind + " "
-        items = [w(v) if (w := _WRITE.get(type(v))) else _dumps(v, inner) for v in o]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + ind + "]"
-    if t is dict:
-        if not o:
-            return "{}"
-        inner = ind + " "
-        items = [
-            _quote(k) + ": " + (w(v) if (w := _WRITE.get(type(v))) else _dumps(v, inner))
-            for k, v in sorted(o.items(), key=_key)  # _quote rejects a non-str key
-        ]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + ind + "}"
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-
-
-def _cone_text(view: _PlainCone) -> str:
-    """A cone view's JSON text at indent 0: ``dim``, then its two lists of
-    numeral rows, ``lin`` and ``rays``, all rows of a list in one
-    ``str.join``."""
-    parts = ['{\n "dim": ', int.__repr__(view["dim"])]
-    for key in ("lin", "rays"):
-        rows = view[key]
-        if rows:  # each row is a nonzero vector, so never empty
-            rows = '"\n  ],\n  [\n   "'.join(['",\n   "'.join(r) for r in rows])
-            parts.append(f',\n "{key}": [\n  [\n   "{rows}"\n  ]\n ]')
-        else:
-            parts.append(f',\n "{key}": []')
-    parts.append("\n}")
-    return "".join(parts)
-
-
 def _witness_plain(w: Witness) -> dict:
     return {
         "stratum": w.stratum,
@@ -423,7 +348,7 @@ class Report:
     text: str
 
     def json_block(self) -> str:
-        return _dumps({"check": self.check, "certificate": certificate_to_dict(self.certificate)})
+        return json.dumps({"check": self.check, "certificate": certificate_to_dict(self.certificate)}, sort_keys=True)
 
 
 def _cone_line(c: dict) -> str:

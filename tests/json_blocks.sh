@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Every JSON block the command line prints is what json.dumps(sort_keys=True,
-# indent=1) writes for it, and every run ends with its expected exit code.
+# Every JSON block the command line prints is one line, what
+# json.dumps(sort_keys=True) writes for it, and every run ends with its
+# expected exit code.
 #
 #   bash tests/json_blocks.sh PROBLEMS COMMAND...
 #
@@ -12,7 +13,7 @@
 set -euo pipefail
 problems=$1
 shift
-same_json='import json, sys; block = sys.stdin.read().split(" JSON ---\n", 1)[1].rstrip("\n"); ok = block == json.dumps(json.loads(block), sort_keys=True, indent=1); print(sys.argv[1], "JSON block as json.dumps writes it:", ok); sys.exit(not ok)'
+same_json='import json, sys; block = sys.stdin.read().split(" JSON ---\n", 1)[1].rstrip("\n"); ok = block == json.dumps(json.loads(block), sort_keys=True); print(sys.argv[1], "JSON block as json.dumps writes it:", ok); sys.exit(not ok)'
 {
   python -c '
 from polyvar.cli import _EXPECTED

@@ -27,13 +27,15 @@ def test_pairs_writes_its_schema_and_equal_outputs(tmp_path):
     for run in result["runs"]:
         assert set(run) == {
             "workload", "seed", "ops", "passes", "base_s", "head_s", "ratio", "head_faster_passes", "equal",
-            "failed", "per_op",
+            "same", "failed", "per_op",
         }
         assert run["equal"] and run["failed"] == {"base": [], "head": []}
+        assert run["same"] == {"text": True, "json": True, "json_value": True, "cones": True}
         assert [set(p) for p in run["passes"]] == [{"base_s", "head_s", "ratio"}] * 2
-        assert run["per_op"]["fields"] == ["name", "base_s", "head_s", "ratio", "equal"]
-        assert [len(row) for row in run["per_op"]["rows"]] == [5, 5]
-        assert all(row[4] is True for row in run["per_op"]["rows"])
+        fields = ["name", "base_s", "head_s", "ratio", "equal", "text", "json", "json_value", "cones"]
+        assert run["per_op"]["fields"] == fields
+        assert [len(row) for row in run["per_op"]["rows"]] == [9, 9]
+        assert all(value is True for row in run["per_op"]["rows"] for value in row[4:])
         assert 0 <= run["head_faster_passes"] <= 2
         times = [run["base_s"], run["head_s"], *(p[k] for p in run["passes"] for k in ("base_s", "head_s"))]
         assert all(isinstance(t, float) and t >= 0 for t in times)

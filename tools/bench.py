@@ -20,8 +20,11 @@ revisions, and per workload and seed:
   (below 1: the head is faster), and the ratio of the sums over all passes;
 * each op's CPU time per side (its median over the passes) and their ratio,
   one row per op;
-* whether each op's outputs are equal on both sides: the report text, the
-  JSON block and the ``key()`` of every returned cone;
+* whether each op's outputs are equal on both sides (``equal``: the report
+  text, the JSON block and the ``key()`` of every returned cone), and
+  beside it which part differs: ``text`` (the report text), ``json`` (the
+  JSON block's bytes), ``json_value`` (the JSON block parsed) and ``cones``
+  (the cone keys), per op and over all ops;
 * the ops that failed perfbench's known-answer checks, per side.
 
 Nothing under ``perfbench/`` is changed; its modules are imported read-only.
@@ -136,22 +139,33 @@ def _cone_keys(value, cone_type, out: list, seen: set) -> None:
             _cone_keys(getattr(value, name), cone_type, out, seen)
 
 
-def fingerprint(reports: list, extra: dict) -> str:
-    """sha256 of what an op returned: each report's text and JSON block,
-    then the cone keys of ``extra``, read with the active side's modules."""
+PARTS = ("text", "json", "json_value", "cones")
+
+
+def _sha(items) -> str:
     h = hashlib.sha256()
-    for rep, block in reports:
-        h.update(rep.text.encode())
-        h.update(block.encode())
-    keys: list = []
-    _cone_keys(extra, sys.modules["polyvar.cones"].PolyCone, keys, set())
-    h.update(repr(keys).encode())
+    for item in items:
+        h.update(item.encode())
     return h.hexdigest()
 
 
-def run_op(wl, path: str, meta: dict) -> tuple[float, str, bool]:
-    """(op CPU time, output fingerprint, whether the op passed its checks)
-    of one op on the installed side."""
+def fingerprint(reports: list, extra: dict) -> dict:
+    """sha256 of each part of what an op returned (``PARTS``): the reports'
+    texts, their JSON blocks as bytes and as parsed values, and the cone keys
+    of ``extra``, read with the active side's modules."""
+    keys: list = []
+    _cone_keys(extra, sys.modules["polyvar.cones"].PolyCone, keys, set())
+    return {
+        "text": _sha(rep.text for rep, _ in reports),
+        "json": _sha(block for _, block in reports),
+        "json_value": _sha(json.dumps(json.loads(block), sort_keys=True) for _, block in reports),
+        "cones": _sha([repr(keys)]),
+    }
+
+
+def run_op(wl, path: str, meta: dict) -> tuple[float, dict, bool]:
+    """(op CPU time, output fingerprint by part, whether the op passed its
+    checks) of one op on the installed side."""
     try:
         pre = wl.prepare(path, meta) if wl.prepare else None
         start = CLOCK()
@@ -159,7 +173,7 @@ def run_op(wl, path: str, meta: dict) -> tuple[float, str, bool]:
         took = CLOCK() - start
         ok = not ops.check(wl.name, meta, certs, reports, extra)
     except Exception as exc:  # a failing op is recorded, not fatal
-        return 0.0, f"raised {type(exc).__name__}: {exc}", False
+        return 0.0, dict.fromkeys(PARTS, f"raised {type(exc).__name__}: {exc}"), False
     return took, fingerprint(reports, extra), ok
 
 
@@ -172,7 +186,7 @@ def pairs(wl, seed: int, count: int, passes: int, sides: dict, workdir: str) -> 
             fh.write(inp.data)
         paths.append(path)
     times = {side: [[0.0] * passes for _ in inputs] for side in sides}
-    equal = [True] * len(inputs)
+    same = [dict.fromkeys(PARTS, True) for _ in inputs]
     failed = {side: set() for side in sides}
     per_pass = []
     for p in range(passes):
@@ -185,14 +199,16 @@ def pairs(wl, seed: int, count: int, passes: int, sides: dict, workdir: str) -> 
                 times[side][i][p], prints[side], ok = run_op(wl, path, inp.meta)
                 if not ok:
                     failed[side].add(inp.name)
-            equal[i] = equal[i] and prints["base"] == prints["head"]
+            for part in PARTS:
+                same[i][part] = same[i][part] and prints["base"][part] == prints["head"][part]
         sums = {side: sum(t[p] for t in times[side]) for side in sides}
         per_pass.append({"base_s": round(sums["base"], 7), "head_s": round(sums["head"], 7), "ratio": _ratio(sums["head"], sums["base"])})
     total = {side: sum(map(sum, times[side])) for side in sides}
+    equal = [s["text"] and s["json"] and s["cones"] for s in same]
     per_op = []
     for i, inp in enumerate(inputs):
         base, head = (statistics.median(times[side][i]) for side in ("base", "head"))
-        per_op.append([inp.name, round(base, 7), round(head, 7), _ratio(head, base), equal[i]])
+        per_op.append([inp.name, round(base, 7), round(head, 7), _ratio(head, base), equal[i], *same[i].values()])
     return {
         "workload": wl.name,
         "seed": seed,
@@ -203,8 +219,9 @@ def pairs(wl, seed: int, count: int, passes: int, sides: dict, workdir: str) -> 
         "ratio": _ratio(total["head"], total["base"]),
         "head_faster_passes": sum(r["ratio"] < 1 for r in per_pass),
         "equal": all(equal),
+        "same": {part: all(s[part] for s in same) for part in PARTS},
         "failed": {side: sorted(names) for side, names in failed.items()},
-        "per_op": {"fields": ["name", "base_s", "head_s", "ratio", "equal"], "rows": per_op},
+        "per_op": {"fields": ["name", "base_s", "head_s", "ratio", "equal", *PARTS], "rows": per_op},
     }
 
 
@@ -239,7 +256,8 @@ def cmd_pairs(args) -> int:
                 print(
                     f"{name} seed {seed}: {args.ops} ops x {args.passes} passes, op CPU base {run['base_s']:.3f} s, "
                     f"head {run['head_s']:.3f} s, ratio {run['ratio']:.4f}, head faster in "
-                    f"{run['head_faster_passes']} of {args.passes} passes, outputs equal: {run['equal']}",
+                    f"{run['head_faster_passes']} of {args.passes} passes, outputs equal: {run['equal']} "
+                    f"({', '.join(f'{part} {same}' for part, same in run['same'].items())})",
                     file=sys.stderr,
                 )
                 runs.append(run)
