@@ -35,13 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import wraps
 from itertools import combinations
-from math import lcm
 from operator import mul
 from typing import Sequence
 
 from .cones import PolyCone, _dd_steps, _exposed_face, _of_rows, _projected, cone_plain, open_cell, pick_nonzero
 from .graphmap import GraphPoint, _assemble, _tangent, face_pairs
-from .linalg import IntVec, QMatrix, QVector, _dot, _echelon_kernel, _ints, _kernel, _neg, _reduce, vec_plain
+from .linalg import IntVec, QMatrix, QVector, _cleared, _dot, _echelon_kernel, _ints, _kernel, _neg, _reduce, vec_plain
 from .sets import ConeUnion, InfeasibleError, Polyhedron, direction_strata, union_tangent_cone
 
 HOLDS = "holds"
@@ -131,7 +130,7 @@ class ConstraintSystemSpec(_SystemSpec):
                 raise ValueError("need one Hessian per component")
             if any(h.nrows != n or h.ncols != n for h in hessians):
                 raise ValueError("Hessians must be symmetric n x n")
-            flat = _cleared([r.entries for h in hessians for r in h.rows])[0]
+            flat = _cleared([r for h in hessians for r in h.rows])[0]
             rows = tuple(flat[k * n : (k + 1) * n] for k in range(m))
             if any(h[i][j] != h[j][i] for h in rows for i in range(n) for j in range(i)):
                 raise ValueError("Hessians must be symmetric n x n")
@@ -194,13 +193,6 @@ class Certificate:
 # -- shared linear-geometry helpers ------------------------------------------------
 
 
-def _cleared(rows: Sequence[Sequence]) -> tuple[tuple[IntVec, ...], int]:
-    """Rows of rationals times the least positive integer d that clears every
-    denominator, and d."""
-    den = lcm(*(x.denominator for r in rows for x in r))
-    return tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in rows), den
-
-
 def _apply(rows: Sequence[IntVec], v: IntVec) -> IntVec:
     """The integer vector of the products <r, v>, one per row."""
     return tuple([sum(map(mul, r, v)) for r in rows])
@@ -211,7 +203,8 @@ def _jacobian(spec) -> tuple[tuple[IntVec, ...], int]:
     """The rows of [Jp Jx] in integers, times the least positive integer s
     that clears their denominators, and s: every linear map the certifiers
     apply is read off this one form."""
-    return _cleared([p.entries + x.entries for p, x in zip(spec.Jp.rows, spec.Jx.rows)])
+    rows, s = _cleared(spec.Jp.rows + spec.Jx.rows)
+    return tuple(p + x for p, x in zip(rows, rows[spec.m :])), s
 
 
 @_per_spec
@@ -267,7 +260,8 @@ def _kernel_meet(spec: ConstraintSystemSpec, normal: PolyCone) -> PolyCone:
 
 
 def _split_qu(vec: QVector, l: int) -> tuple[QVector, QVector]:
-    return QVector(vec.entries[:l]), QVector(vec.entries[l:])
+    ((num,), den) = _cleared([vec])
+    return QVector(num[:l], den), QVector(num[l:], den)
 
 
 # -- projection onto parameter space ------------------------------------------------
@@ -804,17 +798,14 @@ def graphical_derivative_S(spec, q: QVector) -> list[Polyhedron]:
     """
     if q.dim != spec.l:
         raise ValueError(f"dimension mismatch: {q.dim} vs {spec.l}")
-    l, qe = spec.l, q.entries
+    l, ((qn,), qd) = spec.l, _cleared([q])
     out: dict[PolyCone, Polyhedron] = {}  # homogenization cone -> polyhedron
     for c in _solution_pieces(spec):
-        # a.(q, u) <= 0 on an integer row a = (a_q, a_u): a_u.u <= -a_q.q
-        ineqs, eqs = c._h
+        # a.(q, u) <= 0 on an integer row a = (a_q, a_u): a_u.u <= -a_q.q,
+        # whose homogenized row (a_u, a_q.q) is (qd a_u, a_q.qn) / qd for q = qn / qd
+        rows = [[(*[qd * x for x in a[l:]], _dot(a[:l], qn)) for a in part] for part in c._h]
         try:
-            poly = Polyhedron(
-                spec.n,
-                [a[l:] for a in ineqs], [-_dot(a[:l], qe) for a in ineqs],
-                [e[l:] for e in eqs], [-_dot(e[:l], qe) for e in eqs],
-            )
+            poly = Polyhedron._of_int_rows(spec.n, *rows)
         except InfeasibleError:
             continue
         out.setdefault(poly._homog, poly)
@@ -842,7 +833,7 @@ def _directional_adjoints(spec, u: QVector, v: QVector) -> tuple[tuple[PolyCone,
         raise ValueError("matvec dimension mismatch")
     if v.dim != m:
         raise ValueError(f"dimension mismatch: {m} vs {v.dim}" if constraint else f"dimension mismatch: {v.dim} vs {m}")
-    ((ui,), du), ((vi,), dv), s = _cleared([u.entries]), _cleared([v.entries]), _jacobian(spec)[1]
+    ((ui,), du), ((vi,), dv), s = _cleared([u]), _cleared([v]), _jacobian(spec)[1]
     # s du dv (Jx u - v), as u = ui / du, v = vi / dv and _jx_rows holds s Jx
     w = _reduce([dv * a - s * du * b for a, b in zip(_apply(_jx_rows(spec), ui), vi)])
     if constraint:

@@ -63,7 +63,8 @@ directly.
 A ``PolyCone`` stores only these integer forms, and ``key()``, equality and
 hashing read them.  ``fractions.Fraction`` appears only at the API boundary:
 ``ineqs``, ``eqs``, ``rays`` and ``lin`` are ``QVector`` views built from the
-integer forms when they are read, and ``cone_plain`` writes the generators'
+integer forms when they are read (each the integer row over one denominator,
+so no Fraction is built until an entry is read), and ``cone_plain`` writes the generators'
 strings from the integer forms directly, once per cone; a cone's rows are
 the generators of its polar, so their strings are the polar's view.
 
@@ -85,11 +86,10 @@ Everything is exact; there is no tolerance anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import IntVec, QVector, _dot, _echelon, _echelon_kernel, _ints, _neg, _reduce, _rref_q
+from .linalg import IntVec, QVector, _dot, _echelon, _echelon_kernel, _ints, _neg, _plain, _reduce, _rref_q
 
 
 def _orthogonal(basis: Sequence[IntVec]) -> list[tuple[IntVec, int]]:
@@ -688,22 +688,10 @@ def cone_plain(c: PolyCone) -> dict:
     record that holds it, so it is never modified."""
     if c._plain is None:
         rays, lin = c._v
-        c._plain = {"dim": c.dim, "rays": [list(map(str, r)) for r in rays], "lin": [_rref_plain(l) for l in lin]}
+        # a lineality row is an integer echelon row over its (positive) pivot
+        lin = [_plain(l, next(filter(None, l))) for l in lin]
+        c._plain = {"dim": c.dim, "rays": [list(map(str, r)) for r in rays], "lin": lin}
     return c._plain
-
-
-def _rref_plain(row: IntVec) -> list[str]:
-    """The strings of an integer echelon row divided by its (positive) pivot."""
-    for p in row:
-        if p:
-            break
-    if p == 1:
-        return list(map(str, row))
-    out = []
-    for x in row:
-        g = gcd(x, p)
-        out.append(str(x // g) if g == p else f"{x // g}/{p // g}")
-    return out
 
 
 def pick_nonzero(c: PolyCone) -> QVector | None:

@@ -29,14 +29,16 @@ variational system::
 
 Each list of scalars is read in one pass: a string in the grammar (or a
 JSON integer) becomes a (numerator, denominator) pair of ints, with no
-``Fraction``.  The first entry that fails that match goes through ``_rat``,
-so every message about a bad scalar comes from one place.  The rows of
-``gamma`` and of each piece of ``D`` become homogenized integer rows (a, -b)
-and (g, -e), each times one common denominator, and go to the polyhedron's
-integer constructor; the Jacobians, the reference vectors and the Hessians
-are ``QMatrix``/``QVector`` values built from the pairs with no second
-coercion.  Parsing errors carry the JSON path of the offending field, and a
-field is checked in full (its entries, then its length) before the next.
+``Fraction`` (the text of a small integer is one lookup, ``linalg._pair``).
+The first entry that fails that match goes through ``_rat``, so every
+message about a bad scalar comes from one place.  The rows of ``gamma`` and
+of each piece of ``D`` become homogenized integer rows (a, -b) and (g, -e),
+each times one common denominator, and go to the polyhedron's integer
+constructor; the Jacobians, the reference vectors and the Hessians are
+``QMatrix``/``QVector`` values whose numerators over one denominator are
+read off the pairs (``linalg._common``) with no second coercion.  Parsing
+errors carry the JSON path of the offending field, and a field is checked
+in full (its entries, then its length) before the next.
 A key that is not a field of its object (of the file's kind, of ``dims``,
 of ``D`` or of a polyhedron) is refused as an unknown field.
 
@@ -54,7 +56,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .certify import (
     Certificate,
@@ -62,7 +63,7 @@ from .certify import (
     VariationalSystemSpec,
     Witness,
 )
-from .linalg import _RATIONAL, IntVec, QMatrix, QVector, frac, vec_plain
+from .linalg import IntVec, QMatrix, QVector, _common, _pair, frac, vec_plain
 from .sets import InfeasibleError, Polyhedron, UnionSet
 
 
@@ -81,18 +82,13 @@ def _rat(value, path: str) -> Fraction:
 
 def _ratio(x) -> tuple[int, int] | None:
     """(numerator, denominator) of a scalar in the grammar, unreduced, with
-    no Fraction; None for anything else, which ``_rat`` then rejects."""
-    if type(x) is int:  # not bool
-        return x, 1
-    if type(x) is str:
-        m = _RATIONAL.fullmatch(x)
-        if m is not None:
-            try:
-                num, den = int(m[1]), int(m[2] or 1)
-            except ValueError:  # past the int digit limit
-                return None
-            if den:
-                return num, den
+    no Fraction (small-integer text is one lookup); None for anything else,
+    which ``_rat`` then rejects."""
+    if type(x) is int or type(x) is str:  # not bool
+        try:
+            return _pair(x)
+        except (ValueError, ZeroDivisionError):  # "n/0", or past the int digit limit
+            pass
     return None
 
 
@@ -122,22 +118,17 @@ def _ratio_rows(value, path: str, nrows: int | None = None, ncols: int | None = 
 
 
 def _vector(value, path: str, dim: int) -> QVector:
-    return QVector([n if d == 1 else Fraction(n, d) for n, d in _ratios(value, path, dim)])
+    return QVector(*_common(_ratios(value, path, dim)))
 
 
 def _matrix(value, path: str, nrows: int, ncols: int) -> QMatrix:
-    return QMatrix([[n if d == 1 else Fraction(n, d) for n, d in r] for r in _ratio_rows(value, path, nrows, ncols)])
+    return QMatrix([QVector(*_common(r)) for r in _ratio_rows(value, path, nrows, ncols)])
 
 
 def _cleared_rows(rows: list[list[tuple[int, int]]], rhs: list[tuple[int, int]]) -> list[IntVec]:
     """The integer rows (a, -b) of a.y <= b (or = b), each times the least
     common denominator of its entries."""
-    out = []
-    for row, (num, den) in zip(rows, rhs):
-        row = [*row, (-num, den)]
-        den = lcm(*(d for _, d in row))
-        out.append(tuple(n for n, _ in row) if den == 1 else tuple(n * (den // d) for n, d in row))
-    return out
+    return [_common([*row, (-num, den)])[0] for row, (num, den) in zip(rows, rhs)]
 
 
 _FIELDS = {

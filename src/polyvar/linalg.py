@@ -1,20 +1,25 @@
 """Exact rational vectors, matrices and the one elimination kernel that
 the cone layer is built on.
 
-Values at the API are ``fractions.Fraction`` (arbitrary precision, always in
-canonical reduced form with positive denominator) held in immutable, hashable
-``QVector``/``QMatrix`` objects, a boundary only: the package computes on
-primitive integer tuples (``IntVec``).  ``QVector(entries)`` is the one way
-to build a rational vector, from integer rows as from user input; small
-integers share their Fractions (``_SMALL``), and so does their text, with
-one lookup (``_SMALL_TEXT``).  Each row is scaled once by a positive
-rational to a primitive integer vector (``_ints``), the reduced echelon
-form is kept in integers by cross-multiplying and dividing by the gcd
-(``_echelon``), and the null space is read off that echelon form
-(``_kernel``): that is the one elimination.  ``rref``, ``rank_of_rows``,
-``kernel``, ``orth_complement`` and ``QVector.primitive`` are public
-wrappers that read their results off the integer ones, dividing back into
-rationals once, at the end.  Every operation is exact.
+A ``QVector`` holds integer numerators over one positive denominator, in
+lowest terms.  Values at the API are ``fractions.Fraction`` (arbitrary
+precision, always in canonical reduced form with positive denominator),
+built only when a caller reads an entry (``entries``, ``v[i]``, ``iter``);
+a small integer reads as its one shared Fraction (``_SMALL``).
+``QVector(entries, den=1)`` is the one way to build a rational vector, the
+vector of entries / den, from integer rows of results as from user input
+(ints, Fractions, strings "n" or "n/d"); the text of a small integer is one
+lookup (``_SMALL_TEXT``).  Its arithmetic (``+``, ``-``, ``scale``,
+``dot``, ``QMatrix.matvec``) runs on the integers, and the other modules
+take its integer forms through ``_ints`` (primitive) and ``_cleared`` (over
+a common denominator), never through Fractions.  The package computes on
+primitive integer tuples (``IntVec``): the reduced echelon form is kept in
+integers by cross-multiplying and dividing by the gcd (``_echelon``), and
+the null space is read off that echelon form (``_kernel``): that is the one
+elimination.  ``rref``, ``rank_of_rows``, ``kernel``, ``orth_complement``,
+``solve`` and ``QVector.primitive`` are public wrappers that read their
+results off the integer ones, over one denominator per vector.  Every
+operation is exact.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
@@ -31,96 +36,133 @@ IntVec = tuple[int, ...]
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # sign, digits, "/digits"
 
+# Cone data and problem rows are mostly small integers (over 99% of the
+# integer entries on each benchmark workload lie in -256..256).  Each has one
+# shared Fraction, which every read of such an entry returns, and its text
+# as ``str`` writes it ("-2", never "+2", "-0" or "007") is one lookup to the
+# int, for ``frac``, ``QVector`` and the problem-file parser alike.
+_SMALL = {n: Fraction(n) for n in range(-256, 257)}
+_SMALL_TEXT = {str(n): n for n in _SMALL}
 
-def frac(x) -> Fraction:
-    """Coerce ints, Fractions and strings like "2/4" or "-3" to Fraction.
 
-    The text of a small integer, as ``str`` writes it, is one table lookup
-    that returns the shared Fraction (``_SMALL_TEXT``); any other text is
-    parsed.  Other strings raise ValueError; ``Fraction`` never sees them,
-    since it would build a ten-million-digit integer for "1e10000000"."""
-    if type(x) is str:
-        shared = _SMALL_TEXT.get(x)
-        if shared is not None:
-            return shared
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return _SMALL[x] if type(x) is int and -256 <= x <= 256 else Fraction(x)
+def _pair(x) -> tuple[int, int]:
+    """(numerator, positive denominator) of an int, a Fraction or a string
+    "n" or "n/d", unreduced.  Other strings raise ValueError; ``Fraction``
+    never sees them, since it would build a ten-million-digit integer for
+    "1e10000000"."""
     if isinstance(x, str):
+        n = _SMALL_TEXT.get(x)
+        if n is not None:
+            return n, 1
         m = _RATIONAL.fullmatch(x)
         if m is None:
             raise ValueError(f"not a rational 'n' or 'n/d': {x!r}")
-        return Fraction(int(m[1]), int(m[2])) if m[2] else frac(int(m[1]))
+        d = int(m[2] or 1)
+        if not d:
+            raise ZeroDivisionError(f"zero denominator in {x!r}")
+        return int(m[1]), d
+    if isinstance(x, int):
+        return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
-# One shared Fraction per small integer, for ``frac`` and ``QVector``: cone
-# data and problem rows are mostly small integers (over 99% of the integer
-# entries on each benchmark workload lie in this range), so most vectors
-# allocate no new Fractions, and cached cones share them.  Their text as
-# ``str`` writes it ("-2", never "+2", "-0" or "007") maps to the same
-# Fractions, so integer text from a file or the command line is one lookup.
-_SMALL = {n: Fraction(n) for n in range(-256, 257)}
-_SMALL_TEXT = {str(n): x for n, x in _SMALL.items()}
+def _q(n: int, d: int) -> Fraction:
+    """The Fraction n / d (d > 0), shared when it is a small integer."""
+    if d != 1:
+        if n % d:
+            return Fraction(n, d)
+        n //= d
+    return _SMALL[n] if -256 <= n <= 256 else Fraction(n)
+
+
+def frac(x) -> Fraction:
+    """Coerce ints, Fractions and strings like "2/4" or "-3" to Fraction."""
+    return x if isinstance(x, Fraction) else _q(*_pair(x))
 
 
 class QVector:
-    """Immutable vector of rationals."""
+    """Immutable vector of rationals: the integer numerators ``_num`` over
+    one positive denominator ``_den``, in lowest terms.  ``QVector(entries,
+    den)`` is the vector entries / den.  Equal vectors have equal integer
+    forms, and hash as their tuples of entries do."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, entries: Iterable):
-        small = _SMALL  # the int branch of ``frac``, inline
-        entries = tuple([small[x] if type(x) is int and -256 <= x <= 256 else frac(x) for x in entries])
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: Iterable, den: int = 1):
+        num = tuple(entries)
+        for x in num:
+            if type(x) is not int:
+                try:  # small-integer text, one lookup each
+                    num = tuple([x if type(x) is int else _SMALL_TEXT[x] for x in num])
+                except (KeyError, TypeError):  # other text, Fractions or bools: over one denominator
+                    num, d = _common([_pair(x) for x in num])
+                    den *= d
+                break
+        if den != 1:
+            if den < 1:
+                raise ValueError(f"denominator {den} is not positive")
+            g = gcd(den, *num)
+            if g > 1:
+                num, den = tuple([x // g for x in num]), den // g
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("QVector is immutable")
 
     @property
+    def entries(self) -> tuple[Fraction, ...]:
+        d = self._den
+        return tuple([_q(x, d) for x in self._num])
+
+    @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self._num)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._num)
 
     def __iter__(self):
         return iter(self.entries)
 
     def __getitem__(self, i):
-        return self.entries[i]
+        return self.entries[i] if isinstance(i, slice) else _q(self._num[i], self._den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QVector) and self.entries == other.entries
+        return isinstance(other, QVector) and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        # hash(Fraction(n)) == hash(n): an integer vector hashes its numerators
+        return hash(self._num if self._den == 1 else self.entries)
 
     def __repr__(self) -> str:
-        return "(" + ", ".join(str(x) for x in self.entries) + ")"
+        return "(" + ", ".join(vec_plain(self)) + ")"
 
     def __add__(self, other: "QVector") -> "QVector":
         self._check_dim(other)
-        return QVector(a + b for a, b in zip(self.entries, other.entries))
+        (a, b), d = _cleared((self, other))
+        return QVector(map(add, a, b), d)
 
     def __sub__(self, other: "QVector") -> "QVector":
         self._check_dim(other)
-        return QVector(a - b for a, b in zip(self.entries, other.entries))
+        (a, b), d = _cleared((self, other))
+        return QVector(map(sub, a, b), d)
 
     def __neg__(self) -> "QVector":
-        return QVector(-a for a in self.entries)
+        return QVector([-x for x in self._num], self._den)
 
     def scale(self, s) -> "QVector":
-        s = frac(s)
-        return QVector(s * a for a in self.entries)
+        n, d = _pair(s)
+        return QVector([n * x for x in self._num], d * self._den)
 
     def dot(self, other: "QVector") -> Fraction:
         self._check_dim(other)
-        return sum((a * b for a, b in zip(self.entries, other.entries)), _SMALL[0])
+        return _q(_dot(self._num, other._num), self._den * other._den)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not any(self._num)
 
     def _check_dim(self, other: "QVector") -> None:
         if self.dim != other.dim:
@@ -146,8 +188,42 @@ class QVector:
 
 
 def vec_plain(v: QVector) -> list[str]:
-    """JSON-plain view of a vector: its entries as strings."""
-    return [str(x) for x in v.entries]
+    """JSON-plain view of a vector: its entries as strings, as ``str``
+    writes their Fractions."""
+    return _plain(v._num, v._den)
+
+
+def _plain(num: Sequence[int], den: int) -> list[str]:
+    """The strings of the rationals x / den for x in num (den > 0)."""
+    if den == 1:
+        return list(map(str, num))
+    out = []
+    for x in num:
+        g = gcd(x, den)
+        out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+    return out
+
+
+def _common(pairs: Sequence[tuple[int, int]]) -> tuple[IntVec, int]:
+    """The numerators of (n, d) pairs over their least common denominator,
+    and it."""
+    d = lcm(*[q for _, q in pairs])
+    return tuple([p * (d // q) for p, q in pairs]), d
+
+
+def _cleared(vectors: Iterable) -> tuple[tuple[IntVec, ...], int]:
+    """The vectors (QVectors, or what ``QVector`` takes) times the least
+    positive integer d that clears every denominator, and d."""
+    vs = [v if isinstance(v, QVector) else QVector(v) for v in vectors]
+    d = lcm(*[v._den for v in vs])
+    return tuple([v._num if v._den == d else tuple([x * (d // v._den) for x in v._num]) for v in vs]), d
+
+
+def _augmented(rows: Iterable, rhs: Iterable) -> list[IntVec]:
+    """For each row a and its entry b of ``rhs``, the primitive integer
+    vector that is a positive multiple of (a, b)."""
+    (an, s), ((bn,), bd) = _cleared(rows), _cleared([rhs])
+    return [_reduce([x * bd for x in r] + [y * s]) for r, y in zip(an, bn)]
 
 
 class QMatrix:
@@ -189,7 +265,8 @@ class QMatrix:
         return self.rows[i]
 
     def col(self, j: int) -> QVector:
-        return QVector(r[j] for r in self.rows)
+        rows, d = _cleared(self.rows)
+        return QVector([r[j] for r in rows], d)
 
     @property
     def T(self) -> "QMatrix":
@@ -198,10 +275,11 @@ class QMatrix:
     def matvec(self, v: QVector) -> QVector:
         if v.dim != self.ncols:
             raise ValueError("matvec dimension mismatch")
-        return QVector(r.dot(v) for r in self.rows)
+        rows, d = _cleared(self.rows)
+        return QVector([_dot(r, v._num) for r in rows], d * v._den)
 
     def is_symmetric(self) -> bool:
-        rows = [r.entries for r in self.rows]
+        rows = _cleared(self.rows)[0]  # one common scale keeps the symmetry
         return self.nrows == self.ncols and all(r[j] == rows[j][i] for i, r in enumerate(rows) for j in range(i))
 
     @staticmethod
@@ -245,7 +323,7 @@ def kernel_of_rows(rows: Sequence[QVector], dim: int) -> list[QVector]:
     """
     if any(len(r) != dim for r in rows):
         raise ValueError("kernel row has wrong dimension")
-    return [_divided(v, next(x for x in reversed(v) if x)) for v in _kernel([_ints(r) for r in rows], dim)]
+    return [QVector(v, next(x for x in reversed(v) if x)) for v in _kernel([_ints(r) for r in rows], dim)]
 
 
 def orth_complement(vectors: Sequence[QVector], dim: int) -> list[QVector]:
@@ -260,17 +338,16 @@ def solve(a: QMatrix, b: QVector) -> QVector | None:
     """
     if a.nrows != b.dim:
         raise ValueError("solve: right-hand side has wrong dimension")
-    if a.nrows == 0:
-        return QVector.zero(a.ncols)
-    aug = QMatrix([list(r.entries) + [bv] for r, bv in zip(a.rows, b.entries)])
-    res = rref(aug)
     nc = a.ncols
+    ech, pivots = _echelon(_augmented(a.rows, b), nc + 1)
+    if nc in pivots:
+        return None  # pivot in the augmented column: inconsistent
+    # x at pivot column pc is r[nc] / r[pc], over the pivots' common multiple
+    d = lcm(*[r[pc] for r, pc in zip(ech, pivots)])
     x = [0] * nc
-    for i, pc in enumerate(res.pivot_cols):
-        if pc == nc:
-            return None  # pivot in the augmented column: inconsistent
-        x[pc] = res.reduced[i][nc]
-    return QVector(x)
+    for r, pc in zip(ech, pivots):
+        x[pc] = r[nc] * (d // r[pc])
+    return QVector(x, d)
 
 
 def rank_of_rows(rows: Sequence[QVector]) -> int:
@@ -296,21 +373,9 @@ def _ints(v) -> IntVec:
     """The primitive integer vector that is a positive multiple of v.
 
     Accepts a QVector or a sequence of exact scalars (ints, Fractions, or
-    strings such as "1/2").
+    strings such as "1/2"): its numerators, divided by their gcd.
     """
-    if isinstance(v, QVector):  # entries are Fractions
-        nums = [x.numerator for x in v.entries]
-        dens = [x.denominator for x in v.entries]
-        if dens.count(1) == len(dens):  # integer entries: no lcm
-            return _reduce(nums)
-        den = lcm(*dens)
-        return _reduce([n * (den // d) for n, d in zip(nums, dens)])
-    xs = tuple(v)
-    if not all(type(x) is int for x in xs):
-        xs = [x if isinstance(x, (int, Fraction)) else frac(x) for x in xs]
-        den = lcm(*(x.denominator for x in xs))
-        xs = [x.numerator * (den // x.denominator) for x in xs]
-    return _reduce(xs)
+    return _reduce((v if isinstance(v, QVector) else QVector(v))._num)
 
 
 def _dot(a: IntVec, b: IntVec) -> int:
@@ -373,14 +438,9 @@ def _echelon(rows: Sequence[IntVec], dim: int) -> tuple[list[IntVec], list[int]]
     return m[:k], pivots
 
 
-def _divided(v: IntVec, d: int) -> QVector:
-    """The rational vector v / d."""
-    return QVector(v if d == 1 else [Fraction(x, d) for x in v])
-
-
 def _rref_q(rows: Sequence[IntVec]) -> tuple[QVector, ...]:
     """The rational RREF rows of an integer echelon form."""
-    return tuple(_divided(r, next(x for x in r if x)) for r in rows)
+    return tuple(QVector(r, next(x for x in r if x)) for r in rows)
 
 
 def _kernel(rows: Sequence[IntVec], dim: int) -> list[IntVec]:

@@ -42,7 +42,7 @@ from operator import and_, mul
 from typing import Iterable, Sequence
 
 from .cones import PolyCone, _canonical, _dd, _dd_steps, _exposed_face, _face_lattice, _of_generators, _of_rows, _zero_sets
-from .linalg import IntVec, QVector, _dot, _ints, _neg, _reduce, frac
+from .linalg import IntVec, QVector, _augmented, _cleared, _dot, _ints, _neg, _reduce, frac
 
 
 class InfeasibleError(ValueError):
@@ -68,8 +68,7 @@ class Polyhedron:
         A, b, E, e = list(A), list(b), list(E), list(e)
         if len(A) != len(b) or len(E) != len(e):
             raise ValueError("constraint rows and right-hand sides differ in length")
-        ineqs = [_ints((*r, -frac(bv))) for r, bv in zip(A, b)]
-        self._homogenized(dim, ineqs, [_ints((*g, -frac(ev))) for g, ev in zip(E, e)])
+        self._homogenized(dim, _augmented(A, -QVector(b)), _augmented(E, -QVector(e)))
 
     @staticmethod
     def _of_int_rows(dim: int, ineqs: Iterable[Sequence[int]], eqs: Iterable[Sequence[int]]) -> "Polyhedron":
@@ -105,12 +104,12 @@ class Polyhedron:
 
     @property
     def E(self) -> tuple[QVector, ...]:
-        return tuple(QVector(g.entries[: self.dim]) for g in self._homog.eqs)
+        return tuple(QVector(g[: self.dim], next(filter(None, g))) for g in self._homog._h[1])
 
     @property
     def e(self) -> tuple:
         """The right-hand sides of E, as Fractions."""
-        return tuple(-g[self.dim] for g in self._homog.eqs)
+        return tuple(QVector((-g[self.dim],), next(filter(None, g)))[0] for g in self._homog._h[1])
 
     def key(self):
         return self._homog.key()
@@ -137,7 +136,8 @@ class Polyhedron:
         each homogenization row dotted with a multiple of (y, 1)."""
         if y.dim != self.dim:
             raise ValueError("point has wrong dimension")
-        yt = _ints(y.entries + (1,))
+        ((yn,), yd) = _cleared([y])
+        yt = yn + (yd,)
         return [_dot(r, yt) for r in self._rows], [_dot(g, yt) for g in self._homog._h[1]]
 
     def _int_rows(self) -> tuple[list[IntVec], list[IntVec]]:
@@ -150,18 +150,15 @@ class Polyhedron:
 
     def vertices_and_recession(self) -> tuple[list[QVector], PolyCone]:
         """Generator view: some vertices/points plus the recession cone."""
-        verts = []
-        rec_rays, rec_lin = [], []
-        for r in self._homog.rays:
+        verts, rec_rays = [], []
+        rays, lin = self._homog._v  # integer rows (y, t)
+        for r in rays:
             t = r[self.dim]
             if t > 0:
-                verts.append(QVector(x / t for x in r.entries[:self.dim]))
+                verts.append(QVector(r[: self.dim], t))
             else:
-                rec_rays.append(QVector(r.entries[:self.dim]))
-        for l in self._homog.lin:
-            rec_lin.append(QVector(l.entries[:self.dim]))
-        rec = PolyCone.from_generators(self.dim, rec_rays, rec_lin)
-        return verts, rec
+                rec_rays.append(r[: self.dim])
+        return verts, PolyCone.from_generators(self.dim, rec_rays, [l[: self.dim] for l in lin])
 
     # -- variational cones ----------------------------------------------------
 

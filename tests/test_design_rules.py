@@ -2,10 +2,12 @@
 
 Fractions stay at the boundary: the cone layer, the polyhedra, the graph map
 and the certifiers work on integer rows; rationals enter and leave only
-through linalg's views, so these modules import nothing from fractions and
+through linalg's views, so these modules import nothing from fractions,
 call none of the rational QVector/QMatrix methods matvec, dot, col, scale,
 is_symmetric and T (a constraint spec checks its Hessians' symmetry on their
-integer rows).
+integer rows), and read no ``.entries``: a vector's integer form comes from
+linalg's helpers (``_ints``, ``_cleared``), never from its private slots
+``_num`` and ``_den``.
 
 Derived geometry lives on its owner or in the spec memo: an object caches
 only what is a function of itself, and geometry derived from a spec lives
@@ -41,8 +43,10 @@ def test_fractions_stay_at_the_boundary():
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                     if node.func.attr in ("matvec", "dot", "col", "scale", "is_symmetric"):
                         bad.append(f"{path}:{node.lineno} calls the rational .{node.func.attr}")
-                elif isinstance(node, ast.Attribute) and node.attr == "T":
-                    bad.append(f"{path}:{node.lineno} reads the rational .T")
+                elif isinstance(node, ast.Attribute) and node.attr in ("T", "entries"):
+                    bad.append(f"{path}:{node.lineno} reads the rational .{node.attr}")
+                elif isinstance(node, ast.Attribute) and node.attr in ("_num", "_den"):
+                    bad.append(f"{path}:{node.lineno} reads QVector's private .{node.attr}")
                 continue
             if any(m == "fractions" or m.startswith("fractions.") for m in modules):
                 bad.append(f"{path}:{node.lineno} imports from fractions")

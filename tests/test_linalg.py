@@ -1,5 +1,7 @@
+import fractions
+import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -292,6 +294,9 @@ def test_vector_ops_and_immutability():
     assert v.dot(w) == Fraction(1)
     with pytest.raises(AttributeError):
         v.entries = ()
+    for den in (0, -2):
+        with pytest.raises(ValueError):
+            QVector([1, 2], den)
 
 
 def test_primitive_scaling():
@@ -363,3 +368,109 @@ def test_small_integers_construct_no_fraction(monkeypatch):
     monkeypatch.undo()
     assert made == []
     assert [len(v) for v in views] == [8, 0, 8, 0]
+
+
+# -- the integer form behind the Fraction API ------------------------------------
+
+
+def vectors_of(dim: int):
+    """Vectors of ``dim`` drawn entries (so mixed denominators), or zero."""
+    return st.one_of(st.just([0] * dim), st.lists(entries, min_size=dim, max_size=dim))
+
+
+def reference_ints(xs):
+    """The primitive integer vector that is a positive multiple of xs."""
+    den = lcm(*(x.denominator for x in xs))
+    ints = [x.numerator * (den // x.denominator) for x in xs]
+    g = gcd(*ints)
+    return tuple(n // g for n in ints) if g else tuple(ints)
+
+
+@st.composite
+def vector_systems(draw):
+    """(x, y, rows of a 3 x dim matrix, a square matrix, a scalar), dim 0 to 5."""
+    dim = draw(st.integers(0, 5))
+    rows = draw(st.lists(vectors_of(dim), min_size=3, max_size=3))
+    n = draw(st.integers(0, 3))
+    square = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    return draw(vectors_of(dim)), draw(vectors_of(dim)), rows, square, draw(entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_systems())
+def test_qvector_and_qmatrix_agree_with_fraction_arithmetic_hypothesis(system):
+    xs, ys, rows, square, s = system
+    fx, fy, fs = [Fraction(x) for x in xs], [Fraction(y) for y in ys], Fraction(s)
+    v, w = QVector(xs), QVector(ys)
+    # every read is a Fraction equal to the drawn entry
+    for got in (v.entries, tuple(v[i] for i in range(v.dim)), tuple(v)):
+        assert got == tuple(fx) and all(type(x) is Fraction for x in got)
+    assert v[1:] == tuple(fx[1:]) and hash(v) == hash(v.entries)
+    assert repr(v) == "(" + ", ".join(map(str, fx)) + ")" and linalg.vec_plain(v) == list(map(str, fx))
+    # equal values in other forms give an equal vector, with an equal hash
+    den = lcm(*(x.denominator for x in fx))
+    nums = [x.numerator * (den // x.denominator) for x in fx]
+    for same in (QVector(fx), QVector(map(str, fx)), QVector(nums, den), QVector([3 * n for n in nums], 3 * den)):
+        assert same == v and hash(same) == hash(v)
+    # arithmetic on the integers matches Fraction arithmetic
+    assert (v + w).entries == tuple(a + b for a, b in zip(fx, fy))
+    assert (v - w).entries == tuple(a - b for a, b in zip(fx, fy))
+    assert (-v).entries == tuple(-a for a in fx)
+    assert v.scale(s).entries == tuple(fs * a for a in fx)
+    assert v.dot(w) == sum(a * b for a, b in zip(fx, fy)) and type(v.dot(w)) is Fraction
+    assert linalg._ints(v) == reference_ints(fx) == linalg._ints(xs)
+    m = QMatrix(rows)
+    assert m.matvec(v).entries == tuple(sum(Fraction(a) * b for a, b in zip(r, fx)) for r in rows)
+    assert m.T.rows == tuple(QVector(c) for c in zip(*[[Fraction(a) for a in r] for r in rows]))
+    sq = [[Fraction(x) for x in r] for r in square]
+    mirrored = [[sq[min(i, j)][max(i, j)] for j in range(len(sq))] for i in range(len(sq))]
+    assert QMatrix(square).is_symmetric() == all(sq[i][j] == sq[j][i] for i in range(len(sq)) for j in range(i))
+    assert QMatrix(mirrored).is_symmetric()
+
+
+def test_a_benchmark_op_on_the_bundled_examples_calls_no_fraction_code():
+    """ex3, ex4 and ex5 through the path of a benchmark op (perfbench/ops.py):
+    the parse, every check the op runs on that kind of problem, the matvec
+    and sum that make the dir-reg direction, the graph normal cones, and
+    the rendered reports with their JSON blocks.  Fractions are built only
+    when a caller reads an entry, and none of these reads one."""
+    from polyvar import certify, fileio, graphmap
+    from polyvar.cli import bundled_problem_path
+
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    for name in ("ex3", "ex4", "ex5"):
+        path = bundled_problem_path(f"{name}.json")
+        spec = fileio.parse_problem(path)
+        if spec.kind == "variational":  # a tangent direction (u, w), chosen before the op from a parse of its own
+            k = spec.graph_point().critical
+            u = sum(k.generators(), QVector.zero(k.dim))
+            normal = PolyCone.from_ineqs(k.dim, list(k.polar().ineqs), list(k.polar().eqs) + [u])
+            w = sum(normal.generators(), QVector.zero(k.dim))
+        sys.setprofile(profile)
+        try:
+            spec = fileio.parse_problem(path)
+            if spec.kind == "constraint":
+                certs = {
+                    "foscms": certify.check_foscms(spec),
+                    "calmness": certify.check_calmness_constraint(spec, "first"),
+                    "aubin": certify.check_aubin(spec, "corollary"),
+                }
+                if spec.hessians is not None:
+                    certs["soscms"] = certify.check_soscms(spec)
+            else:
+                certs = {"aubin": certify.check_aubin(spec, "corollary"), "foscms-joint": certify.check_foscms_joint(spec)}
+                if certs["foscms-joint"].holds():
+                    certs["aubin-theorem"] = certify.check_aubin(spec, "theorem")
+                certs["dir-reg"] = certify.check_directional_metric_regularity(spec, u, w + spec.Jx.matvec(u))
+                graphmap.limiting_normal_graph(spec.graph_point())
+                graphmap.directional_limiting_normal_graph(spec.graph_point(), u, w)
+            blocks = [fileio.render_report(check, cert).json_block() for check, cert in certs.items()]
+        finally:
+            sys.setprofile(None)
+        assert blocks
+        assert not calls, f"{name}: {len(calls)} calls into fractions: {sorted(set(calls))}"
