@@ -653,15 +653,6 @@ def _adjoint_strata(spec) -> tuple[_AdjointStratum, ...]:
     return tuple(strata)
 
 
-def _zero_direction_adjoints(spec) -> tuple[tuple[PolyCone, PolyCone], ...]:
-    """The (piece, adjoint cone) pairs of the standard adjoint inclusion,
-    read along the zero direction: there the directional limiting normal
-    cone is the limiting one (every reach cone of D contains 0, and the
-    graph's keeps every face pair).  ``check_directional_metric_regularity``
-    at (0, 0) decides from the same pairs."""
-    return _directional_adjoints(spec, QVector.zero(spec.n), QVector.zero(spec.m))
-
-
 @_per_spec
 def _phase_a(spec) -> tuple[dict, bool, QVector | None]:
     """Phase A of ``check_aubin`` in either mode: its trace record, whether
@@ -815,7 +806,9 @@ def graphical_derivative_S(spec, q: QVector) -> list[Polyhedron]:
 def _directional_adjoints(spec, u: QVector, v: QVector) -> tuple[tuple[PolyCone, PolyCone], ...] | None:
     """The (piece, adjoint cone) pairs in the graph direction (u, v), one per
     piece of the directional normal cone, or None when (u, v) is not tangent
-    to the graph; at (0, 0), the standard adjoint inclusion.
+    to the graph; at (0, 0), the standard adjoint inclusion, as there the
+    directional limiting normal cone is the limiting one (every reach cone
+    of D contains 0, and the graph's keeps every face pair).
 
     For a constraint system the pieces are those of N_D(g0; Jx u - v), the
     normals of the spec's strata whose reach cone holds w = Jx u - v, each

@@ -271,7 +271,8 @@ def _projected(basis: Sequence[IntVec], rays: Sequence[IntVec]) -> Sequence[IntV
     """Each (primitive) ray projected off span(basis), made primitive: the
     one representative of its class modulo the lineality space.  A pass of
     ``_dd_steps`` leaves its rays unprojected; ``_canonical`` projects them,
-    as does ``certify.covers_space`` before it sums a gap cell's rays."""
+    as do ``_read_off`` its facet rows and ``certify.covers_space`` a gap
+    cell's rays before it sums them."""
     if basis and rays:
         ortho = _orthogonal(basis)
         return [_project_off(r, ortho) for r in rays]
@@ -315,11 +316,7 @@ def _read_off(
                 break
         else:
             facets.append(rows[i])
-    if lin and facets:
-        ortho = _orthogonal(lin)
-        facets = [_project_off(a, ortho) for a in facets]
-    facets.sort()
-    return tuple(facets), tuple(lin)
+    return tuple(sorted(_projected(lin, facets))), tuple(lin)
 
 
 def _of_rows(

@@ -1,15 +1,53 @@
-"""A smoke run of ``tools/bench.py pairs``: the working tree against itself,
-loaded twice, on two stream ops of every workload.  It checks the schema of
-the JSON the tool writes and that both sides return equal outputs on every
-op; it asserts no timing."""
+"""``tools/bench.py``: its certificate digests of the benchmark streams
+against ``tests/golden/stream-sha256.txt``, the fingerprint it compares op
+outputs by, and a smoke run of ``pairs``: the working tree against itself,
+loaded twice, on two stream ops of every workload.  The smoke run checks the
+schema of the JSON the tool writes and that both sides return equal outputs
+on every op; it asserts no timing."""
 
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from polyvar.cones import PolyCone
+from polyvar.linalg import QVector
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ["cone-conversion", "constraint-strata", "variational-faces"]
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    # the tool puts perfbench/ on sys.path when imported; the test restores it
+    monkeypatch.setattr(sys, "path", [str(ROOT / "tools"), *sys.path])
+    return importlib.import_module("bench")
+
+
+def test_digest_check_matches_the_golden_digests():
+    command = [sys.executable, str(ROOT / "tools" / "bench.py"), "digest", "--check"]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_fingerprint_reads_vectors_dict_keys_cone_rows_and_no_unknown_type(bench):
+    def cones(extra):
+        return bench.fingerprint([], extra)["cones"]
+
+    def stand_in(cone, h):
+        # read by the fingerprint as ``cone``, with ``h`` as its rows
+        return object.__new__(type("StandIn", (PolyCone,), {"dim": cone.dim, "_v": cone._v, "_h": h}))
+
+    cone = PolyCone.from_ineqs(2, [QVector([1, 0])])
+    assert cones({"w": QVector([1, 0])}) != cones({"w": QVector([0, 1])})
+    assert cones({"a": cone}) != cones({"b": cone})
+    assert cones({"k": stand_in(cone, cone._h)}) == cones({"k": cone})
+    assert cones({"k": stand_in(cone, (((1, 1),), ()))}) != cones({"k": cone})
+    with pytest.raises(TypeError):
+        bench.fingerprint([], {"x": object()})
 
 
 def test_pairs_writes_its_schema_and_equal_outputs(tmp_path):

@@ -46,7 +46,6 @@ from polyvar.certify import (
     _form_value,
     _solution_pieces,
     _variational_adjoint_cone,
-    _zero_direction_adjoints,
 )
 from polyvar import certify, sets
 from polyvar.cones import PolyCone, open_cell, pick_nonzero
@@ -1237,11 +1236,11 @@ def test_zero_direction_adjoints_match_the_limiting_construction():
         ker = PolyCone.from_ineqs(spec.m, [], [spec.Jx.col(j) for j in range(spec.n)])
         normals = ConeUnion(spec.m, [s.normal for s in direction_strata(spec.D, spec.g0)])
         want = tuple((p, ker.intersect(p)) for p in normals.pieces)
-        assert _zero_direction_adjoints(spec) == want
+        assert certify._directional_adjoints(spec, QVector.zero(spec.n), QVector.zero(spec.m)) == want
     for spec in [ex5_spec()] + random_variational_specs():
         pieces = limiting_normal_graph(spec.graph_point()).pieces
         want = tuple((p.k, _variational_adjoint_cone(spec, p.k)) for p in pieces)
-        assert _zero_direction_adjoints(spec) == want
+        assert certify._directional_adjoints(spec, QVector.zero(spec.n), QVector.zero(spec.m)) == want
 
 
 # -- each distinct cone converted once per spec ------------------------------------

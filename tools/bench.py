@@ -1,17 +1,29 @@
-"""Paired timing of two polyvar trees on the benchmark's own ops.
+"""The benchmark's stream ops outside ``perfbench/``, run through
+perfbench's own ``prepare``, ``op`` and ``check`` functions (imported
+read-only), with one fingerprint of what an op hands back (``_feed``).
 
+    python tools/bench.py digest [--check | --write]
     python tools/bench.py pairs --base REV --workload cone-conversion --seed 7 --ops 456 --passes 3 --out BENCH.json
+
+``digest`` runs the working tree's ``src/polyvar`` on the prologue plus the
+first 200 stream ops of each workload at seed 6161, and prints one sha256
+per workload over each op's name, report texts, JSON blocks and
+fingerprint; an op that fails its checks is an error.  ``--check`` compares
+the digests with ``tests/golden/stream-sha256.txt`` and ``--write``
+rewrites it.  Cones are canonical, certificates deterministic and the
+generator's seeds SHA-512-hashed strings, so a change that keeps every
+output byte keeps the digests on every Python version.
 
 ``pairs`` loads two copies of the package into one process.  The base is
 revision REV's ``src/polyvar``, unpacked offline with ``git archive`` into
 the git-ignored ``.bench/`` (``--base-src DIR`` names a directory that holds
 a ``polyvar`` package instead, and needs no git).  The head is the working
 tree's ``src/polyvar``.  Each workload runs its first ``--ops`` stream ops
-(not its prologue) on both, op by op, through perfbench's own ``prepare``
-and ``op`` functions: before a side runs, the ``polyvar`` entries of
-``sys.modules`` are swapped for that side's, and which side runs first
-alternates from op to op and from pass to pass.  Only the op is timed, in
-CPU time of this process; preparing, checking and comparing are not.
+(not its prologue) on both, op by op: before a side runs, the ``polyvar``
+entries of ``sys.modules`` are swapped for that side's, and which side runs
+first alternates from op to op and from pass to pass.  Only the op is
+timed, in CPU time of this process; preparing, checking and comparing are
+not.
 
 The JSON written to ``--out`` holds the host, the Python version and both
 revisions, and per workload and seed:
@@ -21,19 +33,16 @@ revisions, and per workload and seed:
 * each op's CPU time per side (its median over the passes) and their ratio,
   one row per op;
 * whether each op's outputs are equal on both sides (``equal``: the report
-  text, the JSON block and the ``key()`` of every returned cone), and
-  beside it which part differs: ``text`` (the report text), ``json`` (the
-  JSON block's bytes), ``json_value`` (the JSON block parsed) and ``cones``
-  (the cone keys), per op and over all ops;
+  text, the JSON block and the fingerprint), and beside it which part
+  differs: ``text`` (the report text), ``json`` (the JSON block's bytes),
+  ``json_value`` (the JSON block parsed) and ``cones`` (the fingerprint),
+  per op and over all ops;
 * the ops that failed perfbench's known-answer checks, per side.
-
-Nothing under ``perfbench/`` is changed; its modules are imported read-only.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import hashlib
 import importlib
@@ -53,6 +62,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 UNPACKED = ROOT / ".bench"
+GOLDEN = ROOT / "tests" / "golden" / "stream-sha256.txt"
+DIGEST_SEED = 6161
+DIGEST_OPS = 200
 CLOCK = time.process_time
 
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -115,28 +127,37 @@ def use(modules: dict) -> None:
     sys.modules.update(modules)
 
 
-def _cone_keys(value, cone_type, out: list, seen: set) -> None:
-    """The ``key()`` of every cone reachable from ``value`` through
-    containers and the public fields of the package's objects, in order, with
-    the active sets that name faces."""
-    if isinstance(value, cone_type):
-        out.append(value.key())
+def _feed(h, value) -> None:
+    """Hash what an op returned, as it is printed: each cone's ``key()``,
+    ``_h`` and ``_v``, each face's active set, a graph point's critical cone,
+    and each piece of a graph normal cone as ``graph-normal`` writes it (K,
+    K° and the active sets of its two faces), by explicit type, with the
+    classes of the side installed in ``sys.modules``."""
+    pv = sys.modules
+    if isinstance(value, pv["polyvar.cones"].PolyCone):
+        h.update(repr((value.key(), value._h, value._v)).encode())
+    elif isinstance(value, pv["polyvar.cones"].Face):
+        h.update(repr(sorted(value.active_set)).encode())
+        _feed(h, value.cone)
+    elif isinstance(value, pv["polyvar.sets"].PolyFace):
+        h.update(repr(sorted(value.active_set)).encode())
+    elif isinstance(value, pv["polyvar.graphmap"].GraphPoint):
+        _feed(h, value.critical)
+    elif isinstance(value, pv["polyvar.graphmap"].GraphNormalCone):
+        for p in value.pieces:
+            _feed(h, (p.k, p.kpolar))
+            h.update(repr((sorted(p.f1.active_set), sorted(p.f2.active_set))).encode())
     elif isinstance(value, dict):
-        for v in value.values():
-            _cone_keys(v, cone_type, out, seen)
+        for k in sorted(value):
+            h.update(repr(k).encode())
+            _feed(h, value[k])
     elif isinstance(value, (list, tuple)):
         for v in value:
-            _cone_keys(v, cone_type, out, seen)
-    elif isinstance(value, frozenset):
-        out.append(sorted(value))
-    elif type(value).__module__.startswith("polyvar.") and id(value) not in seen:
-        seen.add(id(value))
-        if dataclasses.is_dataclass(value):
-            names = [f.name for f in dataclasses.fields(value)]
-        else:
-            names = [n for n in getattr(type(value), "__slots__", ()) if not n.startswith("_")]
-        for name in names:
-            _cone_keys(getattr(value, name), cone_type, out, seen)
+            _feed(h, v)
+    elif isinstance(value, pv["polyvar.linalg"].QVector):
+        h.update(repr(value).encode())
+    else:
+        raise TypeError(f"no fingerprint for {type(value).__name__}")
 
 
 PARTS = ("text", "json", "json_value", "cones")
@@ -151,40 +172,66 @@ def _sha(items) -> str:
 
 def fingerprint(reports: list, extra: dict) -> dict:
     """sha256 of each part of what an op returned (``PARTS``): the reports'
-    texts, their JSON blocks as bytes and as parsed values, and the cone keys
-    of ``extra``, read with the active side's modules."""
-    keys: list = []
-    _cone_keys(extra, sys.modules["polyvar.cones"].PolyCone, keys, set())
+    texts, their JSON blocks as bytes and as parsed values, and ``_feed`` of
+    ``extra``."""
+    cones = hashlib.sha256()
+    _feed(cones, extra)
     return {
         "text": _sha(rep.text for rep, _ in reports),
         "json": _sha(block for _, block in reports),
         "json_value": _sha(json.dumps(json.loads(block), sort_keys=True) for _, block in reports),
-        "cones": _sha([repr(keys)]),
+        "cones": cones.hexdigest(),
     }
+
+
+def _written(workdir: str, wl, seed: int, inp) -> str:
+    """The path of a file in ``workdir`` that holds the input's bytes."""
+    path = os.path.join(workdir, f"{wl.name}-{seed}-{inp.name}.json")
+    Path(path).write_bytes(inp.data)
+    return path
+
+
+def _run(wl, path: str, meta: dict) -> tuple[float, list, object, list]:
+    """(op CPU time, reports, extra, failed checks) of one op on the
+    installed side."""
+    pre = wl.prepare(path, meta) if wl.prepare else None
+    start = CLOCK()
+    certs, reports, extra = wl.op(path, meta, pre)
+    took = CLOCK() - start
+    return took, reports, extra, ops.check(wl.name, meta, certs, reports, extra)
+
+
+def digest(wl, workdir: str) -> str:
+    """sha256 of the prologue plus the first ``DIGEST_OPS`` stream ops of
+    the workload at ``DIGEST_SEED``, run on the installed side: each op's
+    name, its reports' texts and JSON blocks, then ``_feed`` of its extra."""
+    h = hashlib.sha256()
+    for inp in wl.inputs(DIGEST_SEED, DIGEST_OPS):
+        path = _written(workdir, wl, DIGEST_SEED, inp)
+        _, reports, extra, bad = _run(wl, path, inp.meta)
+        if bad:
+            raise RuntimeError(f"{wl.name} {inp.name} failed its checks: {bad}")
+        h.update(inp.name.encode())
+        for rep, block in reports:
+            h.update(rep.text.encode())
+            h.update(block.encode())
+        _feed(h, extra)
+    return h.hexdigest()
 
 
 def run_op(wl, path: str, meta: dict) -> tuple[float, dict, bool]:
     """(op CPU time, output fingerprint by part, whether the op passed its
     checks) of one op on the installed side."""
     try:
-        pre = wl.prepare(path, meta) if wl.prepare else None
-        start = CLOCK()
-        certs, reports, extra = wl.op(path, meta, pre)
-        took = CLOCK() - start
-        ok = not ops.check(wl.name, meta, certs, reports, extra)
+        took, reports, extra, bad = _run(wl, path, meta)
     except Exception as exc:  # a failing op is recorded, not fatal
         return 0.0, dict.fromkeys(PARTS, f"raised {type(exc).__name__}: {exc}"), False
-    return took, fingerprint(reports, extra), ok
+    return took, fingerprint(reports, extra), not bad
 
 
 def pairs(wl, seed: int, count: int, passes: int, sides: dict, workdir: str) -> dict:
     inputs = [wl.stream_input(seed, i) for i in range(count)]
-    paths = []
-    for inp in inputs:
-        path = os.path.join(workdir, f"{wl.name}-{seed}-{inp.name}.json")
-        with open(path, "wb") as fh:
-            fh.write(inp.data)
-        paths.append(path)
+    paths = [_written(workdir, wl, seed, inp) for inp in inputs]
     times = {side: [[0.0] * passes for _ in inputs] for side in sides}
     same = [dict.fromkeys(PARTS, True) for _ in inputs]
     failed = {side: set() for side in sides}
@@ -281,9 +328,30 @@ def cmd_pairs(args) -> int:
     return 1 if bad else 0
 
 
+def cmd_digest(args) -> int:
+    use(load(ROOT / "src"))
+    with tempfile.TemporaryDirectory() as workdir:
+        text = "".join(f"{name} {digest(WORKLOADS[name], workdir)}\n" for name in sorted(WORKLOADS))
+    _purge()
+    if args.write:
+        GOLDEN.write_text(text, encoding="utf-8")
+    print(text, end="")
+    if args.check:
+        want = GOLDEN.read_text(encoding="utf-8")
+        if text != want:
+            print(f"stream digests differ from {GOLDEN.name}:\n{want}", end="", file=sys.stderr)
+            return 1
+        print(f"stream digests equal {GOLDEN.name}")
+    return 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
+    d = sub.add_parser("digest", help="the certificate digests of the benchmark streams")
+    mode = d.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true", help="compare with the committed digests")
+    mode.add_argument("--write", action="store_true", help="rewrite the committed digests")
     p = sub.add_parser("pairs", help="time the head against a base revision, op by op, in one process")
     base = p.add_mutually_exclusive_group(required=True)
     base.add_argument("--base", help="the base revision, unpacked with git archive")
@@ -294,7 +362,7 @@ def main(argv=None) -> int:
     p.add_argument("--passes", type=int, default=3)
     p.add_argument("--out", default="BENCH.json", help="where the JSON goes")
     args = ap.parse_args(argv)
-    return cmd_pairs(args)
+    return cmd_digest(args) if args.command == "digest" else cmd_pairs(args)
 
 
 if __name__ == "__main__":
