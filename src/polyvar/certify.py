@@ -548,21 +548,6 @@ def check_calmness_constraint(spec: ConstraintSystemSpec, order: str = "first") 
 # -- adjoint strata ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _AdjointStratum:
-    """One nontrivial (q, u) cell of a stratum, with the stratum's
-    coderivative piece and adjoint solution cone.  A constraint system's
-    strata are the direction strata of D; a variational system's are the
-    face pairs F2 ⊆ F1 of the critical cone, one per difference cone
-    Kd = F1 - F2, with cells (F2, F1)."""
-
-    label: str
-    case_label: str  # the stratum's label
-    sample: QVector  # a nonzero (q, u) direction of the cell
-    piece: PolyCone  # difference cone Kd (variational) or normal-cone piece (constraint)
-    adjoint: PolyCone  # solution cone in v*-space
-
-
 def _solution_pieces(spec) -> tuple[PolyCone, ...]:
     """Solution cones of the linearized system in (q, u) space.
 
@@ -614,11 +599,11 @@ def _variational_adjoint_cone(spec: VariationalSystemSpec, kd: PolyCone) -> Poly
 
 
 def _graph_strata(spec: VariationalSystemSpec):
-    """(label, Kd, adjoint cone, (q, u) cells: faces of ``_graph_cone``) for
-    each difference cone Kd = F1 - F2 of the face pairs of the critical cone
-    that has a nontrivial cell, in first-occurrence order and labelled after
-    the first pair that gives it a cell.  A pair whose F2 has a trivial
-    solution piece gives none, since its cell (F2, F1) lies inside it."""
+    """(label, Kd, (q, u) cells: faces of ``_graph_cone``) for each
+    difference cone Kd = F1 - F2 of the face pairs of the critical cone, in
+    first-occurrence order and labelled after the first pair that gives it a
+    cell.  A pair whose F2 has a trivial solution piece gives none, since its
+    cell (F2, F1) lies inside it."""
     gp = spec.graph_point()
     zero = (0,) * spec.n
     by_kd: dict[PolyCone, tuple[str, list[PolyCone]]] = {}
@@ -630,26 +615,29 @@ def _graph_strata(spec: VariationalSystemSpec):
             by_kd[kd] = (f"pair F1={sorted(f1.active_set)}, F2={sorted(f2.active_set)}", [])
         by_kd[kd][1].append(_graph_cell(spec, f2.active_set, f1.active_set))
     for kd, (label, cells) in by_kd.items():
-        if not all(c.is_trivial() for c in cells):
-            yield label, kd, _variational_adjoint_cone(spec, kd), cells
+        yield label, kd, cells
 
 
 @_per_spec
-def _adjoint_strata(spec) -> tuple[_AdjointStratum, ...]:
-    """Direction-stratified adjoint inclusions: one per nontrivial (q, u)
-    cell of each stratum, sharing the stratum's piece and adjoint cone."""
+def _adjoint_strata(spec) -> tuple[tuple, ...]:
+    """The direction-stratified adjoint inclusions, one record per stratum:
+    (label, coderivative piece, adjoint cone in v*-space, ((i, (q, u)), ...))
+    with a nonzero direction (q, u) of each nontrivial (q, u) cell i.  A
+    constraint system's strata are the direction strata of D, with the
+    normal-cone piece N and the adjoint cone ker Jx^T ∩ N; a variational
+    system's are the difference cones Kd = F1 - F2 of the face pairs
+    F2 ⊆ F1 of the critical cone, with cells (F2, F1).  A stratum is kept,
+    and its adjoint cone built, only when one of its cells is nontrivial."""
     if spec.kind == "constraint":
-        sources = (
-            (s.label, s.normal, _kernel_meet(spec, s.normal), [_qu_pullback(spec, qc) for qc in s.reach])
-            for s in _strata(spec)
-        )
+        sources = ((s.label, s.normal, [_qu_pullback(spec, qc) for qc in s.reach]) for s in _strata(spec))
+        adjoint_of = _kernel_meet
     else:
-        sources = _graph_strata(spec)
-    strata: list[_AdjointStratum] = []
-    for label, piece, adjoint, cells in sources:
-        for idx, cell in enumerate(cells):
-            if not cell.is_trivial():
-                strata.append(_AdjointStratum(f"{label} / cell {idx}", label, pick_nonzero(cell), piece, adjoint))
+        sources, adjoint_of = _graph_strata(spec), _variational_adjoint_cone
+    strata = []
+    for label, piece, cells in sources:
+        samples = tuple((i, _split_qu(pick_nonzero(c), spec.l)) for i, c in enumerate(cells) if not c.is_trivial())
+        if samples:
+            strata.append((label, piece, adjoint_of(spec, piece), samples))
     return tuple(strata)
 
 
@@ -718,34 +706,27 @@ def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) 
         )
 
     jpt = _w_map_T(spec)[: spec.l]  # a multiple of ±Jp^T
-    cases: dict[str, list[dict]] = {}
-    for st in _adjoint_strata(spec):
+    cases = []
+    for case, piece, adjoint, cells in _adjoint_strata(spec):
         if mode == "corollary":
-            ok = st.adjoint.is_trivial()
-            offender = None if ok else pick_nonzero(st.adjoint)
+            offender = pick_nonzero(adjoint)
         else:
-            gens = zip(st.adjoint.generators(), st.adjoint._int_generators())
+            gens = zip(adjoint.generators(), adjoint._int_generators())
             offender = next((g for g, gi in gens if any(_apply(jpt, gi))), None)
-            ok = offender is None
-        q, u = _split_qu(st.sample, spec.l)
-        entry = {
-            "adjoint_stratum": st.label,
-            "sample_direction": {"q": vec_plain(q), "u": vec_plain(u)},
-            "coderivative_piece": cone_plain(st.piece),
-            "adjoint_cone": cone_plain(st.adjoint),
-            "trivial": st.adjoint.is_trivial(),
-            "outcome": "ok" if ok else "violated",
+        shared = {
+            "coderivative_piece": cone_plain(piece),
+            "adjoint_cone": cone_plain(adjoint),
+            "trivial": adjoint.is_trivial(),
+            "outcome": "ok" if offender is None else "violated",
         }
-        cases.setdefault(st.case_label, []).append(entry)
-        if not ok:
-            witnesses.append(Witness(st.label, offender, u=u, q=q))
-    trace.append(
-        {
-            "phase": "B (direction-stratified adjoint inclusions)",
-            "mode": mode,
-            "cases": [{"case": c, "adjoint_inclusions": v} for c, v in cases.items()],
-        }
-    )
+        inclusions = []
+        for i, (q, u) in cells:
+            label = f"{case} / cell {i}"
+            inclusions.append({"adjoint_stratum": label, "sample_direction": {"q": vec_plain(q), "u": vec_plain(u)}, **shared})
+            if offender is not None:
+                witnesses.append(Witness(label, offender, u=u, q=q))
+        cases.append({"case": case, "adjoint_inclusions": inclusions})
+    trace.append({"phase": "B (direction-stratified adjoint inclusions)", "mode": mode, "cases": cases})
     status = NOT_CERTIFIED if witnesses else HOLDS
     return Certificate(status, tuple(witnesses), trace=tuple(trace), notes=tuple(notes))
 
@@ -758,17 +739,15 @@ def check_foscms_joint(spec) -> Certificate:
     Computed once per spec: theorem-mode ``check_aubin`` reads it too."""
     witnesses = []
     trace = []
-    for st in _adjoint_strata(spec):
-        joint = _joint_adjoint(spec, st.adjoint)
-        rec = {
-            "adjoint_stratum": st.label,
-            "joint_adjoint_cone": cone_plain(joint),
-            "outcome": "ok" if joint.is_trivial() else "violated",
-        }
-        trace.append(rec)
-        if not joint.is_trivial():
-            q, u = _split_qu(st.sample, spec.l)
-            witnesses.append(Witness(st.label, pick_nonzero(joint), u=u, q=q))
+    for case, _, adjoint, cells in _adjoint_strata(spec):
+        joint = _joint_adjoint(spec, adjoint)
+        offender = pick_nonzero(joint)
+        shared = {"joint_adjoint_cone": cone_plain(joint), "outcome": "ok" if offender is None else "violated"}
+        for i, (q, u) in cells:
+            label = f"{case} / cell {i}"
+            trace.append({"adjoint_stratum": label, **shared})
+            if offender is not None:
+                witnesses.append(Witness(label, offender, u=u, q=q))
     status = NOT_CERTIFIED if witnesses else HOLDS
     return Certificate(status, tuple(witnesses), trace=tuple(trace))
 

@@ -600,6 +600,42 @@ def test_metamorphic_foscms_implies_soscms():
                 replay_soscms_witness(spec, w)
 
 
+@pytest.mark.parametrize("mode", ("corollary", "theorem"))
+def test_phase_b_and_the_joint_check_read_one_record_per_stratum(mode):
+    # a Phase B case is one stratum: its inclusions share the stratum's
+    # piece, adjoint cone and outcome, and are its nontrivial (q, u) cells
+    # in index order; the joint check has one record per inclusion, in order
+    shared = ("coderivative_piece", "adjoint_cone", "trivial", "outcome")
+    specs = [ex3_spec(), ex5_spec()] + random_constraint_specs() + random_variational_specs()
+    seen = set()
+    for spec in specs:
+        aubin = check_aubin(spec, mode, assume_subregular=True)
+        joint_labels = [r["adjoint_stratum"] for r in check_foscms_joint(spec).trace]
+        phase_b = [r for r in aubin.trace if r.get("phase", "").startswith("B")]
+        if not phase_b:
+            assert aubin.refuted
+            continue
+        labels = []
+        for case in phase_b[0]["cases"]:
+            inclusions = case["adjoint_inclusions"]
+            assert inclusions
+            assert all({k: e[k] for k in shared} == {k: inclusions[0][k] for k in shared} for e in inclusions)
+            prefix = case["case"] + " / cell "
+            assert all(e["adjoint_stratum"].startswith(prefix) for e in inclusions)
+            cells = [int(e["adjoint_stratum"][len(prefix):]) for e in inclusions]
+            assert cells == sorted(set(cells))
+            labels += [e["adjoint_stratum"] for e in inclusions]
+            seen.add((spec.kind, len(inclusions) > 1, inclusions[0]["outcome"]))
+        assert joint_labels == labels
+        assert [w.stratum for w in aubin.witnesses] == [
+            e["adjoint_stratum"] for c in phase_b[0]["cases"] for e in c["adjoint_inclusions"] if e["outcome"] == "violated"
+        ]
+    # both kinds, strata of several cells, and both outcomes are exercised
+    assert {kind for kind, _, _ in seen} == {"constraint", "variational"}
+    assert any(many for _, many, _ in seen)
+    assert {outcome for _, _, outcome in seen} == {"ok", "violated"}
+
+
 def test_metamorphic_aubin_corollary_implies_theorem():
     for spec in [ex5_spec()] + random_variational_specs() + random_constraint_specs(4):
         cor = check_aubin(spec, "corollary")
@@ -752,7 +788,7 @@ def test_zero_direction_face_pairs_make_no_ints_call(monkeypatch):
         real = module._ints
         monkeypatch.setattr(module, "_ints", lambda v, real=real: calls.append(v) or real(v))
     assert len(limiting_normal_graph(gp).pieces) == 3 ** 3
-    assert len(list(certify._graph_strata(spec))) == 2 * 3 ** 2
+    assert len(certify._adjoint_strata(spec)) == 2 * 3 ** 2
     assert calls == []
 
 

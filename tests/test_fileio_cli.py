@@ -737,12 +737,20 @@ def test_cli_cones_and_graph_normal(capsys):
     capsys.readouterr()
 
 
-def test_cli_oracle_matches(capsys):
-    ex3 = bundled_problem_path("ex3.json")
-    assert run_command(["oracle", ex3, "--dir", "1,0,-1,-1"]) == 0
-    ex5 = bundled_problem_path("ex5.json")
-    assert run_command(["oracle", ex5, "--dir=-1,0;0,0"]) == 0
-    capsys.readouterr()
+# ex3 at 0 and at 1,0,0,0, where only piece 0 of D contains the point, and
+# ex5 at three graph directions
+ORACLE_RUNS = [
+    ("ex3.json", f"--at={at}", f"--dir={w}")
+    for at in ("0,0,0,0", "1,0,0,0")
+    for w in ("0,0,0,0", "1,0,-1,-1", "0,1,0,0", "-1,0,0,0")
+] + [("ex5.json", f"--dir={d}") for d in ("0,0;0,0", "-1,0;0,0", "0,0;1,0")]
+
+
+@pytest.mark.parametrize("argv", ORACLE_RUNS, ids=lambda argv: " ".join(argv).replace("--", ""))
+def test_cli_oracle_matches(capsys, argv):
+    file, *options = argv
+    assert run_command(["oracle", bundled_problem_path(file), *options]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "MATCH"
 
 
 def test_cli_one_value_in_two_spellings_prints_the_same_bytes(capsys):
