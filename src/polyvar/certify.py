@@ -40,7 +40,7 @@ from typing import Sequence
 
 from .cones import PolyCone, _dd_steps, _exposed_face, _of_rows, _projected, cone_plain, open_cell, pick_nonzero
 from .graphmap import GraphPoint, _assemble, _tangent, face_pairs
-from .linalg import IntVec, QMatrix, QVector, _cleared, _dot, _echelon_kernel, _ints, _kernel, _neg, _reduce, vec_plain
+from .linalg import IntVec, QMatrix, QVector, _cleared, _dot, _echelon, _echelon_kernel, _ints, _neg, _reduce, vec_plain
 from .sets import ConeUnion, InfeasibleError, Polyhedron, direction_strata, union_tangent_cone
 
 HOLDS = "holds"
@@ -314,35 +314,6 @@ def covers_space(pieces: Sequence[PolyCone], dim: int) -> tuple[bool, QVector | 
 # -- quadratic-form sign analysis (for the second order condition) -----------------
 
 
-def _nonneg_direction(m: Sequence[IntVec]) -> IntVec | None:
-    """Coefficients c != 0 with c^T m c >= 0 for the symmetric integer
-    matrix m, or None exactly when m is negative definite.
-
-    Elimination without row exchanges: while the leading principal minors
-    d_1, ..., d_(k-1) are nonzero, pivot k is d_k / d_(k-1).  By Sylvester's
-    criterion m is negative definite iff every pivot is negative, so the
-    pass stops at the first k with d_k d_(k-1) >= 0; fraction-free Bareiss
-    elimination (Bareiss 1968) gives d_k as pivot entry k.  There the leading
-    k x k block A is negative definite, hence invertible, and with
-    b = m[:k, k] the vector c = (-A^-1 b, 1, 0, ...) has
-    c^T m c = m[k][k] - b^T A^-1 b, which is that pivot.  The kernel of
-    [A | b] is the line through (-A^-1 b, 1), so c is returned as its
-    primitive integer vector, positive at k.
-    """
-    rows = [list(r) for r in m]
-    prev = 1  # d_0
-    for k, pr in enumerate(rows):
-        pv = pr[k]  # d_(k+1)
-        if pv * prev >= 0:
-            (head,) = _kernel([_reduce(r[: k + 1]) for r in m[:k]], k + 1)
-            return head + (0,) * (len(rows) - k - 1)
-        for i in range(k + 1, len(rows)):
-            mi, f = rows[i], rows[i][k]
-            rows[i] = [(pv * x - f * y) // prev for x, y in zip(mi, pr)]
-        prev = pv
-    return None
-
-
 def _restrict_form(q: Sequence[IntVec], basis: Sequence[IntVec]) -> tuple[IntVec, ...]:
     qb = [_apply(q, g) for g in basis]
     return tuple(tuple(_dot(g, qg) for qg in qb) for g in basis)
@@ -361,41 +332,36 @@ def _negativity_on_cone(q: Sequence[IntVec], cone: PolyCone) -> IntVec | None:
     """A nonzero integer u in the cone with u^T q u >= 0, or None when the
     integer form q is strictly negative on the cone minus the origin.
 
-    Write the cone as cone(R) + span(L), the canonical rays R pointed and
-    orthogonal to L.  If the form is not negative definite on span(L), that
-    subspace holds a witness.  Otherwise the maximum of u^T q u over
-    u = R lam + L c, lam in the simplex and c free, is attained, and a
-    violation exists iff it is >= 0.  At a maximiser with support J the KKT
-    conditions give R_J^T q u = mu 1 and L^T q u = 0 with lam_J > 0 and
-    mu = u^T q u.  Conversely every solution of that homogeneous system with
-    mu >= 0 is a witness, since u^T q u = mu sum(lam) and R_J lam != 0.  So
-    one feasibility test per support decides the question exactly (the
+    The cone is cone(G), for G its canonical lineality rows, each as l and
+    -l, then its canonical rays.  Each support J of s <= dim linearly
+    independent generators, smallest first, gets one feasibility test of the
+    KKT system G_J^T q G_J lam = mu 1, lam > 0, mu >= 0 (the
     principal-submatrix criteria of Cottle, Habetler and Lemke, and of
-    Väliaho, 1986).  Singletons come first, so a ray with r^T q r >= 0 on a
-    pointed cone is its own witness.
+    Väliaho, 1986); dependent supports are skipped.  The test is sound: a
+    solution gives u = G_J lam, nonzero as G_J is independent, with
+    u^T q u = mu sum(lam) >= 0.  It is complete: a witness scales into
+    conv(G), by Carathéodory it is G_J lam' for an independent G_J and
+    lam' > 0, so the maximum of lam^T G_J^T q G_J lam over the simplex of J
+    is >= 0; it is attained in the relative interior of the simplex of some
+    J' ⊆ J, where the KKT system of J' holds with mu the maximum.
+    Independence also keeps out u = 0, which l and -l put in conv(G).  A
+    generator with g^T q g >= 0 is its own witness.
     """
     rays, lin = cone._v
-    if lin:
-        c = _nonneg_direction(_restrict_form(q, lin))
-        if c is not None:
-            return _lift(lin, c)
-    if not rays:
-        return None
-    gens = rays + lin
+    gens = [g for v in lin for g in (v, _neg(v))] + list(rays)
     gram = _restrict_form(q, gens)
-    free = tuple(range(len(rays), len(gens)))
-    for size in range(1, len(rays) + 1):
-        for support in combinations(range(len(rays)), size):
-            # variables (lam_J, c, mu)
-            idx = support + free
-            dim = len(idx) + 1
-            eqs = [_reduce([gram[t][j] for j in idx] + [-1]) for t in support]
-            eqs += [_reduce([gram[t][j] for j in idx] + [0]) for t in free]
-            strict = [tuple(-int(j == i) for j in range(dim)) for i in range(size)]
-            cell = open_cell(dim, [(0,) * (dim - 1) + (-1,)], eqs, strict)
+    for size in range(1, min(len(gens), cone.dim) + 1):
+        for support in combinations(range(len(gens)), size):
+            picked = [gens[j] for j in support]
+            if len(_echelon(picked, cone.dim)[0]) < size:
+                continue
+            # variables (lam_J, mu)
+            eqs = [_reduce([gram[t][j] for j in support] + [-1]) for t in support]
+            strict = [tuple(-int(j == i) for j in range(size + 1)) for i in range(size)]
+            cell = open_cell(size + 1, [(0,) * size + (-1,)], eqs, strict)
             if cell is not None:
                 z = [sum(x) for x in zip(*cell._v[0])]  # a point of the cell
-                return _lift([gens[j] for j in idx], z[:-1])
+                return _lift(picked, z[:-1])
     return None
 
 
@@ -861,6 +827,8 @@ def check_second_order_directional_subregularity(spec, u: QVector, gpp: QVector 
     linear functional <., gpp> is strictly negative on each of its extreme
     rays.
     """
+    if u.dim != spec.n:
+        raise ValueError("matvec dimension mismatch")  # the error of the rational Jx u
     if u.is_zero():
         raise PreconditionError("direction u must be nonzero")
     if gpp is None:

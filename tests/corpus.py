@@ -24,27 +24,31 @@ def rng(seed: int) -> random.Random:
 
 
 @contextmanager
-def counting_dd():
-    """The list of the arguments of every pass of the double description
-    step loop (``cones._dd_steps``) made inside: one per conversion, cold
-    (``cones._dd``) or continued (``PolyCone.intersect``, a step of
-    ``sets.direction_strata``).  Every module that bound the loop sees the
-    counting one."""
+def counting_calls(name: str):
+    """The list of the arguments of every call of ``cones.<name>`` made
+    inside.  Every module that bound the function sees the counting one."""
     calls = []
-    real = cones._dd_steps
+    real = getattr(cones, name)
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    bound = [m for name, m in sys.modules.items() if name.startswith("polyvar.") and vars(m).get("_dd_steps") is real]
+    bound = [m for n, m in sys.modules.items() if n.startswith("polyvar.") and vars(m).get(name) is real]
     for m in bound:
-        m._dd_steps = counted
+        setattr(m, name, counted)
     try:
         yield calls
     finally:
         for m in bound:
-            m._dd_steps = real
+            setattr(m, name, real)
+
+
+def counting_dd():
+    """``counting_calls`` of the double description step loop
+    (``cones._dd_steps``): one pass per conversion, cold (``cones._dd``) or
+    continued (``PolyCone.intersect``, a step of ``sets.direction_strata``)."""
+    return counting_calls("_dd_steps")
 
 
 def random_cone(r: random.Random, dim: int) -> PolyCone:
@@ -378,6 +382,23 @@ def cross_polytope_spec(n: int) -> VariationalSystemSpec:
         Jx=[[int(i == j) for j in range(n)] for i in range(n)],
         gamma=Polyhedron(n, A=[list(s) for s in product((1, -1), repeat=n)], b=[1] * 2**n),
         xbar=[-int(i == 0) for i in range(n)], ybarstar=[0] * n,
+    )
+
+
+def polygon_cone(r: int) -> ConstraintSystemSpec:
+    """D = P_r x R_- in R^4 at 0, for P_r the cone over the r-gon with
+    vertices (t, t^2), t = 0..r-1: the rays (t, t^2, 1).  l = 1, Jp = 0,
+    Jx = [I_3; 0], and the Hessians are 0, 0, 0 and -I."""
+    facets = PolyCone.from_generators(3, [[t, t * t, 1] for t in range(r)]).ineqs
+    rows = [[*a.entries, 0] for a in facets] + [[0, 0, 0, 1]]
+    zero = [[0] * 3] * 3
+    return ConstraintSystemSpec(
+        l=1, n=3, m=4,
+        Jp=[[0]] * 4,
+        Jx=[[int(i == j) for j in range(3)] for i in range(4)],
+        g0=[0] * 4,
+        D=UnionSet([Polyhedron(4, rows, [0] * len(rows))]),
+        hessians=[zero, zero, zero, [[-int(i == j) for j in range(3)] for i in range(3)]],
     )
 
 

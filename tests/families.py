@@ -11,19 +11,23 @@ prints each family's time.
 
 import sys
 import time
+from math import comb
 from typing import Callable, NamedTuple
 
 from corpus import (
     admissible_complementarity,
     complementarity,
+    counting_calls,
     counting_dd,
     cross_polytope_spec,
     orthant_spec,
     parametric_complementarity,
+    polygon_cone,
     refuted_orthant,
     singular_orthant,
 )
 from polyvar.certify import (
+    HOLDS,
     NOT_CERTIFIED,
     _adjoint_strata,
     _phase_a,
@@ -108,6 +112,42 @@ def check_one_pair(k: int) -> tuple:
     return spec, second
 
 
+def check_polygon_cone(r: int) -> tuple:
+    """``polygon_cone(r)``, r >= 3: returns the spec and its FOSCMS and
+    SOSCMS certificates.
+
+    D is one convex cone, so its strata are the relative interiors of its
+    faces F x G, with F = {0}, one of the r rays, one of the r edges or P_r,
+    and G = {0} or R_-: 4r + 4 strata.  ker Jx^T is the line of e_4, which
+    the normal cone N_F x N_G meets in the ray of e_4 when G = {0} and in
+    {0} when G = R_-.  The u-cell of F x G is F, nontrivial unless F = {0}.
+    So the 2r + 1 strata F x {0} with F != {0} violate the first order
+    condition, and check_foscms is not certified; the other 2r + 3 pass at
+    first order.  On those 2r + 1, v* = e_4 contracts the Hessians to -I,
+    which is negative on F minus the origin, so check_soscms holds after
+    trying every linearly independent support of F's rays, one
+    ``open_cell`` each: 1 for a ray, 3 for an edge, and r + C(r, 2) +
+    C(r, 3) for P_r, as any three of its rays are independent (a
+    Vandermonde determinant).  That is r + C(r, 2) + C(r, 3) + 4r calls,
+    where trying every support of rays would take 2^r - 1 + 4r.
+    """
+    spec = polygon_cone(r)
+    first = check_foscms(spec)
+    with counting_calls("open_cell") as cells:
+        second = check_soscms(spec)
+    outcomes = [rec["outcome"] for rec in second.trace]
+    counts = (
+        len(first.trace),
+        len(first.witnesses),
+        second.status,
+        outcomes.count("ok (quadratic term negative)"),
+        outcomes.count("ok (first order)"),
+        len(cells),
+    )
+    assert counts == (4 * r + 4, 2 * r + 1, HOLDS, 2 * r + 1, 2 * r + 3, r + comb(r, 2) + comb(r, 3) + 4 * r), counts
+    return spec, first, second
+
+
 # cells the depth-first cover test converts before it finds its gap: the
 # Jacobians are seeded, so these are pinned, not derived
 PHASE_A_CELLS = {4: 13, 6: 15, 8: 59}
@@ -190,6 +230,7 @@ FAMILIES = {
     "orthant": Family(check_orthant, (2, 3, 4), (6, 7, 8)),
     "admissible": Family(check_admissible, (3, 4), (6,)),
     "one-pair": Family(check_one_pair, (4,), (6,)),
+    "polygon-cone": Family(check_polygon_cone, (6, 8, 10), (20, 24)),
     "phase-a": Family(check_phase_a, (4,), (6, 8)),
     "refuted-orthant": Family(check_refuted_orthant, (2, 3, 4), (10,)),
     "singular-orthant": Family(check_singular_orthant, (2, 3, 4), (8,)),

@@ -3,10 +3,13 @@ against ``tests/golden/stream-sha256.txt``, the fingerprint it compares op
 outputs by, and a smoke run of ``pairs``: the working tree against itself,
 loaded twice, on two stream ops of every workload.  The smoke run checks the
 schema of the JSON the tool writes and that both sides return equal outputs
-on every op; it asserts no timing."""
+on every op; it asserts no timing.  A second run of ``pairs``, against a
+copy of the package whose report text is altered, checks the ops it names
+on stderr."""
 
 import importlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -77,3 +80,23 @@ def test_pairs_writes_its_schema_and_equal_outputs(tmp_path):
         assert 0 <= run["head_faster_passes"] <= 2
         times = [run["base_s"], run["head_s"], *(p[k] for p in run["passes"] for k in ("base_s", "head_s"))]
         assert all(isinstance(t, float) and t >= 0 for t in times)
+
+
+def test_pairs_names_the_ops_whose_outputs_differ(tmp_path):
+    # the base is a copy of the package whose report text says "check:" twice
+    shutil.copytree(ROOT / "src" / "polyvar", tmp_path / "src" / "polyvar")
+    fileio = tmp_path / "src" / "polyvar" / "fileio.py"
+    text = fileio.read_text(encoding="utf-8")
+    assert text.count('f"check: {check}"') == 1
+    fileio.write_text(text.replace('f"check: {check}"', 'f"check: check: {check}"'), encoding="utf-8")
+    out = tmp_path / "bench.json"
+    command = [sys.executable, str(ROOT / "tools" / "bench.py"), "pairs", "--base-src", str(tmp_path / "src")]
+    command += ["--workload", "constraint-strata", "--seed", "5", "--ops", "12", "--passes", "1", "--out", str(out)]
+    done = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 1, done.stderr
+    (run,) = json.loads(out.read_text(encoding="utf-8"))["runs"]
+    names = [row[0] for row in run["per_op"]["rows"]]
+    assert run["same"] == {"text": False, "json": True, "json_value": True, "cones": True}
+    summary, *listed = done.stderr.splitlines()
+    assert summary.startswith("constraint-strata seed 5: 12 ops x 1 passes")
+    assert listed == [f"  {name} differs in text" for name in names[:10]] + ["  and 2 more ops differ"]

@@ -669,6 +669,14 @@ def test_admissible_complementarity_in_one_pair_reaches_both_quadratic_outcomes(
         replay_soscms_witness(spec, w)
 
 
+@pytest.mark.parametrize("r", FAMILIES["polygon-cone"].tier1)
+def test_polygon_cone_holds_at_second_order_over_independent_supports(r):
+    spec, first, second = FAMILIES["polygon-cone"].check(r)
+    for w in first.witnesses:
+        replay_foscms_witness(spec, w)
+    assert second.holds() and not second.witnesses
+
+
 @pytest.mark.parametrize("n", FAMILIES["singular-orthant"].tier1)
 def test_singular_orthant_fails_phase_b_without_refutation(n):
     spec, aubin, joint = FAMILIES["singular-orthant"].check(n)
@@ -1170,8 +1178,9 @@ def test_directions_of_the_wrong_length_raise_the_rational_errors():
         for check in (
             lambda u: check_directional_metric_regularity(spec, u, QVector.zero(m)),
             lambda u: check_second_order_directional_subregularity(spec, u, QVector([-1] * m)),
+            lambda u: check_second_order_directional_subregularity(spec, u),
         ):
-            for u in (QVector([1, 0, 0]), QVector([1])):
+            for u in (QVector([1, 0, 0]), QVector([1]), QVector([0, 0, 0]), QVector([0])):
                 with pytest.raises(ValueError, match="^matvec dimension mismatch$"):
                     check(u)
     with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):  # Jx u - v

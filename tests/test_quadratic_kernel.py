@@ -3,26 +3,32 @@
 The decision is exact: ``_negativity_on_cone`` returns None when the form is
 strictly negative on the cone minus the origin, and otherwise a witness: a
 nonzero primitive integer vector of the cone on which the form is
-nonnegative.  ``_nonneg_direction`` is its subspace part: coefficients with
-c^T m c >= 0, or None exactly when m is negative definite.  Forms are
-integer matrices and directions integer tuples: each rational matrix below
-is scaled by one positive integer (``ints``), which keeps every sign.
+nonnegative.  It reads a lineality row l as the two generators l and -l, so
+on the subspace R^n (``whole``) it decides negative definiteness, which
+Sylvester's criterion checks.  A test-local reference tries every nonempty
+set of generators, dependent ones too.  Forms are integer matrices and
+directions integer tuples: each rational matrix below is scaled by one
+positive integer (``ints``), which keeps every sign.
 """
 
 from fractions import Fraction as F
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyvar.certify import _form_value, _negativity_on_cone, _nonneg_direction
-from polyvar.cones import PolyCone
-from polyvar.linalg import QMatrix, QVector
+from polyvar.certify import _form_value, _lift, _negativity_on_cone, _restrict_form
+from polyvar.cones import PolyCone, open_cell
+from polyvar.linalg import QMatrix, QVector, _neg, _reduce
 
 
 def orthant(n):
     return PolyCone.from_ineqs(n, [[-(i == j) for j in range(n)] for i in range(n)])
+
+
+def whole(n):
+    return PolyCone.from_generators(n, lin=[[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def ints(m):
@@ -78,7 +84,7 @@ def test_three_rays_all_cross_nonpositive_certified():
 
 def test_three_rays_span_negative_definite_certified():
     q = ints([[-2, F(1, 2), 0], [F(1, 2), -2, 0], [0, 0, -1]])
-    assert _nonneg_direction(q) is None
+    assert _negativity_on_cone(q, whole(3)) is None
     assert _negativity_on_cone(q, orthant(3)) is None
 
 
@@ -89,7 +95,7 @@ def test_negative_on_orthant_though_indefinite_on_span():
     # At n = 10 all 1023 supports are tried, none feasible.
     for n in (3, 10):
         q = ints([[-1 if i == j else (F(9, 10) if {i, j} == {0, 1} else -2) for j in range(n)] for i in range(n)])
-        assert _nonneg_direction(q) is not None
+        violation(q, whole(n))
         assert _form_value(q, (1, 1, -2) + (0,) * (n - 3)) > 0
         assert _negativity_on_cone(q, orthant(n)) is None
 
@@ -131,10 +137,52 @@ def test_neg_definite_matches_sylvester(m):
     # principal minor d_k, here by the Leibniz formula
     rows = [r.entries for r in m.rows]
     minors = [leibniz_det([r[:k] for r in rows[:k]]) for k in range(1, m.nrows + 1)]
-    c = _nonneg_direction(ints(m))
+    c = _negativity_on_cone(ints(m), whole(m.nrows))
     assert (c is None) == all((-1) ** k * d > 0 for k, d in enumerate(minors, 1))
     if c is not None:
         assert len(c) == m.nrows and any(c) and _form_value(ints(m), c) >= 0
+
+
+def every_support(q, cone):
+    """A witness from the KKT system of every nonempty set J of generators,
+    dependent ones too, or None.  A dependent G_J can vanish on a solution
+    (on l and -l every solution gives u = 0), so J counts only when a ray of
+    its solutions' closure lifts to u != 0; that ray, with lam >= 0 and
+    mu >= 0, is itself a witness, as u^T q u = mu sum(lam)."""
+    rays, lin = cone._v
+    gens = [g for v in lin for g in (v, _neg(v))] + list(rays)
+    gram = _restrict_form(q, gens)
+    for size in range(1, len(gens) + 1):
+        for support in combinations(range(len(gens)), size):
+            eqs = [[gram[t][j] for j in support] + [-1] for t in support]
+            strict = [tuple(-int(j == i) for j in range(size + 1)) for i in range(size)]
+            cell = open_cell(size + 1, [(0,) * size + (-1,)], [_reduce(e) for e in eqs], strict)
+            for r in cell._v[0] if cell is not None else ():
+                u = _lift([gens[j] for j in support], r[:-1])
+                if any(u):
+                    return u
+    return None
+
+
+@st.composite
+def cones_and_forms(draw):
+    """A cone in R^2..R^4 from up to dim + 3 rays and up to 2 lineality
+    vectors, and a small symmetric integer form on it."""
+    n = draw(st.integers(2, 4))
+    vectors = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+    rays, lin = draw(st.lists(vectors, max_size=n + 3)), draw(st.lists(vectors, max_size=2))
+    return PolyCone.from_generators(n, rays, lin), ints(draw(symmetric_matrices(n, n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cones_and_forms())
+def test_independent_supports_decide_as_every_support_does(case):
+    cone, q = case
+    want = every_support(q, cone)
+    assert (_negativity_on_cone(q, cone) is None) == (want is None)
+    if want is not None:
+        assert cone.contains(QVector(want)) and _form_value(q, want) >= 0
+        violation(q, cone)
 
 
 small_vectors = st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(any)

@@ -38,6 +38,10 @@ revisions, and per workload and seed:
   ``json_value`` (the JSON block parsed) and ``cones`` (the fingerprint),
   per op and over all ops;
 * the ops that failed perfbench's known-answer checks, per side.
+
+On stderr it prints one summary line per workload and seed, then the names
+of up to 10 ops whose outputs differ, each with the parts that differ, and
+a count of the rest.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ UNPACKED = ROOT / ".bench"
 GOLDEN = ROOT / "tests" / "golden" / "stream-sha256.txt"
 DIGEST_SEED = 6161
 DIGEST_OPS = 200
+SHOWN = 10  # ops whose outputs differ, named on stderr per workload and seed
 CLOCK = time.process_time
 
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -307,6 +312,12 @@ def cmd_pairs(args) -> int:
                     f"({', '.join(f'{part} {same}' for part, same in run['same'].items())})",
                     file=sys.stderr,
                 )
+                differ = [row for row in run["per_op"]["rows"] if not row[4]]
+                for row in differ[:SHOWN]:
+                    parts = [part for part, same in zip(PARTS, row[5:]) if not same]
+                    print(f"  {row[0]} differs in {', '.join(parts)}", file=sys.stderr)
+                if len(differ) > SHOWN:
+                    print(f"  and {len(differ) - SHOWN} more ops differ", file=sys.stderr)
                 runs.append(run)
     _purge()
     result = {
