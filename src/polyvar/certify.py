@@ -61,7 +61,8 @@ def _per_spec(fn):
     spec's memo under ``(fn.__name__, *args)``: the one cache of geometry
     derived from a spec.  Specs are immutable, so a memoised value (a tuple
     or an immutable object, only read) stays valid while its spec lives and
-    dies with it; arguments are cones or active sets, never rationals.
+    dies with it; arguments are cones, active sets or primitive integer
+    directions, never rationals.
     """
     name = fn.__name__
 
@@ -332,23 +333,37 @@ def _negativity_on_cone(q: Sequence[IntVec], cone: PolyCone) -> IntVec | None:
     """A nonzero integer u in the cone with u^T q u >= 0, or None when the
     integer form q is strictly negative on the cone minus the origin.
 
-    The cone is cone(G), for G its canonical lineality rows, each as l and
-    -l, then its canonical rays.  Each support J of s <= dim linearly
-    independent generators, smallest first, gets one feasibility test of the
-    KKT system G_J^T q G_J lam = mu 1, lam > 0, mu >= 0 (the
-    principal-submatrix criteria of Cottle, Habetler and Lemke, and of
-    Väliaho, 1986); dependent supports are skipped.  The test is sound: a
-    solution gives u = G_J lam, nonzero as G_J is independent, with
+    The cone is cone(R) + L, R its canonical rays and L the span of its
+    canonical lineality rows.  One q-orthogonal pass splits L off: the first
+    row b, with d = b^T q b, is a witness if d >= 0; if not, every later row
+    and every ray v becomes the primitive form of (-d) v + (v^T q b) b,
+    q-orthogonal to b.  If every d < 0, q is negative definite on L, and the
+    rays so projected, R', are q-orthogonal to L with cone(R') + L the cone.
+    So each u in it is r + l, r in cone(R') and l in L, with
+    u^T q u = r^T q r + l^T q l <= r^T q r, and equality iff l = 0: r
+    maximises the form over u + L (a Schur complement), and as r = 0 leaves
+    u^T q u < 0, the cone has a witness iff cone(R') has one.
+
+    Each support J of s <= dim linearly independent rays G_J of R',
+    smallest first, gets one feasibility test of the KKT system
+    G_J^T q G_J lam = mu 1, lam > 0, mu >= 0 (the principal-submatrix
+    criteria of Cottle, Habetler and Lemke, and of Väliaho, 1986);
+    dependent supports are skipped.  The test is sound: a solution gives
+    u = G_J lam, nonzero as G_J is independent, with
     u^T q u = mu sum(lam) >= 0.  It is complete: a witness scales into
-    conv(G), by Carathéodory it is G_J lam' for an independent G_J and
+    conv(R'), by Carathéodory it is G_J lam' for an independent G_J and
     lam' > 0, so the maximum of lam^T G_J^T q G_J lam over the simplex of J
     is >= 0; it is attained in the relative interior of the simplex of some
     J' ⊆ J, where the KKT system of J' holds with mu the maximum.
-    Independence also keeps out u = 0, which l and -l put in conv(G).  A
-    generator with g^T q g >= 0 is its own witness.
     """
-    rays, lin = cone._v
-    gens = [g for v in lin for g in (v, _neg(v))] + list(rays)
+    gens, lin = cone._v
+    while lin:
+        b, *lin = lin
+        qb = _apply(q, b)
+        d = _dot(b, qb)
+        if d >= 0:
+            return b
+        lin, gens = [[_reduce([-d * x + _dot(v, qb) * y for x, y in zip(v, b)]) for v in part] for part in (lin, gens)]
     gram = _restrict_form(q, gens)
     for size in range(1, min(len(gens), cone.dim) + 1):
         for support in combinations(range(len(gens)), size):
@@ -369,10 +384,13 @@ def _negativity_on_cone(q: Sequence[IntVec], cone: PolyCone) -> IntVec | None:
 
 
 @_per_spec
-def _strata(spec: ConstraintSystemSpec):
-    """The direction strata of D at g0: every certificate of a constraint
-    system reads them, along the zero direction or along one direction."""
-    return direction_strata(spec.D, spec.g0)
+def _strata(spec: ConstraintSystemSpec, w: IntVec):
+    """The direction strata of D at g0 along the primitive integer direction
+    w, with their reach cells: every certificate of a constraint system reads
+    them, the first and second order checks, Phase B and the joint check
+    along w = 0, where the walk visits every cell, and a directional check
+    along its own w, where it visits only the cells whose closure holds w."""
+    return direction_strata(spec.D, spec.g0, QVector(w))
 
 
 @_per_spec
@@ -388,7 +406,7 @@ def check_foscms(spec: ConstraintSystemSpec) -> Certificate:
         raise TypeError("check_foscms expects a constraint system")
     trace = []
     witnesses = []
-    for s in _strata(spec):
+    for s in _strata(spec, (0,) * spec.m):
         v_cone = _kernel_meet(spec, s.normal)
         u_cells = (_x_pullback(spec, qc) for qc in s.reach)
         active_cells = [u for u in u_cells if not u.is_trivial()]
@@ -427,7 +445,7 @@ def check_soscms(spec: ConstraintSystemSpec) -> Certificate:
         raise PreconditionError("check_soscms needs the component Hessians")
     trace = []
     witnesses = []
-    for s in _strata(spec):
+    for s in _strata(spec, (0,) * spec.m):
         v_cone = _kernel_meet(spec, s.normal)
         u_cells = (_x_pullback(spec, qc) for qc in s.reach)
         active_cells = [u for u in u_cells if not u.is_trivial()]
@@ -595,7 +613,7 @@ def _adjoint_strata(spec) -> tuple[tuple, ...]:
     F2 ⊆ F1 of the critical cone, with cells (F2, F1).  A stratum is kept,
     and its adjoint cone built, only when one of its cells is nontrivial."""
     if spec.kind == "constraint":
-        sources = ((s.label, s.normal, [_qu_pullback(spec, qc) for qc in s.reach]) for s in _strata(spec))
+        sources = ((s.label, s.normal, [_qu_pullback(spec, qc) for qc in s.reach]) for s in _strata(spec, (0,) * spec.m))
         adjoint_of = _kernel_meet
     else:
         sources, adjoint_of = _graph_strata(spec), _variational_adjoint_cone
@@ -752,18 +770,20 @@ def _directional_adjoints(spec, u: QVector, v: QVector) -> tuple[tuple[PolyCone,
     """The (piece, adjoint cone) pairs in the graph direction (u, v), one per
     piece of the directional normal cone, or None when (u, v) is not tangent
     to the graph; at (0, 0), the standard adjoint inclusion, as there the
-    directional limiting normal cone is the limiting one (every reach cone
-    of D contains 0, and the graph's keeps every face pair).
+    directional limiting normal cone is the limiting one (the walk along
+    w = 0 visits every cell of D, and the graph's keeps every face pair).
 
     For a constraint system the pieces are those of N_D(g0; Jx u - v), the
-    normals of the spec's strata whose reach cone holds w = Jx u - v, each
-    with ker Jx^T ∩ piece; as D is polyhedral, no stratum reaches w exactly
-    when w is not tangent to D (Gfrerer, SIAM J. Optim. 2014).  For a
+    normals of the strata that the walk along w = Jx u - v finds
+    (``_strata(spec, w)``, the cells whose closure holds w), each with
+    ker Jx^T ∩ piece; as D is polyhedral, the walk finds none exactly when
+    w is not tangent to D (Gfrerer, SIAM J. Optim. 2014).  For a
     variational system, the difference cones Kd of the directional limiting
     normal cone to the graph in direction (u, v - Jx u), each with
-    ``_variational_adjoint_cone``.  Both test w (and the variational one u)
-    for membership in cones only, so they take positive multiples of them,
-    computed in integers once.
+    ``_variational_adjoint_cone``, and none when the direction is not
+    tangent to the graph.  Both read w (and the variational one u) only up
+    to a positive factor, so they take positive integer multiples of them,
+    computed once; w is primitive, the key of its walk in the spec's memo.
     """
     constraint, m = spec.kind == "constraint", spec.m
     # the errors of the rational Jx u - v and v - Jx u
@@ -775,15 +795,12 @@ def _directional_adjoints(spec, u: QVector, v: QVector) -> tuple[tuple[PolyCone,
     # s du dv (Jx u - v), as u = ui / du, v = vi / dv and _jx_rows holds s Jx
     w = _reduce([dv * a - s * du * b for a, b in zip(_apply(_jx_rows(spec), ui), vi)])
     if constraint:
-        normals = [s.normal for s in _strata(spec) if any(q._holds(w) for q in s.reach)]
-        if not normals:
-            return None
-        return tuple((p, _kernel_meet(spec, p)) for p in ConeUnion(m, normals).pieces)
-    gp = spec.graph_point()
-    w = _neg(w)
-    if not _tangent(gp, ui, w):
-        return None
-    return tuple((p.k, _variational_adjoint_cone(spec, p.k)) for p in _assemble(gp, face_pairs(gp, ui, w)).pieces)
+        pieces, adjoint_of = ConeUnion(m, [s.normal for s in _strata(spec, w)]).pieces, _kernel_meet
+    else:
+        gp, w = spec.graph_point(), _neg(w)
+        pairs = face_pairs(gp, ui, w) if _tangent(gp, ui, w) else []
+        pieces, adjoint_of = [p.k for p in _assemble(gp, pairs).pieces], _variational_adjoint_cone
+    return tuple((p, adjoint_of(spec, p)) for p in pieces) or None
 
 
 def check_directional_metric_regularity(spec, u: QVector, v: QVector) -> Certificate:

@@ -30,8 +30,8 @@ variational system::
 Each list of scalars is read in one pass: a string in the grammar (or a
 JSON integer) becomes a (numerator, denominator) pair of ints, with no
 ``Fraction`` (the text of a small integer is one lookup, ``linalg._pair``).
-The first entry that fails that match goes through ``_rat``, so every
-message about a bad scalar comes from one place.  The rows of ``gamma`` and
+``_ratios`` reads every list of scalars, so every message about a bad
+scalar comes from one place.  The rows of ``gamma`` and
 of each piece of ``D`` become homogenized integer rows (a, -b) and (g, -e),
 each times one common denominator, and go to the polyhedron's integer
 constructor; the Jacobians, the reference vectors and the Hessians are
@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .certify import (
     Certificate,
@@ -63,7 +62,7 @@ from .certify import (
     VariationalSystemSpec,
     Witness,
 )
-from .linalg import IntVec, QMatrix, QVector, _common, _pair, frac, vec_plain
+from .linalg import IntVec, QMatrix, QVector, _common, _pair, vec_plain
 from .sets import InfeasibleError, Polyhedron, UnionSet
 
 
@@ -71,38 +70,20 @@ class ProblemFileError(ValueError):
     pass
 
 
-def _rat(value, path: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ProblemFileError(f"{path}: expected a rational string like '1/2', got {value!r}")
-    try:
-        return frac(value)
-    except (ValueError, ZeroDivisionError):
-        raise ProblemFileError(f"{path}: not a rational 'n' or 'n/d': {value!r}") from None
-
-
-def _ratio(x) -> tuple[int, int] | None:
-    """(numerator, denominator) of a scalar in the grammar, unreduced, with
-    no Fraction (small-integer text is one lookup); None for anything else,
-    which ``_rat`` then rejects."""
-    if type(x) is int or type(x) is str:  # not bool
-        try:
-            return _pair(x)
-        except (ValueError, ZeroDivisionError):  # "n/0", or past the int digit limit
-            pass
-    return None
-
-
 def _ratios(value, path: str, dim: int | None = None) -> list[tuple[int, int]]:
-    """A list of scalars as (numerator, denominator) pairs, in one pass; the
-    first entry that fails the fast match goes through ``_rat``, which names
-    it in its error."""
+    """A list of scalars as (numerator, denominator) pairs, unreduced, in
+    one pass: each entry is read once by ``linalg._pair``, with no Fraction,
+    and the first one not in the grammar is named in the error."""
     if not isinstance(value, list):
         raise ProblemFileError(f"{path}: expected a list of rationals")
-    out = [_ratio(x) for x in value]
-    for i, r in enumerate(out):
-        if r is None:
-            x = _rat(value[i], f"{path}[{i}]")
-            out[i] = x.numerator, x.denominator
+    out = []
+    for i, x in enumerate(value):
+        if type(x) is not int and type(x) is not str:  # bool is not int
+            raise ProblemFileError(f"{path}[{i}]: expected a rational string like '1/2', got {x!r}")
+        try:
+            out.append(_pair(x))
+        except (ValueError, ZeroDivisionError):  # "n/0", or past the int digit limit
+            raise ProblemFileError(f"{path}[{i}]: not a rational 'n' or 'n/d': {x!r}") from None
     if dim is not None and len(out) != dim:
         raise ProblemFileError(f"{path}: expected length {dim}, got {len(out)}")
     return out

@@ -402,6 +402,19 @@ def polygon_cone(r: int) -> ConstraintSystemSpec:
     )
 
 
+def free_kernel(n: int) -> ConstraintSystemSpec:
+    """D = R_- in R at 0, l = 1, Jp = [1], Jx = 0 in R^(1 x n) and the one
+    Hessian -I_n: every u-cell is R^n, a lineality space."""
+    return ConstraintSystemSpec(
+        l=1, n=n, m=1,
+        Jp=[[1]],
+        Jx=[[0] * n],
+        g0=[0],
+        D=UnionSet([Polyhedron(1, [[1]], [0])]),
+        hessians=[[[-int(i == j) for j in range(n)] for i in range(n)]],
+    )
+
+
 def parametric_complementarity(k: int, l: int) -> ConstraintSystemSpec:
     """The benchmark's ``constraint_complementarity(0, 0, k, False, l)``
     (perfbench/problems.py, loaded read-only): k pairs with l parameters and

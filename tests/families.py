@@ -6,7 +6,7 @@ repository root,
     PYTHONPATH=src python tests/families.py [FAMILY ...]
 
 runs the named families, every one by default, at their ``ci`` sizes and
-prints each family's time.
+prints the process time of each size.
 """
 
 import sys
@@ -20,6 +20,7 @@ from corpus import (
     counting_calls,
     counting_dd,
     cross_polytope_spec,
+    free_kernel,
     orthant_spec,
     parametric_complementarity,
     polygon_cone,
@@ -33,6 +34,7 @@ from polyvar.certify import (
     _phase_a,
     _solution_pieces,
     check_aubin,
+    check_directional_metric_regularity,
     check_foscms,
     check_foscms_joint,
     check_soscms,
@@ -95,6 +97,30 @@ def check_admissible(k: int) -> tuple:
     return spec, *certs
 
 
+def check_dir_reg(k: int) -> tuple:
+    """``admissible_complementarity(k)`` along u = e_1, v = 0: returns the
+    spec and its directional metric regularity certificate.
+
+    w = Jx u = e_1 lies in the closure of a cell iff pair 0 is in state A
+    there, so the walk along w finds 3^(k-1) strata, pair 0 in A and every
+    other pair in A, B or Z, and N_D(0; e_1) has their 3^(k-1) distinct
+    normals as pieces.  Each keeps the free v_k of pair 0 in ker Jx^T, so
+    every piece is violated and the check refutes.  It takes
+    4 * 3^(k-1) + 2^k passes of the double description: 2 * 3^(k-1) + 2^k
+    steps of the walk, the normal at 0 of each of the 2^(k-1) pieces with
+    pair 0 in A, one meet per stratum with two or more live pieces
+    (3^(k-1) - 2^(k-1)) and one kernel meet per piece (3^(k-1)), where
+    filtering the 3^k strata of the walk along 0 takes 96 and 284 passes
+    at k = 3 and 4.
+    """
+    spec = admissible_complementarity(k)
+    with counting_dd() as passes:
+        cert = check_directional_metric_regularity(spec, QVector.unit(2, 0), QVector.zero(2 * k))
+    counts = (cert.status, cert.refuted, len(cert.trace), len(cert.witnesses), len(passes))
+    assert counts == (NOT_CERTIFIED, True, 3 ** (k - 1), 3 ** (k - 1), 4 * 3 ** (k - 1) + 2**k), counts
+    return spec, cert
+
+
 def check_one_pair(k: int) -> tuple:
     """``admissible_complementarity(k, second=k)``: returns the spec and its
     SOSCMS certificate."""
@@ -145,6 +171,29 @@ def check_polygon_cone(r: int) -> tuple:
         len(cells),
     )
     assert counts == (4 * r + 4, 2 * r + 1, HOLDS, 2 * r + 1, 2 * r + 3, r + comb(r, 2) + comb(r, 3) + 4 * r), counts
+    return spec, first, second
+
+
+def check_free_kernel(n: int) -> tuple:
+    """``free_kernel(n)``: returns the spec and its FOSCMS and SOSCMS
+    certificates.
+
+    D = R_- has two strata at 0: {0}, with normal R_+, and y < 0, with
+    normal {0}.  Jx = 0 pulls each reach cell back to R^n, and ker Jx^T = R
+    meets R_+ in R_+, so the stratum {0} violates the first order condition
+    and check_foscms is not certified.  There v* = 1 contracts the Hessian
+    to -I_n, negative definite on the u-cell R^n, so check_soscms holds.
+    The u-cell is its n lineality rows with no ray: the q-orthogonal pass
+    finds each b^T q b < 0 and leaves no support to try, so no ``open_cell``
+    runs, where trying every independent support of the signed lineality
+    rows takes 3^n - 1.
+    """
+    spec = free_kernel(n)
+    first = check_foscms(spec)
+    with counting_calls("open_cell") as cells:
+        second = check_soscms(spec)
+    counts = (first.status, len(first.witnesses), second.status, len(second.witnesses), len(cells))
+    assert counts == (NOT_CERTIFIED, 1, HOLDS, 0, 0), counts
     return spec, first, second
 
 
@@ -229,8 +278,10 @@ FAMILIES = {
     "complementarity": Family(check_complementarity, (2, 3, 4), (5, 6, 7)),
     "orthant": Family(check_orthant, (2, 3, 4), (6, 7, 8)),
     "admissible": Family(check_admissible, (3, 4), (6,)),
+    "dir-reg": Family(check_dir_reg, (3, 4), (7, 8)),
     "one-pair": Family(check_one_pair, (4,), (6,)),
     "polygon-cone": Family(check_polygon_cone, (6, 8, 10), (20, 24)),
+    "free-kernel": Family(check_free_kernel, (4, 6), (12, 16)),
     "phase-a": Family(check_phase_a, (4,), (6, 8)),
     "refuted-orthant": Family(check_refuted_orthant, (2, 3, 4), (10,)),
     "singular-orthant": Family(check_singular_orthant, (2, 3, 4), (8,)),
@@ -240,7 +291,7 @@ FAMILIES = {
 
 if __name__ == "__main__":
     for name in sys.argv[1:] or FAMILIES:
-        family, start = FAMILIES[name], time.perf_counter()
-        for size in family.ci:
-            family.check(size)
-        print(f"{name} at {', '.join(map(str, family.ci))}: {time.perf_counter() - start:.2f} s")
+        for size in FAMILIES[name].ci:
+            start = time.process_time()
+            FAMILIES[name].check(size)
+            print(f"{name} at {size}: {time.process_time() - start:.2f} s")

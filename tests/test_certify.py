@@ -677,6 +677,20 @@ def test_polygon_cone_holds_at_second_order_over_independent_supports(r):
     assert second.holds() and not second.witnesses
 
 
+@pytest.mark.parametrize("k", FAMILIES["dir-reg"].tier1)
+def test_admissible_complementarity_along_e1_walks_only_its_cells(k):
+    spec, cert = FAMILIES["dir-reg"].check(k)
+    for w in cert.witnesses:  # v = 0, so w = Jx u
+        replay_foscms_witness(spec, w)
+
+
+@pytest.mark.parametrize("n", FAMILIES["free-kernel"].tier1)
+def test_free_kernel_holds_at_second_order_with_no_support_tried(n):
+    spec, first, second = FAMILIES["free-kernel"].check(n)
+    for w in first.witnesses:
+        replay_foscms_witness(spec, w)
+
+
 @pytest.mark.parametrize("n", FAMILIES["singular-orthant"].tier1)
 def test_singular_orthant_fails_phase_b_without_refutation(n):
     spec, aubin, joint = FAMILIES["singular-orthant"].check(n)
@@ -1250,7 +1264,7 @@ def test_integer_pullbacks_match_rational_rows():
         w_map = _w_map(spec, 1)
         assert _solution_pieces(spec) == tuple(_rational_pullback(t, w_map, dim) for t in tangent)
         ker = PolyCone.from_ineqs(spec.m, [], [spec.Jx.col(j) for j in range(spec.n)])
-        for s in certify._strata(spec):
+        for s in certify._strata(spec, (0,) * spec.m):
             assert certify._kernel_meet(spec, s.normal) == ker.intersect(s.normal)
             for qc in s.reach:
                 assert certify._x_pullback(spec, qc) == _rational_pullback(qc, spec.Jx, spec.n)
@@ -1291,16 +1305,19 @@ def test_zero_direction_adjoints_match_the_limiting_construction():
 # -- each distinct cone converted once per spec ------------------------------------
 
 
-def test_every_check_of_a_spec_reads_one_stratification(monkeypatch):
-    # the strata of D at g0 live in the spec's memo: the first order, second
-    # order, calmness, Aubin (both modes), joint and directional checks all
-    # read them, whichever module's binding of direction_strata they reach
+def test_every_check_of_a_spec_walks_once_per_direction(monkeypatch):
+    # the strata of D at g0 along each direction live in the spec's memo:
+    # the first order, second order, calmness, Aubin (both modes) and joint
+    # checks read the walk along 0, a directional check the walk along its
+    # own w = Jx u - v, whichever module's binding of direction_strata they
+    # reach; the second order directional check along u = (1, 0) and
+    # dir-reg at (0, 0) find theirs in the memo
     calls = []
     real = sets.direction_strata
 
-    def counted(d, ybar):
-        calls.append(ybar)
-        return real(d, ybar)
+    def counted(d, ybar, w):
+        calls.append(_ints(w))
+        return real(d, ybar, w)
 
     monkeypatch.setattr(certify, "direction_strata", counted)
     monkeypatch.setattr(sets, "direction_strata", counted)
@@ -1314,7 +1331,9 @@ def test_every_check_of_a_spec_reads_one_stratification(monkeypatch):
     check_directional_metric_regularity(spec, QVector([1, 0]), QVector.zero(4))
     check_directional_metric_regularity(spec, QVector([1, 0]), QVector([0, 0, 1, 1]))
     check_second_order_directional_subregularity(spec, QVector([1, 0]))
-    assert len(calls) == 1
+    check_directional_metric_regularity(spec, QVector.zero(2), QVector.zero(4))
+    # Jx (1, 0) = (1, 0, -1, -1)
+    assert calls == [(0, 0, 0, 0), (1, 0, -1, -1), (1, 0, -2, -2)]
 
 
 def test_constraint_systems_with_no_components():
@@ -1346,7 +1365,7 @@ def test_kernel_meets_take_one_conversion_each(make, conversions):
     # The strata are built first, so only the meets and the pullbacks of
     # check_foscms count.
     spec = make()
-    certify._strata(spec)
+    certify._strata(spec, (0,) * spec.m)
     with counting_dd() as calls:
         check_foscms(spec)
     assert len(calls) == conversions

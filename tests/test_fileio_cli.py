@@ -23,7 +23,7 @@ from polyvar.cones import PolyCone, cone_plain
 from polyvar.fileio import (
     ProblemFileError,
     Report,
-    _rat,
+    _ratios,
     certificate_from_dict,
     certificate_to_dict,
     parse_problem,
@@ -164,13 +164,17 @@ def test_parse_error_paths(tmp_path):
 
 def test_scalar_grammar():
     # an optional sign, digits, and an optional "/digits"; JSON ints pass too
-    assert _rat("+2/4", "x") == F(1, 2) and _rat("-3", "x") == -3 and _rat(7, "x") == 7
+    assert _ratios(["+2/4", "-3", 7], "x") == [(2, 4), (-3, 1), (7, 1)]
     for text in ("1e10000000", "1.5", " 1", "1 ", "1_000", "0x10", "1/-2", "/2", "", "\u0663", "inf", "1/0"):
         start = time.perf_counter()
         with pytest.raises(ProblemFileError) as err:
-            _rat(text, "$.b[0]")
+            _ratios(["1", text], "$.b")
         assert time.perf_counter() - start < 1
-        assert "$.b[0]" in str(err.value)
+        assert str(err.value) == f"$.b[1]: not a rational 'n' or 'n/d': {text!r}"
+    for value in (True, 1.5, None, ["1"]):
+        with pytest.raises(ProblemFileError) as err:
+            _ratios([value], "$.b")
+        assert str(err.value) == f"$.b[0]: expected a rational string like '1/2', got {value!r}"
 
 
 BAD_SCALARS = ("1e10000000", "1.5", " 1", "1 ", "1_000", "0x10", "1/-2", "/2", "", "\u0663", "inf", "1/0")
@@ -179,8 +183,8 @@ LONG_NUMERATOR = "1" * 5000  # past CPython's int digit limit: int() raises Valu
 
 @pytest.mark.parametrize("text", BAD_SCALARS + (LONG_NUMERATOR, LONG_NUMERATOR + "/3"))
 def test_bad_scalars_name_their_path_wherever_they_sit(text):
-    # the one-pass reader hands every entry it cannot read to _rat, so each
-    # field gives _rat's message, with its path, and fast
+    # every field is read by _ratios, so each gives its message, with the
+    # entry's path, and fast
     for load, place, path in (
         (ex4_dict, lambda d: d["Jx"][0].__setitem__(1, text), "<problem>.Jx[0][1]"),
         (ex4_dict, lambda d: d["g0"].__setitem__(1, text), "<problem>.g0[1]"),

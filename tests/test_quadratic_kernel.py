@@ -3,10 +3,12 @@
 The decision is exact: ``_negativity_on_cone`` returns None when the form is
 strictly negative on the cone minus the origin, and otherwise a witness: a
 nonzero primitive integer vector of the cone on which the form is
-nonnegative.  It reads a lineality row l as the two generators l and -l, so
-on the subspace R^n (``whole``) it decides negative definiteness, which
-Sylvester's criterion checks.  A test-local reference tries every nonempty
-set of generators, dependent ones too.  Forms are integer matrices and
+nonnegative.  It splits the lineality space off first, in one q-orthogonal
+pass over its rows, so on the subspace R^n (``whole``) it decides negative
+definiteness by the signs of the pivots b^T q b, which Sylvester's
+criterion checks.  A test-local reference reads a lineality row l as the
+two generators l and -l and tries every nonempty set of generators,
+dependent ones too.  Forms are integer matrices and
 directions integer tuples: each rational matrix below is scaled by one
 positive integer (``ints``), which keeps every sign.
 """
