@@ -394,6 +394,17 @@ def _strata(spec: ConstraintSystemSpec, w: IntVec):
 
 
 @_per_spec
+def _first_order_strata(spec: ConstraintSystemSpec) -> tuple[tuple, ...]:
+    """(stratum, ker Jx^T ∩ normal, nontrivial u-cells {u : Jx u ∈ C}) for
+    each stratum of the walk along w = 0 and its reach cells C: what the
+    first and second order checks read."""
+    return tuple(
+        (s, _kernel_meet(spec, s.normal), [u for u in (_x_pullback(spec, qc) for qc in s.reach) if not u.is_trivial()])
+        for s in _strata(spec, (0,) * spec.m)
+    )
+
+
+@_per_spec
 def check_foscms(spec: ConstraintSystemSpec) -> Certificate:
     """First order sufficient condition for metric subregularity of the
     frozen-parameter constraint system at the reference point.
@@ -406,10 +417,7 @@ def check_foscms(spec: ConstraintSystemSpec) -> Certificate:
         raise TypeError("check_foscms expects a constraint system")
     trace = []
     witnesses = []
-    for s in _strata(spec, (0,) * spec.m):
-        v_cone = _kernel_meet(spec, s.normal)
-        u_cells = (_x_pullback(spec, qc) for qc in s.reach)
-        active_cells = [u for u in u_cells if not u.is_trivial()]
+    for s, v_cone, active_cells in _first_order_strata(spec):
         rec = dict(
             stratum=s.label,
             normal_cone=cone_plain(s.normal),
@@ -445,21 +453,13 @@ def check_soscms(spec: ConstraintSystemSpec) -> Certificate:
         raise PreconditionError("check_soscms needs the component Hessians")
     trace = []
     witnesses = []
-    for s in _strata(spec, (0,) * spec.m):
-        v_cone = _kernel_meet(spec, s.normal)
-        u_cells = (_x_pullback(spec, qc) for qc in s.reach)
-        active_cells = [u for u in u_cells if not u.is_trivial()]
-        rec = dict(
-            stratum=s.label,
-            dual_test_cone=cone_plain(v_cone),
-            admissible_directions=bool(active_cells),
-        )
+    for s, v_cone, active_cells in _first_order_strata(spec):
+        rec = dict(stratum=s.label, dual_test_cone=cone_plain(v_cone), admissible_directions=bool(active_cells))
+        trace.append(rec)
+        rays, lin = v_cone._v
         if not active_cells or v_cone.is_trivial():
             rec["outcome"] = "ok (first order)"
-            trace.append(rec)
-            continue
-        rays, lin = v_cone._v
-        if lin:
+        elif lin:
             # both signs of a lineality direction are dual-feasible, so the
             # quadratic term can always be made nonnegative
             u = pick_nonzero(active_cells[0])
@@ -468,18 +468,15 @@ def check_soscms(spec: ConstraintSystemSpec) -> Certificate:
             vstar = lstar if _form_value(qform, _ints(u)) >= 0 else -lstar
             witnesses.append(Witness(s.label, vstar, u=u))
             rec["outcome"] = "violated (dual lineality)"
-            trace.append(rec)
-            continue
-        stratum_outcome = "ok (quadratic term negative)"
-        for rstar in rays:
-            qform = _hessian_contraction(spec, rstar)
-            for u_cell in active_cells:
-                wit = _negativity_on_cone(qform, u_cell)
-                if wit is not None:
-                    witnesses.append(Witness(s.label, QVector(rstar), u=QVector(wit)))
-                    stratum_outcome = "violated"
-        rec["outcome"] = stratum_outcome
-        trace.append(rec)
+        else:
+            before = len(witnesses)
+            for rstar in rays:
+                qform = _hessian_contraction(spec, rstar)
+                for u_cell in active_cells:
+                    wit = _negativity_on_cone(qform, u_cell)
+                    if wit is not None:
+                        witnesses.append(Witness(s.label, QVector(rstar), u=QVector(wit)))
+            rec["outcome"] = "violated" if len(witnesses) > before else "ok (quadratic term negative)"
     status = NOT_CERTIFIED if witnesses else HOLDS
     return Certificate(status, tuple(witnesses), trace=tuple(trace))
 
@@ -655,9 +652,11 @@ def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) 
     discharged through check_foscms_joint or asserted by the caller).
 
     The trace holds the Phase A record and, when Phase A holds, the Phase B
-    record.  The unstratified (standard) adjoint inclusion is not repeated
-    here: it is ``check_directional_metric_regularity`` at the direction
-    (0, 0), which decides it exactly.
+    record: one case per adjoint stratum and one inclusion per cell, named
+    by its index; a witness is ``{case} / cell i``.  The unstratified
+    (standard) adjoint inclusion is not repeated here: it is
+    ``check_directional_metric_regularity`` at the direction (0, 0), which
+    decides it exactly.
     """
     if mode not in ("corollary", "theorem"):
         raise PreconditionError("mode must be 'corollary' or 'theorem'")
@@ -703,13 +702,10 @@ def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) 
             "trivial": adjoint.is_trivial(),
             "outcome": "ok" if offender is None else "violated",
         }
-        inclusions = []
-        for i, (q, u) in cells:
-            label = f"{case} / cell {i}"
-            inclusions.append({"adjoint_stratum": label, "sample_direction": {"q": vec_plain(q), "u": vec_plain(u)}, **shared})
-            if offender is not None:
-                witnesses.append(Witness(label, offender, u=u, q=q))
+        inclusions = [{"cell": i, "sample_direction": {"q": vec_plain(q), "u": vec_plain(u)}, **shared} for i, (q, u) in cells]
         cases.append({"case": case, "adjoint_inclusions": inclusions})
+        if offender is not None:
+            witnesses += [Witness(f"{case} / cell {i}", offender, u=u, q=q) for i, (q, u) in cells]
     trace.append({"phase": "B (direction-stratified adjoint inclusions)", "mode": mode, "cases": cases})
     status = NOT_CERTIFIED if witnesses else HOLDS
     return Certificate(status, tuple(witnesses), trace=tuple(trace), notes=tuple(notes))
@@ -719,19 +715,19 @@ def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) 
 def check_foscms_joint(spec) -> Certificate:
     """Metric subregularity of the joint map in (p, x) via the first order
     condition: every adjoint solution with both transposed-Jacobian images
-    vanishing must be trivial, over all nonzero joint direction strata.
-    Computed once per spec: theorem-mode ``check_aubin`` reads it too."""
+    vanishing must be trivial, over all nonzero joint direction strata,
+    one record each, with the indices of Phase B's cells; witnesses are
+    Phase B's.  Computed once per spec: theorem-mode ``check_aubin`` reads
+    it too."""
     witnesses = []
     trace = []
     for case, _, adjoint, cells in _adjoint_strata(spec):
         joint = _joint_adjoint(spec, adjoint)
         offender = pick_nonzero(joint)
-        shared = {"joint_adjoint_cone": cone_plain(joint), "outcome": "ok" if offender is None else "violated"}
-        for i, (q, u) in cells:
-            label = f"{case} / cell {i}"
-            trace.append({"adjoint_stratum": label, **shared})
-            if offender is not None:
-                witnesses.append(Witness(label, offender, u=u, q=q))
+        outcome = "ok" if offender is None else "violated"
+        trace.append({"stratum": case, "cells": [i for i, _ in cells], "joint_adjoint_cone": cone_plain(joint), "outcome": outcome})
+        if offender is not None:
+            witnesses += [Witness(f"{case} / cell {i}", offender, u=u, q=q) for i, (q, u) in cells]
     status = NOT_CERTIFIED if witnesses else HOLDS
     return Certificate(status, tuple(witnesses), trace=tuple(trace))
 

@@ -351,8 +351,7 @@ def _render_trace(trace, verbosity: str) -> list[str]:
                         "    direction q=(" + ",".join(s["q"]) + "), u=(" + ",".join(s["u"]) + ")"
                         f" -> adjoint cone {_cone_line(entry['adjoint_cone'])}: {entry['outcome']}"
                     )
-        elif "stratum" in rec or "adjoint_stratum" in rec or "piece" in rec:
-            label = rec.get("stratum") or rec.get("adjoint_stratum") or rec.get("piece")
+        elif label := rec.get("stratum") or rec.get("piece"):
             lines.append(f"  stratum {label}: {rec.get('outcome', '')}")
             if verbosity == "full":
                 for key in ("normal_cone", "dual_test_cone", "adjoint_cone", "joint_adjoint_cone"):

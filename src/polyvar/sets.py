@@ -4,7 +4,8 @@ The central computation is the directional limiting normal cone to a finite
 union of convex polyhedra.  The union is stratified by signatures: each piece
 is either assigned one of its closed faces ("the point lies in the relative
 interior of that face") or marked inactive ("the point lies outside the
-piece").  On such a stratum the regular normal cone of the union is constant
+piece"), and a stratum's label names its live pieces alone.  On such a
+stratum the regular normal cone of the union is constant
 (the intersection of the active pieces' normal cones), and a stratum
 contributes to the directional cone at ``ybar`` in direction ``w`` exactly
 when ``w`` lies in the closure of the directions that enter the stratum
@@ -355,13 +356,14 @@ def union_tangent_cone(d: UnionSet, y: QVector) -> ConeUnion:
 class DirectionStratum:
     """One signature of a union near a reference point.
 
-    ``label`` names each piece's face (active, point in the relative
-    interior of that face) or marks it "out".  ``normal`` is the constant
-    regular normal cone of the union on the stratum (the meet of its faces'
-    normals, read off as an exposed face), and ``reach`` the list of
-    direction cones (the closures of the stratum's cells, one per leaf of
-    the walk) whose union is the closure of directions entering the stratum
-    from the reference point; along w, only the cells whose closure holds w.
+    ``label`` names each live piece's face (point in its relative interior)
+    by index, ``P0@F[0] & P2@F[]``; a piece it does not name is out.
+    ``normal`` is the constant regular normal cone of the union on the
+    stratum (the meet of its faces' normals, read off as an exposed face),
+    and ``reach`` the list of direction cones (the closures of the
+    stratum's cells, one per leaf of the walk) whose union is the closure
+    of directions entering the stratum from the reference point; along w,
+    only the cells whose closure holds w.
     """
 
     label: str
@@ -374,8 +376,10 @@ def direction_strata(d: UnionSet, ybar: QVector, w: QVector | None = None) -> tu
     along w != 0, those whose closed cells hold w, with just those cells.
 
     Strata come in the product order over the pieces of (faces by active set
-    size, then by indices; "out" last).  A depth-first walk over the
-    hyperplanes h (up to sign) of the rows tight at ybar tries the signs
+    size, then by indices; "out" last): a leaf's key is the entry
+    (i, size, active rows) of each live piece i, then (len(pieces),), built
+    from the live pieces alone, as the label is.  A depth-first walk over
+    the hyperplanes h (up to sign) of the rows tight at ybar tries the signs
     0, -, + of h.z; along w only the sign of h.w where it is not 0, so it
     visits exactly the cells whose closure holds w.  A node is a relatively
     open cell, held as the double description of its closure.  Only
@@ -417,7 +421,7 @@ def direction_strata(d: UnionSet, ybar: QVector, w: QVector | None = None) -> tu
         raise ValueError("reference point lies in no piece of the union")
     hyper, dim = list(planes), d.dim
     signs: dict[int, int] = {}  # the signs chosen on the path to the node
-    leaves: dict[tuple, list] = {}  # order key (the active set of each live piece's face) -> leaf cells
+    leaves: dict[tuple, list] = {}  # order key (each live piece and its face's active set) -> leaf cells
 
     def compatible(rows: dict, k: int, s: int) -> bool:
         # a row of E on h allows the sign 0, a row of A the signs keeping it <= 0
@@ -427,8 +431,8 @@ def direction_strata(d: UnionSet, ybar: QVector, w: QVector | None = None) -> tu
     def walk(live: list, cell: tuple) -> None:
         k = next((k for _, rows in live for k in rows if k not in signs), None)
         if k is None:
-            faces = {i: sorted(j for q, (_, j) in rows.items() if j is not None and not signs[q]) for i, rows in live}
-            key = tuple((0, len(faces[i]), tuple(faces[i])) if i in faces else (1,) for i in range(len(d.pieces)))
+            faces = [(i, sorted(j for q, (_, j) in rows.items() if j is not None and not signs[q])) for i, rows in live]
+            key = (*((i, len(f), tuple(f)) for i, f in faces), (len(d.pieces),))
             leaves.setdefault(key, []).append(cell)
             return
         h, (basis, rays, zeros, done, eqs) = hyper[k], cell
@@ -449,13 +453,13 @@ def direction_strata(d: UnionSet, ybar: QVector, w: QVector | None = None) -> tu
     strata: list[DirectionStratum] = []
     meets: dict[tuple, PolyCone] = {}  # live pieces -> the meet of their normal cones at ybar
     for key in sorted(leaves):
-        cells, live = leaves[key], tuple(i for i, part in enumerate(key) if not part[0])
+        cells, live = leaves[key], tuple(i for i, *_ in key[:-1])
         if live not in meets:
             normals = [d.pieces[i]._normal(frozenset(j for _, j in holding[i].values() if j is not None)) for i in live]
             stacked = [dict.fromkeys(r for n in normals for r in n._h[side]) for side in (0, 1)]
             meets[live] = normals[0] if len(live) == 1 else _of_rows(dim, *stacked)
         normal = _exposed_face(meets[live], tuple(map(sum, zip((0,) * dim, *cells[0][1]))))
-        label = " & ".join(f"P{i}@F{list(part[2])}" if part[0] == 0 else f"P{i}:out" for i, part in enumerate(key))
+        label = " & ".join(f"P{i}@F{list(face)}" for i, _, face in key[:-1])
         reach = tuple(_of_generators(dim, *_canonical(dim, *cell)) for cell in cells)
         strata.append(DirectionStratum(label=label, normal=normal, reach=reach))
     return tuple(strata)

@@ -80,11 +80,18 @@ def check_orthant(n: int) -> None:
 
 def check_admissible(k: int) -> tuple:
     """``admissible_complementarity(k)``: returns the spec and its FOSCMS,
-    SOSCMS, Aubin (corollary) and joint certificates."""
+    SOSCMS, Aubin (corollary) and joint certificates.
+
+    D has 2^k pieces and 3^k strata at 0, and a stratum's label names only
+    its live pieces: per pair, one in each of the states y_i > 0 and
+    y_(k+i) > 0 and two when both are 0, so the labels have 4^k parts in
+    all, where naming every piece takes 6^k."""
     spec = admissible_complementarity(k)
     certs = first, second, aubin, joint = [c(spec) for c in (check_foscms, check_soscms, check_aubin, check_foscms_joint)]
     (phase_b,) = [r for r in aubin.trace if r.get("phase", "").startswith("B")]
     counts = (
+        len(first.trace),
+        sum(r["stratum"].count(" & ") + 1 for r in first.trace),
         len(first.witnesses),
         len(second.witnesses),
         sum(r["outcome"] == "violated (dual lineality)" for r in second.trace),
@@ -93,7 +100,7 @@ def check_admissible(k: int) -> tuple:
         len(aubin.witnesses),
         len(joint.witnesses),
     )
-    assert counts == (5 * 3 ** (k - 2),) * 3 + (3 * 3 ** (k - 2),) + (3**k,) * 3, counts
+    assert counts == (3**k, 4**k) + (5 * 3 ** (k - 2),) * 3 + (3 * 3 ** (k - 2),) + (3**k,) * 3, counts
     return spec, *certs
 
 

@@ -9,7 +9,8 @@
 # tree) on the bundled examples in the directory PROBLEMS: certify once per
 # check of the examples, dir-reg at the zero direction (the standard adjoint
 # inclusion, which fails on both examples: exact, so a refutation),
-# foscms-joint, and graph-normal in each mode.
+# foscms-joint on both (a constraint and a variational system's joint
+# records), and graph-normal in each mode.
 set -euo pipefail
 problems=$1
 shift
@@ -22,7 +23,7 @@ for which, checks in _EXPECTED.items():
         print(int(status != "holds"), "certify", f"ex{which}.json", "--check", check, "--dir=" + extra["dir"] if "dir" in extra else "")
 '
   printf '%s\n' "1 certify ex3.json --check dir-reg --dir=0,0;0,0,0,0" "1 certify ex5.json --check dir-reg --dir=0,0;0,0" \
-    "0 certify ex5.json --check foscms-joint" "0 graph-normal ex5.json --limiting" "0 graph-normal ex5.json --regular" \
+    "0 certify ex3.json --check foscms-joint" "0 certify ex5.json --check foscms-joint" "0 graph-normal ex5.json --limiting" "0 graph-normal ex5.json --regular" \
     "0 graph-normal ex5.json --dir=-1,0;0,0"
 } | while read -r want command file args; do
   code=0

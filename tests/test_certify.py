@@ -604,31 +604,33 @@ def test_metamorphic_foscms_implies_soscms():
 def test_phase_b_and_the_joint_check_read_one_record_per_stratum(mode):
     # a Phase B case is one stratum: its inclusions share the stratum's
     # piece, adjoint cone and outcome, and are its nontrivial (q, u) cells
-    # in index order; the joint check has one record per inclusion, in order
+    # in index order; the joint check has one record per case, with the
+    # same label and cells, and a witness of either names its case and cell
     shared = ("coderivative_piece", "adjoint_cone", "trivial", "outcome")
     specs = [ex3_spec(), ex5_spec()] + random_constraint_specs() + random_variational_specs()
     seen = set()
     for spec in specs:
-        aubin = check_aubin(spec, mode, assume_subregular=True)
-        joint_labels = [r["adjoint_stratum"] for r in check_foscms_joint(spec).trace]
+        aubin, joint = check_aubin(spec, mode, assume_subregular=True), check_foscms_joint(spec)
+        assert [w.stratum for w in joint.witnesses] == [
+            f"{r['stratum']} / cell {i}" for r in joint.trace if r["outcome"] == "violated" for i in r["cells"]
+        ]
         phase_b = [r for r in aubin.trace if r.get("phase", "").startswith("B")]
         if not phase_b:
             assert aubin.refuted
             continue
-        labels = []
+        strata = []
         for case in phase_b[0]["cases"]:
             inclusions = case["adjoint_inclusions"]
             assert inclusions
             assert all({k: e[k] for k in shared} == {k: inclusions[0][k] for k in shared} for e in inclusions)
-            prefix = case["case"] + " / cell "
-            assert all(e["adjoint_stratum"].startswith(prefix) for e in inclusions)
-            cells = [int(e["adjoint_stratum"][len(prefix):]) for e in inclusions]
+            cells = [e["cell"] for e in inclusions]
             assert cells == sorted(set(cells))
-            labels += [e["adjoint_stratum"] for e in inclusions]
+            strata.append((case["case"], cells))
             seen.add((spec.kind, len(inclusions) > 1, inclusions[0]["outcome"]))
-        assert joint_labels == labels
+        assert [(r["stratum"], r["cells"]) for r in joint.trace] == strata
+        assert len({case for case, _ in strata}) == len(strata)  # each stratum is named once
         assert [w.stratum for w in aubin.witnesses] == [
-            e["adjoint_stratum"] for c in phase_b[0]["cases"] for e in c["adjoint_inclusions"] if e["outcome"] == "violated"
+            f"{c['case']} / cell {e['cell']}" for c in phase_b[0]["cases"] for e in c["adjoint_inclusions"] if e["outcome"] == "violated"
         ]
     # both kinds, strata of several cells, and both outcomes are exercised
     assert {kind for kind, _, _ in seen} == {"constraint", "variational"}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import counting_dd
+from corpus import admissible_complementarity, counting_dd
 from polyvar.certify import (
     Certificate,
     ConstraintSystemSpec,
@@ -16,6 +16,7 @@ from polyvar.certify import (
     check_aubin,
     check_calmness_constraint,
     check_foscms,
+    check_foscms_joint,
 )
 from polyvar import cli
 from polyvar.cli import bundled_problem_path, run_command
@@ -421,7 +422,8 @@ def test_certificates_of_one_spec_share_cone_views():
 
 
 # The JSON block of check_aubin on G(p, x) = p + x with D = R_- when each
-# cone view also wrote its rows ("ineqs" and "eqs") and the trace ended with
+# cone view also wrote its rows ("ineqs" and "eqs"), each adjoint inclusion
+# its stratum's label and cell ("adjoint_stratum"), and the trace ended with
 # the standard (zero-direction) adjoint inclusion's record.
 _BOTH_SIDES_BLOCK = (
     '{"certificate": {"notes": [], "rates": null, "refuted": false, "status": "holds", "witnesses": [], "trace": ['
@@ -458,11 +460,31 @@ def test_a_certificate_whose_views_wrote_both_sides_still_loads():
             return {k: generators_only(v) for k, v in o.items() if not ("dim" in o and k in ("ineqs", "eqs"))}
         return [generators_only(v) for v in o] if isinstance(o, list) else o
 
+    plain = generators_only(certificate_to_dict(old))
+    # and each adjoint inclusion named its stratum and cell, "{case} / cell i",
+    # where the new one carries the cell index alone
+    for case in plain["trace"][1]["cases"]:
+        for entry in case["adjoint_inclusions"]:
+            stratum, cell = entry.pop("adjoint_stratum").rsplit(" / cell ", 1)
+            assert stratum == case["case"]
+            entry["cell"] = int(cell)
     want = json.loads(render_report("aubin", new, "full").json_block())["certificate"]
-    assert generators_only(certificate_to_dict(old)) == {**want, "trace": want["trace"] + [generators_only(old.trace[2])]}
+    assert plain == {**want, "trace": want["trace"] + [generators_only(old.trace[2])]}
     # and it renders as the new one, with the last record's header line
     text = render_report("aubin", old, "full").text
     assert text == render_report("aubin", new, "full").text + "\n[standard adjoint inclusion (zero direction)]"
+
+
+def test_a_desk_scale_block_names_each_stratum_once():
+    # admissible(6) has 64 pieces and 729 strata: a label names only the live
+    # pieces of its stratum, and Phase B and the joint check name a cell by
+    # its index (a label part per piece and a "{case} / cell i" per cell
+    # write 1.59, 2.42 and 1.45 MB)
+    spec = admissible_complementarity(6)
+    bounds = (("foscms", check_foscms, 1.0e6), ("aubin", check_aubin, 1.1e6), ("foscms-joint", check_foscms_joint, 0.65e6))
+    for check, run, bound in bounds:
+        size = len(render_report(check, run(spec)).json_block().encode())
+        assert size <= bound, (check, size)
 
 
 def test_json_writer_rejects_non_plain_values():

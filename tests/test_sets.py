@@ -218,8 +218,8 @@ def test_directional_normal_cone_antitone_in_direction():
 
 def assert_enters(d, ybar, w, label):
     """ybar + t w lies in the stratum named by ``label`` for an exact small t:
-    in the relative interior of each assigned face, outside each "out"
-    piece."""
+    in the relative interior of the face of each piece it names, outside
+    each piece it does not name."""
     t = F(1)  # small enough that no row slack or violated at ybar changes sign
     for p in d.pieces:
         for a, bv in [*zip(p.A, p.b), *zip(p.E, p.e)]:
@@ -227,12 +227,16 @@ def assert_enters(d, ybar, w, label):
             if s != 0 and aw != 0:
                 t = min(t, abs(s / aw) / 2)
     y = ybar + w.scale(t)
-    for p, part in zip(d.pieces, label.split(" & ")):
-        if part.endswith(":out"):
+    parts = [part.split("@") for part in label.split(" & ")]
+    indices = [int(name[1:]) for name, _ in parts]
+    assert indices == sorted(set(indices)), label  # each live piece once, in index order
+    named = dict(zip(indices, (face for _, face in parts)))
+    for i, p in enumerate(d.pieces):
+        if i not in named:
             assert not p.contains(y), (label, w)
         else:
-            active = [i for i, s in enumerate(p._slacks(y)[0]) if s == 0]
-            assert p.contains(y) and f"@F{active}" in part, (label, w)
+            active = [j for j, s in enumerate(p._slacks(y)[0]) if s == 0]
+            assert p.contains(y) and named[i] == f"F{active}", (label, w)
 
 
 def test_directional_normal_cone_matches_sampling_oracle():
@@ -639,7 +643,8 @@ def options_at(p, ybar):
 def enumerated_strata(d, ybar):
     """(label, normal, reach cones) of every stratum reachable from ybar, by
     the product over the pieces of (face, or "out") and, per assignment, the
-    product of the out pieces' choices: one open cell each."""
+    product of the out pieces' choices: one open cell each.  The label names
+    the pieces that are assigned a face."""
     face_options, out_options = zip(*(options_at(p, ybar) for p in d.pieces))
     strata = []
     for assignment in product(*(faces + [None] for faces in face_options)):
@@ -656,9 +661,7 @@ def enumerated_strata(d, ybar):
         normal = active[0][0].normal
         for face, _, _ in active[1:]:
             normal = normal.intersect(face.normal)
-        label = " & ".join(
-            f"P{i}:out" if opt is None else f"P{i}@F{sorted(opt[0].active_set)}" for i, opt in enumerate(assignment)
-        )
+        label = " & ".join(f"P{i}@F{sorted(opt[0].active_set)}" for i, opt in enumerate(assignment) if opt is not None)
         strata.append((label, normal, reach))
     return strata
 
