@@ -59,7 +59,7 @@ for case in phase_b["cases"]:
           all(e["trivial"] for e in entries))
 # the unstratified adjoint inclusion is the directional one at (0, 0)
 zero = check_directional_metric_regularity(ex5, QVector.zero(2), QVector.zero(2))
-gens = [g for t in zero.trace for key in ("rays", "lin") for g in t["adjoint_cone"][key]]
+gens = [list(map(str, g.entries)) for t in zero.trace for g in t["adjoint_cone"].rays + t["adjoint_cone"].lin]
 print("  unstratified adjoint inclusion admits nontrivial duals:", gens)
 
 print("\nlinearized solution slices of ex5:")

@@ -25,9 +25,10 @@ are faces of one pulled-back cone:
 * ``check_foscms_joint``: metric subregularity of the joint map in (p, x),
   used as evidence by the theorem-mode Aubin check.
 
-Every certificate carries a structured trace (JSON-plain) of the strata
-examined, and every negative certificate carries witnesses that replay
-through the cone layer.
+Every certificate carries a structured trace of the strata examined, records
+whose values are JSON values or the cones themselves (``fileio`` writes a
+cone's view when it encodes a certificate), and every negative certificate
+carries witnesses that replay through the cone layer.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from itertools import combinations
 from operator import mul
 from typing import Sequence
 
-from .cones import PolyCone, _dd_steps, _exposed_face, _of_rows, _projected, cone_plain, open_cell, pick_nonzero
+from .cones import PolyCone, _dd_steps, _exposed_face, _of_rows, _projected, open_cell, pick_nonzero
 from .graphmap import GraphPoint, _assemble, _tangent, face_pairs
 from .linalg import IntVec, QMatrix, QVector, _cleared, _dot, _echelon, _echelon_kernel, _ints, _neg, _reduce, vec_plain
 from .sets import ConeUnion, InfeasibleError, Polyhedron, direction_strata, union_tangent_cone
@@ -420,8 +421,8 @@ def check_foscms(spec: ConstraintSystemSpec) -> Certificate:
     for s, v_cone, active_cells in _first_order_strata(spec):
         rec = dict(
             stratum=s.label,
-            normal_cone=cone_plain(s.normal),
-            dual_test_cone=cone_plain(v_cone),
+            normal_cone=s.normal,
+            dual_test_cone=v_cone,
             admissible_directions=bool(active_cells),
         )
         if active_cells and not v_cone.is_trivial():
@@ -454,7 +455,7 @@ def check_soscms(spec: ConstraintSystemSpec) -> Certificate:
     trace = []
     witnesses = []
     for s, v_cone, active_cells in _first_order_strata(spec):
-        rec = dict(stratum=s.label, dual_test_cone=cone_plain(v_cone), admissible_directions=bool(active_cells))
+        rec = dict(stratum=s.label, dual_test_cone=v_cone, admissible_directions=bool(active_cells))
         trace.append(rec)
         rays, lin = v_cone._v
         if not active_cells or v_cone.is_trivial():
@@ -632,8 +633,8 @@ def _phase_a(spec) -> tuple[dict, bool, QVector | None]:
     covered, gap = covers_space(projected, spec.l)
     rec = dict(
         phase="A (solvability for every parameter direction)",
-        solution_pieces=[cone_plain(p) for p in pieces],
-        projections=[cone_plain(p) for p in projected],
+        solution_pieces=list(pieces),
+        projections=projected,
         covered=covered,
     )
     return rec, covered, gap
@@ -697,8 +698,8 @@ def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) 
             gens = zip(adjoint.generators(), adjoint._int_generators())
             offender = next((g for g, gi in gens if any(_apply(jpt, gi))), None)
         shared = {
-            "coderivative_piece": cone_plain(piece),
-            "adjoint_cone": cone_plain(adjoint),
+            "coderivative_piece": piece,
+            "adjoint_cone": adjoint,
             "trivial": adjoint.is_trivial(),
             "outcome": "ok" if offender is None else "violated",
         }
@@ -725,7 +726,7 @@ def check_foscms_joint(spec) -> Certificate:
         joint = _joint_adjoint(spec, adjoint)
         offender = pick_nonzero(joint)
         outcome = "ok" if offender is None else "violated"
-        trace.append({"stratum": case, "cells": [i for i, _ in cells], "joint_adjoint_cone": cone_plain(joint), "outcome": outcome})
+        trace.append({"stratum": case, "cells": [i for i, _ in cells], "joint_adjoint_cone": joint, "outcome": outcome})
         if offender is not None:
             witnesses += [Witness(f"{case} / cell {i}", offender, u=u, q=q) for i, (q, u) in cells]
     status = NOT_CERTIFIED if witnesses else HOLDS
@@ -817,7 +818,7 @@ def check_directional_metric_regularity(spec, u: QVector, v: QVector) -> Certifi
     for i, (_, adj) in enumerate(adjoints):
         label = f"{piece} {i}"
         ok = adj.is_trivial()
-        trace.append({"piece": label, "adjoint_cone": cone_plain(adj), "outcome": "ok" if ok else "violated"})
+        trace.append({"piece": label, "adjoint_cone": adj, "outcome": "ok" if ok else "violated"})
         if not ok:
             witnesses.append(Witness(label, pick_nonzero(adj), u=u))
     if witnesses:
@@ -864,14 +865,14 @@ def check_second_order_directional_subregularity(spec, u: QVector, gpp: QVector 
             trace.append({"piece": label, "outcome": "ok (trivial)"})
             continue
         if c._v[1]:
-            trace.append({"piece": label, "adjoint_cone": cone_plain(c), "outcome": "violated (lineality)"})
+            trace.append({"piece": label, "adjoint_cone": c, "outcome": "violated (lineality)"})
             witnesses.append(Witness(label, c.lin[0], u=u))
             continue
         bad = [r for r in c._v[0] if _dot(r, curvature) >= 0]
         if bad:
-            trace.append({"piece": label, "adjoint_cone": cone_plain(c), "outcome": "violated (nonnegative ray)"})
+            trace.append({"piece": label, "adjoint_cone": c, "outcome": "violated (nonnegative ray)"})
             witnesses.append(Witness(label, QVector(bad[0]), u=u))
         else:
-            trace.append({"piece": label, "adjoint_cone": cone_plain(c), "outcome": "ok (strictly negative on rays)"})
+            trace.append({"piece": label, "adjoint_cone": c, "outcome": "ok (strictly negative on rays)"})
     status = NOT_CERTIFIED if witnesses else HOLDS
     return Certificate(status, tuple(witnesses), trace=tuple(trace))

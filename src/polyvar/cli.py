@@ -260,7 +260,7 @@ def _cmd_examples(args) -> int:
         if "std_nontrivial" in extra:
             # the standard adjoint inclusion is the directional one at (0, 0)
             zero = check_directional_metric_regularity(spec, QVector.zero(spec.n), QVector.zero(spec.m))
-            gens = sorted(g for t in zero.trace for key in ("rays", "lin") for g in t["adjoint_cone"][key])
+            gens = sorted(vec_plain(g) for t in zero.trace for g in t["adjoint_cone"].rays + t["adjoint_cone"].lin)
             ok &= gens == sorted(extra["std_nontrivial"])
             detail.append(f"standard adjoint nontrivial generators={gens}")
         print(("PASS" if ok else "FAIL") + f" example {name} {check}: " + "; ".join(detail))

@@ -65,7 +65,7 @@ hashing read them.  ``fractions.Fraction`` appears only at the API boundary:
 ``ineqs``, ``eqs``, ``rays`` and ``lin`` are ``QVector`` views built from the
 integer forms when they are read (each the integer row over one denominator,
 so no Fraction is built until an entry is read), and ``cone_plain`` writes the generators'
-strings from the integer forms directly, once per cone; a cone's rows are
+strings from the integer forms directly, afresh on each call; a cone's rows are
 the generators of its polar, so their strings are the polar's view.
 
 The second order test asks "is the open cell {leq.z <= 0, eqs.z = 0,
@@ -365,7 +365,6 @@ def _cone(dim: int, reps: list, side: int) -> "PolyCone":
     object.__setattr__(c, "_reps", reps)
     object.__setattr__(c, "_side", side)
     object.__setattr__(c, "_faces", None)
-    object.__setattr__(c, "_plain", None)
     object.__setattr__(c, "_hash", None)
     return c
 
@@ -384,11 +383,10 @@ class PolyCone:
     slot like the first.  ``key()`` is (dim, lineality rows, rays) of
     ``_v``; ``_hash`` holds its hash once the cone is first hashed, as
     ``_v`` never changes once it is read.  ``ineqs``, ``eqs``, ``rays`` and
-    ``lin`` are rational views built from the integer forms on each read;
-    ``_plain`` holds the ``cone_plain`` view once it is built.
+    ``lin`` are rational views built from the integer forms on each read.
     """
 
-    __slots__ = ("dim", "_reps", "_side", "_h", "_v", "_faces", "_plain", "_hash")
+    __slots__ = ("dim", "_reps", "_side", "_h", "_v", "_faces", "_hash")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use PolyCone.from_ineqs or PolyCone.from_generators")
@@ -407,7 +405,7 @@ class PolyCone:
         return value
 
     def __setattr__(self, name, value):
-        if name == "_faces" or name == "_plain":
+        if name == "_faces":
             object.__setattr__(self, name, value)
             return
         raise AttributeError("PolyCone is immutable")
@@ -680,15 +678,12 @@ def cone_plain(c: PolyCone) -> dict:
     ``lin`` hold, written straight from the integer forms.  The generators
     are the cone's identity (``key()``), so the view never reads the row
     side; the facets and equations are the view of the polar, whose rays and
-    lineality rows are this cone's ``ineqs`` and ``eqs``.  It is built once
-    per cone and the same dict is returned after that, shared by every
-    record that holds it, so it is never modified."""
-    if c._plain is None:
-        rays, lin = c._v
-        # a lineality row is an integer echelon row over its (positive) pivot
-        lin = [_plain(l, next(filter(None, l))) for l in lin]
-        c._plain = {"dim": c.dim, "rays": [list(map(str, r)) for r in rays], "lin": lin}
-    return c._plain
+    lineality rows are this cone's ``ineqs`` and ``eqs``.  Nothing is kept
+    on the cone: each call builds a new dict."""
+    rays, lin = c._v
+    # a lineality row is an integer echelon row over its (positive) pivot
+    lin = [_plain(l, next(filter(None, l))) for l in lin]
+    return {"dim": c.dim, "rays": [list(map(str, r)) for r in rays], "lin": lin}
 
 
 def pick_nonzero(c: PolyCone) -> QVector | None:

@@ -46,9 +46,12 @@ Every report ends with a JSON block (``Report.json_block``), written by the
 standard library's C encoder as ``json.dumps(obj, sort_keys=True)``: one
 line, keys sorted, the default separators ", " and ": ", and strings with
 non-ASCII and control characters as ``\\uXXXX`` escapes.  ``python -m
-json.tool`` indents it for reading.  A cone is written by its generators
-only (``cones.cone_plain``): they are its identity, and its rows are the
-generators of its polar.
+json.tool`` indents it for reading.  Trace records hold cones, and the
+encoder's hook writes each by its generators only (``cones.cone_plain``):
+they are its identity, and its rows are the generators of its polar.
+``certificate_from_dict`` reads each view back as its cone and refuses,
+by its JSON path, a view with any key but dim, lin and rays or with rows
+that are not rationals of its dimension.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from .certify import (
     VariationalSystemSpec,
     Witness,
 )
+from .cones import PolyCone, cone_plain
 from .linalg import IntVec, QMatrix, QVector, _common, _pair, vec_plain
 from .sets import InfeasibleError, Polyhedron, UnionSet
 
@@ -284,12 +288,29 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "witnesses": [_witness_plain(w) for w in cert.witnesses],
         "rates": [[k, v] for k, v in cert.rates] if cert.rates is not None else None,
         "notes": list(cert.notes),
-        "trace": list(cert.trace),  # records are JSON-plain dicts, shared
+        "trace": list(cert.trace),  # records hold cones: json_block writes their views
     }
 
 
 def _vec_from_plain(v) -> QVector | None:
     return None if v is None else QVector(v)
+
+
+def _cones_read(value, path: str):
+    """A trace value with each cone view (the one kind of object in a record
+    with a ``dim`` key) read back as its cone."""
+    if isinstance(value, list):
+        return [_cones_read(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if not isinstance(value, dict):
+        return value
+    if "dim" not in value:
+        return {k: _cones_read(v, f"{path}.{k}") for k, v in value.items()}
+    if sorted(value) != ["dim", "lin", "rays"]:
+        raise ValueError(f"{path}: a cone view has the keys dim, lin and rays only, got {sorted(value)}")
+    try:
+        return PolyCone.from_generators(value["dim"], value["rays"], value["lin"])
+    except (TypeError, ValueError, ZeroDivisionError) as exc:  # a row of the wrong length, or not of rationals
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def certificate_from_dict(data: dict) -> Certificate:
@@ -306,7 +327,7 @@ def certificate_from_dict(data: dict) -> Certificate:
         ),
         rates=tuple((k, v) for k, v in data["rates"]) if data["rates"] is not None else None,
         refuted=data["refuted"],
-        trace=tuple(data["trace"]),  # records stay JSON-plain dicts
+        trace=tuple(_cones_read(data["trace"], "trace")),
         notes=tuple(data["notes"]),
     )
 
@@ -320,18 +341,22 @@ class Report:
     text: str
 
     def json_block(self) -> str:
-        return json.dumps({"check": self.check, "certificate": certificate_to_dict(self.certificate)}, sort_keys=True)
+        block = {"check": self.check, "certificate": certificate_to_dict(self.certificate)}
+        # records may be shared but never hold themselves: no cycle check
+        return json.dumps(block, sort_keys=True, default=_view, check_circular=False)
 
 
-def _cone_line(c: dict) -> str:
-    parts = []
-    if c["rays"]:
-        parts.append("rays " + " ".join("(" + ",".join(r) + ")" for r in c["rays"]))
-    if c["lin"]:
-        parts.append("lin " + " ".join("(" + ",".join(r) + ")" for r in c["lin"]))
-    if not parts:
-        parts.append("{0}")
-    return ", ".join(parts)
+def _view(o) -> dict:
+    """The encoder's hook: a cone is written as its view, anything else is a defect."""
+    if isinstance(o, PolyCone):
+        return cone_plain(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _cone_line(c: PolyCone) -> str:
+    view = cone_plain(c)
+    parts = [key + " " + " ".join("(" + ",".join(g) + ")" for g in view[key]) for key in ("rays", "lin") if view[key]]
+    return ", ".join(parts) or "{0}"
 
 
 def _render_trace(trace, verbosity: str) -> list[str]:

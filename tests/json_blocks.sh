@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Every JSON block the command line prints is one line, what
 # json.dumps(sort_keys=True) writes for it, and every run ends with its
-# expected exit code.
+# expected exit code.  Every certify block loads with
+# fileio.certificate_from_dict, and the loaded certificate's block is the
+# same bytes.
 #
 #   bash tests/json_blocks.sh PROBLEMS COMMAND...
 #
@@ -14,7 +16,18 @@
 set -euo pipefail
 problems=$1
 shift
-same_json='import json, sys; block = sys.stdin.read().split(" JSON ---\n", 1)[1].rstrip("\n"); ok = block == json.dumps(json.loads(block), sort_keys=True); print(sys.argv[1], "JSON block as json.dumps writes it:", ok); sys.exit(not ok)'
+same_json='
+import json, sys
+from polyvar.fileio import Report, certificate_from_dict
+block = sys.stdin.read().split(" JSON ---\n", 1)[1].rstrip("\n")
+data = json.loads(block)
+ok, how = block == json.dumps(data, sort_keys=True), "as json.dumps writes it"
+if sys.argv[1].startswith("certify "):
+    ok &= Report(data["check"], certificate_from_dict(data["certificate"]), "").json_block() == block
+    how += " and as its loaded certificate writes it"
+print(sys.argv[1], "JSON block", how + ":", ok)
+sys.exit(not ok)
+'
 {
   python -c '
 from polyvar.cli import _EXPECTED

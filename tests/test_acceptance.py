@@ -25,7 +25,7 @@ from polyvar.graphmap import (
     directional_limiting_normal_graph,
     limiting_normal_graph,
 )
-from polyvar.linalg import QVector
+from polyvar.linalg import QVector, vec_plain
 from polyvar.oracle import piece_sets_equal, sample_graph_directional
 from polyvar.sets import critical_cone, nearby_critical_cone
 
@@ -77,7 +77,7 @@ def test_criterion_2_example5_aubin_via_cli(capsys):
     all_trivial = all(e["trivial"] for c in phase_b["cases"] for e in c["adjoint_inclusions"])
     # the standard adjoint inclusion is the directional one at (0, 0)
     zero = check_directional_metric_regularity(ex5_spec(), QVector.zero(2), QVector.zero(2))
-    gens = sorted(g for t in zero.trace for key in ("rays", "lin") for g in t["adjoint_cone"][key])
+    gens = sorted(vec_plain(g) for t in zero.trace for g in t["adjoint_cone"].rays + t["adjoint_cone"].lin)
     with capsys.disabled():
         ok = (
             code == 0

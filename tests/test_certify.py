@@ -50,7 +50,7 @@ from polyvar.certify import (
 from polyvar import certify, sets
 from polyvar.cones import PolyCone, open_cell, pick_nonzero
 from polyvar.graphmap import directional_limiting_normal_graph, face_pairs, limiting_normal_graph
-from polyvar.linalg import QMatrix, QVector, _dot, _ints, _neg, _reduce, row_space_basis
+from polyvar.linalg import QMatrix, QVector, _dot, _ints, _neg, _reduce, row_space_basis, vec_plain
 from polyvar.sets import (
     ConeUnion,
     InfeasibleError,
@@ -317,7 +317,7 @@ def test_ex5_aubin_both_modes_and_trace_shape():
     assert [t["phase"] for t in cor.trace] == ["A (solvability for every parameter direction)", phase_b["phase"]]
     # the standard adjoint inclusion is dir-reg at (0, 0), refuted on two rays
     zero = check_directional_metric_regularity(spec, QVector.zero(2), QVector.zero(2))
-    gens = sorted(g for t in zero.trace for key in ("rays", "lin") for g in t["adjoint_cone"][key])
+    gens = sorted(vec_plain(g) for t in zero.trace for g in t["adjoint_cone"].rays + t["adjoint_cone"].lin)
     assert gens == [["-1", "-2"], ["-1", "2"]] and zero.refuted
     thm = check_aubin(spec, "theorem")
     assert thm.status == HOLDS

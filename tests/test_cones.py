@@ -854,7 +854,7 @@ def test_cone_plain_matches_rational_views_hypothesis(system, as_generators):
     assert cone_plain(c) == reference_plain(c)
     assert cone_plain(c.polar()) == reference_plain(c.polar())
     assert polar_rows(c) == reference_rows(c)
-    assert cone_plain(c) is cone_plain(c)  # built once per cone
+    assert cone_plain(c) is not cone_plain(c)  # built afresh on each call
 
 
 @settings(max_examples=80, deadline=None)
@@ -868,17 +868,7 @@ def test_a_view_determines_its_cone_hypothesis(system, as_generators):
         c = PolyCone.from_ineqs(dim, rows, more)
     view = cone_plain(c)
     assert sorted(view) == ["dim", "lin", "rays"]
-    assert PolyCone.from_generators(view["dim"], map(QVector, view["rays"]), map(QVector, view["lin"])) == c
-    # the polar's view writes the strings of the "ineqs" and "eqs" keys that
-    # a cone's view held when it wrote both sides: each facet row's integers,
-    # and each echelon equation row divided by its pivot
-    ineqs, eqs = c._h
-    pivots = [next(x for x in e if x) for e in eqs]
-    both_sides = {
-        "ineqs": [[str(x) for x in a] for a in ineqs],
-        "eqs": [[str(F(x, p)) for x in e] for e, p in zip(eqs, pivots)],
-    }
-    assert polar_rows(c) == both_sides
+    assert PolyCone.from_generators(view["dim"], view["rays"], view["lin"]) == c
 
 
 # -- identity by the canonical integer generators ---------------------------------

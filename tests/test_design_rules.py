@@ -1,4 +1,4 @@
-"""Two layering rules of the package, checked on its source with ``ast``.
+"""Three layering rules of the package, checked on its source with ``ast``.
 
 Fractions stay at the boundary: the cone layer, the polyhedra, the graph map
 and the certifiers work on integer rows; rationals enter and leave only
@@ -14,6 +14,11 @@ only what is a function of itself, and geometry derived from a spec lives
 in the spec's memo (``certify._per_spec``).  There is no module-level cache,
 so no functools.lru_cache or functools.cache and no global statement
 anywhere in the package.
+
+Certificates hold cones, and the JSON boundary writes their views: the
+certifiers import and call no ``cone_plain``, and a cone keeps no view (no
+``_plain`` in ``PolyCone.__slots__``); ``fileio`` writes a view when it
+encodes a certificate and reads it back as a cone.
 """
 
 import ast
@@ -64,6 +69,22 @@ def test_derived_geometry_lives_on_its_owner_or_in_the_spec_memo():
             elif isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache"):
                 if isinstance(node.value, ast.Name) and node.value.id == "functools":
                     bad.append(f"{path}:{node.lineno} uses functools.{node.attr}")
+    assert not bad, "\n".join(bad)
+
+
+def test_certificates_hold_cones_and_fileio_writes_their_views():
+    path, nodes = _nodes(PACKAGE / "certify.py")
+    bad = []
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and "cone_plain" in [a.name for a in node.names]:
+            bad.append(f"{path}:{node.lineno} imports cone_plain")
+        elif isinstance(node, ast.Call) and "cone_plain" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            bad.append(f"{path}:{node.lineno} calls cone_plain")
+    path, nodes = _nodes(PACKAGE / "cones.py")
+    (cls,) = [n for n in nodes if isinstance(n, ast.ClassDef) and n.name == "PolyCone"]
+    (slots,) = [n.value for n in cls.body if isinstance(n, ast.Assign) and [getattr(t, "id", None) for t in n.targets] == ["__slots__"]]
+    if "_plain" in ast.literal_eval(slots):
+        bad.append(f"{path}:{slots.lineno} keeps a view in PolyCone.__slots__")
     assert not bad, "\n".join(bad)
 
 

@@ -20,13 +20,12 @@ from polyvar.certify import (
 )
 from polyvar import cli
 from polyvar.cli import bundled_problem_path, run_command
-from polyvar.cones import PolyCone, cone_plain
+from polyvar.cones import PolyCone
 from polyvar.fileio import (
     ProblemFileError,
     Report,
     _ratios,
     certificate_from_dict,
-    certificate_to_dict,
     parse_problem,
     problem_from_dict,
     problem_to_dict,
@@ -34,6 +33,7 @@ from polyvar.fileio import (
 )
 from polyvar.linalg import QMatrix, QVector
 from polyvar.sets import InfeasibleError, Polyhedron, UnionSet
+from test_golden import _aubin_refutation_3d_spec, _aubin_refutation_spec
 
 
 def ex4_dict():
@@ -396,29 +396,25 @@ def test_each_tangent_cone_is_built_once(capsys):
     capsys.readouterr()
 
 
-def test_certificates_of_one_spec_share_cone_views():
+def test_certificates_of_one_spec_share_cones():
     # calmness holds check_foscms's records, and Phase B of check_aubin holds
-    # the views of the normal cones and dual test cones of the strata it
-    # reads (the same cones, memoised per spec), not copies
+    # the normal cones and dual test cones of the strata it reads (the same
+    # cones, memoised per spec), not copies
     spec = parse_problem(bundled_problem_path("ex3.json"))
     certs = (check_foscms(spec), check_calmness_constraint(spec, "first"), check_aubin(spec, "corollary"))
 
-    def views(o):
-        if isinstance(o, dict) and o.keys() == {"dim", "lin", "rays"}:
+    def cones(o):
+        if isinstance(o, PolyCone):
             return [o]
         items = o.values() if isinstance(o, dict) else o if isinstance(o, (list, tuple)) else ()
-        return [v for item in items for v in views(item)]
+        return [c for item in items for c in cones(item)]
 
-    found = [{id(v): v for v in views(cert.trace)} for cert in certs]
-    assert found[0] and found[0].keys() <= found[1].keys()
+    found = [{id(c) for c in cones(cert.trace)} for cert in certs]
+    assert found[0] and found[0] <= found[1]
     phase_b = next(t for t in certs[2].trace if t["phase"].startswith("B"))
     held = {c["case"] for c in phase_b["cases"]}
-    read = {id(v) for rec in certs[0].trace if rec["stratum"] in held for v in views(rec)}
-    assert read and read <= found[2].keys()
-    for check, cert in zip(("foscms", "calmness", "aubin"), certs):
-        block = render_report(check, cert, "full").json_block()
-        assert block == json.dumps(json.loads(block), sort_keys=True)
-        assert certificate_from_dict(json.loads(block)["certificate"]) == cert
+    read = {id(c) for rec in certs[0].trace if rec["stratum"] in held for c in cones(rec)}
+    assert read and read <= found[2]
 
 
 # The JSON block of check_aubin on G(p, x) = p + x with D = R_- when each
@@ -447,32 +443,26 @@ _BOTH_SIDES_BLOCK = (
 )
 
 
-def test_a_certificate_whose_views_wrote_both_sides_still_loads():
-    spec = ConstraintSystemSpec(l=1, n=1, m=1, Jp=[[1]], Jx=[[1]], g0=[0], D=UnionSet([Polyhedron(1, A=[[1]], b=[0])]))
-    old = certificate_from_dict(json.loads(_BOTH_SIDES_BLOCK)["certificate"])
-    new = check_aubin(spec)
-    assert old.holds() and old.witnesses == new.witnesses == ()
-    assert old.trace[2]["phase"] == "standard adjoint inclusion (zero direction)"
-    # the old block has the new one's records with each view's rows, plus the last record
-
-    def generators_only(o):
-        if isinstance(o, dict):
-            return {k: generators_only(v) for k, v in o.items() if not ("dim" in o and k in ("ineqs", "eqs"))}
-        return [generators_only(v) for v in o] if isinstance(o, list) else o
-
-    plain = generators_only(certificate_to_dict(old))
-    # and each adjoint inclusion named its stratum and cell, "{case} / cell i",
-    # where the new one carries the cell index alone
-    for case in plain["trace"][1]["cases"]:
-        for entry in case["adjoint_inclusions"]:
-            stratum, cell = entry.pop("adjoint_stratum").rsplit(" / cell ", 1)
-            assert stratum == case["case"]
-            entry["cell"] = int(cell)
-    want = json.loads(render_report("aubin", new, "full").json_block())["certificate"]
-    assert plain == {**want, "trace": want["trace"] + [generators_only(old.trace[2])]}
-    # and it renders as the new one, with the last record's header line
-    text = render_report("aubin", old, "full").text
-    assert text == render_report("aubin", new, "full").text + "\n[standard adjoint inclusion (zero direction)]"
+def test_a_block_whose_views_wrote_both_sides_is_refused():
+    # no writer writes a view's rows, so the reader refuses the first view
+    # that holds them and names its JSON path
+    data = json.loads(_BOTH_SIDES_BLOCK)["certificate"]
+    refusal = ": a cone view has the keys dim, lin and rays only, got ['dim', 'eqs', 'ineqs', 'lin', 'rays']"
+    with pytest.raises(ValueError) as err:
+        certificate_from_dict(data)
+    assert str(err.value) == "trace[0].projections[0]" + refusal
+    # with Phase A's views as they are written now, Phase B's first is refused
+    for view in data["trace"][0]["projections"] + data["trace"][0]["solution_pieces"]:
+        del view["ineqs"], view["eqs"]
+    with pytest.raises(ValueError) as err:
+        certificate_from_dict(data)
+    assert str(err.value) == "trace[1].cases[0].adjoint_inclusions[0].adjoint_cone" + refusal
+    # and so is a view whose rows are not rationals of its dimension
+    for rays, message in (([["1", "0"]], "generator has wrong dimension"), ([["1/0"]], "zero denominator in '1/0'")):
+        data["trace"] = [{"piece": "normal piece 0", "adjoint_cone": {"dim": 1, "lin": [], "rays": rays}, "outcome": "violated"}]
+        with pytest.raises(ValueError) as err:
+            certificate_from_dict(data)
+        assert str(err.value) == f"trace[0].adjoint_cone: {message}"
 
 
 def test_a_desk_scale_block_names_each_stratum_once():
@@ -495,15 +485,23 @@ def test_json_writer_rejects_non_plain_values():
 
 
 def test_certificate_json_round_trip():
-    spec = parse_problem(bundled_problem_path("ex3.json"))
-    for cert in (
-        check_foscms(spec),
-        check_calmness_constraint(spec, "first"),
-        check_aubin(spec, "corollary"),
-    ):
-        blob = json.dumps(certificate_to_dict(cert), sort_keys=True)
-        back = certificate_from_dict(json.loads(blob))
-        assert back == cert
+    # every check of the bundled examples, the standard adjoint inclusion
+    # (dir-reg at the zero direction), the joint check and both Phase A
+    # refutations: the certificate loads back equal, and the loaded one
+    # writes the same block and the same full report
+    runs = [(name, check, extra.get("dir")) for name, checks in cli._EXPECTED.items() for check, _, extra in checks]
+    runs += [("3", "dir-reg", "0,0;0,0,0,0"), ("5", "dir-reg", "0,0;0,0"), ("3", "foscms-joint", None), ("5", "foscms-joint", None)]
+    certs = []
+    for name, check, d in runs:
+        spec = parse_problem(bundled_problem_path(f"ex{name}.json"))
+        certs.append((check, cli._run_check(spec, check, argparse.Namespace(dir=d, gpp=None, assume_subregular=False))))
+    certs += [("aubin", check_aubin(make(), "corollary")) for make in (_aubin_refutation_spec, _aubin_refutation_3d_spec)]
+    for check, cert in certs:
+        report = render_report(check, cert, "full")
+        back = certificate_from_dict(json.loads(report.json_block())["certificate"])
+        assert back == cert, check
+        loaded = render_report(check, back, "full")
+        assert (loaded.json_block(), loaded.text) == (report.json_block(), report.text), check
 
 
 def test_report_renders_and_embeds_json():
@@ -666,40 +664,53 @@ def test_cli_files_with_no_components(tmp_path, capsys):
     assert "internal error" not in capsys.readouterr().err
 
 
-def degenerate_shapes() -> dict[str, dict]:
-    """Problem files of degenerate shape: l = 0, n = 0, m = 0, D a single
-    point, and gamma the whole space or a point."""
+def _mat(nrows, ncols, x="1"):
+    return [[x] * ncols for _ in range(nrows)]
 
-    def mat(nrows, ncols, x="1"):
-        return [[x] * ncols for _ in range(nrows)]
 
-    def eye(k):
-        return [[str(int(i == j)) for j in range(k)] for i in range(k)]
+def _eye(k):
+    return [[str(int(i == j)) for j in range(k)] for i in range(k)]
 
-    def constraint(l, n, m, piece):
-        return {
-            "kind": "constraint", "dims": {"l": l, "n": n, "m": m},
-            "Jp": mat(m, l), "Jx": mat(m, n), "g0": ["0"] * m, "D": {"pieces": [piece]},
-            "hessians": [mat(n, n, "0") for _ in range(m)],
-        }
 
-    def variational(l, n, gamma):
-        return {
-            "kind": "variational", "dims": {"l": l, "n": n}, "Jp": mat(n, l), "Jx": eye(n),
-            "xbar": ["0"] * n, "ybarstar": ["0"] * n, "gamma": gamma,
-        }
-
-    orthant = {"A": [["1", "0"], ["0", "1"]], "b": ["0", "0"]}
+def _constraint(l, n, m, piece, jx="1"):
+    """A constraint file with all-ones Jp, Jx of entries ``jx``, g0 = 0, D
+    the one piece and zero Hessians."""
     return {
-        "l=0": constraint(0, 2, 2, orthant),
-        "n=0": constraint(1, 0, 2, orthant),
-        "m=0": no_components_dict(),
-        "D a point": constraint(1, 2, 2, {"E": eye(2), "e": ["0", "0"]}),
-        "variational l=0": variational(0, 2, {"A": [["1", "-2"], ["1", "2"]], "b": ["0", "0"]}),
-        "variational n=0": variational(1, 0, {}),
-        "gamma = R^n": variational(1, 2, {}),
-        "gamma a point": variational(1, 2, {"E": eye(2), "e": ["0", "0"]}),
+        "kind": "constraint", "dims": {"l": l, "n": n, "m": m},
+        "Jp": _mat(m, l), "Jx": _mat(m, n, jx), "g0": ["0"] * m, "D": {"pieces": [piece]},
+        "hessians": [_mat(n, n, "0") for _ in range(m)],
     }
+
+
+def _variational(l, n, gamma):
+    """A variational file with all-ones Jp, Jx = I and x̄ = ȳ* = 0."""
+    return {
+        "kind": "variational", "dims": {"l": l, "n": n}, "Jp": _mat(n, l), "Jx": _eye(n),
+        "xbar": ["0"] * n, "ybarstar": ["0"] * n, "gamma": gamma,
+    }
+
+
+HOLDS, UNCERTIFIED, REFUTED, USAGE = (0, "holds", False), (1, "not_certified", False), (1, "not_certified", True), (3, None, None)
+R_MINUS, ORTHANT, POINT = {"A": [["1"]], "b": ["0"]}, {"A": _eye(2), "b": ["0", "0"]}, {"E": _eye(2), "e": ["0", "0"]}
+NO_U = {"aubin": REFUTED, "aubin-theorem": REFUTED, "dir-subreg": USAGE, "dir-reg": REFUTED}
+DUAL_LINE = {"aubin": UNCERTIFIED, "aubin-theorem": USAGE, "foscms-joint": UNCERTIFIED, "dir-reg": REFUTED}
+FIRST_ORDER = dict.fromkeys(("foscms", "soscms", "calmness", "calmness2"), UNCERTIFIED)
+# name: (problem file, {check: (exit code, status, refuted)} for each check that does not hold)
+DEGENERATE = {
+    "l=0": (_constraint(0, 1, 1, R_MINUS), {}),
+    "l=0, m=2": (_constraint(0, 2, 2, ORTHANT), {}),
+    "n=0": (_constraint(1, 0, 1, R_MINUS), NO_U),
+    "n=0, m=2": (_constraint(1, 0, 2, ORTHANT), NO_U),
+    "m=0": (_constraint(1, 1, 0, {}), {}),
+    "D a point": (_constraint(1, 1, 2, POINT), DUAL_LINE),  # aubin: the known gap
+    "D a point, n=2": (_constraint(1, 2, 2, POINT), {**DUAL_LINE, **FIRST_ORDER}),
+    "D the line": (_constraint(1, 1, 1, {}, jx="0"), {}),
+    "variational n=0": (_variational(1, 0, {}), {"dir-subreg": USAGE}),
+    "variational l=0": (_variational(0, 1, R_MINUS), {"dir-subreg": USAGE}),
+    "variational l=0, a wedge": (_variational(0, 2, {"A": [["1", "-2"], ["1", "2"]], "b": ["0", "0"]}), {"dir-subreg": USAGE}),
+    "gamma = R^n": (_variational(1, 2, {}), {"dir-subreg": USAGE}),
+    "gamma a point": (_variational(1, 2, POINT), {"dir-subreg": USAGE}),
+}
 
 
 def degenerate_check_options(n: int, m: int):
@@ -715,30 +726,89 @@ def degenerate_check_options(n: int, m: int):
     return out
 
 
-def test_degenerate_shapes_get_a_verdict_or_a_usage_error(tmp_path, capsys):
-    for name, data in degenerate_shapes().items():
-        spec = problem_from_dict(data, name)
-        m = spec.m if spec.kind == "constraint" else spec.n
-        path = tmp_path / "problem.json"
-        path.write_text(json.dumps(data))
-        for check, u, gpp, assume in degenerate_check_options(spec.n, m):
-            args = argparse.Namespace(dir=u, gpp=gpp, assume_subregular=assume)
-            try:
-                assert isinstance(cli._run_check(spec, check, args), Certificate)
-            except (PreconditionError, cli.UsageError):
-                pass
-            argv = ["certify", str(path), "--check", check]
-            argv += [f"--dir={u}"] * (u is not None) + [f"--gpp={gpp}"] * (gpp is not None)
-            argv += ["--assume-subregular"] * assume
-            assert run_command(argv) in (0, 1, 3), (name, argv)
-        zero = ",".join(["0"] * m)
-        assert run_command(["cones", str(path), f"--at={zero}", f"--ystar={zero}"]) == 0, name
-        if spec.kind == "variational":
-            for mode in ("--regular", "--limiting", f"--dir={zero};{zero}"):
-                assert run_command(["graph-normal", str(path), mode]) == 0, (name, mode)
-        direction = f"{zero};{zero}" if spec.kind == "variational" else zero
-        assert run_command(["oracle", str(path), f"--dir={direction}"]) == 0, name
-    assert "internal error" not in capsys.readouterr().err
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_degenerate_shapes_get_their_hand_derived_verdicts(tmp_path, capsys, name):
+    """Every check on each degenerate shape, by hand.  G(p, x) = Jp p + Jx x
+    must lie in D near g0 = 0 (Jp and Jx all ones unless said otherwise,
+    Hessians zero) and S(p) = {x : G(p, x) ∈ D}; a variational system asks
+    0 ∈ Jp p + x + N_Γ(x) near x̄ = 0.  The first and second order tests
+    (and calmness, which delegates to them) ask ker Jxᵀ ∩ N to be trivial
+    on each stratum of D that some Jx u with u ≠ 0 reaches.  Phase A of
+    aubin asks the projections of the solution cones to cover parameter
+    space, which is necessary, so a gap refutes; Phase B and the joint test
+    ask the adjoint cones (cut to ker Jpᵀ for the joint test) to be
+    trivial, which is only sufficient.  dir-reg runs at the zero direction,
+    where ker Jxᵀ ∩ N_D(0) = {0} is exact, so a failure refutes.
+    dir-subreg runs along e₁ and needs a nonzero u and curvature (Hessians
+    or --gpp), or it exits 3.
+
+    * l = 0, D = R₋ or R²₋: ker Jxᵀ, {0} or span (1, −1), meets each normal
+      cone of D, which lies in R₊ or R²₊, only at 0; R⁰ is covered, and
+      Jx e₁, 1 or (1, 1), is not tangent to D.  Everything holds.
+    * n = 0, D = R₋ or R²₋ (G = p or (p, p)): no u ≠ 0 exists, so the first
+      and second order tests hold vacuously, and the joint one holds as
+      ker Jpᵀ meets each normal cone of D only at 0.  S(p) is empty for p > 0: Phase
+      A's one projection, R₋, misses q = 1, which refutes aubin in either
+      mode.  ker Jxᵀ ∩ N_D(0) = N_D(0) ≠ {0} refutes dir-reg, and dir-subreg
+      has no nonzero u.
+    * m = 0 (S(p) = R): every dual cone lives in R⁰.  Everything holds.
+    * D = {0} ⊂ R² (S(p) = {−p} for n = 1, the line x₁ + x₂ = −p for
+      n = 2): N_D(0) = R², so the adjoint cone is ker Jxᵀ = span (1, −1),
+      nontrivial and inside ker Jpᵀ.  Phase A covers R, but Phase B and the
+      joint test fail without refuting, theorem mode has no evidence (exit
+      3), and dir-reg is refuted: Jx maps onto the diagonal only.  Jx e₁ =
+      (1, 1) is not tangent.  For n = 1, T_D(0) = {0} takes no Jx u with
+      u ≠ 0, so the first and second order tests hold vacuously; for n = 2,
+      u = (1, −1) reaches D and those tests fail without refuting (the
+      dual cone is a line).  A known gap: for n = 1, S(p) = {−p} is
+      Lipschitz, so S has the Aubin property, yet [Jp Jx] has rank 1 and no
+      current check decides it; the table pins today's "not certified",
+      not the right verdict.
+    * D = R, Jx = 0 (S(p) = R): N_D(0) = {0}, so every dual and adjoint
+      cone is trivial and Phase A covers R.  Everything holds.
+    * variational: N_Γ is monotone, so ⟨x*, v⟩ ≥ 0 for x* in its
+      coderivative at v, and with Jx = I the adjoint inclusion
+      0 = v + x* leaves only v = 0: every adjoint cone is trivial, with or
+      without the cut to ker Jpᵀ.  Phase A covers R⁰ when l = 0, and R
+      when l = 1, as S(p) is nonempty for every p (Γ = R², a point, or R⁰
+      when n = 0).  dir-subreg has no nonzero u when n = 0, and else no
+      curvature: a variational file stores no Hessians and no --gpp is
+      given.  Everything else holds.
+    """
+    data, not_holding = DEGENERATE[name]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    spec = problem_from_dict(data, name)
+    n, m = spec.n, spec.m if spec.kind == "constraint" else spec.n
+    e1 = ",".join(["1"] + ["0"] * (n - 1)) if n else ""
+    options = {"dir-subreg": [f"--dir={e1}"], "dir-reg": ["--dir=" + ",".join(["0"] * n) + ";" + ",".join(["0"] * m)]}
+    checks = ("foscms", "soscms", "calmness", "calmness2") * (spec.kind == "constraint")
+    got = {}
+    for check in checks + ("aubin", "aubin-theorem", "foscms-joint", "dir-subreg", "dir-reg"):
+        code = run_command(["certify", str(path), "--check", check, *options.get(check, ())])
+        out = capsys.readouterr().out
+        cert = json.loads(out.split(" JSON ---\n", 1)[1])["certificate"] if out else {}
+        got[check] = (code, cert.get("status"), cert.get("refuted"))
+    assert got == {check: not_holding.get(check, HOLDS) for check in got}
+    # with any other options, every check gives a verdict or a usage error,
+    # in the library and on the command line, and the other commands run
+    for check, u, gpp, assume in degenerate_check_options(n, m):
+        args = argparse.Namespace(dir=u, gpp=gpp, assume_subregular=assume)
+        try:
+            assert isinstance(cli._run_check(spec, check, args), Certificate)
+        except (PreconditionError, cli.UsageError):
+            pass
+        argv = ["certify", str(path), "--check", check]
+        argv += [f"--dir={u}"] * (u is not None) + [f"--gpp={gpp}"] * (gpp is not None)
+        argv += ["--assume-subregular"] * assume
+        assert run_command(argv) in (0, 1, 3), argv
+    zero = ",".join(["0"] * m)
+    assert run_command(["cones", str(path), f"--at={zero}", f"--ystar={zero}"]) == 0
+    if spec.kind == "variational":
+        for mode in ("--regular", "--limiting", f"--dir={zero};{zero}"):
+            assert run_command(["graph-normal", str(path), mode]) == 0, mode
+    direction = f"{zero};{zero}" if spec.kind == "variational" else zero
+    assert run_command(["oracle", str(path), f"--dir={direction}"]) == 0
 
 
 def test_cli_golden_examples(capsys):
