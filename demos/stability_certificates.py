@@ -3,7 +3,8 @@
 The bundled corpus covers the three interesting outcomes:
 
 * ex3: a complementarity system that is calm with a linear solvability rate,
-  yet fails the Aubin check with an explicit dual witness;
+  yet lacks the Aubin property: its [Jp Jx] is onto, so the exact criterion
+  decides, and refutes with an explicit dual witness;
 * ex4: a system whose first order test fails but whose second order
   (curvature) test certifies calmness with a square-root rate;
 * ex5: a generalized equation whose Aubin property is certified through the
@@ -33,10 +34,10 @@ print("first order subregularity:", check_foscms(ex3).status)
 calm = check_calmness_constraint(ex3, "first")
 print("calmness:", calm.status, "| linear solvability:", calm.rate("linear_solvability"))
 aubin = check_aubin(ex3, "corollary")
-print("aubin:", aubin.status)
+print("aubin:", aubin.status, "| refuted:", aubin.refuted)
 for w in aubin.witnesses:
-    print("  witness stratum:", w.stratum)
-    print("  dual ray:", w.vstar, " parameter direction:", w.q)
+    print("  witness piece:", w.stratum)
+    print("  dual ray:", w.vstar)
 
 print("\n== ex4: curvature rescues calmness ==")
 fos = check_foscms(ex4)

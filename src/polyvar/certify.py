@@ -17,7 +17,10 @@ are faces of one pulled-back cone:
 * ``check_calmness_constraint``: the same conditions plus solvability rates
   (linear or square-root order) for the parameterized system,
 * ``check_aubin``: solvability of the linearized system for every parameter
-  direction plus triviality of the direction-stratified adjoint inclusions,
+  direction plus, where [Jp Jx] of a constraint system is onto, the exact
+  Mordukhovich criterion (``check_directional_metric_regularity`` at
+  (0, 0)), and elsewhere triviality of the direction-stratified adjoint
+  inclusions,
 * ``check_directional_metric_regularity``: the exact (if and only if)
   directional criterion, so a failure here is a refutation,
 * ``check_second_order_directional_subregularity``: curvature test along one
@@ -640,57 +643,23 @@ def _phase_a(spec) -> tuple[dict, bool, QVector | None]:
     return rec, covered, gap
 
 
-def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) -> Certificate:
-    """Aubin property of the solution map around the reference point.
+@_per_spec
+def _onto(spec) -> bool:
+    """Whether [Jp Jx] has full row rank m, read off ``_jacobian``'s
+    integer rows; never when l + n < m."""
+    if spec.l + spec.n < spec.m:
+        return False
+    return len(_echelon([_reduce(r) for r in _jacobian(spec)[0]], spec.l + spec.n)[0]) == spec.m
 
-    Phase A verifies that the linearized inclusion is solvable for every
-    parameter direction (projection of the solution cone onto parameter
-    space covers it; this is also necessary, so failure refutes).  Phase B
-    requires, for every nonzero solution direction and every compatible
-    coderivative piece, that the adjoint solution cone is trivial
-    (mode "corollary") or contained in the kernel of Jp^T (mode "theorem",
-    which additionally needs metric subregularity of the joint map -
-    discharged through check_foscms_joint or asserted by the caller).
 
-    The trace holds the Phase A record and, when Phase A holds, the Phase B
-    record: one case per adjoint stratum and one inclusion per cell, named
-    by its index; a witness is ``{case} / cell i``.  The unstratified
-    (standard) adjoint inclusion is not repeated here: it is
-    ``check_directional_metric_regularity`` at the direction (0, 0), which
-    decides it exactly.
-    """
-    if mode not in ("corollary", "theorem"):
-        raise PreconditionError("mode must be 'corollary' or 'theorem'")
-    notes: list[str] = []
-    trace: list = []
-    if mode == "theorem":
-        if assume_subregular:
-            notes.append("joint metric subregularity asserted by caller")
-        else:
-            evidence = check_foscms_joint(spec)
-            if not evidence.holds():
-                raise PreconditionError(
-                    "theorem mode needs metric subregularity of the joint map: "
-                    "check_foscms_joint did not certify it and no assertion flag was given"
-                )
-            notes.append("joint metric subregularity certified by check_foscms_joint")
-
-    phase_a, covered, gap = _phase_a(spec)
-    trace.append(phase_a)
-    witnesses: list[Witness] = []
-    if not covered:
-        witnesses.append(Witness("uncovered parameter direction", None, q=gap))
-        notes.append("solvability fails: this condition is necessary, so the Aubin property fails")
-        return Certificate(
-            NOT_CERTIFIED,
-            tuple(witnesses),
-            refuted=True,
-            trace=tuple(trace),
-            notes=tuple(notes),
-        )
-
+def _phase_b(spec, mode: str) -> tuple[dict, list[Witness]]:
+    """Phase B of ``check_aubin``: its trace record, one case per adjoint
+    stratum and one inclusion per nontrivial (q, u) cell, named by its
+    index, and its witnesses, ``{case} / cell i``.  A case is violated when
+    its adjoint cone is nontrivial (corollary mode) or has a generator
+    outside ker Jp^T (theorem mode)."""
     jpt = _w_map_T(spec)[: spec.l]  # a multiple of ±Jp^T
-    cases = []
+    cases, witnesses = [], []
     for case, piece, adjoint, cells in _adjoint_strata(spec):
         if mode == "corollary":
             offender = pick_nonzero(adjoint)
@@ -707,9 +676,68 @@ def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) 
         cases.append({"case": case, "adjoint_inclusions": inclusions})
         if offender is not None:
             witnesses += [Witness(f"{case} / cell {i}", offender, u=u, q=q) for i, (q, u) in cells]
-    trace.append({"phase": "B (direction-stratified adjoint inclusions)", "mode": mode, "cases": cases})
+    return {"phase": "B (direction-stratified adjoint inclusions)", "mode": mode, "cases": cases}, witnesses
+
+
+def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) -> Certificate:
+    """Aubin property of the solution map around the reference point.
+
+    Phase A verifies that the linearized inclusion is solvable for every
+    parameter direction (projection of the solution cone onto parameter
+    space covers it; this is also necessary, so failure refutes).
+
+    When [Jp Jx] of a constraint system is onto, the normal cone to gph S
+    is [Jp Jx]^T N_D(g0) (Rockafellar-Wets Ex. 6.7), so by the Mordukhovich
+    criterion (Thm 9.40) S has the Aubin property iff N_D(g0) ∩ ker Jx^T =
+    {0}, in either mode (onto, Jx^T v* = 0 and v* != 0 give Jp^T v* != 0).
+    That is ``check_directional_metric_regularity`` at (0, 0), and once
+    Phase A covers, its status, refuted flag, witnesses (v* with u = 0) and
+    per-piece records are the verdict, after Phase A's record, with one
+    note naming the criterion.  When Phase A refutes, the certificate is
+    Phase A's, and the exact criterion must fail too: if it holds, the
+    disagreement is a defect and raises RuntimeError, never a verdict.
+
+    Otherwise Phase B requires, for every nonzero solution direction and
+    every compatible coderivative piece, that the adjoint solution cone is
+    trivial (mode "corollary") or contained in the kernel of Jp^T (mode
+    "theorem"), see ``_phase_b``.  Theorem mode additionally needs metric
+    subregularity of the joint map, discharged through check_foscms_joint
+    or asserted by the caller, whichever branch decides.
+    """
+    if mode not in ("corollary", "theorem"):
+        raise PreconditionError("mode must be 'corollary' or 'theorem'")
+    notes: list[str] = []
+    if mode == "theorem":
+        if assume_subregular:
+            notes.append("joint metric subregularity asserted by caller")
+        else:
+            evidence = check_foscms_joint(spec)
+            if not evidence.holds():
+                raise PreconditionError(
+                    "theorem mode needs metric subregularity of the joint map: "
+                    "check_foscms_joint did not certify it and no assertion flag was given"
+                )
+            notes.append("joint metric subregularity certified by check_foscms_joint")
+
+    phase_a, covered, gap = _phase_a(spec)
+    exact = None
+    if spec.kind == "constraint" and _onto(spec):
+        exact = check_directional_metric_regularity(spec, QVector.zero(spec.n), QVector.zero(spec.m))
+        if not covered and exact.holds():
+            raise RuntimeError(f"check_aubin: Phase A found the gap {gap!r} where the exact criterion holds")
+    if not covered:
+        notes.append("solvability fails: this condition is necessary, so the Aubin property fails")
+        gap_witness = Witness("uncovered parameter direction", None, q=gap)
+        return Certificate(NOT_CERTIFIED, (gap_witness,), refuted=True, trace=(phase_a,), notes=tuple(notes))
+    if exact is not None:
+        notes.append(
+            "[Jp Jx] is onto: by the Mordukhovich criterion S has the Aubin property iff no nonzero v* "
+            "in N_D(g0) has Jx^T v* = 0, which dir-reg at (0, 0) decides exactly"
+        )
+        return Certificate(exact.status, exact.witnesses, refuted=exact.refuted, trace=(phase_a, *exact.trace), notes=tuple(notes))
+    phase_b, witnesses = _phase_b(spec, mode)
     status = NOT_CERTIFIED if witnesses else HOLDS
-    return Certificate(status, tuple(witnesses), trace=tuple(trace), notes=tuple(notes))
+    return Certificate(status, tuple(witnesses), trace=(phase_a, phase_b), notes=tuple(notes))
 
 
 @_per_spec

@@ -209,7 +209,7 @@ _EXPECTED = {
     "3": [
         ("foscms", "holds", {}),
         ("calmness", "holds", {"linear_solvability": True}),
-        ("aubin", "not_certified", {}),
+        ("aubin", "not_certified", {"refuted": True}),
     ],
     "4": [
         ("foscms", "not_certified", {"witness_vstar": ["1", "1"]}),
@@ -237,6 +237,9 @@ def _cmd_examples(args) -> int:
         cert = _run_check(spec, check, ns)
         ok = cert.status == want_status
         detail = [f"status={cert.status} (expected {want_status})"]
+        if "refuted" in extra:
+            ok &= cert.refuted == extra["refuted"]
+            detail.append(f"refuted={cert.refuted} (expected {extra['refuted']})")
         for rate, want in (
             ("linear_solvability", extra.get("linear_solvability")),
             ("hoelder_half_solvability", extra.get("hoelder_half_solvability")),

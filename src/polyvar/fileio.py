@@ -50,8 +50,9 @@ json.tool`` indents it for reading.  Trace records hold cones, and the
 encoder's hook writes each by its generators only (``cones.cone_plain``):
 they are its identity, and its rows are the generators of its polar.
 ``certificate_from_dict`` reads each view back as its cone and refuses,
-by its JSON path, a view with any key but dim, lin and rays or with rows
-that are not rationals of its dimension.
+by its JSON path (``certificate.trace[0].adjoint_cone``), a view with any
+key but dim, lin and rays or with rows that are not rationals of its
+dimension, and a certificate or witness that lacks a key.
 """
 
 from __future__ import annotations
@@ -292,7 +293,17 @@ def certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
-def _vec_from_plain(v) -> QVector | None:
+def _field(obj, key: str, path: str):
+    """``obj[key]``, or a ValueError naming the JSON path of the missing key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected an object")
+    if key not in obj:
+        raise ValueError(f"{path}.{key}: missing")
+    return obj[key]
+
+
+def _vec_read(obj, key: str, path: str) -> QVector | None:
+    v = _field(obj, key, path)
     return None if v is None else QVector(v)
 
 
@@ -313,22 +324,24 @@ def _cones_read(value, path: str):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _witness_read(w, path: str) -> Witness:
+    return Witness(_field(w, "stratum", path), _vec_read(w, "vstar", path), u=_vec_read(w, "u", path), q=_vec_read(w, "q", path))
+
+
 def certificate_from_dict(data: dict) -> Certificate:
+    """The certificate of a JSON block's ``certificate`` object; a missing
+    key or a bad cone view raises ValueError naming its JSON path."""
+    status, witnesses = _field(data, "status", "certificate"), _field(data, "witnesses", "certificate")
+    if not isinstance(witnesses, list):
+        raise ValueError("certificate.witnesses: expected a list")
+    rates = _field(data, "rates", "certificate")
     return Certificate(
-        status=data["status"],
-        witnesses=tuple(
-            Witness(
-                w["stratum"],
-                _vec_from_plain(w["vstar"]),
-                u=_vec_from_plain(w["u"]),
-                q=_vec_from_plain(w["q"]),
-            )
-            for w in data["witnesses"]
-        ),
-        rates=tuple((k, v) for k, v in data["rates"]) if data["rates"] is not None else None,
-        refuted=data["refuted"],
-        trace=tuple(_cones_read(data["trace"], "trace")),
-        notes=tuple(data["notes"]),
+        status=status,
+        witnesses=tuple(_witness_read(w, f"certificate.witnesses[{i}]") for i, w in enumerate(witnesses)),
+        rates=tuple((k, v) for k, v in rates) if rates is not None else None,
+        refuted=_field(data, "refuted", "certificate"),
+        trace=tuple(_cones_read(_field(data, "trace", "certificate"), "certificate.trace")),
+        notes=tuple(_field(data, "notes", "certificate")),
     )
 
 

@@ -10,6 +10,7 @@ on stderr."""
 import importlib
 import json
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -67,8 +68,8 @@ def test_pairs_writes_its_schema_and_equal_outputs(tmp_path):
     assert [(run["workload"], run["seed"], run["ops"]) for run in result["runs"]] == [(w, 5, 2) for w in WORKLOADS]
     for run in result["runs"]:
         assert set(run) == {
-            "workload", "seed", "ops", "passes", "base_s", "head_s", "ratio", "head_faster_passes", "equal",
-            "same", "failed", "per_op",
+            "workload", "seed", "ops", "passes", "base_s", "head_s", "ratio", "head_faster_passes", "op_p50",
+            "op_p90", "equal", "same", "failed", "per_op",
         }
         assert run["equal"] and run["failed"] == {"base": [], "head": []}
         assert run["same"] == {"text": True, "json": True, "json_value": True, "cones": True}
@@ -80,6 +81,15 @@ def test_pairs_writes_its_schema_and_equal_outputs(tmp_path):
         assert 0 <= run["head_faster_passes"] <= 2
         times = [run["base_s"], run["head_s"], *(p[k] for p in run["passes"] for k in ("base_s", "head_s"))]
         assert all(isinstance(t, float) and t >= 0 for t in times)
+        # the percentiles of the per-op medians per side, as perfbench takes
+        # them (exclusive quantiles), with their ratios, also on stderr
+        for q in (50, 90):
+            spread = run[f"op_p{q}"]
+            assert set(spread) == {"base_s", "head_s", "ratio"}
+            for side, column in (("base_s", 1), ("head_s", 2)):
+                want = statistics.quantiles([row[column] for row in run["per_op"]["rows"]], n=100)[q - 1]
+                assert spread[side] == pytest.approx(want, abs=1e-6)
+            assert f"per-op p{q} {spread['base_s'] * 1e3:.3f} -> {spread['head_s'] * 1e3:.3f} ms" in done.stderr
 
 
 def test_pairs_names_the_ops_whose_outputs_differ(tmp_path):

@@ -50,7 +50,7 @@ from polyvar.certify import (
 from polyvar import certify, sets
 from polyvar.cones import PolyCone, open_cell, pick_nonzero
 from polyvar.graphmap import directional_limiting_normal_graph, face_pairs, limiting_normal_graph
-from polyvar.linalg import QMatrix, QVector, _dot, _ints, _neg, _reduce, row_space_basis, vec_plain
+from polyvar.linalg import QMatrix, QVector, _dot, _ints, _neg, _reduce, rank_of_rows, row_space_basis, vec_plain
 from polyvar.sets import (
     ConeUnion,
     InfeasibleError,
@@ -201,6 +201,12 @@ def replay_aubin_witness(spec, w, mode):
         assert graphical_derivative_S(spec, w.q) == []
         return
     assert not w.vstar.is_zero()
+    if w.q is None:  # the exact criterion's, where [Jp Jx] is onto: v* in N_D(g0) ∩ ker Jx^T, u = 0
+        assert spec.kind == "constraint" and w.u.is_zero()
+        assert spec.Jx.T.matvec(w.vstar).is_zero()
+        assert not spec.Jp.T.matvec(w.vstar).is_zero()
+        assert directional_normal_cone(spec.D, spec.g0, QVector.zero(spec.m)).contains(w.vstar)
+        return
     q, u = w.q, w.u
     if spec.kind == "constraint":
         img = spec.Jp.matvec(q) + spec.Jx.matvec(u)
@@ -411,13 +417,17 @@ def test_aubin_solvability_failure_is_refutation():
     replay_aubin_witness(spec, gap, "corollary")
 
 
-def test_aubin_phase_a_refutation_builds_no_direction_strata(monkeypatch):
-    # Phase A refutes on its own, so the direction stratification of Phase B
-    # must not run
+def test_aubin_phase_a_refutation_runs_no_phase_b(monkeypatch):
+    # Phase A refutes on its own, so Phase B's adjoint strata are not built;
+    # these [Jp Jx] are onto, so the exact criterion is read as well, and
+    # it walks D's strata once, along 0
     def strata(*args):
-        raise AssertionError("check_aubin stratified directions after Phase A refuted")
+        raise AssertionError("check_aubin built Phase B's adjoint strata after Phase A refuted")
 
-    monkeypatch.setattr(certify, "direction_strata", strata)
+    walks = []
+    real = certify.direction_strata
+    monkeypatch.setattr(certify, "_adjoint_strata", strata)
+    monkeypatch.setattr(certify, "direction_strata", lambda *args: walks.append(args) or real(*args))
     wedge = Polyhedron(3, A=[[1, 1, 0], [1, -1, 0], [0, 0, 1]], b=[0, 0, 0])
     for jp, jx, d in (  # the specs of tests/golden/aubin-refutation*.txt
         ([[1]], [[0]], Polyhedron(1, A=[[1]], b=[0])),
@@ -425,8 +435,10 @@ def test_aubin_phase_a_refutation_builds_no_direction_strata(monkeypatch):
     ):
         m = len(jp)
         spec = ConstraintSystemSpec(l=len(jp[0]), n=1, m=m, Jp=jp, Jx=jx, g0=[0] * m, D=UnionSet([d]))
+        walks.clear()
         cert = check_aubin(spec, "corollary")
         assert cert.status == NOT_CERTIFIED and cert.refuted
+        assert len(walks) == 1
 
 
 def zero_jacobian_variational_spec():
@@ -605,7 +617,9 @@ def test_phase_b_and_the_joint_check_read_one_record_per_stratum(mode):
     # a Phase B case is one stratum: its inclusions share the stratum's
     # piece, adjoint cone and outcome, and are its nontrivial (q, u) cells
     # in index order; the joint check has one record per case, with the
-    # same label and cells, and a witness of either names its case and cell
+    # same label and cells, and a witness of either names its case and cell.
+    # Phase B runs here on every spec; check_aubin writes its record only
+    # where [Jp Jx] is not onto and Phase A covers
     shared = ("coderivative_piece", "adjoint_cone", "trivial", "outcome")
     specs = [ex3_spec(), ex5_spec()] + random_constraint_specs() + random_variational_specs()
     seen = set()
@@ -614,12 +628,12 @@ def test_phase_b_and_the_joint_check_read_one_record_per_stratum(mode):
         assert [w.stratum for w in joint.witnesses] == [
             f"{r['stratum']} / cell {i}" for r in joint.trace if r["outcome"] == "violated" for i in r["cells"]
         ]
-        phase_b = [r for r in aubin.trace if r.get("phase", "").startswith("B")]
-        if not phase_b:
-            assert aubin.refuted
-            continue
+        phase_b, witnesses = certify._phase_b(spec, mode)
+        if spec.kind == "variational" or not certify._onto(spec):
+            assert aubin.trace[1:] == (() if aubin.refuted else (phase_b,))
+            assert aubin.refuted or list(aubin.witnesses) == witnesses
         strata = []
-        for case in phase_b[0]["cases"]:
+        for case in phase_b["cases"]:
             inclusions = case["adjoint_inclusions"]
             assert inclusions
             assert all({k: e[k] for k in shared} == {k: inclusions[0][k] for k in shared} for e in inclusions)
@@ -629,8 +643,8 @@ def test_phase_b_and_the_joint_check_read_one_record_per_stratum(mode):
             seen.add((spec.kind, len(inclusions) > 1, inclusions[0]["outcome"]))
         assert [(r["stratum"], r["cells"]) for r in joint.trace] == strata
         assert len({case for case, _ in strata}) == len(strata)  # each stratum is named once
-        assert [w.stratum for w in aubin.witnesses] == [
-            f"{c['case']} / cell {e['cell']}" for c in phase_b[0]["cases"] for e in c["adjoint_inclusions"] if e["outcome"] == "violated"
+        assert [w.stratum for w in witnesses] == [
+            f"{c['case']} / cell {e['cell']}" for c in phase_b["cases"] for e in c["adjoint_inclusions"] if e["outcome"] == "violated"
         ]
     # both kinds, strata of several cells, and both outcomes are exercised
     assert {kind for kind, _, _ in seen} == {"constraint", "variational"}
@@ -647,6 +661,37 @@ def test_metamorphic_aubin_corollary_implies_theorem():
         else:
             for w in cor.witnesses:
                 replay_aubin_witness(spec, w, "corollary")
+
+
+def onto_constraint_spec(r):
+    """A ``random_constraint_specs``-style draw (D a corpus union of cones at
+    0, small integer Jacobians), redrawn until [Jp Jx] has full row rank m."""
+    while True:
+        m, l, n = r.choice([2, 3]), r.choice([1, 2]), r.choice([1, 2])
+        jp, jx = random_matrix(r, m, l), random_matrix(r, m, n)
+        if rank_of_rows([QVector(list(p) + list(x)) for p, x in zip(jp.rows, jx.rows)]) == m:
+            return ConstraintSystemSpec(l=l, n=n, m=m, Jp=jp, Jx=jx, g0=[0] * m, D=random_union(r, m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["corollary", "theorem"]))
+def test_aubin_is_the_exact_criterion_where_the_jacobian_is_onto_hypothesis(seed, mode):
+    # with [Jp Jx] onto, S has the Aubin property iff N_D(0) ∩ ker Jx^T =
+    # {0} (Mordukhovich), which is dir-reg at (0, 0): check_aubin reads it
+    # once Phase A covers, and a Phase A refutation agrees with it; Phase B,
+    # only sufficient, never holds where the criterion refutes
+    spec = onto_constraint_spec(rng(seed))
+    cert = check_aubin(spec, mode, assume_subregular=True)
+    exact = check_directional_metric_regularity(spec, QVector.zero(spec.n), QVector.zero(spec.m))
+    assert (cert.status, cert.refuted) == (exact.status, exact.refuted)
+    covered = cert.trace[0]["covered"]
+    if covered:
+        assert [w.vstar for w in cert.witnesses] == [w.vstar for w in exact.witnesses]
+        assert cert.trace[1:] == exact.trace
+    for w in cert.witnesses:
+        replay_aubin_witness(spec, w, mode)
+    if covered and exact.refuted:
+        assert certify._phase_b(spec, mode)[1]
 
 
 # -- the scaled families of families.py at their tier-1 sizes, every witness replayed

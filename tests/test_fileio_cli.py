@@ -18,7 +18,7 @@ from polyvar.certify import (
     check_foscms,
     check_foscms_joint,
 )
-from polyvar import cli
+from polyvar import certify, cli
 from polyvar.cli import bundled_problem_path, run_command
 from polyvar.cones import PolyCone
 from polyvar.fileio import (
@@ -397,9 +397,10 @@ def test_each_tangent_cone_is_built_once(capsys):
 
 
 def test_certificates_of_one_spec_share_cones():
-    # calmness holds check_foscms's records, and Phase B of check_aubin holds
-    # the normal cones and dual test cones of the strata it reads (the same
-    # cones, memoised per spec), not copies
+    # calmness holds check_foscms's records, and check_aubin on ex3, whose
+    # [Jp Jx] is onto, holds as its adjoint cones the dual test cones of
+    # check_foscms's strata (the same kernel meets, memoised per spec), not
+    # copies
     spec = parse_problem(bundled_problem_path("ex3.json"))
     certs = (check_foscms(spec), check_calmness_constraint(spec, "first"), check_aubin(spec, "corollary"))
 
@@ -411,10 +412,8 @@ def test_certificates_of_one_spec_share_cones():
 
     found = [{id(c) for c in cones(cert.trace)} for cert in certs]
     assert found[0] and found[0] <= found[1]
-    phase_b = next(t for t in certs[2].trace if t["phase"].startswith("B"))
-    held = {c["case"] for c in phase_b["cases"]}
-    read = {id(c) for rec in certs[0].trace if rec["stratum"] in held for c in cones(rec)}
-    assert read and read <= found[2]
+    adjoint = {id(rec["adjoint_cone"]) for rec in certs[2].trace if "piece" in rec}
+    assert adjoint and adjoint <= {id(rec["dual_test_cone"]) for rec in certs[0].trace}
 
 
 # The JSON block of check_aubin on G(p, x) = p + x with D = R_- when each
@@ -450,19 +449,34 @@ def test_a_block_whose_views_wrote_both_sides_is_refused():
     refusal = ": a cone view has the keys dim, lin and rays only, got ['dim', 'eqs', 'ineqs', 'lin', 'rays']"
     with pytest.raises(ValueError) as err:
         certificate_from_dict(data)
-    assert str(err.value) == "trace[0].projections[0]" + refusal
+    assert str(err.value) == "certificate.trace[0].projections[0]" + refusal
     # with Phase A's views as they are written now, Phase B's first is refused
     for view in data["trace"][0]["projections"] + data["trace"][0]["solution_pieces"]:
         del view["ineqs"], view["eqs"]
     with pytest.raises(ValueError) as err:
         certificate_from_dict(data)
-    assert str(err.value) == "trace[1].cases[0].adjoint_inclusions[0].adjoint_cone" + refusal
+    assert str(err.value) == "certificate.trace[1].cases[0].adjoint_inclusions[0].adjoint_cone" + refusal
     # and so is a view whose rows are not rationals of its dimension
     for rays, message in (([["1", "0"]], "generator has wrong dimension"), ([["1/0"]], "zero denominator in '1/0'")):
         data["trace"] = [{"piece": "normal piece 0", "adjoint_cone": {"dim": 1, "lin": [], "rays": rays}, "outcome": "violated"}]
         with pytest.raises(ValueError) as err:
             certificate_from_dict(data)
-        assert str(err.value) == f"trace[0].adjoint_cone: {message}"
+        assert str(err.value) == f"certificate.trace[0].adjoint_cone: {message}"
+
+
+def test_a_certificate_without_its_witnesses_is_refused_by_path():
+    with pytest.raises(ValueError) as err:
+        certificate_from_dict({"status": "holds"})
+    assert str(err.value) == "certificate.witnesses: missing"
+
+
+def test_a_witness_without_its_stratum_is_refused_by_path():
+    cert = check_aubin(_aubin_refutation_spec(), "corollary")
+    data = json.loads(render_report("aubin", cert).json_block())["certificate"]
+    del data["witnesses"][0]["stratum"]
+    with pytest.raises(ValueError) as err:
+        certificate_from_dict(data)
+    assert str(err.value) == "certificate.witnesses[0].stratum: missing"
 
 
 def test_a_desk_scale_block_names_each_stratum_once():
@@ -647,6 +661,22 @@ def no_components_dict():
     }
 
 
+def test_a_phase_a_gap_where_the_exact_criterion_holds_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    # [Jp Jx] = (1 0) is onto, so Phase A's gap q = 1 and the exact
+    # criterion must agree; a criterion that held would be a defect, which
+    # check_aubin raises and the CLI reports with exit 4, not as a verdict
+    spec = _aubin_refutation_spec()
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem_to_dict(spec)))
+    assert run_command(["certify", str(path), "--check", "aubin"]) == 1
+    monkeypatch.setattr(certify, "check_directional_metric_regularity", lambda spec, u, v: Certificate("holds"))
+    with pytest.raises(RuntimeError):
+        check_aubin(_aubin_refutation_spec())
+    for check in ("aubin", "aubin-theorem"):
+        assert run_command(["certify", str(path), "--check", check]) == 4
+        assert "internal error" in capsys.readouterr().err
+
+
 def test_cli_files_with_no_components(tmp_path, capsys):
     path = tmp_path / "m0.json"
     path.write_text(json.dumps(no_components_dict()))
@@ -741,6 +771,24 @@ def test_degenerate_shapes_get_their_hand_derived_verdicts(tmp_path, capsys, nam
     where ker Jxᵀ ∩ N_D(0) = {0} is exact, so a failure refutes.
     dir-subreg runs along e₁ and needs a nonzero u and curvature (Hessians
     or --gpp), or it exits 3.
+
+    Where a constraint system's [Jp Jx] is onto, the Mordukhovich criterion
+    makes that zero-direction test exact for aubin too: S has the Aubin
+    property iff ker Jxᵀ ∩ N_D(0) = {0}.  So once Phase A covers, aubin in
+    either mode takes dir-reg's verdict, and a Phase A gap must agree with
+    it.  Four rows are onto:
+
+    * l = 0, D = R₋: [Jp Jx] = (1).  R⁰ is covered and ker Jxᵀ = {0}, so
+      aubin holds.
+    * n = 0, D = R₋: [Jp Jx] = (1).  Phase A's gap q = 1 refutes, and
+      ker Jxᵀ ∩ N_D(0) = R₊ ≠ {0} agrees.
+    * m = 0: [Jp Jx] has no rows, so rank 0 = m.  R is covered and every
+      cone lives in R⁰, so aubin holds.
+    * D the line R: [Jp Jx] = (1 0).  R is covered and N_D(0) = {0}, so
+      aubin holds.
+
+    The other constraint rows have rank 1 < m = 2 (all-ones Jacobians), so
+    aubin reads Phase B there, as below.
 
     * l = 0, D = R₋ or R²₋: ker Jxᵀ, {0} or span (1, −1), meets each normal
       cone of D, which lies in R₊ or R²₊, only at 0; R⁰ is covered, and

@@ -32,6 +32,9 @@ revisions, and per workload and seed:
   (below 1: the head is faster), and the ratio of the sums over all passes;
 * each op's CPU time per side (its median over the passes) and their ratio,
   one row per op;
+* the p50 and the p90 of those per-op medians per side, with their ratios
+  (``op_p50`` and ``op_p90``, percentiles as perfbench computes its
+  ``op_s`` ones);
 * whether each op's outputs are equal on both sides (``equal``: the report
   text, the JSON block and the fingerprint), and beside it which part
   differs: ``text`` (the report text), ``json`` (the JSON block's bytes),
@@ -70,6 +73,7 @@ GOLDEN = ROOT / "tests" / "golden" / "stream-sha256.txt"
 DIGEST_SEED = 6161
 DIGEST_OPS = 200
 SHOWN = 10  # ops whose outputs differ, named on stderr per workload and seed
+QUANTILES = (50, 90)  # percentiles of the per-op CPU medians, per side
 CLOCK = time.process_time
 
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -257,10 +261,15 @@ def pairs(wl, seed: int, count: int, passes: int, sides: dict, workdir: str) -> 
         per_pass.append({"base_s": round(sums["base"], 7), "head_s": round(sums["head"], 7), "ratio": _ratio(sums["head"], sums["base"])})
     total = {side: sum(map(sum, times[side])) for side in sides}
     equal = [s["text"] and s["json"] and s["cones"] for s in same]
+    medians = {side: [statistics.median(t) for t in times[side]] for side in sides}
     per_op = []
     for i, inp in enumerate(inputs):
-        base, head = (statistics.median(times[side][i]) for side in ("base", "head"))
+        base, head = medians["base"][i], medians["head"][i]
         per_op.append([inp.name, round(base, 7), round(head, 7), _ratio(head, base), equal[i], *same[i].values()])
+    spread = {}
+    for q in QUANTILES:
+        base, head = (_percentile(medians[side], q) for side in ("base", "head"))
+        spread[f"op_p{q}"] = {"base_s": round(base, 7), "head_s": round(head, 7), "ratio": _ratio(head, base)}
     return {
         "workload": wl.name,
         "seed": seed,
@@ -270,11 +279,27 @@ def pairs(wl, seed: int, count: int, passes: int, sides: dict, workdir: str) -> 
         "head_s": round(total["head"], 7),
         "ratio": _ratio(total["head"], total["base"]),
         "head_faster_passes": sum(r["ratio"] < 1 for r in per_pass),
+        **spread,
         "equal": all(equal),
         "same": {part: all(s[part] for s in same) for part in PARTS},
         "failed": {side: sorted(names) for side, names in failed.items()},
         "per_op": {"fields": ["name", "base_s", "head_s", "ratio", "equal", *PARTS], "rows": per_op},
     }
+
+
+def _percentile(values: list, q: int) -> float:
+    """The q-th percentile as perfbench reports op times: by
+    ``statistics.quantiles`` (exclusive method; at 50, the median)."""
+    return statistics.quantiles(values, n=100)[q - 1] if len(values) > 1 else values[0]
+
+
+def _quantile_text(run: dict) -> str:
+    """The per-op percentiles of the summary line, base -> head."""
+    text = ""
+    for q in QUANTILES:
+        r = run[f"op_p{q}"]
+        text += f"per-op p{q} {r['base_s'] * 1e3:.3f} -> {r['head_s'] * 1e3:.3f} ms (ratio {r['ratio']}), "
+    return text
 
 
 def _ratio(head: float, base: float) -> float | None:
@@ -308,7 +333,7 @@ def cmd_pairs(args) -> int:
                 print(
                     f"{name} seed {seed}: {args.ops} ops x {args.passes} passes, op CPU base {run['base_s']:.3f} s, "
                     f"head {run['head_s']:.3f} s, ratio {run['ratio']:.4f}, head faster in "
-                    f"{run['head_faster_passes']} of {args.passes} passes, outputs equal: {run['equal']} "
+                    f"{run['head_faster_passes']} of {args.passes} passes, {_quantile_text(run)}outputs equal: {run['equal']} "
                     f"({', '.join(f'{part} {same}' for part, same in run['same'].items())})",
                     file=sys.stderr,
                 )
