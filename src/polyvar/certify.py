@@ -42,7 +42,7 @@ from itertools import combinations
 from operator import mul
 from typing import Sequence
 
-from .cones import PolyCone, _dd_steps, _exposed_face, _of_rows, _projected, open_cell, pick_nonzero
+from .cones import PolyCone, _dd_steps, _exposed_face, _of_generators, _of_rows, _projected, open_cell, pick_nonzero
 from .graphmap import GraphPoint, _assemble, _tangent, face_pairs
 from .linalg import IntVec, QMatrix, QVector, _cleared, _dot, _echelon, _echelon_kernel, _ints, _neg, _reduce, vec_plain
 from .sets import ConeUnion, InfeasibleError, Polyhedron, direction_strata, union_tangent_cone
@@ -256,12 +256,48 @@ def _d_tangent(spec: ConstraintSystemSpec) -> ConeUnion:
 
 
 @_per_spec
+def _x_kernels(spec: ConstraintSystemSpec) -> tuple[int, tuple[IntVec, ...], PolyCone]:
+    """rank Jx, an integer basis B of ker Jx^T (read off the columns of Jx
+    in ``_w_map_T``) and the cone {0} of R^m, built with no conversion."""
+    ech, pivots = _echelon([_reduce(c) for c in _w_map_T(spec)[spec.l:]], spec.m)
+    zero = _of_generators(spec.m, (), (), ((), tuple(_echelon_kernel((), (), spec.m)), ()))
+    return len(ech), tuple(_echelon_kernel(ech, pivots, spec.m)), zero
+
+
+@_per_spec
 def _kernel_meet(spec: ConstraintSystemSpec, normal: PolyCone) -> PolyCone:
-    """ker Jx^T ∩ normal: the adjoint cone of a normal-cone piece of D, in
-    one conversion of the normal's integer rows with the columns of Jx (a
-    positive multiple of them) as further equations."""
+    """ker Jx^T ∩ normal: the adjoint cone of a normal-cone piece of D.  It
+    is {0} with no conversion when ker Jx^T or the normal is {0}, or when
+    ker Jx^T is a line span(b) that meets the normal only in 0 (neither b
+    nor -b lies in it); otherwise it is one conversion of the normal's
+    integer rows with the columns of Jx (a positive multiple of them) as
+    further equations."""
+    _, basis, zero = _x_kernels(spec)
+    if not basis or normal.is_trivial() or len(basis) == 1 and not (normal._holds(basis[0]) or normal._holds(_neg(basis[0]))):
+        return zero
     ineqs, eqs = normal._h
     return _of_rows(spec.m, ineqs, eqs + _w_map_T(spec)[spec.l:])
+
+
+def _pulls_back(spec: ConstraintSystemSpec, cone: PolyCone) -> bool:
+    """Whether {u : Jx u ∈ cone} is not {0}.  It is when ker Jx is not {0};
+    otherwise exactly when cone ∩ range Jx is not {0}, with range Jx the
+    orthogonal complement of ker Jx^T = span(B).  With B empty that is
+    cone != {0}.  With B = {b} and cone = cone(R) + span(L), it is when a
+    generator is orthogonal to b, when L has two vectors, or one and R is
+    not empty, or when R has rays on both sides of b (L empty: cone is
+    pointed, so a positive combination of them is nonzero).  With two or
+    more, the pullback is converted."""
+    rank, basis, _ = _x_kernels(spec)
+    if rank < spec.n:
+        return True
+    rays, lin = cone._v
+    if not basis:
+        return bool(rays or lin)
+    if len(basis) > 1:
+        return not _x_pullback(spec, cone).is_trivial()
+    signs = {(d > 0) - (d < 0) for d in (_dot(basis[0], g) for g in (*rays, *lin))}
+    return 0 in signs or len(lin) + bool(rays) > 1 or len(signs) > 1
 
 
 def _split_qu(vec: QVector, l: int) -> tuple[QVector, QVector]:
@@ -399,13 +435,22 @@ def _strata(spec: ConstraintSystemSpec, w: IntVec):
 
 @_per_spec
 def _first_order_strata(spec: ConstraintSystemSpec) -> tuple[tuple, ...]:
-    """(stratum, ker Jx^T ∩ normal, nontrivial u-cells {u : Jx u ∈ C}) for
-    each stratum of the walk along w = 0 and its reach cells C: what the
-    first and second order checks read."""
-    return tuple(
-        (s, _kernel_meet(spec, s.normal), [u for u in (_x_pullback(spec, qc) for qc in s.reach) if not u.is_trivial()])
-        for s in _strata(spec, (0,) * spec.m)
-    )
+    """(stratum, ker Jx^T ∩ normal, admissible flag, nontrivial u-cells
+    {u : Jx u ∈ C}) for each stratum of the walk along w = 0 and its reach
+    cells C: what the first and second order checks read.  The flag says
+    whether some u-cell is nontrivial.  The u-cells are converted only
+    under a nontrivial dual cone, where the witness u and the second order
+    test read them; under {0} they are () and ``_pulls_back`` decides the
+    flag."""
+    out = []
+    for s in _strata(spec, (0,) * spec.m):
+        v_cone = _kernel_meet(spec, s.normal)
+        if v_cone.is_trivial():
+            out.append((s, v_cone, any(_pulls_back(spec, qc) for qc in s.reach), ()))
+        else:
+            cells = [u for u in (_x_pullback(spec, qc) for qc in s.reach) if not u.is_trivial()]
+            out.append((s, v_cone, bool(cells), cells))
+    return tuple(out)
 
 
 @_per_spec
@@ -421,14 +466,14 @@ def check_foscms(spec: ConstraintSystemSpec) -> Certificate:
         raise TypeError("check_foscms expects a constraint system")
     trace = []
     witnesses = []
-    for s, v_cone, active_cells in _first_order_strata(spec):
+    for s, v_cone, admissible, active_cells in _first_order_strata(spec):
         rec = dict(
             stratum=s.label,
             normal_cone=s.normal,
             dual_test_cone=v_cone,
-            admissible_directions=bool(active_cells),
+            admissible_directions=admissible,
         )
-        if active_cells and not v_cone.is_trivial():
+        if admissible and not v_cone.is_trivial():
             u = pick_nonzero(active_cells[0])
             vstar = pick_nonzero(v_cone)
             witnesses.append(Witness(s.label, vstar, u=u))
@@ -457,11 +502,11 @@ def check_soscms(spec: ConstraintSystemSpec) -> Certificate:
         raise PreconditionError("check_soscms needs the component Hessians")
     trace = []
     witnesses = []
-    for s, v_cone, active_cells in _first_order_strata(spec):
-        rec = dict(stratum=s.label, dual_test_cone=v_cone, admissible_directions=bool(active_cells))
+    for s, v_cone, admissible, active_cells in _first_order_strata(spec):
+        rec = dict(stratum=s.label, dual_test_cone=v_cone, admissible_directions=admissible)
         trace.append(rec)
         rays, lin = v_cone._v
-        if not active_cells or v_cone.is_trivial():
+        if not admissible or v_cone.is_trivial():
             rec["outcome"] = "ok (first order)"
         elif lin:
             # both signs of a lineality direction are dual-feasible, so the
@@ -503,12 +548,8 @@ def check_calmness_constraint(spec: ConstraintSystemSpec, order: str = "first") 
     if order not in ("first", "second"):
         raise PreconditionError("order must be 'first' or 'second'")
     base = check_foscms(spec) if order == "first" else check_soscms(spec)
-    utilde = None
-    for piece in _d_tangent(spec).pieces:
-        cand = pick_nonzero(_x_pullback(spec, piece))
-        if cand is not None:
-            utilde = cand
-            break
+    piece = next((t for t in _d_tangent(spec).pieces if _pulls_back(spec, t)), None)
+    utilde = None if piece is None else pick_nonzero(_x_pullback(spec, piece))
     rate_name = "linear_solvability" if order == "first" else "hoelder_half_solvability"
     rates = ((rate_name, utilde is not None),)
     notes = list(base.notes)

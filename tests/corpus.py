@@ -4,6 +4,7 @@ the scalable complementarity families, and a counter of cone conversions."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import random
 import sys
 from contextlib import contextmanager
@@ -424,3 +425,31 @@ def parametric_complementarity(k: int, l: int) -> ConstraintSystemSpec:
     problems = importlib.util.module_from_spec(found)
     found.loader.exec_module(problems)
     return problem_from_dict(problems.constraint_complementarity(0, 0, k, False, l))
+
+
+def probe_corpus():
+    """The probe corpus, in order, as (name, spec) pairs built lazily: 300
+    random constraint specs (``rng(909)``; m in {2, 3, 4}, n in {1, 2, 3},
+    l in {1, 2}, D = ``random_union(r, m, 4)`` holding 0, random Jacobians
+    and Hessians), then the first 300 seed-7 ``constraint-strata`` stream
+    specs of the benchmark (perfbench's ``workloads``, imported read-only)."""
+    r = rng(909)
+    made = 0
+    while made < 300:
+        m, n, l = r.choice([2, 3, 4]), r.choice([1, 2, 3]), r.choice([1, 2])
+        d = random_union(r, m, 4)
+        if not d.contains(QVector.zero(m)):
+            continue
+        jp, jx = random_matrix(r, m, l), random_matrix(r, m, n)
+        hessians = [random_symmetric(r, n) for _ in range(m)]
+        yield f"random-{made:03d}", ConstraintSystemSpec(l=l, n=n, m=m, Jp=jp, Jx=jx, g0=[0] * m, D=d, hessians=hessians)
+        made += 1
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    from workloads import WORKLOADS
+
+    stream = WORKLOADS["constraint-strata"]
+    for i in range(300):
+        inp = stream.stream_input(7, i)
+        yield inp.name, problem_from_dict(json.loads(inp.data))

@@ -4,7 +4,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import (
@@ -48,7 +48,7 @@ from polyvar.certify import (
     _variational_adjoint_cone,
 )
 from polyvar import certify, sets
-from polyvar.cones import PolyCone, open_cell, pick_nonzero
+from polyvar.cones import PolyCone, _of_rows, open_cell, pick_nonzero
 from polyvar.graphmap import directional_limiting_normal_graph, face_pairs, limiting_normal_graph
 from polyvar.linalg import QMatrix, QVector, _dot, _ints, _neg, _reduce, rank_of_rows, row_space_basis, vec_plain
 from polyvar.sets import (
@@ -1405,17 +1405,90 @@ def test_second_joint_check_makes_no_conversion():
     assert calls == []
 
 
-@pytest.mark.parametrize("make, conversions", ((ex3_spec, 24), (ex4_spec, 8)))
+@pytest.mark.parametrize("make, conversions", ((ex3_spec, 24), (ex4_spec, 2)))
 def test_kernel_meets_take_one_conversion_each(make, conversions):
-    # each ker Jx^T ∩ N is one conversion of N's rows and Jx's columns; a
-    # kernel cone converted first and then intersected took two more on each.
-    # The strata are built first, so only the meets and the pullbacks of
-    # check_foscms count.
+    # each ker Jx^T ∩ N is one conversion of N's rows and Jx's columns, or
+    # none when it is decided to be {0}; a kernel cone converted first and
+    # then intersected took two more on each.  The strata are built first,
+    # so only the meets and the pullbacks of check_foscms count.  On ex3
+    # ker Jx^T is a plane, so every meet and every pullback converts, as
+    # before.  On ex4 ker Jx^T = span(1, 1) and D = R^2_-: the normals {0},
+    # cone(0, 1) and cone(1, 0) hold neither ±(1, 1), so only R^2_+ is met
+    # (one conversion), and only its stratum's dual cone is nontrivial, so
+    # only its reach cell {0} is pulled back (one more); the admissible
+    # flags need none, as ker Jx is not {0}.
     spec = make()
     certify._strata(spec, (0,) * spec.m)
     with counting_dd() as calls:
         check_foscms(spec)
     assert len(calls) == conversions
+
+
+def test_first_order_checks_convert_nothing_where_jx_is_invertible():
+    # ker Jx^T = {0}: every kernel meet is {0} and every admissible flag
+    # reads "the reach cell is not {0}", so once the strata are built
+    # neither check converts a cone.  D is complementarity with two pairs:
+    # 9 strata, and only the one with both pairs at 0 has the cell {0}.
+    spec = ConstraintSystemSpec(
+        l=1, n=4, m=4, Jp=[[1], [0], [0], [0]],
+        Jx=[[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]],
+        g0=[0] * 4, D=complementarity(2, {}), hessians=[[[0] * 4] * 4] * 4,
+    )
+    certify._strata(spec, (0,) * spec.m)
+    with counting_dd() as calls:
+        first, second = check_foscms(spec), check_soscms(spec)
+    assert calls == []
+    assert first.holds() and second.holds()
+    assert [r["admissible_directions"] for r in first.trace].count(True) == 8 == len(first.trace) - 1
+
+
+def _int_vectors(m: int, lo: int, hi: int):
+    return st.lists(st.tuples(*[st.integers(-2, 2)] * m).filter(any), min_size=lo, max_size=hi)
+
+
+def _cone_generators(m: int):
+    """(rays, lin) of a cone of R^m: {0}, a lone lineality line, a line
+    plus rays, or a few random generators."""
+    return st.one_of(
+        st.just(([], [])),
+        st.tuples(st.just([]), _int_vectors(m, 1, 1)),
+        st.tuples(_int_vectors(m, 1, 3), _int_vectors(m, 1, 1)),
+        st.tuples(_int_vectors(m, 0, m + 1), _int_vectors(m, 0, 2)),
+    )
+
+
+# (m, l, the columns of Jx, cones of R^m), n = the number of columns
+_KERNEL_CASES = st.integers(1, 4).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(0, 2), _int_vectors(m, 0, 4), st.lists(_cone_generators(m), min_size=1, max_size=4))
+)
+# {0}, lines, a line plus a ray on either side of (1, -1), rays on both
+# sides of it, on one side, and on it
+_SAMPLE_CONES = [
+    ([], []), ([], [(1, -1)]), ([], [(1, 1)]), ([(1, 0)], [(0, 1)]), ([(-1, 0)], [(0, 1)]),
+    ([(1, 0), (0, 1)], []), ([(1, 0), (2, 1)], []), ([(1, 1), (-1, 2)], []),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_KERNEL_CASES)
+@example((2, 0, [], _SAMPLE_CONES))  # n = 0, l = 0, ker Jx^T = R^2
+@example((2, 1, [(1, 0), (0, 1)], _SAMPLE_CONES))  # ker Jx^T = {0}
+@example((2, 2, [(1, 1)], _SAMPLE_CONES))  # ker Jx^T = span(1, -1)
+@example((2, 1, [(1, 1), (2, 2)], _SAMPLE_CONES))  # rank Jx < n
+@example((3, 1, [(1, 0, 1)], [([], []), ([], [(1, -1, 0)]), ([(0, 1, 0)], [(1, 0, -1)])]))  # dim ker Jx^T = 2
+def test_kernel_meets_and_admissible_flags_match_their_conversions(case):
+    # the references convert: ker Jx^T ∩ N from N's rows with Jx's columns
+    # as equations, and the pullback {u : Jx u ∈ C} through Jx^T's rows
+    m, l, cols, cones = case
+    spec = ConstraintSystemSpec(
+        l=l, n=len(cols), m=m, Jp=[[1] * l for _ in range(m)], Jx=[[c[i] for c in cols] for i in range(m)],
+        g0=[0] * m, D=UnionSet([Polyhedron(m, [[1] + [0] * (m - 1)], [0])]),
+    )
+    for rays, lin in cones:
+        c = PolyCone.from_generators(m, rays, lin)
+        ineqs, eqs = c._h
+        assert certify._kernel_meet(spec, c) == _of_rows(m, ineqs, [*eqs, *cols])
+        assert certify._pulls_back(spec, c) == (not certify._pullback(c, cols).is_trivial())
 
 
 @pytest.mark.parametrize("make, passes", ((ex3_spec, 27), (ex4_spec, 8), (2, 29), (3, 87), (4, 257)))
@@ -1456,7 +1529,9 @@ def test_calmness_reuses_the_subregularity_certificates():
         assert check_calmness_constraint(spec, "first").trace is first.trace
         assert check_calmness_constraint(spec, "second").trace is second.trace
         assert check_foscms(spec) is first
-    # the tangent pieces of D are the polars of face normals the strata have
-    # built, and their pullbacks are reach cells' pullbacks: no conversion
-    assert union_tangent_cone(spec.D, spec.g0).pieces
-    assert calls == []
+    # the tangent piece of D is the polar of a face normal the strata have
+    # built, but check_foscms pulled back only the reach cell under its one
+    # nontrivial dual cone, {0}: the first calmness check pulls back the one
+    # tangent piece R^2_- (one conversion), and the second reuses it
+    (piece,) = union_tangent_cone(spec.D, spec.g0).pieces
+    assert len(calls) == 1 and certify._x_pullback(spec, piece).lin
