@@ -65,8 +65,9 @@ def _per_spec(fn):
     spec's memo under ``(fn.__name__, *args)``: the one cache of geometry
     derived from a spec.  Specs are immutable, so a memoised value (a tuple
     or an immutable object, only read) stays valid while its spec lives and
-    dies with it; arguments are cones, active sets or primitive integer
-    directions, never rationals.
+    dies with it; arguments are cones, active sets, primitive integer
+    directions or the name of a block of the Jacobian ("p", "x" or "qu",
+    see ``_block``), never rationals.
     """
     name = fn.__name__
 
@@ -229,54 +230,57 @@ def _jx_rows(spec) -> tuple[IntVec, ...]:
     return tuple(r[spec.l :] for r in _jacobian(spec)[0])
 
 
-def _pullback(cone: PolyCone, mt: Sequence[IntVec]) -> PolyCone:
-    """Preimage {z : M z ∈ cone} in R^len(mt), where ``mt`` holds the rows
-    of a positive multiple of M^T.  ``_of_rows`` makes every pulled-back
-    row primitive, so the scale does not show in the cone."""
+def _block(spec, block: str) -> tuple[IntVec, ...]:
+    """The rows of ``_w_map_T`` for a block B of the Jacobian: "p" (B = Jp,
+    the columns of q), "x" (B = Jx, those of u) or "qu" (B = [Jp Jx], all
+    of them), a positive multiple of ±B^T.  The one place that slices them."""
+    return _w_map_T(spec)[{"p": slice(spec.l), "x": slice(spec.l, None), "qu": slice(None)}[block]]
+
+
+@_per_spec
+def _cokernel(spec, block: str) -> tuple[int, tuple[IntVec, ...]]:
+    """rank B and an integer basis of ker B^T in R^m for a block B of the
+    Jacobian (``_block``): the one elimination of B's columns."""
+    ech, pivots = _echelon([_reduce(c) for c in _block(spec, block)], spec.m)
+    return len(ech), tuple(_echelon_kernel(ech, pivots, spec.m))
+
+
+@_per_spec
+def _zero(spec) -> PolyCone:
+    """The cone {0} of R^m, built with no conversion: every trivial kernel meet."""
+    return _of_generators(spec.m, (), (), ((), tuple(_echelon_kernel((), (), spec.m)), ()))
+
+
+@_per_spec
+def _kernel_meet(spec, cone: PolyCone, block: str) -> PolyCone:
+    """cone ∩ ker B^T for a block B of the Jacobian (``_block``): the
+    adjoint cone ker Jx^T ∩ N of a normal-cone piece N of D, and the joint
+    cone ker Jp^T ∩ A of an adjoint cone A.  It is ``_zero`` with no
+    conversion when ker B^T or the cone is {0}, or when ker B^T is a line
+    span(b) that meets the cone only in 0 (neither b nor -b lies in it);
+    otherwise it is one conversion of the cone's integer rows with B's
+    columns (a multiple of them) as further equations."""
+    basis = _cokernel(spec, block)[1]
+    if not basis or cone.is_trivial() or len(basis) == 1 and not (cone._holds(basis[0]) or cone._holds(_neg(basis[0]))):
+        return _zero(spec)
     ineqs, eqs = cone._h
+    return _of_rows(spec.m, ineqs, eqs + _block(spec, block))
+
+
+@_per_spec
+def _pullback(spec: ConstraintSystemSpec, cone: PolyCone, block: str) -> PolyCone:
+    """The preimage {z : B z ∈ cone} for a block B of the Jacobian
+    (``_block``): {u : Jx u ∈ cone} in R^n for "x" and
+    {(q, u) : Jp q + Jx u ∈ cone} in R^(l+n) for "qu".  ``_of_rows`` makes
+    every pulled-back row primitive, so the scale does not show."""
+    mt, (ineqs, eqs) = _block(spec, block), cone._h
     return _of_rows(len(mt), [_apply(mt, a) for a in ineqs], [_apply(mt, e) for e in eqs])
-
-
-@_per_spec
-def _x_pullback(spec: ConstraintSystemSpec, cone: PolyCone) -> PolyCone:
-    """{u : Jx u ∈ cone} in R^n."""
-    return _pullback(cone, _w_map_T(spec)[spec.l:])
-
-
-@_per_spec
-def _qu_pullback(spec: ConstraintSystemSpec, cone: PolyCone) -> PolyCone:
-    """{(q, u) : Jp q + Jx u ∈ cone} in R^(l+n)."""
-    return _pullback(cone, _w_map_T(spec))
 
 
 @_per_spec
 def _d_tangent(spec: ConstraintSystemSpec) -> ConeUnion:
     """The tangent cone of D at g0."""
     return union_tangent_cone(spec.D, spec.g0)
-
-
-@_per_spec
-def _x_kernels(spec: ConstraintSystemSpec) -> tuple[int, tuple[IntVec, ...], PolyCone]:
-    """rank Jx, an integer basis B of ker Jx^T (read off the columns of Jx
-    in ``_w_map_T``) and the cone {0} of R^m, built with no conversion."""
-    ech, pivots = _echelon([_reduce(c) for c in _w_map_T(spec)[spec.l:]], spec.m)
-    zero = _of_generators(spec.m, (), (), ((), tuple(_echelon_kernel((), (), spec.m)), ()))
-    return len(ech), tuple(_echelon_kernel(ech, pivots, spec.m)), zero
-
-
-@_per_spec
-def _kernel_meet(spec: ConstraintSystemSpec, normal: PolyCone) -> PolyCone:
-    """ker Jx^T ∩ normal: the adjoint cone of a normal-cone piece of D.  It
-    is {0} with no conversion when ker Jx^T or the normal is {0}, or when
-    ker Jx^T is a line span(b) that meets the normal only in 0 (neither b
-    nor -b lies in it); otherwise it is one conversion of the normal's
-    integer rows with the columns of Jx (a positive multiple of them) as
-    further equations."""
-    _, basis, zero = _x_kernels(spec)
-    if not basis or normal.is_trivial() or len(basis) == 1 and not (normal._holds(basis[0]) or normal._holds(_neg(basis[0]))):
-        return zero
-    ineqs, eqs = normal._h
-    return _of_rows(spec.m, ineqs, eqs + _w_map_T(spec)[spec.l:])
 
 
 def _pulls_back(spec: ConstraintSystemSpec, cone: PolyCone) -> bool:
@@ -288,14 +292,14 @@ def _pulls_back(spec: ConstraintSystemSpec, cone: PolyCone) -> bool:
     not empty, or when R has rays on both sides of b (L empty: cone is
     pointed, so a positive combination of them is nonzero).  With two or
     more, the pullback is converted."""
-    rank, basis, _ = _x_kernels(spec)
+    rank, basis = _cokernel(spec, "x")
     if rank < spec.n:
         return True
     rays, lin = cone._v
     if not basis:
         return bool(rays or lin)
     if len(basis) > 1:
-        return not _x_pullback(spec, cone).is_trivial()
+        return not _pullback(spec, cone, "x").is_trivial()
     signs = {(d > 0) - (d < 0) for d in (_dot(basis[0], g) for g in (*rays, *lin))}
     return 0 in signs or len(lin) + bool(rays) > 1 or len(signs) > 1
 
@@ -444,11 +448,11 @@ def _first_order_strata(spec: ConstraintSystemSpec) -> tuple[tuple, ...]:
     flag."""
     out = []
     for s in _strata(spec, (0,) * spec.m):
-        v_cone = _kernel_meet(spec, s.normal)
+        v_cone = _kernel_meet(spec, s.normal, "x")
         if v_cone.is_trivial():
             out.append((s, v_cone, any(_pulls_back(spec, qc) for qc in s.reach), ()))
         else:
-            cells = [u for u in (_x_pullback(spec, qc) for qc in s.reach) if not u.is_trivial()]
+            cells = [u for u in (_pullback(spec, qc, "x") for qc in s.reach) if not u.is_trivial()]
             out.append((s, v_cone, bool(cells), cells))
     return tuple(out)
 
@@ -549,7 +553,7 @@ def check_calmness_constraint(spec: ConstraintSystemSpec, order: str = "first") 
         raise PreconditionError("order must be 'first' or 'second'")
     base = check_foscms(spec) if order == "first" else check_soscms(spec)
     piece = next((t for t in _d_tangent(spec).pieces if _pulls_back(spec, t)), None)
-    utilde = None if piece is None else pick_nonzero(_x_pullback(spec, piece))
+    utilde = None if piece is None else pick_nonzero(_pullback(spec, piece, "x"))
     rate_name = "linear_solvability" if order == "first" else "hoelder_half_solvability"
     rates = ((rate_name, utilde is not None),)
     notes = list(base.notes)
@@ -583,7 +587,7 @@ def _solution_pieces(spec) -> tuple[PolyCone, ...]:
     ``K.faces()``, a face of ``_graph_cone`` holding each cell (F, F1).
     """
     if spec.kind == "constraint":
-        return tuple(_qu_pullback(spec, t) for t in _d_tangent(spec).pieces)
+        return tuple(_pullback(spec, t, "qu") for t in _d_tangent(spec).pieces)
     return tuple(_graph_cell(spec, f.active_set, f.active_set) for f in spec.graph_point().critical.faces())
 
 
@@ -591,7 +595,7 @@ def _solution_pieces(spec) -> tuple[PolyCone, ...]:
 def _graph_cone(spec: VariationalSystemSpec) -> PolyCone:
     """G = {(q, u) : u ∈ K, -Jp q - Jx u ∈ K°} for the critical cone K, in one
     conversion of K's rows padded with zeros in q and of K°'s pulled back."""
-    wt, pad, k = _w_map_T(spec), (0,) * spec.l, spec.graph_point().critical
+    wt, pad, k = _block(spec, "qu"), (0,) * spec.l, spec.graph_point().critical
     (ineqs, eqs), (rays, lin) = k._h, k._v
     rows_i = [pad + a for a in ineqs] + [_apply(wt, r) for r in rays]
     return _of_rows(spec.l + spec.n, rows_i, [pad + e for e in eqs] + [_apply(wt, e) for e in lin])
@@ -604,7 +608,7 @@ def _graph_cell(spec: VariationalSystemSpec, f2_active: frozenset, f1_active: fr
     F2 × (K° ∩ F1^⊥) pulled back, and F2's solution piece when F1 = F2.  It
     is the face of ``_graph_cone`` exposed by the sum of G's rows for F2's
     active rows and F1's rays (K's rays zero on those), each <= 0 on G."""
-    wt, k = _w_map_T(spec), spec.graph_point().critical
+    wt, k = _block(spec, "qu"), spec.graph_point().critical
     ineqs, rays = k._h[0], k._v[0]
     f1_rays = [r for r in rays if all(_dot(ineqs[i], r) == 0 for i in f1_active)]
     zeta = [(0,) * spec.l + ineqs[i] for i in f2_active] + [_apply(wt, tuple(map(sum, zip((0,) * spec.n, *f1_rays))))]
@@ -655,15 +659,15 @@ def _adjoint_strata(spec) -> tuple[tuple, ...]:
     F2 ⊆ F1 of the critical cone, with cells (F2, F1).  A stratum is kept,
     and its adjoint cone built, only when one of its cells is nontrivial."""
     if spec.kind == "constraint":
-        sources = ((s.label, s.normal, [_qu_pullback(spec, qc) for qc in s.reach]) for s in _strata(spec, (0,) * spec.m))
-        adjoint_of = _kernel_meet
+        sources = ((s.label, s.normal, [_pullback(spec, qc, "qu") for qc in s.reach]) for s in _strata(spec, (0,) * spec.m))
     else:
-        sources, adjoint_of = _graph_strata(spec), _variational_adjoint_cone
+        sources = _graph_strata(spec)
     strata = []
     for label, piece, cells in sources:
         samples = tuple((i, _split_qu(pick_nonzero(c), spec.l)) for i, c in enumerate(cells) if not c.is_trivial())
         if samples:
-            strata.append((label, piece, adjoint_of(spec, piece), samples))
+            adjoint = _kernel_meet(spec, piece, "x") if spec.kind == "constraint" else _variational_adjoint_cone(spec, piece)
+            strata.append((label, piece, adjoint, samples))
     return tuple(strata)
 
 
@@ -684,22 +688,13 @@ def _phase_a(spec) -> tuple[dict, bool, QVector | None]:
     return rec, covered, gap
 
 
-@_per_spec
-def _onto(spec) -> bool:
-    """Whether [Jp Jx] has full row rank m, read off ``_jacobian``'s
-    integer rows; never when l + n < m."""
-    if spec.l + spec.n < spec.m:
-        return False
-    return len(_echelon([_reduce(r) for r in _jacobian(spec)[0]], spec.l + spec.n)[0]) == spec.m
-
-
 def _phase_b(spec, mode: str) -> tuple[dict, list[Witness]]:
     """Phase B of ``check_aubin``: its trace record, one case per adjoint
     stratum and one inclusion per nontrivial (q, u) cell, named by its
     index, and its witnesses, ``{case} / cell i``.  A case is violated when
     its adjoint cone is nontrivial (corollary mode) or has a generator
     outside ker Jp^T (theorem mode)."""
-    jpt = _w_map_T(spec)[: spec.l]  # a multiple of ±Jp^T
+    jpt = _block(spec, "p")
     cases, witnesses = [], []
     for case, piece, adjoint, cells in _adjoint_strata(spec):
         if mode == "corollary":
@@ -762,7 +757,7 @@ def check_aubin(spec, mode: str = "corollary", assume_subregular: bool = False) 
 
     phase_a, covered, gap = _phase_a(spec)
     exact = None
-    if spec.kind == "constraint" and _onto(spec):
+    if spec.kind == "constraint" and spec.l + spec.n >= spec.m and _cokernel(spec, "qu")[0] == spec.m:
         exact = check_directional_metric_regularity(spec, QVector.zero(spec.n), QVector.zero(spec.m))
         if not covered and exact.holds():
             raise RuntimeError(f"check_aubin: Phase A found the gap {gap!r} where the exact criterion holds")
@@ -787,12 +782,14 @@ def check_foscms_joint(spec) -> Certificate:
     condition: every adjoint solution with both transposed-Jacobian images
     vanishing must be trivial, over all nonzero joint direction strata,
     one record each, with the indices of Phase B's cells; witnesses are
-    Phase B's.  Computed once per spec: theorem-mode ``check_aubin`` reads
-    it too."""
+    Phase B's.  A stratum's joint cone is its adjoint cone A cut down to
+    ker Jp^T, ``_kernel_meet(spec, A, "p")``: {0} with no conversion where
+    A is {0} or misses the line ker Jp^T.  Computed once per spec:
+    theorem-mode ``check_aubin`` reads it too."""
     witnesses = []
     trace = []
     for case, _, adjoint, cells in _adjoint_strata(spec):
-        joint = _joint_adjoint(spec, adjoint)
+        joint = _kernel_meet(spec, adjoint, "p")
         offender = pick_nonzero(joint)
         outcome = "ok" if offender is None else "violated"
         trace.append({"stratum": case, "cells": [i for i, _ in cells], "joint_adjoint_cone": joint, "outcome": outcome})
@@ -800,13 +797,6 @@ def check_foscms_joint(spec) -> Certificate:
             witnesses += [Witness(f"{case} / cell {i}", offender, u=u, q=q) for i, (q, u) in cells]
     status = NOT_CERTIFIED if witnesses else HOLDS
     return Certificate(status, tuple(witnesses), trace=tuple(trace))
-
-
-@_per_spec
-def _joint_adjoint(spec, adjoint: PolyCone) -> PolyCone:
-    """The adjoint cone cut down to ker Jp^T, once per spec and cone."""
-    ineqs, eqs = adjoint._h
-    return _of_rows(adjoint.dim, ineqs, eqs + _w_map_T(spec)[: spec.l])
 
 
 def graphical_derivative_S(spec, q: QVector) -> list[Polyhedron]:
@@ -861,12 +851,10 @@ def _directional_adjoints(spec, u: QVector, v: QVector) -> tuple[tuple[PolyCone,
     # s du dv (Jx u - v), as u = ui / du, v = vi / dv and _jx_rows holds s Jx
     w = _reduce([dv * a - s * du * b for a, b in zip(_apply(_jx_rows(spec), ui), vi)])
     if constraint:
-        pieces, adjoint_of = ConeUnion(m, [s.normal for s in _strata(spec, w)]).pieces, _kernel_meet
-    else:
-        gp, w = spec.graph_point(), _neg(w)
-        pairs = face_pairs(gp, ui, w) if _tangent(gp, ui, w) else []
-        pieces, adjoint_of = [p.k for p in _assemble(gp, pairs).pieces], _variational_adjoint_cone
-    return tuple((p, adjoint_of(spec, p)) for p in pieces) or None
+        return tuple((p, _kernel_meet(spec, p, "x")) for p in ConeUnion(m, [s.normal for s in _strata(spec, w)]).pieces) or None
+    gp, w = spec.graph_point(), _neg(w)
+    pairs = face_pairs(gp, ui, w) if _tangent(gp, ui, w) else []
+    return tuple((p.k, _variational_adjoint_cone(spec, p.k)) for p in _assemble(gp, pairs).pieces) or None
 
 
 def check_directional_metric_regularity(spec, u: QVector, v: QVector) -> Certificate:

@@ -52,7 +52,8 @@ they are its identity, and its rows are the generators of its polar.
 ``certificate_from_dict`` reads each view back as its cone and refuses,
 by its JSON path (``certificate.trace[0].adjoint_cone``), a view with any
 key but dim, lin and rays or with rows that are not rationals of its
-dimension, and a certificate or witness that lacks a key.
+dimension, and a certificate or witness that lacks a key or holds a value
+of the wrong shape (a witness's vectors are read by ``_ratios``).
 """
 
 from __future__ import annotations
@@ -60,12 +61,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .certify import (
-    Certificate,
-    ConstraintSystemSpec,
-    VariationalSystemSpec,
-    Witness,
-)
+from .certify import HOLDS, NOT_CERTIFIED, Certificate, ConstraintSystemSpec, VariationalSystemSpec, Witness
 from .cones import PolyCone, cone_plain
 from .linalg import IntVec, QMatrix, QVector, _common, _pair, vec_plain
 from .sets import InfeasibleError, Polyhedron, UnionSet
@@ -273,13 +269,11 @@ def problem_to_dict(spec) -> dict:
 # -- certificates -------------------------------------------------------------
 
 
+_VECTORS = ("vstar", "u", "q")  # a witness's vectors, in field order
+
+
 def _witness_plain(w: Witness) -> dict:
-    return {
-        "stratum": w.stratum,
-        "vstar": vec_plain(w.vstar) if w.vstar is not None else None,
-        "u": vec_plain(w.u) if w.u is not None else None,
-        "q": vec_plain(w.q) if w.q is not None else None,
-    }
+    return {"stratum": w.stratum, **{k: None if getattr(w, k) is None else vec_plain(getattr(w, k)) for k in _VECTORS}}
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
@@ -293,18 +287,25 @@ def certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
-def _field(obj, key: str, path: str):
-    """``obj[key]``, or a ValueError naming the JSON path of the missing key."""
+def _field(obj, key: str, path: str, test=None, shape: str = ""):
+    """``obj[key]``, or a ValueError naming the JSON path of a key that is missing or fails ``test``."""
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected an object")
     if key not in obj:
         raise ValueError(f"{path}.{key}: missing")
+    if test is not None and not test(obj[key]):
+        raise ValueError(f"{path}.{key}: expected {shape}")
     return obj[key]
+
+
+def _is_list(value, item=lambda _: True) -> bool:
+    """Whether the value is a JSON list of items that pass ``item``."""
+    return isinstance(value, list) and all(map(item, value))
 
 
 def _vec_read(obj, key: str, path: str) -> QVector | None:
     v = _field(obj, key, path)
-    return None if v is None else QVector(v)
+    return None if v is None else QVector(*_common(_ratios(v, f"{path}.{key}")))
 
 
 def _cones_read(value, path: str):
@@ -318,30 +319,37 @@ def _cones_read(value, path: str):
         return {k: _cones_read(v, f"{path}.{k}") for k, v in value.items()}
     if sorted(value) != ["dim", "lin", "rays"]:
         raise ValueError(f"{path}: a cone view has the keys dim, lin and rays only, got {sorted(value)}")
+    dim = _field(value, "dim", path, lambda d: type(d) is int and d >= 0, "a non-negative integer")
+    rays, lin = (_field(value, k, path, lambda v: _is_list(v, _is_list), "a list of lists") for k in ("rays", "lin"))
     try:
-        return PolyCone.from_generators(value["dim"], value["rays"], value["lin"])
+        return PolyCone.from_generators(dim, rays, lin)
     except (TypeError, ValueError, ZeroDivisionError) as exc:  # a row of the wrong length, or not of rationals
         raise ValueError(f"{path}: {exc}") from None
 
 
 def _witness_read(w, path: str) -> Witness:
-    return Witness(_field(w, "stratum", path), _vec_read(w, "vstar", path), u=_vec_read(w, "u", path), q=_vec_read(w, "q", path))
+    return Witness(_field(w, "stratum", path, lambda v: type(v) is str, "a string"), *(_vec_read(w, k, path) for k in _VECTORS))
+
+
+def _is_rates(value) -> bool:
+    return value is None or _is_list(value, lambda r: _is_list(r) and list(map(type, r)) == [str, bool])
 
 
 def certificate_from_dict(data: dict) -> Certificate:
     """The certificate of a JSON block's ``certificate`` object; a missing
-    key or a bad cone view raises ValueError naming its JSON path."""
-    status, witnesses = _field(data, "status", "certificate"), _field(data, "witnesses", "certificate")
-    if not isinstance(witnesses, list):
-        raise ValueError("certificate.witnesses: expected a list")
-    rates = _field(data, "rates", "certificate")
+    key, a value of the wrong shape or a bad cone view raises ValueError
+    naming its JSON path."""
+    c = "certificate"
+    status = _field(data, "status", c, lambda v: v in (HOLDS, NOT_CERTIFIED), f"{HOLDS!r} or {NOT_CERTIFIED!r}")
+    witnesses = _field(data, "witnesses", c, _is_list, "a list")
+    rates = _field(data, "rates", c, _is_rates, "null or a list of [string, bool] pairs")
     return Certificate(
         status=status,
-        witnesses=tuple(_witness_read(w, f"certificate.witnesses[{i}]") for i, w in enumerate(witnesses)),
-        rates=tuple((k, v) for k, v in rates) if rates is not None else None,
-        refuted=_field(data, "refuted", "certificate"),
-        trace=tuple(_cones_read(_field(data, "trace", "certificate"), "certificate.trace")),
-        notes=tuple(_field(data, "notes", "certificate")),
+        witnesses=tuple(_witness_read(w, f"{c}.witnesses[{i}]") for i, w in enumerate(witnesses)),
+        rates=tuple(map(tuple, rates)) if rates is not None else None,
+        refuted=_field(data, "refuted", c, lambda v: type(v) is bool, "true or false"),
+        trace=tuple(_cones_read(_field(data, "trace", c, _is_list, "a list"), f"{c}.trace")),
+        notes=tuple(_field(data, "notes", c, lambda v: _is_list(v, lambda x: type(x) is str), "a list of strings")),
     )
 
 
@@ -404,14 +412,8 @@ def render_report(check: str, cert: Certificate, verbosity: str = "summary") -> 
         for k, v in cert.rates:
             lines.append(f"rate {k}: {v}")
     for w in cert.witnesses:
-        bits = [f"witness in stratum [{w.stratum}]"]
-        if w.vstar is not None:
-            bits.append(f"v*={w.vstar!r}")
-        if w.u is not None:
-            bits.append(f"u={w.u!r}")
-        if w.q is not None:
-            bits.append(f"q={w.q!r}")
-        lines.append("  " + ", ".join(bits))
+        bits = [f"{name}={v!r}" for name, v in (("v*", w.vstar), ("u", w.u), ("q", w.q)) if v is not None]
+        lines.append("  " + ", ".join([f"witness in stratum [{w.stratum}]", *bits]))
     for note in cert.notes:
         lines.append(f"note: {note}")
     lines.extend(_render_trace(cert.trace, verbosity))

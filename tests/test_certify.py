@@ -629,7 +629,7 @@ def test_phase_b_and_the_joint_check_read_one_record_per_stratum(mode):
             f"{r['stratum']} / cell {i}" for r in joint.trace if r["outcome"] == "violated" for i in r["cells"]
         ]
         phase_b, witnesses = certify._phase_b(spec, mode)
-        if spec.kind == "variational" or not certify._onto(spec):
+        if spec.kind == "variational" or certify._cokernel(spec, "qu")[0] < spec.m:  # [Jp Jx] is not onto
             assert aubin.trace[1:] == (() if aubin.refuted else (phase_b,))
             assert aubin.refuted or list(aubin.witnesses) == witnesses
         strata = []
@@ -752,8 +752,8 @@ def test_adjoint_strata_convert_no_first_order_cell(monkeypatch, check, passes):
     # cells, never its u-cells {u : Jx u ∈ C}, so on their own they pull
     # no cell back through Jx alone (that would be 3^4 = 81 more passes)
     calls = []
-    real = certify._x_pullback
-    monkeypatch.setattr(certify, "_x_pullback", lambda spec, cone: calls.append(cone) or real(spec, cone))
+    real = certify._pullback
+    monkeypatch.setattr(certify, "_pullback", lambda spec, cone, block: (block == "x" and calls.append(cone)) or real(spec, cone, block))
     spec = admissible_complementarity(4)
     with counting_dd() as dd:
         check(spec)
@@ -1161,7 +1161,7 @@ def rational_directional_adjoints(spec, u, v):
         w = spec.Jx.matvec(u) - v
         if not union_tangent_cone(spec.D, spec.g0).contains(w):
             return None
-        return tuple((p, certify._kernel_meet(spec, p)) for p in directional_normal_cone(spec.D, spec.g0, w).pieces)
+        return tuple((p, certify._kernel_meet(spec, p, "x")) for p in directional_normal_cone(spec.D, spec.g0, w).pieces)
     gp = spec.graph_point()
     w = v - spec.Jx.matvec(u)
     k = gp.critical
@@ -1312,9 +1312,9 @@ def test_integer_pullbacks_match_rational_rows():
         assert _solution_pieces(spec) == tuple(_rational_pullback(t, w_map, dim) for t in tangent)
         ker = PolyCone.from_ineqs(spec.m, [], [spec.Jx.col(j) for j in range(spec.n)])
         for s in certify._strata(spec, (0,) * spec.m):
-            assert certify._kernel_meet(spec, s.normal) == ker.intersect(s.normal)
+            assert certify._kernel_meet(spec, s.normal, "x") == ker.intersect(s.normal)
             for qc in s.reach:
-                assert certify._x_pullback(spec, qc) == _rational_pullback(qc, spec.Jx, spec.n)
+                assert certify._pullback(spec, qc, "x") == _rational_pullback(qc, spec.Jx, spec.n)
     for spec in [ex5_spec()] + random_variational_specs():
         spec = _rational(spec)
         k = spec.graph_point().critical
@@ -1396,6 +1396,21 @@ def test_constraint_systems_with_no_components():
         check_directional_metric_regularity(spec, QVector([1, 0]), QVector([]))
 
 
+@pytest.mark.parametrize("make, passes", ((ex5_spec, 0), (ex3_spec, 1)))
+def test_joint_check_converts_no_trivial_adjoint_cone(make, passes):
+    # once the adjoint strata are built, each joint cone ker Jp^T ∩ A is
+    # {0} with no conversion where A = {0} (or ker Jp^T is a line that A
+    # meets only in 0), and one conversion otherwise.  Every adjoint cone of
+    # ex5 is {0}; of ex3's, one is a ray, and ker Jp^T is a plane, so its
+    # joint cone converts.  Converting every distinct adjoint cone, {0}
+    # among them, would make 1 and 2 passes
+    spec = make()
+    certify._adjoint_strata(spec)
+    with counting_dd() as calls:
+        check_foscms_joint(spec)
+    assert len(calls) == passes
+
+
 def test_second_joint_check_makes_no_conversion():
     # theorem mode runs check_foscms_joint first; its joint cones stay with the spec
     spec = ex5_spec()
@@ -1457,38 +1472,54 @@ def _cone_generators(m: int):
     )
 
 
-# (m, l, the columns of Jx, cones of R^m), n = the number of columns
+# (m, the columns of Jp, the columns of Jx, cones of R^m): l and n are the
+# numbers of columns
 _KERNEL_CASES = st.integers(1, 4).flatmap(
-    lambda m: st.tuples(st.just(m), st.integers(0, 2), _int_vectors(m, 0, 4), st.lists(_cone_generators(m), min_size=1, max_size=4))
+    lambda m: st.tuples(st.just(m), _int_vectors(m, 0, 2), _int_vectors(m, 0, 4), st.lists(_cone_generators(m), min_size=1, max_size=4))
 )
 # {0}, lines, a line plus a ray on either side of (1, -1), rays on both
-# sides of it, on one side, and on it
+# sides of it, on one side, and on it, and each of ±(1, -1) alone
 _SAMPLE_CONES = [
     ([], []), ([], [(1, -1)]), ([], [(1, 1)]), ([(1, 0)], [(0, 1)]), ([(-1, 0)], [(0, 1)]),
-    ([(1, 0), (0, 1)], []), ([(1, 0), (2, 1)], []), ([(1, 1), (-1, 2)], []),
+    ([(1, 0), (0, 1)], []), ([(1, 0), (2, 1)], []), ([(1, 1), (-1, 2)], []), ([(1, -1)], []), ([(-1, 1)], []),
 ]
+
+
+def _pulled_back(cone, cols, dim):
+    """{z : sum_j z_j col_j ∈ cone} in R^dim, from the cone's integer rows."""
+    ineqs, eqs = cone._h
+    return _of_rows(dim, *[[tuple(_dot(a, c) for c in cols) for a in part] for part in (ineqs, eqs)])
 
 
 @settings(max_examples=150, deadline=None)
 @given(_KERNEL_CASES)
-@example((2, 0, [], _SAMPLE_CONES))  # n = 0, l = 0, ker Jx^T = R^2
-@example((2, 1, [(1, 0), (0, 1)], _SAMPLE_CONES))  # ker Jx^T = {0}
-@example((2, 2, [(1, 1)], _SAMPLE_CONES))  # ker Jx^T = span(1, -1)
-@example((2, 1, [(1, 1), (2, 2)], _SAMPLE_CONES))  # rank Jx < n
-@example((3, 1, [(1, 0, 1)], [([], []), ([], [(1, -1, 0)]), ([(0, 1, 0)], [(1, 0, -1)])]))  # dim ker Jx^T = 2
+@example((2, [], [], _SAMPLE_CONES))  # l = n = 0: every ker B^T = R^2
+@example((2, [(1, 0)], [(1, 0), (0, 1)], _SAMPLE_CONES))  # ker Jx^T = {0}, ker Jp^T = span(0, 1)
+@example((2, [(1, 2)], [(1, 1)], _SAMPLE_CONES))  # ker Jx^T = span(1, -1), [Jp Jx] onto
+@example((2, [(1, 1)], [(1, 1), (2, 2)], _SAMPLE_CONES))  # rank Jx < n, ker [Jp Jx]^T = span(1, -1)
+@example((3, [(1, 0, 1)], [(1, 0, 1)], [([], []), ([], [(1, -1, 0)]), ([(0, 1, 0)], [(1, 0, -1)])]))  # dim ker B^T = 2
+@example((1, [], [(2,)], [([], []), ([(1,)], []), ([(-1,)], []), ([], [(1,)])]))  # m = 1, l = 0
+@example((1, [(1,)], [], [([], []), ([(1,)], []), ([(-1,)], []), ([], [(1,)])]))  # m = 1, n = 0
 def test_kernel_meets_and_admissible_flags_match_their_conversions(case):
-    # the references convert: ker Jx^T ∩ N from N's rows with Jx's columns
-    # as equations, and the pullback {u : Jx u ∈ C} through Jx^T's rows
-    m, l, cols, cones = case
+    # for each block B of the Jacobian, Jp, Jx and [Jp Jx], the references
+    # convert: C ∩ ker B^T from C's rows with B's columns as equations, and
+    # the pullback {z : B z ∈ C} through the rows of B^T; the admissible
+    # flag is whether the pullback through Jx is not {0}
+    m, pcols, xcols, cones = case
     spec = ConstraintSystemSpec(
-        l=l, n=len(cols), m=m, Jp=[[1] * l for _ in range(m)], Jx=[[c[i] for c in cols] for i in range(m)],
+        l=len(pcols), n=len(xcols), m=m, Jp=[[c[i] for c in pcols] for i in range(m)], Jx=[[c[i] for c in xcols] for i in range(m)],
         g0=[0] * m, D=UnionSet([Polyhedron(m, [[1] + [0] * (m - 1)], [0])]),
     )
+    blocks = {"p": pcols, "x": xcols, "qu": pcols + xcols}
+    for block, cols in blocks.items():
+        assert certify._cokernel(spec, block)[0] == (rank_of_rows([QVector(c) for c in cols]) if cols else 0)
     for rays, lin in cones:
         c = PolyCone.from_generators(m, rays, lin)
         ineqs, eqs = c._h
-        assert certify._kernel_meet(spec, c) == _of_rows(m, ineqs, [*eqs, *cols])
-        assert certify._pulls_back(spec, c) == (not certify._pullback(c, cols).is_trivial())
+        for block, cols in blocks.items():
+            assert certify._kernel_meet(spec, c, block) == _of_rows(m, ineqs, [*eqs, *cols]), block
+            assert certify._pullback(spec, c, block) == _pulled_back(c, cols, len(cols)), block
+        assert certify._pulls_back(spec, c) == (not _pulled_back(c, xcols, len(xcols)).is_trivial())
 
 
 @pytest.mark.parametrize("make, passes", ((ex3_spec, 27), (ex4_spec, 8), (2, 29), (3, 87), (4, 257)))
@@ -1511,13 +1542,12 @@ def test_strata_walk_passes(make, passes):
 
 def test_pullback_read_through_its_generators_converts_once():
     spec = ex3_spec()
-    jxt = certify._w_map_T(spec)[spec.l:]
     pieces = union_tangent_cone(spec.D, spec.g0).pieces
     for piece in pieces:
         piece._h
     with counting_dd() as calls:
         for piece in pieces:
-            u = certify._pullback(piece, jxt)
+            u = certify._pullback(spec, piece, "x")
             u.is_trivial(), pick_nonzero(u)
     assert len(calls) == len(pieces)
 
@@ -1534,4 +1564,4 @@ def test_calmness_reuses_the_subregularity_certificates():
     # nontrivial dual cone, {0}: the first calmness check pulls back the one
     # tangent piece R^2_- (one conversion), and the second reuses it
     (piece,) = union_tangent_cone(spec.D, spec.g0).pieces
-    assert len(calls) == 1 and certify._x_pullback(spec, piece).lin
+    assert len(calls) == 1 and certify._pullback(spec, piece, "x").lin

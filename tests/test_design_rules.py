@@ -1,4 +1,4 @@
-"""Three layering rules of the package, checked on its source with ``ast``.
+"""Four layering rules of the package, checked on its source with ``ast``.
 
 Fractions stay at the boundary: the cone layer, the polyhedra, the graph map
 and the certifiers work on integer rows; rationals enter and leave only
@@ -19,6 +19,10 @@ Certificates hold cones, and the JSON boundary writes their views: the
 certifiers import and call no ``cone_plain``, and a cone keeps no view (no
 ``_plain`` in ``PolyCone.__slots__``); ``fileio`` writes a view when it
 encodes a certificate and reads it back as a cone.
+
+Each block of the Jacobian is cut in one place: the certifiers read the
+columns of Jp, Jx and [Jp Jx] (the rows of ``certify._w_map_T``) through
+``certify._block`` alone, so no other function slices them.
 """
 
 import ast
@@ -108,3 +112,14 @@ def test_the_benchmark_tracer_binds_only_names_the_package_has():
         if owner is None or not callable(vars(owner).get(attr)):
             bad.append(".".join(filter(None, (mod, cls, attr))))
     assert not bad, "the tracer binds names the package lacks: " + ", ".join(bad)
+
+
+def test_the_jacobian_blocks_are_cut_only_in_block():
+    path, nodes = _nodes(PACKAGE / "certify.py")
+    bad = []
+    for fn in nodes:
+        if isinstance(fn, ast.FunctionDef) and fn.name != "_block":
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_w_map_T":
+                    bad.append(f"{path}:{node.lineno} {fn.name} reads _w_map_T, not _block")
+    assert not bad, "\n".join(bad)

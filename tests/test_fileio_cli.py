@@ -479,6 +479,44 @@ def test_a_witness_without_its_stratum_is_refused_by_path():
     assert str(err.value) == "certificate.witnesses[0].stratum: missing"
 
 
+_MALFORMED = [
+    (("status",), "maybe", "certificate.status: expected 'holds' or 'not_certified'"),
+    (("refuted",), "yes", "certificate.refuted: expected true or false"),
+    (("witnesses",), {}, "certificate.witnesses: expected a list"),
+    (("rates",), 5, "certificate.rates: expected null or a list of [string, bool] pairs"),
+    (("rates",), [["linear_solvability"]], "certificate.rates: expected null or a list of [string, bool] pairs"),
+    (("rates",), [["linear_solvability", "yes"]], "certificate.rates: expected null or a list of [string, bool] pairs"),
+    (("notes",), "abc", "certificate.notes: expected a list of strings"),
+    (("notes",), [1], "certificate.notes: expected a list of strings"),
+    (("trace",), {"a": 1}, "certificate.trace: expected a list"),
+    (("witnesses", 0, "stratum"), 3, "certificate.witnesses[0].stratum: expected a string"),
+    (("witnesses", 0, "q"), "12", "certificate.witnesses[0].q: expected a list of rationals"),
+    (("witnesses", 0, "vstar"), 5, "certificate.witnesses[0].vstar: expected a list of rationals"),
+    (("witnesses", 0, "vstar"), ["x"], "certificate.witnesses[0].vstar[0]: not a rational 'n' or 'n/d': 'x'"),
+    (("witnesses", 0, "u"), [True], "certificate.witnesses[0].u[0]: expected a rational string like '1/2', got True"),
+    (("trace", 0, "projections", 0, "rays"), "12", "certificate.trace[0].projections[0].rays: expected a list of lists"),
+    (("trace", 0, "projections", 0, "lin"), ["1"], "certificate.trace[0].projections[0].lin: expected a list of lists"),
+    (("trace", 0, "projections", 0, "dim"), True, "certificate.trace[0].projections[0].dim: expected a non-negative integer"),
+    (("trace", 0, "projections", 0, "dim"), -1, "certificate.trace[0].projections[0].dim: expected a non-negative integer"),
+]
+
+
+@pytest.mark.parametrize("where, value, message", _MALFORMED, ids=[m.split(":")[0] + f"={v!r}" for _, v, m in _MALFORMED])
+def test_a_malformed_certificate_block_is_refused_by_path(where, value, message):
+    # a value of the wrong shape is refused by its JSON path, never loaded
+    # as something else (a string read as a list of its characters) and
+    # never with a bare TypeError
+    data = json.loads(render_report("aubin", check_aubin(_aubin_refutation_spec(), "corollary")).json_block())["certificate"]
+    *parents, key = where
+    target = data
+    for k in parents:
+        target = target[k]
+    target[key] = value
+    with pytest.raises(ValueError) as err:
+        certificate_from_dict(data)
+    assert str(err.value) == message
+
+
 def test_a_desk_scale_block_names_each_stratum_once():
     # admissible(6) has 64 pieces and 729 strata: a label names only the live
     # pieces of its stratum, and Phase B and the joint check name a cell by

@@ -2,7 +2,8 @@
 ``golden/probe-verdicts.txt``: one line per spec and check, giving the
 check's status, its refuted flag and its witness count.  The checks are
 ``foscms``, ``soscms`` (where the spec has Hessians), ``calmness`` (first
-order), ``aubin`` (corollary mode) and ``dir-reg`` at (0, 0).
+order), ``aubin`` (corollary mode), ``dir-reg`` at (0, 0), ``foscms-joint``
+and ``aubin-theorem`` (theorem mode with joint subregularity asserted).
 
 Tier-1 compares the first ``TIER1`` specs.  From the repository root,
 
@@ -25,6 +26,7 @@ from polyvar.certify import (
     check_calmness_constraint,
     check_directional_metric_regularity,
     check_foscms,
+    check_foscms_joint,
     check_soscms,
 )
 from polyvar.linalg import QVector
@@ -41,6 +43,8 @@ def verdict_lines(name: str, spec) -> list[str]:
         ("calmness", lambda s: check_calmness_constraint(s, "first")),
         ("aubin", lambda s: check_aubin(s, "corollary")),
         ("dir-reg", lambda s: check_directional_metric_regularity(s, QVector.zero(s.n), QVector.zero(s.m))),
+        ("foscms-joint", check_foscms_joint),
+        ("aubin-theorem", lambda s: check_aubin(s, "theorem", assume_subregular=True)),
     ]
     lines = []
     for check, run in checks:
