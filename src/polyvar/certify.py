@@ -205,36 +205,31 @@ def _apply(rows: Sequence[IntVec], v: IntVec) -> IntVec:
 
 
 @_per_spec
-def _jacobian(spec) -> tuple[tuple[IntVec, ...], int]:
-    """The rows of [Jp Jx] in integers, times the least positive integer s
-    that clears their denominators, and s: every linear map the certifiers
-    apply is read off this one form."""
+def _w_map_T(spec) -> tuple[tuple[IntVec, ...], int]:
+    """The transpose of the linearized map (q, u) -> w in integer rows, times
+    the least positive integer s that clears the denominators of Jp and Jx,
+    and s: w = Jp q + Jx u for a constraint system and w = -Jp q - Jx u for
+    a variational one.  Row j < l is the column of q_j, row l + j that of
+    u_j.  The one integer form of the Jacobians, and the one reader of them."""
     rows, s = _cleared(spec.Jp.rows + spec.Jx.rows)
-    return tuple(p + x for p, x in zip(rows, rows[spec.m :])), s
-
-
-@_per_spec
-def _w_map_T(spec) -> tuple[IntVec, ...]:
-    """The transpose of the linearized map (q, u) -> w in integer rows, scaled
-    by a positive integer: w = Jp q + Jx u for a constraint system and
-    w = -Jp q - Jx u for a variational one.  Row j < l is the column of q_j,
-    row l + j the column of u_j; the last n rows are a multiple of ±Jx^T."""
-    rows = _jacobian(spec)[0]
-    cols = tuple(tuple(r[j] for r in rows) for j in range(spec.l + spec.n))
-    return cols if spec.kind == "constraint" else tuple(map(_neg, cols))
-
-
-@_per_spec
-def _jx_rows(spec) -> tuple[IntVec, ...]:
-    """The rows of s Jx, with s the scale of ``_jacobian``."""
-    return tuple(r[spec.l :] for r in _jacobian(spec)[0])
+    jp, jx = rows[: spec.m], rows[spec.m :]
+    cols = [tuple(r[j] for r in jp) for j in range(spec.l)] + [tuple(r[j] for r in jx) for j in range(spec.n)]
+    return tuple(cols if spec.kind == "constraint" else map(_neg, cols)), s
 
 
 def _block(spec, block: str) -> tuple[IntVec, ...]:
     """The rows of ``_w_map_T`` for a block B of the Jacobian: "p" (B = Jp,
     the columns of q), "x" (B = Jx, those of u) or "qu" (B = [Jp Jx], all
     of them), a positive multiple of ±B^T.  The one place that slices them."""
-    return _w_map_T(spec)[{"p": slice(spec.l), "x": slice(spec.l, None), "qu": slice(None)}[block]]
+    return _w_map_T(spec)[0][{"p": slice(spec.l), "x": slice(spec.l, None), "qu": slice(None)}[block]]
+
+
+@_per_spec
+def _jx_rows(spec) -> tuple[IntVec, ...]:
+    """The transpose of ``_block(spec, "x")``, signed by kind as it is: s Jx
+    for a constraint system, -s Jx for a variational one (s of ``_w_map_T``)."""
+    cols = _block(spec, "x")
+    return tuple(tuple(c[i] for c in cols) for i in range(spec.m))
 
 
 @_per_spec
@@ -388,17 +383,19 @@ def _negativity_on_cone(q: Sequence[IntVec], cone: PolyCone) -> IntVec | None:
     maximises the form over u + L (a Schur complement), and as r = 0 leaves
     u^T q u < 0, the cone has a witness iff cone(R') has one.
 
-    Each support J of s <= dim linearly independent rays G_J of R',
-    smallest first, gets one feasibility test of the KKT system
-    G_J^T q G_J lam = mu 1, lam > 0, mu >= 0 (the principal-submatrix
-    criteria of Cottle, Habetler and Lemke, and of Väliaho, 1986);
-    dependent supports are skipped.  The test is sound: a solution gives
-    u = G_J lam, nonzero as G_J is independent, with
-    u^T q u = mu sum(lam) >= 0.  It is complete: a witness scales into
-    conv(R'), by Carathéodory it is G_J lam' for an independent G_J and
-    lam' > 0, so the maximum of lam^T G_J^T q G_J lam over the simplex of J
-    is >= 0; it is attained in the relative interior of the simplex of some
-    J' ⊆ J, where the KKT system of J' holds with mu the maximum.
+    Each support J of s <= dim rays G_J of R', smallest first, gets one
+    feasibility test of the KKT system G_J^T q G_J lam = mu 1, lam > 0,
+    mu >= 0 (the principal-submatrix criteria of Cottle, Habetler and
+    Lemke, and of Väliaho, 1986).  It is sound: cone(R'), an injective
+    image of the pointed cone(R), is pointed, so a solution gives
+    u = G_J lam != 0 with u^T q u = mu sum(lam) >= 0.  It is complete: a
+    witness scales into conv(R'), by Carathéodory it is G_J lam' for an
+    independent G_J and lam' > 0, so the maximum of lam^T G_J^T q G_J lam
+    over the simplex of J is >= 0; it is attained in the relative interior
+    of the simplex of some J' ⊆ J, where the KKT system of J' holds with mu
+    the maximum.  So no rank is tested: a dependent J that passes has its u
+    in the cone of a smaller independent J', and a J'' ⊆ J', tried first,
+    passes (in dimension <= 3 no support is dependent at all).
     """
     gens, lin = cone._v
     while lin:
@@ -411,16 +408,13 @@ def _negativity_on_cone(q: Sequence[IntVec], cone: PolyCone) -> IntVec | None:
     gram = _restrict_form(q, gens)
     for size in range(1, min(len(gens), cone.dim) + 1):
         for support in combinations(range(len(gens)), size):
-            picked = [gens[j] for j in support]
-            if len(_echelon(picked, cone.dim)[0]) < size:
-                continue
             # variables (lam_J, mu)
             eqs = [_reduce([gram[t][j] for j in support] + [-1]) for t in support]
             strict = [tuple(-int(j == i) for j in range(size + 1)) for i in range(size)]
             cell = open_cell(size + 1, [(0,) * size + (-1,)], eqs, strict)
             if cell is not None:
                 z = [sum(x) for x in zip(*cell._v[0])]  # a point of the cell
-                return _lift(picked, z[:-1])
+                return _lift([gens[j] for j in support], z[:-1])
     return None
 
 
@@ -619,11 +613,11 @@ def _graph_cell(spec: VariationalSystemSpec, f2_active: frozenset, f1_active: fr
 def _variational_adjoint_cone(spec: VariationalSystemSpec, kd: PolyCone) -> PolyCone:
     """{v* : -Jx^T v* ∈ Kd°, -v* ∈ Kd} in R^n, once per difference cone Kd
     for the strata and for the directional adjoints at every direction."""
-    jx = _jx_rows(spec)
+    jx = _jx_rows(spec)  # -s Jx
     rays, lin = kd._v  # the H-representation of Kd°
     ineqs, eqs = kd._h
-    # a.(-Jx^T v*) <= 0  <=>  -(Jx a).v* <= 0, and b.(-v*) <= 0
-    rows_i = [_neg(_apply(jx, a)) for a in rays] + [_neg(b) for b in ineqs]
+    # a.(-Jx^T v*) <= 0  <=>  (-Jx a).v* <= 0, and b.(-v*) <= 0
+    rows_i = [_apply(jx, a) for a in rays] + [_neg(b) for b in ineqs]
     rows_e = [_apply(jx, e) for e in lin] + list(eqs)
     return _of_rows(spec.n, rows_i, rows_e)
 
@@ -847,12 +841,12 @@ def _directional_adjoints(spec, u: QVector, v: QVector) -> tuple[tuple[PolyCone,
         raise ValueError("matvec dimension mismatch")
     if v.dim != m:
         raise ValueError(f"dimension mismatch: {m} vs {v.dim}" if constraint else f"dimension mismatch: {v.dim} vs {m}")
-    ((ui,), du), ((vi,), dv), s = _cleared([u]), _cleared([v]), _jacobian(spec)[1]
-    # s du dv (Jx u - v), as u = ui / du, v = vi / dv and _jx_rows holds s Jx
-    w = _reduce([dv * a - s * du * b for a, b in zip(_apply(_jx_rows(spec), ui), vi)])
+    ((ui,), du), ((vi,), dv), s = _cleared([u]), _cleared([v]), _w_map_T(spec)[1]
+    # s du dv (Jx u - v), or (v - Jx u), as u = ui / du, v = vi / dv and _jx_rows holds s Jx, or -s Jx
+    w = _reduce([dv * a - s * du * b for a, b in zip(_apply(_jx_rows(spec), ui), vi if constraint else _neg(vi))])
     if constraint:
         return tuple((p, _kernel_meet(spec, p, "x")) for p in ConeUnion(m, [s.normal for s in _strata(spec, w)]).pieces) or None
-    gp, w = spec.graph_point(), _neg(w)
+    gp = spec.graph_point()
     pairs = face_pairs(gp, ui, w) if _tangent(gp, ui, w) else []
     return tuple((p.k, _variational_adjoint_cone(spec, p.k)) for p in _assemble(gp, pairs).pieces) or None
 

@@ -694,6 +694,35 @@ def test_aubin_is_the_exact_criterion_where_the_jacobian_is_onto_hypothesis(seed
         assert certify._phase_b(spec, mode)[1]
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["constraint", "variational", "rank-deficient"]))
+def test_theorem_mode_decides_as_corollary_mode_where_the_joint_check_holds_hypothesis(seed, kind):
+    # the joint check holds iff every adjoint cone A has A ∩ ker Jp^T = {0};
+    # then a nonzero A has a generator outside ker Jp^T, so theorem mode is
+    # violated iff A != {0}, which is corollary mode's test on the same
+    # strata.  Where the joint check fails, theorem mode needs an assertion.
+    # With l = n = 1 < m = 3, [Jp Jx] is never onto, and Phase B decides
+    r = rng(seed)
+    if kind == "rank-deficient":
+        spec = ConstraintSystemSpec(l=1, n=1, m=3, Jp=random_matrix(r, 3, 1), Jx=random_matrix(r, 3, 1), g0=[0] * 3, D=random_union(r, 3))
+    else:
+        spec = random_spec(r, kind)
+    if check_foscms_joint(spec).holds():
+        theorem, corollary = check_aubin(spec, "theorem"), check_aubin(spec)
+        assert (theorem.status, theorem.refuted) == (corollary.status, corollary.refuted)
+    else:
+        with pytest.raises(PreconditionError):
+            check_aubin(spec, "theorem")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_the_joint_check_holds_where_the_jacobian_is_onto_hypothesis(seed):
+    # [Jp Jx] onto: ker Jp^T ∩ ker Jx^T = ker [Jp Jx]^T = {0}, and every
+    # joint cone lies in it
+    assert check_foscms_joint(onto_constraint_spec(rng(seed))).holds()
+
+
 # -- the scaled families of families.py at their tier-1 sizes, every witness replayed
 
 
@@ -884,7 +913,7 @@ def row_built_graph_cell(spec, f2_active, f1_active):
     """The (q, u) cell of the face pair converted from its own rows: K's
     rows with F2's active rows as equations, and K° ∩ F1^⊥ (<= 0 on K's
     rays, = 0 on its lineality and on F1's rays) pulled back."""
-    wt, pad, k = certify._w_map_T(spec), (0,) * spec.l, spec.graph_point().critical
+    wt, pad, k = certify._block(spec, "qu"), (0,) * spec.l, spec.graph_point().critical
     (ineqs, eqs), (rays, lin) = k._h, k._v
     f1_rays = [r for r in rays if all(certify._dot(ineqs[i], r) == 0 for i in f1_active)]
     rows_i = [pad + a for i, a in enumerate(ineqs) if i not in f2_active] + [certify._apply(wt, r) for r in rays]

@@ -20,9 +20,11 @@ certifiers import and call no ``cone_plain``, and a cone keeps no view (no
 ``_plain`` in ``PolyCone.__slots__``); ``fileio`` writes a view when it
 encodes a certificate and reads it back as a cone.
 
-Each block of the Jacobian is cut in one place: the certifiers read the
-columns of Jp, Jx and [Jp Jx] (the rows of ``certify._w_map_T``) through
-``certify._block`` alone, so no other function slices them.
+Each block of the Jacobian is cut in one place, from one integer form:
+``certify._w_map_T`` alone reads the spec's rational ``Jp`` and ``Jx``, and
+holds the columns of Jp, Jx and [Jp Jx] in integers with their scale; the
+certifiers read those columns through ``certify._block`` alone, so no other
+function slices them, and elsewhere ``_w_map_T`` gives only its scale.
 """
 
 import ast
@@ -114,12 +116,17 @@ def test_the_benchmark_tracer_binds_only_names_the_package_has():
     assert not bad, "the tracer binds names the package lacks: " + ", ".join(bad)
 
 
-def test_the_jacobian_blocks_are_cut_only_in_block():
+def test_the_jacobians_have_one_integer_form_cut_only_in_block():
     path, nodes = _nodes(PACKAGE / "certify.py")
     bad = []
     for fn in nodes:
-        if isinstance(fn, ast.FunctionDef) and fn.name != "_block":
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_w_map_T":
-                    bad.append(f"{path}:{node.lineno} {fn.name} reads _w_map_T, not _block")
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        scales = {id(n.value) for n in ast.walk(fn) if isinstance(n, ast.Subscript) and getattr(n.slice, "value", None) == 1}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and node.attr in ("Jp", "Jx") and fn.name != "_w_map_T":
+                bad.append(f"{path}:{node.lineno} {fn.name} reads .{node.attr}, not _w_map_T's integer form")
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_w_map_T":
+                if fn.name != "_block" and id(node) not in scales:
+                    bad.append(f"{path}:{node.lineno} {fn.name} reads _w_map_T's rows, not _block")
     assert not bad, "\n".join(bad)

@@ -651,6 +651,42 @@ def test_cli_value_error_in_a_check_is_internal(monkeypatch, capsys):
     assert err.startswith("internal error:") and "ValueError: dimension mismatch: 2 vs 3" in err
 
 
+def _check_option(parser):
+    """The certify subcommand's --check action of a parser."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices["certify"]._actions if a.dest == "check")
+
+
+# the direction options of ex3 (n = 2, m = 4) and ex5 (n = m = 2)
+_DIRECTIONS = {"dir-subreg": (["--dir=1,0"], ["--dir=1,0"]), "dir-reg": (["--dir=0,0;0,0,0,0"], ["--dir=0,0;0,0"])}
+
+
+def test_every_check_choice_dispatches(monkeypatch, capsys):
+    # argparse admits the listed checks only, and _run_check has a branch
+    # for each: every choice gives a verdict on ex3 or on ex5 (on the other
+    # file a check may be a usage error, never an internal one)
+    paths = [bundled_problem_path(f"ex{which}.json") for which in (3, 5)]
+    choices = _check_option(cli.build_parser()).choices
+    for check in choices:
+        extra = _DIRECTIONS.get(check, ((), ()))
+        codes = [run_command(["certify", path, "--check", check, *args]) for path, args in zip(paths, extra)]
+        assert 4 not in codes and {0, 1} & set(codes), (check, codes)
+    capsys.readouterr()
+    # a choice with no branch is a defect: exit 4, not a usage error
+    build = cli.build_parser
+
+    def with_an_extra_choice():
+        parser = build()
+        option = _check_option(parser)
+        option.choices = [*option.choices, "no-such-check"]
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", with_an_extra_choice)
+    assert run_command(["certify", paths[0], "--check", "no-such-check"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "RuntimeError: no branch runs the check 'no-such-check'" in err
+
+
 def test_cli_precondition_and_input_errors_are_usage_errors(capsys):
     ex4 = bundled_problem_path("ex4.json")
     ex5 = bundled_problem_path("ex5.json")

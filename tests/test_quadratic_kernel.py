@@ -6,9 +6,10 @@ nonzero primitive integer vector of the cone on which the form is
 nonnegative.  It splits the lineality space off first, in one q-orthogonal
 pass over its rows, so on the subspace R^n (``whole``) it decides negative
 definiteness by the signs of the pivots b^T q b, which Sylvester's
-criterion checks.  A test-local reference reads a lineality row l as the
-two generators l and -l and tries every nonempty set of generators,
-dependent ones too.  Forms are integer matrices and
+criterion checks.  The search over supports of the rays tests no rank, and
+a test-local reference reads a lineality row l as the two generators l and
+-l and tries every nonempty set of generators, dependent ones too.  Forms
+are integer matrices and
 directions integer tuples: each rational matrix below is scaled by one
 positive integer (``ints``), which keeps every sign.
 """
@@ -20,6 +21,7 @@ from math import lcm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyvar import certify
 from polyvar.certify import _form_value, _lift, _negativity_on_cone, _restrict_form
 from polyvar.cones import PolyCone, open_cell
 from polyvar.linalg import QMatrix, QVector, _neg, _reduce
@@ -176,9 +178,26 @@ def cones_and_forms(draw):
     return PolyCone.from_generators(n, rays, lin), ints(draw(symmetric_matrices(n, n)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(cones_and_forms())
-def test_independent_supports_decide_as_every_support_does(case):
+@st.composite
+def pointed_cones_and_forms(draw):
+    """A pointed cone in R^4 or R^5, over dim + 1 to dim + 3 points of
+    {-1, 0, 1}^(dim - 1) at height 1, where dependent sets of rays are
+    common, and a symmetric integer form with a negative diagonal, so that
+    many searches try every support."""
+    n = draw(st.integers(4, 5))
+    points = st.lists(st.integers(-1, 1), min_size=n - 1, max_size=n - 1).map(tuple)
+    rays = [(*x, 1) for x in draw(st.lists(points, min_size=n + 1, max_size=n + 3, unique=True))]
+    q = [[0] * n for _ in range(n)]
+    for i in range(n):
+        q[i][i] = draw(st.integers(-6, -1))
+        for j in range(i + 1, n):
+            q[i][j] = q[j][i] = draw(st.integers(-1, 1))
+    return PolyCone.from_generators(n, rays), tuple(map(tuple, q))
+
+
+@settings(max_examples=190, deadline=None)
+@given(st.one_of(cones_and_forms(), pointed_cones_and_forms()))
+def test_the_support_search_decides_as_every_support_does(case):
     cone, q = case
     want = every_support(q, cone)
     assert (_negativity_on_cone(q, cone) is None) == (want is None)
@@ -214,3 +233,28 @@ def test_cone_decision_matches_dense_grid(rays, lin, q):
         assert not grid_hit
     else:
         violation(q, cone)
+
+
+def test_a_dependent_support_is_tried_and_passes_no_test(monkeypatch):
+    # the cone over a square in R^4 and one more ray: the square's rays are
+    # dependent (r1 + r3 = r2 + r4), the one dependent support among the 30
+    # of size <= 4.  With q = -I the search tries all 30, none passes, and it
+    # computes no rank, as a dependent support can pass only after a
+    # smaller independent one has
+    cone = PolyCone.from_generators(4, [[1, 0, 0, 1], [0, 1, 0, 1], [-1, 0, 0, 1], [0, -1, 0, 1], [0, 0, 1, 0]])
+    q = tuple(tuple(-int(i == j) for j in range(4)) for i in range(4))
+    tried = []
+
+    def counted(*args):
+        tried.append(args)
+        return open_cell(*args)
+
+    def no_rank(*args):
+        raise AssertionError("the second order search computes a rank")
+
+    monkeypatch.setattr(certify, "open_cell", counted)
+    monkeypatch.setattr(certify, "_echelon", no_rank)
+    assert _negativity_on_cone(q, cone) is None
+    assert len(tried) == 30
+    monkeypatch.undo()
+    assert every_support(q, cone) is None
